@@ -290,44 +290,50 @@ class RTDSSite(SiteBase):
                 "phase.enroll", ctx.job, self.now,
                 site=self.sid, asked=len(members),
             )
-        sphere_sites = sorted([*members, self.sid])
         if self.trace_on:
             self.trace("acs.enroll", job=ctx.job, asked=len(members))
         queue_budget = 0.0
         if self.config.enroll_mode == "queue":
             frac = self.config.enroll_timeout or 0.25
             queue_budget = max(0.0, (ctx.deadline - self.now) * frac)
-        payload = {"job": ctx.job, "initiator": self.sid, "members": sphere_sites}
+        self._phase_attempts = 0
+        self._ask_enroll(session, members, queue_budget)
+        if self.config.enroll_mode == "queue":
+            job = ctx.job
+            self._enroll_timer = self.sim.schedule(
+                queue_budget, lambda: self._enroll_timeout(job)
+            )
+
+    def _ask_enroll(self, s: AcsSession, targets, queue_budget: Time = 0.0) -> None:
+        """Send ENROLL for session ``s`` to ``targets`` — all asked members
+        at first, the silent ones on a hardened retransmission."""
+        job = s.job
+        sphere_sites = sorted([*s.asked, self.sid])
+        payload = {"job": job, "initiator": self.sid, "members": sphere_sites}
         if self.config.hardened:
             # In queue mode the enrollment may legitimately idle for the
             # whole collection budget (deferred members answer at their own
             # unlock, with no lease-renewing contact in between) — early
             # enrollees must not expire while the initiator is still
             # lawfully waiting.
-            payload["lease"] = self._lease_hint(members, ctx.dag) + queue_budget
+            payload["lease"] = self._lease_hint(s.asked, s.ctx.dag) + queue_budget
         sphere_broadcast(
             self,
-            members,
+            targets,
             MSG_ENROLL,
             payload,
             size=float(2 + len(sphere_sites)),
         )
-        if self.config.enroll_mode == "queue":
-            job = ctx.job
-            self._enroll_timer = self.sim.schedule(
-                queue_budget, lambda: self._enroll_timeout(job)
-            )
         # In queue mode a locked member *intentionally* defers its answer
-        # until unlock — the deadline-fraction timer above already bounds
-        # the wait, and a hardened timer could not tell "queue-deferred"
+        # until unlock — the deadline-fraction timer already bounds the
+        # wait, and a hardened timer could not tell "queue-deferred"
         # from "crashed" (it would demote waiting members to refusals and
         # a retransmission would enqueue a second deferred handler). The
         # hardened enroll round therefore only arms in refuse mode.
         if self.config.hardened and self.config.enroll_mode == "refuse":
-            self._phase_attempts = 0
             self._arm_ack_timer(
-                lambda job=ctx.job: self._enroll_ack_timeout(job),
-                members,
+                lambda: self._enroll_ack_timeout(job),
+                targets,
                 size=float(5 + len(sphere_sites)),
             )
 
@@ -492,6 +498,31 @@ class RTDSSite(SiteBase):
             self.sim.cancel(self._ack_timer)
             self._ack_timer = None
 
+    def _retry_round(self, job: JobId, rnd: str, event: str, silent, attempts: int) -> bool:
+        """Book-keep one expired hardened ask→answer round.
+
+        ``silent`` members have not answered and ``attempts``
+        retransmissions were already made. True: retries remain — the
+        retransmission is traced and counted, the caller re-asks the
+        silent members and re-arms its timer. False: retries are spent —
+        the give-up is traced and counted, the caller degrades without
+        them. ``rnd`` names the round in counters and telemetry,
+        ``event`` prefixes its trace events.
+        """
+        if attempts < self.config.ack_retries:
+            self.trace(event + ".retransmit", job=job, to=silent, attempt=attempts + 1)
+            self._count(rnd + "_retransmit")
+            if self.obs_on:
+                self.obs.inc("rtds.retransmit." + rnd, len(silent))
+                self.obs.span(
+                    "phase.retransmission", self.now, self.now, site=self.sid,
+                    key=job, round=rnd, attempt=attempts + 1,
+                )
+            return True
+        self.trace(event + ".gave_up", job=job, lost=silent)
+        self._count(rnd + "_gave_up")
+        return False
+
     def _enroll_ack_timeout(self, job: JobId) -> None:
         """Hardened ENROLL round expired: retransmit to, then give up on,
         the silent members (crashed, partitioned, or ack lost)."""
@@ -502,39 +533,12 @@ class RTDSSite(SiteBase):
         silent = [m for m in s.asked if m not in s.enrolled and m not in s.refused]
         if not silent:  # pragma: no cover - completion should have fired
             return
-        if self._phase_attempts < self.config.ack_retries:
+        if self._retry_round(job, "enroll", "acs", silent, self._phase_attempts):
             self._phase_attempts += 1
-            self.trace("acs.retransmit", job=job, to=silent, attempt=self._phase_attempts)
-            self._count("enroll_retransmit")
-            if self.obs_on:
-                self.obs.inc("rtds.retransmit.enroll", len(silent))
-                self.obs.span(
-                    "phase.retransmission", self.now, self.now, site=self.sid,
-                    key=job, round="enroll", attempt=self._phase_attempts,
-                )
-            sphere_sites = sorted([*s.asked, self.sid])
-            sphere_broadcast(
-                self,
-                silent,
-                MSG_ENROLL,
-                {
-                    "job": job,
-                    "initiator": self.sid,
-                    "members": sphere_sites,
-                    "lease": self._lease_hint(list(s.asked), s.ctx.dag),
-                },
-                size=float(2 + len(sphere_sites)),
-            )
-            self._arm_ack_timer(
-                lambda: self._enroll_ack_timeout(job),
-                silent,
-                size=float(5 + len(sphere_sites)),
-            )
+            self._ask_enroll(s, silent)
             return
         # Degrade: treat the silent members as refusals and proceed with
         # whoever answered (possibly nobody -> REJECTED_NO_SPHERE).
-        self.trace("acs.gave_up", job=job, lost=silent)
-        self._count("enroll_gave_up")
         for m in silent:
             s.record_refusal(m)
         if s.enrollment_complete():
@@ -550,29 +554,10 @@ class RTDSSite(SiteBase):
         silent = [m for m in s.acs_members() if m not in s.endorsements]
         if not silent:  # pragma: no cover - completion should have fired
             return
-        if self._phase_attempts < self.config.ack_retries:
+        if self._retry_round(job, "validate", "validate", silent, self._phase_attempts):
             self._phase_attempts += 1
-            self.trace("validate.retransmit", job=job, to=silent, attempt=self._phase_attempts)
-            self._count("validate_retransmit")
-            if self.obs_on:
-                self.obs.inc("rtds.retransmit.validate", len(silent))
-                self.obs.span(
-                    "phase.retransmission", self.now, self.now, site=self.sid,
-                    key=job, round="validate", attempt=self._phase_attempts,
-                )
-            procs = self._validate_payload()
-            size = float(sum(len(v) for v in procs.values()) + 2)
-            sphere_broadcast(
-                self,
-                silent,
-                MSG_VALIDATE,
-                {"job": job, "initiator": self.sid, "procs": procs},
-                size=size,
-            )
-            self._arm_ack_timer(lambda: self._validate_ack_timeout(job), silent, size=size)
+            self._ask_validate(silent)
             return
-        self.trace("validate.gave_up", job=job, lost=silent)
-        self._count("validate_gave_up")
         for m in silent:
             s.record_endorsement(m, [])
         if s.validation_complete():
@@ -586,25 +571,15 @@ class RTDSSite(SiteBase):
         if pe is None:
             return
         pe["timer"] = None
-        if pe["attempts"] < self.config.ack_retries:
+        targets = sorted(pe["unacked"])
+        if self._retry_round(job, "execute", "execute", targets, pe["attempts"]):
             pe["attempts"] += 1
-            targets = sorted(pe["unacked"])
-            self.trace("execute.retransmit", job=job, to=targets, attempt=pe["attempts"])
-            self._count("execute_retransmit")
-            if self.obs_on:
-                self.obs.inc("rtds.retransmit.execute", len(targets))
-                self.obs.span(
-                    "phase.retransmission", self.now, self.now, site=self.sid,
-                    key=job, round="execute", attempt=pe["attempts"],
-                )
             sphere_broadcast(self, targets, MSG_EXECUTE, pe["payload"], size=pe["size"])
             pe["timer"] = self.sim.schedule(
                 self._round_budget(targets, pe["size"]),
                 lambda: self._execute_ack_timeout(job),
             )
             return
-        self.trace("execute.gave_up", job=job, lost=sorted(pe["unacked"]))
-        self._count("execute_gave_up")
         del self._pending_execute[job]
 
     def _h_execute_ack(self, msg: Message) -> None:
@@ -802,6 +777,23 @@ class RTDSSite(SiteBase):
             ]
         return procs
 
+    def _ask_validate(self, targets):
+        """Send VALIDATE to ``targets`` — the whole ACS at first, the silent
+        members on a hardened retransmission; returns the payload's procs."""
+        job = self.session.job
+        procs = self._validate_payload()
+        size = float(sum(len(v) for v in procs.values()) + 2)
+        sphere_broadcast(
+            self,
+            targets,
+            MSG_VALIDATE,
+            {"job": job, "initiator": self.sid, "procs": procs},
+            size=size,
+        )
+        if self.config.hardened:
+            self._arm_ack_timer(lambda: self._validate_ack_timeout(job), targets, size=size)
+        return procs
+
     def _start_validation(self) -> None:
         s = self.session
         assert s is not None
@@ -809,21 +801,8 @@ class RTDSSite(SiteBase):
         if self.obs_on:
             self.obs.span_end("phase.map", s.job, self.now)
             self.obs.span_begin("phase.validate", s.job, self.now, site=self.sid)
-        procs = self._validate_payload()
-        members = s.acs_members()
-        size = float(sum(len(v) for v in procs.values()) + 2)
-        sphere_broadcast(
-            self,
-            members,
-            MSG_VALIDATE,
-            {"job": s.job, "initiator": self.sid, "procs": procs},
-            size=size,
-        )
-        if self.config.hardened:
-            self._phase_attempts = 0
-            self._arm_ack_timer(
-                lambda job=s.job: self._validate_ack_timeout(job), members, size=size
-            )
+        self._phase_attempts = 0
+        procs = self._ask_validate(s.acs_members())
         # The initiator endorses locally with the same test.
         endorsed, slots = self.admission_cache.endorse(
             self.plan,

@@ -50,7 +50,6 @@ from repro.experiments.runner import (
     RunResult,
     build_resident,
     run_experiment,
-    run_experiment_with_workload,
 )
 from repro.experiments.soak import SoakConfig, SoakReport, SoakSample, run_soak
 from repro.experiments.verify import assert_sound, verify_execution
@@ -96,7 +95,6 @@ __all__ = [
     "RunResult",
     "build_resident",
     "run_experiment",
-    "run_experiment_with_workload",
     "SoakConfig",
     "SoakReport",
     "SoakSample",

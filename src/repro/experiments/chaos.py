@@ -8,14 +8,17 @@ handshakes) while new sites join mid-flight — each join repairing the
 shared routing tables incrementally (:mod:`repro.membership.repair`) and
 refreshing the affected scheduling spheres.
 
-:func:`run_chaos` differs from the E12 driver in one deliberate way: it
-submits through :meth:`~repro.service.admission.AdmissionService.submit_nowait`
-— the *lossy* open-loop contract. When the queue is full or the degraded
+:func:`run_chaos` runs E12's own loop
+(:func:`repro.experiments.soak.run_soak`) and hands it two things. One is
+the intake: it submits through
+:meth:`~repro.service.admission.AdmissionService.submit_nowait` — the
+*lossy* open-loop contract. When the queue is full or the degraded
 breaker is open (windowed acceptance rate below ``degraded_floor``),
 jobs are shed and counted instead of backpressuring the arrival process;
 chaos must not be allowed to stall the clock that drives it.
 
-The report adds the survivability ledger on top of the E12 scalars:
+The other is the survivability ledger that :class:`ChaosSample` and
+:class:`ChaosReport` add on top of the E12 fields they inherit:
 joins applied, rejoins observed, routing rows repaired, spheres
 refreshed, site-down events, jobs dropped at dead origins — and the
 final ``tables_converged`` bit, which re-derives every shared routing
@@ -29,19 +32,15 @@ seeds; ``BENCH_e13.json`` gates it. CLI: ``rtds chaos``.
 from __future__ import annotations
 
 import asyncio
-import itertools
-import json
-import pathlib
-import time
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Optional
 
 from repro.errors import ConfigError
-from repro.experiments.soak import SoakConfig
-from repro.obs.telemetry import current_rss_mb
+from repro.experiments.soak import SoakConfig, SoakReport, SoakSample, run_soak
+from repro.faults.injector import FaultStats
+from repro.membership.manager import MembershipStats
 from repro.service.admission import AdmissionService
-from repro.service.resident import ResidentSimulation
-from repro.workloads.openloop import open_loop_jobs, open_loop_rate
+from repro.workloads.openloop import open_loop_rate
 
 
 @dataclass
@@ -122,20 +121,10 @@ class ChaosConfig:
 
 
 @dataclass
-class ChaosSample:
-    """One point on the chaos trajectory (taken every ``sample_every``)."""
+class ChaosSample(SoakSample):
+    """One point on the chaos trajectory: the soak sample plus the
+    survivability ledger so far."""
 
-    jobs_decided: int
-    wall_s: float
-    sim_time: float
-    jobs_per_sec: float
-    guarantee_ratio: float
-    lat_p50: float
-    lat_p99: float
-    queue_depth: int
-    rss_mb: float
-    live_records: int
-    #: survivability ledger so far
     joins_applied: int
     rejoins: int
     repaired_rows: int
@@ -145,59 +134,27 @@ class ChaosSample:
 
 
 @dataclass
-class ChaosReport:
-    """Everything one chaos soak measured."""
+class ChaosReport(SoakReport):
+    """Everything one chaos soak measured: the soak report (``n_jobs``
+    counts decisions, i.e. submitted minus shed) plus the ledgers."""
 
-    config: Dict[str, object]
-    #: decisions observed (submitted minus shed)
-    n_jobs: int
-    submitted: int
-    shed_queue_full: int
-    shed_degraded: int
-    degraded_entered: int
-    wall_s: float
-    jobs_per_sec: float
-    sim_time: float
-    guarantee_ratio: float
-    effective_ratio: float
-    lat_p50: float
-    lat_p99: float
-    lat_mean: float
-    max_queue_depth: int
-    rss_peak_mb: float
-    rss_final_mb: float
-    rss_growth_final80: float
-    leaked_unfinished: int
-    live_records_final: int
-    folded_total: int
+    submitted: int = 0
+    shed_queue_full: int = 0
+    shed_degraded: int = 0
+    degraded_entered: int = 0
     #: membership ledger
-    joins_applied: int
-    rejoins: int
-    links_added: int
-    repaired_rows: int
-    spheres_refreshed: int
+    joins_applied: int = 0
+    rejoins: int = 0
+    links_added: int = 0
+    repaired_rows: int = 0
+    spheres_refreshed: int = 0
     #: churn ledger
-    site_down_events: int
-    jobs_dropped: int
+    site_down_events: int = 0
+    jobs_dropped: int = 0
     #: gate-blocked executor records reaped by hygiene (lost results)
-    abandoned_reaped: int
+    abandoned_reaped: int = 0
     #: 1 iff every repaired shared table equals a from-scratch rebuild
-    tables_converged: int
-    samples: List[ChaosSample] = field(default_factory=list)
-
-    def scalar_metrics(self) -> Dict[str, float]:
-        """Numeric fields only (the bench-gate surface)."""
-        out = {}
-        for k, v in asdict(self).items():
-            if isinstance(v, (int, float)):
-                out[k] = v
-        return out
-
-    def write_samples_jsonl(self, path: pathlib.Path) -> None:
-        """One JSON object per sample — the nightly chaos CI artifact."""
-        with open(path, "w") as fh:
-            for s in self.samples:
-                fh.write(json.dumps(asdict(s), sort_keys=True) + "\n")
+    tables_converged: int = 1
 
 
 def _estimate_horizon(config: ChaosConfig) -> float:
@@ -213,121 +170,59 @@ def _estimate_horizon(config: ChaosConfig) -> float:
     return 1.1 * config.target_jobs / rate
 
 
+async def _lossy_intake(svc: AdmissionService, jobs, after_each) -> None:
+    """E13's intake: shed (counted) instead of backpressuring."""
+    for i, job in enumerate(jobs):
+        svc.submit_nowait(job)
+        after_each()
+        if i % 64 == 63:
+            # yield so the pump drains; 64-job batches keep the
+            # queue shallow without a per-job context switch
+            await asyncio.sleep(0)
+
+
 def run_chaos(
     config: ChaosConfig,
     progress: Optional[Callable[[ChaosSample], None]] = None,
 ) -> ChaosReport:
     """Run one chaos soak to completion (synchronous wrapper)."""
     soak = config.soak_config()
-    horizon = (
-        config.fault_horizon if config.fault_horizon is not None
-        else _estimate_horizon(config)
-    )
-    res = ResidentSimulation(soak.experiment_config(), fold=True, fault_horizon=horizon)
-    spec = soak.open_loop_spec(res.capacities())
-    svc = AdmissionService(
-        res,
-        queue_capacity=config.queue_capacity,
-        hygiene_interval=config.hygiene_interval,
-        degraded_floor=config.degraded_floor,
-        degraded_window=config.degraded_window,
-    )
-    membership = res.resident.membership
-    injector = res.resident.injector
+    if soak.fault_horizon is None:
+        soak = replace(soak, fault_horizon=_estimate_horizon(config))
 
-    samples: List[ChaosSample] = []
-    t0 = time.perf_counter()
-    rss0 = current_rss_mb() or 0.0
-    state = {"last_wall": 0.0, "last_decided": 0, "next_at": config.sample_every}
+    def ledger(res, svc):
+        """Chaos sample/report constructors over the live counters (an
+        all-zero stats object stands in for a half that is switched off)."""
+        membership, injector = res.resident.membership, res.resident.injector
+        mstats = membership.stats if membership is not None else MembershipStats()
+        fstats = injector.stats if injector is not None else FaultStats()
 
-    def take_sample() -> ChaosSample:
-        wall = time.perf_counter() - t0
-        decided = svc.stats.decided
-        dt = wall - state["last_wall"]
-        rate = (decided - state["last_decided"]) / dt if dt > 0 else 0.0
-        window = svc.latency.snapshot(qs=(50.0, 99.0))
-        sample = ChaosSample(
-            jobs_decided=decided,
-            wall_s=wall,
-            sim_time=res.now,
-            jobs_per_sec=rate,
-            guarantee_ratio=res.guarantee_ratio(),
-            lat_p50=window.get("p50", float("nan")),
-            lat_p99=window.get("p99", float("nan")),
-            queue_depth=svc.queue_depth,
-            rss_mb=current_rss_mb() or rss0,
-            live_records=res.live_records(),
-            joins_applied=membership.stats.joins_applied if membership else 0,
-            rejoins=membership.stats.rejoins if membership else 0,
-            repaired_rows=membership.stats.repaired_rows if membership else 0,
-            site_down_events=injector.stats.site_down_events if injector else 0,
-            shed_total=svc.stats.queue_full + svc.stats.shed_degraded,
-            degraded=int(svc.degraded),
-        )
-        samples.append(sample)
-        state["last_wall"] = wall
-        state["last_decided"] = decided
-        if progress is not None:
-            progress(sample)
-        return sample
+        def sample(**core) -> ChaosSample:
+            return ChaosSample(
+                **core,
+                joins_applied=mstats.joins_applied,
+                rejoins=mstats.rejoins,
+                repaired_rows=mstats.repaired_rows,
+                site_down_events=fstats.site_down_events,
+                shed_total=svc.stats.queue_full + svc.stats.shed_degraded,
+                degraded=int(svc.degraded),
+            )
 
-    async def drive() -> None:
-        async with svc:
-            stream = itertools.islice(open_loop_jobs(spec), config.target_jobs)
-            for i, job in enumerate(stream):
-                # lossy open-loop: shed (counted) instead of backpressuring
-                svc.submit_nowait(job)
-                if svc.stats.decided >= state["next_at"]:
-                    take_sample()
-                    state["next_at"] = svc.stats.decided + config.sample_every
-                if i % 64 == 63:
-                    # yield so the pump drains; 64-job batches keep the
-                    # queue shallow without a per-job context switch
-                    await asyncio.sleep(0)
+        def report(**core) -> ChaosReport:
+            core["config"] = asdict(config)
+            return ChaosReport(
+                **core,
+                **mstats.row(),
+                submitted=svc.stats.submitted,
+                shed_queue_full=svc.stats.queue_full,
+                shed_degraded=svc.stats.shed_degraded,
+                degraded_entered=svc.stats.degraded_entered,
+                site_down_events=fstats.site_down_events,
+                jobs_dropped=fstats.jobs_dropped,
+                abandoned_reaped=res.resident.abandoned_reaped,
+                tables_converged=int(membership.verify_converged()) if membership else 1,
+            )
 
-    asyncio.run(drive())
-    final = take_sample()
+        return sample, report
 
-    wall = final.wall_s
-    peak = max(s.rss_mb for s in samples)
-    cut = svc.stats.decided * 0.2
-    early = [s for s in samples if s.jobs_decided >= cut]
-    rss_at_20 = early[0].rss_mb if early else samples[0].rss_mb
-    growth = max(0.0, final.rss_mb - rss_at_20)
-    lat = svc.latency.percentiles(qs=(50.0, 99.0))
-    metrics = res.resident.metrics
-    mstats = membership.stats if membership else None
-
-    return ChaosReport(
-        config=asdict(config),
-        n_jobs=svc.stats.decided,
-        submitted=svc.stats.submitted,
-        shed_queue_full=svc.stats.queue_full,
-        shed_degraded=svc.stats.shed_degraded,
-        degraded_entered=svc.stats.degraded_entered,
-        wall_s=wall,
-        jobs_per_sec=svc.stats.decided / wall if wall > 0 else 0.0,
-        sim_time=res.now,
-        guarantee_ratio=metrics.guarantee_ratio(),
-        effective_ratio=metrics.effective_ratio(),
-        lat_p50=lat["p50"],
-        lat_p99=lat["p99"],
-        lat_mean=svc.latency.mean,
-        max_queue_depth=svc.stats.max_queue_depth,
-        rss_peak_mb=peak,
-        rss_final_mb=final.rss_mb,
-        rss_growth_final80=growth / peak if peak > 0 else 0.0,
-        leaked_unfinished=res.unfinished_plan_records(),
-        live_records_final=res.live_records(),
-        folded_total=metrics.n_folded,
-        joins_applied=mstats.joins_applied if mstats else 0,
-        rejoins=mstats.rejoins if mstats else 0,
-        links_added=mstats.links_added if mstats else 0,
-        repaired_rows=mstats.repaired_rows if mstats else 0,
-        spheres_refreshed=mstats.spheres_refreshed if mstats else 0,
-        site_down_events=injector.stats.site_down_events if injector else 0,
-        jobs_dropped=injector.stats.jobs_dropped if injector else 0,
-        abandoned_reaped=res.resident.abandoned_reaped,
-        tables_converged=int(membership.verify_converged()) if membership else 1,
-        samples=samples,
-    )
+    return run_soak(soak, progress, intake=_lossy_intake, ledger=ledger)

@@ -14,22 +14,22 @@ example uses. A run has two phases:
 Determinism: everything derives from ``config.seed`` — topology delays,
 workload, random-offload choices, and the tie-break rules are seed-free.
 
-The two phases are also exposed separately: :func:`build_resident` runs
-phase 1 and returns a live :class:`ResidentNetwork` (the always-on network
-the admission service of :mod:`repro.service` keeps feeding), and
-``run_experiment(config, workload=...)`` pushes an explicit job list
-through a fresh resident — the replay half of the service ≡ batch
-differential. (:func:`run_experiment_with_workload` remains as a
-deprecated alias for that form.)
+One build, one drive: :func:`assemble` stands a live
+:class:`ResidentNetwork` up over a :func:`resolve_topology` result
+(:func:`build_resident` for the whole network, a shard worker of
+:mod:`repro.simnet.sharded` for its owned sites), and that object
+schedules jobs, ticks hygiene, runs to the drain horizon and summarizes —
+for the batch runner here, the admission service of :mod:`repro.service`
+and every shard worker alike. ``run_experiment(config, workload=...)``
+replays an explicit job list (the service ≡ batch differential).
 """
 
 from __future__ import annotations
 
 import gc
-import warnings
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from repro.simnet.network import Network
 from repro.simnet.speeds import resolve_site_speeds
 from repro.simnet.topology import Topology, build_network, topology_factory
 from repro.simnet.trace import Tracer
+from repro.types import Time
 from repro.workloads.jobs import JobSpec, Workload
 from repro.workloads.scenarios import WorkloadSpec, generate_workload
 
@@ -97,15 +98,12 @@ class ExperimentConfig:
     deadline_jitter: float = 0.2
     hot_fraction: float = 0.0
     hot_sites: int = 0
-    #: heterogeneous speeds (§13 uniform machines); None = all 1.0
-    speeds: Optional[List[float]] = None
     #: declarative per-site speed profile (E11 heterogeneity): ``None``
     #: (default, byte-identical homogeneous path), an explicit vector, or
     #: a spec string — ``"uniform[:X]"``, ``"skew:K"``, ``"tiers:a,b"``,
     #: ``"lognormal:SIGMA"`` (see :mod:`repro.simnet.speeds`). Resolved
     #: against ``(n_sites, seed)`` and carried on the run's
-    #: :class:`~repro.simnet.topology.Topology`; takes precedence over the
-    #: legacy cyclic ``speeds`` list.
+    #: :class:`~repro.simnet.topology.Topology`.
     site_speeds: Optional[Any] = None
     #: workload family: ``"synthetic"`` (the ``dag_size`` mixes) or
     #: ``"trace:<name>"`` replaying a workflow trace from
@@ -178,20 +176,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}")
-        if self.speeds is not None:
-            warnings.warn(
-                "ExperimentConfig.speeds is deprecated; pass site_speeds= "
-                "(an explicit vector cycles over sites exactly like speeds "
-                "did, and string profiles like 'skew:4' are also accepted)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if self.site_speeds is None:
-                # value-identical migration: resolve_site_speeds cycles an
-                # explicit vector with speeds[sid % len] semantics (floats
-                # coerced so numpy inputs fingerprint like python lists)
-                self.site_speeds = [float(s) for s in self.speeds]
-            self.speeds = None
         if self.routing_mode not in ("protocol", "oracle"):
             raise ConfigError(
                 f"unknown routing_mode {self.routing_mode!r}; known: ('protocol', 'oracle')"
@@ -306,7 +290,8 @@ class RunResult:
     #: ``config.telemetry`` was off — feed it to :mod:`repro.obs.export`
     telemetry: Optional[Any] = None
     #: the resident network the run executed on — survivability state
-    #: (membership manager, elections, injector) hangs off it
+    #: (membership manager, elections, injector) hangs off it; on sharded
+    #: runs, the coordinator's site-less merged view
     resident: Optional[Any] = None
     #: partition + window-loop metadata of a sharded run
     #: (:class:`repro.simnet.sharded.ShardRunInfo`), None on single-engine runs
@@ -342,129 +327,55 @@ class RunResult:
         fields on :class:`~repro.metrics.summary.ExperimentSummary` flow
         through automatically; strings and dicts are excluded.
         """
-        from dataclasses import fields as dc_fields
-
-        return {
-            f.name: getattr(self.summary, f.name)
-            for f in dc_fields(self.summary)
-            if isinstance(getattr(self.summary, f.name), (int, float))
-        }
+        return self.summary.scalars()
 
 
-def _speed_of(config: ExperimentConfig, topo: Topology, sid: int) -> float:
-    """Per-site computing power of one run.
-
-    The topology-carried vector (resolved ``site_speeds``) is the single
-    source of truth — the legacy ``speeds`` list is folded into
-    ``site_speeds`` by ``ExperimentConfig.__post_init__``.
-    """
-    if topo.site_speeds is not None:
-        return topo.site_speeds[sid]
-    return 1.0
-
-
-def _make_sites(
+def _site_factory(
     config: ExperimentConfig,
     topo: Topology,
-    sim: Simulator,
-    tracer: Tracer,
     metrics: MetricsCollector,
-    obs=None,
-):
-    """Build the live network; returns ``(network, W, shared_by_phases)``.
-
-    The weight matrix and the per-phase-budget
-    :class:`~repro.routing.vectorized.SharedTables` are only materialized
-    in oracle routing mode and are handed back so the caller can reuse
-    them (the centralized coordinator needs all-pairs distances from the
-    same matrix; the membership layer repairs the shared tables on joins).
-    """
-    oracle = config.routing_mode == "oracle"
-    needs_global = config.algorithm in ("centralized", "focused", "random")
-    W = weight_matrix(topo) if oracle else None
-    if needs_global:
-        # Global routing phase budget: the network's hop diameter. Only
-        # the baselines need it; RTDS's 2h-bounded flooding never does,
-        # so wide RTDS runs skip this O(n*(n+m)) oracle entirely.
-        if oracle:
-            global_phases = max(1, hop_diameter_fast(W))
-        else:
-            global_phases = max(1, hop_diameter(topo.adjacency()))
-    else:
-        global_phases = 1
-
-    routing_factory = None
-    shared_by_phases: Optional[Dict[int, SharedTables]] = None
-    if oracle:
-        if config.algorithm == "rtds":
-            phase_budget = config.rtds.pcs_phases
-        elif config.algorithm == "local":
-            phase_budget = 1
-        else:
-            phase_budget = global_phases
-        shared_by_phases = {phase_budget: phased_tables(W, phase_budget)}
-        routing_factory = oracle_routing_factory(shared_by_phases)
-
+    routing_factory,
+    global_phases: int,
+) -> Callable[[int, Network], Any]:
+    """The ``(sid, network) -> site`` constructor of ``config.algorithm``:
+    the algorithm's own knobs on top of what every site takes."""
+    site_cls: type
     if config.algorithm == "rtds":
-        rtds_cfg = replace(config.rtds, surplus_window=config.surplus_window)
-
-        def factory(sid: int, net: Network) -> RTDSSite:
-            return RTDSSite(
-                sid, net, rtds_cfg, speed=_speed_of(config, topo, sid), metrics=metrics,
-                routing_factory=routing_factory,
-            )
-
+        site_cls = RTDSSite
+        knobs: Dict[str, Any] = {
+            "config": replace(config.rtds, surplus_window=config.surplus_window)
+        }
     elif config.algorithm == "local":
-
-        def factory(sid: int, net: Network) -> LocalOnlySite:
-            return LocalOnlySite(
-                sid, net, surplus_window=config.surplus_window,
-                speed=_speed_of(config, topo, sid), metrics=metrics,
-                routing_factory=routing_factory,
-            )
-
+        site_cls = LocalOnlySite
+        knobs = {}
     elif config.algorithm == "centralized":
-
-        def factory(sid: int, net: Network) -> CentralizedSite:
-            return CentralizedSite(
-                sid, net, routing_phases=global_phases, coordinator_id=0,
-                surplus_window=config.surplus_window,
-                speed=_speed_of(config, topo, sid), metrics=metrics,
-                routing_factory=routing_factory,
-            )
-
+        site_cls = CentralizedSite
+        knobs = {"routing_phases": global_phases, "coordinator_id": 0}
     elif config.algorithm == "focused":
-
-        def factory(sid: int, net: Network) -> FocusedSite:
-            return FocusedSite(
-                sid, net, routing_phases=global_phases,
-                broadcast_period=config.focused_period,
-                bid_count=config.focused_bid_count,
-                surplus_window=config.surplus_window,
-                speed=_speed_of(config, topo, sid), metrics=metrics,
-                routing_factory=routing_factory,
-            )
-
+        site_cls = FocusedSite
+        knobs = {
+            "routing_phases": global_phases,
+            "broadcast_period": config.focused_period,
+            "bid_count": config.focused_bid_count,
+        }
     else:  # random
+        site_cls = RandomOffloadSite
+        knobs = {
+            "routing_phases": global_phases,
+            "max_hops": config.random_max_hops,
+            "tries": config.random_tries,
+            "seed": config.seed,
+        }
+    if config.algorithm != "rtds":  # RTDS carries the window in its config
+        knobs["surplus_window"] = config.surplus_window
 
-        def factory(sid: int, net: Network) -> RandomOffloadSite:
-            return RandomOffloadSite(
-                sid, net, routing_phases=global_phases,
-                max_hops=config.random_max_hops, tries=config.random_tries,
-                seed=config.seed, surplus_window=config.surplus_window,
-                speed=_speed_of(config, topo, sid), metrics=metrics,
-                routing_factory=routing_factory,
-            )
+    def factory(sid: int, net: Network):
+        return site_cls(
+            sid, net, speed=topo.speed_of(sid), metrics=metrics,
+            routing_factory=routing_factory, **knobs,
+        )
 
-    admission_cache = None
-    if config.algorithm == "rtds":
-        from repro.core.admission_cache import AdmissionCache
-
-        admission_cache = AdmissionCache(enabled=config.admission_cache)
-    net = build_network(
-        topo, sim, factory, tracer, obs=obs, admission_cache=admission_cache
-    )
-    return net, W, shared_by_phases
+    return factory
 
 
 @contextmanager
@@ -491,14 +402,14 @@ def _gc_paused():
 
 @dataclass
 class ResidentNetwork:
-    """A routed, live network with no workload yet — phase 1's product.
+    """A routed, live network — the one thing jobs are pushed through.
 
     The batch runner builds one, pushes a generated workload through it and
     tears it down; the admission service (:mod:`repro.service`) keeps one
-    resident for its whole lifetime and feeds it jobs as they arrive. Both
-    submit through :meth:`submit_spec`, which is why the two paths produce
-    identical schedules for identical job streams (the service ≡ batch
-    differential).
+    resident for its whole lifetime and feeds it jobs as they arrive; a
+    shard worker holds one over its owned sites. All submit through
+    :meth:`submit_spec`, which is why they produce identical schedules for
+    identical job streams (the service ≡ batch differential).
 
     Job times in a :class:`~repro.workloads.jobs.JobSpec` are
     workload-relative; :attr:`shift` (= setup time) converts them to
@@ -511,6 +422,7 @@ class ResidentNetwork:
     tracer: Tracer
     metrics: MetricsCollector
     network: Network
+    #: the sites living on ``network`` (a shard's owned slice, or all)
     sites: List[Any]
     setup_messages: int
     setup_time: float
@@ -520,7 +432,7 @@ class ResidentNetwork:
     #: topology is extended with latent (link-less) joiner sites and this
     #: records where they start; None means no extension (all sites base)
     n_base: Optional[int] = None
-    #: the live symmetric weight matrix (oracle routing only) — mutated
+    #: the live symmetric weight matrix (full oracle solve only) — mutated
     #: in place by membership joins, shared with ``shared_tables``
     weight: Optional[np.ndarray] = None
     #: phase budget -> SharedTables (oracle routing only); repaired
@@ -535,6 +447,8 @@ class ResidentNetwork:
     #: gate-blocked records reaped by hygiene (fault runs only) — plan
     #: state whose prerequisite result was lost for good
     abandoned_reaped: int = 0
+    #: where :meth:`run_to_horizon` stops (set by :meth:`schedule_workload`)
+    horizon: Optional[Time] = None
 
     @property
     def shift(self) -> float:
@@ -548,10 +462,7 @@ class ResidentNetwork:
 
     def capacities(self) -> List[float]:
         """Per-base-site computing powers (workload calibration input)."""
-        return [
-            _speed_of(self.config, self.topology, sid)
-            for sid in range(self.n_base_sites)
-        ]
+        return [self.topology.speed_of(sid) for sid in range(self.n_base_sites)]
 
     def arm_faults(self, default_horizon: float) -> None:
         """Arm the run's survivability machinery at workload start.
@@ -621,6 +532,36 @@ class ResidentNetwork:
         """Schedule one job's submission at its shifted arrival time."""
         self.sim.schedule_at(self.shift + job.arrival, lambda j=job: self.submit_spec(j))
 
+    def schedule_workload(
+        self, workload: Workload, origins: Optional[Collection[int]] = None
+    ) -> Time:
+        """Schedule a job list and the hygiene tick; returns :attr:`horizon`.
+
+        ``origins`` restricts scheduling to jobs arriving on those sites
+        (a shard's slice — same times, same relative order); the horizon
+        still covers the whole list, so every shard stops together.
+        """
+        for job in workload:
+            if origins is None or job.origin in origins:
+                self.schedule_job(job)
+        horizon = self.shift + workload.last_deadline() + self.config.drain_margin
+        self.horizon = horizon
+        interval = self.config.hygiene_interval
+        if interval is not None:
+            sim = self.sim
+
+            def hygiene_tick() -> None:
+                self.prune_pass()
+                if sim.now + interval < horizon:
+                    sim.schedule(interval, hygiene_tick)
+
+            sim.schedule(interval, hygiene_tick)
+        return horizon
+
+    def run_to_horizon(self) -> None:
+        """Run until every scheduled deadline plus the drain margin has passed."""
+        self.sim.run(until=self.horizon)
+
     def prune_pass(self) -> None:
         """One memory-hygiene pass: sites forget settled history older than
         one surplus window (decision-neutral, see ``RTDSSite.prune_history``).
@@ -649,44 +590,106 @@ class ResidentNetwork:
         """
         return sum(s.executor.n_unfinished() for s in self.sites)
 
+    def summarize(self, label: Optional[str] = None) -> ExperimentSummary:
+        """Summary over everything decided so far (folded + live)."""
+        return summarize(
+            label or self.config.resolved_label(),
+            self.metrics,
+            n_sites=self.topology.n,
+            total_messages=self.network.stats.total,
+            setup_messages=self.setup_messages,
+        )
 
-def build_resident(config: ExperimentConfig) -> ResidentNetwork:
-    """Phase 1 alone: build the network, run routing, return it live.
+    def scalar_metrics(self) -> Dict[str, float]:
+        """Numeric summary fields (same shape as ``RunResult.scalar_metrics``)."""
+        return self.summarize().scalars()
 
-    Everything :func:`run_experiment` does before the workload exists —
-    identical construction order, so a resident built here and fed the
-    batch workload reproduces ``run_experiment`` exactly.
+    def result(self, workload: Optional[Workload], sharding: Optional[Any] = None) -> RunResult:
+        """Summarize the run so far into a :class:`RunResult`."""
+        return RunResult(
+            config=self.config,
+            summary=self.summarize(),
+            collector=self.metrics,
+            network=self.network,
+            tracer=self.tracer,
+            topology=self.topology,
+            workload=workload,
+            setup_messages=self.setup_messages,
+            setup_time=self.setup_time,
+            faults=self.injector,
+            telemetry=self.obs,
+            resident=self,
+            sharding=sharding,
+        )
+
+
+def resolve_topology(config: ExperimentConfig) -> Topology:
+    """The seeded topology of ``config``, carrying its resolved speed vector
+    — the single source of truth every later consumer (site construction,
+    workload calibration, post-run audits) reads. ``site_speeds=None``
+    keeps the topology untouched: the homogeneous path stays byte-identical.
     """
     rng = np.random.default_rng(config.seed)
     topo = topology_factory(config.topology, rng=rng, **config.topology_kwargs)
-    # Resolve the heterogeneity profile once and carry it on the topology —
-    # the single source of truth every later consumer (site construction,
-    # workload calibration, post-run audits) reads. site_speeds=None keeps
-    # the topology untouched: the homogeneous path stays byte-identical.
     site_speed_vec = resolve_site_speeds(config.site_speeds, topo.n, config.seed)
     if site_speed_vec is not None:
         topo = topo.with_site_speeds(site_speed_vec)
+    return topo
 
-    # Membership joins: pre-build the joiners as latent, link-less sites.
-    # Isolated rows are inert for the phased Bellman–Ford (no neighbours,
-    # infinite columns never offered), so the base sites' tables — and
-    # everything downstream — are byte-identical to the unextended run
-    # until the first join links up.
-    n_base: Optional[int] = None
-    n_joins = config.faults.n_join_sites() if config.faults is not None else 0
-    if n_joins > 0:
-        n_base = topo.n
-        pad = (1.0,) * n_joins
-        topo = Topology(
-            n_base + n_joins,
-            topo.edges,
-            topo.name + f"+join{n_joins}",
-            site_speeds=(topo.site_speeds + pad) if topo.site_speeds is not None else None,
+
+def assemble(
+    config: ExperimentConfig,
+    topo: Topology,
+    *,
+    network_cls: type = Network,
+    metrics: Optional[MetricsCollector] = None,
+    site_ids: Optional[Sequence[int]] = None,
+    solve_tables: Optional[Callable[[int], Any]] = None,
+) -> ResidentNetwork:
+    """Phase 1, the one build path: sites, links, routing — returned live.
+
+    A shard worker passes its own ``network_cls`` and ``metrics``
+    collector, the ``site_ids`` it owns (only those are constructed) and
+    ``solve_tables(phases)``, which replaces the full ``phased_tables``
+    solve (and the dense weight matrix) for the phase budget derived here.
+    """
+    oracle = config.routing_mode == "oracle"
+    # W and the per-phase-budget SharedTables exist in oracle mode only and
+    # stay on the resident (the centralized coordinator reads all-pairs
+    # distances off W; membership joins repair the tables in place).
+    W = weight_matrix(topo) if oracle and solve_tables is None else None
+    if config.algorithm in ("centralized", "focused", "random"):
+        # Global routing phase budget: the network's hop diameter. Only
+        # the baselines need it; RTDS's 2h-bounded flooding never does,
+        # so wide RTDS runs skip this O(n*(n+m)) oracle entirely.
+        if oracle:
+            global_phases = max(1, hop_diameter_fast(W))
+        else:
+            global_phases = max(1, hop_diameter(topo.adjacency()))
+    else:
+        global_phases = 1
+
+    routing_factory = None
+    shared_tables: Optional[Dict[int, SharedTables]] = None
+    if oracle:
+        if config.algorithm == "rtds":
+            phase_budget = config.rtds.pcs_phases
+        elif config.algorithm == "local":
+            phase_budget = 1
+        else:
+            phase_budget = global_phases
+        tables = (
+            solve_tables(phase_budget)
+            if solve_tables is not None
+            else phased_tables(W, phase_budget)
         )
+        shared_tables = {phase_budget: tables}
+        routing_factory = oracle_routing_factory(shared_tables)
 
     sim = Simulator()
     tracer = Tracer(enabled=config.trace)
-    metrics = MetricsCollector()
+    if metrics is None:
+        metrics = MetricsCollector()
     obs = None
     if config.telemetry:
         from repro.obs import Telemetry
@@ -695,20 +698,31 @@ def build_resident(config: ExperimentConfig) -> ResidentNetwork:
         # engine samples at run() boundaries only; sites/plans mirror
         # obs.enabled into their obs_on flags at construction
         sim.obs = obs
-    net, W, shared_tables = _make_sites(config, topo, sim, tracer, metrics, obs=obs)
-    if config.link_throughput is not None:
-        # applied post-construction so _make_sites stays algorithm-generic
-        for link in net.links():
-            link.throughput = config.link_throughput
+    admission_cache = None
+    if config.algorithm == "rtds":
+        from repro.core.admission_cache import AdmissionCache
+
+        admission_cache = AdmissionCache(enabled=config.admission_cache)
+    net = build_network(
+        topo,
+        sim,
+        _site_factory(config, topo, metrics, routing_factory, global_phases),
+        tracer,
+        throughput=config.link_throughput,
+        obs=obs,
+        admission_cache=admission_cache,
+        network_cls=network_cls,
+        site_ids=site_ids,
+    )
 
     sites = [net.site(sid) for sid in net.site_ids()]
     for s in sites:
         s.start()
     coordinator_kit: Optional[CoordinatorKit] = None
     if config.algorithm == "centralized":
-        if config.routing_mode == "oracle":
+        if oracle:
             # converged min-plus == true shortest delays, one batched pass
-            # (reuses the weight matrix _make_sites built for this run)
+            # over the weight matrix the routing tables were solved from
             dist = true_distance_matrix(W)
             distances = {
                 sid: {
@@ -748,8 +762,6 @@ def build_resident(config: ExperimentConfig) -> ResidentNetwork:
                 f"site {s.sid}: routing did not finish during setup "
                 f"(algorithm={config.algorithm})"
             )
-    setup_messages = net.stats.total
-    setup_time = sim.now
     return ResidentNetwork(
         config=config,
         topology=topo,
@@ -758,14 +770,42 @@ def build_resident(config: ExperimentConfig) -> ResidentNetwork:
         metrics=metrics,
         network=net,
         sites=sites,
-        setup_messages=setup_messages,
-        setup_time=setup_time,
+        setup_messages=net.stats.total,
+        setup_time=sim.now,
         obs=obs,
-        n_base=n_base,
         weight=W,
         shared_tables=shared_tables,
         coordinator_kit=coordinator_kit,
     )
+
+
+def build_resident(config: ExperimentConfig) -> ResidentNetwork:
+    """Phase 1 alone: build the network, run routing, return it live.
+
+    Everything :func:`run_experiment` does before the workload exists —
+    identical construction order, so a resident built here and fed the
+    batch workload reproduces ``run_experiment`` exactly.
+    """
+    topo = resolve_topology(config)
+    # Membership joins: pre-build the joiners as latent, link-less sites.
+    # Isolated rows are inert for the phased Bellman–Ford (no neighbours,
+    # infinite columns never offered), so the base sites' tables — and
+    # everything downstream — are byte-identical to the unextended run
+    # until the first join links up.
+    n_base: Optional[int] = None
+    n_joins = config.faults.n_join_sites() if config.faults is not None else 0
+    if n_joins > 0:
+        n_base = topo.n
+        pad = (1.0,) * n_joins
+        topo = Topology(
+            n_base + n_joins,
+            topo.edges,
+            topo.name + f"+join{n_joins}",
+            site_speeds=(topo.site_speeds + pad) if topo.site_speeds is not None else None,
+        )
+    resident = assemble(config, topo)
+    resident.n_base = n_base
+    return resident
 
 
 def run_experiment(
@@ -801,19 +841,6 @@ def run_experiment(
         if workload is None:
             workload = _generate_batch_workload(config, resident)
         return _execute_workload(resident, workload)
-
-
-def run_experiment_with_workload(
-    config: ExperimentConfig, workload: Workload
-) -> RunResult:
-    """Deprecated: call ``run_experiment(config, workload=...)`` instead."""
-    warnings.warn(
-        "run_experiment_with_workload() is deprecated; "
-        "call run_experiment(config, workload=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_experiment(config, workload=workload)
 
 
 def _generate_batch_workload(
@@ -853,54 +880,17 @@ def _generate_batch_workload(
 
 def _execute_workload(resident: ResidentNetwork, workload: Workload) -> RunResult:
     """Run a job list through a resident to completion and summarize."""
-    config = resident.config
-    sim = resident.sim
     obs = resident.obs
-
-    resident.arm_faults(default_horizon=config.duration)
-
-    for job in workload:
-        resident.schedule_job(job)
-    horizon = resident.shift + workload.last_deadline() + config.drain_margin
-    if config.hygiene_interval is not None:
-        interval = config.hygiene_interval
-
-        def hygiene_tick() -> None:
-            resident.prune_pass()
-            if sim.now + interval < horizon:
-                sim.schedule(interval, hygiene_tick)
-
-        sim.schedule(interval, hygiene_tick)
+    resident.arm_faults(default_horizon=resident.config.duration)
+    resident.schedule_workload(workload)
     workload_cm = obs.timeit("run.workload") if obs is not None else nullcontext()
     with workload_cm:
-        sim.run(until=horizon)
-
+        resident.run_to_horizon()
     if obs is not None:
         _record_run_telemetry(
-            obs, resident.metrics, sim, resident.setup_time, resident.network
+            obs, resident.metrics, resident.sim, resident.setup_time, resident.network
         )
-
-    summary = summarize(
-        config.resolved_label(),
-        resident.metrics,
-        n_sites=resident.topology.n,
-        total_messages=resident.network.stats.total,
-        setup_messages=resident.setup_messages,
-    )
-    return RunResult(
-        config=config,
-        summary=summary,
-        collector=resident.metrics,
-        network=resident.network,
-        tracer=resident.tracer,
-        topology=resident.topology,
-        workload=workload,
-        setup_messages=resident.setup_messages,
-        setup_time=resident.setup_time,
-        faults=resident.injector,
-        telemetry=obs,
-        resident=resident,
-    )
+    return resident.result(workload)
 
 
 def _record_run_telemetry(
@@ -939,13 +929,18 @@ def _record_run_telemetry(
         )
     cache = getattr(net, "admission_cache", None)
     if cache is not None:
-        # plain-int counters folded in once at run end — the cache itself
-        # never touches the registry on the hot path
-        for name, value in cache.stats().items():
-            obs.gauge("admission_cache." + name, float(value))
-        obs.gauge("admission_cache.hit_rate", cache.hit_rate())
+        _record_cache_gauges(obs, cache.stats())
     obs.gauge("run.setup_sim_time", setup_time)
     obs.gauge("run.sim_time", sim.now)
     obs.gauge("run.jobs_arrived", metrics.n_arrived())
     obs.gauge("run.jobs_accepted", metrics.n_accepted())
     obs.sample_rss()
+
+
+def _record_cache_gauges(obs, stats: Dict[str, int]) -> None:
+    """Admission-cache counters as gauges: plain ints folded in once at run
+    end — the cache itself never touches the registry on the hot path."""
+    for name, value in stats.items():
+        obs.gauge("admission_cache." + name, float(value))
+    cacheable = stats["hits"] + stats["misses"]
+    obs.gauge("admission_cache.hit_rate", stats["hits"] / cacheable if cacheable else 0.0)

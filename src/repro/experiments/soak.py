@@ -209,11 +209,28 @@ class SoakReport:
                 fh.write(json.dumps(asdict(s), sort_keys=True) + "\n")
 
 
+async def _backpressured_intake(svc: AdmissionService, jobs, after_each) -> None:
+    """E12's intake: ``await submit`` — a full queue stalls the arrivals."""
+    for job in jobs:
+        await svc.submit(job)
+        after_each()
+
+
 def run_soak(
     config: SoakConfig,
     progress: Optional[Callable[[SoakSample], None]] = None,
+    *,
+    intake: Callable = _backpressured_intake,
+    ledger: Optional[Callable] = None,
 ) -> SoakReport:
-    """Run one soak to completion (synchronous wrapper over the service)."""
+    """Run one soak to completion (synchronous wrapper over the service).
+
+    The loop is E13's too (:mod:`repro.experiments.chaos`), which passes
+    its own ``intake(svc, jobs, after_each)`` — the coroutine submitting
+    the stream, ``after_each()`` being the per-job sampling hook — and a
+    ``ledger(res, svc)`` returning the ``(sample, report)`` constructors
+    that add its fields to the core keywords.
+    """
     res = ResidentSimulation(
         config.experiment_config(), fold=True, fault_horizon=config.fault_horizon
     )
@@ -226,6 +243,8 @@ def run_soak(
         degraded_window=config.degraded_window,
     )
 
+    make_sample, make_report = ledger(res, svc) if ledger else (SoakSample, SoakReport)
+
     samples: List[SoakSample] = []
     t0 = time.perf_counter()
     rss0 = current_rss_mb() or 0.0
@@ -237,7 +256,7 @@ def run_soak(
         dt = wall - state["last_wall"]
         rate = (decided - state["last_decided"]) / dt if dt > 0 else 0.0
         window = svc.latency.snapshot(qs=(50.0, 99.0))
-        sample = SoakSample(
+        sample = make_sample(
             jobs_decided=decided,
             wall_s=wall,
             sim_time=res.now,
@@ -257,27 +276,31 @@ def run_soak(
             progress(sample)
         return sample
 
+    def sample_if_due() -> None:
+        if svc.stats.decided >= state["next_at"]:
+            take_sample()
+            state["next_at"] = svc.stats.decided + config.sample_every
+
     async def drive() -> None:
         async with svc:
-            for job in itertools.islice(open_loop_jobs(spec), config.target_jobs):
-                await svc.submit(job)
-                if svc.stats.decided >= state["next_at"]:
-                    take_sample()
-                    state["next_at"] = svc.stats.decided + config.sample_every
+            stream = itertools.islice(open_loop_jobs(spec), config.target_jobs)
+            await intake(svc, stream, sample_if_due)
 
     asyncio.run(drive())
     final = take_sample()
 
     wall = final.wall_s
     peak = max(s.rss_mb for s in samples)
-    cut = config.target_jobs * 0.2
+    # every enqueued job is decided by now: 20% of target_jobs for the
+    # backpressured soak, fewer when a lossy intake shed some
+    cut = svc.stats.decided * 0.2
     early = [s for s in samples if s.jobs_decided >= cut]
     rss_at_20 = early[0].rss_mb if early else samples[0].rss_mb
     growth = max(0.0, final.rss_mb - rss_at_20)
     lat = svc.latency.percentiles(qs=(50.0, 99.0))
     metrics = res.resident.metrics
 
-    return SoakReport(
+    return make_report(
         config=asdict(config),
         n_jobs=svc.stats.decided,
         wall_s=wall,

@@ -13,12 +13,13 @@ its own ``P``-hop neighbourhood: every candidate offer at phase ``p``
 accumulates a neighbour's phase-``(p-1)`` entry, so nothing further than
 ``P`` hops ever reaches the row. Since every ``i in A`` is within ``P``
 hops of ``j``, the union of those neighbourhoods is contained in the
-**closure** ``M = N_2P(j)``. Running :func:`phased_tables` on the induced
-submatrix ``W[M, M]`` therefore reproduces the affected rows *bit for
-bit*: the submatrix keeps ids in ascending order (a monotone relabeling),
-so the sweep's ascending next-hop iteration and the lower-id tie-break
-compare exactly as in the full computation, and candidate delays are the
-same floats added in the same association order.
+**closure** ``M = N_2P(j)``. The closure sub-solve
+(:func:`~repro.routing.vectorized.closure_rows`) on the induced submatrix
+``W[M, M]`` therefore reproduces the affected rows *bit for bit*: the
+submatrix keeps ids in ascending order (a monotone relabeling), so the
+sweep's ascending next-hop iteration and the lower-id tie-break compare
+exactly as in the full computation, and candidate delays are the same
+floats added in the same association order.
 
 Cost: ``O(|M|^2 * P)`` instead of ``O(n^2 * P)`` — for a join in a
 bounded-degree region this is independent of the network size. The
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.routing.vectorized import NO_ROUTE, SharedTables, phased_tables
+from repro.routing.vectorized import NO_ROUTE, SharedTables, closure_rows
 
 
 def hop_distances(W: np.ndarray, source: int) -> np.ndarray:
@@ -69,8 +70,9 @@ def repair_after_join(shared: SharedTables, W: np.ndarray, joined: int) -> np.nd
     reachable = hd >= 0
     affected = np.flatnonzero(reachable & (hd <= P))
     closure = np.flatnonzero(reachable & (hd <= 2 * P))
-    sub = phased_tables(W[np.ix_(closure, closure)], P)
-    pos = np.searchsorted(closure, affected)
+    dist, next_hop, hops, disc = closure_rows(
+        W[np.ix_(closure, closure)], closure, affected, P
+    )
 
     # Affected rows can only hold entries within their own P-hop
     # neighbourhood, all of which lie inside the closure — so resetting
@@ -81,9 +83,8 @@ def repair_after_join(shared: SharedTables, W: np.ndarray, joined: int) -> np.nd
     shared.disc[affected, :] = NO_ROUTE
 
     cols = np.ix_(affected, closure)
-    shared.dist[cols] = sub.dist[pos]
-    nh = sub.next_hop[pos]
-    shared.next_hop[cols] = np.where(nh >= 0, closure[np.clip(nh, 0, None)], NO_ROUTE)
-    shared.hops[cols] = sub.hops[pos]
-    shared.disc[cols] = sub.disc[pos]
+    shared.dist[cols] = dist
+    shared.next_hop[cols] = next_hop
+    shared.hops[cols] = hops
+    shared.disc[cols] = disc
     return affected

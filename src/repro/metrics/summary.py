@@ -10,7 +10,7 @@ workload starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict
 
 import numpy as np
@@ -61,6 +61,15 @@ class ExperimentSummary:
             "msg/job": round(self.messages_per_job, 2),
             "setup_msg": self.setup_messages,
             "lat": round(self.mean_decision_latency, 3),
+        }
+
+    def scalars(self) -> Dict[str, float]:
+        """Every numeric field as a plain JSON-able dict (strings and
+        dicts excluded) — what ``scalar_metrics()`` returns everywhere."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if isinstance(getattr(self, f.name), (int, float))
         }
 
 

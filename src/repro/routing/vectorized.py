@@ -63,22 +63,34 @@ class SharedTables:
         return int(np.count_nonzero(self.disc[sid] >= 0))
 
 
-def weight_matrix(topo) -> np.ndarray:
+def weight_matrix(topo, sites: Union[np.ndarray, None] = None) -> np.ndarray:
     """The symmetric link-delay matrix of a topology.
 
     ``W[u, v]`` is the delay of link ``(u, v)`` and ``inf`` where no link
     exists (including the diagonal — self-delay never participates in the
     phased relaxation). Raises :class:`~repro.errors.RoutingError` on
     non-positive delays, mirroring the protocol's start-time guard.
+
+    With ``sites`` (ascending ids): the sub-matrix those sites induce,
+    built straight from the edge list, never via the dense ``(n, n)`` one.
     """
-    n = topo.n
-    W = np.full((n, n), np.inf, dtype=np.float64)
+    index = None
+    m = topo.n
+    if sites is not None:
+        index = np.full(topo.n, -1, dtype=np.int64)
+        index[sites] = np.arange(len(sites))
+        m = len(sites)
+    W = np.full((m, m), np.inf, dtype=np.float64)
     for u, v, d in topo.edges:
         if d <= 0:
             raise RoutingError(
                 f"link ({u},{v}) has non-positive delay {d}; "
                 "hop-by-hop forwarding needs strictly positive delays"
             )
+        if index is not None:
+            u, v = index[u], index[v]
+            if u < 0 or v < 0:
+                continue
         W[u, v] = d
         W[v, u] = d
     return W
@@ -173,6 +185,22 @@ def phased_tables(W: np.ndarray, total_phases: int) -> SharedTables:
     return SharedTables(
         n=n, phases=total_phases, dist=dist, next_hop=next_hop, hops=hops, disc=disc
     )
+
+
+def closure_rows(W_closure: np.ndarray, closure: np.ndarray, rows: np.ndarray, phases: int):
+    """Rows ``rows`` of the full-network tables, solved on a closure alone.
+
+    ``W_closure`` is the weight matrix induced by ``closure``, ascending
+    ids covering the ``phases``-hop neighbourhood of every id in ``rows``
+    (why that is bit-exact: :mod:`repro.membership.repair`). Returns
+    ``(dist, next_hop, hops, disc)`` — a row per ``rows`` id, a column per
+    closure id, next hops relabeled back to network ids.
+    """
+    sub = phased_tables(W_closure, phases)
+    pos = np.searchsorted(closure, rows)
+    nh = sub.next_hop[pos]
+    next_hop = np.where(nh >= 0, closure[np.clip(nh, 0, None)], NO_ROUTE).astype(nh.dtype)
+    return sub.dist[pos], next_hop, sub.hops[pos], sub.disc[pos]
 
 
 def bfs_hops_matrix(W: np.ndarray) -> np.ndarray:

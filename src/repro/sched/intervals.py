@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import SchedulingError
+from repro.sched.soa import earliest_gap
 from repro.types import DATACLASS_SLOTS, EPS, JobId, TaskId, Time
 
 
@@ -102,27 +103,7 @@ class BusyTimeline:
         """Earliest ``s >= release`` with ``[s, s+duration)`` free and
         ``s + duration <= deadline``; ``None`` if no such gap exists.
         """
-        if duration <= EPS:
-            raise SchedulingError(f"duration must be > 0, got {duration}")
-        if release + duration > deadline + EPS:
-            return None
-        starts = self._starts
-        ends = self._ends
-        n = len(starts)
-        s = release
-        i = bisect_right(starts, s + EPS)
-        if i > 0 and ends[i - 1] > s + EPS:
-            # release falls inside a busy interval: earliest candidate is its end
-            s = ends[i - 1]
-        while True:
-            if s + duration > deadline + EPS:
-                return None
-            if i < n and starts[i] < s + duration - EPS:
-                # gap before next reservation too small; jump past it
-                s = ends[i]
-                i += 1
-                continue
-            return s
+        return earliest_gap(self._starts, self._ends, duration, release, deadline)
 
     def idle_windows(self, start: Time, end: Time) -> List[Tuple[Time, Time]]:
         """Maximal free sub-intervals of [start, end), in order."""

@@ -13,11 +13,12 @@ insertion operate directly on parallel ``starts``/``ends`` float lists
 (obtained via ``BusyTimeline.scratch_arrays()``), and ``Reservation``
 objects are built only for placements that survive the whole test.
 
-Bit-for-bit contract: :func:`fit_and_hold` performs *exactly* the
-arithmetic of ``BusyTimeline.earliest_fit`` followed by
-``BusyTimeline.reserve`` — same EPS comparisons, same bisect insertion
-point — so every placement it returns is byte-identical to what the
-object path produced. The identity goldens gate this.
+There is one earliest-gap scan, :func:`earliest_gap`:
+``BusyTimeline.earliest_fit`` is that scan over the timeline's own arrays,
+and :func:`fit_and_hold` is the scan followed by the insertion
+``BusyTimeline.reserve`` would make (same bisect insertion point), so every
+placement is byte-identical to what the object path produced. The
+identity goldens gate this.
 """
 
 from __future__ import annotations
@@ -27,6 +28,38 @@ from typing import List, Optional
 
 from repro.errors import SchedulingError
 from repro.types import EPS, Time
+
+
+def earliest_gap(
+    starts: List[Time],
+    ends: List[Time],
+    duration: Time,
+    release: Time,
+    deadline: Time,
+) -> Optional[Time]:
+    """Earliest ``s >= release`` with ``[s, s+duration)`` free on the
+    sorted parallel arrays and ``s + duration <= deadline``; ``None`` if
+    no such gap exists.
+    """
+    if duration <= EPS:
+        raise SchedulingError(f"duration must be > 0, got {duration}")
+    if release + duration > deadline + EPS:
+        return None
+    n = len(starts)
+    s = release
+    i = bisect_right(starts, s + EPS)
+    if i > 0 and ends[i - 1] > s + EPS:
+        # release falls inside a busy interval: earliest candidate is its end
+        s = ends[i - 1]
+    while True:
+        if s + duration > deadline + EPS:
+            return None
+        if i < n and starts[i] < s + duration - EPS:
+            # gap before next reservation too small; jump past it
+            s = ends[i]
+            i += 1
+            continue
+        return s
 
 
 def fit_and_hold(
@@ -44,23 +77,9 @@ def fit_and_hold(
     caller's scratch state, so "insert" here is a tentative hold, not a
     commitment.
     """
-    if duration <= EPS:
-        raise SchedulingError(f"duration must be > 0, got {duration}")
-    if release + duration > deadline + EPS:
+    s = earliest_gap(starts, ends, duration, release, deadline)
+    if s is None:
         return None
-    n = len(starts)
-    s = release
-    i = bisect_right(starts, s + EPS)
-    if i > 0 and ends[i - 1] > s + EPS:
-        s = ends[i - 1]
-    while True:
-        if s + duration > deadline + EPS:
-            return None
-        if i < n and starts[i] < s + duration - EPS:
-            s = ends[i]
-            i += 1
-            continue
-        break
     # Same insertion point as BusyTimeline.reserve: the slot is free, so
     # no existing start lies in (s, s+EPS] and the EPS-shifted bisect
     # equals the exact one.

@@ -2,12 +2,12 @@
 
 :class:`ResidentSimulation` wraps the runner's
 :class:`~repro.experiments.runner.ResidentNetwork` (phase 1 already done —
-topology built, routing converged) and exposes the streaming verbs the
+topology built, routing converged) and adds the streaming verbs the
 admission service needs: :meth:`feed` jobs whose arrivals lie in the
 future, :meth:`advance_to` a simulated time, :meth:`drain` past the last
-deadline, plus the memory-hygiene pair (:meth:`hygiene` site pruning,
-:meth:`fold` collector folding) and the :meth:`unfinished_plan_records`
-leak audit.
+deadline, and pump-driven :meth:`hygiene` (site pruning plus collector
+folding). Job scheduling, pruning, the leak audit and summaries are the
+resident's own — the same code the batch runner and the shard workers run.
 
 Time discipline: job times are workload-relative (like every
 :class:`~repro.workloads.jobs.JobSpec`); the resident shifts them by setup
@@ -26,7 +26,7 @@ from repro.experiments.runner import (
     ResidentNetwork,
     build_resident,
 )
-from repro.metrics.summary import ExperimentSummary, summarize
+from repro.metrics.summary import ExperimentSummary
 from repro.types import Time
 from repro.workloads.jobs import JobSpec
 
@@ -146,24 +146,11 @@ class ResidentSimulation:
 
     def summarize(self, label: Optional[str] = None) -> ExperimentSummary:
         """Summary over everything decided so far (folded + live)."""
-        return summarize(
-            label or self.resident.config.resolved_label(),
-            self.resident.metrics,
-            n_sites=self.resident.topology.n,
-            total_messages=self.resident.network.stats.total,
-            setup_messages=self.resident.setup_messages,
-        )
+        return self.resident.summarize(label)
 
     def scalar_metrics(self) -> dict:
         """Numeric summary fields (same shape as ``RunResult.scalar_metrics``)."""
-        from dataclasses import fields as dc_fields
-
-        s = self.summarize()
-        return {
-            f.name: getattr(s, f.name)
-            for f in dc_fields(s)
-            if isinstance(getattr(s, f.name), (int, float))
-        }
+        return self.resident.scalar_metrics()
 
     def capacities(self) -> List[float]:
         return self.resident.capacities()

@@ -96,6 +96,11 @@ class Network:
     def add_link(self, u: SiteId, v: SiteId, delay: Time, throughput: Optional[float] = None) -> Link:
         if u not in self._sites or v not in self._sites:
             raise TopologyError(f"link ({u},{v}) references unknown site")
+        return self._register_link(u, v, delay, throughput)
+
+    def _register_link(
+        self, u: SiteId, v: SiteId, delay: Time, throughput: Optional[float]
+    ) -> Link:
         link = Link(u, v, delay, throughput)
         if link.key in self._links:
             raise TopologyError(f"duplicate link {link.key}")

@@ -1,10 +1,11 @@
 """The sharded run coordinator: conservative time-window PDES.
 
-:func:`run_sharded` is the sharded twin of
-:func:`repro.experiments.runner.run_experiment`: it builds the topology
-exactly as ``build_resident`` does (same RNG, same speed resolution),
-partitions it (:mod:`~repro.simnet.sharded.partition`), spawns one worker
-process per shard and drives the classic conservative window loop:
+:func:`run_sharded` is what
+:func:`repro.experiments.runner.run_experiment` dispatches sharded configs
+to: it resolves the topology as every run does
+(:func:`~repro.experiments.runner.resolve_topology`), partitions it
+(:mod:`~repro.simnet.sharded.partition`), spawns one worker process per
+shard and drives the classic conservative window loop:
 
 1. ``g`` = the global minimum of every shard's next event time and every
    undelivered cross-shard arrival;
@@ -22,7 +23,8 @@ timestamp — the merged result is bit-identical to the single-process run
 are the canonical counter-example: every arrival ties and the
 cross-shard interleave is unspecified.
 
-The merged :class:`~repro.experiments.runner.RunResult` carries a real
+The merged :class:`~repro.experiments.runner.RunResult` is read off a
+site-less ``ResidentNetwork`` over the merged collector and a real
 :class:`~repro.simnet.network.Network` shim (merged message stats, an
 engine with summed event counts) so downstream consumers —
 ``run_cell``'s obs snapshot, ``fault_report`` — work unchanged.
@@ -32,23 +34,25 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import SimulationError
+from repro.experiments.runner import (
+    ExperimentConfig,
+    ResidentNetwork,
+    RunResult,
+    _record_cache_gauges,
+    _record_run_telemetry,
+    resolve_topology,
+)
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.summary import summarize
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Network
 from repro.simnet.sharded.partition import partition_topology
 from repro.simnet.sharded.worker import shard_worker_main
-from repro.simnet.topology import topology_factory
 from repro.simnet.trace import Tracer
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.experiments.runner import ExperimentConfig, RunResult
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,6 @@ def _merge_telemetry(config, blobs: List[Dict[str, Any]], merged: MetricsCollect
     the same ``_record_run_telemetry`` the single-process path uses, plus
     the summed admission-cache stats the parent network does not carry.
     """
-    from repro.experiments.runner import _record_run_telemetry
     from repro.obs import Telemetry
 
     obs = Telemetry(enabled=True, seed=config.seed)
@@ -146,33 +149,18 @@ def _merge_telemetry(config, blobs: List[Dict[str, Any]], merged: MetricsCollect
                 timer._sample.extend(samples[:room])
         obs.spans.extend(tel["spans"])
     _record_run_telemetry(obs, merged, sim, 0.0, net)
-    cache_totals: Dict[str, int] = {}
+    cache_totals: Counter = Counter()
     for blob in blobs:
-        if blob["cache_stats"] is not None:
-            for name, value in blob["cache_stats"].items():
-                cache_totals[name] = cache_totals.get(name, 0) + value
+        cache_totals.update(blob["cache_stats"] or {})
     if cache_totals:
-        for name, value in cache_totals.items():
-            obs.gauge("admission_cache." + name, float(value))
-        cacheable = cache_totals.get("hits", 0) + cache_totals.get("misses", 0)
-        obs.gauge(
-            "admission_cache.hit_rate",
-            cache_totals.get("hits", 0) / cacheable if cacheable else 0.0,
-        )
+        _record_cache_gauges(obs, cache_totals)
     obs.sample_rss()
     return obs
 
 
-def run_sharded(config: "ExperimentConfig") -> "RunResult":
+def run_sharded(config: ExperimentConfig) -> RunResult:
     """Run one experiment on the sharded engine; see the module docstring."""
-    from repro.experiments.runner import RunResult
-    from repro.simnet.speeds import resolve_site_speeds
-
-    rng = np.random.default_rng(config.seed)
-    topo = topology_factory(config.topology, rng=rng, **config.topology_kwargs)
-    site_speed_vec = resolve_site_speeds(config.site_speeds, topo.n, config.seed)
-    if site_speed_vec is not None:
-        topo = topo.with_site_speeds(site_speed_vec)
+    topo = resolve_topology(config)
     plan = partition_topology(topo, config.shards)
 
     ctx = multiprocessing.get_context()
@@ -251,13 +239,6 @@ def run_sharded(config: "ExperimentConfig") -> "RunResult":
     if config.telemetry:
         obs = _merge_telemetry(config, blobs, merged, sim, net)
 
-    summary = summarize(
-        config.resolved_label(),
-        merged,
-        n_sites=topo.n,
-        total_messages=net.stats.total,
-        setup_messages=0,
-    )
     sharding = ShardRunInfo(
         n_shards=plan.n_shards,
         lookahead=plan.lookahead,
@@ -267,18 +248,16 @@ def run_sharded(config: "ExperimentConfig") -> "RunResult":
         events_per_shard=tuple(b["events_processed"] for b in blobs),
         wall_per_shard=tuple(b["wall_seconds"] for b in blobs),
     )
-    return RunResult(
+    merged_view = ResidentNetwork(
         config=config,
-        summary=summary,
-        collector=merged,
-        network=net,
-        tracer=tracer,
         topology=topo,
-        workload=None,
+        sim=sim,
+        tracer=tracer,
+        metrics=merged,
+        network=net,
+        sites=[],
         setup_messages=0,
         setup_time=0.0,
-        faults=None,
-        telemetry=obs,
-        resident=None,
-        sharding=sharding,
+        obs=obs,
     )
+    return merged_view.result(workload=None, sharding=sharding)

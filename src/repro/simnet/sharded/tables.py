@@ -4,11 +4,10 @@ A shard only ever reads *its own sites'* rows of the phased Bellman–Ford
 tables, and under a phase budget ``P`` row ``i`` is a pure function of the
 subgraph induced by ``i``'s ``P``-hop neighborhood (the locality argument
 proven for :func:`repro.membership.repair.repair_after_join`). So each
-worker solves :func:`~repro.routing.vectorized.phased_tables` on the
-subgraph induced by the **closure** — every site within ``P`` hops of the
-shard's owned set — and keeps only the owned rows. The closure ids are
-relabeled monotonically (sorted ascending), which preserves the solver's
-``u < next_hop`` tie-break, so owned rows equal the full-network solve
+worker runs the same closure sub-solve
+(:func:`~repro.routing.vectorized.closure_rows`) on the subgraph induced
+by the **closure** — every site within ``P`` hops of the shard's owned
+set — and keeps only the owned rows. They equal the full-network solve
 bit for bit while the memory cost drops from ``O(n^2)`` to
 ``O(|owned| x |closure|)`` — the difference between an 800 MB dense
 matrix and a few-MB slab at 10k sites.
@@ -27,8 +26,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.errors import RoutingError
-from repro.routing.vectorized import NO_ROUTE, phased_tables
+from repro.routing.vectorized import NO_ROUTE, closure_rows, weight_matrix
 from repro.simnet.topology import Topology
 
 
@@ -138,38 +136,20 @@ def _closure_of(topo: Topology, owned: Sequence[int], radius: int) -> np.ndarray
 def shard_tables(topo: Topology, owned: Sequence[int], phases: int) -> ShardTables:
     """Solve the owned rows of ``phased_tables(weight_matrix(topo), phases)``.
 
-    Builds the closure-induced weight matrix directly from the edge list
-    (never the dense ``(n, n)`` matrix), runs the vectorized solver on it
-    and wraps the owned rows in translating :class:`_ShardArray` slabs.
-    Closure ids stay ascending, so the relabeling is monotone and the
-    solver's tie-breaks — hence the rows — match the full solve exactly.
+    Runs the closure sub-solve
+    (:func:`~repro.routing.vectorized.closure_rows`) on the
+    closure-induced weight matrix (never the dense ``(n, n)`` one) and
+    wraps the owned rows in translating :class:`_ShardArray` slabs.
     """
     n = topo.n
     owned_arr = np.asarray(sorted(owned), dtype=np.int64)
     closure = _closure_of(topo, owned_arr, phases)
     col_of = np.full(n, -1, dtype=np.int64)
     col_of[closure] = np.arange(len(closure))
-    m = len(closure)
-    W = np.full((m, m), np.inf, dtype=np.float64)
-    for u, v, d in topo.edges:
-        if d <= 0:
-            # same guard weight_matrix() applies on the single-process path
-            raise RoutingError(
-                f"link ({u},{v}) has non-positive delay {d}; "
-                "hop-by-hop forwarding needs strictly positive delays"
-            )
-        cu, cv = col_of[u], col_of[v]
-        if cu >= 0 and cv >= 0:
-            W[cu, cv] = d
-            W[cv, cu] = d
-    sub = phased_tables(W, phases)
-    pos = np.searchsorted(closure, owned_arr)
+    dist, next_hop, hops, disc = closure_rows(
+        weight_matrix(topo, closure), closure, owned_arr, phases
+    )
     row_of = {int(sid): i for i, sid in enumerate(owned_arr)}
-
-    nh_local = sub.next_hop[pos]
-    nh_global = np.where(
-        nh_local >= 0, closure[np.clip(nh_local, 0, None)], NO_ROUTE
-    ).astype(nh_local.dtype)
 
     def slab(rows: np.ndarray, fill) -> _ShardArray:
         return _ShardArray(np.ascontiguousarray(rows), row_of, col_of, closure, fill, n)
@@ -177,10 +157,10 @@ def shard_tables(topo: Topology, owned: Sequence[int], phases: int) -> ShardTabl
     return ShardTables(
         n=n,
         phases=phases,
-        dist=slab(sub.dist[pos], np.inf),
-        next_hop=slab(nh_global, NO_ROUTE),
-        hops=slab(sub.hops[pos], NO_ROUTE),
-        disc=slab(sub.disc[pos], NO_ROUTE),
+        dist=slab(dist, np.inf),
+        next_hop=slab(next_hop, NO_ROUTE),
+        hops=slab(hops, NO_ROUTE),
+        disc=slab(disc, NO_ROUTE),
         closure=closure,
         owned=owned_arr,
     )

@@ -1,10 +1,11 @@
 """One shard's process: engine, owned sites, boundary links, marshalling.
 
-Each worker owns a contiguous slice of the partition: it builds a full
-:class:`~repro.simnet.engine.Simulator` + :class:`ShardNetwork` holding
-only its owned sites, registers **boundary links** (links whose far
-endpoint lives on another shard) so adjacency and delay arithmetic stay
-bit-identical, and solves its own
+Each worker owns a contiguous slice of the partition and is the normal
+builder with three substitutions: it calls the runner's
+:func:`~repro.experiments.runner.assemble` with a :class:`ShardNetwork`
+holding only the owned sites plus **boundary links** (far endpoint on
+another shard, so adjacency and delay arithmetic stay bit-identical), a
+:class:`ShardCollector`, and its closure's
 :class:`~repro.simnet.sharded.tables.ShardTables` for oracle routing.
 
 Cross-shard traffic is marshalled as compact tuples
@@ -28,16 +29,16 @@ from __future__ import annotations
 
 import gc
 import traceback
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import TopologyError
+from repro.experiments.runner import _generate_batch_workload, assemble
 from repro.metrics.collector import MetricsCollector
 from repro.simnet.engine import PRIORITY_DELIVERY, Simulator
 from repro.simnet.message import Message
 from repro.simnet.network import Network
+from repro.simnet.sharded.tables import shard_tables
 from repro.simnet.topology import Topology
-from repro.simnet.trace import Tracer
 
 #: the compact cross-shard wire tuple (see module docstring)
 WireMessage = Tuple[float, int, str, int, Optional[int], Optional[int], Any, float, int, int]
@@ -78,25 +79,20 @@ class ShardNetwork(Network):
         super().__init__(sim, tracer, obs)
         self.outbox: List[WireMessage] = []
 
-    def add_boundary_link(self, u, v, delay, throughput=None):
-        """Register a link whose far endpoint lives on another shard.
+    def add_link(self, u, v, delay, throughput=None):
+        """Take one link of the whole topology, as seen from this shard.
 
-        Identical to :meth:`Network.add_link` minus the both-endpoints
-        -resident check: the link enters ``_adj`` (so ``neighbors()`` and
-        the transmit lookup see it) but the remote side has no receiver.
+        One endpoint resident makes it a **boundary link**: it enters
+        ``_adj`` (so ``neighbors()`` and the transmit lookup see it) but
+        the remote side has no receiver. Neither resident: ignored.
         """
-        from repro.errors import TopologyError
-        from repro.simnet.link import Link
-
-        link = Link(u, v, delay, throughput)
-        if link.key in self._links:
-            raise TopologyError(f"duplicate link {link.key}")
-        self._links[link.key] = link
-        self._adj.setdefault(u, {})[v] = link
-        self._adj.setdefault(v, {})[u] = link
-        self._neighbors_cache.pop(u, None)
-        self._neighbors_cache.pop(v, None)
-        return link
+        n_resident = (u in self._sites) + (v in self._sites)
+        if n_resident == 0:
+            return None
+        if n_resident == 1:
+            self._adj.setdefault(u, {})
+            self._adj.setdefault(v, {})
+        return self._register_link(u, v, delay, throughput)
 
     def transmit(self, msg: Message) -> None:
         """Single-process transmit locally; marshal across the cut."""
@@ -110,8 +106,6 @@ class ShardNetwork(Network):
         try:
             link = self._adj[src][dst]
         except KeyError:
-            from repro.errors import TopologyError
-
             raise TopologyError(f"no link between {src} and {dst}") from None
         msg.hops += 1
         size = msg.size
@@ -143,127 +137,6 @@ class ShardNetwork(Network):
         self.sim.schedule_call_at(arrival, self._receivers[dst], msg, PRIORITY_DELIVERY)
 
 
-def _build_shard(config, topo: Topology, plan, shard_id: int):
-    """Construct one shard's live network (mirrors ``build_resident``)."""
-    from repro.simnet.sharded.tables import shard_tables
-
-    owned = plan.parts[shard_id]
-    owned_set = frozenset(owned)
-    sim = Simulator()
-    tracer = Tracer(enabled=False)
-    metrics = ShardCollector()
-    obs = None
-    if config.telemetry:
-        from repro.obs import Telemetry
-
-        obs = Telemetry(enabled=True, seed=config.seed)
-        sim.obs = obs
-    net = ShardNetwork(sim, tracer, obs=obs)
-
-    if config.algorithm == "rtds":
-        phase_budget = config.rtds.pcs_phases
-    elif config.algorithm == "local":
-        phase_budget = 1
-    else:  # pragma: no cover - rejected by ExperimentConfig validation
-        raise ConfigError(f"sharded engine cannot run algorithm {config.algorithm!r}")
-    tables = shard_tables(topo, owned, phase_budget)
-
-    from repro.routing.oracle import oracle_routing_factory
-
-    routing_factory = oracle_routing_factory({phase_budget: tables})
-
-    def speed_of(sid: int) -> float:
-        return topo.site_speeds[sid] if topo.site_speeds is not None else 1.0
-
-    if config.algorithm == "rtds":
-        from repro.core.admission_cache import AdmissionCache
-        from repro.core.rtds import RTDSSite
-
-        net.admission_cache = AdmissionCache(enabled=config.admission_cache)
-        rtds_cfg = replace(config.rtds, surplus_window=config.surplus_window)
-        for sid in owned:
-            RTDSSite(
-                sid, net, rtds_cfg, speed=speed_of(sid), metrics=metrics,
-                routing_factory=routing_factory,
-            )
-    else:
-        from repro.baselines.local_only import LocalOnlySite
-
-        for sid in owned:
-            LocalOnlySite(
-                sid, net, surplus_window=config.surplus_window,
-                speed=speed_of(sid), metrics=metrics,
-                routing_factory=routing_factory,
-            )
-
-    for u, v, d in topo.edges:
-        u_in, v_in = u in owned_set, v in owned_set
-        if u_in and v_in:
-            net.add_link(u, v, d)
-        elif u_in or v_in:
-            net.add_boundary_link(u, v, d)
-    if config.link_throughput is not None:
-        for link in net.links():
-            link.throughput = config.link_throughput
-
-    sites = [net.site(sid) for sid in sorted(owned)]
-    for s in sites:
-        s.start()  # oracle routing binds synchronously at t=0
-    sim.run(until=None)
-    for s in sites:
-        if not s.routing.done:  # pragma: no cover - oracle start is synchronous
-            raise ConfigError(f"site {s.sid}: routing did not finish during setup")
-    return sim, net, metrics, sites, obs
-
-
-def _schedule_shard_workload(config, topo, owned_set, sim, net) -> float:
-    """Generate the full deterministic workload, schedule the owned slice.
-
-    Every worker regenerates the identical seeded workload (same spec,
-    same ``seed + 7``) and schedules only jobs originating on its owned
-    sites — same submission times, same relative order as one process.
-    Returns the drain horizon.
-    """
-    from repro.experiments.runner import _generate_batch_workload
-
-    class _ResidentShim:
-        """The two attributes ``_generate_batch_workload`` reads."""
-
-        n_base_sites = topo.n
-
-        @staticmethod
-        def capacities() -> List[float]:
-            if topo.site_speeds is not None:
-                return [topo.site_speeds[sid] for sid in range(topo.n)]
-            return [1.0 for _ in range(topo.n)]
-
-    workload = _generate_batch_workload(config, _ResidentShim)
-
-    def submit(job) -> None:
-        net.site(job.origin).submit_job(job.job, job.dag, job.deadline)
-
-    for job in workload:
-        if job.origin in owned_set:
-            sim.schedule_at(job.arrival, lambda j=job: submit(j))
-    horizon = workload.last_deadline() + config.drain_margin
-    if config.hygiene_interval is not None:
-        interval = config.hygiene_interval
-        sites = [net.site(sid) for sid in net.site_ids()]
-
-        def hygiene_tick() -> None:
-            keep_from = sim.now - config.surplus_window
-            if keep_from > 0:
-                for s in sites:
-                    prune = getattr(s, "prune_history", None)
-                    if prune is not None:
-                        prune(keep_from)
-            if sim.now + interval < horizon:
-                sim.schedule(interval, hygiene_tick)
-
-        sim.schedule(interval, hygiene_tick)
-    return horizon
-
-
 def _telemetry_blob(obs) -> Optional[Dict[str, Any]]:
     """A picklable snapshot of one shard's telemetry registry.
 
@@ -283,8 +156,9 @@ def _telemetry_blob(obs) -> Optional[Dict[str, Any]]:
     }
 
 
-def _shard_result(sim, net, metrics, obs) -> Dict[str, Any]:
+def _shard_result(resident) -> Dict[str, Any]:
     """The end-of-run blob one worker ships back to the coordinator."""
+    sim, net, metrics = resident.sim, resident.network, resident.metrics
     cache = getattr(net, "admission_cache", None)
     return {
         "records": metrics.records(),
@@ -295,16 +169,29 @@ def _shard_result(sim, net, metrics, obs) -> Dict[str, Any]:
         "events_processed": sim.events_processed,
         "wall_seconds": sim.wall_seconds,
         "cache_stats": cache.stats() if cache is not None else None,
-        "telemetry": _telemetry_blob(obs),
+        "telemetry": _telemetry_blob(resident.obs),
     }
 
 
 def _run_shard(conn, config, topo: Topology, plan, shard_id: int) -> None:
-    """The worker body: build, schedule, then serve the window protocol."""
+    """The worker body: build, schedule, then serve the window protocol.
+
+    Every worker regenerates the identical seeded workload and schedules
+    only the jobs originating on its own sites."""
     gc.disable()  # same policy as the runner's _gc_paused, for the process's life
-    sim, net, metrics, _sites, obs = _build_shard(config, topo, plan, shard_id)
-    owned_set = frozenset(plan.parts[shard_id])
-    horizon = _schedule_shard_workload(config, topo, owned_set, sim, net)
+    owned = plan.parts[shard_id]
+    resident = assemble(
+        config,
+        topo,
+        network_cls=ShardNetwork,
+        metrics=ShardCollector(),
+        site_ids=owned,
+        solve_tables=lambda phases: shard_tables(topo, owned, phases),
+    )
+    horizon = resident.schedule_workload(
+        _generate_batch_workload(config, resident), origins=frozenset(owned)
+    )
+    sim, net = resident.sim, resident.network
     conn.send(("ready", sim.peek_next_time(), horizon))
     while True:
         cmd = conn.recv()
@@ -318,10 +205,10 @@ def _run_shard(conn, config, topo: Topology, plan, shard_id: int) -> None:
             net.outbox = []
             conn.send(("ok", outbox, sim.peek_next_time()))
         elif op == "finish":
-            sim.run(until=horizon)
+            resident.run_to_horizon()
             if net.outbox:  # pragma: no cover - the window loop drains first
                 raise RuntimeError(f"shard {shard_id}: undelivered outbox at finish")
-            conn.send(("done", _shard_result(sim, net, metrics, obs)))
+            conn.send(("done", _shard_result(resident)))
             return
         else:  # pragma: no cover - protocol misuse
             raise RuntimeError(f"shard {shard_id}: unknown command {op!r}")

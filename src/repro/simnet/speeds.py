@@ -9,8 +9,7 @@ the concrete per-site vector the rest of the system consumes (carried on
 :class:`~repro.simnet.site.SiteBase`):
 
 * ``None`` — homogeneous (all 1.0); the byte-identical default path.
-* an explicit sequence — cycled over the sites like
-  ``ExperimentConfig.speeds`` always did (``speeds[sid % len]``).
+* an explicit sequence — cycled over the sites (``speeds[sid % len]``).
 * ``"uniform"`` / ``"uniform:X"`` — every site at speed ``X`` (default 1.0).
 * ``"skew:K"`` — a two-tier network: even sites run at ``K`` times the
   speed of odd sites (``sqrt(K)`` vs ``1/sqrt(K)`` before normalisation),

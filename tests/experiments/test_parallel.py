@@ -87,10 +87,8 @@ class TestCellKey:
     def test_numpy_values_normalize_to_python(self):
         import numpy as np
 
-        with pytest.warns(DeprecationWarning, match="speeds is deprecated"):
-            as_list = replace(SMALL, speeds=[1.0, 2.0])
-        with pytest.warns(DeprecationWarning, match="speeds is deprecated"):
-            as_array = replace(SMALL, speeds=np.array([1.0, 2.0]))
+        as_list = replace(SMALL, site_speeds=[1.0, 2.0])
+        as_array = replace(SMALL, site_speeds=np.array([1.0, 2.0]))
         assert cell_key(as_list) == cell_key(as_array)
 
     def test_lambda_factories_rejected(self):

@@ -78,8 +78,7 @@ class TestRunner:
         assert res.summary.setup_messages == res.setup_messages
 
     def test_speeds_supported(self):
-        with pytest.warns(DeprecationWarning, match="speeds is deprecated"):
-            cfg = replace(SMALL, algorithm="rtds", speeds=[1.0, 2.0], rho=0.4)
+        cfg = replace(SMALL, algorithm="rtds", site_speeds=[1.0, 2.0], rho=0.4)
         res = run_experiment(cfg)
         assert res.summary.n_jobs > 0
         assert res.summary.n_missed == 0 or res.summary.effective_ratio > 0.5

@@ -76,14 +76,12 @@ def test_trace_workload_differential():
     _assert_snapshots_identical(default, explicit, "trace:epigenomics")
 
 
-def test_legacy_speeds_and_site_speeds_agree():
-    """The legacy cyclic ``speeds`` list and an equivalent ``site_speeds``
-    vector must produce the same simulation."""
-    with pytest.warns(DeprecationWarning, match="speeds is deprecated"):
-        legacy_cfg = _base_config(speeds=[1.0, 2.0])
-    legacy = run_experiment(legacy_cfg)
-    explicit = run_experiment(_base_config(site_speeds=[1.0, 2.0]))
-    _assert_snapshots_identical(legacy, explicit, "legacy-vs-site_speeds")
+def test_short_speed_vector_cycles_over_sites():
+    """An explicit vector shorter than the network cycles over the sites
+    (``speeds[sid % len]``): it must run exactly like the written-out one."""
+    short = run_experiment(_base_config(site_speeds=[1.0, 2.0]))
+    full = run_experiment(_base_config(site_speeds=[1.0, 2.0] * 8))
+    _assert_snapshots_identical(short, full, "cycled-vs-full site_speeds")
 
 
 def test_heterogeneous_run_is_deterministic():

@@ -123,7 +123,6 @@ class TestDesignMd:
             "config_fingerprint",
             "tests/cache",
             "admission_cache=false",
-            "run_experiment_with_workload",
             "site_speeds",
         ):
             assert concept.lower() in lower, f"DESIGN.md must document {concept!r}"
@@ -325,9 +324,3 @@ class TestReadme:
         for name in ("run", "campaign", "soak", "chaos", "trace",
                      "ExperimentConfig"):
             assert hasattr(api, name), f"repro.api must export {name!r}"
-
-    def test_deprecations_are_documented(self):
-        text = read("README.md")
-        assert "run_experiment_with_workload" in text
-        assert "site_speeds" in text
-        assert "DeprecationWarning" in text
