@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import resource
 import sys
 import time
 from typing import Dict, List, Optional
@@ -53,6 +52,7 @@ from repro.core.config import RTDSConfig
 from repro.core.rtds import RTDSSite
 from repro.experiments.runner import run_experiment
 from repro.experiments.widenet import E10_KINDS, widenet_config, widenet_topology
+from repro.obs.telemetry import rss_mb
 from repro.routing.oracle import oracle_routing_factory
 from repro.routing.reference import hop_diameter
 from repro.routing.vectorized import phased_tables, weight_matrix
@@ -64,14 +64,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 DEFAULT_SIZES = (256, 512, 1024)
 SPEEDUP_SIZE = 512
-
-
-def _peak_rss_mb() -> float:
-    """Process peak RSS in MB (ru_maxrss is KB on Linux, bytes on macOS)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - linux CI
-        return peak / (1024.0 * 1024.0)
-    return peak / 1024.0
 
 
 def run_cell(kind: str, n: int, seed: int = 0) -> Dict[str, float]:
@@ -86,7 +78,7 @@ def run_cell(kind: str, n: int, seed: int = 0) -> Dict[str, float]:
         "guarantee_ratio": res.summary.guarantee_ratio,
         "messages_per_job": res.summary.messages_per_job,
         "wall_seconds": wall,
-        "peak_rss_mb": _peak_rss_mb(),
+        "peak_rss_mb": rss_mb(),
     }
 
 

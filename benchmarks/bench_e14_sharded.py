@@ -3,7 +3,7 @@
 Three measurements:
 
 * **differential** — one partition-friendly grid cell run twice, single
-  process vs ``engine_mode="sharded"``: the gate is *exactness*, every
+  process vs ``shards=N``: the gate is *exactness*, every
   ``scalar_metrics`` value and the transmission total must match bit for
   bit (wall time is reported, never gated — this cell is small enough
   that process spawn + window barriers usually *lose* to one process).
@@ -35,7 +35,6 @@ import argparse
 import json
 import os
 import pathlib
-import resource
 import sys
 import time
 from dataclasses import replace
@@ -43,6 +42,7 @@ from typing import Dict, List
 
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.metrics.summary import scalars_equal
+from repro.obs.telemetry import rss_mb
 from repro.workloads.scenarios import widenet_workload_defaults
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -54,22 +54,6 @@ DEFAULT_MIN_SPEEDUP = 2.0
 #: absolute nightly budget of the 10k-site cell (sharded engine, 4 shards)
 TENK_WALL_BUDGET_S = 900.0
 TENK_RSS_BUDGET_MB = 4096.0
-
-
-def _peak_rss_mb() -> float:
-    """Peak RSS in MB across the coordinator and its reaped shard workers.
-
-    ``ru_maxrss`` is KB on Linux, bytes on macOS. RUSAGE_CHILDREN covers
-    the joined worker processes — the shard slabs live there, so gating
-    on the coordinator alone would hide the engine's real footprint.
-    """
-    peak = max(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
-    )
-    if sys.platform == "darwin":  # pragma: no cover - linux CI
-        return peak / (1024.0 * 1024.0)
-    return peak / 1024.0
 
 
 def grid_config(rows: int, cols: int, seed: int = 0) -> ExperimentConfig:
@@ -97,7 +81,7 @@ def measure_differential(rows: int = 8, cols: int = 8, shards: int = 2) -> Dict[
     cfg = grid_config(rows, cols)
     single, wall_single = _timed_run(cfg)
     sharded, wall_sharded = _timed_run(
-        replace(cfg, engine_mode="sharded", shards=shards)
+        replace(cfg, shards=shards)
     )
     exact = scalars_equal(single.scalar_metrics(), sharded.scalar_metrics())
     exact = exact and single.network.stats.total == sharded.network.stats.total
@@ -121,7 +105,7 @@ def measure_speedup(
     cfg = grid_config(rows, cols)
     single, wall_single = _timed_run(cfg)
     sharded, wall_sharded = _timed_run(
-        replace(cfg, engine_mode="sharded", shards=shards)
+        replace(cfg, shards=shards)
     )
     exact = scalars_equal(single.scalar_metrics(), sharded.scalar_metrics())
     return {
@@ -141,14 +125,14 @@ def measure_speedup(
 def measure_tenk(shards: int = DEFAULT_SHARDS) -> Dict[str, float]:
     """The 10 000-site nightly cell, sharded engine only."""
     cfg = grid_config(100, 100)
-    sharded, wall = _timed_run(replace(cfg, engine_mode="sharded", shards=shards))
+    sharded, wall = _timed_run(replace(cfg, shards=shards))
     return {
         "sites": 10000.0,
         "shards": float(shards),
         "jobs": float(sharded.summary.n_jobs),
         "guarantee_ratio": sharded.summary.guarantee_ratio,
         "wall_seconds": wall,
-        "peak_rss_mb": _peak_rss_mb(),
+        "peak_rss_mb": rss_mb(children=True),
         "barriers": float(sharded.sharding.barriers),
         "max_shard_events": float(max(sharded.sharding.events_per_shard)),
     }

@@ -23,6 +23,15 @@ the supported surface and the one the README/examples build on:
 
 All five are thin, documented delegates — no behavior of their own — so
 ``repro.api`` results are bit-for-bit those of the underlying modules.
+
+The experiment sweeps are re-exported beside them, unwrapped — each is a
+rows-and-columns declaration over
+:func:`repro.experiments.campaign.sweep_table` returning printable
+dict-rows: ``sweep_load`` (E1), ``sweep_network_size`` (E2),
+``sweep_sphere_radius`` (E3), ``sweep_ablations`` (E5),
+``sweep_uniform_machines`` (E5b), ``sweep_fault_plans`` (E7),
+``sweep_widenet`` (E10) and ``sweep_hetero`` (E11). The ``rtds`` CLI
+(:mod:`repro.cli`) is an argparse shell over exactly this module.
 """
 
 from __future__ import annotations
@@ -30,10 +39,19 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.experiments.campaign import Campaign
+from repro.experiments.campaign import Campaign, sweep_fault_plans
 from repro.experiments.chaos import ChaosConfig, ChaosReport, ChaosSample, run_chaos
+from repro.experiments.evaluation import (
+    sweep_ablations,
+    sweep_load,
+    sweep_network_size,
+    sweep_sphere_radius,
+    sweep_uniform_machines,
+)
+from repro.experiments.hetero import sweep_hetero
 from repro.experiments.runner import ExperimentConfig, RunResult, run_experiment
 from repro.experiments.soak import SoakConfig, SoakReport, SoakSample, run_soak
+from repro.experiments.widenet import sweep_widenet
 from repro.workloads.jobs import Workload
 
 __all__ = [
@@ -51,6 +69,14 @@ __all__ = [
     "soak",
     "chaos",
     "trace",
+    "sweep_load",
+    "sweep_network_size",
+    "sweep_sphere_radius",
+    "sweep_ablations",
+    "sweep_uniform_machines",
+    "sweep_fault_plans",
+    "sweep_widenet",
+    "sweep_hetero",
 ]
 
 
@@ -68,8 +94,8 @@ def run(config: ExperimentConfig, workload: Optional[Workload] = None) -> RunRes
         job list instead — e.g. a captured open-loop stream — making the
         config's ``rho``/``duration``/``dag_size`` knobs irrelevant.
 
-    ``config.engine_mode="sharded"`` (with ``shards=N``) dispatches the
-    run to the E14 multi-process PDES engine (:mod:`repro.simnet.sharded`,
+    ``config.shards >= 2`` dispatches the run to the E14 multi-process
+    PDES engine with that many workers (:mod:`repro.simnet.sharded`,
     DESIGN.md §16) — same ``scalar_metrics`` bit for bit on
     partition-friendly cells; requires ``routing_mode="oracle"`` and
     ``workload=None``.

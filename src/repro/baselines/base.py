@@ -12,7 +12,7 @@ network's hop diameter), which is itself part of the contrast with RTDS's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.events import JobOutcome, JobRecord
 from repro.core.local_test import local_guarantee_test
@@ -23,7 +23,7 @@ from repro.sched.executor import PlanExecutor
 from repro.sched.plan import SchedulingPlan
 from repro.simnet.network import Network
 from repro.simnet.site import SiteBase
-from repro.types import JobId, SiteId, TaskId, Time
+from repro.types import JobId, SiteId, Time
 
 
 @dataclass
@@ -69,12 +69,6 @@ class BaselineSite(SiteBase):
         """Forget finished work older than ``before`` (long-run hygiene)."""
         n = self.plan.prune_before(before)
         self.executor.prune_done_before(before)
-        info = getattr(self, "_exec_info", None)
-        if info is not None:
-            live_jobs = {key[0] for key in self.executor.records()}
-            for job in list(info):
-                if job not in live_jobs:
-                    del info[job]
         return n
 
     # -- shared helpers ------------------------------------------------------
@@ -141,24 +135,3 @@ class BaselineSite(SiteBase):
             arrival=payload["arrival"],
             origin=payload["origin"],
         )
-
-
-def build_cross_site_gates(
-    sid: SiteId,
-    job: JobId,
-    my_tasks: Set[TaskId],
-    host: Dict[TaskId, SiteId],
-    preds: Dict[TaskId, List[TaskId]],
-) -> Dict[Tuple[JobId, TaskId], Set[Tuple[str, JobId, TaskId]]]:
-    """Executor gates for a multi-site assignment (same rule as RTDS §11)."""
-    gates: Dict[Tuple[JobId, TaskId], Set[Tuple[str, JobId, TaskId]]] = {}
-    for t in my_tasks:
-        deps = set()
-        for p in preds[t]:
-            if host[p] == sid:
-                deps.add(("done", job, p))
-            else:
-                deps.add(("result", job, p))
-        if deps:
-            gates[(job, t)] = deps
-    return gates

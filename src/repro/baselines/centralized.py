@@ -24,12 +24,13 @@ are honest).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import heapq
 
-from repro.baselines.base import BaselineJobCtx, BaselineSite, build_cross_site_gates
+from repro.baselines.base import BaselineJobCtx, BaselineSite
 from repro.core.events import JobOutcome
+from repro.core.hosting import HostSide
 from repro.errors import ProtocolError, SchedulingError
 from repro.graphs.analysis import bottom_levels
 from repro.graphs.dag import Dag
@@ -217,11 +218,10 @@ class CentralizedSite(BaselineSite):
         #: (repro.membership.election); None keeps every pre-election code
         #: path — including the commit fast path — byte-identical
         self.election: Optional[Any] = None
-        self._exec_info: Dict[JobId, Tuple[Dict, Dict, Dict]] = {}
-        self.executor.on_complete.append(self._on_task_complete)
+        #: §11 host side, shared with RTDS (gates, RESULT forwarding)
+        self.hosting = HostSide(self, MSG_C_RESULT)
         self.on(MSG_JOB_SUBMIT, self._h_submit)
         self.on(MSG_EXEC_ASSIGN, self._h_assign)
-        self.on(MSG_C_RESULT, self._h_result)
 
     def install_coordinator(
         self,
@@ -292,15 +292,7 @@ class CentralizedSite(BaselineSite):
                 self.election.stats.stale_assignments_dropped += 1
                 self.trace("election.stale_assignment_dropped", job=job)
                 return
-        my_tasks = {r.task for r in slots}
-        gates = build_cross_site_gates(self.sid, job, my_tasks, host, preds)
-        self.plan.commit(slots)
-        self.executor.notify_committed(slots, gates)
-        succs: Dict[TaskId, List[TaskId]] = {t: [] for t in host}
-        for t, ps in preds.items():
-            for p in ps:
-                succs[p].append(t)
-        self._exec_info[job] = (host, succs, volumes)
+        self.hosting.commit(job, slots, host, preds, volumes)
 
     def _h_assign(self, msg: Message) -> None:
         job = msg.payload["job"]
@@ -312,22 +304,8 @@ class CentralizedSite(BaselineSite):
             job, slots, msg.payload["host"], msg.payload["preds"], msg.payload["volumes"]
         )
 
-    def _h_result(self, msg: Message) -> None:
-        self.executor.deliver_token(("result", msg.payload["job"], msg.payload["task"]))
-
-    def _on_task_complete(self, job: JobId, task: TaskId, time: Time) -> None:
-        info = self._exec_info.get(job)
-        if info is None:
-            return
-        host, succs, volumes = info
-        notified: Set[SiteId] = set()
-        for succ in succs.get(task, ()):
-            dest = host[succ]
-            if dest != self.sid and dest not in notified:
-                notified.add(dest)
-                self.send_to(
-                    dest,
-                    MSG_C_RESULT,
-                    {"job": job, "task": task},
-                    size=max(1.0, volumes.get(task, 0.0)),
-                )
+    def prune_history(self, before: Time) -> int:
+        """Forget finished work older than ``before`` (long-run hygiene)."""
+        n = super().prune_history(before)
+        self.hosting.prune({key[0] for key in self.executor.records()})
+        return n

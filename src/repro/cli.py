@@ -17,40 +17,51 @@
     rtds soak --routing oracle --faults "joins=2,join_links=2" --fault-horizon 5000
     rtds chaos --sites 32 --joins 4 --site-churn 12 --metrics chaos.jsonl   # E13
 
-``campaign`` and ``sweep-faults`` run through the parallel campaign
-runtime (:mod:`repro.experiments.parallel`): ``--jobs N`` fans the cell
-matrix across ``N`` worker processes, ``--store DIR`` persists every cell
-to a JSONL result store as it finishes, and ``--resume`` skips cells the
-store already completed (failed cells are retried). Live per-cell
+A thin argparse shell over :mod:`repro.api`: every subcommand turns its
+flags into one ``api`` call and prints the result; the seven ``sweep-*``
+subcommands are rows of one table (:data:`_SWEEPS`) behind one command
+function. ``campaign``, ``sweep-faults``, ``sweep-widenet`` and
+``sweep-hetero`` take the campaign runtime flags: ``--jobs N`` fans the
+cell matrix across ``N`` worker processes, ``--store DIR`` persists every
+cell to a JSONL result store as it finishes, and ``--resume`` skips cells
+the store already completed (failed cells are retried). Live per-cell
 progress goes to stderr; tables go to stdout.
+
+Exit codes (:func:`main` is the single error boundary): ``0`` success;
+``1`` the run failed (crashed campaign cells, each named by key and seed;
+a leaking soak; diverged chaos tables; a missing store); ``2`` the request
+was wrong — a :class:`~repro.errors.ConfigError` printed as one ``error:``
+line, like argparse's own usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 from dataclasses import replace
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import RTDSConfig
 from repro.errors import CampaignCellError, ConfigError
-from repro.experiments.evaluation import (
-    sweep_ablations,
-    sweep_load,
-    sweep_network_size,
-    sweep_sphere_radius,
-)
 from repro.experiments.paper_example import (
     PAPER_DEADLINE,
     fig3_schedule,
     fig4_schedule,
     paper_example_adjusted,
+    paper_example_config,
     table1_rows,
 )
+from repro.experiments.parallel import CampaignStore, ResultStore
 from repro.experiments.reporting import format_kv, format_table
 from repro import api
-from repro.experiments.runner import ExperimentConfig
+from repro.api import ExperimentConfig
+from repro.faults import FaultPlan, hardened
 from repro.graphs.generators import paper_example_dag
+from repro.obs.dashboard import CampaignDashboard
+from repro.obs.export import metrics_records, write_metrics_jsonl
+from repro.obs.telemetry import percentiles
+from repro.simnet.speeds import split_speed_specs
 from repro.viz.dagviz import render_dag
 from repro.viz.gantt import render_gantt, schedule_to_items
 
@@ -84,56 +95,49 @@ def _cmd_example(_args: argparse.Namespace) -> int:
 
 
 def _base_config(args: argparse.Namespace) -> ExperimentConfig:
-    faults = None
+    faults = FaultPlan.from_spec(args.faults) if args.faults else None
     rtds_cfg = RTDSConfig(h=args.h)
-    if getattr(args, "faults", None):
-        from repro.faults import FaultPlan, hardened
-
-        faults = FaultPlan.from_spec(args.faults)
-        # joins-only plans don't disturb messages in flight: no hardening
-        if faults.perturbs_network():
-            rtds_cfg = hardened(
-                rtds_cfg, ack_timeout=args.ack_timeout, ack_retries=args.ack_retries
-            )
-    shards = getattr(args, "shards", 0) or 0
+    # joins-only plans don't disturb messages in flight: no hardening
+    if faults is not None and faults.perturbs_network():
+        rtds_cfg = hardened(
+            rtds_cfg, ack_timeout=args.ack_timeout, ack_retries=args.ack_retries
+        )
     return ExperimentConfig(
         topology="erdos_renyi",
         topology_kwargs={"n": args.sites, "p": min(1.0, 4.0 / max(1, args.sites - 1))},
+        # run/profile/trace pick one; campaigns and sweeps set their own per cell
+        algorithm=getattr(args, "algorithm", "rtds"),
         rho=args.rho,
         duration=args.duration,
         laxity_factor=args.laxity,
         seed=args.seed,
         rtds=rtds_cfg,
         faults=faults,
-        routing_mode=getattr(args, "routing", "protocol"),
-        engine_mode="sharded" if shards else "single",
-        shards=shards,
+        routing_mode=args.routing,
+        shards=getattr(args, "shards", 0),
     )
 
 
-def _progress_printer():
-    """Live campaign dashboard on stderr (stdout stays clean for tables).
+def _runtime(args: argparse.Namespace, name: str) -> Dict[str, Any]:
+    """``--jobs/--store/--resume`` as campaign-runtime keywords.
 
-    Every completed cell prints its own line plus a running footer with
-    cells/sec, elapsed and ETA (:class:`repro.obs.CampaignDashboard`).
-    The callback fires in the parent process even under ``--jobs`` pools,
-    and every line is flushed so worker stderr cannot interleave it.
+    ``store`` is the named campaign's JSONL file under ``--store`` (None
+    without the flag). ``progress`` is the live dashboard on stderr
+    (stdout stays clean for tables): every completed cell prints its own
+    line plus a running footer with cells/sec, elapsed and ETA
+    (:class:`repro.obs.CampaignDashboard`). The callback fires in the
+    parent process even under ``--jobs`` pools, and every line is flushed
+    so worker stderr cannot interleave it.
     """
-    from repro.obs.dashboard import CampaignDashboard
-
-    return CampaignDashboard()
-
-
-def _campaign_store(args: argparse.Namespace, name: str):
-    """The CampaignStore for ``--store`` (None when the flag is absent)."""
-    if not getattr(args, "store", None):
-        return None
-    from repro.experiments.parallel import ResultStore
-
-    return ResultStore(args.store).campaign(name)
+    return {
+        "executor": args.jobs,
+        "store": ResultStore(args.store).campaign(name) if args.store else None,
+        "resume": args.resume,
+        "progress": CampaignDashboard(),
+    }
 
 
-def _report_cell_failures(err: CampaignCellError, has_store: bool) -> int:
+def _report_cell_failures(err: CampaignCellError, args: argparse.Namespace) -> int:
     print(f"error: {len(err.failures)} campaign cell(s) failed", file=sys.stderr)
     for failure in err.failures:
         print(
@@ -144,7 +148,9 @@ def _report_cell_failures(err: CampaignCellError, has_store: bool) -> int:
     if all(f.error and f.error.startswith("ConfigError") for f in err.failures):
         # deterministic config mistakes reproduce on every retry
         print("these are configuration errors; fix the config and rerun", file=sys.stderr)
-    elif has_store:
+    elif not hasattr(args, "store"):
+        pass  # a sweep without the runtime flags has no store to resume from
+    elif args.store:
         print("rerun with --resume to retry only the failed cells", file=sys.stderr)
     else:
         print(
@@ -165,72 +171,44 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     report raw event throughput (total and loop-only), the numbers the
     E9 bench gates on.
     """
-    if args.backend == "telemetry":
-        return _profile_telemetry(args)
     import cProfile
     import pstats
     import time
 
-    cfg = replace(_base_config(args), algorithm=args.algorithm)
+    telemetry = args.backend == "telemetry"
+    cfg = replace(_base_config(args), telemetry=telemetry)
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
-    profiler.enable()
+    if not telemetry:
+        profiler.enable()
     res = api.run(cfg)
     profiler.disable()
     wall = time.perf_counter() - t0
     sim = res.network.sim
     print(
-        f"profiled: {args.algorithm}, {args.sites} sites, duration {args.duration}, "
-        f"seed {args.seed}"
+        f"{'telemetry profile' if telemetry else 'profiled'}: {args.algorithm}, "
+        f"{args.sites} sites, duration {args.duration}, seed {args.seed}"
     )
     print(
         f"{sim.events_processed} events in {wall:.3f}s wall "
         f"({sim.events_processed / wall:.0f} events/sec; "
         f"loop only: {sim.events_processed / sim.wall_seconds:.0f} events/sec)"
     )
-    print("note: cProfile instrumentation inflates wall time; ratios matter, not totals\n")
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats(args.sort).print_stats(args.limit)
-    return 0
-
-
-def _profile_telemetry(args: argparse.Namespace) -> int:
-    """The ``--backend telemetry`` profile: phase timers over functions."""
-    from repro.obs.export import metrics_records
-
-    cfg = replace(_base_config(args), algorithm=args.algorithm, telemetry=True)
-    res = api.run(cfg)
-    obs = res.telemetry
-    sim = res.network.sim
-    print(
-        f"telemetry profile: {args.algorithm}, {args.sites} sites, "
-        f"duration {args.duration}, seed {args.seed}"
-    )
-    print(
-        f"{sim.events_processed} events "
-        f"(loop only: {sim.events_processed / sim.wall_seconds:.0f} events/sec)"
-    )
-    records = metrics_records(obs)
+    if not telemetry:
+        print("note: cProfile instrumentation inflates wall time; ratios matter, not totals\n")
+        stats = pstats.Stats(profiler, stream=sys.stdout)
+        stats.sort_stats(args.sort).print_stats(args.limit)
+        return 0
+    records = metrics_records(res.telemetry)
     timers = [r for r in records if r["kind"] == "timer"][: args.limit]
     if timers:
-        rows = [
-            {
-                "timer": r["name"],
-                "count": r["count"],
-                "mean": r["mean"],
-                "p50": r["p50"],
-                "p95": r["p95"],
-                "p99": r["p99"],
-            }
-            for r in timers
-        ]
+        columns = ("count", "mean", "p50", "p95", "p99")
+        rows = [{"timer": r["name"], **{c: r[c] for c in columns}} for r in timers]
         print(format_table(rows, title="timers (sim-time spans + wall-clock samples)"))
-    counters = {r["name"]: r["value"] for r in records if r["kind"] == "counter"}
-    if counters:
-        print(format_kv("counters", counters))
-    gauges = {r["name"]: r["value"] for r in records if r["kind"] == "gauge"}
-    if gauges:
-        print(format_kv("gauges", gauges))
+    for kind in ("counter", "gauge"):
+        values = {r["name"]: r["value"] for r in records if r["kind"] == kind}
+        if values:
+            print(format_kv(kind + "s", values))
     return 0
 
 
@@ -243,19 +221,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     ``--paper-example`` runs the Figure-1 scenario: a 4-site complete
     network fed Fig. 2 DAGs — small enough to read span by span.
     """
-    from repro.obs.export import write_metrics_jsonl
-
     if args.paper_example:
-        from repro.experiments.paper_example import paper_example_config
-
         cfg = paper_example_config(seed=args.seed)
     else:
-        cfg = replace(_base_config(args), algorithm=args.algorithm)
-    try:
-        res, doc = api.trace(cfg, out=args.out)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        cfg = _base_config(args)
+    res, doc = api.trace(cfg, out=args.out)
     obs = res.telemetry
     n_events = len(doc["traceEvents"])
     admitted = [r for r in res.collector.records() if r.outcome.accepted]
@@ -293,11 +263,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     percentile summaries of the per-cell events/sec and peak-RSS samples
     the campaign runtime records on every cell.
     """
-    import pathlib
-
-    from repro.experiments.parallel import CampaignStore, ResultStore
-    from repro.obs.telemetry import percentiles
-
     path = pathlib.Path(args.store)
     if path.is_dir():
         store = ResultStore(path)
@@ -343,8 +308,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = replace(_base_config(args), algorithm=args.algorithm)
-    res = api.run(cfg)
+    res = api.run(_base_config(args))
     print(format_table([res.summary.row()], title=f"run: {args.algorithm}"))
     if res.summary.rejected_by:
         print(format_kv("rejections", res.summary.rejected_by))
@@ -356,27 +320,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    base = _base_config(args)
     algos = args.algorithms.split(",")
-    try:
-        camp = api.campaign(
-            base,
-            algos,
-            seeds=range(args.seed, args.seed + args.runs),
-            executor=args.jobs,
-            store=_campaign_store(args, args.name),
-            resume=args.resume,
-            progress=_progress_printer(),
-        )
-        rows = camp.table(algos)
-    except CampaignCellError as err:
-        return _report_cell_failures(err, has_store=bool(args.store))
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    camp = api.campaign(
+        _base_config(args),
+        algos,
+        seeds=_seeds(args),
+        **_runtime(args, args.name),
+    )
     print(
         format_table(
-            rows,
+            camp.table(algos),
             title=(
                 f"campaign: {len(algos)} algorithm(s) x {args.runs} seeds "
                 f"(mean ± 95% CI, jobs={args.jobs})"
@@ -388,151 +341,119 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_faults(args: argparse.Namespace) -> int:
-    from repro.experiments.campaign import sweep_fault_plans
-    from repro.faults import FaultPlan, hardened
+def _seeds(args: argparse.Namespace) -> range:
+    """``--runs`` replications starting at ``--seed``."""
+    return range(args.seed, args.seed + args.runs)
 
+
+def _csv(text: str, cast: Callable[[str], Any] = str) -> List[Any]:
+    return [cast(x) for x in text.split(",")]
+
+
+def _fault_plans(args: argparse.Namespace) -> Dict[str, Any]:
     base = _base_config(args)
-    if not base.rtds.hardened:  # --faults absent: _base_config didn't harden
-        base = replace(
-            base,
-            rtds=hardened(base.rtds, ack_timeout=args.ack_timeout, ack_retries=args.ack_retries),
-        )
-    losses = [float(x) for x in args.losses.split(",")]
-    try:
-        template = (
-            FaultPlan.from_spec(args.faults) if getattr(args, "faults", None) else FaultPlan()
-        )
-        plans = [(f"loss={p:g}", template.scaled(p)) for p in losses]
-        rows = sweep_fault_plans(
-            base,
-            plans,
-            seeds=range(args.seed, args.seed + args.runs),
-            executor=args.jobs,
-            store=_campaign_store(args, "sweep-faults"),
-            resume=args.resume,
-            progress=_progress_printer(),
-        )
-    except CampaignCellError as err:
-        return _report_cell_failures(err, has_store=bool(args.store))
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    print(format_table(rows, title="E7: guarantee ratio vs message-loss rate"))
-    return 0
+    if not base.rtds.hardened:  # no perturbing --faults, but the scaled plans will be
+        rtds_cfg = hardened(base.rtds, ack_timeout=args.ack_timeout, ack_retries=args.ack_retries)
+        base = replace(base, rtds=rtds_cfg)
+    template = FaultPlan.from_spec(args.faults) if args.faults else FaultPlan()
+    return {
+        "base": base,
+        "plans": [(f"loss={p:g}", template.scaled(p)) for p in _csv(args.losses, float)],
+        "seeds": _seeds(args),
+    }
 
 
-def _cmd_sweep_widenet(args: argparse.Namespace) -> int:
-    from repro.experiments.widenet import sweep_widenet
-
-    base = _base_config(args)
-    kinds = args.kinds.split(",")
-    sizes = [int(x) for x in args.sizes.split(",")]
-    try:
-        rows = sweep_widenet(
-            base=base,
-            kinds=kinds,
-            sizes=sizes,
-            seeds=range(args.seed, args.seed + args.runs),
-            executor=args.jobs,
-            store=_campaign_store(args, "sweep-widenet"),
-            resume=args.resume,
-            progress=_progress_printer(),
-            routing_mode=args.routing,
-        )
-    except CampaignCellError as err:
-        return _report_cell_failures(err, has_store=bool(args.store))
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    print(format_table(rows, title=f"E10: wide-network scale-out ({args.routing} routing)"))
-    return 0
-
-
-def _cmd_sweep_hetero(args: argparse.Namespace) -> int:
-    from repro.experiments.hetero import sweep_hetero
-    from repro.simnet.speeds import split_speed_specs
-
-    base = _base_config(args)
-    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    try:
+def _hetero_axes(args: argparse.Namespace) -> Dict[str, Any]:
+    return {
         # profile-aware split: commas inside "tiers:1,2,4" stay attached
-        speed_specs = split_speed_specs(args.speeds)
-        rows = sweep_hetero(
-            base=base,
-            speed_specs=speed_specs,
-            workloads=workloads,
-            seeds=range(args.seed, args.seed + args.runs),
-            executor=args.jobs,
-            store=_campaign_store(args, "sweep-hetero"),
-            resume=args.resume,
-            progress=_progress_printer(),
-            n_sites=args.sites,
-        )
-    except CampaignCellError as err:
-        return _report_cell_failures(err, has_store=bool(args.store))
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    print(format_table(rows, title="E11: guarantee ratio vs speed skew x workload family"))
+        "speed_specs": split_speed_specs(args.speeds),
+        "workloads": [w.strip() for w in args.workloads.split(",") if w.strip()],
+        "seeds": _seeds(args),
+        "n_sites": args.sites,
+    }
+
+
+#: subcommand -> (sweep, table title, flags -> the sweep's keywords); every
+#: sweep also takes ``base``, :func:`_base_config` unless the keywords set it
+_SWEEPS: Dict[str, Tuple[Callable, str, Callable[[argparse.Namespace], Dict[str, Any]]]] = {
+    "sweep-load": (
+        api.sweep_load,
+        "E1: guarantee ratio vs offered load",
+        lambda a: {
+            "algorithms": _csv(a.algorithms),
+            "rhos": _csv(a.rhos, float),
+            "seeds": tuple(range(a.runs)),
+        },
+    ),
+    "sweep-size": (
+        api.sweep_network_size,
+        "E2: messages per job vs network size",
+        lambda a: {"algorithms": _csv(a.algorithms), "sizes": _csv(a.sizes, int)},
+    ),
+    "sweep-radius": (
+        api.sweep_sphere_radius,
+        "E3: sphere radius sweep",
+        lambda a: {"hs": _csv(a.radii, int)},
+    ),
+    "sweep-ablations": (api.sweep_ablations, "E5: §13 generalization ablations", lambda a: {}),
+    "sweep-faults": (api.sweep_fault_plans, "E7: guarantee ratio vs message-loss rate", _fault_plans),
+    "sweep-widenet": (
+        api.sweep_widenet,
+        "E10: wide-network scale-out ({routing} routing)",
+        lambda a: {
+            "kinds": _csv(a.kinds),
+            "sizes": _csv(a.sizes, int),
+            "seeds": _seeds(a),
+            "routing_mode": a.routing,
+        },
+    ),
+    "sweep-hetero": (api.sweep_hetero, "E11: guarantee ratio vs speed skew x workload family", _hetero_axes),
+}
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """Every ``sweep-*`` subcommand: one :data:`_SWEEPS` row, run and printed."""
+    sweep, title, keywords = _SWEEPS[args.command]
+    kwargs = keywords(args)
+    kwargs.setdefault("base", _base_config(args))
+    if hasattr(args, "jobs"):  # E7/E10/E11 carry the campaign runtime flags
+        kwargs.update(_runtime(args, args.command))
+    rows = sweep(**kwargs)
+    print(format_table(rows, title=title.format(**vars(args))))
     return 0
 
 
-def _cmd_sweep_load(args: argparse.Namespace) -> int:
-    cfg = _base_config(args)
-    algos = args.algorithms.split(",")
-    rhos = [float(x) for x in args.rhos.split(",")]
-    rows = sweep_load(cfg, algos, rhos, seeds=tuple(range(args.runs)))
-    print(format_table(rows, title="E1: guarantee ratio vs offered load"))
-    return 0
+def _service_fields(args: argparse.Namespace) -> Dict[str, Any]:
+    """The config fields ``soak`` and ``chaos`` share (see ``service()``)."""
+    return {
+        "n_sites": args.sites,
+        "rho": args.rho,
+        "target_jobs": args.target_jobs,
+        "sample_every": args.sample_every,
+        "degraded_floor": args.degraded_floor,
+        "fault_horizon": args.fault_horizon,
+        "seed": args.seed,
+    }
 
 
-def _cmd_sweep_size(args: argparse.Namespace) -> int:
-    cfg = _base_config(args)
-    algos = args.algorithms.split(",")
-    sizes = [int(x) for x in args.sizes.split(",")]
-    rows = sweep_network_size(cfg, algos, sizes)
-    print(format_table(rows, title="E2: messages per job vs network size"))
-    return 0
-
-
-def _cmd_sweep_radius(args: argparse.Namespace) -> int:
-    cfg = _base_config(args)
-    hs = [int(x) for x in args.radii.split(",")]
-    rows = sweep_sphere_radius(cfg, hs)
-    print(format_table(rows, title="E3: sphere radius sweep"))
-    return 0
-
-
-def _cmd_ablations(args: argparse.Namespace) -> int:
-    cfg = _base_config(args)
-    rows = sweep_ablations(cfg)
-    print(format_table(rows, title="E5: §13 generalization ablations"))
-    return 0
+def _write_samples(report, args: argparse.Namespace) -> None:
+    if args.metrics is not None:
+        report.write_samples_jsonl(pathlib.Path(args.metrics))
+        print(f"wrote {len(report.samples)} samples to {args.metrics}")
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from repro.experiments.soak import SoakConfig, SoakSample
-
-    cfg = SoakConfig(
-        n_sites=args.sites,
+    cfg = api.SoakConfig(
         arrival=args.arrival,
-        rho=args.rho,
-        target_jobs=args.target_jobs,
         queue_capacity=args.queue_capacity,
         laxity_factor=args.laxity,
-        sample_every=args.sample_every,
         algorithm=args.algorithm,
         routing_mode=args.routing,
-        seed=args.seed,
         faults=args.faults,
-        fault_horizon=args.fault_horizon,
-        degraded_floor=args.degraded_floor,
+        **_service_fields(args),
     )
 
-    def progress(s: SoakSample) -> None:
+    def progress(s: api.SoakSample) -> None:
         print(
             f"  jobs {s.jobs_decided:>8}  sim {s.sim_time:>9.1f}  "
             f"{s.jobs_per_sec:>7.0f} j/s  GR {s.guarantee_ratio:.4f}  "
@@ -561,32 +482,20 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             },
         )
     )
-    if args.metrics is not None:
-        report.write_samples_jsonl(pathlib.Path(args.metrics))
-        print(f"wrote {len(report.samples)} samples to {args.metrics}")
+    _write_samples(report, args)
     return 0 if report.leaked_unfinished == 0 else 1
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from repro.experiments.chaos import ChaosConfig, ChaosSample
-
-    cfg = ChaosConfig(
-        n_sites=args.sites,
+    cfg = api.ChaosConfig(
         joins=args.joins,
         join_links=args.join_links,
         site_churn=args.site_churn,
         mean_downtime=args.mean_downtime,
-        rho=args.rho,
-        target_jobs=args.target_jobs,
-        sample_every=args.sample_every,
-        degraded_floor=args.degraded_floor,
-        fault_horizon=args.fault_horizon,
-        seed=args.seed,
+        **_service_fields(args),
     )
 
-    def progress(s: ChaosSample) -> None:
+    def progress(s: api.ChaosSample) -> None:
         print(
             f"  jobs {s.jobs_decided:>8}  sim {s.sim_time:>9.1f}  "
             f"GR {s.guarantee_ratio:.4f}  p99 {s.lat_p99:>7.3f}  "
@@ -620,9 +529,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             },
         )
     )
-    if args.metrics is not None:
-        report.write_samples_jsonl(pathlib.Path(args.metrics))
-        print(f"wrote {len(report.samples)} samples to {args.metrics}")
+    _write_samples(report, args)
     ok = report.leaked_unfinished == 0 and report.tables_converged
     return 0 if ok else 1
 
@@ -796,54 +703,60 @@ def build_parser() -> argparse.ArgumentParser:
     p_ab = sub.add_parser("sweep-ablations", help="E5 §13 generalization ablations")
     common(p_ab)
 
+    def service(p: argparse.ArgumentParser, sites: int, rho: float, floor) -> None:
+        """The flags ``soak`` and ``chaos`` share (defaults per command)."""
+        p.add_argument("--sites", type=int, default=sites)
+        p.add_argument("--rho", type=float, default=rho)
+        p.add_argument(
+            "--target-jobs", type=int, default=100_000, dest="target_jobs",
+            help="jobs to push through the resident network",
+        )
+        p.add_argument(
+            "--sample-every", type=int, default=2000, dest="sample_every",
+            help="decisions between trajectory samples",
+        )
+        p.add_argument(
+            "--degraded-floor", type=float, default=floor, dest="degraded_floor",
+            help="admission breaker: shed submit_nowait intake while the "
+            "windowed acceptance rate sits below this floor",
+        )
+        p.add_argument(
+            "--fault-horizon", type=float, default=None, dest="fault_horizon",
+            help="simulated span the fault/churn/join events are drawn over "
+            "(soak default: the config's batch duration — usually too short, "
+            "set it; chaos default: estimated from the arrival rate so chaos "
+            "covers the whole run)",
+        )
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--metrics", default=None,
+            help="write the per-sample trajectory as JSONL here (CI artifact)",
+        )
+
     p_soak = sub.add_parser(
         "soak",
         help="E12 long-lived admission soak: open-loop stream into one "
         "resident network (jobs/sec, interval p99s, flat-RSS audit)",
     )
-    p_soak.add_argument("--sites", type=int, default=48)
+    service(p_soak, sites=48, rho=0.6, floor=None)
     p_soak.add_argument(
         "--arrival", default="auto",
         help='arrival process: "auto" (Poisson at --rho), "poisson:RATE", '
         '"mmpp:R1,R2@S1,S2" or "diurnal:VOLUME@DAY[@AMP]"',
-    )
-    p_soak.add_argument("--rho", type=float, default=0.6)
-    p_soak.add_argument(
-        "--target-jobs", type=int, default=100_000, dest="target_jobs",
-        help="jobs to push through the resident network",
     )
     p_soak.add_argument(
         "--queue-capacity", type=int, default=1024, dest="queue_capacity",
         help="admission queue bound (backpressure beyond this)",
     )
     p_soak.add_argument("--laxity", type=float, default=3.0)
-    p_soak.add_argument(
-        "--sample-every", type=int, default=2000, dest="sample_every",
-        help="decisions between trajectory samples",
-    )
     p_soak.add_argument("--algorithm", default="rtds")
     p_soak.add_argument(
         "--routing", default="protocol", choices=["protocol", "oracle"]
-    )
-    p_soak.add_argument("--seed", type=int, default=0)
-    p_soak.add_argument(
-        "--metrics", default=None,
-        help="write the per-sample trajectory as JSONL here (CI artifact)",
     )
     p_soak.add_argument(
         "--faults", default=None,
         help='fault spec armed on the resident, e.g. "sites=6,downtime=30" '
         'or "joins=2,join_links=2" (joins need --routing oracle)',
-    )
-    p_soak.add_argument(
-        "--fault-horizon", type=float, default=None, dest="fault_horizon",
-        help="simulated span the plan draws its events over "
-        "(default: the config's batch duration — usually too short; set it)",
-    )
-    p_soak.add_argument(
-        "--degraded-floor", type=float, default=None, dest="degraded_floor",
-        help="admission breaker: shed submit_nowait intake while the "
-        "windowed acceptance rate sits below this floor",
     )
 
     p_chaos = sub.add_parser(
@@ -852,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
         "continuous site churn and mid-flight joins (survivability ledger, "
         "zero-leak audit, bit-for-bit routing-repair check)",
     )
-    p_chaos.add_argument("--sites", type=int, default=32)
+    service(p_chaos, sites=32, rho=0.5, floor=0.2)
     p_chaos.add_argument(
         "--joins", type=int, default=4, help="sites that join mid-run"
     )
@@ -867,54 +780,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument(
         "--mean-downtime", type=float, default=40.0, dest="mean_downtime"
     )
-    p_chaos.add_argument("--rho", type=float, default=0.5)
-    p_chaos.add_argument(
-        "--target-jobs", type=int, default=100_000, dest="target_jobs",
-        help="jobs to push through the resident network",
-    )
-    p_chaos.add_argument(
-        "--sample-every", type=int, default=2000, dest="sample_every"
-    )
-    p_chaos.add_argument(
-        "--degraded-floor", type=float, default=0.2, dest="degraded_floor",
-        help="admission breaker floor (windowed acceptance rate)",
-    )
-    p_chaos.add_argument(
-        "--fault-horizon", type=float, default=None, dest="fault_horizon",
-        help="span churn/join events are drawn over (default: estimated "
-        "from the arrival rate so chaos covers the whole run)",
-    )
-    p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument(
-        "--metrics", default=None,
-        help="write the per-sample trajectory as JSONL here (CI artifact)",
-    )
 
     return parser
 
 
+#: subcommands with a command function of their own; every other
+#: subcommand is a row of :data:`_SWEEPS`
+_COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
+    "example": _cmd_example,
+    "run": _cmd_run,
+    "profile": _cmd_profile,
+    "trace": _cmd_trace,
+    "stats": _cmd_stats,
+    "campaign": _cmd_campaign,
+    "soak": _cmd_soak,
+    "chaos": _cmd_chaos,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of the ``rtds`` command."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    commands = {
-        "example": _cmd_example,
-        "run": _cmd_run,
-        "profile": _cmd_profile,
-        "trace": _cmd_trace,
-        "stats": _cmd_stats,
-        "campaign": _cmd_campaign,
-        "sweep-load": _cmd_sweep_load,
-        "sweep-size": _cmd_sweep_size,
-        "sweep-radius": _cmd_sweep_radius,
-        "sweep-ablations": _cmd_ablations,
-        "sweep-faults": _cmd_sweep_faults,
-        "sweep-widenet": _cmd_sweep_widenet,
-        "sweep-hetero": _cmd_sweep_hetero,
-        "soak": _cmd_soak,
-        "chaos": _cmd_chaos,
-    }
-    return commands[args.command](args)
+    """Entry point of the ``rtds`` command — and its one error boundary.
+
+    A :class:`~repro.errors.ConfigError` from anywhere below (flag
+    parsing, config validation, the run) is a one-line ``error:`` on
+    stderr and exit 2; a :class:`~repro.errors.CampaignCellError` is the
+    per-cell failure report plus a resume hint and exit 1.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return _COMMANDS.get(args.command, _cmd_sweep)(args)
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except CampaignCellError as err:
+        return _report_cell_failures(err, args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.adjustment import adjust_trial_mapping
 from repro.core.config import RTDSConfig
 from repro.core.events import JobOutcome, JobRecord
+from repro.core.hosting import HostSide
 from repro.core.local_test import local_guarantee_test
 from repro.core.mapper import build_trial_mapping
 from repro.core.messages import (
@@ -91,7 +92,8 @@ class RTDSSite(SiteBase):
         self.metrics = metrics
         self.plan = SchedulingPlan(sid, config.surplus_window, speed=speed, obs=self.obs)
         self.executor = PlanExecutor(network.sim, self.plan)
-        self.executor.on_complete.append(self._on_task_complete)
+        #: §11 host side: gates, RESULT forwarding, RESULT delivery
+        self.hosting = HostSide(self, MSG_RESULT, config.result_forwarding)
         if metrics is not None and hasattr(metrics, "on_task_complete"):
             self.executor.on_complete.append(metrics.on_task_complete)
 
@@ -114,8 +116,6 @@ class RTDSSite(SiteBase):
         self.session: Optional[AcsSession] = None
         #: member-side cached validation slots: job -> {proc: [Reservation]}
         self._validate_cache: Dict[JobId, Dict[LogicalProc, list]] = {}
-        #: job -> (host, succs, volumes) for RESULT forwarding
-        self._exec_info: Dict[JobId, Tuple[Dict, Dict, Dict]] = {}
         #: jobs submitted before routing finished
         self._pre_routing: List[_JobCtx] = []
         self._enroll_timer = None
@@ -145,7 +145,6 @@ class RTDSSite(SiteBase):
         self.on(MSG_EXECUTE, self._h_execute)
         self.on(MSG_EXECUTE_ACK, self._h_execute_ack)
         self.on(MSG_UNLOCK, self._h_unlock)
-        self.on(MSG_RESULT, self._h_result)
 
     def _count(self, name: str) -> None:
         """Count a named protocol event on the metrics collector."""
@@ -1030,27 +1029,12 @@ class RTDSSite(SiteBase):
                 f"site {self.sid}: assigned logical proc {proc} for job {job} "
                 "but no cached validation slots (endorsement mismatch)"
             )
-        gates: Dict[Tuple[JobId, TaskId], Set[Tuple[str, JobId, TaskId]]] = {}
-        my_tasks = {r.task for r in slots}
-        for t in my_tasks:
-            deps = set()
-            for p in preds[t]:
-                if host[p] == self.sid:
-                    deps.add(("done", job, p))
-                elif self.config.result_forwarding:
-                    deps.add(("result", job, p))
-            if deps:
-                gates[(job, t)] = deps
-        self.plan.commit(slots)
-        self.executor.notify_committed(slots, gates)
-        # Remember topology of the job for result forwarding.
-        succs = {t: [] for t in host}
-        for t, ps in preds.items():
-            for p in ps:
-                succs[p].append(t)
-        self._exec_info[job] = (host, succs, volumes)
+        self.hosting.commit(job, slots, host, preds, volumes)
         if self.trace_on:
-            self.trace("execute.commit", job=job, proc=proc, tasks=sorted(my_tasks, key=repr))
+            self.trace(
+                "execute.commit", job=job, proc=proc,
+                tasks=sorted({r.task for r in slots}, key=repr),
+            )
 
     def _h_unlock(self, msg: Message) -> None:
         job = msg.payload["job"]
@@ -1067,32 +1051,6 @@ class RTDSSite(SiteBase):
         elif self.trace_on:
             # Stale unlock (queue-mode race); harmless.
             self.trace("lock.stale_unlock", job=job, by=initiator)
-
-    def _h_result(self, msg: Message) -> None:
-        job = msg.payload["job"]
-        task = msg.payload["task"]
-        self.executor.deliver_token(("result", job, task))
-
-    # ------------------------------------------------------------------
-    # execution-time callbacks
-    # ------------------------------------------------------------------
-
-    def _on_task_complete(self, job: JobId, task: TaskId, time: Time) -> None:
-        info = self._exec_info.get(job)
-        if info is None or not self.config.result_forwarding:
-            return
-        host, succs, volumes = info
-        notified: Set[SiteId] = set()
-        for succ in succs.get(task, ()):
-            dest = host[succ]
-            if dest != self.sid and dest not in notified:
-                notified.add(dest)
-                self.send_to(
-                    dest,
-                    MSG_RESULT,
-                    {"job": job, "task": task},
-                    size=max(1.0, volumes.get(task, 0.0)),
-                )
 
     # ------------------------------------------------------------------
     # session teardown & lock plumbing
@@ -1155,9 +1113,7 @@ class RTDSSite(SiteBase):
         self.executor.prune_done_before(before)
         # result-forwarding info for jobs whose local tasks are all gone
         live_jobs = {key[0] for key in self.executor.records()}
-        for job in list(self._exec_info):
-            if job not in live_jobs:
-                del self._exec_info[job]
+        self.hosting.prune(live_jobs)
         # Hardening caches. The EXECUTE duplicate-detection entries are
         # pruned by *age*, not liveness: a bystander member (no local
         # tasks) must keep re-acking while the initiator's retransmission

@@ -8,8 +8,10 @@
   content-addressed cell keys, serial/pool executor strategies, and the
   resumable on-disk JSONL result store;
 * :mod:`repro.experiments.campaign` — replications, confidence intervals
-  and paired comparisons (:class:`Campaign`), and the E7 fault sweep
-  (:func:`sweep_fault_plans`), both running through the parallel runtime;
+  and paired comparisons (:class:`Campaign`), the row-table function every
+  sweep is declared over (:func:`~repro.experiments.campaign.sweep_table`)
+  and the E7 fault sweep (:func:`sweep_fault_plans`), all running through
+  the parallel runtime;
 * :mod:`repro.experiments.paper_example` — exact regeneration of the
   paper's worked example (Figs 2–4, Table 1) and a Figure-1-style protocol
   trace;

@@ -30,16 +30,23 @@ is attached), and one :class:`~repro.errors.CampaignCellError` naming
 each failed cell key and seed is raised at the end — a resumed run
 retries only those cells.
 
-Fault sweeps (:func:`sweep_fault_plans`) replicate one configuration across
-seeds for each :class:`~repro.faults.plan.FaultPlan` in a list — the E7
-guarantee-vs-loss-rate curve — aggregating both the scheduler metrics and
-the churn damage counters, through the same executor/store machinery.
+Sweeps are row tables: :func:`sweep_table` takes rows of ``(key columns,
+replicate configs)`` plus named column aggregators (:func:`mean`,
+:func:`ci_half`, :func:`mean_pm`, :func:`total`, :func:`runs`) and alone
+does cell keys, the one ``run_cells`` pass, ``raise_on_failures``,
+regrouping and aggregation. Every experiment sweep is a declaration over
+it — E1–E5 in :mod:`repro.experiments.evaluation`, E10 in
+:mod:`repro.experiments.widenet`, E11 in :mod:`repro.experiments.hetero`
+and, here, the E7 fault sweep :func:`sweep_fault_plans` (one row per
+:class:`~repro.faults.plan.FaultPlan`: scheduler metrics plus the churn
+damage counters) — so all of them share the executor/store machinery and
+the failure semantics above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -223,6 +230,93 @@ class Campaign:
         return [self.run(a).row() for a in algorithms]
 
 
+#: one table row: ``(key columns, the configs of its replicate cells)``
+SweepRow = Tuple[Dict[str, object], Sequence[ExperimentConfig]]
+#: a column aggregator: one row's replicate results -> the column's value
+Column = Callable[[Sequence[CellResult]], object]
+
+
+def sweep_table(
+    rows: Iterable[SweepRow],
+    columns: Mapping[str, Column],
+    executor=None,
+    store: Optional[CampaignStore] = None,
+    resume: bool = True,
+    progress: Optional[ProgressFn] = None,
+) -> List[Dict[str, object]]:
+    """Run a row table of cells; return one aggregated dict-row per row.
+
+    The one implementation behind every experiment sweep (E1–E3, E5, E5b,
+    E7, E10, E11): each replicate config gets its content-addressed
+    :func:`~repro.experiments.parallel.cell_key`, the whole matrix goes
+    through a single :func:`~repro.experiments.parallel.run_cells` pass
+    (so it parallelizes under a pool executor, dedups identical cells and
+    resumes from ``store``), failures raise one
+    :class:`~repro.errors.CampaignCellError` after every cell ran, and
+    each output row is its key columns followed by ``columns`` applied to
+    the row's replicate results, in order.
+    """
+    keyed = [(head, [(cell_key(cfg), cfg) for cfg in configs]) for head, configs in rows]
+    if not all(cells for _, cells in keyed):
+        raise ConfigError("sweep needs at least one seed")
+    results = run_cells(
+        [cell for _, cells in keyed for cell in cells],
+        executor=executor,
+        store=store,
+        progress=progress,
+        skip_completed=resume,
+    )
+    raise_on_failures(results)
+    table: List[Dict[str, object]] = []
+    for head, cells in keyed:
+        reps = [results[key] for key, _ in cells]
+        table.append({**head, **{name: agg(reps) for name, agg in columns.items()}})
+    return table
+
+
+def _values(reps: Sequence[CellResult], metric: str) -> List[float]:
+    return [r.metrics[metric] for r in reps]
+
+
+def runs(reps: Sequence[CellResult]) -> int:
+    """Column: the row's replicate count."""
+    return len(reps)
+
+
+def mean(metric: str, digits: Optional[int] = None) -> Column:
+    """Column: arithmetic mean of ``metric``, rounded to ``digits`` if given.
+
+    An unreplicated row reports its one value as is, so counts stay ints.
+    """
+
+    def column(reps: Sequence[CellResult]) -> float:
+        vals = _values(reps, metric)
+        m = vals[0] if len(vals) == 1 else sum(vals) / len(vals)
+        return m if digits is None else round(m, digits)
+
+    return column
+
+
+def ci_half(metric: str, digits: int) -> Column:
+    """Column: half-width of ``metric``'s Student-t 95% CI (0 for one run)."""
+    return lambda reps: round(mean_confidence_interval(_values(reps, metric))[1], digits)
+
+
+def mean_pm(metric: str) -> Column:
+    """Column: ``"mean±ci"`` text of ``metric`` (bare mean for one run)."""
+
+    def column(reps: Sequence[CellResult]) -> str:
+        m, h = mean_confidence_interval(_values(reps, metric))
+        return f"{m:.4f}±{h:.3f}" if len(reps) > 1 else f"{m:.4f}"
+
+    return column
+
+
+def total(counter: str) -> Column:
+    """Column: ``counter`` of the fault report summed over the replicates."""
+    return lambda reps: sum(r.faults[counter] for r in reps)
+
+
 def sweep_fault_plans(
     base: ExperimentConfig,
     plans: Sequence[tuple],
@@ -237,51 +331,32 @@ def sweep_fault_plans(
     Returns one row per plan with mean ± 95% CI of guarantee/effective
     ratios plus the summed churn damage (lost messages, degraded phases,
     dropped jobs) — the E7 fault-sweep table. ``base`` must already carry a
-    hardened RTDS config when any plan is nonzero.
-
-    The full plans × seeds matrix goes through one
-    :func:`~repro.experiments.parallel.run_cells` pass, so it accepts the
-    same ``executor``/``store``/``resume``/``progress`` knobs as
-    :class:`Campaign` and resumes interrupted sweeps the same way.
+    hardened RTDS config when any plan is nonzero. Accepts the same
+    ``executor``/``store``/``resume``/``progress`` knobs as
+    :class:`Campaign` (see :func:`sweep_table`).
     """
     seeds = list(seeds)
-    if not seeds:
-        raise ConfigError("fault sweep needs at least one seed")
-    cells: List[Cell] = []
-    plan_keys: List[Tuple[str, List[str]]] = []
-    for label, plan in plans:
-        keys: List[str] = []
-        for seed in seeds:
-            cfg = replace(base, faults=plan, seed=seed, label=str(label))
-            key = cell_key(cfg)
-            keys.append(key)
-            cells.append((key, cfg))
-        plan_keys.append((str(label), keys))
-
-    results = run_cells(
-        cells, executor=executor, store=store, progress=progress, skip_completed=resume
+    return sweep_table(
+        (
+            (
+                {"plan": str(label)},
+                [replace(base, faults=plan, seed=seed, label=str(label)) for seed in seeds],
+            )
+            for label, plan in plans
+        ),
+        {
+            "runs": runs,
+            "GR": mean("guarantee_ratio", 4),
+            "GR±": ci_half("guarantee_ratio", 4),
+            "effGR": mean("effective_ratio", 4),
+            "effGR±": ci_half("effective_ratio", 4),
+            "lost": total("lost_messages"),
+            "retransmit": total("retransmissions"),
+            "degraded": total("degraded_phases"),
+            "jobs_dropped": total("jobs_dropped"),
+        },
+        executor=executor,
+        store=store,
+        resume=resume,
+        progress=progress,
     )
-    raise_on_failures(results)
-
-    rows: List[Dict[str, object]] = []
-    for label, keys in plan_keys:
-        cell_results = [results[k] for k in keys]
-        grs = [r.metrics["guarantee_ratio"] for r in cell_results]
-        effs = [r.metrics["effective_ratio"] for r in cell_results]
-        gr_m, gr_h = mean_confidence_interval(grs)
-        eff_m, eff_h = mean_confidence_interval(effs)
-        rows.append(
-            {
-                "plan": label,
-                "runs": len(seeds),
-                "GR": round(gr_m, 4),
-                "GR±": round(gr_h, 4),
-                "effGR": round(eff_m, 4),
-                "effGR±": round(eff_h, 4),
-                "lost": sum(r.faults["lost_messages"] for r in cell_results),
-                "retransmit": sum(r.faults["retransmissions"] for r in cell_results),
-                "degraded": sum(r.faults["degraded_phases"] for r in cell_results),
-                "jobs_dropped": sum(r.faults["jobs_dropped"] for r in cell_results),
-            }
-        )
-    return rows

@@ -9,7 +9,12 @@ The paper reports no empirical tables; its §14 claims define the curves:
 * E5 — §13 ablations (preemptive, laxity dispatching, local knowledge,
   uniform machines, ACS size bound).
 
-Each driver returns plain dict-rows ready for
+Each driver is a rows-and-columns declaration over
+:func:`repro.experiments.campaign.sweep_table` — which cells make up each
+row, which metrics make up each column — so E1–E5 cross the same cell
+runtime as E7/E10/E11: content-addressed keys (identical cells run once)
+and a :class:`~repro.errors.CampaignCellError` naming every failed cell
+instead of a mid-sweep traceback. Each returns plain dict-rows ready for
 :func:`repro.experiments.reporting.format_table`; the benchmark files wrap
 them with pytest-benchmark and print the tables.
 """
@@ -19,7 +24,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, List, Sequence
 
-from repro.experiments.runner import ExperimentConfig, RunResult, run_experiment
+from repro.experiments.campaign import Column, mean, runs, sweep_table
+from repro.experiments.runner import ExperimentConfig
+
+#: the columns E3/E5/E5b share
+_GR: Dict[str, Column] = {"GR": mean("guarantee_ratio"), "effGR": mean("effective_ratio")}
 
 
 def sweep_load(
@@ -29,28 +38,22 @@ def sweep_load(
     seeds: Sequence[int] = (0,),
 ) -> List[Dict[str, Any]]:
     """E1: guarantee ratio vs offered load per algorithm."""
-    rows: List[Dict[str, Any]] = []
-    for algo in algorithms:
-        for rho in rhos:
-            grs, effs, msgs = [], [], []
-            for seed in seeds:
-                cfg = replace(base, algorithm=algo, rho=rho, seed=seed, label=algo)
-                res = run_experiment(cfg)
-                grs.append(res.summary.guarantee_ratio)
-                effs.append(res.summary.effective_ratio)
-                msgs.append(res.summary.messages_per_job)
-            n = len(seeds)
-            rows.append(
-                {
-                    "algorithm": algo,
-                    "rho": rho,
-                    "GR": sum(grs) / n,
-                    "effGR": sum(effs) / n,
-                    "msg/job": sum(msgs) / n,
-                    "runs": n,
-                }
+    return sweep_table(
+        (
+            (
+                {"algorithm": algo, "rho": rho},
+                [replace(base, algorithm=algo, rho=rho, seed=seed, label=algo) for seed in seeds],
             )
-    return rows
+            for algo in algorithms
+            for rho in rhos
+        ),
+        {
+            "GR": mean("guarantee_ratio"),
+            "effGR": mean("effective_ratio"),
+            "msg/job": mean("messages_per_job"),
+            "runs": runs,
+        },
+    )
 
 
 def sweep_network_size(
@@ -61,32 +64,28 @@ def sweep_network_size(
     degree: float = 4.0,
 ) -> List[Dict[str, Any]]:
     """E2: per-job message cost vs network size (constant mean degree)."""
-    rows: List[Dict[str, Any]] = []
-    for algo in algorithms:
-        for n in sizes:
-            p = min(1.0, degree / max(1, n - 1))
-            kwargs = {"n": n, "p": p}
-            if "delay_range" in base.topology_kwargs:
-                kwargs["delay_range"] = base.topology_kwargs["delay_range"]
-            cfg = replace(
-                base,
-                algorithm=algo,
-                topology=topology,
-                topology_kwargs=kwargs,
-                label=algo,
-            )
-            res = run_experiment(cfg)
-            rows.append(
-                {
-                    "algorithm": algo,
-                    "sites": n,
-                    "msg/job": res.summary.messages_per_job,
-                    "setup_msg": res.summary.setup_messages,
-                    "GR": res.summary.guarantee_ratio,
-                    "jobs": res.summary.n_jobs,
-                }
-            )
-    return rows
+
+    def cell(algo: str, n: int) -> ExperimentConfig:
+        kwargs = {"n": n, "p": min(1.0, degree / max(1, n - 1))}
+        if "delay_range" in base.topology_kwargs:
+            kwargs["delay_range"] = base.topology_kwargs["delay_range"]
+        return replace(
+            base, algorithm=algo, topology=topology, topology_kwargs=kwargs, label=algo
+        )
+
+    return sweep_table(
+        (
+            ({"algorithm": algo, "sites": n}, [cell(algo, n)])
+            for algo in algorithms
+            for n in sizes
+        ),
+        {
+            "msg/job": mean("messages_per_job"),
+            "setup_msg": mean("setup_messages"),
+            "GR": mean("guarantee_ratio"),
+            "jobs": mean("n_jobs"),
+        },
+    )
 
 
 def sweep_sphere_radius(
@@ -94,37 +93,28 @@ def sweep_sphere_radius(
     hs: Sequence[int],
 ) -> List[Dict[str, Any]]:
     """E3: effect of the PCS hop radius h."""
-    rows: List[Dict[str, Any]] = []
-    for h in hs:
-        cfg = replace(base, algorithm="rtds", rtds=replace(base.rtds, h=h), label=f"h={h}")
-        res = run_experiment(cfg)
-        mean_pcs = _mean_pcs_size(res)
-        rows.append(
-            {
-                "h": h,
-                "GR": res.summary.guarantee_ratio,
-                "effGR": res.summary.effective_ratio,
-                "msg/job": res.summary.messages_per_job,
-                "setup_msg": res.summary.setup_messages,
-                "mean_PCS": mean_pcs,
-                "mean_ACS": res.summary.mean_acs_size,
-            }
-        )
-    return rows
-
-
-def _mean_pcs_size(res: RunResult) -> float:
-    sizes = [
-        len(site.pcs)
-        for site in res.network.sites.values()
-        if getattr(site, "pcs", None) is not None
-    ]
-    return sum(sizes) / len(sizes) if sizes else float("nan")
+    return sweep_table(
+        (
+            (
+                {"h": h},
+                [replace(base, algorithm="rtds", rtds=replace(base.rtds, h=h), label=f"h={h}")],
+            )
+            for h in hs
+        ),
+        {
+            **_GR,
+            "msg/job": mean("messages_per_job"),
+            "setup_msg": mean("setup_messages"),
+            # measured on the routed network, carried outside scalar_metrics
+            "mean_PCS": lambda reps: reps[0].obs.get("mean_pcs", float("nan")),
+            "mean_ACS": mean("mean_acs_size"),
+        },
+    )
 
 
 def sweep_ablations(base: ExperimentConfig) -> List[Dict[str, Any]]:
     """E5: the §13 generalizations, one row per variant vs the default."""
-    variants: List[tuple] = [
+    variants = [
         ("base", base.rtds),
         ("preemptive", replace(base.rtds, validation_preemptive=True)),
         ("laxity=busyness", replace(base.rtds, laxity_mode="busyness")),
@@ -133,37 +123,31 @@ def sweep_ablations(base: ExperimentConfig) -> List[Dict[str, Any]]:
         ("queue_mode", replace(base.rtds, enroll_mode="queue")),
         ("validation=llf", replace(base.rtds, validation_order="llf")),
     ]
-    rows: List[Dict[str, Any]] = []
-    for name, rtds_cfg in variants:
-        cfg = replace(base, algorithm="rtds", rtds=rtds_cfg, label=name)
-        res = run_experiment(cfg)
-        rows.append(
-            {
-                "variant": name,
-                "GR": res.summary.guarantee_ratio,
-                "effGR": res.summary.effective_ratio,
-                "msg/job": res.summary.messages_per_job,
-                "miss": res.summary.n_missed,
-                "dist": res.summary.n_accepted_distributed,
-            }
-        )
-    return rows
+    return sweep_table(
+        (
+            ({"variant": name}, [replace(base, algorithm="rtds", rtds=rtds_cfg, label=name)])
+            for name, rtds_cfg in variants
+        ),
+        {
+            **_GR,
+            "msg/job": mean("messages_per_job"),
+            "miss": mean("n_missed"),
+            "dist": mean("n_accepted_distributed"),
+        },
+    )
 
 
 def sweep_uniform_machines(
     base: ExperimentConfig, speed_sets: Dict[str, List[float]]
 ) -> List[Dict[str, Any]]:
     """E5b: heterogeneous computing powers (§13 uniform machines)."""
-    rows: List[Dict[str, Any]] = []
-    for name, speeds in speed_sets.items():
-        cfg = replace(base, algorithm="rtds", site_speeds=list(speeds), label=name)
-        res = run_experiment(cfg)
-        rows.append(
-            {
-                "speeds": name,
-                "GR": res.summary.guarantee_ratio,
-                "effGR": res.summary.effective_ratio,
-                "miss": res.summary.n_missed,
-            }
-        )
-    return rows
+    return sweep_table(
+        (
+            (
+                {"speeds": name},
+                [replace(base, algorithm="rtds", site_speeds=list(speeds), label=name)],
+            )
+            for name, speeds in speed_sets.items()
+        ),
+        {**_GR, "miss": mean("n_missed")},
+    )

@@ -21,10 +21,11 @@ benefit) of heterogeneity for that workload shape. The trace rows show
 whether workflow-shaped jobs — long lanes, heavy co-add sinks — shift
 the protocol's behaviour off the synthetic mixes it was tuned on.
 
-:func:`sweep_hetero` fans the (profile, workload, seed) matrix through
-the parallel campaign runtime, so ``rtds sweep-hetero --jobs N --store
-DIR --resume`` scales across cores and survives interruption like every
-other campaign. ``benchmarks/bench_e11_hetero.py`` adds the committed
+:func:`sweep_hetero` declares the (profile, workload) rows × seed
+replicates and their columns over
+:func:`repro.experiments.campaign.sweep_table`, so ``rtds sweep-hetero
+--jobs N --store DIR --resume`` scales across cores and survives
+interruption like every other campaign. ``benchmarks/bench_e11_hetero.py`` adds the committed
 GR-drift gate (``BENCH_e11.json``) and the uniform-vs-default
 differential check.
 """
@@ -34,20 +35,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigError
-from repro.experiments.parallel import (
-    CampaignStore,
-    Cell,
-    CellResult,
-    ProgressFn,
-    cell_key,
-    raise_on_failures,
-    run_cells,
-)
+from repro.experiments.campaign import mean, mean_pm, runs, sweep_table
+from repro.experiments.parallel import CampaignStore, ProgressFn
 from repro.experiments.runner import ExperimentConfig
-from repro.metrics.stats import mean_confidence_interval
 
 #: the E11 speed-profile axis: homogeneous anchor + growing skew
 E11_SPEEDS: Tuple[str, ...] = ("uniform", "skew:2", "skew:4")
@@ -118,23 +109,6 @@ def hetero_config(
     )
 
 
-def hetero_cells(
-    speed_specs: Sequence[str],
-    workloads: Sequence[str],
-    seeds: Iterable[int],
-    base: Optional[ExperimentConfig] = None,
-    n_sites: int = E11_SITES,
-) -> List[Tuple[str, str, int, Cell]]:
-    """The content-addressed cell matrix: ``(profile, workload, seed, (key, config))``."""
-    out = []
-    for spec in speed_specs:
-        for workload in workloads:
-            for seed in seeds:
-                cfg = hetero_config(spec, workload, seed=seed, base=base, n_sites=n_sites)
-                out.append((spec, workload, seed, (cell_key(cfg), cfg)))
-    return out
-
-
 def sweep_hetero(
     base: Optional[ExperimentConfig] = None,
     speed_specs: Sequence[str] = E11_SPEEDS,
@@ -148,44 +122,33 @@ def sweep_hetero(
 ) -> List[Dict[str, Any]]:
     """E11: guarantee ratio across speed-skew levels and workload families.
 
-    Runs the full (profile, workload, seed) matrix through
-    :func:`~repro.experiments.parallel.run_cells` and aggregates each
-    (profile, workload) across seeds with Student-t 95% confidence
-    intervals. Returns table rows for
-    :func:`~repro.experiments.reporting.format_table`; raises
+    One row per (profile, workload), its seeds aggregated with Student-t
+    95% confidence intervals by
+    :func:`~repro.experiments.campaign.sweep_table`. Returns table rows
+    for :func:`~repro.experiments.reporting.format_table`; raises
     :class:`~repro.errors.CampaignCellError` after recording failures.
     """
     seeds = list(seeds)
-    matrix = hetero_cells(speed_specs, workloads, seeds, base=base, n_sites=n_sites)
-    results = run_cells(
-        [cell for _, _, _, cell in matrix],
+    return sweep_table(
+        (
+            (
+                {"speeds": spec, "workload": workload},
+                [
+                    hetero_config(spec, workload, seed=seed, base=base, n_sites=n_sites)
+                    for seed in seeds
+                ],
+            )
+            for spec in speed_specs
+            for workload in workloads
+        ),
+        {
+            "GR": mean_pm("guarantee_ratio"),
+            "effGR": mean("effective_ratio", 4),
+            "jobs": lambda reps: int(mean("n_jobs")(reps)),
+            "runs": runs,
+        },
         executor=executor,
         store=store,
+        resume=resume,
         progress=progress,
-        skip_completed=resume,
     )
-    raise_on_failures(results)
-
-    rows: List[Dict[str, Any]] = []
-    for spec in speed_specs:
-        for workload in workloads:
-            cell_results: List[CellResult] = [
-                results[key]
-                for sp, wl, _, (key, _) in matrix
-                if sp == spec and wl == workload
-            ]
-            grs = [r.metrics["guarantee_ratio"] for r in cell_results]
-            effs = [r.metrics["effective_ratio"] for r in cell_results]
-            jobs = [r.metrics["n_jobs"] for r in cell_results]
-            gr_mean, gr_ci = mean_confidence_interval(grs)
-            rows.append(
-                {
-                    "speeds": spec,
-                    "workload": workload,
-                    "GR": f"{gr_mean:.4f}±{gr_ci:.3f}" if len(grs) > 1 else f"{gr_mean:.4f}",
-                    "effGR": round(float(np.mean(effs)), 4),
-                    "jobs": int(np.mean(jobs)),
-                    "runs": len(cell_results),
-                }
-            )
-    return rows

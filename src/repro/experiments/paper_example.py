@@ -84,7 +84,7 @@ def paper_example_config(seed: int = 0, duration: float = 150.0):
         topology="complete",
         topology_kwargs={"n": 4, "delay_range": (1.0, 1.0)},
         algorithm="rtds",
-        rtds=RTDSConfig(h=1, surplus_window=100.0),
+        rtds=RTDSConfig(h=1),
         rho=0.7,
         duration=duration,
         dag_factory=paper_example_dag_factory,

@@ -130,19 +130,18 @@ def config_fingerprint(config: ExperimentConfig) -> Dict[str, object]:
     bit, the ``tests/cache/`` differential), so serial ≡ pool identity
     and cell addressing are untouched by it.
 
-    The engine fields (``engine_mode``/``shards``) are popped only at
-    their single-process defaults, so every pre-sharding cell key is
-    unchanged; a sharded config keeps both — its determinism contract is
-    conditional (partition-friendly cells only), so sharded cells are
-    addressed honestly as their own coordinates.
+    ``shards`` is popped only at its single-process default (0), so
+    every pre-sharding cell key is unchanged; a sharded config keeps it —
+    its determinism contract is conditional (partition-friendly cells
+    only), so sharded cells are addressed honestly as their own
+    coordinates.
     """
     enc = _encode(config)
     enc.pop("label", None)
     enc.pop("telemetry", None)
     enc.pop("admission_cache", None)
-    if enc.get("engine_mode", "single") == "single":
-        enc.pop("engine_mode", None)
-        enc.pop("shards", None)
+    if not enc["shards"]:
+        enc.pop("shards")
     return enc
 
 
@@ -263,6 +262,15 @@ def run_cell(config: ExperimentConfig, key: Optional[str] = None) -> CellResult:
         rss = rss_mb()
         if rss is not None:
             obs_snapshot["rss_mb"] = rss
+        # E3's sphere-size column: a property of the routed network, not
+        # of the run's outcome, so it rides here rather than in ``metrics``
+        pcs_sizes = [
+            len(site.pcs)
+            for site in result.network.sites.values()
+            if getattr(site, "pcs", None) is not None
+        ]
+        if pcs_sizes:
+            obs_snapshot["mean_pcs"] = sum(pcs_sizes) / len(pcs_sizes)
     except Exception as exc:
         return CellResult(
             key=key,

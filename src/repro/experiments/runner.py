@@ -113,6 +113,9 @@ class ExperimentConfig:
     #: propagation delay) and per-task data volumes drawn from this range
     link_throughput: Optional[float] = None
     data_volume_range: Optional[tuple] = None
+    #: the run's one surplus window: every site, RTDS or baseline, is
+    #: built with it. ``rtds.surplus_window`` is overwritten by it, so a
+    #: non-default value there that disagrees is rejected.
     surplus_window: float = 200.0
     drain_margin: float = 300.0
     #: if set, every site forgets finished history older than one surplus
@@ -142,18 +145,17 @@ class ExperimentConfig:
     #: In oracle mode setup takes zero simulated time and sends zero
     #: messages, so ``setup_time``/``setup_messages`` read 0.
     routing_mode: str = "protocol"
-    #: event-loop engine: ``"single"`` (default, one process, the
-    #: identity-golden path) or ``"sharded"`` — the E14 multi-process PDES
-    #: engine (:mod:`repro.simnet.sharded`): the topology is partitioned
-    #: across ``shards`` worker processes synchronized by conservative
-    #: time windows (lookahead = min inter-shard link delay). Requires
+    #: worker-process count of the event-loop engine: ``0`` (default) is
+    #: the single-process engine, the identity-golden path; ``>= 2``
+    #: selects the E14 multi-process PDES engine
+    #: (:mod:`repro.simnet.sharded`): the topology is partitioned across
+    #: that many worker processes synchronized by conservative time
+    #: windows (lookahead = min inter-shard link delay). Sharding requires
     #: oracle routing and an rtds/local algorithm; on partition-friendly
     #: cells (continuous delay ranges) it reproduces the single-process
-    #: ``scalar_metrics`` exactly (``tests/sharded/``). Defaults are
-    #: popped from ``config_fingerprint`` so existing cell keys survive.
-    engine_mode: str = "single"
-    #: worker-process count for ``engine_mode="sharded"`` (>= 2); must
-    #: stay 0 in single mode
+    #: ``scalar_metrics`` exactly (``tests/sharded/``). The default is
+    #: popped from ``config_fingerprint`` so single-process cell keys
+    #: never carried it.
     shards: int = 0
     seed: int = 0
     trace: bool = False
@@ -179,6 +181,15 @@ class ExperimentConfig:
         if self.routing_mode not in ("protocol", "oracle"):
             raise ConfigError(
                 f"unknown routing_mode {self.routing_mode!r}; known: ('protocol', 'oracle')"
+            )
+        if self.rtds.surplus_window not in (RTDSConfig.surplus_window, self.surplus_window):
+            # the sites are built with this config's window, whatever
+            # ``rtds`` carries: refuse a value that would silently not apply
+            raise ConfigError(
+                f"rtds.surplus_window={self.rtds.surplus_window} is never applied: "
+                f"a run's one surplus window is ExperimentConfig.surplus_window "
+                f"(here {self.surplus_window}) — set surplus_window on the "
+                "experiment config instead"
             )
         if self.site_speeds is not None:
             # validate the spec shape now — a campaign must reject a bad
@@ -224,24 +235,22 @@ class ExperimentConfig:
                 "election requires algorithm='centralized' (only the "
                 "centralized baseline has a coordinator to elect)"
             )
-        if self.engine_mode not in ("single", "sharded"):
-            raise ConfigError(
-                f"unknown engine_mode {self.engine_mode!r}; known: ('single', 'sharded')"
-            )
-        if self.engine_mode == "sharded":
+        if self.shards:
             if self.shards < 2:
                 raise ConfigError(
-                    f"engine_mode='sharded' needs shards >= 2, got {self.shards}"
+                    f"shards must be 0 (the single-process engine) or >= 2 "
+                    f"(the sharded engine), got {self.shards}"
                 )
             if self.routing_mode != "oracle":
                 raise ConfigError(
-                    "engine_mode='sharded' requires routing_mode='oracle' "
-                    "(each shard solves its closure's tables locally; "
-                    "simulated routing cannot cross shard boundaries)"
+                    f"shards={self.shards} (the sharded engine) requires "
+                    "routing_mode='oracle' (each shard solves its closure's "
+                    "tables locally; simulated routing cannot cross shard "
+                    "boundaries)"
                 )
             if self.algorithm not in ("rtds", "local"):
                 raise ConfigError(
-                    "engine_mode='sharded' supports algorithms 'rtds' and "
+                    "the sharded engine supports algorithms 'rtds' and "
                     f"'local' only, not {self.algorithm!r} (global-state "
                     "baselines assume one shared process)"
                 )
@@ -249,18 +258,14 @@ class ExperimentConfig:
                 self.faults.perturbs_network() or self.faults.has_joins()
             ):
                 raise ConfigError(
-                    "engine_mode='sharded' does not support fault plans "
+                    "the sharded engine does not support fault plans "
                     "(injector and membership state are single-process)"
                 )
             if self.trace:
                 raise ConfigError(
-                    "engine_mode='sharded' does not support trace=True "
+                    "the sharded engine does not support trace=True "
                     "(per-shard tracers cannot interleave into one timeline)"
                 )
-        elif self.shards:
-            raise ConfigError(
-                f"shards={self.shards} requires engine_mode='sharded'"
-            )
 
     def resolved_label(self) -> str:
         """The display label: explicit ``label`` or the algorithm name."""
@@ -823,14 +828,14 @@ def run_experiment(
     (``rho``/``duration``/``dag_size``) irrelevant; everything else
     applies as usual.
 
-    ``engine_mode="sharded"`` dispatches to the multi-process PDES
-    coordinator (:func:`repro.simnet.sharded.run_sharded`); explicit
-    workload replay stays single-process.
+    ``shards >= 2`` dispatches to the multi-process PDES coordinator
+    (:func:`repro.simnet.sharded.run_sharded`); explicit workload replay
+    stays single-process.
     """
-    if config.engine_mode == "sharded":
+    if config.shards:
         if workload is not None:
             raise ConfigError(
-                "explicit workload replay requires engine_mode='single' "
+                "explicit workload replay requires shards=0 "
                 "(sharded workers regenerate the seeded batch workload)"
             )
         from repro.simnet.sharded.coordinator import run_sharded

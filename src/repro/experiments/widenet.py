@@ -17,8 +17,9 @@ Two topology families, chosen to bracket the space:
   hop diameter, so a 2h-hop sphere sees most of the network through the
   hubs. The stress case for per-site state and sphere construction.
 
-:func:`sweep_widenet` fans the (kind, size, seed) matrix through the
-parallel campaign runtime (:mod:`repro.experiments.parallel`), so
+:func:`sweep_widenet` declares the (kind, size) rows × seed replicates
+and their columns over :func:`repro.experiments.campaign.sweep_table`,
+which fans the matrix through the parallel campaign runtime, so
 ``rtds sweep-widenet --jobs N --store DIR --resume`` scales across
 cores and survives interruption like every other campaign.
 ``benchmarks/bench_e10_widenet.py`` adds the wall-clock and peak-RSS
@@ -33,17 +34,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.experiments.parallel import (
-    CampaignStore,
-    Cell,
-    CellResult,
-    ProgressFn,
-    cell_key,
-    raise_on_failures,
-    run_cells,
-)
+from repro.experiments.campaign import mean, mean_pm, runs, sweep_table
+from repro.experiments.parallel import CampaignStore, ProgressFn
 from repro.experiments.runner import ExperimentConfig
-from repro.metrics.stats import mean_confidence_interval
 from repro.workloads.scenarios import widenet_workload_defaults
 
 #: the E10 cell axes: topology families x network sizes
@@ -103,23 +96,6 @@ def widenet_config(
     )
 
 
-def widenet_cells(
-    kinds: Sequence[str],
-    sizes: Sequence[int],
-    seeds: Iterable[int],
-    base: Optional[ExperimentConfig] = None,
-    routing_mode: str = "oracle",
-) -> List[Tuple[str, int, int, Cell]]:
-    """The content-addressed cell matrix: ``(kind, n, seed, (key, config))``."""
-    out = []
-    for kind in kinds:
-        for n in sizes:
-            for seed in seeds:
-                cfg = widenet_config(kind, n, seed=seed, base=base, routing_mode=routing_mode)
-                out.append((kind, n, seed, (cell_key(cfg), cfg)))
-    return out
-
-
 def sweep_widenet(
     base: Optional[ExperimentConfig] = None,
     kinds: Sequence[str] = E10_KINDS,
@@ -133,44 +109,33 @@ def sweep_widenet(
 ) -> List[Dict[str, Any]]:
     """E10: guarantee ratio and protocol cost across wide networks.
 
-    Runs the full (kind, size, seed) matrix through
-    :func:`~repro.experiments.parallel.run_cells` and aggregates each
-    (kind, size) across seeds with Student-t 95% confidence intervals.
-    Returns table rows for
-    :func:`~repro.experiments.reporting.format_table`; raises
+    One row per (kind, size), its seeds aggregated with Student-t 95%
+    confidence intervals by
+    :func:`~repro.experiments.campaign.sweep_table`. Returns table rows
+    for :func:`~repro.experiments.reporting.format_table`; raises
     :class:`~repro.errors.CampaignCellError` after recording failures.
     """
     seeds = list(seeds)
-    matrix = widenet_cells(kinds, sizes, seeds, base=base, routing_mode=routing_mode)
-    results = run_cells(
-        [cell for _, _, _, cell in matrix],
+    return sweep_table(
+        (
+            (
+                {"topology": kind, "sites": n},
+                [
+                    widenet_config(kind, n, seed=seed, base=base, routing_mode=routing_mode)
+                    for seed in seeds
+                ],
+            )
+            for kind in kinds
+            for n in sizes
+        ),
+        {
+            "GR": mean_pm("guarantee_ratio"),
+            "msg/job": mean("messages_per_job", 2),
+            "jobs": lambda reps: int(mean("n_jobs")(reps)),
+            "runs": runs,
+        },
         executor=executor,
         store=store,
+        resume=resume,
         progress=progress,
-        skip_completed=resume,
     )
-    raise_on_failures(results)
-
-    rows: List[Dict[str, Any]] = []
-    for kind in kinds:
-        for n in sizes:
-            cell_results: List[CellResult] = [
-                results[key]
-                for k, sz, _, (key, _) in matrix
-                if k == kind and sz == n
-            ]
-            grs = [r.metrics["guarantee_ratio"] for r in cell_results]
-            msgs = [r.metrics["messages_per_job"] for r in cell_results]
-            jobs = [r.metrics["n_jobs"] for r in cell_results]
-            gr_mean, gr_ci = mean_confidence_interval(grs)
-            rows.append(
-                {
-                    "topology": kind,
-                    "sites": n,
-                    "GR": f"{gr_mean:.4f}±{gr_ci:.3f}" if len(grs) > 1 else f"{gr_mean:.4f}",
-                    "msg/job": round(float(np.mean(msgs)), 2),
-                    "jobs": int(np.mean(jobs)),
-                    "runs": len(cell_results),
-                }
-            )
-    return rows

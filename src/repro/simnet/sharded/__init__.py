@@ -4,7 +4,7 @@ Partitions a topology across worker processes, runs one
 :class:`~repro.simnet.engine.Simulator` per shard and synchronizes the
 shards with a conservative time-window protocol whose lookahead is the
 minimum inter-shard link delay. Enabled through
-``ExperimentConfig(engine_mode="sharded", shards=N)``; see DESIGN.md §16
+``ExperimentConfig(shards=N)`` with ``N >= 2``; see DESIGN.md §16
 for the model and its determinism contract.
 """
 

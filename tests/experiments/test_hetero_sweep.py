@@ -8,10 +8,10 @@ from repro.errors import ConfigError
 from repro.experiments.hetero import (
     E11_SITES,
     E11_WORKLOAD,
-    hetero_cells,
     hetero_config,
     sweep_hetero,
 )
+from repro.experiments.parallel import cell_key
 from repro.experiments.runner import ExperimentConfig
 
 
@@ -60,11 +60,12 @@ def test_hetero_config_rejects_bad_axes():
 
 
 def test_cell_matrix_is_content_addressed_and_distinct():
-    cells = hetero_cells(
-        ("uniform", "skew:2"), ("synthetic", "trace:montage"), seeds=(0, 1)
-    )
-    assert len(cells) == 8
-    keys = {key for _, _, _, (key, _) in cells}
+    keys = {
+        cell_key(hetero_config(spec, workload, seed=seed))
+        for spec in ("uniform", "skew:2")
+        for workload in ("synthetic", "trace:montage")
+        for seed in (0, 1)
+    }
     assert len(keys) == 8
 
 

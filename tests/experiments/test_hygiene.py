@@ -47,8 +47,8 @@ class TestHygiene:
     def test_exec_info_cleaned(self):
         pruned = run_experiment(replace(SMALL, algorithm="rtds", hygiene_interval=50.0))
         base = run_experiment(replace(SMALL, algorithm="rtds"))
-        leak_pruned = sum(len(s._exec_info) for s in pruned.network.sites.values())
-        leak_base = sum(len(s._exec_info) for s in base.network.sites.values())
+        leak_pruned = sum(len(s.hosting.exec_info) for s in pruned.network.sites.values())
+        leak_base = sum(len(s.hosting.exec_info) for s in base.network.sites.values())
         assert leak_pruned <= leak_base
 
 

@@ -41,6 +41,15 @@ class TestRunner:
         with pytest.raises(ConfigError):
             ExperimentConfig(algorithm="quantum")
 
+    def test_disagreeing_rtds_surplus_window_rejected(self):
+        """Sites are built with ExperimentConfig.surplus_window; a different
+        value on ``rtds`` would silently never apply."""
+        from repro.core.config import RTDSConfig
+
+        with pytest.raises(ConfigError, match="ExperimentConfig.surplus_window"):
+            replace(SMALL, rtds=RTDSConfig(surplus_window=100.0))
+        replace(SMALL, rtds=RTDSConfig(surplus_window=100.0), surplus_window=100.0)
+
     def test_deterministic_same_seed(self):
         r1 = run_experiment(replace(SMALL, algorithm="rtds"))
         r2 = run_experiment(replace(SMALL, algorithm="rtds"))

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.widenet import (
-    sweep_widenet,
-    widenet_cells,
-    widenet_config,
-)
+from repro.experiments.parallel import cell_key
+from repro.experiments.widenet import sweep_widenet, widenet_config
 
 
 def test_widenet_config_applies_presets():
@@ -30,9 +27,12 @@ def test_widenet_config_rejects_unknown_kind():
 
 
 def test_cell_matrix_is_content_addressed_and_distinct():
-    cells = widenet_cells(("geometric", "barabasi_albert"), (16, 32), seeds=(0, 1))
-    assert len(cells) == 8
-    keys = {key for _, _, _, (key, _) in cells}
+    keys = {
+        cell_key(widenet_config(kind, n, seed=seed))
+        for kind in ("geometric", "barabasi_albert")
+        for n in (16, 32)
+        for seed in (0, 1)
+    }
     assert len(keys) == 8  # every (kind, n, seed) resolves to a distinct key
 
 

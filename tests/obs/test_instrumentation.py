@@ -25,7 +25,7 @@ def small_config(**overrides) -> ExperimentConfig:
         topology_kwargs={"n": 8, "p": 0.4, "delay_range": (0.2, 1.0)},
         duration=80.0,
         rho=0.7,
-        rtds=RTDSConfig(h=2, surplus_window=100.0),
+        rtds=RTDSConfig(h=2),
         seed=3,
         trace=True,
     )

@@ -17,22 +17,21 @@ BASE = ExperimentConfig(
     routing_mode="oracle",
 )
 
-SHARDED = replace(BASE, engine_mode="sharded", shards=2)
+SHARDED = replace(BASE, shards=2)
 
 
 class TestValidation:
-    def test_unknown_engine_mode_rejected(self):
-        with pytest.raises(ConfigError, match="engine_mode"):
-            replace(BASE, engine_mode="turbo")
-
-    def test_shards_require_sharded_mode(self):
-        with pytest.raises(ConfigError, match="shards"):
-            replace(BASE, shards=4)
+    def test_shards_alone_select_the_sharded_engine(self):
+        # no second knob to agree with: the count is the engine choice,
+        # and the sharded restrictions hang off it
+        assert replace(BASE, shards=4).shards == 4
+        with pytest.raises(ConfigError, match="shards=4"):
+            replace(BASE, shards=4, routing_mode="protocol")
 
     def test_sharded_needs_at_least_two_shards(self):
-        for bad in (0, 1):
+        for bad in (1, -2):
             with pytest.raises(ConfigError, match="shards"):
-                replace(BASE, engine_mode="sharded", shards=bad)
+                replace(BASE, shards=bad)
 
     def test_sharded_requires_oracle_routing(self):
         with pytest.raises(ConfigError, match="oracle"):
@@ -70,14 +69,12 @@ class TestValidation:
 class TestAddressing:
     def test_single_fingerprint_has_no_engine_keys(self):
         # pre-E14 cell keys must not shift: single-engine fingerprints
-        # carry neither engine_mode nor shards
+        # carry no engine coordinate at all
         fp = config_fingerprint(BASE)
         assert "engine_mode" not in fp and "shards" not in fp
 
-    def test_sharded_fingerprint_keeps_both_keys(self):
-        fp = config_fingerprint(SHARDED)
-        assert fp["engine_mode"] == "sharded"
-        assert fp["shards"] == 2
+    def test_sharded_fingerprint_keeps_shards(self):
+        assert config_fingerprint(SHARDED)["shards"] == 2
 
     def test_cell_keys_distinguish_engines_and_shard_counts(self):
         keys = {

@@ -46,7 +46,7 @@ LOCAL = ExperimentConfig(
 
 def _pair(base, shards):
     single = run_experiment(base)
-    sharded = run_experiment(replace(base, engine_mode="sharded", shards=shards))
+    sharded = run_experiment(replace(base, shards=shards))
     return single, sharded
 
 
@@ -57,7 +57,7 @@ def grid_single():
 
 @pytest.mark.parametrize("shards", [2, 4])
 def test_grid_rtds_bit_for_bit(grid_single, shards):
-    sharded = run_experiment(replace(GRID, engine_mode="sharded", shards=shards))
+    sharded = run_experiment(replace(GRID, shards=shards))
     assert scalars_equal(grid_single.scalar_metrics(), sharded.scalar_metrics()), (
         grid_single.scalar_metrics(),
         sharded.scalar_metrics(),
@@ -86,7 +86,7 @@ def test_local_baseline_bit_for_bit():
 
 
 def test_sharded_with_telemetry_matches_and_reports(grid_single):
-    cfg = replace(GRID, engine_mode="sharded", shards=2, telemetry=True)
+    cfg = replace(GRID, shards=2, telemetry=True)
     sharded = run_experiment(cfg)
     assert scalars_equal(grid_single.scalar_metrics(), sharded.scalar_metrics())
     obs = sharded.telemetry
@@ -103,7 +103,7 @@ def test_sharded_with_telemetry_matches_and_reports(grid_single):
 
 
 def test_sharded_run_reports_shard_info(grid_single):
-    sharded = run_experiment(replace(GRID, engine_mode="sharded", shards=4))
+    sharded = run_experiment(replace(GRID, shards=4))
     info = sharded.sharding
     assert info is not None
     assert info.n_shards == 4

@@ -161,6 +161,44 @@ class TestSweeps:
         assert "E3" in out
 
 
+class TestErrorBoundary:
+    """``main()`` is the one place CLI errors are turned into exit codes."""
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["run", "--shards", "2"], "routing_mode='oracle'"),
+            (["sweep-load", "--algorithms", "nope"], "unknown algorithm 'nope'"),
+            (["run", "--faults", "bogus=1"], "bogus"),
+            (["sweep-hetero", "--speeds", "warp:9"], "warp"),
+        ],
+    )
+    def test_config_errors_exit_2_with_one_line(self, capsys, argv, needle):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("error: ") and needle in line
+        assert "Traceback" not in captured.err
+
+    def test_failing_cell_in_a_storeless_sweep_is_named(self, capsys, monkeypatch):
+        import repro.experiments.parallel as par
+
+        def explode(config):
+            raise RuntimeError("synthetic cell crash")
+
+        monkeypatch.setattr(par, "run_experiment", explode)
+        rc = main(
+            ["sweep-load", "--algorithms", "local", "--rhos", "0.4", "--sites", "6",
+             "--duration", "50"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "failed cell" in err and "seed=0" in err
+        assert "--store" not in err  # sweep-load has no store to point at
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
