@@ -3,7 +3,9 @@ Graphs on Arbitrary Wide Networks* (Butelle, Hakem, Finta; IPPS 2007).
 
 Public API map:
 
-* :mod:`repro.core` — the RTDS algorithm: :class:`~repro.core.rtds.RTDSSite`,
+* :mod:`repro.core` — the RTDS algorithm: :class:`~repro.core.rtds.RTDSSite`
+  (the site and its initiator flow; its member side is
+  :class:`~repro.core.member.MemberSide`, reached as ``site.member``),
   the Mapper, adjustment, validation, Computing-Sphere protocol;
 * :mod:`repro.graphs` — job DAGs and generators;
 * :mod:`repro.simnet` — the deterministic discrete-event network simulator;

@@ -12,17 +12,12 @@ network's hop diameter), which is itself part of the contrast with RTDS's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.core.events import JobOutcome, JobRecord
 from repro.core.local_test import local_guarantee_test
+from repro.core.substrate import SchedulerSite
 from repro.graphs.dag import Dag
 from repro.graphs.serialization import dag_from_dict, dag_to_dict
-from repro.routing.bellman_ford import PhasedBellmanFord
-from repro.sched.executor import PlanExecutor
-from repro.sched.plan import SchedulingPlan
-from repro.simnet.network import Network
-from repro.simnet.site import SiteBase
 from repro.types import JobId, SiteId, Time
 
 
@@ -37,64 +32,8 @@ class BaselineJobCtx:
     origin: SiteId
 
 
-class BaselineSite(SiteBase):
-    """Common base: plan + executor + routing + metrics plumbing."""
-
-    def __init__(
-        self,
-        sid: SiteId,
-        network: Network,
-        routing_phases: int,
-        surplus_window: float = 200.0,
-        speed: float = 1.0,
-        metrics=None,
-        mgmt_overhead: Time = 0.0,
-        routing_factory=None,
-    ) -> None:
-        super().__init__(sid, network, mgmt_overhead, speed=speed)
-        self.metrics = metrics
-        self.plan = SchedulingPlan(sid, surplus_window, speed=speed, obs=self.obs)
-        self.executor = PlanExecutor(network.sim, self.plan)
-        if metrics is not None and hasattr(metrics, "on_task_complete"):
-            self.executor.on_complete.append(metrics.on_task_complete)
-        # same pluggable routing back end RTDSSite has: None = the phased
-        # protocol, or an oracle factory installing precomputed tables
-        make_routing = routing_factory if routing_factory is not None else PhasedBellmanFord
-        self.routing = make_routing(self, routing_phases)
-
-    def start(self) -> None:
-        self.routing.start()
-
-    def prune_history(self, before: Time) -> int:
-        """Forget finished work older than ``before`` (long-run hygiene)."""
-        n = self.plan.prune_before(before)
-        self.executor.prune_done_before(before)
-        return n
-
-    # -- shared helpers ------------------------------------------------------
-
-    def register_arrival(self, ctx: BaselineJobCtx) -> None:
-        if self.metrics is not None:
-            self.metrics.register_job(
-                JobRecord(
-                    job=ctx.job,
-                    origin=ctx.origin,
-                    arrival=ctx.arrival,
-                    deadline=ctx.deadline,
-                    n_tasks=len(ctx.dag),
-                    total_work=ctx.dag.total_complexity(),
-                )
-            )
-
-    def decide(
-        self,
-        ctx: BaselineJobCtx,
-        outcome: JobOutcome,
-        hosts: Optional[List[SiteId]] = None,
-    ) -> None:
-        self.trace("job.decision", job=ctx.job, outcome=outcome.value)
-        if self.metrics is not None:
-            self.metrics.decide(ctx.job, outcome, self.now, hosts=hosts)
+class BaselineSite(SchedulerSite):
+    """A baseline policy on the shared substrate (:mod:`repro.core.substrate`)."""
 
     def try_commit_whole_dag(self, ctx: BaselineJobCtx) -> bool:
         """Local test + commit of the entire DAG on this site."""

@@ -239,7 +239,7 @@ class CentralizedSite(BaselineSite):
         ctx = BaselineJobCtx(
             job=job, dag=dag, deadline=deadline, arrival=self.now, origin=self.sid
         )
-        self.register_arrival(ctx)
+        self.register_arrival(job, dag, deadline)
         if self.sid == self.coordinator_id:
             if self.coordinator is None:
                 # believed coordinator is this site, but it holds no

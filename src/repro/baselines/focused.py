@@ -124,7 +124,7 @@ class FocusedSite(BaselineSite):
         ctx = BaselineJobCtx(
             job=job, dag=dag, deadline=deadline, arrival=self.now, origin=self.sid
         )
-        self.register_arrival(ctx)
+        self.register_arrival(job, dag, deadline)
         if self.try_commit_whole_dag(ctx):
             self.decide(ctx, JobOutcome.ACCEPTED_LOCAL, hosts=[self.sid])
             return

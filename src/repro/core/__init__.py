@@ -10,9 +10,14 @@ The algorithm, from the point of view of a site ``k`` (paper §4):
 4. **Trial-Mapping** by the Mapper (§9/§12, :mod:`repro.core.mapper`) with
    release/deadline **adjustment** (§12.2, :mod:`repro.core.adjustment`);
 5. **validation** (§10, :mod:`repro.core.validation`) via maximum coupling;
-6. **distributed execution** (§11, inside :mod:`repro.core.rtds`).
+6. **distributed execution** (§11: dispatch in :mod:`repro.core.rtds`,
+   hosting in :mod:`repro.core.hosting`).
 
-:class:`repro.core.rtds.RTDSSite` wires all of it to the simulator.
+:class:`repro.core.rtds.RTDSSite` wires all of it to the simulator and is
+the *initiator* of steps 2–6; what ``k`` does when another site's
+initiator enrolls it — answer, lock, validate, commit or let go — is
+:class:`repro.core.member.MemberSide`, and the loss-tolerant retransmission
+of each ask→answer round is :mod:`repro.core.rounds`.
 """
 
 from repro.core.config import RTDSConfig

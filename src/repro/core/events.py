@@ -88,3 +88,10 @@ class JobRecord:
         if self.decided_at is None:
             return None
         return self.decided_at - self.arrival
+
+
+def count_event(metrics, name: str) -> None:
+    """Count a named protocol event on ``metrics`` — a collector, a stub
+    that does not count events, or None (no collector attached)."""
+    if metrics is not None and hasattr(metrics, "count_event"):
+        metrics.count_event(name)

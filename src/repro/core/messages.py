@@ -1,7 +1,11 @@
 """RTDS protocol message types and payload schemas.
 
 Message payloads are plain dicts (JSON-compatible) so their sizes can be
-estimated realistically and traces stay readable. Schema per type:
+estimated realistically and traces stay readable. The asks (``ENROLL``,
+``VALIDATE``, ``EXECUTE``, ``UNLOCK``) are handled by the member side
+(:class:`repro.core.member.MemberSide`), the answers by the initiator
+(:class:`repro.core.rtds.RTDSSite`), ``RESULT`` by the host side
+(:class:`repro.core.hosting.HostSide`). Schema per type:
 
 ``SPHERE`` (tree broadcast envelope; §6 "local broadcast")
     ``targets``: remaining destination list, ``inner``: (mtype, payload).
@@ -26,8 +30,8 @@ estimated realistically and traces stay readable. Schema per type:
     ``preds``: {task: [preds]}, ``succs``: {task: [succs]},
     ``deadline``: job deadline (metrics), code size is the message size.
 ``EXECUTE_ACK`` (hardening; only with ``RTDSConfig.ack_timeout`` set)
-    ``job``, ``site`` — member confirms it processed EXECUTE, stopping the
-    initiator's retransmission loop.
+    ``job``, ``site`` — member confirms it processed EXECUTE, settling the
+    initiator's EXECUTE round (:class:`repro.core.rounds.AckRound`).
 ``UNLOCK``
     ``job`` — rejection or non-involvement; receiver releases its lock.
 ``RESULT``

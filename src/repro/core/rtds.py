@@ -9,9 +9,18 @@ One :class:`RTDSSite` per network node. Each site runs, independently:
   (§10), computes the coupling, and dispatches the permutation + task code
   (§11);
 * as a *member*, it answers enrollments with its surplus, validates task
-  sets against its own plan, and commits/unlocks on EXECUTE/UNLOCK;
+  sets against its own plan, and commits/unlocks on EXECUTE/UNLOCK
+  (:class:`repro.core.member.MemberSide`, reached as ``site.member``);
 * as a *host*, its compute processor executes committed reservations and
-  forwards task results to the sites hosting successor tasks.
+  forwards task results to the sites hosting successor tasks
+  (:class:`repro.core.hosting.HostSide`, ``site.hosting``).
+
+This module is the *initiator's* algorithm — arrival, local test, enroll →
+map → validate → dispatch, each phase boundary one named method — on the
+substrate every scheduler site shares (:mod:`repro.core.substrate`). Under
+a fault plan each ask→answer round is additionally watched by an
+:class:`repro.core.rounds.AckRound`; that is the whole of the initiator's
+hardening, decided in :meth:`repro.core.rounds.Rounds.watch`.
 
 Locking discipline (DESIGN.md "Lock semantics"): while a site's lock is
 held, everything that would mutate its plan — its own job arrivals, foreign
@@ -22,16 +31,18 @@ RESULT messages only open executor gates and pass through locks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.adjustment import adjust_trial_mapping
+from repro.core.admission_cache import AdmissionCache
 from repro.core.config import RTDSConfig
-from repro.core.events import JobOutcome, JobRecord
+from repro.core.events import JobOutcome
 from repro.core.hosting import HostSide
 from repro.core.local_test import local_guarantee_test
 from repro.core.mapper import build_trial_mapping
+from repro.core.member import MemberSide
 from repro.core.messages import (
     MSG_ENROLL,
     MSG_ENROLL_ACK,
@@ -44,19 +55,16 @@ from repro.core.messages import (
     MSG_VALIDATE,
     MSG_VALIDATE_ACK,
 )
+from repro.core.rounds import Rounds, lease_hint
+from repro.core.substrate import SchedulerSite
 from repro.core.trial_mapping import LogicalProcSpec
-from repro.core.admission_cache import AdmissionCache
 from repro.core.validation import compute_permutation
 from repro.errors import ProtocolError
 from repro.graphs.analysis import critical_path_length
 from repro.graphs.dag import Dag
 from repro.graphs.serialization import estimate_code_size
-from repro.routing.bellman_ford import PhasedBellmanFord
-from repro.sched.executor import PlanExecutor
-from repro.sched.plan import SchedulingPlan
 from repro.simnet.message import Message
 from repro.simnet.network import Network
-from repro.simnet.site import SiteBase
 from repro.spheres.acs import AcsSession, EnrolledSite, SiteLock
 from repro.spheres.diameter import sphere_diameter, sphere_radius
 from repro.spheres.pcs import PCS, build_pcs, handle_sphere_message, sphere_broadcast
@@ -74,7 +82,7 @@ class _JobCtx:
     was_deferred: bool = False
 
 
-class RTDSSite(SiteBase):
+class RTDSSite(SchedulerSite):
     """A network site running the RTDS protocol."""
 
     def __init__(
@@ -86,22 +94,18 @@ class RTDSSite(SiteBase):
         metrics=None,
         mgmt_overhead: Time = 0.0,
         routing_factory=None,
+        surplus_window: Optional[float] = None,
     ) -> None:
-        super().__init__(sid, network, mgmt_overhead, speed=speed)
+        if surplus_window not in (None, config.surplus_window):
+            # a run has one surplus window, the runner's: the config follows it
+            config = replace(config, surplus_window=surplus_window)
+        super().__init__(
+            sid, network, config.pcs_phases, config.surplus_window, speed, metrics,
+            mgmt_overhead, routing_factory, on_routing_done=self._routing_done,
+        )
         self.config = config
-        self.metrics = metrics
-        self.plan = SchedulingPlan(sid, config.surplus_window, speed=speed, obs=self.obs)
-        self.executor = PlanExecutor(network.sim, self.plan)
         #: §11 host side: gates, RESULT forwarding, RESULT delivery
         self.hosting = HostSide(self, MSG_RESULT, config.result_forwarding)
-        if metrics is not None and hasattr(metrics, "on_task_complete"):
-            self.executor.on_complete.append(metrics.on_task_complete)
-
-        # routing_factory (site, phases, on_done) lets the experiment
-        # runner swap the simulated protocol for precomputed oracle tables
-        # (repro.routing.oracle); None = the paper's distributed protocol.
-        make_routing = routing_factory if routing_factory is not None else PhasedBellmanFord
-        self.routing = make_routing(self, config.pcs_phases, on_done=self._routing_done)
         self.pcs: Optional[PCS] = None
         # One admission cache per network, shared by all sites (cross-site
         # result sharing via the plan state digest); the experiment runner
@@ -112,52 +116,25 @@ class RTDSSite(SiteBase):
             network.admission_cache = cache
         self.admission_cache = cache
         self.lock = SiteLock(sid)
+        #: member side: ENROLL / VALIDATE / EXECUTE / UNLOCK and the tenancy
+        self.member = MemberSide(self)
         #: initiator-side session (one at a time; the lock enforces it)
         self.session: Optional[AcsSession] = None
-        #: member-side cached validation slots: job -> {proc: [Reservation]}
-        self._validate_cache: Dict[JobId, Dict[LogicalProc, list]] = {}
+        #: hardened ask→answer rounds still waiting for answers (none, ever,
+        #: in the paper's loss-less protocol)
+        self.rounds = Rounds(self)
         #: jobs submitted before routing finished
         self._pre_routing: List[_JobCtx] = []
+        #: queue-mode collection timer (the paper's deadline-fraction budget)
         self._enroll_timer = None
-        # --- hardening state (all dormant unless config.ack_timeout set) ---
-        #: initiator-side per-phase ack timer (enroll / validate rounds)
-        self._ack_timer = None
-        #: retransmissions already spent in the current hardened phase
-        self._phase_attempts = 0
-        #: initiator-side EXECUTE retransmission: job -> round state
-        self._pending_execute: Dict[JobId, Dict[str, Any]] = {}
-        #: member-side: jobs whose EXECUTE this site processed ->
-        #: (initiator, when) — kept for duplicate re-acks, pruned by age
-        self._exec_done: Dict[JobId, Tuple[SiteId, Time]] = {}
-        #: member-side cached VALIDATE_ACK endorsements (idempotent re-ack)
-        self._validate_ack: Dict[JobId, List[LogicalProc]] = {}
-        #: member-side lock lease timer and the (initiator, job) it guards
-        self._lease_timer = None
-        self._lease_owner: Optional[Tuple[SiteId, JobId]] = None
-        self._lease_duration: Time = 0.0
 
         self.on(MSG_SPHERE, self._h_sphere)
-        self.on(MSG_ENROLL, self._h_enroll)
         self.on(MSG_ENROLL_ACK, self._h_enroll_ack)
         self.on(MSG_ENROLL_REFUSE, self._h_enroll_refuse)
-        self.on(MSG_VALIDATE, self._h_validate)
         self.on(MSG_VALIDATE_ACK, self._h_validate_ack)
-        self.on(MSG_EXECUTE, self._h_execute)
         self.on(MSG_EXECUTE_ACK, self._h_execute_ack)
-        self.on(MSG_UNLOCK, self._h_unlock)
 
-    def _count(self, name: str) -> None:
-        """Count a named protocol event on the metrics collector."""
-        if self.metrics is not None and hasattr(self.metrics, "count_event"):
-            self.metrics.count_event(name)
-
-    # ------------------------------------------------------------------
-    # initialization
-    # ------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Begin PCS construction (call on every site at t=0)."""
-        self.routing.start()
+    # -- initialization ------------------------------------------------------
 
     def _routing_done(self) -> None:
         self.pcs = build_pcs(self.routing.table, self.config.h)
@@ -181,37 +158,23 @@ class RTDSSite(SiteBase):
         self.pcs = build_pcs(self.routing.table, self.config.h)
         self.trace("pcs.refreshed", h=self.config.h, members=len(self.pcs))
 
-    # ------------------------------------------------------------------
-    # job arrival (driver entry point)
-    # ------------------------------------------------------------------
+    # -- job arrival (driver entry point) ------------------------------------
 
     def submit_job(self, job: JobId, dag: Dag, deadline: Time) -> None:
         """A sporadic job arrives on this site (absolute ``deadline``)."""
         ctx = _JobCtx(job=job, dag=dag, deadline=deadline, arrival=self.now)
-        if self.metrics is not None:
-            self.metrics.register_job(
-                JobRecord(
-                    job=job,
-                    origin=self.sid,
-                    arrival=self.now,
-                    deadline=deadline,
-                    n_tasks=len(dag),
-                    total_work=dag.total_complexity(),
-                )
-            )
+        self.register_arrival(job, dag, deadline)
         if self.trace_on:
             self.trace("job.arrival", job=job, tasks=len(dag), deadline=deadline)
         if self.pcs is None and not self.routing.done:
             self._pre_routing.append(ctx)
             return
-        if self.lock.locked:
-            ctx.was_deferred = True
-            self.lock.defer(lambda: self._consider(ctx))
-            return
+        ctx.was_deferred = self.lock.locked
         self._consider(ctx)
 
     def _consider(self, ctx: _JobCtx) -> None:
-        """Local test, then (if needed) start the distributed protocol."""
+        """Local test, then (if needed) start the distributed protocol —
+        once the lock is free: whatever would mutate the plan waits behind it."""
         if self.lock.locked:
             self.lock.defer(lambda: self._consider(ctx))
             return
@@ -220,7 +183,7 @@ class RTDSSite(SiteBase):
         if ctx.was_deferred:
             cp = critical_path_length(ctx.dag) / self.speed
             if self.now + cp > ctx.deadline + 1e-9:
-                self._decide(ctx, JobOutcome.REJECTED_TIMEOUT)
+                self.decide(ctx, JobOutcome.REJECTED_TIMEOUT)
                 return
         _t0 = perf_counter() if self.obs_on else 0.0
         fit = local_guarantee_test(
@@ -255,7 +218,7 @@ class RTDSSite(SiteBase):
                     "phase.validate", self.now, self.now,
                     site=self.sid, key=ctx.job, kind="local",
                 )
-            self._decide(ctx, JobOutcome.ACCEPTED_LOCAL, hosts=[self.sid])
+            self.decide(ctx, JobOutcome.ACCEPTED_LOCAL, hosts=[self.sid])
             return
         if self.trace_on:
             self.trace("job.local_reject", job=ctx.job)
@@ -263,13 +226,11 @@ class RTDSSite(SiteBase):
             self.obs.inc("rtds.local_reject")
         self._initiate(ctx)
 
-    # ------------------------------------------------------------------
-    # initiator: ACS construction (§8)
-    # ------------------------------------------------------------------
+    # -- initiator: ACS construction (§8) ------------------------------------
 
     def _initiate(self, ctx: _JobCtx) -> None:
         if self.pcs is None or len(self.pcs) == 0:
-            self._decide(ctx, JobOutcome.REJECTED_NO_SPHERE)
+            self.decide(ctx, JobOutcome.REJECTED_NO_SPHERE)
             return
         members = (
             self.pcs.nearest(self.config.max_acs_size)
@@ -277,11 +238,10 @@ class RTDSSite(SiteBase):
             else list(self.pcs.members)
         )
         if not members:
-            self._decide(ctx, JobOutcome.REJECTED_NO_SPHERE)
+            self.decide(ctx, JobOutcome.REJECTED_NO_SPHERE)
             return
         self.lock.acquire(self.sid, ctx.job)
         session = AcsSession(ctx.job, self.sid, members)
-        session.started_at = self.now
         session.ctx = ctx  # attach the job context
         self.session = session
         if self.obs_on:
@@ -291,105 +251,45 @@ class RTDSSite(SiteBase):
             )
         if self.trace_on:
             self.trace("acs.enroll", job=ctx.job, asked=len(members))
-        queue_budget = 0.0
         if self.config.enroll_mode == "queue":
+            # In queue mode a locked member *intentionally* defers its answer
+            # until unlock — the deadline-fraction timer already bounds the
+            # wait, and a hardened round could not tell "queue-deferred"
+            # from "crashed" (it would demote waiting members to refusals and
+            # a retransmission would enqueue a second deferred handler). The
+            # enroll round is therefore only watched in refuse mode.
             frac = self.config.enroll_timeout or 0.25
             queue_budget = max(0.0, (ctx.deadline - self.now) * frac)
-        self._phase_attempts = 0
-        self._ask_enroll(session, members, queue_budget)
-        if self.config.enroll_mode == "queue":
+            self._send_enroll(session, members, queue_budget)
             job = ctx.job
             self._enroll_timer = self.sim.schedule(
                 queue_budget, lambda: self._enroll_timeout(job)
             )
+        else:
+            self._send_enroll(session, members)
+            self.rounds.watch(
+                ctx.job, "enroll", "acs", members, float(5 + len(session.asked) + 1),
+                lambda silent: self._send_enroll(session, silent), self._refused,
+            )
 
-    def _ask_enroll(self, s: AcsSession, targets, queue_budget: Time = 0.0) -> None:
+    def _send_enroll(self, s: AcsSession, targets, queue_budget: Time = 0.0) -> None:
         """Send ENROLL for session ``s`` to ``targets`` — all asked members
         at first, the silent ones on a hardened retransmission."""
-        job = s.job
         sphere_sites = sorted([*s.asked, self.sid])
-        payload = {"job": job, "initiator": self.sid, "members": sphere_sites}
+        payload = {"job": s.job, "initiator": self.sid, "members": sphere_sites}
         if self.config.hardened:
             # In queue mode the enrollment may legitimately idle for the
             # whole collection budget (deferred members answer at their own
             # unlock, with no lease-renewing contact in between) — early
             # enrollees must not expire while the initiator is still
             # lawfully waiting.
-            payload["lease"] = self._lease_hint(s.asked, s.ctx.dag) + queue_budget
+            payload["lease"] = lease_hint(self, s.asked, s.ctx.dag) + queue_budget
         sphere_broadcast(
             self,
             targets,
             MSG_ENROLL,
             payload,
             size=float(2 + len(sphere_sites)),
-        )
-        # In queue mode a locked member *intentionally* defers its answer
-        # until unlock — the deadline-fraction timer already bounds the
-        # wait, and a hardened timer could not tell "queue-deferred"
-        # from "crashed" (it would demote waiting members to refusals and
-        # a retransmission would enqueue a second deferred handler). The
-        # hardened enroll round therefore only arms in refuse mode.
-        if self.config.hardened and self.config.enroll_mode == "refuse":
-            self._arm_ack_timer(
-                lambda: self._enroll_ack_timeout(job),
-                targets,
-                size=float(5 + len(sphere_sites)),
-            )
-
-    def _h_enroll(self, msg: Message) -> None:
-        job = msg.payload["job"]
-        initiator = msg.payload["initiator"]
-        members = msg.payload["members"]
-        if self.config.hardened and self.lock.held_by(initiator, job):
-            # Retransmitted ENROLL (our ACK was lost): re-answer idempotently.
-            # Contact from a live initiator also renews the lease.
-            self.trace("acs.re_ack", job=job, initiator=initiator)
-            self._count("enroll_re_ack")
-            self._renew_lease(initiator, job)
-            self._send_enroll_ack(job, initiator, members)
-            return
-        if self.lock.locked:
-            if self.config.enroll_mode == "refuse":
-                self.send_to(
-                    initiator,
-                    MSG_ENROLL_REFUSE,
-                    {"job": job, "site": self.sid},
-                    size=2.0,
-                )
-                self.trace("acs.refuse", job=job, initiator=initiator)
-            else:
-                self.lock.defer(lambda: self._h_enroll(msg))
-            return
-        self.lock.acquire(initiator, job)
-        self._arm_lease(initiator, job, msg.payload.get("lease"))
-        if self.trace_on:
-            surplus = self.plan.surplus(self.now)
-            self.trace("acs.enrolled", job=job, initiator=initiator, surplus=round(surplus, 4))
-        self._send_enroll_ack(job, initiator, members)
-
-    def _send_enroll_ack(self, job: JobId, initiator: SiteId, members: List[SiteId]) -> None:
-        # memoized per member tuple: every admission from the same initiator
-        # asks this site for the same distance vector; dropped with the
-        # other route caches whenever a repair touches this row
-        dist_key = ("enroll_dist", tuple(members))
-        distances = self.route_answers.get(dist_key)
-        if distances is None:
-            distances = self.routing.table.distances_to(members, exclude=self.sid)
-            self.route_answers[dist_key] = distances
-        # one timeline walk: busyness is 1 - surplus by definition
-        surplus = self.plan.surplus(self.now)
-        self.send_to(
-            initiator,
-            MSG_ENROLL_ACK,
-            {
-                "job": job,
-                "site": self.sid,
-                "surplus": surplus,
-                "busyness": 1.0 - surplus,
-                "speed": self.speed,
-                "distances": distances,
-            },
-            size=float(5 + len(distances)),
         )
 
     def _h_enroll_ack(self, msg: Message) -> None:
@@ -420,6 +320,7 @@ class RTDSSite(SiteBase):
                 distances=msg.payload["distances"],
             )
         )
+        self.rounds.answered(job, site)
         if s.enrollment_complete():
             self._start_mapping()
 
@@ -428,9 +329,8 @@ class RTDSSite(SiteBase):
         s = self.session
         if s is None or s.job != job or s.phase != AcsSession.ENROLLING:
             return
-        s.record_refusal(msg.payload["site"])
-        if s.enrollment_complete():
-            self._start_mapping()
+        self.rounds.answered(job, msg.payload["site"])
+        self._refused([msg.payload["site"]])
 
     def _enroll_timeout(self, job: JobId) -> None:
         s = self.session
@@ -439,216 +339,17 @@ class RTDSSite(SiteBase):
         self.trace("acs.timeout", job=job, enrolled=len(s.enrolled))
         self._start_mapping()
 
-    # ------------------------------------------------------------------
-    # hardening: ack timers, retransmission, leases (DESIGN.md "Fault model")
-    # ------------------------------------------------------------------
-
-    def _lease_hint(self, members, dag: Dag) -> Time:
-        """Lock lease the initiator asks its members to hold.
-
-        Only the initiator knows the sphere's worst round trip, so it sizes
-        the lease and ships it in ENROLL: three ask→answer rounds (enroll,
-        validate, execute), each retried up to ``ack_retries`` times, plus
-        the mapper's simulated cost. A member-side guess from its own
-        distance would make near members of a wide sphere expire mid-way
-        through a perfectly healthy session. The round size is bounded by
-        the biggest message of the session — the EXECUTE task-code dispatch.
-        """
-        rounds = 3.0 * (self.config.ack_retries + 1)
-        size = max(estimate_code_size(dag), float(6 + len(members)))
-        return rounds * self._round_budget(members, size) + self.config.mapper_cost
-
-    def _round_budget(self, members, size: float = 0.0) -> Time:
-        """Time to allow one ask→answer round before calling members silent.
-
-        The initiator knows its delay distances (§2) and its adjacent link
-        throughputs (§13), so the budget is the physical round trip to the
-        farthest queried member — propagation, per-hop transfer time of a
-        ``size``-unit message, management overhead — plus ``ack_timeout``
-        as grace. A flat timeout would misfire on large spheres or under
-        the data-volume model and retransmit to perfectly healthy members.
-        """
-        dmax = 0.0
-        hmax = self.config.h
-        if self.pcs is not None and members:
-            dmax = max(self.pcs.distance.get(m, 0.0) for m in members)
-            hmax = max(self.pcs.hops.get(m, self.config.h) for m in members)
-        rtt = 2.0 * dmax + 2.0 * self.mgmt_overhead
-        if size > 0.0:
-            tps = [self.network.link(self.sid, nb).throughput for nb in self.neighbors()]
-            tps = [t for t in tps if t is not None]
-            if tps:
-                # Request out + ack back, each paying size/throughput per
-                # hop — and the broadcast's fan-out serializes on the FIFO
-                # links near the initiator (as do the returning acks), so
-                # the last copy waits behind up to |members| earlier ones.
-                # Bounding the ack by the request keeps this an
-                # over-estimate (the paper's safety direction, like ω).
-                n = max(1, len(members))
-                rtt += 2.0 * (hmax + n) * size / min(tps)
-        return rtt + self.config.ack_timeout
-
-    def _arm_ack_timer(self, callback, members=(), size: float = 0.0) -> None:
-        self._cancel_ack_timer()
-        self._ack_timer = self.sim.schedule(self._round_budget(members, size), callback)
-
-    def _cancel_ack_timer(self) -> None:
-        if self._ack_timer is not None:
-            self.sim.cancel(self._ack_timer)
-            self._ack_timer = None
-
-    def _retry_round(self, job: JobId, rnd: str, event: str, silent, attempts: int) -> bool:
-        """Book-keep one expired hardened ask→answer round.
-
-        ``silent`` members have not answered and ``attempts``
-        retransmissions were already made. True: retries remain — the
-        retransmission is traced and counted, the caller re-asks the
-        silent members and re-arms its timer. False: retries are spent —
-        the give-up is traced and counted, the caller degrades without
-        them. ``rnd`` names the round in counters and telemetry,
-        ``event`` prefixes its trace events.
-        """
-        if attempts < self.config.ack_retries:
-            self.trace(event + ".retransmit", job=job, to=silent, attempt=attempts + 1)
-            self._count(rnd + "_retransmit")
-            if self.obs_on:
-                self.obs.inc("rtds.retransmit." + rnd, len(silent))
-                self.obs.span(
-                    "phase.retransmission", self.now, self.now, site=self.sid,
-                    key=job, round=rnd, attempt=attempts + 1,
-                )
-            return True
-        self.trace(event + ".gave_up", job=job, lost=silent)
-        self._count(rnd + "_gave_up")
-        return False
-
-    def _enroll_ack_timeout(self, job: JobId) -> None:
-        """Hardened ENROLL round expired: retransmit to, then give up on,
-        the silent members (crashed, partitioned, or ack lost)."""
-        self._ack_timer = None
+    def _refused(self, members: List[SiteId]) -> None:
+        """``members`` are out — busy, or (the hardened round's degrade)
+        silent past the retries: proceed with whoever answered once everyone
+        asked is accounted for (possibly nobody -> REJECTED_NO_SPHERE)."""
         s = self.session
-        if s is None or s.job != job or s.phase != AcsSession.ENROLLING:
-            return
-        silent = [m for m in s.asked if m not in s.enrolled and m not in s.refused]
-        if not silent:  # pragma: no cover - completion should have fired
-            return
-        if self._retry_round(job, "enroll", "acs", silent, self._phase_attempts):
-            self._phase_attempts += 1
-            self._ask_enroll(s, silent)
-            return
-        # Degrade: treat the silent members as refusals and proceed with
-        # whoever answered (possibly nobody -> REJECTED_NO_SPHERE).
-        for m in silent:
+        for m in members:
             s.record_refusal(m)
         if s.enrollment_complete():
             self._start_mapping()
 
-    def _validate_ack_timeout(self, job: JobId) -> None:
-        """Hardened VALIDATE round expired: retransmit, then count the
-        silent members as endorsing nothing."""
-        self._ack_timer = None
-        s = self.session
-        if s is None or s.job != job or s.phase != AcsSession.VALIDATING:
-            return
-        silent = [m for m in s.acs_members() if m not in s.endorsements]
-        if not silent:  # pragma: no cover - completion should have fired
-            return
-        if self._retry_round(job, "validate", "validate", silent, self._phase_attempts):
-            self._phase_attempts += 1
-            self._ask_validate(silent)
-            return
-        for m in silent:
-            s.record_endorsement(m, [])
-        if s.validation_complete():
-            self._decide_permutation()
-
-    def _execute_ack_timeout(self, job: JobId) -> None:
-        """Hardened EXECUTE round expired: retransmit to the unacked
-        members, then accept the loss (their task share is gone; the miss
-        shows up in the effective ratio — churn is not free)."""
-        pe = self._pending_execute.get(job)
-        if pe is None:
-            return
-        pe["timer"] = None
-        targets = sorted(pe["unacked"])
-        if self._retry_round(job, "execute", "execute", targets, pe["attempts"]):
-            pe["attempts"] += 1
-            sphere_broadcast(self, targets, MSG_EXECUTE, pe["payload"], size=pe["size"])
-            pe["timer"] = self.sim.schedule(
-                self._round_budget(targets, pe["size"]),
-                lambda: self._execute_ack_timeout(job),
-            )
-            return
-        del self._pending_execute[job]
-
-    def _h_execute_ack(self, msg: Message) -> None:
-        job = msg.payload["job"]
-        pe = self._pending_execute.get(job)
-        if pe is None:
-            return  # late ack of an already-settled round
-        pe["unacked"].discard(msg.payload["site"])
-        if not pe["unacked"]:
-            if pe["timer"] is not None:
-                self.sim.cancel(pe["timer"])
-            del self._pending_execute[job]
-            self.trace("execute.all_acked", job=job)
-
-    def _arm_lease(self, initiator: SiteId, job: JobId, hint: Optional[Time]) -> None:
-        """Member-side lock lease: self-release if the initiator vanishes.
-
-        The duration is the initiator's ENROLL ``hint`` (it alone knows the
-        sphere's worst round trip — see :meth:`_lease_hint`) unless the
-        operator pinned ``member_lease`` explicitly; the config-derived
-        fallback only covers hint-less messages.
-        """
-        if self.config.member_lease is not None:
-            lease = self.config.member_lease
-        elif hint is not None:
-            lease = hint
-        else:
-            lease = self.config.effective_lease
-        if lease is None:
-            return
-        self._cancel_lease()
-        self._lease_owner = (initiator, job)
-        self._lease_duration = lease
-        self._lease_timer = self.sim.schedule_call(
-            lease, self._lease_expired_call, (initiator, job)
-        )
-
-    def _renew_lease(self, initiator: SiteId, job: JobId) -> None:
-        """Restart the lease clock: the initiator just showed life."""
-        if self._lease_owner == (initiator, job) and self._lease_timer is not None:
-            self.sim.cancel(self._lease_timer)
-            self._lease_timer = self.sim.schedule_call(
-                self._lease_duration, self._lease_expired_call, (initiator, job)
-            )
-
-    def _lease_expired_call(self, owner: Tuple[SiteId, JobId]) -> None:
-        self._lease_expired(owner[0], owner[1])
-
-    def _cancel_lease(self) -> None:
-        if self._lease_timer is not None:
-            self.sim.cancel(self._lease_timer)
-            self._lease_timer = None
-            self._lease_owner = None
-
-    def _lease_expired(self, initiator: SiteId, job: JobId) -> None:
-        self._lease_timer = None
-        self._lease_owner = None
-        if not self.lock.held_by(initiator, job):
-            return
-        self.trace("lock.lease_expired", job=job, by=initiator)
-        self._count("lease_expired")
-        self._validate_cache.pop(job, None)
-        self._validate_ack.pop(job, None)
-        self.admission_cache.invalidate_job(job)
-        self.lock.release(initiator, job)
-        self._drain_deferred()
-
-    # ------------------------------------------------------------------
-    # initiator: mapping + adjustment (§9, §12)
-    # ------------------------------------------------------------------
+    # -- initiator: mapping + adjustment (§9, §12) ---------------------------
 
     def _start_mapping(self) -> None:
         s = self.session
@@ -657,7 +358,7 @@ class RTDSSite(SiteBase):
         if self._enroll_timer is not None:
             self.sim.cancel(self._enroll_timer)
             self._enroll_timer = None
-        self._cancel_ack_timer()
+        self.rounds.close(s.job)
         if self.obs_on:
             self.obs.span_end("phase.enroll", s.job, self.now, ok=bool(s.enrolled))
             self.obs.span_begin(
@@ -690,24 +391,12 @@ class RTDSSite(SiteBase):
         # quanta keeps ω an over-estimate (the paper's safety direction);
         # likewise the release margin must absorb the VALIDATE round and the
         # task-code dispatch, whose paths are at most h hops.
-        if self.config.volume_aware_omega:
-            tps = [
-                self.network.link(self.sid, nb).throughput
-                for nb in self.neighbors()
-            ]
-            tps = [t for t in tps if t is not None]
-            if tps:
-                tp = min(tps)
-                max_dv = max(
-                    (ctx.dag.task(t).data_volume for t in ctx.dag), default=0.0
-                )
-                omega += (2 * self.config.h) * max_dv / tp
-                validate_size = len(ctx.dag) + 2.0
-                r_map += (
-                    self.config.h
-                    * (estimate_code_size(ctx.dag) + validate_size)
-                    / tp
-                )
+        tp = self.min_adjacent_throughput() if self.config.volume_aware_omega else None
+        if tp is not None:
+            max_dv = max((ctx.dag.task(t).data_volume for t in ctx.dag), default=0.0)
+            omega += (2 * self.config.h) * max_dv / tp
+            validate_size = len(ctx.dag) + 2.0
+            r_map += self.config.h * (estimate_code_size(ctx.dag) + validate_size) / tp
         if r_map >= ctx.deadline:
             self._finish_session(JobOutcome.REJECTED_TIMEOUT)
             return
@@ -746,7 +435,6 @@ class RTDSSite(SiteBase):
             self.obs.inc("rtds.mapper_runs")
         adj = adjust_trial_mapping(tm, ctx.deadline, self.config.laxity_mode)
         s.trial_mapping = tm
-        s.adjustment = adj
         self.trace(
             "map.done",
             job=ctx.job,
@@ -761,37 +449,28 @@ class RTDSSite(SiteBase):
             return
         self._start_validation()
 
-    # ------------------------------------------------------------------
-    # validation (§10)
-    # ------------------------------------------------------------------
+    # -- validation (§10) ----------------------------------------------------
 
-    def _validate_payload(self) -> Dict[int, List[Tuple[TaskId, float, Time, Time]]]:
-        s = self.session
-        tm = s.trial_mapping
-        procs: Dict[int, List[Tuple[TaskId, float, Time, Time]]] = {}
-        for p in tm.used_procs():
-            procs[p] = [
+    def _send_validate(self, targets):
+        """Send VALIDATE to ``targets`` — the whole ACS at first, the silent
+        members on a hardened retransmission; returns ``(procs, size)``."""
+        tm = self.session.trial_mapping
+        procs: Dict[int, List[Tuple[TaskId, float, Time, Time]]] = {
+            p: [
                 (t, tm.dag.complexity(t), tm.release[t], tm.deadline[t])
                 for t in tm.tasks_on(p)
             ]
-        return procs
-
-    def _ask_validate(self, targets):
-        """Send VALIDATE to ``targets`` — the whole ACS at first, the silent
-        members on a hardened retransmission; returns the payload's procs."""
-        job = self.session.job
-        procs = self._validate_payload()
+            for p in tm.used_procs()
+        }
         size = float(sum(len(v) for v in procs.values()) + 2)
         sphere_broadcast(
             self,
             targets,
             MSG_VALIDATE,
-            {"job": job, "initiator": self.sid, "procs": procs},
+            {"job": self.session.job, "initiator": self.sid, "procs": procs},
             size=size,
         )
-        if self.config.hardened:
-            self._arm_ack_timer(lambda: self._validate_ack_timeout(job), targets, size=size)
-        return procs
+        return procs, size
 
     def _start_validation(self) -> None:
         s = self.session
@@ -800,105 +479,65 @@ class RTDSSite(SiteBase):
         if self.obs_on:
             self.obs.span_end("phase.map", s.job, self.now)
             self.obs.span_begin("phase.validate", s.job, self.now, site=self.sid)
-        self._phase_attempts = 0
-        procs = self._ask_validate(s.acs_members())
-        # The initiator endorses locally with the same test.
-        endorsed, slots = self.admission_cache.endorse(
-            self.plan,
-            s.job,
-            procs,
-            self.now,
-            preemptive=self.config.validation_preemptive,
-            speed=self.speed,
-            order=self.config.validation_order,
+        members = s.acs_members()
+        procs, size = self._send_validate(members)
+        self.rounds.watch(
+            s.job, "validate", "validate", members, size,
+            self._send_validate, self._validate_gave_up,
         )
-        s.own_slots = slots
+        # The initiator endorses locally with the same test.
+        endorsed, s.own_slots = self.endorse(s.job, procs)
         s.record_endorsement(self.sid, endorsed)
         if self.trace_on:
             self.trace("validate.self", job=s.job, endorsed=endorsed)
         if s.validation_complete():
             self._decide_permutation()
 
-    def _h_validate(self, msg: Message) -> None:
-        job = msg.payload["job"]
-        initiator = msg.payload["initiator"]
-        if self.config.hardened and self.lock.held_by(initiator, job) and job in self._validate_ack:
-            # Retransmitted VALIDATE (our ACK was lost): re-answer with the
-            # cached verdict — recomputing could endorse differently now.
-            self.trace("validate.re_ack", job=job)
-            self._count("validate_re_ack")
-            self._renew_lease(initiator, job)
-            self.send_to(
-                initiator,
-                MSG_VALIDATE_ACK,
-                {"job": job, "site": self.sid, "endorsed": list(self._validate_ack[job])},
-                size=float(2 + len(self._validate_ack[job])),
-            )
-            return
-        if not self.lock.held_by(initiator, job):
-            if self.config.hardened:
-                # Our enrollment never reached the initiator's session (or
-                # the lease expired): we hold no slots, endorse nothing.
-                self.trace("validate.stale", job=job, initiator=initiator)
-                self._count("stale_validate")
-                self.send_to(
-                    initiator,
-                    MSG_VALIDATE_ACK,
-                    {"job": job, "site": self.sid, "endorsed": []},
-                    size=2.0,
-                )
-                return
-            raise ProtocolError(
-                f"site {self.sid}: VALIDATE for ({initiator}, {job}) "
-                f"but lock is {self.lock.owner}"
-            )
-        self._renew_lease(initiator, job)
-        procs = msg.payload["procs"]
-        endorsed, slots = self.admission_cache.endorse(
-            self.plan,
-            job,
-            procs,
-            self.now,
+    def endorse(self, job: JobId, procs):
+        """§10 local satisfiability of the VALIDATE payload ``procs`` against
+        this site's plan (memoized network-wide): ``(endorsed, slots)``."""
+        return self.admission_cache.endorse(
+            self.plan, job, procs, self.now,
             preemptive=self.config.validation_preemptive,
-            speed=self.speed,
-            order=self.config.validation_order,
-        )
-        self._validate_cache[job] = slots
-        if self.config.hardened:
-            self._validate_ack[job] = list(endorsed)
-        if self.trace_on:
-            self.trace("validate.member", job=job, endorsed=endorsed)
-        self.send_to(
-            initiator,
-            MSG_VALIDATE_ACK,
-            {"job": job, "site": self.sid, "endorsed": endorsed},
-            size=float(2 + len(endorsed)),
+            speed=self.speed, order=self.config.validation_order,
         )
 
     def _h_validate_ack(self, msg: Message) -> None:
         job = msg.payload["job"]
+        site = msg.payload["site"]
         s = self.session
         if s is None or s.job != job or s.phase != AcsSession.VALIDATING:
-            if self.config.hardened:
-                # Late ack: the round already timed out and moved on.
-                self.trace("validate.stale_ack", job=job, member=msg.payload["site"])
-                self._count("stale_validate_ack")
-                return
-            raise ProtocolError(f"site {self.sid}: unexpected VALIDATE_ACK for job {job}")
-        site = msg.payload["site"]
-        if self.config.hardened and site not in s.enrolled and site != self.sid:
+            # Late ack: the round already timed out and moved on.
+            self.tolerate(
+                "validate.stale_ack", "stale_validate_ack",
+                f"unexpected VALIDATE_ACK for job {job}", job=job, member=site,
+            )
+            return
+        if site not in s.enrolled and site != self.sid:
             # Defensive: an empty stale-VALIDATE answer from a site that was
             # never enrolled in this session must not enter the coupling.
-            self.trace("validate.foreign_ack", job=job, member=site)
+            self.tolerate(
+                "validate.foreign_ack", None,
+                f"VALIDATE_ACK for job {job} from non-member {site}", job=job, member=site,
+            )
             return
         s.record_endorsement(site, msg.payload["endorsed"])
+        self.rounds.answered(job, site)
+        if s.validation_complete():
+            self._decide_permutation()
+
+    def _validate_gave_up(self, silent: List[SiteId]) -> None:
+        """Degrade: the silent members endorse nothing."""
+        s = self.session
+        for m in silent:
+            s.record_endorsement(m, [])
         if s.validation_complete():
             self._decide_permutation()
 
     def _decide_permutation(self) -> None:
         s = self.session
         assert s is not None
-        self._cancel_ack_timer()
+        self.rounds.close(s.job)
         tm = s.trial_mapping
         perm = compute_permutation(tm.used_procs(), s.endorsements)
         if self.obs_on:
@@ -911,225 +550,139 @@ class RTDSSite(SiteBase):
             self.trace("validate.ok", job=s.job, permutation={p: site for p, site in perm.items()})
         self._dispatch_execution(perm)
 
-    # ------------------------------------------------------------------
-    # distributed execution (§11)
-    # ------------------------------------------------------------------
+    # -- distributed execution (§11) -----------------------------------------
 
     def _dispatch_execution(self, perm: Dict[LogicalProc, SiteId]) -> None:
         s = self.session
         tm = s.trial_mapping
-        ctx = s.ctx
+        job = s.job
         host = {t: perm[tm.assignment[t]] for t in tm.dag}
         preds = {t: list(tm.dag.predecessors(t)) for t in tm.dag}
         succs = {t: list(tm.dag.successors(t)) for t in tm.dag}
         volumes = {t: tm.dag.task(t).data_volume for t in tm.dag}
         payload = {
-            "job": s.job,
+            "job": job,
             "permutation": perm,
             "host": host,
             "preds": preds,
             "succs": succs,
             "volumes": volumes,
-            "deadline": ctx.deadline,
+            "deadline": s.ctx.deadline,
         }
         members = s.acs_members()
         code_size = estimate_code_size(tm.dag)
-        sphere_broadcast(self, members, MSG_EXECUTE, payload, size=code_size)
-        if self.config.hardened and members:
+
+        def send(targets) -> None:
+            sphere_broadcast(self, targets, MSG_EXECUTE, payload, size=code_size)
+
+        send(members)
+        if members:
             # EXECUTE is the one fire-and-forget step of the base protocol:
             # a lost copy would strand a locked member and silently shed its
-            # task share. Track acks and retransmit.
-            self._pending_execute[s.job] = {
-                "payload": payload,
-                "unacked": set(members),
-                "attempts": 0,
-                "size": code_size,
-                "timer": self.sim.schedule(
-                    self._round_budget(members, code_size),
-                    lambda job=s.job: self._execute_ack_timeout(job),
-                ),
-            }
+            # task share. Hardened, track acks and retransmit; once retries
+            # are spent accept the loss (the share is gone; the miss shows
+            # up in the effective ratio — churn is not free).
+            self.rounds.watch(job, "execute", "execute", members, code_size, send)
         # The initiator's own share.
-        my_procs = [p for p, site in perm.items() if site == self.sid]
-        if my_procs:
-            self._commit_assignment(s.job, my_procs[0], s.own_slots, host, preds, volumes)
-        hosts = sorted(set(perm.values()))
+        self.member.commit_share(job, perm, s.own_slots, host, preds, volumes)
         if self.obs_on:
             self.obs.inc("rtds.distributed_accept")
             self.obs.observe("rtds.acs_size", len(members) + 1)
-        self._decide(ctx, JobOutcome.ACCEPTED_DISTRIBUTED, hosts=hosts, acs_size=len(members) + 1)
-        s.phase = AcsSession.FINISHED
-        self.session = None
-        self.admission_cache.invalidate_job(s.job)
-        self._release_own_lock(s.job)
-
-    def _h_execute(self, msg: Message) -> None:
-        job = msg.payload["job"]
-        perm: Dict[LogicalProc, SiteId] = msg.payload["permutation"]
-        initiator = msg.origin
-        if not self.lock.held_by(initiator, job):
-            if self.config.hardened:
-                done = self._exec_done.get(job)
-                if done is not None and done[0] == initiator:
-                    # Duplicate EXECUTE (our ack was lost): re-ack, done.
-                    self.trace("execute.re_ack", job=job)
-                    self._count("execute_re_ack")
-                    self._send_execute_ack(job, initiator)
-                    return
-                # Lease expired before EXECUTE arrived: the validation slots
-                # are gone, so this share cannot be committed truthfully.
-                # Stay silent — the initiator's retransmission loop will
-                # give up and record the loss.
-                self.trace("execute.stale", job=job, by=initiator)
-                self._count("stale_execute")
-                return
-            raise ProtocolError(
-                f"site {self.sid}: EXECUTE for ({initiator}, {job}) "
-                f"but lock is {self.lock.owner}"
-            )
-        slots_by_proc = self._validate_cache.pop(job, {})
-        self.admission_cache.invalidate_job(job)
-        my_procs = [p for p, site in perm.items() if site == self.sid]
-        if my_procs:
-            self._commit_assignment(
-                job,
-                my_procs[0],
-                slots_by_proc,
-                msg.payload["host"],
-                msg.payload["preds"],
-                msg.payload["volumes"],
-            )
-        elif self.trace_on:
-            self.trace("execute.bystander", job=job)
-        if self.config.hardened:
-            self._validate_ack.pop(job, None)
-            self._exec_done[job] = (initiator, self.now)
-            self._cancel_lease()
-            self._send_execute_ack(job, initiator)
-        self.lock.release(initiator, job)
-        self._drain_deferred()
-
-    def _send_execute_ack(self, job: JobId, initiator: SiteId) -> None:
-        self.send_to(
-            initiator, MSG_EXECUTE_ACK, {"job": job, "site": self.sid}, size=2.0
+        self._close_session(
+            JobOutcome.ACCEPTED_DISTRIBUTED,
+            hosts=sorted(set(perm.values())), acs_size=len(members) + 1,
         )
 
-    def _commit_assignment(
-        self,
-        job: JobId,
-        proc: LogicalProc,
-        slots_by_proc: Dict[LogicalProc, list],
-        host: Dict[TaskId, SiteId],
-        preds: Dict[TaskId, List[TaskId]],
-        volumes: Dict[TaskId, float],
-    ) -> None:
-        slots = slots_by_proc.get(proc)
-        if slots is None:
-            raise ProtocolError(
-                f"site {self.sid}: assigned logical proc {proc} for job {job} "
-                "but no cached validation slots (endorsement mismatch)"
-            )
-        self.hosting.commit(job, slots, host, preds, volumes)
-        if self.trace_on:
-            self.trace(
-                "execute.commit", job=job, proc=proc,
-                tasks=sorted({r.task for r in slots}, key=repr),
-            )
-
-    def _h_unlock(self, msg: Message) -> None:
+    def _h_execute_ack(self, msg: Message) -> None:
         job = msg.payload["job"]
-        initiator = msg.origin
-        if self.lock.held_by(initiator, job):
-            self._validate_cache.pop(job, None)
-            self._validate_ack.pop(job, None)
-            self.admission_cache.invalidate_job(job)
-            self._cancel_lease()
-            self.lock.release(initiator, job)
-            if self.trace_on:
-                self.trace("lock.released", job=job, by=initiator)
-            self._drain_deferred()
-        elif self.trace_on:
-            # Stale unlock (queue-mode race); harmless.
-            self.trace("lock.stale_unlock", job=job, by=initiator)
+        # no round: the late ack of an already-settled one
+        if self.rounds.answered(job, msg.payload["site"]):
+            self.trace("execute.all_acked", job=job)
 
-    # ------------------------------------------------------------------
-    # session teardown & lock plumbing
-    # ------------------------------------------------------------------
+    # -- session teardown & lock plumbing ------------------------------------
 
     def _finish_session(self, outcome: JobOutcome, unlock_members: bool = True) -> None:
+        """Reject the session's job: release the members, close."""
         s = self.session
         assert s is not None
-        self._cancel_ack_timer()
+        self.rounds.close(s.job)
         if self.obs_on:
             # whichever phase the session died in: close its span as failed
             # so the trace never leaks an open interval on rejection
             for cat in ("phase.enroll", "phase.map", "phase.validate"):
                 self.obs.span_end(cat, s.job, self.now, ok=False)
             self.obs.inc("rtds.reject." + outcome.value)
-        ctx = s.ctx
         members = s.acs_members()
         if unlock_members and members:
             sphere_broadcast(self, members, MSG_UNLOCK, {"job": s.job}, size=1.0)
-        s.phase = AcsSession.FINISHED
-        self.session = None
-        self.admission_cache.invalidate_job(s.job)
-        self._decide(ctx, outcome, acs_size=len(members) + 1 if members else None)
-        self._release_own_lock(s.job)
+        self._close_session(outcome, acs_size=len(members) + 1 if members else None)
 
-    def _release_own_lock(self, job: JobId) -> None:
-        self.lock.release(self.sid, job)
-        self._drain_deferred()
-
-    def _drain_deferred(self) -> None:
-        while not self.lock.locked and self.lock.deferred:
-            thunk = self.lock.deferred.popleft()
-            thunk()
-
-    def _decide(
+    def _close_session(
         self,
-        ctx: _JobCtx,
         outcome: JobOutcome,
         hosts: Optional[List[SiteId]] = None,
         acs_size: Optional[int] = None,
     ) -> None:
-        if self.trace_on:
-            self.trace("job.decision", job=ctx.job, outcome=outcome.value)
-        if self.metrics is not None:
-            self.metrics.decide(ctx.job, outcome, self.now, hosts=hosts, acs_size=acs_size)
+        """The one initiator session close, accepted or rejected: forget
+        the session, reclaim its cached endorsements, record the decision,
+        release the initiator's own lock and replay what waited behind it."""
+        s = self.session
+        s.phase = AcsSession.FINISHED
+        self.session = None
+        self.admission_cache.invalidate_job(s.job)
+        self.decide(s.ctx, outcome, hosts=hosts, acs_size=acs_size)
+        self.lock.release(self.sid, s.job)
+        self.drain_deferred()
 
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
+    def tolerate(self, event: str, counter: Optional[str], error: str, **detail) -> None:
+        """A message that fits no live state. The loss-less protocol cannot
+        produce one, so unhardened it is a :class:`ProtocolError`; under
+        faults (late acks, VALIDATE/EXECUTE after a lease expiry) it is
+        traced, counted, and left to the caller to answer or ignore."""
+        if not self.config.hardened:
+            raise ProtocolError(f"site {self.sid}: {error}")
+        self.trace(event, **detail)
+        if counter is not None:
+            self.count(counter)
+
+    def drain_deferred(self) -> None:
+        """Replay, FIFO, what was deferred behind the lock just released."""
+        while not self.lock.locked and self.lock.deferred:
+            thunk = self.lock.deferred.popleft()
+            thunk()
+
+    # -- maintenance ---------------------------------------------------------
 
     def prune_history(self, before: Time) -> int:
-        """Forget finished work older than ``before`` (long-run hygiene).
-
-        Safe by construction: admission only ever inserts at/after "now",
-        and the surplus window looks forward, so dropping reservations that
-        *ended* before ``before`` cannot change any future decision.
-        Returns the number of plan reservations dropped.
-        """
-        n = self.plan.prune_before(before)
-        self.executor.prune_done_before(before)
+        """Forget finished work older than ``before`` (long-run hygiene;
+        decision-neutral, see :meth:`SchedulerSite.prune_history`)."""
+        n = super().prune_history(before)
         # result-forwarding info for jobs whose local tasks are all gone
-        live_jobs = {key[0] for key in self.executor.records()}
-        self.hosting.prune(live_jobs)
-        # Hardening caches. The EXECUTE duplicate-detection entries are
-        # pruned by *age*, not liveness: a bystander member (no local
-        # tasks) must keep re-acking while the initiator's retransmission
-        # round — state this site cannot see — may still be running, and
-        # any such round is long over once the entry predates ``before``.
-        for job, (_, when) in list(self._exec_done.items()):
-            if when < before:
-                del self._exec_done[job]
-        for job in list(self._validate_ack):
-            if job not in live_jobs:
-                del self._validate_ack[job]
+        self.hosting.prune({key[0] for key in self.executor.records()})
+        self.member.prune(before)
         return n
 
-    # ------------------------------------------------------------------
-    # sphere envelope
-    # ------------------------------------------------------------------
+    def leaks(self) -> List[str]:
+        """Protocol state still open on this site, by name — empty when the
+        site is quiescent. After a drained run anything listed leaked: a
+        held lock, deferred work never replayed, a session or watched round
+        never closed, a tenancy (and its lease) never ended."""
+        found = []
+        if self.lock.locked:
+            found.append(f"lock held by {self.lock.owner}")
+        if self.lock.deferred:
+            found.append(f"{len(self.lock.deferred)} deferred thunks")
+        if self.session is not None:
+            found.append(f"session of job {self.session.job} open ({self.session.phase})")
+        if self._enroll_timer is not None:
+            found.append("enroll collection timer armed")
+        found += [f"{r.name} round of job {job} open" for job, r in self.rounds.open.items()]
+        t = self.member.tenancy
+        if t is not None:
+            found.append(f"tenancy of job {t.job} for initiator {t.initiator} (lease {t.lease})")
+        return found
+
+    # -- sphere envelope -----------------------------------------------------
 
     def _h_sphere(self, msg: Message) -> None:
         inner = handle_sphere_message(self, msg)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -347,9 +347,7 @@ def _site_factory(
     site_cls: type
     if config.algorithm == "rtds":
         site_cls = RTDSSite
-        knobs: Dict[str, Any] = {
-            "config": replace(config.rtds, surplus_window=config.surplus_window)
-        }
+        knobs: Dict[str, Any] = {"config": config.rtds}
     elif config.algorithm == "local":
         site_cls = LocalOnlySite
         knobs = {}
@@ -371,13 +369,11 @@ def _site_factory(
             "tries": config.random_tries,
             "seed": config.seed,
         }
-    if config.algorithm != "rtds":  # RTDS carries the window in its config
-        knobs["surplus_window"] = config.surplus_window
 
     def factory(sid: int, net: Network):
         return site_cls(
             sid, net, speed=topo.speed_of(sid), metrics=metrics,
-            routing_factory=routing_factory, **knobs,
+            routing_factory=routing_factory, surplus_window=config.surplus_window, **knobs,
         )
 
     return factory

@@ -190,7 +190,7 @@ class ElectionManager:
         self._attempts = 0
         self.stats.elections_started += 1
         self.site.trace("election.start", round=self._round)
-        self._count("election.started")
+        self.site.count("election.started")
         self._run_round()
 
     def _run_round(self) -> None:
@@ -232,7 +232,7 @@ class ElectionManager:
         self._last_heard = self.sim.now
         self.stats.elections_won += 1
         site.trace("election.won", round=self._round)
-        self._count("election.won")
+        self.site.count("election.won")
         self._beacon()
 
     # -- message handlers ---------------------------------------------------
@@ -273,7 +273,7 @@ class ElectionManager:
                 self._last_heard = self.sim.now
                 self.stats.coordinator_changes += 1
                 site.trace("election.abdicate", to=cid)
-                self._count("election.abdicated")
+                self.site.count("election.abdicated")
             else:
                 # re-assert to the stale lower claimant
                 self._send(cid, MSG_E_COORD, {"cid": site.sid})
@@ -291,11 +291,6 @@ class ElectionManager:
             site.coordinator_id = cid
             self._electing = False
             self._last_heard = self.sim.now
-
-    def _count(self, name: str) -> None:
-        metrics = getattr(self.site, "metrics", None)
-        if metrics is not None and hasattr(metrics, "count_event"):
-            metrics.count_event(name)
 
 
 def install_elections(resident, cfg: ElectionConfig) -> Dict[SiteId, ElectionManager]:

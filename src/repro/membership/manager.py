@@ -41,6 +41,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.events import count_event
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.membership.repair import repair_after_join
@@ -179,7 +180,7 @@ class MembershipManager:
         self.joined.append(j)
         self.stats.joins_applied += 1
         res.tracer.emit(res.sim.now, "membership.join", j, links=len(ev.links))
-        self._count("membership.join")
+        count_event(res.metrics, "membership.join")
         for sid in sorted(affected):
             site = net.site(sid)
             table = getattr(getattr(site, "routing", None), "table", None)
@@ -200,16 +201,11 @@ class MembershipManager:
         res = self.resident
         self.stats.rejoins += 1
         res.tracer.emit(res.sim.now, "membership.rejoin", sid)
-        self._count("membership.rejoin")
+        count_event(res.metrics, "membership.rejoin")
         refresh = getattr(res.network.site(sid), "refresh_sphere", None)
         if refresh is not None:
             refresh()
             self.stats.spheres_refreshed += 1
-
-    def _count(self, name: str) -> None:
-        metrics = self.resident.metrics
-        if metrics is not None and hasattr(metrics, "count_event"):
-            metrics.count_event(name)
 
     # -- audit --------------------------------------------------------------
 

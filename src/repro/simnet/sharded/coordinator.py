@@ -36,7 +36,7 @@ import math
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.experiments.runner import (
@@ -69,9 +69,16 @@ class ShardRunInfo:
     wall_per_shard: Tuple[float, ...]
 
 
-def _recv_checked(conn, shard_id: int):
-    """Receive one protocol message, surfacing worker tracebacks."""
-    msg = conn.recv()
+def _recv_checked(conn, shard_id: int, window_end: Optional[float] = None):
+    """Receive one protocol message, surfacing worker tracebacks — and a
+    worker that died without sending one (killed, out of memory)."""
+    try:
+        msg = conn.recv()
+    except (EOFError, ConnectionError) as exc:
+        raise SimulationError(
+            f"shard {shard_id} worker died without a report "
+            f"({type(exc).__name__}); last window_end sent: {window_end}"
+        ) from exc
     if msg[0] == "error":
         raise SimulationError(f"shard {shard_id} worker failed:\n{msg[1]}")
     return msg
@@ -192,6 +199,7 @@ def run_sharded(config: ExperimentConfig) -> RunResult:
 
         pending: List[List[tuple]] = [[] for _ in range(plan.n_shards)]
         barriers = 0
+        window_end = None
         while True:
             g = min(next_times)
             for inbox in pending:
@@ -205,7 +213,7 @@ def run_sharded(config: ExperimentConfig) -> RunResult:
                 conn.send(("window", window_end, pending[shard_id]))
                 pending[shard_id] = []
             for shard_id, conn in enumerate(conns):
-                _tag, outbox, next_time = _recv_checked(conn, shard_id)
+                _tag, outbox, next_time = _recv_checked(conn, shard_id, window_end)
                 next_times[shard_id] = math.inf if next_time is None else next_time
                 for wire in outbox:
                     pending[plan.assignment[wire[1]]].append(wire)
@@ -215,8 +223,15 @@ def run_sharded(config: ExperimentConfig) -> RunResult:
         for conn in conns:
             conn.send(("finish",))
         for shard_id, conn in enumerate(conns):
-            _tag, blob = _recv_checked(conn, shard_id)
+            _tag, blob = _recv_checked(conn, shard_id, window_end)
             blobs.append(blob)
+    except BaseException:
+        # the run is lost; a surviving worker would sit in recv() for the
+        # whole join timeout (under fork its own process keeps the far end
+        # of its pipe open, so closing ours is no EOF to it)
+        for proc in procs:
+            proc.terminate()
+        raise
     finally:
         for conn in conns:
             conn.close()

@@ -53,10 +53,8 @@ class AcsSession:
         self.endorsements: Dict[SiteId, List[LogicalProc]] = {}
         #: filled by the mapper step
         self.trial_mapping = None
-        self.adjustment = None
         #: initiator's own cached validation slots (proc -> reservations)
         self.own_slots: Dict[LogicalProc, list] = {}
-        self.started_at: Optional[Time] = None
         #: the job context (dag, deadline, arrival) — set by the initiator
         self.ctx: Any = None
 

@@ -157,12 +157,9 @@ def test_protocol_invariants(sc: Scenario):
     for rec in metrics.records():
         assert rec.outcome is not JobOutcome.PENDING, rec
 
-    # 2. all locks free, deferral queues empty
+    # 2. all locks free, deferral queues empty, no session or tenancy left
     for sid in net.site_ids():
-        site = net.site(sid)
-        assert not site.lock.locked, f"site {sid} lock leaked: {site.lock.owner}"
-        assert not site.lock.deferred, f"site {sid} deferred work leaked"
-        assert site.session is None
+        assert net.site(sid).leaks() == [], f"site {sid} leaked"
 
     # 3. accepted jobs executed fully and soundly; rejected never ran
     where = {}

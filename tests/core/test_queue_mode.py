@@ -53,8 +53,7 @@ def test_stale_ack_gets_unlocked():
     for rec in metrics.records():
         assert rec.outcome is not JobOutcome.PENDING
     for sid in net.site_ids():
-        assert not net.site(sid).lock.locked, f"site {sid} lock leaked"
-        assert not net.site(sid).lock.deferred
+        assert net.site(sid).leaks() == [], f"site {sid} leaked"
 
 
 def test_queue_mode_timeout_proceeds_with_partial_acs():
@@ -78,4 +77,4 @@ def test_queue_mode_timeout_proceeds_with_partial_acs():
     assert metrics.jobs[10].outcome is not JobOutcome.PENDING
     assert metrics.jobs[11].outcome is not JobOutcome.PENDING
     for sid in net.site_ids():
-        assert not net.site(sid).lock.locked
+        assert net.site(sid).leaks() == [], f"site {sid} leaked"

@@ -124,7 +124,7 @@ class TestOtherTopologies:
         assert res.summary.n_jobs > 0
         assert_sound(res)
         for site in res.network.sites.values():
-            assert not site.lock.locked
+            assert site.leaks() == []
 
 
 class TestHotSpotWorkload:

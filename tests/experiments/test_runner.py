@@ -65,8 +65,7 @@ class TestRunner:
     def test_rtds_no_pending_locks(self):
         res = run_experiment(replace(SMALL, algorithm="rtds"))
         for sid, site in res.network.sites.items():
-            assert not site.lock.locked, f"site {sid} still locked"
-            assert not site.lock.deferred
+            assert site.leaks() == [], f"site {sid} leaked"
 
     def test_light_load_no_misses(self):
         """Under light load the guarantee must be honoured (no deadline

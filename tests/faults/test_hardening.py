@@ -4,13 +4,25 @@ exactly one message round and checks the recovery the DESIGN.md fault model
 promises.
 """
 
+import pytest
+
 from repro.core.config import RTDSConfig
 from repro.core.events import JobOutcome
+from repro.core.messages import (
+    MSG_ENROLL_ACK,
+    MSG_EXECUTE,
+    MSG_EXECUTE_ACK,
+    MSG_UNLOCK,
+    MSG_VALIDATE,
+    MSG_VALIDATE_ACK,
+)
 from repro.core.rtds import RTDSSite
+from repro.errors import ProtocolError
 from repro.faults import FaultInjector, FaultPlan, SiteDownWindow, hardened
 from repro.graphs.generators import fork_join_dag, linear_chain_dag
 from repro.metrics.collector import MetricsCollector
 from repro.simnet.engine import Simulator
+from repro.simnet.message import Message
 from repro.simnet.topology import build_network, complete
 from repro.simnet.trace import Tracer
 
@@ -42,10 +54,7 @@ def assert_clean(net, metrics):
     for rec in metrics.records():
         assert rec.outcome is not JobOutcome.PENDING, f"job {rec.job} hung"
     for sid in net.site_ids():
-        s = net.site(sid)
-        assert not s.lock.locked, f"site {sid} lock leaked"
-        assert not s.lock.deferred
-        assert not s._pending_execute
+        assert net.site(sid).leaks() == [], f"site {sid} leaked"
 
 
 def test_dead_member_mid_enrollment_degrades_gracefully():
@@ -243,14 +252,19 @@ def test_queue_mode_lease_covers_the_collection_budget():
     # saturate far beyond the job's deadline so the local test fails
     sim.schedule(1.0, lambda: s0.submit_job(0, linear_chain_dag(8, c_range=(50.0, 50.0)), sim.now + 900.0))
     sim.schedule(2.0, lambda: s0.submit_job(1, fork_join_dag(3, c_range=(4.0, 4.0)), sim.now + 300.0))
-    sim.run()
-    enrolled = {e.site for e in tracer.of("acs.enrolled") if e.detail["job"] == 1}
-    assert enrolled, "job 1 never went distributed — scenario broken"
+    # ENROLL leaves at t0+2 and lands at t0+3: look at the tenancies while
+    # they are live (the record ends with the tenancy)
+    sim.run(until=sim.now + 3.5)
+    leases = {
+        m: net.site(m).member.tenancy.lease
+        for m in net.site_ids()
+        if net.site(m).member.tenancy is not None
+    }
+    assert leases, "job 1 never went distributed — scenario broken"
     # queue budget = 0.25 * ~300 ≈ 75; the base 3-round lease alone is ~36
-    for m in enrolled:
-        assert net.site(m)._lease_duration > 70.0, (
-            f"member {m} lease {net.site(m)._lease_duration} ignores the queue budget"
-        )
+    for m, lease in leases.items():
+        assert lease > 70.0, f"member {m} lease {lease} ignores the queue budget"
+    sim.run()
     assert not tracer.of("lock.lease_expired")
     assert_clean(net, metrics)
 
@@ -267,3 +281,144 @@ def test_hardened_zero_fault_run_matches_unhardened():
         return [(r.job, r.outcome, r.decided_at) for r in metrics.records()]
 
     assert run(CFG) == run(RTDSConfig(h=1, surplus_window=100.0))
+
+
+# -- idempotent re-answers and stale-message tolerance -------------------------
+
+class DropFirst:
+    """Transmit interceptor: loses exactly the first message of one type."""
+
+    def __init__(self, mtype):
+        self.mtype = mtype
+        self.lost = None
+        self.seen = []
+
+    def on_transmit(self, msg, link):
+        if msg.mtype != self.mtype:
+            return 0.0
+        self.seen.append(msg)
+        if self.lost is None:
+            self.lost = msg
+            return None
+        return 0.0
+
+
+def distribute_job_1(sim, net, deadline=60.0):
+    saturate(sim, net.site(0), job=0)
+    sim.schedule(2.0, lambda: net.site(0).submit_job(1, fork_join_dag(3, c_range=(4.0, 4.0)), sim.now + deadline))
+
+
+@pytest.mark.parametrize(
+    "mtype, name, prefix, re_ack, counter",
+    [
+        (MSG_ENROLL_ACK, "enroll", "acs", "acs.re_ack", "enroll_re_ack"),
+        (MSG_VALIDATE_ACK, "validate", "validate", "validate.re_ack", "validate_re_ack"),
+        (MSG_EXECUTE_ACK, "execute", "execute", "execute.re_ack", "execute_re_ack"),
+    ],
+)
+def test_one_lost_ack_costs_one_retransmission_and_one_re_ack(mtype, name, prefix, re_ack, counter):
+    """The first ENROLL_ACK / VALIDATE_ACK / EXECUTE_ACK of a session is
+    lost: the round re-asks the one silent member, which re-answers
+    idempotently — nothing is re-decided, re-committed or left behind."""
+    sim, net, tracer, metrics = build()
+    drop = net.interceptor = DropFirst(mtype)
+    distribute_job_1(sim, net)
+    sim.run()
+    assert drop.lost is not None, "scenario never reached the round"
+    silent = drop.lost.origin
+    retransmits = tracer.of(prefix + ".retransmit")
+    assert [e.detail["to"] for e in retransmits] == [[silent]]
+    assert metrics.protocol_events[name + "_retransmit"] == 1
+    assert metrics.protocol_events[name + "_gave_up"] == 0
+    assert [e.site for e in tracer.of(re_ack)] == [silent]
+    assert metrics.protocol_events[counter] == 1
+    rec = metrics.jobs[1]
+    assert rec.outcome is JobOutcome.ACCEPTED_DISTRIBUTED
+    committed = [t for e in tracer.of("execute.commit") if e.detail["job"] == 1 for t in e.detail["tasks"]]
+    assert len(committed) == len(set(committed)) == rec.n_tasks, "a task was committed twice or not at all"
+    assert rec.completed
+    assert_clean(net, metrics)
+
+
+def test_hygiene_tick_mid_tenancy_keeps_the_cached_verdict():
+    """``prune_history`` between a VALIDATE and its retransmission: the
+    member has committed nothing yet, but its verdict belongs to the live
+    tenancy and must survive — the retransmission is re-acked from it,
+    not silently re-validated (DESIGN.md §6.3)."""
+    sim, net, tracer, metrics = build()
+    drop = net.interceptor = DropFirst(MSG_VALIDATE_ACK)
+    distribute_job_1(sim, net)
+    while drop.lost is None:
+        sim.run(until=sim.now + 0.5)
+    member = net.site(drop.lost.origin)
+    member.prune_history(sim.now)
+    sim.run()
+    assert [e.site for e in tracer.of("validate.re_ack")] == [member.sid]
+    assert metrics.protocol_events["validate_re_ack"] == 1
+    validated = [e for e in tracer.of("validate.member") if e.site == member.sid and e.detail["job"] == 1]
+    assert len(validated) == 1, "the retransmitted VALIDATE was validated again"
+    first, again = [m for m in drop.seen if m.origin == member.sid]
+    assert again.payload["endorsed"] == first.payload["endorsed"]
+    assert metrics.jobs[1].outcome is JobOutcome.ACCEPTED_DISTRIBUTED
+    assert_clean(net, metrics)
+
+
+def forged(mtype, src, dst, **payload):
+    return Message(mtype=mtype, src=src, dst=dst, origin=src, payload=payload)
+
+
+STALE = [
+    # (message that fits no live state, trace event, counter or None)
+    (forged(MSG_VALIDATE, 0, 2, job=9, initiator=0, procs={}), "validate.stale", "stale_validate"),
+    (forged(MSG_EXECUTE, 0, 2, job=9, permutation={}), "execute.stale", "stale_execute"),
+    (forged(MSG_VALIDATE_ACK, 2, 0, job=9, site=2, endorsed=[]), "validate.stale_ack", "stale_validate_ack"),
+]
+
+
+@pytest.mark.parametrize("msg, event, counter", STALE)
+def test_stale_message_is_traced_and_counted_when_hardened(msg, event, counter):
+    sim, net, tracer, metrics = build()
+    acks_before = net.stats.count[MSG_VALIDATE_ACK]
+    net.site(msg.dst).receive(msg)
+    sim.run()
+    assert [e.site for e in tracer.of(event)] == [msg.dst]
+    assert metrics.protocol_events[counter] == 1
+    # a stale VALIDATE is still answered (endorsing nothing) so the
+    # initiator's round can settle; a stale EXECUTE stays silent
+    answered = net.stats.count[MSG_VALIDATE_ACK] - acks_before
+    assert answered == (1 if msg.mtype == MSG_VALIDATE else 0)
+    assert_clean(net, metrics)
+
+
+@pytest.mark.parametrize("msg, event, counter", STALE)
+def test_stale_message_is_a_protocol_error_when_unhardened(msg, event, counter):
+    sim, net, tracer, _ = build(cfg=RTDSConfig(h=1, surplus_window=100.0))
+    with pytest.raises(ProtocolError):
+        net.site(msg.dst).receive(msg)
+    assert not tracer.of(event)
+
+
+def test_duplicate_and_foreign_acks_do_not_disturb_the_session():
+    """During VALIDATING, a duplicate ENROLL_ACK of an enrolled member is
+    ignored (unlocking it would corrupt the round) and a VALIDATE_ACK from
+    a site that never enrolled stays out of the coupling."""
+    cfg = hardened(RTDSConfig(h=1, surplus_window=100.0, max_acs_size=2), ack_timeout=4.0)
+    sim, net, tracer, metrics = build(cfg=cfg)
+    distribute_job_1(sim, net)
+    s0 = net.site(0)
+    while s0.session is None or s0.session.phase != "validating":
+        sim.run(until=sim.now + 0.25)
+    member = s0.session.acs_members()[0]
+    outsider = next(s for s in net.site_ids() if s != 0 and s not in s0.session.enrolled)
+    unlocks = net.stats.count[MSG_UNLOCK]
+    s0.receive(forged(MSG_ENROLL_ACK, member, 0, job=1, site=member, surplus=1.0,
+                      busyness=0.0, speed=1.0, distances={}))
+    s0.receive(forged(MSG_VALIDATE_ACK, outsider, 0, job=1, site=outsider, endorsed=[0, 1, 2]))
+    assert [e.detail["member"] for e in tracer.of("acs.dup_ack")] == [member]
+    assert [e.detail["member"] for e in tracer.of("validate.foreign_ack")] == [outsider]
+    assert outsider not in s0.session.endorsements
+    sim.run()
+    assert net.stats.count[MSG_UNLOCK] == unlocks, "the duplicate ack unlocked an enrolled member"
+    assert metrics.jobs[1].outcome is JobOutcome.ACCEPTED_DISTRIBUTED
+    assert outsider not in metrics.jobs[1].hosts
+    assert_clean(net, metrics)

@@ -53,10 +53,7 @@ def test_lossy_run_decides_every_job_and_releases_every_lock():
     for rec in res.collector.records():
         assert rec.outcome is not JobOutcome.PENDING, f"job {rec.job} hung"
     for sid in res.network.site_ids():
-        site = res.network.site(sid)
-        assert not site.lock.locked, f"site {sid} lock leaked"
-        assert not site.lock.deferred
-        assert not site._pending_execute
+        assert res.network.site(sid).leaks() == [], f"site {sid} leaked"
     rep = fault_report(res)
     assert rep.lost_messages > 0
     assert rep.retransmissions > 0

@@ -117,3 +117,39 @@ def test_sharded_run_reports_shard_info(grid_single):
     assert sharded.workload is None
     assert grid_single.workload is not None
     assert grid_single.sharding is None
+
+
+def test_a_worker_killed_mid_run_is_reported_not_a_bare_eof(monkeypatch):
+    """A shard process that dies without sending its traceback (killed, out
+    of memory) must surface as a SimulationError naming the shard and the
+    window it was last sent — not as an EOFError from the pipe."""
+    import multiprocessing
+    import os
+
+    from repro.errors import SimulationError
+    from repro.simnet.sharded import coordinator
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the dying worker is a closure: it needs a forking start method")
+
+    class DiesOnFirstWindow:
+        def __init__(self, conn):
+            self._conn = conn
+
+        def recv(self):
+            msg = self._conn.recv()
+            if msg[0] == "window":
+                os._exit(1)
+            return msg
+
+        def __getattr__(self, name):
+            return getattr(self._conn, name)
+
+    real_main = coordinator.shard_worker_main
+
+    def worker(conn, config, topo, plan, shard_id):
+        real_main(DiesOnFirstWindow(conn) if shard_id == 1 else conn, config, topo, plan, shard_id)
+
+    monkeypatch.setattr(coordinator, "shard_worker_main", worker)
+    with pytest.raises(SimulationError, match=r"shard 1 worker died .*last window_end sent: \d"):
+        run_experiment(replace(GRID, shards=2))
