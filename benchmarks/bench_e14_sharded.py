@@ -1,4 +1,4 @@
-"""E14 — sharded multi-process PDES engine (exactness + speedup gates).
+"""E14 — sharded multi-process PDES engine (exactness + wall/RSS budget gates).
 
 Three measurements:
 
@@ -8,12 +8,10 @@ Three measurements:
   bit (wall time is reported, never gated — this cell is small enough
   that process spawn + window barriers usually *lose* to one process).
 * **speedup** — a 1024-site grid (32×32, continuous delays, the E10
-  WIDENET workload shape) measured single vs sharded. The committed
-  gate is ``>= 2.0x`` on a ``--shards 4`` run, but it only *arms* when
-  the machine has at least 4 CPU cores (``os.cpu_count()``): on fewer
-  cores the shard processes time-slice one core and the measurement
-  says nothing about the engine. The gate check records whether it was
-  armed; an unarmed run reports the observed ratio and passes.
+  WIDENET workload shape) measured single vs sharded: exactness is
+  gated here too, the wall-clock ratio is reported with the core count
+  and never gated (the former ``>= 2.0x`` gate armed only on >= 4
+  cores, which no machine that runs this file has — see DESIGN.md §16).
 * **tenk** (``--tenk``, nightly) — a 10 000-site grid (100×100) through
   the sharded engine only, gated on absolute budget: wall seconds and
   coordinator peak RSS below the baseline's recorded ceilings. The
@@ -47,10 +45,7 @@ from repro.workloads.scenarios import widenet_workload_defaults
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-#: the speedup gate only means something with real parallel hardware
-MIN_CORES_FOR_GATE = 4
 DEFAULT_SHARDS = 4
-DEFAULT_MIN_SPEEDUP = 2.0
 #: absolute nightly budget of the 10k-site cell (sharded engine, 4 shards)
 TENK_WALL_BUDGET_S = 900.0
 TENK_RSS_BUDGET_MB = 4096.0
@@ -101,7 +96,7 @@ def measure_differential(rows: int = 8, cols: int = 8, shards: int = 2) -> Dict[
 def measure_speedup(
     rows: int = 32, cols: int = 32, shards: int = DEFAULT_SHARDS
 ) -> Dict[str, float]:
-    """Wall-clock single vs sharded at scale; gate-armed on >= 4 cores."""
+    """Wall-clock single vs sharded at scale (reported, not gated)."""
     cfg = grid_config(rows, cols)
     single, wall_single = _timed_run(cfg)
     sharded, wall_sharded = _timed_run(
@@ -118,7 +113,6 @@ def measure_speedup(
         "wall_sharded": wall_sharded,
         "speedup": wall_single / wall_sharded,
         "cores": float(os.cpu_count() or 1),
-        "gate_armed": float((os.cpu_count() or 1) >= MIN_CORES_FOR_GATE),
     }
 
 
@@ -169,10 +163,6 @@ def render(results: Dict[str, Dict[str, float]]) -> str:
             f"{single if single is not None else float('nan'):>9.2f}  "
             f"{shard_w:>9.2f}  {ratio:>6.2f}x"
         )
-    speed = results.get("speedup")
-    if speed is not None:
-        armed = "armed" if speed["gate_armed"] else f"unarmed ({int(speed['cores'])} cores)"
-        lines.append(f"speedup gate: {armed}")
     tenk = results.get("tenk")
     if tenk is not None:
         lines.append(
@@ -183,22 +173,16 @@ def render(results: Dict[str, Dict[str, float]]) -> str:
 
 
 def check_regression(
-    results: Dict[str, Dict[str, float]],
-    baseline_path: pathlib.Path,
-    min_speedup: float,
+    results: Dict[str, Dict[str, float]], baseline_path: pathlib.Path
 ) -> int:
     """Gate the measurement against the committed baseline.
 
-    Three independent gates: the differential must be an exact match
-    (always enforced — this is the engine's correctness contract, not a
-    perf number); the speedup must clear ``min_speedup`` (baseline's
-    ``gate.min_speedup`` unless overridden) *when armed*; and a ``tenk``
-    scenario, when present, must stay inside the baseline's absolute
-    wall/RSS budgets.
+    Two independent gates: the differential and the 1024-site cell must
+    be exact matches (always enforced — this is the engine's correctness
+    contract, not a perf number), and a ``tenk`` scenario, when present,
+    must stay inside the baseline's absolute wall/RSS budgets.
     """
-    baseline = json.loads(baseline_path.read_text())
-    gate = baseline["gate"]
-    floor = min_speedup if min_speedup > 0 else float(gate["min_speedup"])
+    gate = json.loads(baseline_path.read_text())["gate"]
     failures: List[str] = []
     diff = results["differential"]
     if not diff["exact_match"]:
@@ -209,11 +193,6 @@ def check_regression(
     if speed is not None:
         if not speed["exact_match"]:
             failures.append("speedup cell: sharded results diverged at 1024 sites")
-        if speed["gate_armed"] and speed["speedup"] < floor:
-            failures.append(
-                f"speedup {speed['speedup']:.2f}x < {floor:.1f}x on "
-                f"{int(speed['cores'])} cores at {int(speed['sites'])} sites"
-            )
     tenk = results.get("tenk")
     if tenk is not None:
         wall_budget = float(gate.get("tenk_wall_budget_s", TENK_WALL_BUDGET_S))
@@ -232,23 +211,18 @@ def check_regression(
         return 1
     status = "exact"
     if speed is not None:
-        armed = "armed" if speed["gate_armed"] else "unarmed"
-        status += f", speedup {speed['speedup']:.2f}x ({armed}, floor {floor:.1f}x)"
+        status += f", speedup {speed['speedup']:.2f}x on {int(speed['cores'])} cores (not gated)"
     print(f"e14 ok: differential {status}")
     return 0
 
 
-def write_json(
-    results: Dict[str, Dict[str, float]], path: pathlib.Path, min_speedup: float
-) -> None:
+def write_json(results: Dict[str, Dict[str, float]], path: pathlib.Path) -> None:
     """Persist one measurement as the committed-baseline JSON shape."""
     path.write_text(
         json.dumps(
             {
                 "bench": "e14_sharded",
                 "gate": {
-                    "min_speedup": min_speedup if min_speedup > 0 else DEFAULT_MIN_SPEEDUP,
-                    "min_cores": MIN_CORES_FOR_GATE,
                     "tenk_wall_budget_s": TENK_WALL_BUDGET_S,
                     "tenk_rss_budget_mb": TENK_RSS_BUDGET_MB,
                 },
@@ -265,7 +239,7 @@ def write_json(
 
 
 def test_e14_sharded(benchmark, emit):
-    """Differential + a 16×16 speedup probe (gate logic exercised, not armed)."""
+    """Differential + a 16×16 speedup probe (exactness at both sizes)."""
     from benchmarks.conftest import once
 
     results = once(benchmark, measure, diff_rows=6, speed_rows=16)
@@ -299,11 +273,6 @@ def main(argv=None) -> int:
         "--check", type=pathlib.Path, default=None,
         help="baseline BENCH_e14.json to gate against",
     )
-    parser.add_argument(
-        "--min-speedup", type=float, default=0.0,
-        help="speedup floor when the gate is armed; 0 (default) takes "
-        "gate.min_speedup from the --check baseline, and --out records 2.0",
-    )
     args = parser.parse_args(argv)
     results = measure(
         diff_rows=args.diff_rows,
@@ -313,10 +282,10 @@ def main(argv=None) -> int:
     )
     print(render(results))
     if args.out is not None:
-        write_json(results, args.out, args.min_speedup)
+        write_json(results, args.out)
         print(f"wrote {args.out}")
     if args.check is not None:
-        return check_regression(results, args.check, args.min_speedup)
+        return check_regression(results, args.check)
     return 0
 
 

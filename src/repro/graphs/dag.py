@@ -111,6 +111,27 @@ class Dag:
         self._bl: Optional[Dict[TaskId, float]] = None
         self._topo_index: Optional[Dict[TaskId, int]] = None
 
+    def with_tasks(self, tasks: Iterable[Task]) -> "Dag":
+        """The same graph over new :class:`Task` objects (re-drawn weights).
+
+        Shares this graph's immutable adjacency, edge list and topological
+        order instead of re-deriving them. ``tasks`` must carry exactly
+        this graph's ids in its insertion order — the order that seeds the
+        topological sort — so the result equals ``Dag(tasks, <the edge
+        sequence this graph was built from>)``.
+        """
+        tasks = list(tasks)
+        if [t.tid for t in tasks] != list(self._tasks):
+            raise DagError(f"{self.name}: with_tasks needs the same task ids in the same order")
+        new = object.__new__(Dag)
+        new.name = self.name
+        new._tasks = {t.tid: t for t in tasks}
+        new._preds, new._succs = self._preds, self._succs
+        new._edges, new._order = self._edges, self._order
+        new._bl = None
+        new._topo_index = self.topo_index()
+        return new
+
     # -- basic accessors ---------------------------------------------------
 
     def __len__(self) -> int:

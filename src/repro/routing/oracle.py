@@ -51,7 +51,7 @@ class _RowView:
 
     def _known(self) -> "list":
         """Destination ids present in this row (self included)."""
-        return [int(d) for d in np.flatnonzero(self._shared.disc[self._owner] >= 0)]
+        return np.flatnonzero(self._shared.disc[self._owner] >= 0).tolist()
 
 
 class NextHopView(_RowView):
@@ -207,22 +207,22 @@ class LazyRoutingTable:
 
     def destinations(self) -> List[SiteId]:
         """Known destination ids, ascending (owner included)."""
-        return [int(d) for d in np.flatnonzero(self._shared.disc[self.owner] >= 0)]
+        return np.flatnonzero(self._shared.disc[self.owner] >= 0).tolist()
 
     def within_phase(self, max_phase: int) -> List[SiteId]:
         """Destinations first discovered at or before ``max_phase``."""
         disc = self._shared.disc[self.owner]
-        return [int(d) for d in np.flatnonzero((disc >= 0) & (disc <= max_phase))]
+        return np.flatnonzero((disc >= 0) & (disc <= max_phase)).tolist()
 
     def as_next_hop_map(self) -> Dict[SiteId, SiteId]:
         """Materialized ``dest -> next hop`` dict (owner excluded)."""
-        s = self._shared
-        return {d: int(s.next_hop[self.owner, d]) for d in self.destinations() if d != self.owner}
+        dests = [d for d in self.destinations() if d != self.owner]
+        return dict(zip(dests, self._shared.next_hop[self.owner, dests].tolist()))
 
     def as_distance_map(self) -> Dict[SiteId, Time]:
         """Materialized ``dest -> delay`` dict (owner included)."""
-        s = self._shared
-        return {d: float(s.dist[self.owner, d]) for d in self.destinations()}
+        dests = self.destinations()
+        return dict(zip(dests, self._shared.dist[self.owner, dests].tolist()))
 
     def distances_to(self, dests, exclude: Optional[SiteId] = None) -> Dict[SiteId, Time]:
         """Bulk known delays to ``dests`` (absent ones skipped)."""
@@ -257,11 +257,10 @@ class LazyRoutingTable:
         disc = self._shared.disc[self.owner]
         member_ids = np.flatnonzero((disc >= 1) & (disc <= h))
         dist_row = self._shared.dist[self.owner, member_ids]
-        hops_row = disc[member_ids]
-        distance = {int(d): float(x) for d, x in zip(member_ids, dist_row)}
-        hops = {int(d): int(x) for d, x in zip(member_ids, hops_row)}
-        order = np.lexsort((member_ids, dist_row))
-        members = tuple(int(member_ids[k]) for k in order)
+        ids = member_ids.tolist()
+        distance = dict(zip(ids, dist_row.tolist()))
+        hops = dict(zip(ids, disc[member_ids].tolist()))
+        members = tuple(member_ids[np.lexsort((member_ids, dist_row))].tolist())
         return PCS(root=self.owner, h=h, members=members, distance=distance, hops=hops)
 
 

@@ -37,6 +37,10 @@ from repro.types import EPS
 #: sentinel for "no route" in the integer matrices
 NO_ROUTE = -1
 
+#: dtype of the next-hop / hops / discovery matrices: site ids and phase
+#: counts of any network whose ``n x n`` tables fit in memory fit in 32 bits
+INDEX = np.int32
+
 
 @dataclass(frozen=True)
 class SharedTables:
@@ -96,25 +100,33 @@ def weight_matrix(topo, sites: Union[np.ndarray, None] = None) -> np.ndarray:
     return W
 
 
+def _links_by_site(W: np.ndarray):
+    """The finite cells of ``W`` grouped by column: ``(i, u, bounds)`` with
+    ``i[bounds[u]:bounds[u + 1]]`` the sites adjacent to ``u``, ascending."""
+    i, u = np.nonzero(np.isfinite(W))
+    by_u = np.argsort(u, kind="stable")
+    i, u = i[by_u], u[by_u]
+    return i, u, np.searchsorted(u, np.arange(W.shape[0] + 1))
+
+
 def _neighbor_lists(W: np.ndarray) -> List[np.ndarray]:
     """``lists[u]`` = row indices of the sites adjacent to ``u``."""
-    finite = np.isfinite(W)
-    return [np.flatnonzero(finite[:, u]) for u in range(W.shape[0])]
+    i, _, bounds = _links_by_site(W)
+    return np.split(i, bounds[1:-1])
 
 
-def _phase1_state(W: np.ndarray):
-    """Phase-1 knowledge matrices: self plus adjacent links."""
+def _phase1_state(W: np.ndarray, i: np.ndarray, u: np.ndarray):
+    """Phase-1 knowledge matrices: self plus the adjacent links ``i -> u``."""
     n = W.shape[0]
     ids = np.arange(n)
-    finite = np.isfinite(W)
     dist = W.copy()
-    np.fill_diagonal(dist, 0.0)
-    next_hop = np.where(finite, ids[None, :], NO_ROUTE).astype(np.int64)
-    np.fill_diagonal(next_hop, ids)
-    hops = np.where(finite, 1, NO_ROUTE).astype(np.int64)
-    np.fill_diagonal(hops, 0)
-    disc = np.where(finite, 1, NO_ROUTE).astype(np.int64)
-    np.fill_diagonal(disc, 0)
+    dist[ids, ids] = 0.0
+    next_hop, hops, disc = (np.full((n, n), NO_ROUTE, dtype=INDEX) for _ in range(3))
+    next_hop[i, u] = u
+    next_hop[ids, ids] = ids
+    for steps in (hops, disc):
+        steps[i, u] = 1
+        steps[ids, ids] = 0
     return dist, next_hop, hops, disc
 
 
@@ -145,37 +157,42 @@ def phased_tables(W: np.ndarray, total_phases: int) -> SharedTables:
     if total_phases < 1:
         raise RoutingError(f"total_phases must be >= 1, got {total_phases}")
     n = W.shape[0]
-    dist, next_hop, hops, disc = _phase1_state(W)
-    neighbors_of = _neighbor_lists(W)
-    link_col = [W[neighbors_of[u], u][:, None] for u in range(n)]
+    link_rows, link_u, bounds = _links_by_site(W)
+    dist, next_hop, hops, disc = _phase1_state(W, link_rows, link_u)
+    neighbors_of = np.split(link_rows[:, None], bounds[1:-1])
+    link_col = np.split(W[link_rows, link_u][:, None], bounds[1:-1])
+    linked = np.flatnonzero(np.diff(bounds)).tolist()
     for phase in range(2, total_phases + 1):
-        dist_prev = dist.copy()
-        hops_prev = hops.copy()
+        # u's knowledge after the previous phase = the delta+history the
+        # protocol has sent; only these columns can carry offers. Rows are
+        # rewritten as the sweep goes, so the known cells (a few percent of
+        # the matrix) are snapshotted first, grouped by row.
+        known_row, known_col = np.nonzero(np.isfinite(dist))
+        known = np.searchsorted(known_row, np.arange(n + 1)).tolist()
+        dist_prev = dist[known_row, known_col]
+        hops_prev = hops[known_row, known_col]
         changed = False
-        for u in range(n):
+        for u in linked:
+            mine = slice(known[u], known[u + 1])
             rows = neighbors_of[u]
-            if rows.size == 0:
-                continue
-            # u's knowledge after the previous phase = the delta+history
-            # the protocol has sent; only these columns can carry offers
-            cols_u = np.flatnonzero(np.isfinite(dist_prev[u]))
+            cols_u = known_col[mine]
             # candidate delay accumulates exactly like the protocol: my
             # link delay to u, plus u's previous-phase accumulated delay
-            cand = link_col[u] + dist_prev[u, cols_u][None, :]
-            ix = (rows[:, None], cols_u[None, :])
+            cand = link_col[u] + dist_prev[mine]
+            ix = (rows, cols_u)
             cur = dist[ix]
             repl = (cand < cur - EPS) | ((np.abs(cand - cur) <= EPS) & (u < next_hop[ix]))
             # a site never replaces its own self-entry
-            repl &= rows[:, None] != cols_u[None, :]
+            repl &= rows != cols_u
             if not repl.any():
                 continue
             changed = True
             rr, cc = np.nonzero(repl)
-            ri = rows[rr]
+            ri = rows[rr, 0]
             cj = cols_u[cc]
             dist[ri, cj] = cand[rr, cc]
             next_hop[ri, cj] = u
-            hops[ri, cj] = hops_prev[u, cj] + 1
+            hops[ri, cj] = hops_prev[mine][cc] + 1
             fresh = disc[ri, cj] < 0
             disc[ri[fresh], cj[fresh]] = phase
         if not changed:

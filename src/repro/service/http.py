@@ -15,6 +15,13 @@ third-party web framework, per the repo's no-new-dependencies rule:
 * ``POST /drain`` — graceful shutdown: flush, run the resident dry,
   answer with the final scalar metrics.
 
+Every failure is answered by name with a one-line JSON ``error``: **400**
+for a malformed request line, header, ``Content-Length``, JSON body,
+non-object body or job field; **413** for a body above 1 MiB; **404** for
+an unknown route; **503** for a submission after ``/drain``; **500** (the
+traceback goes to the ``repro.service.http`` logger, the client sees a
+generic body) for anything that is this server's own fault.
+
 The simulation advances on the service's pump inside the same event loop,
 so a long ``advance_to`` stalls HTTP responses; this frontend is a demo
 and test surface, not a production server. The soak campaign drives the
@@ -25,6 +32,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
+from http import HTTPStatus
 from typing import Optional, Tuple
 
 import numpy as np
@@ -36,6 +45,19 @@ from repro.workloads.jobs import JobSpec
 from repro.workloads.scenarios import mixed_dag_factory
 
 _MAX_BODY = 1 << 20
+_MAX_HEADERS = 100
+_LINGER_SECONDS = 1.0
+
+_log = logging.getLogger(__name__)
+
+
+class _BadRequest(Exception):
+    """A request this server refuses by name: HTTP status + one-line reason."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+        self.message = message
 
 
 class AdmissionHTTPServer:
@@ -69,38 +91,72 @@ class AdmissionHTTPServer:
     # -- request handling ------------------------------------------------------
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        unread = False
         try:
             status, payload = await self._dispatch(reader)
-        except Exception as err:  # malformed request: answer, don't crash
-            status, payload = 400, {"error": str(err)}
+        except _BadRequest as err:
+            status, payload = err.status, {"error": err.message}
+            unread = True
+        except Exception:  # a bug on our side: log it, never blame or stall the client
+            _log.exception("unhandled error while serving a request")
+            status, payload = 500, {"error": "internal server error"}
         body = json.dumps(payload).encode()
-        reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 503: "Service Unavailable"}.get(status, "OK")
         writer.write(
-            f"HTTP/1.1 {status} {reason}\r\n"
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"Connection: close\r\n\r\n".encode() + body
         )
         await writer.drain()
+        if unread:
+            # closing on bytes the client has sent and we have not read resets
+            # the connection and can take the answer with it: finish our side,
+            # then read off (bounded) what is still coming before closing
+            writer.write_eof()
+            try:
+                await asyncio.wait_for(reader.readexactly(_MAX_BODY), _LINGER_SECONDS)
+            except (asyncio.IncompleteReadError, asyncio.TimeoutError, ConnectionError):
+                pass
         writer.close()
 
-    async def _dispatch(self, reader: asyncio.StreamReader):
-        request_line = (await reader.readline()).decode()
-        parts = request_line.split()
-        if len(parts) < 2:
-            return 400, {"error": "malformed request line"}
-        method, path = parts[0], parts[1]
+    async def _read_request(self, reader: asyncio.StreamReader) -> Tuple[str, str, dict]:
+        """Parse one request into ``(method, path, JSON object)``; every way
+        the bytes can be wrong is a named :class:`_BadRequest`."""
+        try:
+            lines = [await reader.readline()]
+            while lines[-1] not in (b"\r\n", b"\n", b""):
+                if len(lines) > _MAX_HEADERS:
+                    raise _BadRequest(400, "too many header lines")
+                lines.append(await reader.readline())
+        except ValueError:  # StreamReader: no line end within its buffer limit
+            raise _BadRequest(400, "request or header line too long") from None
+        parts = lines[0].decode("latin-1").split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            raise _BadRequest(400, "malformed request line")
         length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode().partition(":")
+        for line in lines[1:-1]:
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or not name.strip():
+                raise _BadRequest(400, "malformed header line")
             if name.strip().lower() == "content-length":
-                length = min(int(value.strip()), _MAX_BODY)
-        body = json.loads(await reader.readexactly(length)) if length else {}
+                digits = value.strip()
+                if not digits.isdecimal():
+                    raise _BadRequest(400, "malformed Content-Length header")
+                if len(digits) > 18 or int(digits) > _MAX_BODY:
+                    raise _BadRequest(413, f"body larger than {_MAX_BODY} bytes")
+                length = int(digits)
+        try:
+            body = json.loads(await reader.readexactly(length)) if length else {}
+        except asyncio.IncompleteReadError:
+            raise _BadRequest(400, "body shorter than its Content-Length") from None
+        except ValueError:  # JSONDecodeError and UnicodeDecodeError
+            raise _BadRequest(400, "body is not valid JSON") from None
+        if not isinstance(body, dict):
+            raise _BadRequest(400, "body must be a JSON object")
+        return parts[0], parts[1], body
 
+    async def _dispatch(self, reader: asyncio.StreamReader):
+        method, path, body = await self._read_request(reader)
         if method == "POST" and path == "/jobs":
             return self._post_job(body)
         if method == "GET" and path == "/stats":
@@ -113,24 +169,34 @@ class AdmissionHTTPServer:
         return 404, {"error": f"no route {method} {path}"}
 
     def _post_job(self, body: dict):
+        if self.service.draining:
+            return 503, {"error": "service is draining; submission refused"}
         res = self.service.res
         n_sites = res.resident.topology.n
-        origin = int(body.get("origin", self._rng.integers(n_sites)))
-        if not 0 <= origin < n_sites:
-            return 400, {"error": f"origin must be in [0, {n_sites}), got {origin}"}
+        origin = body.get("origin")
+        if origin is None:
+            origin = int(self._rng.integers(n_sites))
+        if not isinstance(origin, int) or not 0 <= origin < n_sites:
+            return 400, {"error": f"origin must be an integer in [0, {n_sites}), got {origin!r}"}
         size = body.get("dag_size", "small")
+        if not isinstance(size, str):
+            return 400, {"error": f"dag_size must be a string, got {size!r}"}
         if size not in self._factories:
             try:
                 self._factories[size] = mixed_dag_factory(size)
             except WorkloadError as err:
                 return 400, {"error": str(err)}
-        dag = self._factories[size](self._rng)
         arrival = res.now
-        if "deadline" in body:
-            deadline = arrival + float(body["deadline"])
-            if deadline <= arrival:
-                return 400, {"error": "deadline must be > 0 (relative to arrival)"}
-        else:
+        deadline = None
+        if body.get("deadline") is not None:
+            try:
+                deadline = arrival + float(body["deadline"])
+            except (TypeError, ValueError, OverflowError):
+                deadline = float("nan")
+            if not arrival < deadline < float("inf"):
+                return 400, {"error": "deadline must be a finite number > 0 (relative to arrival)"}
+        dag = self._factories[size](self._rng)
+        if deadline is None:
             deadline = assign_deadline(dag, arrival, 3.0, self._rng)
         job = JobSpec(
             job=self._next_id, dag=dag, origin=origin,
@@ -139,7 +205,7 @@ class AdmissionHTTPServer:
         if not self.service.submit_nowait(job):
             return 503, {"error": "queue full", "queue_depth": self.service.queue_depth}
         self._next_id += 1
-        return 202, {"job": job.job, "origin": origin,
+        return 202, {"job": job.job, "origin": job.origin,
                      "arrival": arrival, "deadline": deadline}
 
     def _health(self):

@@ -10,7 +10,9 @@ experiment uses.
 
 All randomness flows through an explicit ``numpy.random.Generator``;
 generators that can produce disconnected graphs repair connectivity
-deterministically by linking consecutive components.
+deterministically: the abstract families (Erdős–Rényi, Watts–Strogatz)
+chain their components together in label order, the geometric family
+links the closest pair of sites in different components until one is left.
 """
 
 from __future__ import annotations
@@ -43,17 +45,8 @@ class Topology:
     site_speeds: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
-        seen = set()
-        for u, v, d in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise TopologyError(f"{self.name}: edge ({u},{v}) out of range")
-            if u >= v:
-                raise TopologyError(f"{self.name}: edge ({u},{v}) not canonical (u<v)")
-            if (u, v) in seen:
-                raise TopologyError(f"{self.name}: duplicate edge ({u},{v})")
-            if d < 0:
-                raise TopologyError(f"{self.name}: negative delay on ({u},{v})")
-            seen.add((u, v))
+        if self.edges:
+            self._validate_edges()
         if self.site_speeds is not None:
             if len(self.site_speeds) != self.n:
                 raise TopologyError(
@@ -63,6 +56,24 @@ class Topology:
             for sid, s in enumerate(self.site_speeds):
                 if s <= 0:
                     raise TopologyError(f"{self.name}: site {sid} speed must be > 0, got {s}")
+
+    def _validate_edges(self) -> None:
+        """Range, canonical form, uniqueness and sign of every edge, as
+        array comparisons; names the first edge failing the first check."""
+        u, v, d = np.array(self.edges, dtype=np.float64).T
+        key = u * self.n + v
+        order = np.argsort(key, kind="stable")
+        dup = np.zeros(len(key), dtype=bool)
+        dup[order[1:]] = key[order[1:]] == key[order[:-1]]
+        for bad, what in (
+            ((np.minimum(u, v) < 0) | (np.maximum(u, v) >= self.n), "edge {} out of range"),
+            (u >= v, "edge {} not canonical (u<v)"),
+            (dup, "duplicate edge {}"),
+            (d < 0, "negative delay on {}"),
+        ):
+            if bad.any():
+                a, b, _ = self.edges[int(np.argmax(bad))]
+                raise TopologyError(f"{self.name}: " + what.format(f"({a},{b})"))
 
     def speed_of(self, sid: SiteId) -> float:
         """Computing power of ``sid`` (1.0 when no speeds are carried)."""
@@ -121,10 +132,8 @@ def _uniform_delays(rng: np.random.Generator, m: int, delay_range: Tuple[float, 
     return rng.uniform(lo, hi, size=m)
 
 
-def _repair_connectivity(
-    n: int, edges: set, rng: np.random.Generator, delay_range: Tuple[float, float]
-) -> None:
-    """Join components with extra edges (mutates ``edges``)."""
+def _components(n: int, pairs) -> List[int]:
+    """Component label per site: union-find over the links in ``pairs``."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -133,18 +142,15 @@ def _repair_connectivity(
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
-        parent[find(a)] = find(b)
+    for u, v in pairs:
+        parent[find(u)] = find(v)
+    return [find(i) for i in range(n)]
 
-    for u, v in edges:
-        union(u, v)
-    roots = sorted({find(i) for i in range(n)})
-    lo, hi = delay_range
-    while len(roots) > 1:
-        a, b = roots[0], roots[1]
-        edges.add((min(a, b), max(a, b)))
-        union(a, b)
-        roots = sorted({find(i) for i in range(n)})
+
+def _repair_connectivity(n: int, edges: set) -> None:
+    """Chain the components together, lowest label first (mutates ``edges``)."""
+    roots = sorted(set(_components(n, edges)))
+    edges.update(zip(roots, roots[1:]))
 
 
 def _finish(
@@ -264,7 +270,7 @@ def erdos_renyi(
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(len(iu)) < p
     edges = {(int(a), int(b)) for a, b in zip(iu[mask], ju[mask])}
-    _repair_connectivity(n, edges, rng, delay_range)
+    _repair_connectivity(n, edges)
     return _finish(f"er-{n}-p{p}", n, sorted(edges), rng, delay_range)
 
 
@@ -292,6 +298,72 @@ def barabasi_albert(
     return _finish(f"ba-{n}-m{m}", n, sorted(edges), rng, delay_range)
 
 
+def _cell_pairs(pts: np.ndarray, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Every site pair ``a < b`` that can lie within ``radius``: a cell list.
+
+    Sites are binned into square cells at least ``radius`` wide (and no
+    finer than ~one site per cell), so both ends of a link sit in the same
+    3x3 block of cells; each site is paired only with that block — work
+    and memory follow the number of links, not ``n**2``. The 1e-9 margin
+    keeps rounding in ``pts * cells`` from putting the ends of a
+    ``radius``-long link two cells apart.
+    """
+    n = len(pts)
+    cells = max(1, min(int((1.0 - 1e-9) / radius), int(np.sqrt(n))))
+    cxy = np.minimum((pts * cells).astype(np.int64), cells - 1)
+    key = cxy[:, 0] * cells + cxy[:, 1]
+    order = np.argsort(key, kind="stable")
+    start = np.searchsorted(key[order], np.arange(cells * cells + 1))
+    cx, cy = cxy[order, 0], cxy[order, 1]
+    firsts, seconds = [], []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            nx, ny = cx + dx, cy + dy
+            src = np.flatnonzero((nx >= 0) & (nx < cells) & (ny >= 0) & (ny < cells))
+            block = nx[src] * cells + ny[src]
+            lo = start[block]
+            count = start[block + 1] - lo
+            # expand (site, its neighbouring cell) into (site, each site there)
+            within = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
+            firsts.append(order[np.repeat(src, count)])
+            seconds.append(order[np.repeat(lo, count) + within])
+    a, b = np.concatenate(firsts), np.concatenate(seconds)
+    keep = a < b
+    return a[keep], b[keep]
+
+
+def _distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    dx = pts[a, 0] - pts[b, 0]
+    dy = pts[a, 1] - pts[b, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def _closest_cross_pair(
+    pts: np.ndarray, comp: np.ndarray, outside: np.ndarray
+) -> Tuple[float, int, int]:
+    """``min (distance, a, b)`` over site pairs ``a < b`` in different
+    components with an end in ``outside``, queried in bounded row blocks."""
+    n = len(pts)
+    everyone = np.arange(n)[None, :]
+    step = max(1, (1 << 18) // n)
+    best = None
+    for lo in range(0, len(outside), step):
+        rows = outside[lo : lo + step]
+        dist = _distances(pts, rows[:, None], everyone)
+        dist[comp[rows][:, None] == comp[None, :]] = np.inf
+        d = float(dist.min())
+        if not np.isfinite(d) or (best is not None and d > best[0]):
+            continue
+        r, c = np.nonzero(dist == d)
+        ends = zip(np.minimum(rows[r], c).tolist(), np.maximum(rows[r], c).tolist())
+        found = (d, *min(ends))
+        if best is None or found < best:
+            best = found
+    if best is None:
+        raise TopologyError("random_geometric repair failed (internal error)")
+    return best
+
+
 def random_geometric(
     n: int,
     radius: float,
@@ -303,7 +375,10 @@ def random_geometric(
     Delays are proportional to Euclidean distance (``delay_scale`` × dist),
     the natural "propagation delay" model. Connectivity is repaired by
     linking nearest pairs of components (delay = scaled distance), so the
-    result stays geometrically meaningful.
+    result stays geometrically meaningful: while more than one component
+    is left, the closest cross-component pair — ties to the lowest
+    ``(a, b)`` — gains a link. Every such pair has an end outside the
+    largest initial component, so only those sites are ever queried.
     """
     if n < 2:
         raise TopologyError("random_geometric needs n >= 2")
@@ -311,45 +386,26 @@ def random_geometric(
         raise TopologyError("radius must be > 0")
     rng = rng or np.random.default_rng(0)
     pts = rng.random((n, 2))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    iu, ju = np.triu_indices(n, k=1)
-    mask = dist[iu, ju] <= radius
-    edges = {(int(a), int(b)): float(dist[a, b]) for a, b in zip(iu[mask], ju[mask])}
+    a, b = _cell_pairs(pts, radius)
+    dist = _distances(pts, a, b)
+    linked = dist <= radius
+    a, b, dist = a[linked], b[linked], dist[linked]
 
-    # Component repair: greedily connect closest cross-component pair.
-    parent = list(range(n))
+    comp = np.array(_components(n, zip(a.tolist(), b.tolist())))
+    outside = np.flatnonzero(comp != np.bincount(comp).argmax())
+    repairs = []
+    while (comp != comp[0]).any():
+        d, u, v = _closest_cross_pair(pts, comp, outside)
+        repairs.append((d, u, v))
+        comp[comp == comp[v]] = comp[u]
+    if repairs:
+        d_new, a_new, b_new = zip(*repairs)
+        a, b = np.append(a, a_new), np.append(b, b_new)
+        dist = np.append(dist, d_new)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        parent[find(a)] = find(b)
-    while True:
-        roots = {find(i) for i in range(n)}
-        if len(roots) == 1:
-            break
-        best = None
-        for a, b in zip(iu, ju):
-            if find(int(a)) != find(int(b)):
-                d = float(dist[a, b])
-                if best is None or d < best[0]:
-                    best = (d, int(a), int(b))
-        assert best is not None
-        d, a, b = best
-        edges[(min(a, b), max(a, b))] = d
-        parent[find(a)] = find(b)
-
-    topo_edges = tuple(
-        (u, v, delay_scale * d) for (u, v), d in sorted(edges.items())
-    )
-    topo = Topology(n, topo_edges, f"geo-{n}-r{radius}")
-    if not topo.is_connected():
-        raise TopologyError("random_geometric repair failed (internal error)")
-    return topo
+    order = np.lexsort((b, a))
+    edges = zip(a[order].tolist(), b[order].tolist(), (delay_scale * dist[order]).tolist())
+    return Topology(n, tuple(edges), f"geo-{n}-r{radius}")
 
 
 def watts_strogatz(
@@ -381,7 +437,7 @@ def watts_strogatz(
                 rewired.add((min(u, w), max(u, w)))
                 continue
         rewired.add((u, v))
-    _repair_connectivity(n, rewired, rng, delay_range)
+    _repair_connectivity(n, rewired)
     return _finish(f"ws-{n}-k{k}-b{beta}", n, sorted(rewired), rng, delay_range)
 
 

@@ -28,6 +28,7 @@ task-id layouts of the :mod:`repro.graphs.workflows` generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -125,7 +126,19 @@ def _retyped(dag: Dag, types: List[str], runtimes: Dict[str, RuntimeModel], rng)
         for tid, c in zip(tids, draws):
             runtime[tid] = float(c)
     tasks = [Task(t, runtime[t], dag.task(t).data_volume) for t in order]
-    return Dag(tasks, dag.edges, name=dag.name)
+    return _shape(dag.name, tuple(order), dag.edges).with_tasks(tasks)
+
+
+@lru_cache(maxsize=64)
+def _shape(name: str, order: Tuple[int, ...], edges: Tuple[Tuple[int, int], ...]) -> Dag:
+    """The unit-weight DAG of tasks ``order`` over the sorted ``edges``.
+
+    A trace replays a handful of shapes thousands of times; every job of
+    one shape shares this graph's structure. (The generator's own DAG
+    cannot lend its structure: its adjacency follows the generator's edge
+    order, the retyped job's the sorted edge list.)
+    """
+    return Dag([Task(t, 1.0) for t in order], edges, name=name)
 
 
 def montage_trace_dag(rng: np.random.Generator, tiles: Tuple[int, int] = (4, 10)) -> Dag:

@@ -122,6 +122,37 @@ class TestDagQueries:
         assert d.complexity("c") == 3.0
 
 
+def _structure(dag: Dag):
+    """Everything a scheduler can observe of a DAG, order-sensitively."""
+    return (
+        list(dag.tasks.items()),
+        {t: (dag.predecessors(t), dag.successors(t)) for t in dag.tasks},
+        dag.edges,
+        dag.topological_order(),
+        dag.topo_index(),
+        dag.bottom_levels(),
+        dag.name,
+    )
+
+
+class TestWithTasks:
+    def test_equals_full_constructor_on_the_same_edge_sequence(self):
+        edges = [("a", "c"), ("a", "b"), ("c", "d"), ("b", "d")]  # not sorted
+        base = Dag([Task(t, 1.0) for t in "abcd"], edges, name="diamond")
+        heavier = [Task(t, c, data_volume=2.0) for t, c in zip("abcd", (5.0, 1.0, 9.0, 2.0))]
+        base.bottom_levels()  # a memo of the old weights must not leak
+        assert _structure(base.with_tasks(heavier)) == _structure(
+            Dag(heavier, edges, name="diamond")
+        )
+
+    @pytest.mark.parametrize(
+        "ids", ["abdc", "abc", "abcde", "abcdd", "abcc", "abce"], ids=str
+    )
+    def test_rejects_other_ids_or_another_insertion_order(self, ids):
+        with pytest.raises(DagError, match="same task ids in the same order"):
+            make_diamond().with_tasks([Task(t, 1.0) for t in ids])
+
+
 class TestPaperDag:
     def test_structure(self):
         d = paper_example_dag()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigError, WorkloadError
 from repro.graphs.analysis import critical_path_length
+from repro.graphs.dag import Dag
 from repro.graphs.workflows import epigenomics_dag
 from repro.workloads.traces import (
     EPIGENOMICS_RUNTIMES,
@@ -86,6 +87,21 @@ class TestTraceFactories:
             for tid, ttype in zip(sorted(dag, key=lambda t: t), epigenomics_task_types(4)):
                 by_type[ttype].append(dag.complexity(tid))
         assert np.mean(by_type["map"]) > np.mean(by_type["fastq2bfq"])
+
+    def test_structure_sharing_equals_a_full_rebuild(self):
+        """Trace jobs share one structure per shape; each must still be the
+        DAG the full constructor builds from the sorted edge list."""
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            for name in trace_names():
+                dag = trace_dag_factory(name)(rng)
+                rebuilt = Dag(list(dag.tasks.values()), dag.edges, name=dag.name)
+                for t in dag.tasks:
+                    assert dag.predecessors(t) == rebuilt.predecessors(t)
+                    assert dag.successors(t) == rebuilt.successors(t)
+                assert list(dag.tasks) == list(rebuilt.tasks)
+                assert dag.topological_order() == rebuilt.topological_order()
+                assert dag.bottom_levels() == rebuilt.bottom_levels()
 
     def test_all_complexities_positive(self):
         rng = np.random.default_rng(3)
