@@ -307,5 +307,5 @@ class CentralizedSite(BaselineSite):
     def prune_history(self, before: Time) -> int:
         """Forget finished work older than ``before`` (long-run hygiene)."""
         n = super().prune_history(before)
-        self.hosting.prune({key[0] for key in self.executor.records()})
+        self.hosting.prune()
         return n

@@ -15,6 +15,11 @@ three things, and :class:`HostSide` is their one implementation:
 The two users differ only in the RESULT message type and in whether
 results are forwarded at all (``RTDSConfig.result_forwarding``; off, no
 RESULT is sent and no task waits for one).
+
+What a site remembers of a job is only what it still owes: per *local*
+task with a successor elsewhere, the destination sites and the message
+size — written at commit, popped when the task completes, and the job's
+entry with its last task. A site never holds the job's task graph.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ class HostSide:
         self.site = site
         self.result_mtype = result_mtype
         self.result_forwarding = result_forwarding
-        #: job -> (host, succs, volumes) for RESULT forwarding
-        self.exec_info: Dict[JobId, Tuple[Dict, Dict, Dict]] = {}
+        #: job -> unfinished local task -> (RESULT size, destination sites)
+        self.exec_info: Dict[JobId, Dict[TaskId, Tuple[float, List[SiteId]]]] = {}
         site.executor.on_complete.append(self._on_task_complete)
         site.on(result_mtype, self._h_result)
 
@@ -48,8 +53,9 @@ class HostSide:
     ) -> None:
         """Commit this site's ``slots`` of ``job``, gated on its predecessors."""
         site = self.site
+        local = {r.task for r in slots}
         gates: Dict[Tuple[JobId, TaskId], Set[Tuple[str, JobId, TaskId]]] = {}
-        for t in {r.task for r in slots}:
+        for t in local:
             deps = set()
             for p in preds[t]:
                 if host[p] == site.sid:
@@ -60,36 +66,55 @@ class HostSide:
                 gates[(job, t)] = deps
         site.plan.commit(slots)
         site.executor.notify_committed(slots, gates)
-        # Remember topology of the job for result forwarding.
-        succs: Dict[TaskId, List[TaskId]] = {t: [] for t in host}
+        if not self.result_forwarding:
+            return
+        # Who must hear of each local task's result: the other sites hosting
+        # one of its successors, each once, in first-seen order.
+        dests_of: Dict[TaskId, List[SiteId]] = {}
         for t, ps in preds.items():
+            dest = host[t]
+            if dest == site.sid:
+                continue
             for p in ps:
-                succs[p].append(t)
-        self.exec_info[job] = (host, succs, volumes)
+                if p in local:
+                    dests = dests_of.setdefault(p, [])
+                    if dest not in dests:
+                        dests.append(dest)
+        if dests_of:
+            self.exec_info[job] = {
+                p: (max(1.0, volumes.get(p, 0.0)), dests) for p, dests in dests_of.items()
+            }
 
     def _h_result(self, msg: Message) -> None:
         self.site.executor.deliver_token(("result", msg.payload["job"], msg.payload["task"]))
 
     def _on_task_complete(self, job: JobId, task: TaskId, time: Time) -> None:
-        info = self.exec_info.get(job)
-        if info is None or not self.result_forwarding:
+        forward = self.exec_info.get(job)
+        if forward is None or task not in forward:
             return
-        host, succs, volumes = info
-        site = self.site
-        notified: Set[SiteId] = set()
-        for succ in succs.get(task, ()):
-            dest = host[succ]
-            if dest != site.sid and dest not in notified:
-                notified.add(dest)
-                site.send_to(
-                    dest,
-                    self.result_mtype,
-                    {"job": job, "task": task},
-                    size=max(1.0, volumes.get(task, 0.0)),
-                )
+        size, dests = forward.pop(task)
+        if not forward:
+            del self.exec_info[job]
+        for dest in dests:
+            self.site.send_to(dest, self.result_mtype, {"job": job, "task": task}, size=size)
 
-    def prune(self, live_jobs: Set[JobId]) -> None:
-        """Forget forwarding info of jobs with no local task left."""
-        for job in list(self.exec_info):
-            if job not in live_jobs:
-                del self.exec_info[job]
+    def _orphaned(self) -> List[JobId]:
+        """Jobs still owed something although no local task of theirs is
+        unfinished: a completed task took its entry with it, so these
+        belonged to tasks that were reaped."""
+        if not self.exec_info:
+            return []
+        live = self.site.executor.live_jobs()
+        return [job for job in self.exec_info if job not in live]
+
+    def prune(self) -> None:
+        """Forget what is owed for jobs with no unfinished local task left."""
+        for job in self._orphaned():
+            del self.exec_info[job]
+
+    def leaks(self) -> List[str]:
+        """Forwarding entries that outlived their job's local tasks."""
+        return [
+            f"exec_info of job {job} with no unfinished local task"
+            for job in self._orphaned()
+        ]

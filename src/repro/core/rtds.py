@@ -658,7 +658,7 @@ class RTDSSite(SchedulerSite):
         decision-neutral, see :meth:`SchedulerSite.prune_history`)."""
         n = super().prune_history(before)
         # result-forwarding info for jobs whose local tasks are all gone
-        self.hosting.prune({key[0] for key in self.executor.records()})
+        self.hosting.prune()
         self.member.prune(before)
         return n
 
@@ -666,7 +666,10 @@ class RTDSSite(SchedulerSite):
         """Protocol state still open on this site, by name — empty when the
         site is quiescent. After a drained run anything listed leaked: a
         held lock, deferred work never replayed, a session or watched round
-        never closed, a tenancy (and its lease) never ended."""
+        never closed, a tenancy (and its lease) never ended — or host-side
+        state that outlived its task: a closed gate, a token waiter or
+        run-queue entry without its record, forwarding info of a job with
+        no unfinished local task."""
         found = []
         if self.lock.locked:
             found.append(f"lock held by {self.lock.owner}")
@@ -680,7 +683,7 @@ class RTDSSite(SchedulerSite):
         t = self.member.tenancy
         if t is not None:
             found.append(f"tenancy of job {t.job} for initiator {t.initiator} (lease {t.lease})")
-        return found
+        return found + self.executor.leaks() + self.hosting.leaks()
 
     # -- sphere envelope -----------------------------------------------------
 

@@ -26,25 +26,47 @@ Execution model
   start/end are recorded next to the reserved ones; ``lateness > 0`` means
   the ACS-diameter over-estimate was too optimistic for this instance — the
   effective-guarantee-ratio metric (E1) is built from these records.
+
+State and its lifetime
+----------------------
+Everything the executor holds besides the records themselves lives only as
+long as the commitment it serves:
+
+* the **run queue** — one list of ``(next chunk start, repr(key), key)``
+  kept sorted: an entry is inserted at commit (and again after a non-final
+  chunk), removed when its chunk starts. A wake walks it in order and stops
+  at the first open-gate entry whose start has passed, or arms the timer at
+  the first future start — no per-wake candidate list, no sort;
+* a **gate** (and its reverse index) exists only while it is closed: the
+  last token deletes it, so "gate open" is "key not in ``_gates``";
+* a ``("result", …)`` token that beat its commit is parked with its arrival
+  time, consumed by that commit, and aged out by :meth:`reap_abandoned` if
+  the commit never comes. ``("done", …)`` tokens are never parked: a job's
+  gates on a site are registered in the one commit that also registers the
+  tasks they name, so a local completion cannot precede its gate;
+* finished records stay (metrics, verification and the Gantt read them)
+  until :meth:`prune_done_before` pops them off a completion-ordered deque.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import SchedulingError
 from repro.sched.intervals import Reservation
 from repro.sched.plan import SchedulingPlan
 from repro.simnet.engine import Simulator
-from repro.types import EPS, JobId, TaskId, Time
+from repro.types import DATACLASS_SLOTS, EPS, JobId, TaskId, Time
 
 Key = Tuple[JobId, TaskId]
 Token = Tuple[str, JobId, TaskId]
 CompletionCallback = Callable[[JobId, TaskId, Time], None]
 
 
-@dataclass
+@dataclass(**DATACLASS_SLOTS)
 class ExecutionRecord:
     """Reserved vs actual execution of one task (possibly chunked)."""
 
@@ -109,19 +131,23 @@ class PlanExecutor:
         self.plan = plan
         self.on_complete: List[CompletionCallback] = []
         self._records: Dict[Key, ExecutionRecord] = {}
-        #: the not-yet-done subset of ``_records`` — the only records the
-        #: wake-up scan looks at, so a long run's pile of finished records
-        #: costs nothing per wake
+        #: the not-yet-done subset of ``_records``
         self._unfinished: Dict[Key, ExecutionRecord] = {}
-        #: key -> cached ``repr(key)`` sort tiebreak (stable per record)
-        self._tiebreak: Dict[Key, str] = {}
-        #: key -> outstanding prerequisite tokens (first chunk only)
+        #: finished keys in completion order (finish times never decrease),
+        #: so pruning pops a prefix instead of scanning every record
+        self._done: Deque[Key] = deque()
+        #: (next chunk start, repr(key), key) of every unfinished task that
+        #: is not running, kept sorted — slot order, ``repr`` breaks ties
+        self._queue: List[Tuple[Time, str, Key]] = []
+        #: key -> outstanding prerequisite tokens (first chunk only); a key
+        #: is here only while its gate is closed
         self._gates: Dict[Key, Set[Token]] = {}
         #: token -> keys whose gate still awaits it (reverse index so
         #: delivery doesn't scan every gate on the site)
         self._token_waiters: Dict[Token, Set[Key]] = {}
-        #: tokens delivered before their gate was registered
-        self._early_tokens: Set[Token] = set()
+        #: result token delivered before its gate was registered -> arrival
+        #: time; consumed by the commit it raced, aged out if none comes
+        self._early_tokens: Dict[Token, Time] = {}
         self._running: Optional[Key] = None
         self._timer_version = 0
 
@@ -137,8 +163,10 @@ class PlanExecutor:
         Reservations sharing a (job, task) key are the chunks of one
         preemptively-split task. ``gates[key]`` is the token set that must
         arrive before the task may start; missing keys mean "no
-        prerequisites". Tokens that already arrived (early results) are
-        discounted immediately.
+        prerequisites". Result tokens that already arrived (the message
+        raced the commit) are discounted and consumed. All of a job's gates
+        on a site come in one commit, so a ``("done", …)`` token must name
+        a task that is still unfinished here.
         """
         by_key: Dict[Key, List[Reservation]] = {}
         for r in reservations:
@@ -151,27 +179,42 @@ class PlanExecutor:
             rec = ExecutionRecord(chunks)
             self._records[key] = rec
             self._unfinished[key] = rec
-            self._tiebreak[key] = repr(key)
-            pending = set(gates.get(key, ())) if gates else set()
-            pending -= self._early_tokens
-            self._gates[key] = pending
-            for token in pending:
-                self._token_waiters.setdefault(token, set()).add(key)
+            insort(self._queue, (rec.chunks[0].start, repr(key), key))
+        if gates:
+            early = self._early_tokens
+            raced: Set[Token] = set()
+            for key in by_key:
+                pending: Set[Token] = set()
+                for token in gates.get(key, ()):
+                    if token in early:
+                        raced.add(token)
+                        continue
+                    assert token[0] != "done" or token[1:] in self._unfinished, (
+                        f"site {self.plan.site}: gate of {key} awaits {token}, "
+                        "which no unfinished local task will deliver"
+                    )
+                    pending.add(token)
+                    self._token_waiters.setdefault(token, set()).add(key)
+                if pending:
+                    self._gates[key] = pending
+            for token in raced:
+                del early[token]
         self._wake()
 
     def deliver_token(self, token: Token) -> None:
         """Deliver a prerequisite token (e.g. a remote result arrived)."""
-        hit = False
         waiters = self._token_waiters.pop(token, None)
         if waiters:
+            gates = self._gates
             for key in waiters:
-                pending = self._gates.get(key)
-                if pending is not None and token in pending:
-                    pending.discard(token)
-                    hit = True
-        if not hit:
-            # Remember for gates registered later (message raced the commit).
-            self._early_tokens.add(token)
+                pending = gates[key]
+                pending.discard(token)
+                if not pending:
+                    del gates[key]
+        elif token[0] != "done":
+            # Remember for the gate registered later (message raced the
+            # commit); a local completion nobody waits for is just dropped.
+            self._early_tokens[token] = self.sim.now
         self._wake()
 
     # -- queries ---------------------------------------------------------------
@@ -199,65 +242,50 @@ class PlanExecutor:
         """
         return len(self._unfinished)
 
-    # -- engine ------------------------------------------------------------------
+    def live_jobs(self) -> Set[JobId]:
+        """Jobs with at least one unfinished task on this site."""
+        return {key[0] for key in self._unfinished}
 
-    def _candidates(self) -> List[Tuple[Time, str, Key]]:
-        """(next chunk start, tiebreak, key) of unfinished tasks, slot order."""
-        tiebreak = self._tiebreak
-        out = [
-            (rec.chunks[len(rec.actual)].start, tiebreak[k], k)
-            for k, rec in self._unfinished.items()
+    def leaks(self) -> List[str]:
+        """Per-task state that outlived its task, by name — empty once the
+        site has drained (see :meth:`repro.core.rtds.RTDSSite.leaks`)."""
+        found = [
+            f"gate of {key} closed, waiting for {len(pending)} token(s)"
+            for key, pending in self._gates.items()
         ]
-        out.sort()
-        return out
+        found += [
+            f"token {token} awaited by unknown {key}"
+            for token, keys in self._token_waiters.items()
+            for key in keys
+            if key not in self._gates
+        ]
+        found += [
+            f"run-queue entry for finished {key}"
+            for _, _, key in self._queue
+            if key not in self._unfinished
+        ]
+        return found
 
-    def _gate_open(self, key: Key) -> bool:
-        # Gates guard only the first chunk: once a task started, its inputs
-        # were available.
-        if self._records[key].started:
-            return True
-        return not self._gates.get(key)
+    # -- engine ------------------------------------------------------------------
 
     def _wake(self) -> None:
         if self._running is not None:
             return
-        if not self._unfinished:
-            return
-        now = self.sim.now
-        if len(self._unfinished) == 1:
-            # Single-task fast path (the common state on lightly loaded
-            # sites): no candidate list, no tiebreak lookups, no sort.
-            # Identical decisions — with one candidate, slot order and
-            # "earliest ready fallback" collapse to the same check.
-            (k, rec), = self._unfinished.items()
-            start = rec.chunks[len(rec.actual)].start
-            if start <= now + EPS:
-                if self._gate_open(k):
-                    self._start(k)
+        horizon = self.sim.now + EPS
+        gates = self._gates
+        # Slot order; the first ready entry whose start has passed runs
+        # (work-conserving: closed gates ahead of it are skipped).
+        for i, (start, _, key) in enumerate(self._queue):
+            if start > horizon:
+                # Nothing ready now: arm a timer for the next slot start in
+                # the future (gate deliveries re-wake us independently).
+                self._timer_version += 1
+                self.sim.schedule_call_at(start, self._on_timer, self._timer_version)
                 return
-            self._timer_version += 1
-            self.sim.schedule_call_at(start, self._on_timer, self._timer_version)
-            return
-        cands = self._candidates()
-        # Prefer slot order; fall back to earliest ready whose start passed.
-        runnable: Optional[Key] = None
-        head_start, _, head = cands[0]
-        if head_start <= now + EPS and self._gate_open(head):
-            runnable = head
-        else:
-            for start, _, k in cands[1:]:
-                if start <= now + EPS and self._gate_open(k):
-                    runnable = k
-                    break
-        if runnable is not None:
-            self._start(runnable)
-            return
-        # Nothing ready now: arm a timer for the next slot start in the
-        # future (gate deliveries re-wake us independently).
-        future_starts = [start for start, _, _ in cands if start > now + EPS]
-        if future_starts:
-            self._timer_version += 1
-            self.sim.schedule_call_at(min(future_starts), self._on_timer, self._timer_version)
+            if key not in gates:
+                del self._queue[i]
+                self._start(key)
+                return
 
     def _on_timer(self, version: int) -> None:
         if version == self._timer_version and self._running is None:
@@ -280,73 +308,60 @@ class PlanExecutor:
         self._running = None
         if rec.done:
             del self._unfinished[key]
+            self._done.append(key)
             job, task = key
-            # Completion of a local task satisfies local "done" gates.
+            # Completion of a local task satisfies local "done" gates. The
+            # delivery wakes the processor *before* the callbacks run, and
+            # the wake below runs after them: when nothing is ready both arm
+            # a timer, and the event count (pinned by the identity goldens)
+            # includes the superseded one.
             self.deliver_token(("done", job, task))
             for cb in self.on_complete:
                 cb(job, task, self.sim.now)
+        else:
+            insort(self._queue, (rec.next_chunk.start, repr(key), key))
         self._wake()
 
     # -- maintenance ----------------------------------------------------------
 
     def reap_abandoned(self, before: Time) -> int:
         """Drop never-started records whose gate still blocks although
-        their last reserved slot ended at or before ``before``.
+        their last reserved slot ended at or before ``before``, and parked
+        tokens that arrived at or before ``before``.
 
         Under fault plans a prerequisite's result message can be lost for
         good (retries exhausted, site down past the retry budget); the
         gated record then never opens and would otherwise sit in
         ``_unfinished`` for the lifetime of the service — leaked plan
-        state and leaked memory. Only gate-*blocked*, never-started
-        records qualify: an open-gated record whose slot passed is merely
-        queued behind the work-conserving processor and will still run.
+        state and leaked memory. Only gate-*blocked* records qualify (and
+        a closed gate means never started): an open-gated record whose slot
+        passed is merely queued behind the work-conserving processor and
+        will still run. The mirror case is a result whose EXECUTE was lost:
+        the parked token is waiting for a commit that will never come.
         """
-        dead = [
-            k
-            for k, rec in self._unfinished.items()
-            if not rec.started
-            and self._gates.get(k)
-            and rec.chunks[-1].end <= before
-            and k != self._running
-        ]
-        dead_jobs = {k[0] for k in dead}
-        dead_set = set(dead)
+        dead = {
+            k for k in self._gates if self._unfinished[k].chunks[-1].end <= before
+        }
         for k in dead:
             del self._unfinished[k]
             del self._records[k]
-            self._gates.pop(k, None)
-            self._tiebreak.pop(k, None)
-        self._early_tokens = {
-            t for t in self._early_tokens if t[1] not in dead_jobs
-        }
-        for token in list(self._token_waiters):
-            keys = self._token_waiters[token]
-            keys -= dead_set
-            if not keys:
-                del self._token_waiters[token]
+            for token in self._gates.pop(k):
+                keys = self._token_waiters[token]
+                keys.discard(k)
+                if not keys:
+                    del self._token_waiters[token]
+        if dead:
+            self._queue = [entry for entry in self._queue if entry[2] not in dead]
+        early = self._early_tokens
+        for token in [t for t, arrived in early.items() if arrived <= before]:
+            del early[token]
         return len(dead)
 
     def prune_done_before(self, time: Time) -> int:
-        """Forget finished records (and their tokens) older than ``time``."""
-        old = [
-            k
-            for k, rec in self._records.items()
-            if rec.done and rec.actual_end is not None and rec.actual_end <= time
-        ]
-        pruned_jobs = {k[0] for k in old}
-        old_set = set(old)
-        for k in old:
-            del self._records[k]
-            self._gates.pop(k, None)
-            self._tiebreak.pop(k, None)
-        # Tokens belonging to pruned jobs can no longer gate anything:
-        # all of a job's gates are registered atomically at commit time.
-        self._early_tokens = {
-            t for t in self._early_tokens if t[1] not in pruned_jobs
-        }
-        for token in list(self._token_waiters):
-            keys = self._token_waiters[token]
-            keys -= old_set
-            if not keys:
-                del self._token_waiters[token]
-        return len(old)
+        """Forget finished records older than ``time``."""
+        done, records = self._done, self._records
+        n = 0
+        while done and records[done[0]].actual[-1][1] <= time:
+            del records[done.popleft()]
+            n += 1
+        return n

@@ -68,3 +68,21 @@ def rtds_config() -> RTDSConfig:
 @pytest.fixture
 def metrics() -> MetricsCollector:
     return MetricsCollector()
+
+
+@pytest.fixture
+def soak_residents(monkeypatch):
+    """The ``ResidentSimulation`` of every ``run_soak`` / ``run_chaos`` made
+    while the fixture is active — their reports carry numbers only, and the
+    per-site ``leaks()`` audit needs the sites."""
+    from repro.experiments import soak
+
+    built = []
+
+    class Capturing(soak.ResidentSimulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(soak, "ResidentSimulation", Capturing)
+    return built

@@ -233,3 +233,37 @@ class TestDeterminism:
             return [(r.job, r.outcome, r.completion_time) for r in m.records()]
 
         assert one() == one()
+
+
+class TestHostSideLeaksAreNamed:
+    """``leaks()`` also names host-side state that outlived its task; a
+    drained site has none, so each kind is planted by hand."""
+
+    def drained_site(self, metrics):
+        sim, net, _ = make_rtds_network(complete(3, delay_range=(1.0, 1.0)), RTDSConfig(h=1), metrics)
+        s0 = net.site(0)
+        sim.schedule(1.0, lambda: s0.submit_job(0, paper_example_dag(), sim.now + 100.0))
+        sim.run()
+        assert s0.leaks() == [] and s0.executor.records()
+        return s0
+
+    def test_closed_gate(self, metrics):
+        s0 = self.drained_site(metrics)
+        s0.executor._gates[(5, "t")] = {("result", 5, "p")}
+        assert s0.leaks() == ["gate of (5, 't') closed, waiting for 1 token(s)"]
+
+    def test_token_waiter_without_its_gate(self, metrics):
+        s0 = self.drained_site(metrics)
+        s0.executor._token_waiters[("result", 5, "p")] = {(5, "t")}
+        assert s0.leaks() == ["token ('result', 5, 'p') awaited by unknown (5, 't')"]
+
+    def test_run_queue_entry_of_a_finished_record(self, metrics):
+        s0 = self.drained_site(metrics)
+        key = next(iter(s0.executor.records()))
+        s0.executor._queue.append((0.0, repr(key), key))
+        assert s0.leaks() == [f"run-queue entry for finished {key}"]
+
+    def test_forwarding_info_without_an_unfinished_local_task(self, metrics):
+        s0 = self.drained_site(metrics)
+        s0.hosting.exec_info[0] = {"t": (1.0, [1])}
+        assert s0.leaks() == ["exec_info of job 0 with no unfinished local task"]

@@ -53,7 +53,7 @@ def test_soak_config_shape():
     assert soak.degraded_floor == _CFG.degraded_floor
 
 
-def test_chaos_run_contracts():
+def test_chaos_run_contracts(soak_residents):
     report = run_chaos(_CFG)
 
     # accounting: everything submitted either decided or was shed/dropped
@@ -72,8 +72,11 @@ def test_chaos_run_contracts():
     # the repaired tables equal a from-scratch rebuild, bit for bit
     assert report.tables_converged == 1
 
-    # leak audit: no gate-blocked executor records survive the drain
+    # leak audit: no gate-blocked executor records survive the drain, and
+    # no site holds protocol or host-side state
     assert report.leaked_unfinished == 0
+    for site in soak_residents[0].resident.sites:
+        assert site.leaks() == [], f"site {site.sid} leaked"
 
     # chaos did not collapse admission
     assert report.guarantee_ratio > 0.5

@@ -1,0 +1,80 @@
+"""Host-side state has a lifetime: created at commit, gone at completion.
+
+One drained 16-site Montage cell (large DAGs, most tasks with successors
+on other sites — the workload that made the per-task leftovers and the
+per-site successor maps expensive) is run under ``tracemalloc``. After it
+
+* no site holds a gate, a token waiter, a run-queue entry or forwarding
+  info, and ``leaks()`` is empty everywhere;
+* what ``sched/executor.py`` and ``core/hosting.py`` still keep alive is
+  the finished execution records and little else, measured as bytes per
+  finished task. On this cell the pre-lifetime code kept 1254 B per task,
+  the current code keeps 320 B; the budget sits between the two, so a new
+  per-task leftover of a set, a string or a map entry fails it.
+"""
+
+import tracemalloc
+
+import pytest
+
+from repro.experiments.runner import ExperimentConfig, run_experiment
+
+CELL = ExperimentConfig(
+    topology="erdos_renyi",
+    topology_kwargs={"n": 16, "p": 0.3, "delay_range": (0.2, 1.0)},
+    workload="trace:montage",
+    rho=0.7,
+    duration=400.0,
+    seed=4,
+)
+HOST_SIDE = ("sched/executor.py", "core/hosting.py")
+BYTES_PER_FINISHED_TASK = 600
+
+
+@pytest.fixture(scope="module")
+def drained():
+    """(result, bytes still allocated from the two host-side modules)."""
+    started_here = not tracemalloc.is_tracing()
+    if started_here:
+        tracemalloc.start()
+    try:
+        res = run_experiment(CELL)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        if started_here:
+            tracemalloc.stop()
+    held = sum(
+        stat.size
+        for stat in snapshot.statistics("filename")
+        if stat.traceback[0].filename.replace("\\", "/").endswith(HOST_SIDE)
+    )
+    return res, held
+
+
+def test_cell_exercises_forwarding(drained):
+    res, _ = drained
+    assert res.summary.n_unfinished == 0
+    assert res.network.stats.count["RESULT"] > 100
+    assert sum(len(s.executor.records()) for s in res.network.sites.values()) > 500
+
+
+def test_no_site_holds_per_task_state_after_the_drain(drained):
+    res, _ = drained
+    for sid, site in res.network.sites.items():
+        ex = site.executor
+        held = (
+            len(ex._gates) + len(ex._token_waiters) + len(ex._queue)
+            + len(ex._early_tokens) + len(site.hosting.exec_info)
+        )
+        assert held == 0, f"site {sid} still holds {held} entries"
+        assert site.leaks() == [], f"site {sid} leaked"
+
+
+def test_host_side_bytes_per_finished_task_stay_in_budget(drained):
+    res, held = drained
+    finished = sum(
+        rec.done for s in res.network.sites.values() for rec in s.executor.records().values()
+    )
+    assert held / finished < BYTES_PER_FINISHED_TASK, (
+        f"{held} B held by {HOST_SIDE} for {finished} finished tasks"
+    )

@@ -422,3 +422,31 @@ def test_duplicate_and_foreign_acks_do_not_disturb_the_session():
     assert metrics.jobs[1].outcome is JobOutcome.ACCEPTED_DISTRIBUTED
     assert outsider not in metrics.jobs[1].hosts
     assert_clean(net, metrics)
+
+
+def test_result_for_a_lost_execute_ages_out_with_the_abandoned_gate():
+    """Site 3 endorses job 1 and is partitioned across the whole EXECUTE
+    round (no retries): it never commits its task, but the fork's RESULT
+    still reaches it once the partition heals. The token waits for a commit
+    that never comes — and the join, on site 1, for a result that never
+    comes. Hygiene's fault-run reap must forget both."""
+    cfg = hardened(RTDSConfig(h=1, surplus_window=100.0), ack_timeout=4.0, ack_retries=0)
+    sim, net, tracer, metrics = build(cfg=cfg)
+    inj = FaultInjector(net, FaultPlan(site_windows=(SiteDownWindow(3, 5.5, 10.5),)))
+    inj.arm(t0=sim.now)
+    distribute_job_1(sim, net)
+    sim.run()
+    assert [e.detail["lost"] for e in tracer.of("execute.gave_up")] == [[3]]
+    s1, s3 = net.site(1), net.site(3)
+    assert not s3.executor.records(), "the partitioned member committed after all"
+    assert list(s3.executor._early_tokens) == [("result", 1, 0)]
+    assert s1.leaks() == ["gate of (1, 4) closed, waiting for 1 token(s)"]
+    # too young to reap: the EXECUTE could still be on its way
+    assert s3.executor.reap_abandoned(s3.executor._early_tokens[("result", 1, 0)] - 1.0) == 0
+    assert s3.executor._early_tokens
+    for sid in net.site_ids():
+        site = net.site(sid)
+        assert site.executor.reap_abandoned(sim.now) == (1 if sid == 1 else 0)
+        site.prune_history(sim.now)
+        assert not site.executor._early_tokens
+    assert_clean(net, metrics)

@@ -140,3 +140,126 @@ class TestMaintenance:
         sim.run()
         assert seen == [True]
         assert not execu.busy()
+
+
+class TestStateLifetime:
+    """Per-task state is created at commit and released at completion."""
+
+    def holdings(self, execu):
+        return (
+            len(execu._gates),
+            len(execu._token_waiters),
+            len(execu._queue),
+            len(execu._early_tokens),
+        )
+
+    def test_nothing_but_records_survives_a_drained_chain(self, sim, plan, execu):
+        commit(
+            plan,
+            execu,
+            [Reservation(0.0, 1.0, 1, "a"), Reservation(1.0, 2.0, 1, "b"), Reservation(2.0, 3.0, 1, "c")],
+            gates={(1, "b"): {("done", 1, "a")}, (1, "c"): {("done", 1, "b"), ("result", 1, "x")}},
+        )
+        assert self.holdings(execu) == (2, 3, 2, 0)  # "a" is already running
+        assert execu.live_jobs() == {1}
+        sim.schedule(0.5, lambda: execu.deliver_token(("result", 1, "x")))
+        sim.run()
+        assert self.holdings(execu) == (0, 0, 0, 0)
+        assert execu.live_jobs() == set() and execu.leaks() == []
+        assert len(execu.records()) == 3
+
+    def test_gate_is_dropped_by_its_last_token(self, sim, plan, execu):
+        commit(
+            plan,
+            execu,
+            [Reservation(5.0, 6.0, 1, "a")],
+            gates={(1, "a"): {("result", 1, "p"), ("result", 1, "q")}},
+        )
+        execu.deliver_token(("result", 1, "p"))
+        assert execu._gates == {(1, "a"): {("result", 1, "q")}}
+        execu.deliver_token(("result", 1, "q"))
+        assert execu._gates == {} and execu._token_waiters == {}
+
+    def test_early_result_is_consumed_by_the_commit_it_raced(self, sim, plan, execu):
+        execu.deliver_token(("result", 1, "p"))
+        assert list(execu._early_tokens) == [("result", 1, "p")]
+        commit(
+            plan,
+            execu,
+            [Reservation(1.0, 2.0, 1, "a"), Reservation(2.0, 3.0, 1, "b")],
+            gates={(1, "a"): {("result", 1, "p")}, (1, "b"): {("result", 1, "p")}},
+        )
+        assert self.holdings(execu) == (0, 0, 2, 0)
+        sim.run()
+        assert execu.record(1, "a").actual_start == 1.0
+        assert execu.record(1, "b").actual_start == 2.0
+
+    def test_completions_nobody_waits_for_are_not_parked(self, sim, plan, execu):
+        commit(plan, execu, [Reservation(0.0, 1.0, 1, "a"), Reservation(1.0, 2.0, 2, "b")])
+        sim.run()
+        assert execu._early_tokens == {}
+
+    def test_stray_result_ages_out_on_reap(self, sim, plan, execu):
+        sim.schedule(3.0, lambda: execu.deliver_token(("result", 9, "never")))
+        sim.run()
+        assert execu.reap_abandoned(2.5) == 0
+        assert list(execu._early_tokens) == [("result", 9, "never")]
+        assert execu.reap_abandoned(3.0) == 0
+        assert execu._early_tokens == {}
+
+    def test_reap_takes_the_gate_waiters_and_queue_entry_along(self, sim, plan, execu):
+        commit(
+            plan,
+            execu,
+            [Reservation(0.0, 1.0, 1, "lost"), Reservation(1.0, 2.0, 2, "kept")],
+            gates={
+                (1, "lost"): {("result", 1, "x"), ("result", 7, "shared")},
+                (2, "kept"): {("result", 7, "shared")},
+            },
+        )
+        sim.run()
+        assert execu.leaks() == [
+            "gate of (1, 'lost') closed, waiting for 2 token(s)",
+            "gate of (2, 'kept') closed, waiting for 1 token(s)",
+        ]
+        plan.commit([Reservation(50.0, 51.0, 3, "later")])
+        execu.notify_committed(
+            [Reservation(50.0, 51.0, 3, "later")], {(3, "later"): {("result", 3, "y")}}
+        )
+        assert execu.reap_abandoned(10.0) == 2
+        assert execu._token_waiters == {("result", 3, "y"): {(3, "later")}}
+        assert [key for _, _, key in execu._queue] == [(3, "later")]
+        assert execu.live_jobs() == {3}
+
+    def test_done_gate_must_name_a_task_of_the_same_commit(self, sim, plan, execu):
+        with pytest.raises(AssertionError, match="no unfinished local task"):
+            execu.notify_committed(
+                [Reservation(0.0, 1.0, 1, "b")], {(1, "b"): {("done", 1, "elsewhere")}}
+            )
+
+    def test_split_task_requeues_at_its_next_chunk(self, sim, plan, execu):
+        commit(
+            plan,
+            execu,
+            [Reservation(0.0, 1.0, 1, "a"), Reservation(4.0, 5.0, 1, "a"), Reservation(1.0, 2.0, 2, "b")],
+        )
+        sim.run(until=1.5)
+        assert execu._queue == [(4.0, repr((1, "a")), (1, "a"))]
+        sim.run()
+        assert execu.record(1, "a").actual == [(0.0, 1.0), (4.0, 5.0)]
+        assert execu.record(2, "b").actual == [(1.0, 2.0)]
+        assert execu._queue == []
+
+    def test_prune_pops_in_completion_order(self, sim, plan, execu):
+        commit(
+            plan,
+            execu,
+            [Reservation(0.0, 1.0, 1, "a"), Reservation(2.0, 3.0, 2, "b"), Reservation(4.0, 5.0, 3, "c")],
+        )
+        sim.run()
+        assert execu.prune_done_before(0.5) == 0
+        assert execu.prune_done_before(3.0) == 2
+        assert list(execu.records()) == [(3, "c")]
+        assert execu.prune_done_before(3.0) == 0
+        assert execu.prune_done_before(100.0) == 1
+        assert execu.records() == {} and not execu._done

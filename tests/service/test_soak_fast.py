@@ -24,7 +24,7 @@ _CFG = SoakConfig(
 )
 
 
-def test_fast_soak_contracts():
+def test_fast_soak_contracts(soak_residents):
     report = run_soak(_CFG)
 
     # throughput/accounting: every injected job was decided and settled
@@ -32,8 +32,11 @@ def test_fast_soak_contracts():
     assert report.folded_total == 10_000
     assert report.live_records_final == 0
 
-    # leak audit: PlanExecutor retains nothing after drain
+    # leak audit: PlanExecutor retains nothing after drain, and no site
+    # holds protocol or host-side state
     assert report.leaked_unfinished == 0
+    for site in soak_residents[0].resident.sites:
+        assert site.leaks() == [], f"site {site.sid} leaked"
 
     # backpressure: the bounded queue is the only buffer
     assert report.max_queue_depth <= _CFG.queue_capacity
