@@ -1,17 +1,16 @@
 """E14 — sharded multi-process PDES engine (exactness + wall/RSS budget gates).
 
-Three measurements:
+The engine is kept as a memory lever: per-worker RSS, not wall time, is
+what it buys (DESIGN.md §16 has the measurements). Three measurements:
 
 * **differential** — one partition-friendly grid cell run twice, single
   process vs ``shards=N``: the gate is *exactness*, every
   ``scalar_metrics`` value and the transmission total must match bit for
-  bit (wall time is reported, never gated — this cell is small enough
-  that process spawn + window barriers usually *lose* to one process).
+  bit (wall time is reported, never gated).
 * **speedup** — a 1024-site grid (32×32, continuous delays, the E10
   WIDENET workload shape) measured single vs sharded: exactness is
-  gated here too, the wall-clock ratio is reported with the core count
-  and never gated (the former ``>= 2.0x`` gate armed only on >= 4
-  cores, which no machine that runs this file has — see DESIGN.md §16).
+  gated here too; the wall-clock ratio is reported with the core count
+  and never gated (at this size it is ~1.0x even with a core per shard).
 * **tenk** (``--tenk``, nightly) — a 10 000-site grid (100×100) through
   the sharded engine only, gated on absolute budget: wall seconds and
   coordinator peak RSS below the baseline's recorded ceilings. The

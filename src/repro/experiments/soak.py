@@ -16,8 +16,10 @@ cannot:
 
 Determinism: the simulated side (jobs, decisions, GR, admission-latency
 percentiles) is a pure function of the seeds; only wall-clock and RSS
-figures are machine-dependent. ``BENCH_e12.json`` gates the former
-tightly and the latter loosely.
+figures are machine-dependent. The e2e workload ``soak48`` (48 sites,
+ρ 0.6, 8 000 jobs) pins the former through its ``scalar_metrics`` digest
+and bounds the latter; ``tests/service/test_soak_fast.py`` holds the
+leak, queue-bound and RSS-flatness contracts in tier 1.
 
 CLI: ``rtds soak`` (see EXPERIMENTS.md §E12).
 """

@@ -22,8 +22,9 @@ and their columns over :func:`repro.experiments.campaign.sweep_table`,
 which fans the matrix through the parallel campaign runtime, so
 ``rtds sweep-widenet --jobs N --store DIR --resume`` scales across
 cores and survives interruption like every other campaign.
-``benchmarks/bench_e10_widenet.py`` adds the wall-clock and peak-RSS
-instrumentation and the committed-baseline speedup gate.
+The geometric-1024 cell is the e2e workload ``wide_geo1024``
+(``benchmarks/e2e``), which holds its set-up time, peak RSS and
+seeded-metric digest to the parent commit.
 """
 
 from __future__ import annotations

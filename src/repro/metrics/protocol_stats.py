@@ -8,8 +8,9 @@ engineer would monitor:
 * lock pressure: how long members stay locked per protocol run,
 * ACS utilisation: of the enrolled sites, how many actually host tasks.
 
-Requires ``trace=True`` runs. Consumed by the E5 ablation bench and
-available for ad-hoc analysis.
+Requires ``trace=True`` runs. Exported from :mod:`repro.metrics` for
+ad-hoc analysis; ``tests/experiments/test_campaign_protocol_stats.py``
+pins it.
 """
 
 from __future__ import annotations

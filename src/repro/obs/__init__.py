@@ -13,8 +13,9 @@ The contract, in order of importance:
    guard on plain boolean mirrors (``obs_on``) exactly like the tracer's
    ``trace_on``; the shared :data:`NULL_TELEMETRY` never mutates state.
 2. **On is cheap.** <10% macro throughput overhead, gated by
-   ``benchmarks/bench_e9_hotpath.py --check`` (the ``macro_obs``
-   scenario).
+   ``benchmarks/bench_e9_hotpath.py --check`` (``macro_obs`` against
+   the same run's ``macro``; the e2e harness always runs with telemetry
+   off, so it cannot hold this contract).
 3. **On is deterministic.** Reservoir RNGs are locally seeded; a
    fixed-seed run reports bit-identical percentiles, and telemetry never
    feeds back into simulation behaviour.

@@ -216,6 +216,11 @@ class Network:
         if arrival < prev:
             arrival = prev
         last[dst] = arrival
+        try:
+            receiver = self._receivers[dst]
+        except KeyError:
+            self._deliver_remote(msg, arrival)
+            return
         # inlined Simulator.schedule_call_at (friend access): one physical
         # transmission = one delivery event, so the call overhead is pure
         # per-message tax. Semantics identical, including the past-guard.
@@ -224,11 +229,15 @@ class Network:
                 f"cannot schedule in the past: {arrival} < now {sim._now}"
             )
         ev = _Event.__new__(_Event)
-        ev.callback = self._receivers[dst]
+        ev.callback = receiver
         ev.arg = msg
         ev.cancelled = False
         heappush(sim._heap, (arrival, PRIORITY_DELIVERY, next(sim._seq), ev))
         sim._live += 1
+
+    def _deliver_remote(self, msg: Message, arrival: float) -> None:
+        """Hand off a transmission to a site this network does not host."""
+        raise TopologyError(f"site {msg.dst} is not hosted on this network")
 
     def send_adjacent(
         self,

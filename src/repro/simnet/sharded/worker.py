@@ -31,7 +31,6 @@ import gc
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import TopologyError
 from repro.experiments.runner import _generate_batch_workload, assemble
 from repro.metrics.collector import MetricsCollector
 from repro.simnet.engine import PRIORITY_DELIVERY, Simulator
@@ -69,10 +68,9 @@ class ShardCollector(MetricsCollector):
 class ShardNetwork(Network):
     """A :class:`Network` whose remote deliveries land in an outbox.
 
-    Local deliveries take the inherited hot path unchanged. A transmit
-    to a non-resident destination runs the same accounting and arrival
-    arithmetic, then appends a wire tuple to :attr:`outbox` instead of
-    pushing a heap event.
+    :meth:`Network.transmit` runs unchanged for every destination; for a
+    non-resident one its final heap push is replaced by a wire tuple
+    appended to :attr:`outbox`.
     """
 
     def __init__(self, sim: Simulator, tracer=None, obs=None) -> None:
@@ -94,40 +92,11 @@ class ShardNetwork(Network):
             self._adj.setdefault(v, {})
         return self._register_link(u, v, delay, throughput)
 
-    def transmit(self, msg: Message) -> None:
-        """Single-process transmit locally; marshal across the cut."""
-        if msg.dst in self._receivers:
-            super().transmit(msg)
-            return
-        # remote destination: same arithmetic as Network.transmit, with
-        # the final heap push replaced by an outbox append
-        src = msg.src
-        dst = msg.dst
-        try:
-            link = self._adj[src][dst]
-        except KeyError:
-            raise TopologyError(f"no link between {src} and {dst}") from None
-        msg.hops += 1
-        size = msg.size
-        mtype = msg.mtype
-        stats = self.stats
-        stats.count[mtype] += 1
-        stats.volume[mtype] += size
-        stats.total += 1
-        stats.total_volume += size
-        sim = self.sim
-        if self.obs_on and stats.total & 15 == 0:
-            self._obs_msg_size.observe(size)
-        tp = link.throughput
-        arrival = sim._now + (link.delay if tp is None else link.delay + size / tp)
-        last = link._last_delivery
-        prev = last.get(dst, 0.0)
-        if arrival < prev:
-            arrival = prev
-        last[dst] = arrival
+    def _deliver_remote(self, msg: Message, arrival: float) -> None:
+        """Marshal a cross-cut transmission into the outbox."""
         self.outbox.append(
-            (arrival, dst, mtype, src, msg.origin, msg.final_dst,
-             msg.payload, size, msg.hops, msg.uid)
+            (arrival, msg.dst, msg.mtype, msg.src, msg.origin, msg.final_dst,
+             msg.payload, msg.size, msg.hops, msg.uid)
         )
 
     def deliver_wire(self, wire: WireMessage) -> None:

@@ -1,8 +1,9 @@
 """Tier-1 soak regression (~10^4 jobs): memory flatness, zero leaks.
 
-The full 10^5-job campaign lives in ``benchmarks/bench_e12_soak.py`` and
-the nightly workflow; this is the fast always-on variant that keeps the
-resident-service contracts from regressing in ordinary CI:
+The full 10^5-job soak runs inline in the nightly workflow, and the e2e
+workload ``soak48`` pins the seeded 48-site outcomes; this is the fast
+always-on variant that keeps the resident-service contracts from
+regressing in ordinary CI:
 
 * bounded queue depth (never exceeds the configured capacity),
 * zero leaked ``_unfinished`` plan records after drain,

@@ -18,6 +18,15 @@ def read(name: str) -> str:
     return (ROOT / name).read_text()
 
 
+def section(name: str, heading: str) -> str:
+    """The text under ``heading`` up to the next heading of its level."""
+    text = read(name)
+    level = heading.split(" ", 1)[0] + " "
+    start = text.index(heading)
+    end = text.find("\n" + level, start + len(heading))
+    return text[start:] if end < 0 else text[start:end]
+
+
 class TestDesignMd:
     def test_exists_with_identity_check(self):
         text = read("DESIGN.md")
@@ -68,7 +77,8 @@ class TestDesignMd:
             "phase.enroll",
         ):
             assert concept.lower() in lower, f"DESIGN.md must document {concept!r}"
-        assert "bench_e9_hotpath.py" in text
+        overhead = section("DESIGN.md", "### §12.2 Overhead contract")
+        assert "bench_e9_hotpath.py" in overhead and "macro_obs" in overhead
 
     def test_service_section(self):
         """DESIGN.md §13 must document the service model's contracts."""
@@ -86,7 +96,7 @@ class TestDesignMd:
             "rtds soak",
         ):
             assert concept.lower() in lower, f"DESIGN.md must document {concept!r}"
-        assert "BENCH_e12.json" in text
+        assert "soak48" in section("DESIGN.md", "## §13 Service model")
 
     def test_membership_section(self):
         """DESIGN.md §14 must document the survivability contracts."""
@@ -126,7 +136,7 @@ class TestDesignMd:
             "site_speeds",
         ):
             assert concept.lower() in lower, f"DESIGN.md must document {concept!r}"
-        assert "bench_e9_hotpath.py" in text and "BENCH_e9.json" in text
+        assert "steady48" in section("DESIGN.md", "## §15 Batched admission core")
 
     def test_sharded_pdes_section(self):
         """DESIGN.md §16 must document the sharded engine's contracts."""
@@ -195,10 +205,10 @@ class TestExperimentsMd:
         assert "bench_e8_scaling.py" in text
 
     def test_e10_entry_names_gate_and_cli(self):
-        """E10 must document its committed baseline gate and the campaign CLI."""
-        text = read("EXPERIMENTS.md")
-        assert "bench_e10_widenet.py" in text
-        assert "BENCH_e10.json" in text
+        """E10 must name its e2e workload, its tests and the campaign CLI."""
+        text = section("EXPERIMENTS.md", "### E10 —")
+        assert "wide_geo1024" in text
+        assert "tests/routing/" in text
         assert "rtds sweep-widenet" in text
 
     def test_observability_entry_names_tools_and_gate(self):
@@ -220,20 +230,18 @@ class TestExperimentsMd:
         assert "trace:montage" in text and "trace:epigenomics" in text
 
 
-    def test_e9_entry_names_cache_gate(self):
-        """E9 must document the cache scenario and its hit-rate floor."""
-        text = read("EXPERIMENTS.md")
-        assert "bench_e9_hotpath.py" in text
-        assert "BENCH_e9.json" in text
+    def test_e9_entry_names_overhead_gate(self):
+        """E9 must name its e2e workload, the telemetry gate and tests/cache."""
+        text = section("EXPERIMENTS.md", "### E9 —")
+        assert "steady48" in text
+        assert "bench_e9_hotpath.py" in text and "macro_obs" in text
         assert "hit-rate floor" in text
-        assert "trace:montage" in text
         assert "tests/cache" in text
 
     def test_e12_entry_names_gate_and_cli(self):
         """E12 must document its soak gate, the CLI and the test lockdown."""
-        text = read("EXPERIMENTS.md")
-        assert "bench_e12_soak.py" in text
-        assert "BENCH_e12.json" in text
+        text = section("EXPERIMENTS.md", "### E12 —")
+        assert "soak48" in text
         assert "rtds soak" in text
         assert "--target-jobs 100000" in text
         assert "open-loop" in text
