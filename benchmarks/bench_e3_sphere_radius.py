@@ -23,6 +23,7 @@ BASE = ExperimentConfig(
 )
 
 HS = (1, 2, 3, 4)
+PHASES = ("phase.enroll", "phase.map", "phase.validate")
 
 
 def test_e3_radius_sweep(benchmark, emit):
@@ -56,7 +57,9 @@ def test_e3_latency_breakdown_grows_with_h(benchmark, emit):
 
     from repro.core.config import RTDSConfig
     from repro.experiments.runner import run_experiment
-    from repro.metrics.latency import mean_phase_breakdown
+
+    def mean(vals):
+        return sum(vals) / len(vals) if vals else float("nan")
 
     def sweep():
         rows = []
@@ -65,19 +68,29 @@ def test_e3_latency_breakdown_grows_with_h(benchmark, emit):
                 BASE,
                 algorithm="rtds",
                 rtds=RTDSConfig(h=h),
-                trace=True,
+                telemetry=True,
                 duration=150.0,
                 label=f"h={h}",
             )
             res = run_experiment(cfg)
-            mb = mean_phase_breakdown(res.tracer)
+            # job -> phase -> duration over the protocol runs (locally
+            # admitted jobs carry kind="local" spans and are skipped)
+            runs = {}
+            for s in res.telemetry.spans:
+                if s.category in PHASES and (s.labels or {}).get("kind") != "local":
+                    runs.setdefault(s.key, {})[s.category] = s.duration
+            mapped = [r for r in runs.values() if "phase.map" in r]
+            validated = [r for r in runs.values() if "phase.validate" in r]
+            latency = {r.job: r.decision_latency for r in res.collector.records()}
             rows.append(
                 {
                     "h": h,
-                    "protocol_runs": int(mb["runs"]),
-                    "enroll+map": round(mb["enroll+map"], 3),
-                    "validate": round(mb["validate"], 3),
-                    "total_decision": round(mb["total"], 3),
+                    "protocol_runs": len(runs),
+                    "enroll+map": round(
+                        mean([r["phase.enroll"] + r["phase.map"] for r in mapped]), 3
+                    ),
+                    "validate": round(mean([r["phase.validate"] for r in validated]), 3),
+                    "total_decision": round(mean([latency[j] for j in runs]), 3),
                 }
             )
         return rows

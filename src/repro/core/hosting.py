@@ -98,23 +98,31 @@ class HostSide:
         for dest in dests:
             self.site.send_to(dest, self.result_mtype, {"job": job, "task": task}, size=size)
 
-    def _orphaned(self) -> List[JobId]:
-        """Jobs still owed something although no local task of theirs is
-        unfinished: a completed task took its entry with it, so these
-        belonged to tasks that were reaped."""
+    def _orphaned(self) -> List[Tuple[JobId, TaskId]]:
+        """Forwarding entries of local tasks that are no longer unfinished:
+        a completed task pops its own entry, so these belonged to tasks
+        that were reaped (a job's other tasks may still be running)."""
         if not self.exec_info:
             return []
-        live = self.site.executor.live_jobs()
-        return [job for job in self.exec_info if job not in live]
+        unfinished = self.site.executor.is_unfinished
+        return [
+            (job, task)
+            for job, owed in self.exec_info.items()
+            for task in owed
+            if not unfinished(job, task)
+        ]
 
     def prune(self) -> None:
-        """Forget what is owed for jobs with no unfinished local task left."""
-        for job in self._orphaned():
-            del self.exec_info[job]
+        """Forget what is owed for local tasks that will never complete."""
+        for job, task in self._orphaned():
+            owed = self.exec_info[job]
+            del owed[task]
+            if not owed:
+                del self.exec_info[job]
 
     def leaks(self) -> List[str]:
-        """Forwarding entries that outlived their job's local tasks."""
+        """Forwarding entries that outlived their local task."""
         return [
-            f"exec_info of job {job} with no unfinished local task"
-            for job in self._orphaned()
+            f"exec_info of job {job} task {task!r} with no unfinished local record"
+            for job, task in self._orphaned()
         ]

@@ -150,14 +150,7 @@ class MemberSide:
 
     def _send_enroll_ack(self, job: JobId, initiator: SiteId, members: List[SiteId]) -> None:
         site = self.site
-        # memoized per member tuple: every admission from the same initiator
-        # asks this site for the same distance vector; dropped with the
-        # other route caches whenever a repair touches this row
-        dist_key = ("enroll_dist", tuple(members))
-        distances = site.route_answers.get(dist_key)
-        if distances is None:
-            distances = site.routing.table.distances_to(members, exclude=site.sid)
-            site.route_answers[dist_key] = distances
+        distances = site.routing.table.distances_to(members, exclude=site.sid)
         # one timeline walk: busyness is 1 - surplus by definition
         surplus = site.plan.surplus(site.now)
         site.send_to(

@@ -154,7 +154,6 @@ class RTDSSite(SchedulerSite):
         """
         if not self.routing.done:
             return
-        self.drop_route_caches()
         self.pcs = build_pcs(self.routing.table, self.config.h)
         self.trace("pcs.refreshed", h=self.config.h, members=len(self.pcs))
 
@@ -657,7 +656,7 @@ class RTDSSite(SchedulerSite):
         """Forget finished work older than ``before`` (long-run hygiene;
         decision-neutral, see :meth:`SchedulerSite.prune_history`)."""
         n = super().prune_history(before)
-        # result-forwarding info for jobs whose local tasks are all gone
+        # result-forwarding info of local tasks that were reaped
         self.hosting.prune()
         self.member.prune(before)
         return n
@@ -668,8 +667,8 @@ class RTDSSite(SchedulerSite):
         held lock, deferred work never replayed, a session or watched round
         never closed, a tenancy (and its lease) never ended — or host-side
         state that outlived its task: a closed gate, a token waiter or
-        run-queue entry without its record, forwarding info of a job with
-        no unfinished local task."""
+        run-queue entry without its record, forwarding info of a local task
+        that will never complete."""
         found = []
         if self.lock.locked:
             found.append(f"lock held by {self.lock.owner}")

@@ -131,7 +131,7 @@ def fig4_schedule() -> Dict[int, Tuple[int, float, float]]:
 
 
 def run_fig1_scenario(
-    n_sites: int = 4, h: int = 1
+    n_sites: int = 4, h: int = 1, obs=None
 ) -> Tuple[Tracer, MetricsCollector, int]:
     """A minimal live run exercising the full Figure-1 flow.
 
@@ -140,7 +140,9 @@ def run_fig1_scenario(
     with a deadline it cannot hold alone — forcing the distributed path:
     ACS construction → trial-mapping → validation → execution.
 
-    Returns (tracer, metrics, distributed_job_id).
+    ``obs`` (an optional :class:`repro.obs.Telemetry`) records the
+    protocol-phase spans of the run. Returns (tracer, metrics,
+    distributed_job_id).
     """
     sim = Simulator()
     tracer = Tracer(enabled=True)
@@ -148,7 +150,7 @@ def run_fig1_scenario(
     cfg = RTDSConfig(h=h, surplus_window=100.0)
     topo = complete(n_sites, delay_range=(1.0, 1.0))
     net = build_network(
-        topo, sim, lambda sid, n: RTDSSite(sid, n, cfg, metrics=metrics), tracer
+        topo, sim, lambda sid, n: RTDSSite(sid, n, cfg, metrics=metrics), tracer, obs=obs
     )
     for sid in net.site_ids():
         net.site(sid).start()

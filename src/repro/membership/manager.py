@@ -187,10 +187,6 @@ class MembershipManager:
             invalidate = getattr(table, "invalidate", None)
             if invalidate is not None:
                 invalidate()
-            # the repair rewrote this row's next-hop arrays in place, so
-            # any memoized routing answers (broadcast plans, distance
-            # vectors) on the site are stale even before refresh_sphere
-            site.drop_route_caches()
             refresh = getattr(site, "refresh_sphere", None)
             if refresh is not None:
                 refresh()

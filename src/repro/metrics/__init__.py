@@ -6,24 +6,19 @@
 * :mod:`repro.metrics.summary` — aggregation into the quantities the
   benchmarks report (guarantee ratio, effective ratio, messages per job,
   latencies);
+* :mod:`repro.metrics.faults` — the fault-injection post-mortem
+  (:func:`fault_report`);
 * :mod:`repro.metrics.stats` — means, confidence intervals, comparison
   helpers (implemented with numpy, t-quantiles without scipy dependency at
   runtime).
+
+Per-phase protocol latencies are not derived here: telemetry runs record
+them online as ``phase.enroll`` / ``phase.map`` / ``phase.validate`` spans
+(:mod:`repro.obs`).
 """
 
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.faults import FaultReport, fault_report
-from repro.metrics.latency import (
-    mean_phase_breakdown,
-    phase_latencies,
-    phase_percentile_breakdown,
-)
-from repro.metrics.protocol_stats import (
-    ProtocolStats,
-    lock_hold_percentiles,
-    lock_holds,
-    protocol_stats,
-)
 from repro.metrics.summary import ExperimentSummary, summarize
 from repro.metrics.stats import mean_confidence_interval, ratio_confidence_interval
 
@@ -35,11 +30,4 @@ __all__ = [
     "summarize",
     "mean_confidence_interval",
     "ratio_confidence_interval",
-    "mean_phase_breakdown",
-    "phase_latencies",
-    "phase_percentile_breakdown",
-    "ProtocolStats",
-    "protocol_stats",
-    "lock_holds",
-    "lock_hold_percentiles",
 ]

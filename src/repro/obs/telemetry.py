@@ -75,9 +75,9 @@ def percentiles(
 ) -> Dict[str, float]:
     """``{"p50": ..., "p95": ..., "p99": ...}`` (nearest-rank, NaN-safe).
 
-    The one percentile routine every consumer shares — the latency
-    breakdown, the protocol stats, ``rtds stats`` and the reservoir timers
-    all report quantiles through here, so they cannot disagree on method.
+    The one percentile routine every consumer shares — ``rtds stats`` and
+    the reservoir timers (the phase spans' included) report quantiles
+    through here, so they cannot disagree on method.
     """
     srt = sorted(values)
     return {f"p{q:g}": percentile(srt, q) for q in qs}

@@ -242,6 +242,10 @@ class PlanExecutor:
         """
         return len(self._unfinished)
 
+    def is_unfinished(self, job: JobId, task: TaskId) -> bool:
+        """Whether ``task`` of ``job`` is committed here and not finished."""
+        return (job, task) in self._unfinished
+
     def live_jobs(self) -> Set[JobId]:
         """Jobs with at least one unfinished task on this site."""
         return {key[0] for key in self._unfinished}

@@ -73,20 +73,7 @@ class SiteBase:
         self.next_hop: Dict[SiteId, SiteId] = {}
         #: destination -> known minimum delay; filled by the routing layer.
         self.known_distance: Dict[SiteId, Time] = {}
-        #: broadcast-plan memo of :mod:`repro.spheres.pcs`:
-        #: ``tuple(targets) -> [(next hop, sorted target group), ...]`` —
-        #: target sets recur constantly (a site's ACS, fixed relay splits)
-        #: and the underlying routes are static between repairs
-        self.bcast_plans: Dict[tuple, list] = {}
-        #: memoized answers derived from the routing table (e.g. the
-        #: enrollment distance vectors); same lifetime as ``bcast_plans``
-        self.route_answers: Dict[tuple, dict] = {}
         network.add_site(self)
-
-    def drop_route_caches(self) -> None:
-        """Forget memoized routing answers (a repair changed this row)."""
-        self.bcast_plans.clear()
-        self.route_answers.clear()
 
     # -- handler registration ---------------------------------------------
 

@@ -10,7 +10,11 @@ unique-shortest-path tree implicit in the next-hop tables: to broadcast to a
 target set, a site groups the targets by next hop and sends *one* message
 per distinct hop carrying the sub-list; each relay repeats the split. The
 cost is one transmission per tree edge traversed — this is what keeps RTDS
-traffic independent of the network size (experiment E2).
+traffic independent of the network size (experiment E2). The split is
+recomputed on every send from the site's live next-hop row: a site keeps
+no route memo, so its state is bounded by the sphere, not by how many
+distinct target sets it has relayed, and a membership repair that
+rewrites a row has nothing to invalidate.
 """
 
 from __future__ import annotations
@@ -81,38 +85,19 @@ def build_pcs(table: RoutingTable, h: int) -> PCS:
 def split_targets_by_hop(
     site: SiteBase, targets: List[SiteId]
 ) -> Dict[SiteId, List[SiteId]]:
-    """Group broadcast targets by this site's next hop towards them."""
+    """Group broadcast targets by this site's next hop towards them.
+
+    Each group comes out sorted. The split is recomputed on every call
+    from the site's live ``next_hop`` row, so a membership repair that
+    rewrites the row needs no invalidation.
+    """
     groups: Dict[SiteId, List[SiteId]] = {}
-    for t in targets:
+    for t in sorted(targets):
         hop = site.next_hop.get(t)
         if hop is None:
             raise RoutingError(f"site {site.sid}: no route to broadcast target {t}")
         groups.setdefault(hop, []).append(t)
     return groups
-
-
-def broadcast_plan(
-    site: SiteBase, targets: List[SiteId]
-) -> List[Tuple[SiteId, List[SiteId]]]:
-    """The memoized hop-split: ``[(next hop, sorted target group), ...]``.
-
-    A site broadcasts to the *same* target sets over and over (its ACS for
-    every admission, the fixed relay splits below it in the tree), and the
-    split is a pure function of the routing table — so it is computed once
-    per distinct target tuple and cached on the site. Membership repairs
-    rewrite next-hop rows in place, so they must call
-    :meth:`~repro.simnet.site.SiteBase.drop_route_caches` on affected
-    sites; the group lists are shared read-only (receivers copy).
-    """
-    key = tuple(targets)
-    plan = site.bcast_plans.get(key)
-    if plan is None:
-        plan = [
-            (hop, sorted(group))
-            for hop, group in sorted(split_targets_by_hop(site, targets).items())
-        ]
-        site.bcast_plans[key] = plan
-    return plan
 
 
 def sphere_broadcast(
@@ -128,8 +113,8 @@ def sphere_broadcast(
     :func:`handle_sphere_message`, which every sphere-aware site wires to
     ``MSG_SPHERE``.
     """
-    sent = 0
-    for hop, group in broadcast_plan(site, targets):
+    groups = split_targets_by_hop(site, targets)
+    for hop, group in sorted(groups.items()):
         site.send_neighbor(
             hop,
             MSG_SPHERE,
@@ -139,10 +124,9 @@ def sphere_broadcast(
                 "inner_payload": inner_payload,
                 "origin": site.sid,
             },
-            size=size + len(group) * 0.0,  # payload size dominated by inner
+            size=size,
         )
-        sent += 1
-    return sent
+    return len(groups)
 
 
 def handle_sphere_message(site: SiteBase, msg) -> Optional[Dict[str, Any]]:
@@ -166,7 +150,7 @@ def handle_sphere_message(site: SiteBase, msg) -> Optional[Dict[str, Any]]:
     deliver_here = site.sid in targets
     rest = [t for t in targets if t != site.sid]
     if rest:
-        for hop, group in broadcast_plan(site, rest):
+        for hop, group in sorted(split_targets_by_hop(site, rest).items()):
             site.send_neighbor(
                 hop,
                 MSG_SPHERE,

@@ -266,4 +266,4 @@ class TestHostSideLeaksAreNamed:
     def test_forwarding_info_without_an_unfinished_local_task(self, metrics):
         s0 = self.drained_site(metrics)
         s0.hosting.exec_info[0] = {"t": (1.0, [1])}
-        assert s0.leaks() == ["exec_info of job 0 with no unfinished local task"]
+        assert s0.leaks() == ["exec_info of job 0 task 't' with no unfinished local record"]

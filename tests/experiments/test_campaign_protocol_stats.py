@@ -1,6 +1,6 @@
-"""Tests for campaigns (multi-seed aggregation) and protocol statistics."""
+"""Tests for campaigns (multi-seed aggregation) and the protocol
+statistics a telemetry run records online."""
 
-import math
 from dataclasses import replace
 
 import pytest
@@ -8,11 +8,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments.campaign import Aggregate, Campaign
 from repro.experiments.runner import ExperimentConfig, run_experiment
-from repro.metrics.protocol_stats import (
-    lock_hold_percentiles,
-    lock_holds,
-    protocol_stats,
-)
 
 SMALL = ExperimentConfig(
     topology_kwargs={"n": 8, "p": 0.4, "delay_range": (0.2, 0.8)},
@@ -67,61 +62,40 @@ class TestCampaign:
 
 
 class TestProtocolStats:
-    def traced_run(self):
-        cfg = replace(SMALL, algorithm="rtds", rho=1.0, duration=200.0, trace=True, seed=5)
+    def observed_run(self):
+        cfg = replace(SMALL, algorithm="rtds", rho=1.0, duration=200.0, telemetry=True, seed=5)
         return run_experiment(cfg)
+
+    @staticmethod
+    def distributed(res, category):
+        return {
+            s.key: s for s in res.telemetry.spans
+            if s.category == category and (s.labels or {}).get("kind") != "local"
+        }
 
     def test_stats_populated(self):
-        res = self.traced_run()
-        st = protocol_stats(res.tracer)
-        assert st.protocol_runs > 0
-        assert 0.0 <= st.validation_failure_rate <= 1.0
-        if not math.isnan(st.refusal_rate):
-            assert 0.0 <= st.refusal_rate <= 1.0
-        assert st.mean_lock_hold > 0.0
-        assert st.mean_enrolled >= 1.0
+        res = self.observed_run()
+        obs = res.telemetry
+        runs = len(self.distributed(res, "phase.enroll"))
+        assert runs > 0
+        assert 0.0 <= obs.counters.get("rtds.reject.rejected_validation", 0.0) / runs <= 1.0
+        enrolled = [s.labels["enrolled"] for s in self.distributed(res, "phase.map").values()]
+        assert enrolled and sum(enrolled) / len(enrolled) >= 1.0
 
     def test_hosting_at_most_enrolled(self):
-        res = self.traced_run()
-        st = protocol_stats(res.tracer)
-        if not math.isnan(st.mean_hosting):
-            # hosts per job counts only non-initiator commit sites; it can
-            # never exceed enrollment plus the initiator itself
-            assert st.mean_hosting <= st.mean_enrolled + 1.0
+        res = self.observed_run()
+        mapped = self.distributed(res, "phase.map")
+        executed = self.distributed(res, "phase.execute")
+        assert mapped.keys() & executed.keys(), "no distributed job executed"
+        for job in mapped.keys() & executed.keys():
+            # hosts come from the enrolled members plus the initiator itself
+            assert executed[job].labels["hosts"] <= mapped[job].labels["enrolled"] + 1
 
     def test_rows_render(self):
-        res = self.traced_run()
-        rows = protocol_stats(res.tracer).rows()
-        assert len(rows) == 7
         from repro.experiments.reporting import format_table
+        from repro.obs.export import metrics_records
 
-        assert "protocol runs" in format_table(rows)
-
-    def test_untracked_run_empty(self):
-        from repro.simnet.trace import Tracer
-
-        st = protocol_stats(Tracer())
-        assert st.protocol_runs == 0
-        assert math.isnan(st.mean_lock_hold)
-
-
-class TestLockHoldPercentiles:
-    def traced_run(self):
-        cfg = replace(SMALL, algorithm="rtds", rho=1.0, duration=200.0, trace=True, seed=5)
-        return run_experiment(cfg)
-
-    def test_percentiles_agree_with_holds(self):
-        res = self.traced_run()
-        holds = lock_holds(res.tracer)
-        assert holds and all(h >= 0.0 for h in holds)
-        p = lock_hold_percentiles(res.tracer)
-        assert min(holds) <= p["p50"] <= p["p95"] <= p["p99"] <= max(holds)
-        # mean from protocol_stats and the raw holds are the same stream
-        st = protocol_stats(res.tracer)
-        assert st.mean_lock_hold == pytest.approx(sum(holds) / len(holds))
-
-    def test_empty_tracer_all_nan(self):
-        from repro.simnet.trace import Tracer
-
-        p = lock_hold_percentiles(Tracer())
-        assert all(math.isnan(v) for v in p.values())
+        rows = metrics_records(self.observed_run().telemetry)
+        names = {row["name"] for row in rows}
+        assert {"phase.enroll", "phase.map", "phase.validate", "rtds.acs_size"} <= names
+        assert "phase.validate" in format_table(rows)

@@ -5,16 +5,13 @@ uses that bypassed (or silently assumed away) the speed scaling:
 
 * the post-run execution audit now *checks* ``c/speed`` durations — and
   catches a site whose speed was mis-threaded;
-* the execution Gantt annotates heterogeneous speed factors on its rows
-  (and stays byte-identical on homogeneous runs);
 * the focused baseline ranks candidates by effective capacity
   (surplus × speed), not raw idle fraction;
 * deadline assignment exposes its unit-speed critical-path normalisation
   as an explicit ``reference_speed`` instead of a buried constant;
 * ``SchedulingPlan.work_between`` converts busy time to executed work so
   utilisation comparisons stay meaningful across speeds;
-* the protocol-phase latency breakdown stays well-defined on
-  heterogeneous traced runs.
+* the protocol-phase spans stay well-defined on heterogeneous runs.
 """
 
 import numpy as np
@@ -22,10 +19,8 @@ import pytest
 
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.experiments.verify import assert_sound, verify_execution
-from repro.metrics.latency import mean_phase_breakdown
 from repro.sched.plan import SchedulingPlan
 from repro.sched.intervals import Reservation
-from repro.viz.execution import execution_items, render_execution
 from repro.workloads.deadlines import assign_deadline
 from repro.graphs.generators import linear_chain_dag
 
@@ -67,21 +62,6 @@ class TestVerifySpeedAudit:
 
     def test_trace_workload_audit_clean(self):
         assert_sound(_hetero_run(workload="trace:epigenomics"))
-
-
-class TestExecutionGanttSpeedRows:
-    def test_heterogeneous_rows_annotated(self):
-        res = _hetero_run()
-        rows = {item[0] for item in execution_items(res)}
-        assert rows, "no executed chunks to render"
-        assert all("x" in row for row in rows)
-        assert any("x0.4" in row for row in rows) or any("x1.6" in row for row in rows)
-        assert "x" in render_execution(res)
-
-    def test_homogeneous_rows_unchanged(self):
-        res = _hetero_run(site_speeds=None)
-        rows = {item[0] for item in execution_items(res)}
-        assert rows and all("x" not in row for row in rows)
 
 
 class TestFocusedCapacityRanking:
@@ -136,10 +116,12 @@ class TestPlanWorkAccounting:
 
 class TestLatencyBreakdownHeterogeneous:
     def test_phase_breakdown_defined(self):
-        """The trace-derived latency decomposition holds off the
-        homogeneous happy path (phases are protocol time, not WCET)."""
-        res = _hetero_run(duration=150.0)
-        breakdown = mean_phase_breakdown(res.tracer)
-        assert breakdown["runs"] >= 1
-        assert np.isfinite(breakdown["total"])
-        assert breakdown["total"] >= 0.0
+        """Obs phase spans on a heterogeneous run have finite, non-negative
+        durations (phases are protocol time, not WCET)."""
+        res = _hetero_run(duration=150.0, trace=False, telemetry=True)
+        spans = [
+            s for s in res.telemetry.spans
+            if s.category in ("phase.enroll", "phase.map", "phase.validate")
+        ]
+        assert any(s.category == "phase.map" for s in spans), "no protocol run"
+        assert all(np.isfinite(s.duration) and s.duration >= 0.0 for s in spans)

@@ -263,3 +263,25 @@ TestExecutorDifferential = ExecutorDifferential.TestCase
 TestExecutorDifferential.settings = settings(
     max_examples=120, stateful_step_count=40, deadline=None
 )
+
+
+def test_reaped_task_takes_its_forwarding_entry_with_it():
+    """A schedule the machine above once shrank to: ``t1`` waits on ``t0``
+    and is reaped while ``t0`` still runs, then ``t0`` completes. What
+    ``t1`` owed a remote successor goes at the prune that follows the
+    reap, not when its whole job is gone (which never comes)."""
+    w = _World(PlanExecutor, HostSide)
+    host = {"t0": ME, "t1": ME, "t2": 1}
+    preds = {"t0": [], "t1": ["t0"], "t2": ["t0", "t1"]}
+    slots = [
+        Reservation(0.0, 0.5, 8, "t0"),
+        Reservation(0.5, 1.0, 8, "t0"),
+        Reservation(0.0, 0.5, 8, "t1"),
+    ]
+    w.hosting.commit(8, slots, host, preds, {})
+    w.sim.run(until=0.5)
+    assert w.executor.reap_abandoned(0.5) == 1
+    w.hosting.prune()
+    w.sim.run()
+    assert w.completed == [(8, "t0", 1.0)]
+    assert w.hosting.exec_info == {} and w.hosting.leaks() == []

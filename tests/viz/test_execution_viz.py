@@ -1,10 +1,15 @@
-"""Tests for the actual-execution Gantt rendering."""
+"""What a finished run actually executed, as the shipped views show it.
+
+The executors' records hold the actual chunks per site, the collector
+records where each job was placed, and ``rtds trace`` renders one lane
+per site with a ``phase.execute`` span for every admitted job.
+"""
 
 
 import pytest
 
 from repro.experiments.runner import ExperimentConfig, run_experiment
-from repro.viz.execution import execution_items, job_placement_summary, render_execution
+from repro.obs.export import chrome_trace
 from repro.viz.gantt import render_gantt
 
 
@@ -17,47 +22,29 @@ def run():
             duration=100.0,
             seed=4,
             algorithm="rtds",
+            telemetry=True,
         )
     )
 
 
 class TestExecutionItems:
-    def test_filter_by_site(self, run):
-        all_items = execution_items(run)
-        one = execution_items(run, sites=[0])
-        assert len(one) <= len(all_items)
-        assert all(row.strip().startswith("site") for row, *_ in one)
-        assert all("  0" in row for row, *_ in one)
-
-    def test_filter_by_window(self, run):
-        t0 = run.setup_time
-        early = execution_items(run, t_min=0.0, t_max=t0 + 30.0)
-        for _, _, s, e in early:
-            assert s < t0 + 30.0
-
-    def test_filter_by_job(self, run):
-        items = execution_items(run)
-        some_job = int(items[0][1].split("/")[0])
-        only = execution_items(run, jobs=[some_job])
-        assert only
-        assert all(label.startswith(f"{some_job}/") for _, label, *_ in only)
-
     def test_chunks_ordered_per_site(self, run):
-        items = execution_items(run, sites=[0])
-        times = sorted((s, e) for _, _, s, e in items)
-        for (s1, e1), (s2, e2) in zip(times, times[1:]):
-            assert s2 >= e1 - 1e-9  # single processor
+        for site in run.network.sites.values():
+            chunks = sorted(c for rec in site.executor.records().values() for c in rec.actual)
+            for (s1, e1), (s2, e2) in zip(chunks, chunks[1:]):
+                assert s2 >= e1 - 1e-9  # single processor
 
 
 class TestRendering:
     def test_render_contains_rows(self, run):
-        out = render_execution(run, t_max=run.setup_time + 50.0)
-        assert "actual execution" in out
-        assert "site" in out
-
-    def test_empty_window(self, run):
-        out = render_execution(run, t_min=1e8, t_max=1e9)
-        assert "empty schedule" in out
+        events = chrome_trace(run.telemetry)["traceEvents"]
+        lanes = {e["tid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
+        executed = [e for e in events if e["name"] == "phase.execute"]
+        assert executed
+        # every admitted job's execution renders on its origin site's lane
+        assert all(lanes[e["tid"]] == f"site {e['tid']}" for e in executed)
+        admitted = {r.job for r in run.collector.records() if r.outcome.accepted}
+        assert {e["args"]["key"] for e in executed} == admitted
 
     def test_gantt_width_respected(self):
         out = render_gantt([("r", "x", 0.0, 10.0)], width=30)
@@ -65,8 +52,15 @@ class TestRendering:
         assert len(row) <= 3 + 30 + 2
 
     def test_placement_summary_sorted(self, run):
-        items = execution_items(run)
-        job = int(items[0][1].split("/")[0])
-        rows = job_placement_summary(run, job)
-        starts = [r[2] for r in rows]
-        assert starts == sorted(starts)
+        ran_on = {}
+        for sid, site in run.network.sites.items():
+            for (job, _task), rec in site.executor.records().items():
+                if rec.done:
+                    ran_on.setdefault(job, set()).add(sid)
+        finished = [
+            r for r in run.collector.records() if r.outcome.accepted and r.job in ran_on
+        ]
+        assert finished
+        # the collector's placement is where the job's tasks actually ran
+        for rec in finished:
+            assert ran_on[rec.job] == set(rec.hosts)
