@@ -121,7 +121,8 @@ class CentralizedCoordinator:
         )[: self.shortlist]
         if ctx.origin not in cands:
             cands.append(ctx.origin)
-        scratch = {sid: self.shadow[sid].copy() for sid in cands}
+        # every probe starts at or after code_ready >= now: copy the live tails
+        scratch = {sid: self.shadow[sid].copy(now) for sid in cands}
         speeds = {sid: self.all_sites[sid].speed for sid in cands}
         #: earliest a host can start anything: code must arrive first
         code_ready = {

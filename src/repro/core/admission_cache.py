@@ -22,9 +22,10 @@ network-wide, keyed by:
 * the site-state digest from ``SchedulingPlan.state_digest()`` — the
   timeline's (starts, ends) signature. Feasibility probing reads nothing
   else, so two sites with equal digests (typically: both idle) share one
-  computed endorsement, frozen ``Reservation`` objects included (safe:
-  the §10 perfect matching commits each logical processor on at most one
-  site, and reservations are immutable).
+  computed endorsement, slot tuples included (safe: the §10 perfect
+  matching commits each logical processor on at most one site, and the
+  slots are immutable — each committing site builds its own
+  ``Reservation`` objects from them).
 
 Temporal validity is *checked, not assumed*: a lookup with ``now`` past
 the payload's minimum release is answered by direct computation and
@@ -45,14 +46,14 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.core.validation import ProcTasks, endorse_mapping
-from repro.sched.intervals import Reservation
+from repro.sched.intervals import Slot
 from repro.sched.plan import SchedulingPlan
 from repro.types import JobId, LogicalProc, Time
 
 #: (job, payload id, speed, order, plan state digest)
 _Key = Tuple[JobId, int, float, str, tuple]
 #: (endorsed procs, slots per proc, strong payload ref)
-_Entry = Tuple[List[LogicalProc], Dict[LogicalProc, List[Reservation]], ProcTasks]
+_Entry = Tuple[List[LogicalProc], Dict[LogicalProc, List[Slot]], ProcTasks]
 
 
 class AdmissionCache:
@@ -85,11 +86,11 @@ class AdmissionCache:
         preemptive: bool,
         speed: float,
         order: str,
-    ) -> Tuple[List[LogicalProc], Dict[LogicalProc, List[Reservation]]]:
+    ) -> Tuple[List[LogicalProc], Dict[LogicalProc, List[Slot]]]:
         """Memoized :func:`endorse_mapping` (same signature semantics).
 
         Returns fresh list/dict containers on a hit — callers stash and
-        mutate them — while sharing the immutable ``Reservation`` slots.
+        mutate them — while sharing the immutable slot tuples.
         """
         if not self.enabled or preemptive:
             # §13 preemptive chunking consults idle windows from ``now``

@@ -19,7 +19,9 @@ reproduce Figures 3/4 and Table 1 exactly (tests/core/test_paper_example).
 
 §13 "Local knowledge of k": a processor spec carrying the initiator's own
 ``timeline`` is scheduled by real insertion (earliest gap, true duration
-``c/speed``) instead of the surplus estimate.
+``c/speed``) instead of the surplus estimate. The caller's timeline is
+only read: the mapper probes a private copy of its live tail past the job
+release.
 """
 
 from __future__ import annotations
@@ -75,9 +77,13 @@ def build_trial_mapping(
     start: Dict[TaskId, Time] = {}
     finish: Dict[TaskId, Time] = {}
     proc_avail: List[Time] = [job_release] * len(procs)
-    #: §13 local-knowledge scratch timelines (per proc that has one)
+    #: §13 local-knowledge scratch timelines (per proc that has one): the
+    #: one copy of the caller's timeline, its live tail only — every probe
+    #: and tentative reservation below starts at or after ``job_release``
     scratch: Dict[int, BusyTimeline] = {
-        i: p.timeline.copy() for i, p in enumerate(procs) if p.timeline is not None
+        i: p.timeline.copy(job_release)
+        for i, p in enumerate(procs)
+        if p.timeline is not None
     }
     # hoisted per-proc estimate state: estimated_duration is c / (I·speed)
     # (eq. (1)) and runs |T|·|U| times — precomputing the denominator keeps

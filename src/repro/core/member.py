@@ -24,6 +24,7 @@ from repro.core.messages import (
     MSG_VALIDATE,
     MSG_VALIDATE_ACK,
 )
+from repro.core.validation import slot_reservations
 from repro.errors import ProtocolError
 from repro.simnet.message import Message
 from repro.types import JobId, LogicalProc, SiteId, TaskId, Time
@@ -271,11 +272,11 @@ class MemberSide:
                 f"site {site.sid}: assigned logical proc {proc} for job {job} "
                 "but no cached validation slots (endorsement mismatch)"
             )
-        site.hosting.commit(job, slots, host, preds, volumes)
+        site.hosting.commit(job, slot_reservations(job, slots), host, preds, volumes)
         if site.trace_on:
             site.trace(
                 "execute.commit", job=job, proc=proc,
-                tasks=sorted({r.task for r in slots}, key=repr),
+                tasks=sorted({slot[2] for slot in slots}, key=repr),
             )
         return True
 

@@ -414,7 +414,8 @@ class RTDSSite(SchedulerSite):
         for i, (surplus, speed, busyness, site) in enumerate(cands):
             timeline = None
             if self.config.local_knowledge and site == self.sid:
-                timeline = self.plan.scratch_timeline()
+                # read-only: the mapper probes its own tail copy past r_map
+                timeline = self.plan.timeline
             specs.append(
                 LogicalProcSpec(
                     index=i,

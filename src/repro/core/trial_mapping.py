@@ -35,7 +35,8 @@ class LogicalProcSpec:
     ``speed`` — §13 uniform-machines computing power (1.0 = identical);
     ``busyness`` — ``1 - surplus`` of the candidate (laxity dispatching);
     ``timeline`` — §13 local-knowledge: the initiator's own idle intervals
-    (only ever set for the initiator's candidate processor).
+    (only ever set for the initiator's candidate processor; the mapper
+    reads it and never writes to it).
     """
 
     index: LogicalProc

@@ -7,6 +7,14 @@ executed with respect to its release r(t) and deadline d(t)." The site
 answers with the list of endorsable logical processors and caches the
 concrete slots so an eventual EXECUTE commits exactly what was tested.
 
+What a probe pays for is the *live tail* of the plan, not its history:
+every task window is floored at ``now``, so the probe copies only the
+intervals that end after ``now`` (``BusyTimeline.scratch_arrays(now)``),
+with every placement the same as on the full plan. The slots are plain
+:data:`~repro.sched.intervals.Slot` tuples; a site is matched to at most
+one logical processor, and :func:`slot_reservations` turns only that one's
+slots into ``Reservation`` objects, at commit.
+
 Initiator side — :func:`compute_permutation`: "it computes a maximum
 coupling [...]. If the cardinality of the maximum coupling is less than |U|
 then no combination satisfies all Ti and the DAG is rejected"; otherwise the
@@ -18,9 +26,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sched.feasibility import WindowTask
-from repro.sched.intervals import BusyTimeline, Reservation
+from repro.sched.intervals import BusyTimeline, Reservation, Slot
 from repro.sched.matching import perfect_left_matching
-from repro.sched.preemptive import preemptive_chunks
+from repro.sched.preemptive import preemptive_slots
 from repro.sched.soa import fit_and_hold
 from repro.types import JobId, LogicalProc, SiteId, TaskId, Time
 
@@ -44,17 +52,17 @@ _ENTRY_ORDERS = {"edf": _edf_key, "llf": _llf_key}
 
 def _probe_window_entries(
     timeline: BusyTimeline,
-    job: JobId,
     entries: List[_Entry],
     not_before: Time,
     order: str,
-) -> Optional[List[Reservation]]:
+) -> Optional[List[Slot]]:
     """Flat-array §10 satisfiability test over payload entries.
 
     Semantically identical to building :class:`WindowTask` objects and
     calling ``try_schedule_window_tasks`` — same ordering keys (duration
     does not enter the EDF key; laxity is ``(d - r) - duration``), same
-    EPS probing — with the object layer stripped off the hot path.
+    EPS probing, same tail cut at ``not_before`` — with the object layer
+    stripped off the hot path.
     """
     try:
         key = _ENTRY_ORDERS[order]
@@ -62,17 +70,26 @@ def _probe_window_entries(
         raise ValueError(
             f"unknown insertion order {order!r}; known: {sorted(_ENTRY_ORDERS)}"
         ) from None
-    starts, ends = timeline.scratch_arrays()
-    placed: List[Tuple[Time, _Entry]] = []
+    starts, ends = timeline.scratch_arrays(not_before)
+    placed: List[Slot] = []
     for e in sorted(entries, key=key):
         lo = e[2] if e[2] > not_before else not_before
         start = fit_and_hold(starts, ends, e[1], lo, e[3])
         if start is None:
             return None
-        placed.append((start, e))
+        placed.append((start, start + e[1], e[0], e[2], e[3]))
+    return placed
+
+
+def slot_reservations(job: JobId, slots: Sequence[Slot]) -> List[Reservation]:
+    """The committed processor's slots as plan reservations.
+
+    The one place validation slots become ``Reservation`` objects: called
+    for the single logical processor a site is matched to, at commit.
+    """
     return [
-        Reservation(s, s + e[1], job, e[0], release=e[2], deadline=e[3])
-        for (s, e) in placed
+        Reservation(s, e, job, task, release=r, deadline=d)
+        for (s, e, task, r, d) in slots
     ]
 
 
@@ -84,7 +101,7 @@ def endorse_mapping(
     preemptive: bool = False,
     speed: float = 1.0,
     order: str = "edf",
-) -> Tuple[List[LogicalProc], Dict[LogicalProc, List[Reservation]]]:
+) -> Tuple[List[LogicalProc], Dict[LogicalProc, List[Slot]]]:
     """Which logical processors can this site endorse?
 
     Each processor's task set is tested *independently* against the current
@@ -92,10 +109,12 @@ def endorse_mapping(
     must not see each other's slots). Durations are ``complexity / speed``
     — a heterogeneous (§13 uniform machines) site answers for itself.
 
-    Returns the endorsed indices and the concrete slots per index.
+    Returns the endorsed indices and the concrete slots per index, as
+    uncommitted :data:`~repro.sched.intervals.Slot` tuples on both the
+    EDF/LLF and the preemptive path (see :func:`slot_reservations`).
     """
     endorsed: List[LogicalProc] = []
-    slots: Dict[LogicalProc, List[Reservation]] = {}
+    slots: Dict[LogicalProc, List[Slot]] = {}
     for proc in sorted(procs):
         entries: List[_Entry] = []
         too_tight = False
@@ -109,9 +128,9 @@ def endorse_mapping(
             continue
         if preemptive:
             tasks = [WindowTask(job, tid, dur, r, d) for (tid, dur, r, d) in entries]
-            fit = preemptive_chunks(timeline, tasks, not_before=now)
+            fit = preemptive_slots(timeline, tasks, not_before=now)
         else:
-            fit = _probe_window_entries(timeline, job, entries, not_before=now, order=order)
+            fit = _probe_window_entries(timeline, entries, not_before=now, order=order)
         if fit is not None:
             endorsed.append(proc)
             slots[proc] = fit

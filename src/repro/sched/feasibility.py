@@ -16,7 +16,9 @@ Two tests back the protocol:
 
 Both return concrete :class:`Reservation` lists (or ``None``) so a caller
 can *commit* exactly what was tested — this is how validation endorsements
-stay valid until execution (see DESIGN.md "Lock semantics").
+stay valid until execution (see DESIGN.md "Lock semantics"). Both probe
+only the timeline's live tail (``scratch_arrays(cutoff)``): no task starts
+before ``not_before``, so history that ends by then cannot move a slot.
 """
 
 from __future__ import annotations
@@ -86,10 +88,11 @@ def try_schedule_dag_locally(
     without materializing a rescaled DAG.
     """
     scale = abs(speed - 1.0) > 1e-12
-    starts, ends = timeline.scratch_arrays()
+    floor = max(release, not_before)
+    # every probe starts at or after ``floor``: the history before it is moot
+    starts, ends = timeline.scratch_arrays(floor)
     finish: Dict[TaskId, Time] = {}
     placed: List[Tuple[Time, Time, TaskId, Time]] = []
-    floor = max(release, not_before)
     for tid in dag.topological_order():
         ready = floor
         for p in dag.predecessors(tid):
@@ -142,7 +145,7 @@ def try_schedule_window_tasks(
         ordering = _ORDERS[order]
     except KeyError:
         raise ValueError(f"unknown insertion order {order!r}; known: {sorted(_ORDERS)}") from None
-    starts, ends = timeline.scratch_arrays()
+    starts, ends = timeline.scratch_arrays(not_before)
     placed: List[Tuple[Time, WindowTask]] = []
     for t in ordering(tasks):
         lo = max(t.release, not_before)

@@ -8,7 +8,12 @@ given duration inside a release/deadline window.
 
 Performance notes (profiled on the E1 workload): plans hold tens of live
 reservations; ``bisect`` + list insert is faster than any tree below ~10^3
-entries, and :meth:`prune_before` keeps plans short in long simulations.
+entries, and :meth:`prune_before` keeps plans short in long service runs.
+Batch runs never prune, so there a plan also carries its finished
+history (hundreds of reservations on a Montage cell); every what-if probe
+therefore works on the *live tail* only — :meth:`BusyTimeline.scratch_arrays`
+and :meth:`BusyTimeline.copy` take a cutoff and drop the intervals that end
+at or before it, which no probe released at or after the cutoff can see.
 All comparisons use the shared EPS tolerance so adjacent reservations
 (end == next start) never collide through float noise.
 """
@@ -52,6 +57,12 @@ class Reservation:
 
     def key(self) -> Tuple[JobId, TaskId]:
         return (self.job, self.task)
+
+
+#: A tested, not yet committed placement ``(start, end, task, release,
+#: deadline)`` — what §10 validation answers per endorsed processor. A site
+#: commits at most one processor, and only that one becomes ``Reservation``s.
+Slot = Tuple[Time, Time, TaskId, Time, Time]
 
 
 class BusyTimeline:
@@ -159,15 +170,28 @@ class BusyTimeline:
             return 0.0
         return (end - start) - self.idle_time(start, end)
 
-    def scratch_arrays(self) -> Tuple[List[Time], List[Time]]:
+    def _tail_start(self, cutoff: Optional[Time]) -> int:
+        """Index of the first interval with ``end > cutoff + EPS``.
+
+        Intervals never overlap, so ``_ends`` is sorted like ``_starts``
+        and the finished history is always a prefix.
+        """
+        return 0 if cutoff is None else bisect_right(self._ends, cutoff + EPS)
+
+    def scratch_arrays(
+        self, after: Optional[Time] = None
+    ) -> Tuple[List[Time], List[Time]]:
         """Mutable (starts, ends) copies for what-if probing.
 
         Feasibility tests probe and tentatively insert on these plain float
         lists (:mod:`repro.sched.soa`) instead of copying the whole
-        timeline; ``Reservation`` objects are built only for accepted
-        placements.
+        timeline. With ``after`` only the live tail is copied (see
+        :meth:`tail_signature`): every placement made by probes released
+        at or after ``after`` is the same as on the full arrays — the
+        dropped prefix only shifts the bisect indices by a constant.
         """
-        return (list(self._starts), list(self._ends))
+        k = self._tail_start(after)
+        return (self._starts[k:], self._ends[k:])
 
     def signature(self) -> Tuple[Tuple[Time, ...], Tuple[Time, ...]]:
         """Hashable (starts, ends) snapshot — the admission-cache state digest.
@@ -188,12 +212,12 @@ class BusyTimeline:
         timelines with equal *tail* signatures answer all such probes
         identically — whatever already-finished history they carry.
         """
-        k = bisect_right(self._ends, cutoff + EPS)
+        k = self._tail_start(cutoff)
         return (tuple(self._starts[k:]), tuple(self._ends[k:]))
 
     def tail_len(self, cutoff: Time) -> int:
         """Number of intervals still visible past ``cutoff``."""
-        return len(self._ends) - bisect_right(self._ends, cutoff + EPS)
+        return len(self._ends) - self._tail_start(cutoff)
 
     def at(self, time: Time) -> Optional[Reservation]:
         """The reservation covering ``time``, if any."""
@@ -278,12 +302,18 @@ class BusyTimeline:
             del self._ends[:i]
         return i
 
-    def copy(self) -> "BusyTimeline":
-        """Shallow copy (reservations are frozen, safe to share)."""
+    def copy(self, after: Optional[Time] = None) -> "BusyTimeline":
+        """Shallow copy (reservations are frozen, safe to share).
+
+        With ``after``, a scratch copy of the live tail only — the same cut
+        as :meth:`scratch_arrays`, for what-if schedules whose every probe
+        and reservation starts at or after ``after``.
+        """
+        k = self._tail_start(after)
         other = BusyTimeline()
-        other._starts = list(self._starts)
-        other._ends = list(self._ends)
-        other._items = list(self._items)
+        other._starts = self._starts[k:]
+        other._ends = self._ends[k:]
+        other._items = self._items[k:]
         return other
 
     # -- invariants ------------------------------------------------------------

@@ -199,10 +199,6 @@ class SchedulingPlan:
             return tl.tail_signature(horizon)
         return (self.site, self.version)
 
-    def scratch_timeline(self) -> BusyTimeline:
-        """A private copy for what-if feasibility tests."""
-        return self.timeline.copy()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SchedulingPlan(site={self.site}, jobs={len(self._jobs)}, "

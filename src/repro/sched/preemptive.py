@@ -9,7 +9,10 @@ is genuinely infeasible.
 
 :func:`preemptive_chunks` additionally returns the concrete execution
 chunks (as ordinary :class:`Reservation` slices) so the plan can commit a
-preemptive admission with the same machinery as the non-preemptive path.
+preemptive admission with the same machinery as the non-preemptive path;
+:func:`preemptive_slots` returns the same chunks as uncommitted
+:data:`~repro.sched.intervals.Slot` tuples for §10 validation, which
+commits at most one of the processors it tests.
 """
 
 from __future__ import annotations
@@ -17,9 +20,12 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Sequence, Tuple
 
-from repro.sched.intervals import BusyTimeline, Reservation
+from repro.sched.intervals import BusyTimeline, Reservation, Slot
 from repro.sched.feasibility import WindowTask
 from repro.types import EPS, Time
+
+#: one execution chunk: (start, end, index of its task)
+_Run = Tuple[Time, Time, int]
 
 
 def _edf_simulation(
@@ -27,7 +33,7 @@ def _edf_simulation(
     tasks: Sequence[WindowTask],
     not_before: Time,
     collect: bool,
-) -> Optional[List[Reservation]]:
+) -> Optional[List[_Run]]:
     """Simulate preemptive EDF inside the timeline's idle windows.
 
     Returns the chunk list (or ``[]`` when ``collect`` is False) on success,
@@ -44,7 +50,7 @@ def _edf_simulation(
         min(r for r, _ in releases), horizon
     )
     remaining = [t.duration for t in tasks]
-    chunks: List[Reservation] = []
+    chunks: List[_Run] = []
     ready: List[Tuple[Time, int]] = []  # (deadline, index) heap
     next_rel = 0
     n_done = 0
@@ -74,17 +80,7 @@ def _edf_simulation(
             run = min(remaining[i], until - now)
             if run > EPS:
                 if collect:
-                    t = tasks[i]
-                    chunks.append(
-                        Reservation(
-                            now,
-                            now + run,
-                            t.job,
-                            t.task,
-                            release=t.release,
-                            deadline=t.deadline,
-                        )
-                    )
+                    chunks.append((now, now + run, i))
                 remaining[i] -= run
                 now += run
             if remaining[i] <= EPS:
@@ -106,17 +102,11 @@ def _edf_simulation(
         return None
     # merge adjacent chunks of the same task for tidier plans
     if collect and chunks:
-        merged: List[Reservation] = [chunks[0]]
+        merged: List[_Run] = [chunks[0]]
         for ch in chunks[1:]:
             last = merged[-1]
-            if (
-                ch.job == last.job
-                and ch.task == last.task
-                and abs(ch.start - last.end) <= EPS
-            ):
-                merged[-1] = Reservation(
-                    last.start, ch.end, last.job, last.task, last.release, last.deadline
-                )
+            if ch[2] == last[2] and abs(ch[0] - last[1]) <= EPS:
+                merged[-1] = (last[0], ch[1], last[2])
             else:
                 merged.append(ch)
         return merged
@@ -134,4 +124,25 @@ def preemptive_chunks(
     timeline: BusyTimeline, tasks: Sequence[WindowTask], not_before: Time
 ) -> Optional[List[Reservation]]:
     """Concrete EDF execution chunks, or ``None`` if infeasible."""
-    return _edf_simulation(timeline, tasks, not_before, collect=True)
+    runs = _edf_simulation(timeline, tasks, not_before, collect=True)
+    if runs is None:
+        return None
+    out: List[Reservation] = []
+    for s, e, i in runs:
+        t = tasks[i]
+        out.append(Reservation(s, e, t.job, t.task, release=t.release, deadline=t.deadline))
+    return out
+
+
+def preemptive_slots(
+    timeline: BusyTimeline, tasks: Sequence[WindowTask], not_before: Time
+) -> Optional[List[Slot]]:
+    """The chunks of :func:`preemptive_chunks` as uncommitted slots."""
+    runs = _edf_simulation(timeline, tasks, not_before, collect=True)
+    if runs is None:
+        return None
+    out: List[Slot] = []
+    for s, e, i in runs:
+        t = tasks[i]
+        out.append((s, e, t.task, t.release, t.deadline))
+    return out

@@ -9,9 +9,13 @@ build a ``Reservation`` per probe, re-run the overlap check on insert —
 pays for attribute access and object construction on every step.
 
 This module is the flat core those tests now share: probing and tentative
-insertion operate directly on parallel ``starts``/``ends`` float lists
-(obtained via ``BusyTimeline.scratch_arrays()``), and ``Reservation``
-objects are built only for placements that survive the whole test.
+insertion operate directly on parallel ``starts``/``ends`` float lists.
+The lists are the timeline's *live tail* (``BusyTimeline.scratch_arrays(
+cutoff)``, the intervals ending after the probes' common floor), so a
+probe costs what is still scheduled, not the plan's whole history; the
+dropped prefix only shifts every bisect index by a constant. The local
+test builds ``Reservation`` objects for placements that survive the whole
+test; validation builds them only for the one processor it commits.
 
 There is one earliest-gap scan, :func:`earliest_gap`:
 ``BusyTimeline.earliest_fit`` is that scan over the timeline's own arrays,

@@ -1,5 +1,8 @@
 """Tests for the local guarantee test (§5) and validation (§10)."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core.local_test import blazewicz_windows, local_guarantee_test
@@ -90,9 +93,10 @@ class TestEndorse:
         }
         endorsed, slots = endorse_mapping(tl, 1, procs, 0.0)
         assert endorsed == [0, 1]
-        # both got the same gap - they are alternatives, not co-scheduled
-        assert slots[0][0].start == pytest.approx(18.0)
-        assert slots[1][0].start == pytest.approx(18.0)
+        # both got the same gap - they are alternatives, not co-scheduled;
+        # a slot is (start, end, task, release, deadline)
+        assert slots[0][0][0] == pytest.approx(18.0)
+        assert slots[1][0][0] == pytest.approx(18.0)
 
     def test_busy_site_endorses_nothing(self):
         tl = BusyTimeline()
@@ -118,6 +122,58 @@ class TestEndorse:
         np_end, _ = endorse_mapping(tl, 1, procs, 0.0, preemptive=False)
         p_end, _ = endorse_mapping(tl, 1, procs, 0.0, preemptive=True)
         assert np_end == [] and p_end == [0]
+
+
+class TestTailCost:
+    """A VALIDATE probe pays for the live tail of the plan, not its history:
+    peak bytes are measured under tracemalloc, so the bound holds on any box."""
+
+    NOW = 20_000.0
+
+    def timeline(self, finished):
+        tl = BusyTimeline()
+        for i in range(finished):  # history: ends before NOW
+            start = self.NOW - finished + i
+            tl.reserve(Reservation(start, start + 0.5, 9, f"old{i}"))
+        for k in range(5):  # live: ends after NOW
+            start = self.NOW + 1.0 + 2.0 * k
+            tl.reserve(Reservation(start, start + 1.0, 9, f"live{k}"))
+        return tl
+
+    def payload(self):
+        now = self.NOW
+        return {
+            0: [("a", 2.0, now, now + 30.0), ("b", 1.0, now + 1.0, now + 20.0)],
+            1: [("c", 3.0, now, now + 40.0)],
+            2: [("d", 1.5, now + 2.0, now + 25.0), ("e", 0.5, now, now + 9.0)],
+        }
+
+    def peak_bytes(self, tl, payload):
+        started_here = not tracemalloc.is_tracing()
+        if started_here:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = endorse_mapping(tl, 1, payload, self.NOW)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started_here:
+                tracemalloc.stop()
+        return out, peak
+
+    def test_endorse_peak_bytes_do_not_grow_with_history(self):
+        payload = self.payload()
+        long_tl, short_tl = self.timeline(10_000), self.timeline(10)
+        endorse_mapping(short_tl, 1, payload, self.NOW)  # first-call warm-up
+        gc.collect()
+        long_out, long_peak = self.peak_bytes(long_tl, payload)
+        short_out, short_peak = self.peak_bytes(short_tl, payload)
+        assert long_out == short_out and long_out[0] == [0, 1, 2]
+        assert long_peak <= 1.5 * short_peak, (
+            f"endorse_mapping peaked at {long_peak} B over 10 000 finished "
+            f"reservations vs {short_peak} B over 10"
+        )
 
 
 class TestPermutation:

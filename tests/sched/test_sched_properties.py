@@ -1,13 +1,24 @@
 """Property-based tests (hypothesis) for the scheduling substrate."""
 
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.validation import _probe_window_entries
+from repro.graphs.generators import random_dag
 from repro.sched.edf import demand_bound_satisfied
-from repro.sched.feasibility import WindowTask, try_schedule_window_tasks
+from repro.sched.feasibility import (
+    WindowTask,
+    try_schedule_dag_locally,
+    try_schedule_window_tasks,
+)
 from repro.sched.intervals import BusyTimeline, Reservation
 from repro.sched.matching import hopcroft_karp, maximum_matching_bruteforce
 from repro.sched.preemptive import preemptive_chunks, preemptive_satisfiable
+from repro.types import EPS
 
 
 @st.composite
@@ -109,6 +120,117 @@ def test_hopcroft_karp_optimal(adj):
         assert r not in used
         used.add(r)
     assert len(m) == maximum_matching_bruteforce(adj)
+
+
+# -- tail probes: the live tail answers every probe like the full timeline ----
+
+#: where the cutoff sits around the end of the boundary interval, in EPS
+CUT_OFFSETS = (-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
+
+
+@st.composite
+def history_and_live(draw):
+    """A timeline with a finished history, a boundary interval and a live
+    part, and a cutoff on the boundary interval's end or a few EPS off it
+    (gaps of 0 make intervals adjacent, so ends also meet starts)."""
+    tl = BusyTimeline()
+    n_hist = draw(st.integers(min_value=0, max_value=6))
+    n_live = draw(st.integers(min_value=0, max_value=4))
+    gaps = st.sampled_from([0.0, 0.5]) | st.floats(min_value=0.1, max_value=4.0)
+    t, cutoff = 0.0, None
+    for i in range(n_hist + 1 + n_live):
+        t += draw(gaps)
+        dur = draw(st.floats(min_value=0.1, max_value=4.0))
+        tl.reserve(Reservation(t, t + dur, 99, f"bg{i}"))
+        t += dur
+        if i == n_hist:
+            cutoff = t + draw(st.sampled_from(CUT_OFFSETS)) * EPS
+    return tl, cutoff
+
+
+#: (duration, release offset from the cutoff, slack) of one probed task
+probe_specs = st.lists(
+    st.tuples(
+        st.floats(min_value=0.1, max_value=4.0),
+        st.sampled_from([-1.0, 0.0]) | st.floats(min_value=0.0, max_value=8.0),
+        st.floats(min_value=0.0, max_value=10.0),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@contextmanager
+def full_arrays():
+    """Probes inside see the whole timeline: the tail cut is ignored."""
+    scratch, copy = BusyTimeline.scratch_arrays, BusyTimeline.copy
+    with mock.patch.object(
+        BusyTimeline, "scratch_arrays", lambda self, after=None: scratch(self)
+    ), mock.patch.object(BusyTimeline, "copy", lambda self, after=None: copy(self)):
+        yield
+
+
+@given(history_and_live(), probe_specs, st.sampled_from(["edf", "llf"]))
+@settings(max_examples=150, deadline=None)
+def test_window_probes_same_on_tail_and_full(case, specs, order):
+    """§10 validation places every task where the full timeline would."""
+    tl, cutoff = case
+    entries = [
+        (f"t{i}", dur, cutoff + off, cutoff + off + dur + slack)
+        for i, (dur, off, slack) in enumerate(specs)
+    ]
+    tasks = [WindowTask(1, tid, dur, r, d) for (tid, dur, r, d) in entries]
+
+    def probe():
+        return (
+            _probe_window_entries(tl, entries, cutoff, order),
+            try_schedule_window_tasks(tl, tasks, cutoff, order),
+        )
+
+    tail = probe()
+    with full_arrays():
+        assert probe() == tail
+
+
+@given(
+    history_and_live(),
+    st.integers(min_value=0, max_value=2**16),
+    st.booleans(),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=2.0, max_value=30.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_local_test_same_on_tail_and_full(case, dag_seed, floor_is_release, below, window):
+    """The §5 local test cuts at ``max(release, not_before)``; either may be it."""
+    tl, cutoff = case
+    dag = random_dag(5, np.random.default_rng(dag_seed), c_range=(0.1, 3.0), p_edge=0.4)
+    release, not_before = (cutoff, cutoff - below) if floor_is_release else (cutoff - below, cutoff)
+
+    def probe():
+        return try_schedule_dag_locally(tl, dag, 1, release, cutoff + window, not_before)
+
+    tail = probe()
+    with full_arrays():
+        assert probe() == tail
+
+
+@given(history_and_live(), probe_specs)
+@settings(max_examples=150, deadline=None)
+def test_tail_copy_fits_like_full_copy(case, specs):
+    """The mapper's scratch copy: probe, reserve, probe again — every start
+    matches a full copy's."""
+    tl, cutoff = case
+    starts = []
+    for scratch in (tl.copy(cutoff), tl.copy()):
+        placed = []
+        for i, (dur, off, slack) in enumerate(specs):
+            lo = cutoff + max(off, 0.0)
+            s = scratch.earliest_fit(dur, lo, lo + dur + slack)
+            placed.append(s)
+            if s is not None:
+                scratch.reserve(Reservation(s, s + dur, 1, i))
+        starts.append(placed)
+    assert starts[0] == starts[1]
 
 
 @given(timelines(), st.floats(min_value=0, max_value=20), st.floats(min_value=0.1, max_value=30))
