@@ -11,13 +11,21 @@ the topological order are computed once and memoised.
 A :class:`Dag` is immutable after construction; workload generators build
 fresh instances. Mutability would buy nothing here (jobs never change shape
 after arrival) and immutability lets sites share one DAG object safely in the
-simulator without copying.
+simulator without copying. It also lets jobs of one fixed shape share one
+validated structure: :meth:`Dag.with_tasks` re-weights a graph without
+re-deriving its adjacency, sorted edges or topological order.
+
+The constructor keeps every check but pays for them with whole-collection
+tests (a dict of the ids, adjacency appends that fail on an unknown id, a set
+of the edges, the topological sort); only when one fails does it walk the
+edges in input order to name the first offender. The repr-sorted ``edges``
+tuple is built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import CycleError, DagError
 from repro.types import TaskId
@@ -74,36 +82,42 @@ class Dag:
         edges: Iterable[Tuple[TaskId, TaskId]] = (),
         name: str = "dag",
     ) -> None:
-        task_map: Dict[TaskId, Task] = {}
-        for t in tasks:
-            if t.tid in task_map:
-                raise DagError(f"duplicate task id {t.tid!r}")
-            task_map[t.tid] = t
+        # Every check is a whole-collection test on the happy path; only
+        # when one fails does _raise_first_bad_edge walk the edges in order,
+        # so the error names the first offender, as a per-edge scan would.
+        task_list = list(tasks)
+        task_map: Dict[TaskId, Task] = {t.tid: t for t in task_list}
+        if len(task_map) != len(task_list):
+            _raise_duplicate_task(task_list)
         if not task_map:
             raise DagError("a DAG needs at least one task")
 
+        edge_list = list(edges)
         preds: Dict[TaskId, list] = {tid: [] for tid in task_map}
         succs: Dict[TaskId, list] = {tid: [] for tid in task_map}
-        edge_set = set()
-        for u, v in edges:
-            if u not in task_map:
-                raise DagError(f"edge ({u!r}, {v!r}): unknown predecessor {u!r}")
-            if v not in task_map:
-                raise DagError(f"edge ({u!r}, {v!r}): unknown successor {v!r}")
-            if u == v:
-                raise CycleError(f"self-loop on task {u!r}")
-            if (u, v) in edge_set:
-                raise DagError(f"duplicate edge ({u!r}, {v!r})")
-            edge_set.add((u, v))
-            succs[u].append(v)
-            preds[v].append(u)
+        try:
+            for u, v in edge_list:
+                succs[u].append(v)
+                preds[v].append(u)
+            # tuple() keeps a tuple and converts a JSON-style [u, v] pair
+            clean = len(set(map(tuple, edge_list))) == len(edge_list)
+        except (KeyError, TypeError, ValueError):
+            clean = False
+        if not clean:
+            _raise_first_bad_edge(task_map, edge_list)
 
         self.name = name
         self._tasks: Dict[TaskId, Task] = task_map
         self._preds: Dict[TaskId, Tuple[TaskId, ...]] = {k: tuple(v) for k, v in preds.items()}
         self._succs: Dict[TaskId, Tuple[TaskId, ...]] = {k: tuple(v) for k, v in succs.items()}
-        self._edges: Tuple[Tuple[TaskId, TaskId], ...] = tuple(sorted(edge_set, key=repr))
-        self._order: Tuple[TaskId, ...] = self._toposort()
+        # the validated edge list; ``edges`` sorts it on first read
+        self._edges: Union[List, Tuple[Tuple[TaskId, TaskId], ...]] = edge_list
+        try:
+            self._order: Tuple[TaskId, ...] = self._toposort()
+        except CycleError:
+            # a self-loop is a one-edge cycle, reported as the edge it is
+            _raise_first_bad_edge(task_map, edge_list)
+            raise
         # lazy memos (the graph is immutable, so they never go stale):
         # bottom levels and the topo-order index are recomputed per mapper
         # run otherwise, and trace workloads re-admit the same Dag objects
@@ -114,11 +128,11 @@ class Dag:
     def with_tasks(self, tasks: Iterable[Task]) -> "Dag":
         """The same graph over new :class:`Task` objects (re-drawn weights).
 
-        Shares this graph's immutable adjacency, edge list and topological
-        order instead of re-deriving them. ``tasks`` must carry exactly
-        this graph's ids in its insertion order — the order that seeds the
-        topological sort — so the result equals ``Dag(tasks, <the edge
-        sequence this graph was built from>)``.
+        Shares this graph's immutable adjacency, sorted edge tuple and
+        topological order instead of re-deriving them. ``tasks`` must carry
+        exactly this graph's ids in its insertion order — the order that
+        seeds the topological sort — so the result equals ``Dag(tasks,
+        <the edge sequence this graph was built from>)``.
         """
         tasks = list(tasks)
         if [t.tid for t in tasks] != list(self._tasks):
@@ -127,7 +141,8 @@ class Dag:
         new.name = self.name
         new._tasks = {t.tid: t for t in tasks}
         new._preds, new._succs = self._preds, self._succs
-        new._edges, new._order = self._edges, self._order
+        # the sorted tuple, not the raw list: every copy would sort it again
+        new._edges, new._order = self.edges, self._order
         new._bl = None
         new._topo_index = self.topo_index()
         return new
@@ -162,7 +177,12 @@ class Dag:
     @property
     def edges(self) -> Tuple[Tuple[TaskId, TaskId], ...]:
         """All precedence arcs as ``(pred, succ)`` pairs (sorted, stable)."""
-        return self._edges
+        edges = self._edges
+        if isinstance(edges, list):
+            # the set, not the list: its order breaks ties between equal reprs
+            edges = tuple(sorted(set(map(tuple, edges)), key=repr))
+            self._edges = edges
+        return edges
 
     def predecessors(self, tid: TaskId) -> Tuple[TaskId, ...]:
         """Immediate predecessors Γ⁻(t)."""
@@ -211,7 +231,7 @@ class Dag:
             succs = self._succs
             for t in reversed(self._order):
                 succ = succs[t]
-                best = max((bl[s] for s in succ), default=0.0)
+                best = max([bl[s] for s in succ]) if succ else 0.0
                 bl[t] = tasks[t].complexity + best
             self._bl = bl
         return bl
@@ -246,6 +266,29 @@ class Dag:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Dag({self.name!r}, |T|={len(self)}, |E|={len(self._edges)})"
+
+
+def _raise_duplicate_task(tasks: List[Task]) -> None:
+    seen = set()
+    for t in tasks:
+        if t.tid in seen:
+            raise DagError(f"duplicate task id {t.tid!r}")
+        seen.add(t.tid)
+
+
+def _raise_first_bad_edge(task_map: Mapping[TaskId, Task], edges: List) -> None:
+    """Raise the error of the first malformed edge, in input order (if any)."""
+    seen = set()
+    for u, v in edges:
+        if u not in task_map:
+            raise DagError(f"edge ({u!r}, {v!r}): unknown predecessor {u!r}")
+        if v not in task_map:
+            raise DagError(f"edge ({u!r}, {v!r}): unknown successor {v!r}")
+        if u == v:
+            raise CycleError(f"self-loop on task {u!r}")
+        if (u, v) in seen:
+            raise DagError(f"duplicate edge ({u!r}, {v!r})")
+        seen.add((u, v))
 
 
 def chain_decomposition_width(dag: Dag) -> int:

@@ -12,11 +12,21 @@ Erdős–Rényi-ordered). All generators:
 * return an immutable :class:`~repro.graphs.dag.Dag` whose task ids are
   ``0..n-1`` in a topological order (except :func:`paper_example_dag`, which
   uses the paper's 1..5 ids).
+
+Generation cost: a workload draws thousands of jobs, and the families whose
+structure depends only on their size (chain, fork-join, Gaussian
+elimination) build and validate that structure once per size — a cached
+unit-weight :func:`_template` — and give each job its own :class:`Task`
+objects over it with :meth:`~repro.graphs.dag.Dag.with_tasks`. A job then
+costs its weight draw and its tasks. The random families (layered,
+Erdős–Rényi) draw a new structure per job and go through the full
+constructor.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,9 +34,10 @@ from repro.errors import DagError
 from repro.graphs.dag import Dag, Task
 
 
-def _complexities(
+def draw_complexities(
     rng: np.random.Generator, n: int, c_range: Tuple[float, float]
 ) -> np.ndarray:
+    """The ``n`` uniform task complexities a generator draws from ``c_range``."""
     lo, hi = c_range
     if lo <= 0 or hi < lo:
         raise DagError(f"invalid complexity range {c_range}")
@@ -36,6 +47,69 @@ def _complexities(
 
 def _tasks(cs: Sequence[float], data_volume: float = 0.0) -> list:
     return [Task(i, float(c), data_volume) for i, c in enumerate(cs)]
+
+
+#: a fixed-shape family's structure: (task count, edges in generator order)
+Shape = Tuple[int, List[Tuple[int, int]]]
+
+
+def _chain_shape(n: int) -> Shape:
+    return n, [(i, i + 1) for i in range(n - 1)]
+
+
+def _fork_join_shape(width: int) -> Shape:
+    edges = [(0, i) for i in range(1, width + 1)]
+    edges += [(i, width + 1) for i in range(1, width + 1)]
+    return width + 2, edges
+
+
+def _gaussian_elimination_shape(size: int) -> Shape:
+    ids = {}
+    nid = 0
+    for k in range(size - 1):
+        ids[("P", k)] = nid
+        nid += 1
+        for j in range(k + 1, size):
+            ids[("U", k, j)] = nid
+            nid += 1
+    edges = []
+    for k in range(size - 1):
+        for j in range(k + 1, size):
+            edges.append((ids[("P", k)], ids[("U", k, j)]))
+            if k + 1 < size - 1:
+                if j == k + 1:
+                    edges.append((ids[("U", k, j)], ids[("P", k + 1)]))
+                else:
+                    edges.append((ids[("U", k, j)], ids[("U", k + 1, j)]))
+    return nid, edges
+
+
+#: fixed-shape family -> (shape function, DAG name pattern)
+_FAMILIES: Dict[str, Tuple[Callable[[int], Shape], str]] = {
+    "chain": (_chain_shape, "chain-{}"),
+    "forkjoin": (_fork_join_shape, "forkjoin-{}"),
+    "gauss": (_gaussian_elimination_shape, "gauss-{}"),
+}
+
+
+@lru_cache(maxsize=256)
+def _template(family: str, size: int) -> Dag:
+    """The validated unit-weight DAG of one fixed-shape ``(family, size)``.
+
+    Built from the generator's own edge sequence, so a job made with
+    ``with_tasks`` equals the DAG the full constructor would build.
+    """
+    shape, name = _FAMILIES[family]
+    n, edges = shape(size)
+    return Dag([Task(i, 1.0) for i in range(n)], edges, name.format(size))
+
+
+def _draw_job(
+    family: str, size: int, rng: np.random.Generator, c_range: Tuple[float, float]
+) -> Dag:
+    """One job of a fixed-shape family: fresh weights over the shared template."""
+    template = _template(family, size)
+    return template.with_tasks(_tasks(draw_complexities(rng, len(template), c_range)))
 
 
 def paper_example_dag() -> Dag:
@@ -57,10 +131,7 @@ def linear_chain_dag(
     """A pure sequential chain ``0 → 1 → ... → n-1`` (zero parallelism)."""
     if n < 1:
         raise DagError("chain needs n >= 1")
-    rng = rng or np.random.default_rng(0)
-    cs = _complexities(rng, n, c_range)
-    edges = [(i, i + 1) for i in range(n - 1)]
-    return Dag(_tasks(cs), edges, name=f"chain-{n}")
+    return _draw_job("chain", n, rng or np.random.default_rng(0), c_range)
 
 
 def fork_join_dag(
@@ -71,12 +142,7 @@ def fork_join_dag(
     """Source → ``width`` parallel tasks → sink (max parallelism)."""
     if width < 1:
         raise DagError("fork-join needs width >= 1")
-    rng = rng or np.random.default_rng(0)
-    n = width + 2
-    cs = _complexities(rng, n, c_range)
-    edges = [(0, i) for i in range(1, width + 1)]
-    edges += [(i, width + 1) for i in range(1, width + 1)]
-    return Dag(_tasks(cs), edges, name=f"forkjoin-{width}")
+    return _draw_job("forkjoin", width, rng or np.random.default_rng(0), c_range)
 
 
 def out_tree_dag(
@@ -90,7 +156,7 @@ def out_tree_dag(
         raise DagError("out-tree needs depth >= 1 and branching >= 1")
     rng = rng or np.random.default_rng(0)
     n = sum(branching**d for d in range(depth))
-    cs = _complexities(rng, n, c_range)
+    cs = draw_complexities(rng, n, c_range)
     edges = []
     for i in range(n):
         for b in range(branching):
@@ -135,7 +201,7 @@ def diamond_dag(
         raise DagError("diamond needs side >= 1")
     rng = rng or np.random.default_rng(0)
     n = side * side
-    cs = _complexities(rng, n, c_range)
+    cs = draw_complexities(rng, n, c_range)
 
     def tid(i: int, j: int) -> int:
         return i * side + j
@@ -164,26 +230,7 @@ def gaussian_elimination_dag(
     """
     if size < 2:
         raise DagError("gaussian elimination needs size >= 2")
-    rng = rng or np.random.default_rng(0)
-    ids = {}
-    nid = 0
-    for k in range(size - 1):
-        ids[("P", k)] = nid
-        nid += 1
-        for j in range(k + 1, size):
-            ids[("U", k, j)] = nid
-            nid += 1
-    cs = _complexities(rng, nid, c_range)
-    edges = []
-    for k in range(size - 1):
-        for j in range(k + 1, size):
-            edges.append((ids[("P", k)], ids[("U", k, j)]))
-            if k + 1 < size - 1:
-                if j == k + 1:
-                    edges.append((ids[("U", k, j)], ids[("P", k + 1)]))
-                else:
-                    edges.append((ids[("U", k, j)], ids[("U", k + 1, j)]))
-    return Dag(_tasks(cs), edges, name=f"gauss-{size}")
+    return _draw_job("gauss", size, rng or np.random.default_rng(0), c_range)
 
 
 def fft_dag(
@@ -205,7 +252,7 @@ def fft_dag(
     def tid(s: int, i: int) -> int:
         return s * points + i
 
-    cs = _complexities(rng, n, c_range)
+    cs = draw_complexities(rng, n, c_range)
     edges = []
     for s in range(stages):
         for i in range(points):
@@ -247,7 +294,7 @@ def series_parallel_dag(
             succs[w] = succs[v]
             succs[v] = {w}
             interior.append(w)
-    cs = _complexities(rng, next_id, c_range)
+    cs = draw_complexities(rng, next_id, c_range)
     edges = [(u, v) for u, ss in succs.items() for v in ss]
     # Parallel siblings may leave several sources/sinks; that is fine for a
     # job DAG (the paper allows arbitrary precedence relations).
@@ -284,7 +331,7 @@ def layered_dag(
     for sz in layer_sizes:
         ids_per_layer.append(list(range(nid, nid + sz)))
         nid += sz
-    cs = _complexities(rng, nid, c_range)
+    cs = draw_complexities(rng, nid, c_range)
     edges = []
     for li in range(1, layers):
         prev, cur = ids_per_layer[li - 1], ids_per_layer[li]
@@ -296,6 +343,15 @@ def layered_dag(
                 if u2 != u and rng.random() < p_edge:
                     edges.append((u2, v))
     return Dag(_tasks(cs), edges, name=f"layered-{layers}x{width}")
+
+
+@lru_cache(maxsize=128)
+def _upper_triangle(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, read-only and computed once per ``n``."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
 
 
 def random_dag(
@@ -314,12 +370,12 @@ def random_dag(
     if not 0.0 <= p_edge <= 1.0:
         raise DagError(f"p_edge must be in [0,1], got {p_edge}")
     rng = rng or np.random.default_rng(0)
-    cs = _complexities(rng, n, c_range)
+    cs = draw_complexities(rng, n, c_range)
     # Vectorised coin flips for the upper triangle.
     edges = []
     if n > 1:
         coins = rng.random((n, n))
-        iu, ju = np.triu_indices(n, k=1)
+        iu, ju = _upper_triangle(n)
         mask = coins[iu, ju] < p_edge
         edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
     return Dag(_tasks(cs), edges, name=f"er-{n}-p{p_edge}")

@@ -17,37 +17,55 @@ used by grid-scheduling evaluations — the application class the paper's
 * :func:`epigenomics_dag` — the USC Epigenomics shape: split → ``lanes``
   independent per-lane stage chains → merge → final index (the layered
   fan-out with *deep lanes* that Montage's shallow layers lack).
+
+Montage and Epigenomics are each a pure *shape* function
+(:func:`montage_shape`, :func:`epigenomics_shape`: name, task count, edges)
+plus one weight draw (:func:`~repro.graphs.generators.draw_complexities`
+over :data:`WORKFLOW_C_RANGE` by default). The trace workloads of
+:mod:`repro.workloads.traces` build one DAG per shape and re-weight it per
+job, yet must consume the generator's draw to keep the RNG stream where
+the generator leaves it; the split keeps both paths on one definition of
+the shape and of that draw.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import DagError
 from repro.graphs.dag import Dag, Task
+from repro.graphs.generators import draw_complexities
+
+#: default task-complexity range of the workflow generators
+WORKFLOW_C_RANGE: Tuple[float, float] = (1.0, 8.0)
+
+#: a workflow's structure: (DAG name, task count, edges in generator order)
+WorkflowShape = Tuple[str, int, List[Tuple[int, int]]]
 
 
-def _draw(rng: np.random.Generator, n: int, c_range: Tuple[float, float]) -> np.ndarray:
-    lo, hi = c_range
-    if lo <= 0 or hi < lo:
-        raise DagError(f"invalid complexity range {c_range}")
-    return rng.uniform(lo, hi, size=n)
+def _weighted(
+    shape: WorkflowShape, rng: Optional[np.random.Generator], c_range: Tuple[float, float]
+) -> Dag:
+    """A DAG of ``shape`` with complexities drawn as the generators draw them."""
+    name, n, edges = shape
+    cs = draw_complexities(rng or np.random.default_rng(0), n, c_range)
+    return Dag([Task(i, float(c)) for i, c in enumerate(cs)], edges, name=name)
 
 
 def mapreduce_dag(
     maps: int,
     reduces: int,
     rng: Optional[np.random.Generator] = None,
-    c_range: Tuple[float, float] = (1.0, 8.0),
+    c_range: Tuple[float, float] = WORKFLOW_C_RANGE,
 ) -> Dag:
     """split → maps → reduces (all-to-all shuffle) → merge."""
     if maps < 1 or reduces < 1:
         raise DagError("mapreduce needs maps >= 1 and reduces >= 1")
     rng = rng or np.random.default_rng(0)
     n = 1 + maps + reduces + 1
-    cs = _draw(rng, n, c_range)
+    cs = draw_complexities(rng, n, c_range)
     tasks = [Task(i, float(c)) for i, c in enumerate(cs)]
     split, merge = 0, n - 1
     map_ids = list(range(1, 1 + maps))
@@ -58,23 +76,12 @@ def mapreduce_dag(
     return Dag(tasks, edges, name=f"mapreduce-{maps}x{reduces}")
 
 
-def montage_dag(
-    tiles: int,
-    rng: Optional[np.random.Generator] = None,
-    c_range: Tuple[float, float] = (1.0, 8.0),
-) -> Dag:
-    """The Montage mosaicking shape over ``tiles`` input tiles.
-
-    project(i) → diff(i, i+1) for adjacent pairs → bgmodel → bgcorrect(i)
-    → coadd. (Adjacency is a ring so every projection feeds two diffs.)
-    """
+def montage_shape(tiles: int) -> WorkflowShape:
+    """Name, task count and edges of :func:`montage_dag` over ``tiles``."""
     if tiles < 2:
         raise DagError("montage needs tiles >= 2")
-    rng = rng or np.random.default_rng(0)
     n_diff = tiles if tiles > 2 else 1
     n = tiles + n_diff + 1 + tiles + 1
-    cs = _draw(rng, n, c_range)
-    tasks = [Task(i, float(c)) for i, c in enumerate(cs)]
     proj = list(range(tiles))
     diff = list(range(tiles, tiles + n_diff))
     bgmodel = tiles + n_diff
@@ -91,29 +98,27 @@ def montage_dag(
         edges.append((proj[i], bgcorr[i]))
         edges.append((bgmodel, bgcorr[i]))
     edges += [(c, coadd) for c in bgcorr]
-    return Dag(tasks, edges, name=f"montage-{tiles}")
+    return f"montage-{tiles}", n, edges
 
 
-def epigenomics_dag(
-    lanes: int,
-    stages: int = 4,
+def montage_dag(
+    tiles: int,
     rng: Optional[np.random.Generator] = None,
-    c_range: Tuple[float, float] = (1.0, 8.0),
+    c_range: Tuple[float, float] = WORKFLOW_C_RANGE,
 ) -> Dag:
-    """The Epigenomics genome-sequencing shape over ``lanes`` read lanes.
+    """The Montage mosaicking shape over ``tiles`` input tiles.
 
-    split → per-lane chains of ``stages`` tasks (filter → sol2sanger →
-    fastq2bfq → map, in the 4-stage reference shape) → merge → final
-    index. Task ids are laid out ``[split, lane0-stage0..stage(S-1),
-    lane1-..., merge, final]`` — the layout :mod:`repro.workloads.traces`
-    relies on to attach per-stage empirical runtimes.
+    project(i) → diff(i, i+1) for adjacent pairs → bgmodel → bgcorrect(i)
+    → coadd. (Adjacency is a ring so every projection feeds two diffs.)
     """
+    return _weighted(montage_shape(tiles), rng, c_range)
+
+
+def epigenomics_shape(lanes: int, stages: int = 4) -> WorkflowShape:
+    """Name, task count and edges of :func:`epigenomics_dag`."""
     if lanes < 1 or stages < 1:
         raise DagError("epigenomics needs lanes >= 1 and stages >= 1")
-    rng = rng or np.random.default_rng(0)
     n = 1 + lanes * stages + 2
-    cs = _draw(rng, n, c_range)
-    tasks = [Task(i, float(c)) for i, c in enumerate(cs)]
     split, merge, final = 0, n - 2, n - 1
     edges = []
     for lane in range(lanes):
@@ -123,21 +128,38 @@ def epigenomics_dag(
             edges.append((first + s, first + s + 1))
         edges.append((first + stages - 1, merge))
     edges.append((merge, final))
-    return Dag(tasks, edges, name=f"epigenomics-{lanes}x{stages}")
+    return f"epigenomics-{lanes}x{stages}", n, edges
+
+
+def epigenomics_dag(
+    lanes: int,
+    stages: int = 4,
+    rng: Optional[np.random.Generator] = None,
+    c_range: Tuple[float, float] = WORKFLOW_C_RANGE,
+) -> Dag:
+    """The Epigenomics genome-sequencing shape over ``lanes`` read lanes.
+
+    split → per-lane chains of ``stages`` tasks (filter → sol2sanger →
+    fastq2bfq → map, in the 4-stage reference shape) → merge → final
+    index. Task ids are laid out ``[split, lane0-stage0..stage(S-1),
+    lane1-..., merge, final]`` — the layout :mod:`repro.workloads.traces`
+    relies on to attach per-stage empirical runtimes.
+    """
+    return _weighted(epigenomics_shape(lanes, stages), rng, c_range)
 
 
 def pipeline_dag(
     stages: int,
     width: int,
     rng: Optional[np.random.Generator] = None,
-    c_range: Tuple[float, float] = (1.0, 8.0),
+    c_range: Tuple[float, float] = WORKFLOW_C_RANGE,
 ) -> Dag:
     """``stages`` layers of ``width`` workers with full stage barriers."""
     if stages < 1 or width < 1:
         raise DagError("pipeline needs stages >= 1 and width >= 1")
     rng = rng or np.random.default_rng(0)
     n = stages * width
-    cs = _draw(rng, n, c_range)
+    cs = draw_complexities(rng, n, c_range)
     tasks = [Task(i, float(c)) for i, c in enumerate(cs)]
     edges = []
     for s in range(stages - 1):
@@ -151,7 +173,7 @@ def scatter_gather_dag(
     rounds: int,
     width: int,
     rng: Optional[np.random.Generator] = None,
-    c_range: Tuple[float, float] = (1.0, 8.0),
+    c_range: Tuple[float, float] = WORKFLOW_C_RANGE,
 ) -> Dag:
     """Iterative refinement: each round scatters to a shrinking worker set
     and gathers into a coordinator task."""
@@ -177,6 +199,6 @@ def scatter_gather_dag(
             edges.append((t, gather))
         coord = gather
         w = max(2, w // 2)
-    cs = _draw(rng, nid, c_range)
+    cs = draw_complexities(rng, nid, c_range)
     tasks = [Task(i, float(c)) for i, c in enumerate(cs)]
     return Dag(tasks, edges, name=f"scatter-gather-{rounds}x{width}")

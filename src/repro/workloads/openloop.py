@@ -36,7 +36,7 @@ from repro.errors import WorkloadError
 from repro.types import Time
 from repro.workloads.deadlines import assign_deadline
 from repro.workloads.jobs import JobSpec, Workload
-from repro.workloads.load import calibrate_rate
+from repro.workloads.load import pilot_rate
 from repro.workloads.scenarios import DagFactory, mixed_dag_factory
 
 
@@ -142,12 +142,8 @@ def open_loop_rate(
 ) -> float:
     """Aggregate arrival rate achieving offered load ``rho`` for a DAG mix.
 
-    Same pilot-sample idiom as the batch generator: estimate E[work] from
-    64 pilot DAGs drawn off ``seed + 1``, then
-    :func:`~repro.workloads.load.calibrate_rate`.
+    The batch generator's calibration
+    (:func:`~repro.workloads.load.pilot_rate`) for ``dag_factory``, or for
+    the ``dag_size`` mix when no factory is given.
     """
-    factory = dag_factory or mixed_dag_factory(dag_size)
-    pilot_rng = np.random.default_rng(seed + 1)
-    pilot = [factory(pilot_rng).total_complexity() for _ in range(64)]
-    mean_work = float(np.mean(pilot))
-    return calibrate_rate(rho, mean_work, capacities)
+    return pilot_rate(rho, dag_factory or mixed_dag_factory(dag_size), capacities, seed)

@@ -30,7 +30,7 @@ from repro.graphs.generators import (
 from repro.workloads.arrivals import per_site_arrivals
 from repro.workloads.deadlines import assign_deadline
 from repro.workloads.jobs import JobSpec, Workload
-from repro.workloads.load import calibrate_rate
+from repro.workloads.load import pilot_rate
 
 DagFactory = Callable[[np.random.Generator], Dag]
 
@@ -159,11 +159,7 @@ def generate_workload(spec: WorkloadSpec) -> Workload:
         list(spec.capacities) if spec.capacities is not None else [1.0] * spec.n_sites
     )
 
-    # Pilot sample to estimate E[work] for load calibration.
-    pilot_rng = np.random.default_rng(spec.seed + 1)
-    pilot = [factory(pilot_rng).total_complexity() for _ in range(64)]
-    mean_work = float(np.mean(pilot))
-    rate = calibrate_rate(spec.rho, mean_work, capacities)
+    rate = pilot_rate(spec.rho, factory, capacities, spec.seed)
 
     arrivals = per_site_arrivals(
         rng,

@@ -23,19 +23,29 @@ or declaratively through the experiment runner::
 Determinism: every draw flows through the caller's generator, so a seeded
 workload replays bit-for-bit; the structures themselves are the documented
 task-id layouts of the :mod:`repro.graphs.workflows` generators.
+
+Generation cost: a trace replays a handful of shapes thousands of times, so
+each ``(family, size)`` shape is built and validated once — a cached
+:class:`_TraceShape` holding the unit-weight DAG and its per-type id groups.
+A job costs its draws and its :class:`~repro.graphs.dag.Task` objects: the
+size, the generator's own uniform weights (drawn and discarded, exactly as
+the full generator would draw them, so the stream stays where it was), one
+lognormal draw per task type, and
+:meth:`~repro.graphs.dag.Dag.with_tasks` over the shared structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from functools import cached_property, lru_cache
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.errors import WorkloadError
 from repro.graphs.dag import Dag, Task
-from repro.graphs.workflows import epigenomics_dag, montage_dag
+from repro.graphs.generators import draw_complexities
+from repro.graphs.workflows import WORKFLOW_C_RANGE, epigenomics_shape, montage_shape
 
 DagFactory = Callable[[np.random.Generator], Dag]
 
@@ -56,11 +66,17 @@ class RuntimeModel:
     mean: float
     cv: float
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` runtimes (clamped to a small positive floor)."""
+    @cached_property
+    def _params(self) -> Tuple[float, float]:
+        """``(mu, sigma)`` of the underlying normal, computed once."""
         sigma2 = float(np.log1p(self.cv * self.cv))
         mu = float(np.log(self.mean)) - sigma2 / 2.0
-        draws = rng.lognormal(mean=mu, sigma=float(np.sqrt(sigma2)), size=size)
+        return mu, float(np.sqrt(sigma2))
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` runtimes (clamped to a small positive floor)."""
+        mu, sigma = self._params
+        draws = rng.lognormal(mean=mu, sigma=sigma, size=size)
         return np.maximum(draws, _MIN_RUNTIME)
 
 
@@ -108,51 +124,65 @@ def epigenomics_task_types(lanes: int) -> List[str]:
     return ["split"] + list(EPIGENOMICS_STAGES) * lanes + ["merge", "final"]
 
 
-def _retyped(dag: Dag, types: List[str], runtimes: Dict[str, RuntimeModel], rng) -> Dag:
-    """Rebuild ``dag`` with per-type empirical runtimes (same structure)."""
-    order = sorted(dag, key=lambda t: t)
-    if len(order) != len(types):
-        raise WorkloadError(
-            f"trace layout mismatch for {dag.name}: {len(order)} tasks, {len(types)} types"
-        )
-    # One vectorized draw per type keeps the RNG stream compact and stable.
-    by_type: Dict[str, List[int]] = {}
-    for tid, ttype in zip(order, types):
-        by_type.setdefault(ttype, []).append(tid)
-    runtime: Dict[int, float] = {}
-    for ttype in sorted(by_type):
-        tids = by_type[ttype]
-        draws = runtimes[ttype].sample(rng, len(tids))
-        for tid, c in zip(tids, draws):
-            runtime[tid] = float(c)
-    tasks = [Task(t, runtime[t], dag.task(t).data_volume) for t in order]
-    return _shape(dag.name, tuple(order), dag.edges).with_tasks(tasks)
+class _TraceShape(NamedTuple):
+    """One trace shape: its unit-weight DAG and per-type id groups."""
+
+    #: built from the repr-sorted edge list (the order the jobs' adjacency
+    #: has always followed), over task ids ``0..n-1``
+    dag: Dag
+    #: ``(type, ids)`` in sorted type order, ids ascending — the order the
+    #: per-type runtime draws are taken in
+    groups: Tuple[Tuple[str, Tuple[int, ...]], ...]
+
+
+#: trace family -> (shape function, per-id type layout, runtime models)
+_FAMILIES = {
+    "montage": (montage_shape, montage_task_types, MONTAGE_RUNTIMES),
+    "epigenomics": (
+        lambda lanes: epigenomics_shape(lanes, stages=len(EPIGENOMICS_STAGES)),
+        epigenomics_task_types,
+        EPIGENOMICS_RUNTIMES,
+    ),
+}
 
 
 @lru_cache(maxsize=64)
-def _shape(name: str, order: Tuple[int, ...], edges: Tuple[Tuple[int, int], ...]) -> Dag:
-    """The unit-weight DAG of tasks ``order`` over the sorted ``edges``.
+def _trace_shape(family: str, size: int) -> _TraceShape:
+    """Build and validate the ``(family, size)`` shape once."""
+    shape, task_types, _ = _FAMILIES[family]
+    name, n, edges = shape(size)
+    types = task_types(size)
+    if n != len(types):
+        raise WorkloadError(f"trace layout mismatch for {name}: {n} tasks, {len(types)} types")
+    by_type: Dict[str, List[int]] = {}
+    for tid, ttype in enumerate(types):
+        by_type.setdefault(ttype, []).append(tid)
+    dag = Dag([Task(t, 1.0) for t in range(n)], sorted(edges, key=repr), name=name)
+    return _TraceShape(dag, tuple((t, tuple(by_type[t])) for t in sorted(by_type)))
 
-    A trace replays a handful of shapes thousands of times; every job of
-    one shape shares this graph's structure. (The generator's own DAG
-    cannot lend its structure: its adjacency follows the generator's edge
-    order, the retyped job's the sorted edge list.)
-    """
-    return Dag([Task(t, 1.0) for t in order], edges, name=name)
+
+def _trace_job(family: str, size: int, rng: np.random.Generator) -> Dag:
+    """One job of ``family`` at ``size``, with per-type empirical runtimes."""
+    shape = _trace_shape(family, size)
+    runtimes = _FAMILIES[family][2]
+    # the full generator's uniform weights: the retyped job never uses
+    # them, but skipping the draw would shift every later draw
+    draw_complexities(rng, len(shape.dag), WORKFLOW_C_RANGE)
+    runtime = [0.0] * len(shape.dag)
+    for ttype, tids in shape.groups:
+        for tid, c in zip(tids, runtimes[ttype].sample(rng, len(tids)).tolist()):
+            runtime[tid] = c
+    return shape.dag.with_tasks([Task(t, c) for t, c in enumerate(runtime)])
 
 
 def montage_trace_dag(rng: np.random.Generator, tiles: Tuple[int, int] = (4, 10)) -> Dag:
     """One Montage job: structure size drawn from ``tiles``, typed runtimes."""
-    t = int(rng.integers(tiles[0], tiles[1] + 1))
-    dag = montage_dag(t, rng)
-    return _retyped(dag, montage_task_types(t), MONTAGE_RUNTIMES, rng)
+    return _trace_job("montage", int(rng.integers(tiles[0], tiles[1] + 1)), rng)
 
 
 def epigenomics_trace_dag(rng: np.random.Generator, lanes: Tuple[int, int] = (3, 8)) -> Dag:
     """One Epigenomics job: lane count drawn from ``lanes``, typed runtimes."""
-    n_lanes = int(rng.integers(lanes[0], lanes[1] + 1))
-    dag = epigenomics_dag(n_lanes, stages=len(EPIGENOMICS_STAGES), rng=rng)
-    return _retyped(dag, epigenomics_task_types(n_lanes), EPIGENOMICS_RUNTIMES, rng)
+    return _trace_job("epigenomics", int(rng.integers(lanes[0], lanes[1] + 1)), rng)
 
 
 #: the trace catalogue: name -> DagFactory

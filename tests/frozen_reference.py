@@ -8,7 +8,12 @@ Verbatim copies of
   ``tests/simnet/test_standup_differential.py`` compares against them);
 * ``repro.sched.executor`` and ``repro.core.hosting.HostSide`` as they stood
   before host-side state got a lifetime (PR 23;
-  ``tests/sched/test_executor_differential.py``).
+  ``tests/sched/test_executor_differential.py``);
+* ``repro.graphs.dag.Dag``, the job generators the workload mixes draw from
+  (``repro.graphs.generators``, ``repro.graphs.workflows``), the mixed DAG
+  factory and the trace factories with their ``_retyped`` / ``_shape``
+  helpers as they stood before fixed-shape families reused one validated
+  structure per shape (``tests/graphs/test_generation_differential.py``).
 
 They are the versions the rewritten code must reproduce bit for bit.
 Do not optimise or "fix" this file.
@@ -17,11 +22,20 @@ Do not optimise or "fix" this file.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.errors import RoutingError, SchedulingError, TopologyError
+from repro.errors import (
+    CycleError,
+    DagError,
+    RoutingError,
+    SchedulingError,
+    TopologyError,
+    WorkloadError,
+)
+from repro.graphs.dag import Task
 from repro.routing.vectorized import NO_ROUTE, SharedTables
 from repro.sched.intervals import Reservation
 from repro.sched.plan import SchedulingPlan
@@ -546,3 +560,441 @@ class HostSideReference:
         for job in list(self.exec_info):
             if job not in live_jobs:
                 del self.exec_info[job]
+
+
+# -- job generation ------------------------------------------------------------
+#
+# ``repro.graphs.dag.Dag`` (constructor, ``with_tasks`` and the accessors the
+# differential reads), the generators behind ``mixed_dag_factory`` and the
+# workflow traces, and ``repro.workloads.traces`` exactly as they stood before
+# fixed-shape families reused one validated structure per shape. Every
+# generator builds a ``DagReference``; ``_retyped`` samples with the
+# ``RuntimeModel.sample`` body of the time.
+
+
+class DagReference:
+    """Immutable job precedence graph ``G = (T, E)``."""
+
+    __slots__ = ("_tasks", "_preds", "_succs", "_edges", "_order", "name", "_bl", "_topo_index")
+
+    def __init__(
+        self,
+        tasks: Iterable[Task],
+        edges: Iterable[Tuple[TaskId, TaskId]] = (),
+        name: str = "dag",
+    ) -> None:
+        task_map: Dict[TaskId, Task] = {}
+        for t in tasks:
+            if t.tid in task_map:
+                raise DagError(f"duplicate task id {t.tid!r}")
+            task_map[t.tid] = t
+        if not task_map:
+            raise DagError("a DAG needs at least one task")
+
+        preds: Dict[TaskId, list] = {tid: [] for tid in task_map}
+        succs: Dict[TaskId, list] = {tid: [] for tid in task_map}
+        edge_set = set()
+        for u, v in edges:
+            if u not in task_map:
+                raise DagError(f"edge ({u!r}, {v!r}): unknown predecessor {u!r}")
+            if v not in task_map:
+                raise DagError(f"edge ({u!r}, {v!r}): unknown successor {v!r}")
+            if u == v:
+                raise CycleError(f"self-loop on task {u!r}")
+            if (u, v) in edge_set:
+                raise DagError(f"duplicate edge ({u!r}, {v!r})")
+            edge_set.add((u, v))
+            succs[u].append(v)
+            preds[v].append(u)
+
+        self.name = name
+        self._tasks: Dict[TaskId, Task] = task_map
+        self._preds: Dict[TaskId, Tuple[TaskId, ...]] = {k: tuple(v) for k, v in preds.items()}
+        self._succs: Dict[TaskId, Tuple[TaskId, ...]] = {k: tuple(v) for k, v in succs.items()}
+        self._edges: Tuple[Tuple[TaskId, TaskId], ...] = tuple(sorted(edge_set, key=repr))
+        self._order: Tuple[TaskId, ...] = self._toposort()
+        self._bl: Optional[Dict[TaskId, float]] = None
+        self._topo_index: Optional[Dict[TaskId, int]] = None
+
+    def with_tasks(self, tasks: Iterable[Task]) -> "DagReference":
+        tasks = list(tasks)
+        if [t.tid for t in tasks] != list(self._tasks):
+            raise DagError(f"{self.name}: with_tasks needs the same task ids in the same order")
+        new = object.__new__(DagReference)
+        new.name = self.name
+        new._tasks = {t.tid: t for t in tasks}
+        new._preds, new._succs = self._preds, self._succs
+        new._edges, new._order = self._edges, self._order
+        new._bl = None
+        new._topo_index = self.topo_index()
+        return new
+
+    def __len__(self) -> int:
+        return len(self._tasks)
+
+    def __iter__(self) -> Iterator[TaskId]:
+        return iter(self._order)
+
+    def task(self, tid: TaskId) -> Task:
+        try:
+            return self._tasks[tid]
+        except KeyError:
+            raise DagError(f"unknown task id {tid!r}") from None
+
+    @property
+    def tasks(self) -> Mapping[TaskId, Task]:
+        return self._tasks
+
+    @property
+    def edges(self) -> Tuple[Tuple[TaskId, TaskId], ...]:
+        return self._edges
+
+    def predecessors(self, tid: TaskId) -> Tuple[TaskId, ...]:
+        return self._preds[tid]
+
+    def successors(self, tid: TaskId) -> Tuple[TaskId, ...]:
+        return self._succs[tid]
+
+    def topological_order(self) -> Tuple[TaskId, ...]:
+        return self._order
+
+    def topo_index(self) -> Dict[TaskId, int]:
+        idx = self._topo_index
+        if idx is None:
+            idx = {t: i for i, t in enumerate(self._order)}
+            self._topo_index = idx
+        return idx
+
+    def total_complexity(self) -> float:
+        return sum(t.complexity for t in self._tasks.values())
+
+    def _toposort(self) -> Tuple[TaskId, ...]:
+        indeg = {tid: len(p) for tid, p in self._preds.items()}
+        # Insertion order of the task map makes the sort deterministic.
+        ready = [tid for tid in self._tasks if indeg[tid] == 0]
+        order: list = []
+        head = 0
+        while head < len(ready):
+            u = ready[head]
+            head += 1
+            order.append(u)
+            for v in self._succs[u]:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    ready.append(v)
+        if len(order) != len(self._tasks):
+            stuck = sorted((tid for tid, d in indeg.items() if d > 0), key=repr)
+            raise CycleError(f"precedence relation has a cycle through {stuck}")
+        return tuple(order)
+
+
+def _complexities_reference(
+    rng: np.random.Generator, n: int, c_range: Tuple[float, float]
+) -> np.ndarray:
+    lo, hi = c_range
+    if lo <= 0 or hi < lo:
+        raise DagError(f"invalid complexity range {c_range}")
+    # Uniform draw, vectorised; values are strictly positive because lo > 0.
+    return rng.uniform(lo, hi, size=n)
+
+
+def _tasks_reference(cs: Sequence[float], data_volume: float = 0.0) -> list:
+    return [Task(i, float(c), data_volume) for i, c in enumerate(cs)]
+
+
+def linear_chain_dag_reference(
+    n: int,
+    rng: Optional[np.random.Generator] = None,
+    c_range: Tuple[float, float] = (1.0, 10.0),
+) -> DagReference:
+    if n < 1:
+        raise DagError("chain needs n >= 1")
+    rng = rng or np.random.default_rng(0)
+    cs = _complexities_reference(rng, n, c_range)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    return DagReference(_tasks_reference(cs), edges, name=f"chain-{n}")
+
+
+def fork_join_dag_reference(
+    width: int,
+    rng: Optional[np.random.Generator] = None,
+    c_range: Tuple[float, float] = (1.0, 10.0),
+) -> DagReference:
+    if width < 1:
+        raise DagError("fork-join needs width >= 1")
+    rng = rng or np.random.default_rng(0)
+    n = width + 2
+    cs = _complexities_reference(rng, n, c_range)
+    edges = [(0, i) for i in range(1, width + 1)]
+    edges += [(i, width + 1) for i in range(1, width + 1)]
+    return DagReference(_tasks_reference(cs), edges, name=f"forkjoin-{width}")
+
+
+def gaussian_elimination_dag_reference(
+    size: int,
+    rng: Optional[np.random.Generator] = None,
+    c_range: Tuple[float, float] = (1.0, 10.0),
+) -> DagReference:
+    if size < 2:
+        raise DagError("gaussian elimination needs size >= 2")
+    rng = rng or np.random.default_rng(0)
+    ids = {}
+    nid = 0
+    for k in range(size - 1):
+        ids[("P", k)] = nid
+        nid += 1
+        for j in range(k + 1, size):
+            ids[("U", k, j)] = nid
+            nid += 1
+    cs = _complexities_reference(rng, nid, c_range)
+    edges = []
+    for k in range(size - 1):
+        for j in range(k + 1, size):
+            edges.append((ids[("P", k)], ids[("U", k, j)]))
+            if k + 1 < size - 1:
+                if j == k + 1:
+                    edges.append((ids[("U", k, j)], ids[("P", k + 1)]))
+                else:
+                    edges.append((ids[("U", k, j)], ids[("U", k + 1, j)]))
+    return DagReference(_tasks_reference(cs), edges, name=f"gauss-{size}")
+
+
+def layered_dag_reference(
+    layers: int,
+    width: int,
+    rng: Optional[np.random.Generator] = None,
+    c_range: Tuple[float, float] = (1.0, 10.0),
+    p_edge: float = 0.5,
+    jitter: bool = True,
+) -> DagReference:
+    if layers < 1 or width < 1:
+        raise DagError("layered DAG needs layers >= 1 and width >= 1")
+    if not 0.0 <= p_edge <= 1.0:
+        raise DagError(f"p_edge must be in [0,1], got {p_edge}")
+    rng = rng or np.random.default_rng(0)
+    layer_sizes = []
+    for _ in range(layers):
+        if jitter and width > 1:
+            layer_sizes.append(int(rng.integers(max(1, width // 2), width + width // 2 + 1)))
+        else:
+            layer_sizes.append(width)
+    ids_per_layer = []
+    nid = 0
+    for sz in layer_sizes:
+        ids_per_layer.append(list(range(nid, nid + sz)))
+        nid += sz
+    cs = _complexities_reference(rng, nid, c_range)
+    edges = []
+    for li in range(1, layers):
+        prev, cur = ids_per_layer[li - 1], ids_per_layer[li]
+        for v in cur:
+            # Guaranteed predecessor keeps the graph layered-connected.
+            u = prev[int(rng.integers(len(prev)))]
+            edges.append((u, v))
+            for u2 in prev:
+                if u2 != u and rng.random() < p_edge:
+                    edges.append((u2, v))
+    return DagReference(_tasks_reference(cs), edges, name=f"layered-{layers}x{width}")
+
+
+def random_dag_reference(
+    n: int,
+    rng: Optional[np.random.Generator] = None,
+    c_range: Tuple[float, float] = (1.0, 10.0),
+    p_edge: float = 0.15,
+) -> DagReference:
+    if n < 1:
+        raise DagError("random DAG needs n >= 1")
+    if not 0.0 <= p_edge <= 1.0:
+        raise DagError(f"p_edge must be in [0,1], got {p_edge}")
+    rng = rng or np.random.default_rng(0)
+    cs = _complexities_reference(rng, n, c_range)
+    # Vectorised coin flips for the upper triangle.
+    edges = []
+    if n > 1:
+        coins = rng.random((n, n))
+        iu, ju = np.triu_indices(n, k=1)
+        mask = coins[iu, ju] < p_edge
+        edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
+    return DagReference(_tasks_reference(cs), edges, name=f"er-{n}-p{p_edge}")
+
+
+def mixed_dag_factory_reference(
+    size: str = "small",
+    c_range: Tuple[float, float] = (1.0, 8.0),
+):
+    if size not in ("small", "medium", "large"):
+        raise WorkloadError(f"unknown size {size!r}")
+
+    def factory(rng: np.random.Generator) -> DagReference:
+        kind = rng.integers(5)
+        if size == "small":
+            layers, width, n = int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(5, 14))
+            ge = 3
+        elif size == "medium":
+            layers, width, n = int(rng.integers(3, 6)), int(rng.integers(3, 6)), int(rng.integers(15, 40))
+            ge = 5
+        else:
+            layers, width, n = int(rng.integers(5, 9)), int(rng.integers(5, 9)), int(rng.integers(40, 90))
+            ge = 8
+        if kind == 0:
+            return layered_dag_reference(layers, width, rng, c_range, p_edge=0.35)
+        if kind == 1:
+            return fork_join_dag_reference(max(2, n // 3), rng, c_range)
+        if kind == 2:
+            return linear_chain_dag_reference(max(2, n // 2), rng, c_range)
+        if kind == 3:
+            return random_dag_reference(n, rng, c_range, p_edge=0.2)
+        return gaussian_elimination_dag_reference(ge, rng, c_range)
+
+    return factory
+
+
+def _draw_reference(rng: np.random.Generator, n: int, c_range: Tuple[float, float]) -> np.ndarray:
+    lo, hi = c_range
+    if lo <= 0 or hi < lo:
+        raise DagError(f"invalid complexity range {c_range}")
+    return rng.uniform(lo, hi, size=n)
+
+
+def montage_dag_reference(
+    tiles: int,
+    rng: Optional[np.random.Generator] = None,
+    c_range: Tuple[float, float] = (1.0, 8.0),
+) -> DagReference:
+    if tiles < 2:
+        raise DagError("montage needs tiles >= 2")
+    rng = rng or np.random.default_rng(0)
+    n_diff = tiles if tiles > 2 else 1
+    n = tiles + n_diff + 1 + tiles + 1
+    cs = _draw_reference(rng, n, c_range)
+    tasks = [Task(i, float(c)) for i, c in enumerate(cs)]
+    proj = list(range(tiles))
+    diff = list(range(tiles, tiles + n_diff))
+    bgmodel = tiles + n_diff
+    bgcorr = list(range(bgmodel + 1, bgmodel + 1 + tiles))
+    coadd = n - 1
+    edges = []
+    for k in range(n_diff):
+        a, b = proj[k], proj[(k + 1) % tiles]
+        edges.append((a, diff[k]))
+        if b != a:
+            edges.append((b, diff[k]))
+    edges += [(d, bgmodel) for d in diff]
+    for i in range(tiles):
+        edges.append((proj[i], bgcorr[i]))
+        edges.append((bgmodel, bgcorr[i]))
+    edges += [(c, coadd) for c in bgcorr]
+    return DagReference(tasks, edges, name=f"montage-{tiles}")
+
+
+def epigenomics_dag_reference(
+    lanes: int,
+    stages: int = 4,
+    rng: Optional[np.random.Generator] = None,
+    c_range: Tuple[float, float] = (1.0, 8.0),
+) -> DagReference:
+    if lanes < 1 or stages < 1:
+        raise DagError("epigenomics needs lanes >= 1 and stages >= 1")
+    rng = rng or np.random.default_rng(0)
+    n = 1 + lanes * stages + 2
+    cs = _draw_reference(rng, n, c_range)
+    tasks = [Task(i, float(c)) for i, c in enumerate(cs)]
+    split, merge, final = 0, n - 2, n - 1
+    edges = []
+    for lane in range(lanes):
+        first = 1 + lane * stages
+        edges.append((split, first))
+        for s in range(stages - 1):
+            edges.append((first + s, first + s + 1))
+        edges.append((first + stages - 1, merge))
+    edges.append((merge, final))
+    return DagReference(tasks, edges, name=f"epigenomics-{lanes}x{stages}")
+
+
+_MIN_RUNTIME_REFERENCE = 0.05
+
+
+def _sample_reference(model, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``RuntimeModel.sample`` (``model`` carries ``mean`` and ``cv``)."""
+    sigma2 = float(np.log1p(model.cv * model.cv))
+    mu = float(np.log(model.mean)) - sigma2 / 2.0
+    draws = rng.lognormal(mean=mu, sigma=float(np.sqrt(sigma2)), size=size)
+    return np.maximum(draws, _MIN_RUNTIME_REFERENCE)
+
+
+def _montage_task_types_reference(tiles: int) -> List[str]:
+    n_diff = tiles if tiles > 2 else 1
+    return (
+        ["project"] * tiles
+        + ["diff"] * n_diff
+        + ["bgmodel"]
+        + ["bgcorrect"] * tiles
+        + ["coadd"]
+    )
+
+
+def _epigenomics_task_types_reference(lanes: int, stages: Sequence[str]) -> List[str]:
+    return ["split"] + list(stages) * lanes + ["merge", "final"]
+
+
+def _retyped_reference(dag: DagReference, types: List[str], runtimes, rng) -> DagReference:
+    """Rebuild ``dag`` with per-type empirical runtimes (same structure)."""
+    order = sorted(dag, key=lambda t: t)
+    if len(order) != len(types):
+        raise WorkloadError(
+            f"trace layout mismatch for {dag.name}: {len(order)} tasks, {len(types)} types"
+        )
+    # One vectorized draw per type keeps the RNG stream compact and stable.
+    by_type: Dict[str, List[int]] = {}
+    for tid, ttype in zip(order, types):
+        by_type.setdefault(ttype, []).append(tid)
+    runtime: Dict[int, float] = {}
+    for ttype in sorted(by_type):
+        tids = by_type[ttype]
+        draws = _sample_reference(runtimes[ttype], rng, len(tids))
+        for tid, c in zip(tids, draws):
+            runtime[tid] = float(c)
+    tasks = [Task(t, runtime[t], dag.task(t).data_volume) for t in order]
+    return _shape_reference(dag.name, tuple(order), dag.edges).with_tasks(tasks)
+
+
+@lru_cache(maxsize=64)
+def _shape_reference(
+    name: str, order: Tuple[int, ...], edges: Tuple[Tuple[int, int], ...]
+) -> DagReference:
+    return DagReference([Task(t, 1.0) for t in order], edges, name=name)
+
+
+def montage_trace_dag_reference(
+    rng: np.random.Generator, tiles: Tuple[int, int] = (4, 10)
+) -> DagReference:
+    from repro.workloads.traces import MONTAGE_RUNTIMES
+
+    t = int(rng.integers(tiles[0], tiles[1] + 1))
+    dag = montage_dag_reference(t, rng)
+    return _retyped_reference(dag, _montage_task_types_reference(t), MONTAGE_RUNTIMES, rng)
+
+
+def epigenomics_trace_dag_reference(
+    rng: np.random.Generator, lanes: Tuple[int, int] = (3, 8)
+) -> DagReference:
+    from repro.workloads.traces import EPIGENOMICS_RUNTIMES, EPIGENOMICS_STAGES
+
+    n_lanes = int(rng.integers(lanes[0], lanes[1] + 1))
+    dag = epigenomics_dag_reference(n_lanes, stages=len(EPIGENOMICS_STAGES), rng=rng)
+    types = _epigenomics_task_types_reference(n_lanes, EPIGENOMICS_STAGES)
+    return _retyped_reference(dag, types, EPIGENOMICS_RUNTIMES, rng)
+
+
+def grid_mix_reference(rng: np.random.Generator) -> DagReference:
+    if int(rng.integers(2)) == 0:
+        return montage_trace_dag_reference(rng)
+    return epigenomics_trace_dag_reference(rng)
+
+
+TRACES_REFERENCE = {
+    "montage": montage_trace_dag_reference,
+    "epigenomics": epigenomics_trace_dag_reference,
+    "grid-mix": grid_mix_reference,
+}
