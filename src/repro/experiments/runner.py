@@ -49,6 +49,7 @@ from repro.metrics.summary import ExperimentSummary, summarize
 from repro.routing.oracle import oracle_routing_factory
 from repro.routing.reference import dijkstra, hop_diameter
 from repro.routing.vectorized import (
+    Links,
     SharedTables,
     hop_diameter_fast,
     phased_tables,
@@ -244,7 +245,7 @@ class ExperimentConfig:
             if self.routing_mode != "oracle":
                 raise ConfigError(
                     f"shards={self.shards} (the sharded engine) requires "
-                    "routing_mode='oracle' (each shard solves its closure's "
+                    "routing_mode='oracle' (each shard solves its owned rows' "
                     "tables locally; simulated routing cannot cross shard "
                     "boundaries)"
                 )
@@ -433,11 +434,9 @@ class ResidentNetwork:
     #: topology is extended with latent (link-less) joiner sites and this
     #: records where they start; None means no extension (all sites base)
     n_base: Optional[int] = None
-    #: the live symmetric weight matrix (full oracle solve only) — mutated
-    #: in place by membership joins, shared with ``shared_tables``
-    weight: Optional[np.ndarray] = None
     #: phase budget -> SharedTables (oracle routing only); repaired
-    #: incrementally by :mod:`repro.membership` on joins
+    #: incrementally by :mod:`repro.membership` on joins, from the
+    #: network's own links
     shared_tables: Optional[Dict[int, SharedTables]] = None
     #: everything an election winner needs to rebuild the coordinator
     #: (centralized runs only)
@@ -652,18 +651,19 @@ def assemble(
     A shard worker passes its own ``network_cls`` and ``metrics``
     collector, the ``site_ids`` it owns (only those are constructed) and
     ``solve_tables(phases)``, which replaces the full ``phased_tables``
-    solve (and the dense weight matrix) for the phase budget derived here.
+    solve for the phase budget derived here.
     """
     oracle = config.routing_mode == "oracle"
-    # W and the per-phase-budget SharedTables exist in oracle mode only and
-    # stay on the resident (the centralized coordinator reads all-pairs
-    # distances off W; membership joins repair the tables in place).
-    W = weight_matrix(topo) if oracle and solve_tables is None else None
-    if config.algorithm in ("centralized", "focused", "random"):
+    global_state = config.algorithm in ("centralized", "focused", "random")
+    # The dense weight matrix exists only for the global-state baselines in
+    # oracle mode (their hop diameter, the centralized coordinator's
+    # all-pairs distances); routing tables are solved from the links.
+    W = weight_matrix(topo) if oracle and global_state else None
+    if global_state:
         # Global routing phase budget: the network's hop diameter. Only
         # the baselines need it; RTDS's 2h-bounded flooding never does,
         # so wide RTDS runs skip this O(n*(n+m)) oracle entirely.
-        if oracle:
+        if W is not None:
             global_phases = max(1, hop_diameter_fast(W))
         else:
             global_phases = max(1, hop_diameter(topo.adjacency()))
@@ -682,7 +682,7 @@ def assemble(
         tables = (
             solve_tables(phase_budget)
             if solve_tables is not None
-            else phased_tables(W, phase_budget)
+            else phased_tables(Links(topo.n, topo.edges), phase_budget)
         )
         shared_tables = {phase_budget: tables}
         routing_factory = oracle_routing_factory(shared_tables)
@@ -721,9 +721,9 @@ def assemble(
         s.start()
     coordinator_kit: Optional[CoordinatorKit] = None
     if config.algorithm == "centralized":
-        if oracle:
+        if W is not None:
             # converged min-plus == true shortest delays, one batched pass
-            # over the weight matrix the routing tables were solved from
+            # over the dense weight matrix
             dist = true_distance_matrix(W)
             distances = {
                 sid: {
@@ -774,7 +774,6 @@ def assemble(
         setup_messages=net.stats.total,
         setup_time=sim.now,
         obs=obs,
-        weight=W,
         shared_tables=shared_tables,
         coordinator_kit=coordinator_kit,
     )

@@ -6,8 +6,9 @@ so the long-lived admission service of :mod:`repro.service` survives a
 network that grows and heals instead of only shrinking:
 
 * :mod:`repro.membership.repair` — O(affected-rows) incremental update of
-  the shared vectorized routing tables after a join, bit-for-bit equal to
-  a full :func:`~repro.routing.vectorized.phased_tables` rebuild;
+  the shared vectorized routing tables after a join, over the network's
+  own links, bit-for-bit equal to a full
+  :func:`~repro.routing.vectorized.phased_tables` rebuild;
 * :mod:`repro.membership.manager` — the :class:`MembershipManager` that
   expands a plan's :class:`~repro.faults.plan.JoinSpec` /
   :class:`~repro.faults.plan.SiteJoinEvent` declarations, applies JOIN
@@ -31,7 +32,7 @@ from repro.membership.election import (
     install_elections,
 )
 from repro.membership.manager import JoinEvent, MembershipManager, MembershipStats
-from repro.membership.repair import hop_distances, repair_after_join
+from repro.membership.repair import network_links, repair_after_join
 
 __all__ = [
     "CoordinatorKit",
@@ -41,7 +42,7 @@ __all__ = [
     "JoinEvent",
     "MembershipManager",
     "MembershipStats",
-    "hop_distances",
     "install_elections",
+    "network_links",
     "repair_after_join",
 ]

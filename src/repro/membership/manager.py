@@ -4,17 +4,17 @@ Joins are *declared* in the :class:`~repro.faults.plan.FaultPlan`
 (explicit :class:`~repro.faults.plan.SiteJoinEvent` entries and/or a
 seeded :class:`~repro.faults.plan.JoinSpec`) and *applied* here. The
 experiment runner pre-builds the joining sites as latent, link-less
-members of an extended network — isolated rows of the weight matrix are
-provably inert for the phased Bellman–Ford, so the pre-build changes
-nothing about the base network's tables — and a join becomes three steps
-at its scheduled time:
+members of an extended network — link-less sites are provably inert
+for the phased Bellman–Ford, so the pre-build changes nothing about the
+base network's tables — and a join becomes three steps at its scheduled
+time:
 
 1. **link up** — the declared links go live on the
-   :class:`~repro.simnet.network.Network` and into the shared weight
-   matrix (symmetric);
+   :class:`~repro.simnet.network.Network`;
 2. **repair** — every :class:`~repro.routing.vectorized.SharedTables` of
-   the run is updated by :func:`repro.membership.repair.repair_after_join`
-   (O(affected rows), bit-for-bit equal to a full rebuild);
+   the run is updated from the network's links by
+   :func:`repro.membership.repair.repair_after_join` (the affected rows
+   replaced, bit-for-bit equal to a full rebuild);
 3. **refresh** — the affected sites' memoised
    :class:`~repro.routing.oracle.LazyRoutingTable` entries are
    invalidated and their protocol spheres rebuilt
@@ -44,7 +44,7 @@ import numpy as np
 from repro.core.events import count_event
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
-from repro.membership.repair import repair_after_join
+from repro.membership.repair import network_links, repair_after_join
 from repro.routing.vectorized import phased_tables
 from repro.types import SiteId, Time
 
@@ -82,9 +82,9 @@ class MembershipManager:
     ----------
     resident:
         The live :class:`~repro.experiments.runner.ResidentNetwork`
-        (latent joiner sites already built; ``weight`` and
-        ``shared_tables`` populated — the runner guarantees this for
-        plans with joins by requiring oracle routing).
+        (latent joiner sites already built; ``shared_tables`` populated —
+        the runner guarantees this for plans with joins by requiring
+        oracle routing).
     plan:
         The fault plan declaring the joins.
     entropy:
@@ -93,10 +93,10 @@ class MembershipManager:
     """
 
     def __init__(self, resident, plan: FaultPlan, entropy: int = 0) -> None:
-        if resident.weight is None or not resident.shared_tables:
+        if not resident.shared_tables:
             raise SimulationError(
-                "membership joins need oracle routing (shared weight matrix "
-                "and repairable tables); got a protocol-mode resident"
+                "membership joins need oracle routing (repairable shared "
+                "tables); got a protocol-mode resident"
             )
         self.resident = resident
         self.plan = plan
@@ -159,7 +159,6 @@ class MembershipManager:
     def _apply_join(self, ev: JoinEvent) -> None:
         res = self.resident
         net = res.network
-        W = res.weight
         j = ev.site
         if j < self.n_base or j in self.joined:
             raise SimulationError(f"membership: site {j} cannot join (base or already joined)")
@@ -169,12 +168,11 @@ class MembershipManager:
                     f"membership: join of {j} links to {peer}, which has not joined yet"
                 )
             net.add_link(j, peer, delay, res.config.link_throughput)
-            W[j, peer] = delay
-            W[peer, j] = delay
             self.stats.links_added += 1
+        links = network_links(net)
         affected: set = set()
         for shared in res.shared_tables.values():
-            rows = repair_after_join(shared, W, j)
+            rows = repair_after_join(shared, links, j)
             self.stats.repaired_rows += int(rows.size)
             affected.update(int(r) for r in rows)
         self.joined.append(j)
@@ -209,16 +207,11 @@ class MembershipManager:
         """Do the incrementally-repaired tables equal a full rebuild?
 
         The chaos soak's membership-convergence gate: recompute
-        :func:`~repro.routing.vectorized.phased_tables` from the final
-        weight matrix and compare every array exactly.
+        :func:`~repro.routing.vectorized.phased_tables` from the network's
+        final links and compare every row exactly.
         """
-        for phases, shared in self.resident.shared_tables.items():
-            fresh = phased_tables(self.resident.weight, phases)
-            if not (
-                np.array_equal(shared.dist, fresh.dist)
-                and np.array_equal(shared.next_hop, fresh.next_hop)
-                and np.array_equal(shared.hops, fresh.hops)
-                and np.array_equal(shared.disc, fresh.disc)
-            ):
-                return False
-        return True
+        links = network_links(self.resident.network)
+        return all(
+            shared == phased_tables(links, phases)
+            for phases, shared in self.resident.shared_tables.items()
+        )

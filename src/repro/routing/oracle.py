@@ -10,15 +10,17 @@ once per network. Because the vectorized kernel replicates the protocol's
 replacement rule and float association exactly, every site ends up with
 the *same* next-hop/distance/PCS state a simulated run would have built.
 
-Per-site state is O(degree)-ish and lazy:
+A row holds only the site's ``P``-hop ball (ascending destination ids
+plus one value per field), so per-site state is O(1) and lazy:
 
 * :class:`LazyRoutingTable` — the :class:`~repro.routing.table.RoutingTable`
-  API over row views of the shared arrays; :class:`RouteEntry` objects are
-  materialized (and memoized) only for destinations actually touched;
+  API over one row; :class:`RouteEntry` objects are materialized (and
+  memoized) only for destinations actually touched;
 * :class:`NextHopView` / :class:`DistanceView` — read-only mappings the
   site's ``next_hop`` / ``known_distance`` attributes are rebound to,
-  replacing the per-site dict copies (the O(n) per site that made 1000+
-  sites allocate hundreds of MB of duplicated routing state);
+  replacing the per-site dict copies. A lookup is a bisection over the
+  row's destination ids (:meth:`SharedTables.cell`) and plain-int reads
+  through memoryviews — no numpy scalar on the per-message path;
 * the PCS is built sparsely from the row arrays
   (:meth:`LazyRoutingTable.pcs`), touching only sites inside the sphere
   radius.
@@ -51,7 +53,7 @@ class _RowView:
 
     def _known(self) -> "list":
         """Destination ids present in this row (self included)."""
-        return np.flatnonzero(self._shared.disc[self._owner] >= 0).tolist()
+        return self._shared.cols[self._shared.row(self._owner)].tolist()
 
 
 class NextHopView(_RowView):
@@ -64,10 +66,11 @@ class NextHopView(_RowView):
 
     def get(self, dest: SiteId, default=None):
         """The adjacent hop towards ``dest``, or ``default`` if unrouted."""
-        if dest == self._owner or not 0 <= dest < self._shared.n:
+        shared = self._shared
+        k = shared.cell(self._owner, dest)
+        if k < 0 or dest == self._owner:
             return default
-        hop = self._shared.next_hop[self._owner, dest]
-        return int(hop) if hop >= 0 else default
+        return shared.next_hop_mv[k]
 
     def __getitem__(self, dest: SiteId) -> SiteId:
         hop = self.get(dest)
@@ -101,11 +104,8 @@ class DistanceView(_RowView):
 
     def get(self, dest: SiteId, default=None):
         """Known delay to ``dest``, or ``default`` if undiscovered."""
-        if not 0 <= dest < self._shared.n:
-            return default
-        if self._shared.disc[self._owner, dest] < 0:
-            return default
-        return float(self._shared.dist[self._owner, dest])
+        k = self._shared.cell(self._owner, dest)
+        return self._shared.dist_mv[k] if k >= 0 else default
 
     def __getitem__(self, dest: SiteId) -> Time:
         d = self.get(dest)
@@ -128,15 +128,15 @@ class DistanceView(_RowView):
 
     def values(self):
         """Known delays, destination-ordered."""
-        return [self[d] for d in self._known()]
+        return self._shared.dist[self._shared.row(self._owner)].tolist()
 
     def items(self):
         """``(dest, delay)`` pairs, destination-ordered."""
-        return [(d, self[d]) for d in self._known()]
+        return list(zip(self._known(), self.values()))
 
 
 class LazyRoutingTable:
-    """The :class:`~repro.routing.table.RoutingTable` API over shared rows.
+    """The :class:`~repro.routing.table.RoutingTable` API over one shared row.
 
     Row data lives in the network-wide :class:`SharedTables`;
     :class:`RouteEntry` objects are built on first access per destination
@@ -152,7 +152,7 @@ class LazyRoutingTable:
         self._entries: Dict[SiteId, RouteEntry] = {}
 
     def invalidate(self) -> None:
-        """Drop memoized entries after the shared arrays were repaired.
+        """Drop memoized entries after the shared rows were repaired.
 
         The membership layer calls this for every affected row after an
         incremental join repair (:mod:`repro.membership.repair`): the row
@@ -161,10 +161,13 @@ class LazyRoutingTable:
         """
         self._entries.clear()
 
+    def _row(self) -> slice:
+        return self._shared.row(self.owner)
+
     # -- queries (RoutingTable parity) --------------------------------------
 
     def __contains__(self, dest: SiteId) -> bool:
-        return 0 <= dest < self._shared.n and self._shared.disc[self.owner, dest] >= 0
+        return self._shared.cell(self.owner, dest) >= 0
 
     def __len__(self) -> int:
         return self._shared.known_count(self.owner)
@@ -177,15 +180,12 @@ class LazyRoutingTable:
         e = self._entries.get(dest)
         if e is not None:
             return e
-        if dest not in self:
-            raise RoutingError(f"site {self.owner}: no route to {dest}")
         s = self._shared
+        k = s.cell(self.owner, dest)
+        if k < 0:
+            raise RoutingError(f"site {self.owner}: no route to {dest}")
         e = RouteEntry(
-            int(dest),
-            float(s.dist[self.owner, dest]),
-            int(s.next_hop[self.owner, dest]),
-            int(s.hops[self.owner, dest]),
-            int(s.disc[self.owner, dest]),
+            int(dest), float(s.dist[k]), int(s.next_hop[k]), int(s.hops[k]), int(s.disc[k])
         )
         self._entries[dest] = e
         return e
@@ -207,33 +207,36 @@ class LazyRoutingTable:
 
     def destinations(self) -> List[SiteId]:
         """Known destination ids, ascending (owner included)."""
-        return np.flatnonzero(self._shared.disc[self.owner] >= 0).tolist()
+        return self._shared.cols[self._row()].tolist()
 
     def within_phase(self, max_phase: int) -> List[SiteId]:
         """Destinations first discovered at or before ``max_phase``."""
-        disc = self._shared.disc[self.owner]
-        return np.flatnonzero((disc >= 0) & (disc <= max_phase)).tolist()
+        row = self._row()
+        return self._shared.cols[row][self._shared.disc[row] <= max_phase].tolist()
 
     def as_next_hop_map(self) -> Dict[SiteId, SiteId]:
         """Materialized ``dest -> next hop`` dict (owner excluded)."""
-        dests = [d for d in self.destinations() if d != self.owner]
-        return dict(zip(dests, self._shared.next_hop[self.owner, dests].tolist()))
+        row = self._row()
+        hops = dict(zip(self._shared.cols[row].tolist(), self._shared.next_hop[row].tolist()))
+        hops.pop(self.owner, None)
+        return hops
 
     def as_distance_map(self) -> Dict[SiteId, Time]:
         """Materialized ``dest -> delay`` dict (owner included)."""
-        dests = self.destinations()
-        return dict(zip(dests, self._shared.dist[self.owner, dests].tolist()))
+        row = self._row()
+        return dict(zip(self._shared.cols[row].tolist(), self._shared.dist[row].tolist()))
 
     def distances_to(self, dests, exclude: Optional[SiteId] = None) -> Dict[SiteId, Time]:
         """Bulk known delays to ``dests`` (absent ones skipped)."""
-        owner_row_disc = self._shared.disc[self.owner]
-        owner_row_dist = self._shared.dist[self.owner]
-        n = self._shared.n
-        return {
-            d: float(owner_row_dist[d])
-            for d in dests
-            if d != exclude and 0 <= d < n and owner_row_disc[d] >= 0
-        }
+        s = self._shared
+        owner = self.owner
+        out: Dict[SiteId, Time] = {}
+        for d in dests:
+            if d != exclude:
+                k = s.cell(owner, d)
+                if k >= 0:
+                    out[d] = s.dist_mv[k]
+        return out
 
     def lines(self) -> List[Tuple[SiteId, Time, int]]:
         """All route lines in wire format, deterministic order."""
@@ -245,8 +248,8 @@ class LazyRoutingTable:
         """Sparse PCS build: touch only sites within hop radius ``h``.
 
         The vectorized counterpart of :func:`repro.spheres.pcs.build_pcs`:
-        membership, delays and hop counts come straight from the shared
-        row arrays, and only the member entries are ever materialized.
+        membership, delays and hop counts come straight from the row
+        arrays, and only the member entries are ever materialized.
         Returns the identical :class:`~repro.spheres.pcs.PCS` a protocol
         table would produce.
         """
@@ -254,12 +257,14 @@ class LazyRoutingTable:
 
         if h < 1:
             raise RoutingError(f"PCS radius h must be >= 1, got {h}")
-        disc = self._shared.disc[self.owner]
-        member_ids = np.flatnonzero((disc >= 1) & (disc <= h))
-        dist_row = self._shared.dist[self.owner, member_ids]
+        row = self._row()
+        disc = self._shared.disc[row]
+        inside = (disc >= 1) & (disc <= h)
+        member_ids = self._shared.cols[row][inside]
+        dist_row = self._shared.dist[row][inside]
         ids = member_ids.tolist()
         distance = dict(zip(ids, dist_row.tolist()))
-        hops = dict(zip(ids, disc[member_ids].tolist()))
+        hops = dict(zip(ids, disc[inside].tolist()))
         members = tuple(member_ids[np.lexsort((member_ids, dist_row))].tolist())
         return PCS(root=self.owner, h=h, members=members, distance=distance, hops=hops)
 

@@ -10,12 +10,11 @@ for the model and its determinism contract.
 
 from repro.simnet.sharded.coordinator import ShardRunInfo, run_sharded
 from repro.simnet.sharded.partition import ShardPlan, partition_topology
-from repro.simnet.sharded.tables import ShardTables, shard_tables
+from repro.simnet.sharded.tables import shard_tables
 
 __all__ = [
     "ShardPlan",
     "ShardRunInfo",
-    "ShardTables",
     "partition_topology",
     "run_sharded",
     "shard_tables",

@@ -5,8 +5,8 @@ builder with three substitutions: it calls the runner's
 :func:`~repro.experiments.runner.assemble` with a :class:`ShardNetwork`
 holding only the owned sites plus **boundary links** (far endpoint on
 another shard, so adjacency and delay arithmetic stay bit-identical), a
-:class:`ShardCollector`, and its closure's
-:class:`~repro.simnet.sharded.tables.ShardTables` for oracle routing.
+:class:`ShardCollector`, and tables holding only its owned rows
+(:func:`~repro.simnet.sharded.tables.shard_tables`) for oracle routing.
 
 Cross-shard traffic is marshalled as compact tuples
 ``(arrival, dst, mtype, src, origin, final_dst, payload, size, hops, uid)``

@@ -3,9 +3,11 @@
 Verbatim copies of
 
 * ``repro.simnet.topology.random_geometric`` and
-  ``repro.routing.vectorized.phased_tables`` (with its two helpers) as they
-  stood before the pair scan and the dense temporaries were removed (PR 22;
-  ``tests/simnet/test_standup_differential.py`` compares against them);
+  ``repro.routing.vectorized.phased_tables`` (with its two helpers and the
+  dense ``SharedTables`` it returned) as they stood before the pair scan
+  and the dense temporaries were removed
+  (``tests/simnet/test_standup_differential.py`` and
+  ``tests/routing/test_row_tables_differential.py`` compare against them);
 * ``repro.sched.executor`` and ``repro.core.hosting.HostSide`` as they stood
   before host-side state got a lifetime (PR 23;
   ``tests/sched/test_executor_differential.py``);
@@ -36,7 +38,7 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.graphs.dag import Task
-from repro.routing.vectorized import NO_ROUTE, SharedTables
+from repro.routing.vectorized import NO_ROUTE
 from repro.sched.intervals import Reservation
 from repro.sched.plan import SchedulingPlan
 from repro.simnet.engine import Simulator
@@ -100,6 +102,18 @@ def random_geometric_reference(
     return topo
 
 
+@dataclass(frozen=True)
+class SharedTablesReference:
+    """All-site routing tables as four dense ``n x n`` arrays."""
+
+    n: int
+    phases: int
+    dist: np.ndarray
+    next_hop: np.ndarray
+    hops: np.ndarray
+    disc: np.ndarray
+
+
 def _neighbor_lists(W: np.ndarray) -> List[np.ndarray]:
     """``lists[u]`` = row indices of the sites adjacent to ``u``."""
     finite = np.isfinite(W)
@@ -122,7 +136,7 @@ def _phase1_state(W: np.ndarray):
     return dist, next_hop, hops, disc
 
 
-def phased_tables_reference(W: np.ndarray, total_phases: int) -> SharedTables:
+def phased_tables_reference(W: np.ndarray, total_phases: int) -> SharedTablesReference:
     """``phased_tables`` as of PR 20: int64 tables, two whole-matrix copies
     per phase, phase-1 state from ``np.where`` passes over ``W``."""
     if total_phases < 1:
@@ -165,7 +179,7 @@ def phased_tables_reference(W: np.ndarray, total_phases: int) -> SharedTables:
             # Fixpoint: remaining phases are no-ops (the protocol would
             # keep exchanging empty deltas; the tables cannot change).
             break
-    return SharedTables(
+    return SharedTablesReference(
         n=n, phases=total_phases, dist=dist, next_hop=next_hop, hops=hops, disc=disc
     )
 

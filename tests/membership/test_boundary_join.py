@@ -59,9 +59,8 @@ def test_join_across_a_partition_cut_converges_bit_for_bit():
     # the joined site actually routes to both parts (repair reached both)
     tables = res.resident.shared_tables
     for shared in tables.values():
-        disc_row = shared.disc[joiner]
         for part in plan2.parts:
-            assert any(disc_row[s] >= 0 for s in part), (
+            assert any(shared.cell(joiner, s) >= 0 for s in part), (
                 "repair closure failed to span the partition boundary"
             )
 

@@ -1,11 +1,11 @@
 """Incremental routing repair ≡ full rebuild — the membership lockdown.
 
-:func:`repro.membership.repair.repair_after_join` must leave every array
-of the shared tables **bit-for-bit** equal to re-running
+:func:`repro.membership.repair.repair_after_join` must leave every row of
+the shared tables **bit-for-bit** equal to re-running
 :func:`~repro.routing.vectorized.phased_tables` from scratch on the
-grown weight matrix, after any sequence of joins. Randomized trials pin
-the common shapes; the Hypothesis property sweeps membership event
-sequences (joins with 1..3 links, joiner-to-joiner links included).
+grown link set, after any sequence of joins. Randomized trials pin the
+common shapes; the Hypothesis property sweeps membership event sequences
+(joins with 1..3 links, joiner-to-joiner links included).
 """
 
 import numpy as np
@@ -14,40 +14,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.membership.repair import hop_distances, repair_after_join
-from repro.routing.vectorized import phased_tables
+from repro.routing.vectorized import Links, phased_tables
 
 
-def _base_weight(n_base, n_total, seed, p=0.4):
-    """Random connected-ish base graph, padded with latent isolated rows."""
+def _base_edges(n_base, seed, p=0.4):
+    """Random connected-ish base graph as a ``{(u, v): delay}`` dict."""
     rng = np.random.default_rng(seed)
-    W = np.full((n_total, n_total), np.inf)
+    edges = {}
     for i in range(1, n_base):
         # a random spanning tree keeps the base reachable
         j = int(rng.integers(i))
-        d = float(rng.uniform(0.2, 2.0))
-        W[i, j] = W[j, i] = d
+        edges[(j, i)] = float(rng.uniform(0.2, 2.0))
     for i in range(n_base):
         for j in range(i + 1, n_base):
-            if rng.random() < p and not np.isfinite(W[i, j]):
-                d = float(rng.uniform(0.2, 2.0))
-                W[i, j] = W[j, i] = d
-    return W
+            if rng.random() < p and (i, j) not in edges:
+                edges[(i, j)] = float(rng.uniform(0.2, 2.0))
+    return edges
 
 
-def _assert_tables_equal(shared, W, phases):
-    fresh = phased_tables(W, phases)
-    np.testing.assert_array_equal(shared.dist, fresh.dist)
-    np.testing.assert_array_equal(shared.next_hop, fresh.next_hop)
-    np.testing.assert_array_equal(shared.hops, fresh.hops)
-    np.testing.assert_array_equal(shared.disc, fresh.disc)
+def _links(n_total, edges):
+    """Links over ``n_total`` sites; ids beyond the base stay latent until linked."""
+    return Links(n_total, [(u, v, d) for (u, v), d in sorted(edges.items())])
+
+
+def _join(edges, joiner, peer, d):
+    edges[(min(joiner, peer), max(joiner, peer))] = d
 
 
 def test_hop_distances_bfs():
-    W = np.full((4, 4), np.inf)
-    W[0, 1] = W[1, 0] = 1.0
-    W[1, 2] = W[2, 1] = 5.0
-    hd = hop_distances(W, 0)
+    links = Links(4, [(0, 1, 1.0), (1, 2, 5.0)])
+    hd = hop_distances(links, 0)
     assert list(hd) == [0, 1, 2, -1]  # site 3 isolated
+    assert list(hop_distances(links, 0, limit=1)) == [0, 1, -1, -1]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -55,31 +53,31 @@ def test_hop_distances_bfs():
 def test_single_join_equals_rebuild(seed, phases):
     rng = np.random.default_rng(1000 + seed)
     n_base = int(rng.integers(5, 16))
-    W = _base_weight(n_base, n_base + 1, seed)
-    shared = phased_tables(W, phases)
+    edges = _base_edges(n_base, seed)
+    shared = phased_tables(_links(n_base + 1, edges), phases)
     joiner = n_base
     for peer in rng.choice(n_base, size=2, replace=False):
-        d = float(rng.uniform(0.2, 2.0))
-        W[joiner, peer] = W[peer, joiner] = d
-    affected = repair_after_join(shared, W, joiner)
+        _join(edges, joiner, int(peer), float(rng.uniform(0.2, 2.0)))
+    links = _links(n_base + 1, edges)
+    affected = repair_after_join(shared, links, joiner)
     assert joiner in affected
-    _assert_tables_equal(shared, W, phases)
+    assert shared == phased_tables(links, phases)
 
 
 def test_sequential_joins_including_joiner_links():
     rng = np.random.default_rng(7)
     n_base, n_joins, phases = 10, 3, 3
-    W = _base_weight(n_base, n_base + n_joins, 7)
-    shared = phased_tables(W, phases)
+    edges = _base_edges(n_base, 7)
+    n_total = n_base + n_joins
+    shared = phased_tables(_links(n_total, edges), phases)
     for k in range(n_joins):
         joiner = n_base + k
         # peers may include earlier joiners: membership grows on itself
-        peers = rng.choice(joiner, size=2, replace=False)
-        for peer in peers:
-            d = float(rng.uniform(0.2, 2.0))
-            W[joiner, peer] = W[peer, joiner] = d
-        repair_after_join(shared, W, joiner)
-        _assert_tables_equal(shared, W, phases)
+        for peer in rng.choice(joiner, size=2, replace=False):
+            _join(edges, joiner, int(peer), float(rng.uniform(0.2, 2.0)))
+        links = _links(n_total, edges)
+        repair_after_join(shared, links, joiner)
+        assert shared == phased_tables(links, phases)
 
 
 @st.composite
@@ -98,20 +96,19 @@ def membership_sequences(draw):
 @settings(max_examples=40, deadline=None)
 def test_any_membership_sequence_equals_rebuild(params):
     """After every join of any event sequence, repaired == rebuilt."""
-    seed, n_base, phases, links = params
+    seed, n_base, phases, n_links = params
     rng = np.random.default_rng(seed)
-    n_total = n_base + len(links)
-    W = _base_weight(n_base, n_total, seed)
-    shared = phased_tables(W, phases)
-    for k, n_links in enumerate(links):
+    n_total = n_base + len(n_links)
+    edges = _base_edges(n_base, seed)
+    shared = phased_tables(_links(n_total, edges), phases)
+    for k, count in enumerate(n_links):
         joiner = n_base + k
-        peers = rng.choice(joiner, size=min(n_links, joiner), replace=False)
-        for peer in peers:
-            d = float(rng.uniform(0.2, 2.0))
-            W[joiner, peer] = W[peer, joiner] = d
-        affected = repair_after_join(shared, W, joiner)
+        for peer in rng.choice(joiner, size=min(count, joiner), replace=False):
+            _join(edges, joiner, int(peer), float(rng.uniform(0.2, 2.0)))
+        links = _links(n_total, edges)
+        affected = repair_after_join(shared, links, joiner)
         # the affected set is exactly the <=P-hop in-neighbourhood
-        hd = hop_distances(W, joiner)
+        hd = hop_distances(links, joiner)
         expected = np.flatnonzero((hd >= 0) & (hd <= phases))
         np.testing.assert_array_equal(affected, expected)
-        _assert_tables_equal(shared, W, phases)
+        assert shared == phased_tables(links, phases)

@@ -21,7 +21,7 @@ from repro.routing.oracle import (
     OracleRouting,
     oracle_routing_factory,
 )
-from repro.routing.vectorized import phased_tables, weight_matrix
+from repro.routing.vectorized import Links, phased_tables
 from repro.simnet.engine import Simulator
 from repro.simnet.topology import build_network, erdos_renyi
 from repro.spheres.pcs import build_pcs
@@ -33,7 +33,7 @@ PHASES = 4
 
 @pytest.fixture(scope="module")
 def shared():
-    return phased_tables(weight_matrix(TOPO), PHASES)
+    return phased_tables(Links(TOPO.n, TOPO.edges), PHASES)
 
 
 @pytest.fixture(scope="module")

@@ -21,6 +21,7 @@ from repro.errors import RoutingError
 from repro.routing.bellman_ford import run_pcs_phase_protocol
 from repro.routing.reference import dijkstra, hop_bounded_distances, hop_diameter
 from repro.routing.vectorized import (
+    Links,
     bfs_hops_matrix,
     hop_diameter_fast,
     phased_tables,
@@ -51,6 +52,10 @@ TOPOLOGIES = [
 ]
 
 
+def solve(topo, phases):
+    return phased_tables(Links(topo.n, topo.edges), phases)
+
+
 def run_protocol(topo, phases):
     sim = Simulator()
     net = build_network(topo, sim, lambda sid, n: RecordingSite(sid, n))
@@ -62,18 +67,19 @@ def run_protocol(topo, phases):
 @pytest.mark.parametrize("topo", TOPOLOGIES, ids=lambda t: t.name)
 @pytest.mark.parametrize("phases", [1, 2, 4, 6])
 def test_kernel_matches_protocol_bit_for_bit(topo, phases):
-    tables = phased_tables(weight_matrix(topo), phases)
+    tables = solve(topo, phases)
     protos = run_protocol(topo, phases)
     for sid, proto in protos.items():
         dests = proto.table.destinations()
-        assert dests == [int(d) for d in np.flatnonzero(tables.disc[sid] >= 0)]
+        assert dests == tables.cols[tables.row(sid)].tolist()
         for d in dests:
             e = proto.table.entry(d)
+            k = tables.cell(sid, d)
             # exact float equality, not approx: same association order
-            assert e.distance == tables.dist[sid, d], (sid, d)
-            assert e.next_hop == tables.next_hop[sid, d], (sid, d)
-            assert e.hops == tables.hops[sid, d], (sid, d)
-            assert e.discovered_phase == tables.disc[sid, d], (sid, d)
+            assert e.distance == tables.dist[k], (sid, d)
+            assert e.next_hop == tables.next_hop[k], (sid, d)
+            assert e.hops == tables.hops[k], (sid, d)
+            assert e.discovered_phase == tables.disc[k], (sid, d)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 11])
@@ -82,14 +88,14 @@ def test_kernel_matches_oracle_on_random_weighted_graphs(seed, phases):
     rng = np.random.default_rng(seed)
     topo = erdos_renyi(16, 0.3, rng, delay_range=(0.5, 4.0))
     adj = topo.adjacency()
-    tables = phased_tables(weight_matrix(topo), phases)
+    tables = solve(topo, phases)
     for src in range(topo.n):
         oracle = hop_bounded_distances(adj, src, phases)
-        known = [int(d) for d in np.flatnonzero(tables.disc[src] >= 0)]
-        assert set(known) == set(oracle)
+        assert set(tables.cols[tables.row(src)].tolist()) == set(oracle)
         for dest, (dist, bfs) in oracle.items():
-            assert tables.dist[src, dest] == pytest.approx(dist, abs=1e-9)
-            assert tables.disc[src, dest] == bfs
+            k = tables.cell(src, dest)
+            assert tables.dist[k] == pytest.approx(dist, abs=1e-9)
+            assert tables.disc[k] == bfs
 
 
 @pytest.mark.parametrize("topo", TOPOLOGIES, ids=lambda t: t.name)
@@ -119,25 +125,24 @@ def test_true_distance_matrix_matches_dijkstra(topo):
 def test_phases_beyond_fixpoint_change_nothing():
     """The kernel's early exit: extra phases after convergence are no-ops."""
     topo = erdos_renyi(12, 0.4, np.random.default_rng(2), delay_range=(0.5, 3.0))
-    W = weight_matrix(topo)
-    a = phased_tables(W, topo.n - 1)
-    b = phased_tables(W, 4 * topo.n)
-    assert np.array_equal(a.dist, b.dist)
-    assert np.array_equal(a.next_hop, b.next_hop)
-    assert np.array_equal(a.hops, b.hops)
-    assert np.array_equal(a.disc, b.disc)
+    a = solve(topo, topo.n - 1)
+    b = solve(topo, 4 * topo.n)
+    for name in ("indptr", "cols", "dist", "next_hop", "hops", "disc"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_interruption_limits_knowledge_matrixwise():
     """Two phases on a line: site 0 knows exactly sites 0..2."""
-    tables = phased_tables(weight_matrix(line(8, delay_range=(1.0, 1.0))), 2)
-    assert [int(d) for d in np.flatnonzero(tables.disc[0] >= 0)] == [0, 1, 2]
+    tables = solve(line(8, delay_range=(1.0, 1.0)), 2)
+    assert tables.cols[tables.row(0)].tolist() == [0, 1, 2]
 
 
 def test_rejects_bad_phase_budget_and_bad_delays():
     topo = ring(5, delay_range=(1.0, 1.0))
     with pytest.raises(RoutingError):
-        phased_tables(weight_matrix(topo), 0)
+        solve(topo, 0)
     bad = Topology(2, ((0, 1, 0.0),), "zero-delay")
     with pytest.raises(RoutingError):
         weight_matrix(bad)
+    with pytest.raises(RoutingError, match=r"link \(0,1\)"):
+        Links(bad.n, bad.edges)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.routing.vectorized import NO_ROUTE, phased_tables, weight_matrix
+from repro.routing.vectorized import NO_ROUTE, Links, phased_tables
 from repro.simnet.sharded.partition import partition_topology
 from repro.simnet.sharded.tables import shard_tables
 from repro.simnet.topology import topology_factory
@@ -28,50 +28,57 @@ def _ba(n=40, seed=2):
     )
 
 
+def _full(topo, phases):
+    return phased_tables(Links(topo.n, topo.edges), phases)
+
+
+def _row(tables, sid):
+    r = tables.row(sid)
+    return [a[r] for a in (tables.cols, tables.dist, tables.next_hop, tables.hops, tables.disc)]
+
+
 @pytest.mark.parametrize("make", [_grid, _geometric, _ba])
 @pytest.mark.parametrize("phases", [1, 4])
 def test_owned_rows_match_full_solve_bit_for_bit(make, phases):
     topo = make()
-    full = phased_tables(weight_matrix(topo), phases)
+    full = _full(topo, phases)
     plan = partition_topology(topo, 3)
     for part in plan.parts:
         st = shard_tables(topo, part, phases)
         assert st.n == topo.n and st.phases == phases
-        for sid in part:
-            # dense-row materialization: exact equality, inf == inf included
-            np.testing.assert_array_equal(st.dist[sid], full.dist[sid])
-            np.testing.assert_array_equal(st.next_hop[sid], full.next_hop[sid])
-            np.testing.assert_array_equal(st.hops[sid], full.hops[sid])
-            np.testing.assert_array_equal(st.disc[sid], full.disc[sid])
-            assert st.known_count(sid) == full.known_count(sid)
+        for sid in range(topo.n):
+            if sid in part:
+                # the owned row: exact equality, every field
+                for got, want in zip(_row(st, sid), _row(full, sid)):
+                    np.testing.assert_array_equal(got, want)
+                assert st.known_count(sid) == full.known_count(sid)
+            else:
+                assert st.known_count(sid) == 0
 
 
 def test_scalar_and_fancy_access_translate_columns():
+    """Global ids need no translation: a scalar lookup of every destination,
+    inside the ball or not, reads what the full solve holds."""
     topo = _grid()
     phases = 4
-    full = phased_tables(weight_matrix(topo), phases)
+    full = _full(topo, phases)
     plan = partition_topology(topo, 4)
     part = plan.parts[0]
     st = shard_tables(topo, part, phases)
     owner = part[0]
-    # scalar lookups over every destination, in- and out-of-closure
     for dest in range(topo.n):
-        assert float(st.dist[owner, dest]) == float(full.dist[owner, dest])
-        assert int(st.next_hop[owner, dest]) == int(full.next_hop[owner, dest])
-    # fancy gather over the discovered member ids (the pcs() access shape)
-    member_ids = np.flatnonzero(full.disc[owner] >= 0)
-    np.testing.assert_array_equal(
-        st.dist[owner, member_ids], full.dist[owner, member_ids]
-    )
-    # out-of-closure columns read as unreachable fills
-    outside = np.flatnonzero(st.disc[owner] < 0)
-    if outside.size:
-        assert np.all(np.isinf(st.dist[owner, outside]))
-        assert np.all(st.next_hop[owner, outside] == NO_ROUTE)
+        k, ref = st.cell(owner, dest), full.cell(owner, dest)
+        assert (k < 0) == (ref < 0)
+        if k >= 0:
+            assert st.dist_mv[k] == full.dist_mv[ref]
+            assert st.next_hop_mv[k] == full.next_hop_mv[ref]
+    # a destination outside the ball is absent, not stored as a fill
+    outside = sorted(set(range(topo.n)) - set(st.cols[st.row(owner)].tolist()))
+    assert outside and all(st.cell(owner, d) == NO_ROUTE for d in outside)
 
 
 def test_oracle_views_work_on_shard_tables():
-    """The oracle routing layer runs unchanged against the duck type."""
+    """The oracle routing layer runs unchanged against a shard's tables."""
     from repro.routing.oracle import oracle_routing_factory
 
     class _FakeSite:
@@ -85,7 +92,7 @@ def test_oracle_views_work_on_shard_tables():
 
     topo = _geometric()
     phases = 4
-    full = phased_tables(weight_matrix(topo), phases)
+    full = _full(topo, phases)
     plan = partition_topology(topo, 3)
     part = plan.parts[1]
     st = shard_tables(topo, part, phases)
@@ -96,14 +103,14 @@ def test_oracle_views_work_on_shard_tables():
         routing.start()
         assert routing.done
         for dest in range(topo.n):
-            expect_hop = int(full.next_hop[sid, dest])
+            k = full.cell(sid, dest)
             got = site.next_hop.get(dest, -1)
-            if dest == sid:
+            if dest == sid or k < 0:
                 # next hop to self is undefined, like RoutingTable.as_next_hop_map
                 assert got == -1
             else:
-                assert got == (expect_hop if expect_hop != NO_ROUTE else -1)
-            if full.disc[sid, dest] >= 0:
-                assert site.known_distance.get(dest) == float(full.dist[sid, dest])
+                assert got == int(full.next_hop[k])
+            if k >= 0:
+                assert site.known_distance.get(dest) == float(full.dist[k])
             else:
                 assert site.known_distance.get(dest) is None

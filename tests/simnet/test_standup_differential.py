@@ -1,15 +1,15 @@
 """The wide-network stand-up path ≡ its frozen loop versions, bit for bit.
 
 ``random_geometric`` (cell list + vectorised closest-cross-component
-repair) and ``phased_tables`` (edge-list phase 1, sparse per-phase
-snapshots, int32 tables) are compared with the pre-rewrite bodies kept in
-``tests/frozen_reference.py``: equal :class:`Topology` objects — same edge
-tuple, same floats — and equal values in all four table arrays. Radii go
+repair) and ``phased_tables`` (rows over each site's ball) are compared
+with the pre-rewrite bodies kept in ``tests/frozen_reference.py``: equal
+:class:`Topology` objects — same edge tuple, same floats — and every table
+row equal to the finite cells of the frozen dense row. Radii go
 far below the connectivity threshold so that graphs need many repairs and
 hold isolated single sites; ``delay_scale`` is not the default 10.
 
-The scale tests pin what the rewrite is for: a 4096-site geometric
-topology without any ``n x n`` temporary.
+The scale tests pin what the rewrites are for: a 4096-site geometric
+topology and its tables without any ``n x n`` array.
 """
 
 import time
@@ -22,9 +22,10 @@ from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.experiments.widenet import widenet_topology
-from repro.routing.vectorized import phased_tables, weight_matrix
+from repro.routing.vectorized import Links, phased_tables, weight_matrix
 from repro.simnet.topology import Topology, random_geometric, topology_factory
 from tests.frozen_reference import phased_tables_reference, random_geometric_reference
+from tests.routing.test_row_tables_differential import assert_rows_match_dense
 
 
 @st.composite
@@ -44,10 +45,11 @@ def _repair_links(topo, radius, delay_scale):
     return [(u, v) for u, v, d in topo.edges if d > delay_scale * radius * (1 + 1e-12)]
 
 
-def _assert_tables_equal(W, phases):
-    new, ref = phased_tables(W, phases), phased_tables_reference(W, phases)
-    for name in ("dist", "next_hop", "hops", "disc"):
-        np.testing.assert_array_equal(getattr(new, name), getattr(ref, name), err_msg=name)
+def _assert_tables_equal(topo, phases):
+    assert_rows_match_dense(
+        phased_tables(Links(topo.n, topo.edges), phases),
+        phased_tables_reference(weight_matrix(topo), phases),
+    )
 
 
 @given(geometric_cells())
@@ -66,7 +68,7 @@ def test_tables_equal_frozen_reference(cell, phases, latent):
     n, radius, seed, delay_scale = cell
     topo = random_geometric(n, radius, np.random.default_rng(seed), delay_scale)
     # latent join sites: link-less rows the solver must leave untouched
-    _assert_tables_equal(weight_matrix(Topology(n + latent, topo.edges)), phases)
+    _assert_tables_equal(Topology(n + latent, topo.edges), phases)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -79,14 +81,14 @@ def test_many_repairs_and_isolated_sites(seed):
     assert len(repairs) >= 3
     degree = np.bincount(np.array([e[:2] for e in new.edges]).ravel(), minlength=n)
     assert any(degree[u] == 1 or degree[v] == 1 for u, v in repairs)
-    _assert_tables_equal(weight_matrix(new), 4)
+    _assert_tables_equal(new, 4)
 
 
 def test_tables_equal_reference_on_a_dense_scale_free_graph():
     """Barabási–Albert tables are ~90 % dense: the snapshot is nearly the
     whole matrix there, the other end of the range from geometric graphs."""
     topo = topology_factory("barabasi_albert", n=200, m=3, rng=np.random.default_rng(5))
-    _assert_tables_equal(weight_matrix(topo), 4)
+    _assert_tables_equal(topo, 4)
 
 
 def test_edge_validation_names_the_first_bad_edge():
