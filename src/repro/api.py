@@ -93,12 +93,6 @@ def run(config: ExperimentConfig, workload: Optional[Workload] = None) -> RunRes
         An explicit :class:`~repro.workloads.jobs.Workload` replays that
         job list instead — e.g. a captured open-loop stream — making the
         config's ``rho``/``duration``/``dag_size`` knobs irrelevant.
-
-    ``config.shards >= 2`` dispatches the run to the E14 multi-process
-    PDES engine with that many workers (:mod:`repro.simnet.sharded`,
-    DESIGN.md §16) — same ``scalar_metrics`` bit for bit on
-    partition-friendly cells; requires ``routing_mode="oracle"`` and
-    ``workload=None``.
     """
     return run_experiment(config, workload=workload)
 

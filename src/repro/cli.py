@@ -114,7 +114,6 @@ def _base_config(args: argparse.Namespace) -> ExperimentConfig:
         rtds=rtds_cfg,
         faults=faults,
         routing_mode=args.routing,
-        shards=getattr(args, "shards", 0),
     )
 
 
@@ -575,18 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="skip cells already completed in --store (failed cells are retried)",
         )
 
-    def sharded(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--shards", type=int, default=0,
-            help="run on the sharded multi-process PDES engine (E14) with "
-            "this many worker processes (needs --routing oracle; 0 = the "
-            "single-process engine)",
-        )
-
     p_run = sub.add_parser("run", help="one experiment")
     common(p_run)
     p_run.add_argument("--algorithm", default="rtds")
-    sharded(p_run)
 
     p_prof = sub.add_parser(
         "profile", help="cProfile one experiment; print the top offenders"
@@ -662,7 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="topology families (geometric,barabasi_albert)",
     )
     p_wn.add_argument("--runs", type=int, default=1, help="seeds per (kind, size) cell")
-    sharded(p_wn)
     runtime(p_wn)
 
     p_he = sub.add_parser(

@@ -129,19 +129,11 @@ def config_fingerprint(config: ExperimentConfig) -> Dict[str, object]:
     cache is result-invisible by contract (cache-on ≡ cache-off bit for
     bit, the ``tests/cache/`` differential), so serial ≡ pool identity
     and cell addressing are untouched by it.
-
-    ``shards`` is popped only at its single-process default (0), so
-    every pre-sharding cell key is unchanged; a sharded config keeps it —
-    its determinism contract is conditional (partition-friendly cells
-    only), so sharded cells are addressed honestly as their own
-    coordinates.
     """
     enc = _encode(config)
     enc.pop("label", None)
     enc.pop("telemetry", None)
     enc.pop("admission_cache", None)
-    if not enc["shards"]:
-        enc.pop("shards")
     return enc
 
 

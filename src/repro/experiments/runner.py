@@ -16,11 +16,10 @@ workload, random-offload choices, and the tie-break rules are seed-free.
 
 One build, one drive: :func:`assemble` stands a live
 :class:`ResidentNetwork` up over a :func:`resolve_topology` result
-(:func:`build_resident` for the whole network, a shard worker of
-:mod:`repro.simnet.sharded` for its owned sites), and that object
-schedules jobs, ticks hygiene, runs to the drain horizon and summarizes —
-for the batch runner here, the admission service of :mod:`repro.service`
-and every shard worker alike. ``run_experiment(config, workload=...)``
+(:func:`build_resident` adds the latent joiner sites first), and that
+object schedules jobs, ticks hygiene, runs to the drain horizon and
+summarizes — for the batch runner here and the admission service of
+:mod:`repro.service` alike. ``run_experiment(config, workload=...)``
 replays an explicit job list (the service ≡ batch differential).
 """
 
@@ -29,7 +28,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -146,18 +145,6 @@ class ExperimentConfig:
     #: In oracle mode setup takes zero simulated time and sends zero
     #: messages, so ``setup_time``/``setup_messages`` read 0.
     routing_mode: str = "protocol"
-    #: worker-process count of the event-loop engine: ``0`` (default) is
-    #: the single-process engine, the identity-golden path; ``>= 2``
-    #: selects the E14 multi-process PDES engine
-    #: (:mod:`repro.simnet.sharded`): the topology is partitioned across
-    #: that many worker processes synchronized by conservative time
-    #: windows (lookahead = min inter-shard link delay). Sharding requires
-    #: oracle routing and an rtds/local algorithm; on partition-friendly
-    #: cells (continuous delay ranges) it reproduces the single-process
-    #: ``scalar_metrics`` exactly (``tests/sharded/``). The default is
-    #: popped from ``config_fingerprint`` so single-process cell keys
-    #: never carried it.
-    shards: int = 0
     seed: int = 0
     trace: bool = False
     #: telemetry (repro.obs): False (default) keeps every hot path on the
@@ -236,37 +223,6 @@ class ExperimentConfig:
                 "election requires algorithm='centralized' (only the "
                 "centralized baseline has a coordinator to elect)"
             )
-        if self.shards:
-            if self.shards < 2:
-                raise ConfigError(
-                    f"shards must be 0 (the single-process engine) or >= 2 "
-                    f"(the sharded engine), got {self.shards}"
-                )
-            if self.routing_mode != "oracle":
-                raise ConfigError(
-                    f"shards={self.shards} (the sharded engine) requires "
-                    "routing_mode='oracle' (each shard solves its owned rows' "
-                    "tables locally; simulated routing cannot cross shard "
-                    "boundaries)"
-                )
-            if self.algorithm not in ("rtds", "local"):
-                raise ConfigError(
-                    "the sharded engine supports algorithms 'rtds' and "
-                    f"'local' only, not {self.algorithm!r} (global-state "
-                    "baselines assume one shared process)"
-                )
-            if self.faults is not None and (
-                self.faults.perturbs_network() or self.faults.has_joins()
-            ):
-                raise ConfigError(
-                    "the sharded engine does not support fault plans "
-                    "(injector and membership state are single-process)"
-                )
-            if self.trace:
-                raise ConfigError(
-                    "the sharded engine does not support trace=True "
-                    "(per-shard tracers cannot interleave into one timeline)"
-                )
 
     def resolved_label(self) -> str:
         """The display label: explicit ``label`` or the algorithm name."""
@@ -283,10 +239,8 @@ class RunResult:
     network: Network
     tracer: Tracer
     topology: Topology
-    #: the executed job list; ``None`` on sharded runs (each worker
-    #: regenerates the identical seeded workload locally instead of
-    #: shipping it back)
-    workload: Optional[Workload]
+    #: the executed job list (generated or replayed)
+    workload: Workload
     setup_messages: int
     setup_time: float
     #: the armed fault injector (stats + concrete windows), or None when
@@ -296,12 +250,8 @@ class RunResult:
     #: ``config.telemetry`` was off — feed it to :mod:`repro.obs.export`
     telemetry: Optional[Any] = None
     #: the resident network the run executed on — survivability state
-    #: (membership manager, elections, injector) hangs off it; on sharded
-    #: runs, the coordinator's site-less merged view
+    #: (membership manager, elections, injector) hangs off it
     resident: Optional[Any] = None
-    #: partition + window-loop metadata of a sharded run
-    #: (:class:`repro.simnet.sharded.ShardRunInfo`), None on single-engine runs
-    sharding: Optional[Any] = None
 
     def site_utilizations(self, start: float, end: float) -> Dict[int, float]:
         """Per-site compute utilization over the window ``[start, end]``."""
@@ -408,10 +358,9 @@ class ResidentNetwork:
 
     The batch runner builds one, pushes a generated workload through it and
     tears it down; the admission service (:mod:`repro.service`) keeps one
-    resident for its whole lifetime and feeds it jobs as they arrive; a
-    shard worker holds one over its owned sites. All submit through
-    :meth:`submit_spec`, which is why they produce identical schedules for
-    identical job streams (the service ≡ batch differential).
+    resident for its whole lifetime and feeds it jobs as they arrive. Both
+    submit through :meth:`submit_spec`, which is why they produce identical
+    schedules for identical job streams (the service ≡ batch differential).
 
     Job times in a :class:`~repro.workloads.jobs.JobSpec` are
     workload-relative; :attr:`shift` (= setup time) converts them to
@@ -424,7 +373,7 @@ class ResidentNetwork:
     tracer: Tracer
     metrics: MetricsCollector
     network: Network
-    #: the sites living on ``network`` (a shard's owned slice, or all)
+    #: the sites living on ``network``, in id order
     sites: List[Any]
     setup_messages: int
     setup_time: float
@@ -532,18 +481,10 @@ class ResidentNetwork:
         """Schedule one job's submission at its shifted arrival time."""
         self.sim.schedule_at(self.shift + job.arrival, lambda j=job: self.submit_spec(j))
 
-    def schedule_workload(
-        self, workload: Workload, origins: Optional[Collection[int]] = None
-    ) -> Time:
-        """Schedule a job list and the hygiene tick; returns :attr:`horizon`.
-
-        ``origins`` restricts scheduling to jobs arriving on those sites
-        (a shard's slice — same times, same relative order); the horizon
-        still covers the whole list, so every shard stops together.
-        """
+    def schedule_workload(self, workload: Workload) -> Time:
+        """Schedule a job list and the hygiene tick; returns :attr:`horizon`."""
         for job in workload:
-            if origins is None or job.origin in origins:
-                self.schedule_job(job)
+            self.schedule_job(job)
         horizon = self.shift + workload.last_deadline() + self.config.drain_margin
         self.horizon = horizon
         interval = self.config.hygiene_interval
@@ -604,7 +545,7 @@ class ResidentNetwork:
         """Numeric summary fields (same shape as ``RunResult.scalar_metrics``)."""
         return self.summarize().scalars()
 
-    def result(self, workload: Optional[Workload], sharding: Optional[Any] = None) -> RunResult:
+    def result(self, workload: Workload) -> RunResult:
         """Summarize the run so far into a :class:`RunResult`."""
         return RunResult(
             config=self.config,
@@ -619,7 +560,6 @@ class ResidentNetwork:
             faults=self.injector,
             telemetry=self.obs,
             resident=self,
-            sharding=sharding,
         )
 
 
@@ -637,22 +577,8 @@ def resolve_topology(config: ExperimentConfig) -> Topology:
     return topo
 
 
-def assemble(
-    config: ExperimentConfig,
-    topo: Topology,
-    *,
-    network_cls: type = Network,
-    metrics: Optional[MetricsCollector] = None,
-    site_ids: Optional[Sequence[int]] = None,
-    solve_tables: Optional[Callable[[int], Any]] = None,
-) -> ResidentNetwork:
-    """Phase 1, the one build path: sites, links, routing — returned live.
-
-    A shard worker passes its own ``network_cls`` and ``metrics``
-    collector, the ``site_ids`` it owns (only those are constructed) and
-    ``solve_tables(phases)``, which replaces the full ``phased_tables``
-    solve for the phase budget derived here.
-    """
+def assemble(config: ExperimentConfig, topo: Topology) -> ResidentNetwork:
+    """Phase 1, the one build path: sites, links, routing — returned live."""
     oracle = config.routing_mode == "oracle"
     global_state = config.algorithm in ("centralized", "focused", "random")
     # The dense weight matrix exists only for the global-state baselines in
@@ -679,18 +605,13 @@ def assemble(
             phase_budget = 1
         else:
             phase_budget = global_phases
-        tables = (
-            solve_tables(phase_budget)
-            if solve_tables is not None
-            else phased_tables(Links(topo.n, topo.edges), phase_budget)
-        )
+        tables = phased_tables(Links(topo.n, topo.edges), phase_budget)
         shared_tables = {phase_budget: tables}
         routing_factory = oracle_routing_factory(shared_tables)
 
     sim = Simulator()
     tracer = Tracer(enabled=config.trace)
-    if metrics is None:
-        metrics = MetricsCollector()
+    metrics = MetricsCollector()
     obs = None
     if config.telemetry:
         from repro.obs import Telemetry
@@ -712,8 +633,6 @@ def assemble(
         throughput=config.link_throughput,
         obs=obs,
         admission_cache=admission_cache,
-        network_cls=network_cls,
-        site_ids=site_ids,
     )
 
     sites = [net.site(sid) for sid in net.site_ids()]
@@ -822,20 +741,7 @@ def run_experiment(
     workload makes the config's own generation knobs
     (``rho``/``duration``/``dag_size``) irrelevant; everything else
     applies as usual.
-
-    ``shards >= 2`` dispatches to the multi-process PDES coordinator
-    (:func:`repro.simnet.sharded.run_sharded`); explicit workload replay
-    stays single-process.
     """
-    if config.shards:
-        if workload is not None:
-            raise ConfigError(
-                "explicit workload replay requires shards=0 "
-                "(sharded workers regenerate the seeded batch workload)"
-            )
-        from repro.simnet.sharded.coordinator import run_sharded
-
-        return run_sharded(config)
     with _gc_paused():
         resident = build_resident(config)
         if workload is None:

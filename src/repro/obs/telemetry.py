@@ -419,23 +419,18 @@ class Telemetry:
         )
 
 
-def rss_mb(children: bool = False) -> Optional[float]:
+def rss_mb() -> Optional[float]:
     """Current peak RSS of this process in MB (None where unsupported).
 
     Linux reports ``ru_maxrss`` in KB, macOS in bytes; both are covered.
     Used by the runner's end-of-run sample and the per-cell campaign
     snapshot — the numbers the E12 soak roadmap item tracks over time.
-    ``children=True`` takes the larger of this process and its reaped
-    children: a sharded run's slabs live in the joined shard workers, so
-    the coordinator alone would hide the engine's real footprint (E14).
     """
     try:
         import resource
         import sys
 
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        if children:
-            peak = max(peak, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
         if sys.platform == "darwin":  # pragma: no cover - linux CI
             return peak / (1024.0 * 1024.0)
         return peak / 1024.0

@@ -132,7 +132,7 @@ class SharedTables:
     Destinations outside the ball are absent, never stored as ``inf``.
     ``phases`` is the phase budget the tables were interrupted at.
 
-    A shard holds the same type with only its owned rows non-empty, and a
+    :meth:`take_rows` keeps a subset of the rows non-empty, and a
     membership join replaces the affected rows in place
     (:meth:`replace_rows`), so the row views of
     :mod:`repro.routing.oracle` always read the live arrays.
@@ -432,7 +432,7 @@ def phased_tables(
     With ``rows``, only those rows are kept (the others are empty). A
     row's phase-``p`` offers come from its neighbours' phase-``(p - 1)``
     rows, so only the rows within ``total_phases - 1`` hops of ``rows``
-    are solved — a shard's owned rows, or a join's affected rows.
+    are solved — a join repair's affected rows.
     """
     if total_phases < 1:
         raise RoutingError(f"total_phases must be >= 1, got {total_phases}")

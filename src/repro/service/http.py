@@ -176,7 +176,8 @@ class AdmissionHTTPServer:
         origin = body.get("origin")
         if origin is None:
             origin = int(self._rng.integers(n_sites))
-        if not isinstance(origin, int) or not 0 <= origin < n_sites:
+        # bool is an int subclass: JSON true must not pass as site 1
+        if not isinstance(origin, int) or isinstance(origin, bool) or not 0 <= origin < n_sites:
             return 400, {"error": f"origin must be an integer in [0, {n_sites}), got {origin!r}"}
         size = body.get("dag_size", "small")
         if not isinstance(size, str):
@@ -188,9 +189,11 @@ class AdmissionHTTPServer:
                 return 400, {"error": str(err)}
         arrival = res.now
         deadline = None
-        if body.get("deadline") is not None:
+        relative = body.get("deadline")
+        if relative is not None:
             try:
-                deadline = arrival + float(body["deadline"])
+                # float(True) is 1.0: a JSON boolean is not a deadline
+                deadline = float("nan") if isinstance(relative, bool) else arrival + float(relative)
             except (TypeError, ValueError, OverflowError):
                 deadline = float("nan")
             if not arrival < deadline < float("inf"):

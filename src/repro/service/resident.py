@@ -7,7 +7,7 @@ admission service needs: :meth:`feed` jobs whose arrivals lie in the
 future, :meth:`advance_to` a simulated time, :meth:`drain` past the last
 deadline, and pump-driven :meth:`hygiene` (site pruning plus collector
 folding). Job scheduling, pruning, the leak audit and summaries are the
-resident's own — the same code the batch runner and the shard workers run.
+resident's own — the same code the batch runner runs.
 
 Time discipline: job times are workload-relative (like every
 :class:`~repro.workloads.jobs.JobSpec`); the resident shifts them by setup

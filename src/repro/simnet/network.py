@@ -219,8 +219,7 @@ class Network:
         try:
             receiver = self._receivers[dst]
         except KeyError:
-            self._deliver_remote(msg, arrival)
-            return
+            raise TopologyError(f"site {dst} is not hosted on this network") from None
         # inlined Simulator.schedule_call_at (friend access): one physical
         # transmission = one delivery event, so the call overhead is pure
         # per-message tax. Semantics identical, including the past-guard.
@@ -234,10 +233,6 @@ class Network:
         ev.cancelled = False
         heappush(sim._heap, (arrival, PRIORITY_DELIVERY, next(sim._seq), ev))
         sim._live += 1
-
-    def _deliver_remote(self, msg: Message, arrival: float) -> None:
-        """Hand off a transmission to a site this network does not host."""
-        raise TopologyError(f"site {msg.dst} is not hosted on this network")
 
     def send_adjacent(
         self,

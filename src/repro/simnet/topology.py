@@ -478,8 +478,6 @@ def build_network(
     throughput: Optional[float] = None,
     obs=None,
     admission_cache=None,
-    network_cls: type = Network,
-    site_ids: Optional[Sequence[SiteId]] = None,
 ) -> Network:
     """Instantiate a live network from a topology description.
 
@@ -495,24 +493,18 @@ def build_network(
     ``obs`` (an optional :class:`repro.obs.Telemetry`) is handed to the
     network before any site is built, so every site's ``obs_on`` mirror is
     correct from construction.
-
-    ``site_ids`` builds only a slice of the sites, on a ``network_cls``
-    whose ``add_link`` is still offered every edge and sorts out the ones
-    leaving the slice (:class:`repro.simnet.sharded.worker.ShardNetwork`).
     """
-    net = network_cls(sim, tracer, obs=obs)
+    net = Network(sim, tracer, obs=obs)
     if admission_cache is not None:
         # installed before any site is built: RTDS sites bind the shared
         # network-level cache (repro.core.admission_cache) at construction
         net.admission_cache = admission_cache
-    if site_ids is None:
-        site_ids = range(topo.n)
-    for sid in site_ids:
+    for sid in range(topo.n):
         site_factory(sid, net)
     for u, v, d in topo.edges:
         net.add_link(u, v, d, throughput)
     if topo.site_speeds is not None:
-        for sid in site_ids:
+        for sid in range(topo.n):
             site = net.site(sid)
             site.speed = topo.site_speeds[sid]
             plan = getattr(site, "plan", None)

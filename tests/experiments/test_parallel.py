@@ -3,11 +3,13 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
 from repro.core.config import RTDSConfig
 from repro.errors import CampaignCellError, ConfigError
+from repro.experiments import evaluation
 from repro.experiments.campaign import Campaign, sweep_fault_plans
 from repro.experiments.parallel import (
     CampaignStore,
@@ -24,6 +26,7 @@ from repro.experiments.parallel import (
     same_metrics,
 )
 from repro.experiments.runner import ExperimentConfig
+from repro.experiments.widenet import widenet_config
 from repro.faults import FaultPlan, hardened
 
 SMALL = ExperimentConfig(
@@ -39,13 +42,62 @@ def boom_factory(rng):
     raise RuntimeError("boom")
 
 
+def _sweep_cells(sweep, *args):
+    """The configs ``sweep`` runs over the default base, without running them."""
+    cells = []
+
+    def capture(rows, columns):
+        cells.extend(cfg for _, configs in rows for cfg in configs)
+
+    with mock.patch.object(evaluation, "sweep_table", capture):
+        sweep(ExperimentConfig(), *args)
+    return cells
+
+
+#: Literal cell keys of the E1–E5 sweeps' cells and one E10 cell. A key is
+#: the address of a cached campaign cell in every result store, so a
+#: config field that is added to or removed from ``ExperimentConfig``
+#: without changing behaviour must leave all of them where they are.
+PINNED_CELL_KEYS = {
+    "E1 sweep_load": (
+        lambda: _sweep_cells(evaluation.sweep_load, ["rtds", "local"], [0.3, 0.6, 0.9]),
+        ["452b91a601522dd1", "6482c28cfdd5a5ab", "89f1b1996dd49b70",
+         "79293ccf22448989", "ce247e458cc5ce18", "eec2116c7da6ad37"],
+    ),
+    "E2 sweep_network_size": (
+        lambda: _sweep_cells(evaluation.sweep_network_size, ["rtds", "focused"], [16, 36, 64]),
+        ["f98d8fffc3fdb638", "486672ade49e1fcf", "82f86a8bced07a5a",
+         "32640a22621f9936", "747e03b33957f96a", "46ee566ba942f735"],
+    ),
+    "E3 sweep_sphere_radius": (
+        lambda: _sweep_cells(evaluation.sweep_sphere_radius, [1, 2, 3]),
+        ["571db45015f0d442", "6482c28cfdd5a5ab", "5451d73303ff1909"],
+    ),
+    "E5 sweep_ablations": (
+        lambda: _sweep_cells(evaluation.sweep_ablations),
+        ["6482c28cfdd5a5ab", "c3daacb2709f63b1", "390796253de6baae", "7e819ca70d371b73",
+         "dd2943cce3ee9276", "14df2442f5628bbf", "4c0ae1bbbe2f94f4"],
+    ),
+    "E10 geometric-1024": (
+        lambda: [widenet_config("geometric", 1024)],
+        ["53a454dbca034b86"],
+    ),
+}
+
+
 class TestCellKey:
     def test_stable_across_calls(self):
         assert cell_key(SMALL) == cell_key(replace(SMALL))
 
     def test_label_is_display_only(self):
-        assert cell_key(SMALL) == cell_key(replace(SMALL, label="renamed"))
-        assert "label" not in config_fingerprint(SMALL)
+        for cfg in (SMALL, widenet_config("geometric", 1024)):
+            assert cell_key(cfg) == cell_key(replace(cfg, label="renamed"))
+            assert "label" not in config_fingerprint(cfg)
+
+    @pytest.mark.parametrize("sweep", sorted(PINNED_CELL_KEYS))
+    def test_cell_keys_are_pinned(self, sweep):
+        cells, keys = PINNED_CELL_KEYS[sweep]
+        assert [cell_key(cfg) for cfg in cells()] == keys
 
     @pytest.mark.parametrize(
         "change",

@@ -1,15 +1,12 @@
-"""A membership join whose repair closure spans a shard-partition cut.
+"""A membership join whose repair closure spans a bisection cut.
 
-The E14 partitioner and the membership repair machinery meet here: a
-joiner is wired to the two endpoints of a *cut edge* of
-``partition_topology(topo, 2)``, so its ≤2P-hop repair closure straddles
-both parts of the bisection. The incremental repair must still equal a
-full ``phased_tables`` rebuild bit for bit (``verify_converged``) — the
-proof in ``repro.membership`` does not know or care where a partitioner
-would draw its boundary, and this pins that.
-
-(Sharded runs themselves reject join plans; this runs the single-process
-engine against the exact topology the partitioner would cut.)
+The network is split in two halves (sites sorted by BFS hop from site 0,
+then id), and a joiner is wired to the two endpoints of the first edge
+*crossing* the halves, so its ≤2P-hop repair closure straddles both
+halves. The incremental repair must still equal a full ``phased_tables``
+rebuild bit for bit (``verify_converged``) — the proof in
+``repro.membership`` does not know or care where a cut lies, and this
+pins that.
 """
 
 from dataclasses import replace
@@ -18,7 +15,7 @@ import numpy as np
 
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.faults import FaultPlan, SiteJoinEvent
-from repro.simnet.sharded.partition import partition_topology
+from repro.routing.vectorized import Links, hop_distances
 from repro.simnet.topology import topology_factory
 
 BASE = ExperimentConfig(
@@ -36,14 +33,27 @@ def _base_topology(config: ExperimentConfig):
     return topology_factory(config.topology, rng=rng, **config.topology_kwargs)
 
 
+def _bisect(topo):
+    """Deterministic halves of ``topo`` and the first edge crossing them.
+
+    Sites are ordered by ``(BFS hop from site 0, id)`` and the order is
+    split in half; returns ``(halves, u, v)`` with ``u``, ``v`` the
+    endpoints of the first edge of ``topo.edges`` whose ends lie in
+    different halves.
+    """
+    hop = hop_distances(Links(topo.n, topo.edges), [0])
+    order = sorted(range(topo.n), key=lambda s: (hop[s] if hop[s] >= 0 else topo.n, s))
+    halves = (set(order[: topo.n // 2]), set(order[topo.n // 2 :]))
+    u, v = next((u, v) for u, v, _ in topo.edges if (u in halves[0]) != (v in halves[0]))
+    return halves, u, v
+
+
 def test_join_across_a_partition_cut_converges_bit_for_bit():
     topo = _base_topology(BASE)
-    plan2 = partition_topology(topo, 2)
-    assert plan2.cut_edges, "a connected 2-cut must cut at least one edge"
-    u, v, _delay = plan2.cut_edges[0]
-    assert plan2.assignment[u] != plan2.assignment[v]
+    halves, u, v = _bisect(topo)
+    assert (u in halves[0]) != (v in halves[0])
 
-    # the joiner's direct links land one peer in each part, so every
+    # the joiner's direct links land one peer in each half, so every
     # repair radius >= 1 hop spans the boundary by construction
     faults = FaultPlan(
         join_events=(SiteJoinEvent(time=20.0, links=((u, 0.4), (v, 0.7))),)
@@ -56,19 +66,18 @@ def test_join_across_a_partition_cut_converges_bit_for_bit():
     assert joiner in res.network.sites
     assert membership.verify_converged()
 
-    # the joined site actually routes to both parts (repair reached both)
+    # the joined site actually routes to both halves (repair reached both)
     tables = res.resident.shared_tables
     for shared in tables.values():
-        for part in plan2.parts:
-            assert any(shared.cell(joiner, s) >= 0 for s in part), (
+        for half in halves:
+            assert any(shared.cell(joiner, s) >= 0 for s in half), (
                 "repair closure failed to span the partition boundary"
             )
 
 
 def test_two_joins_on_opposite_sides_of_the_cut():
     topo = _base_topology(BASE)
-    plan2 = partition_topology(topo, 2)
-    u, v, _delay = plan2.cut_edges[0]
+    _halves, u, v = _bisect(topo)
     # one joiner per side; the second one joins after the first repaired
     faults = FaultPlan(
         join_events=(

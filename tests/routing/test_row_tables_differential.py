@@ -5,8 +5,8 @@ solves those cells alone. The claim, for any network: every row's
 ``(cols, dist, next_hop, hops, disc)`` is exactly the finite cells of
 the same row of the frozen dense solve
 (``tests/frozen_reference.phased_tables_reference``), float for float.
-It must keep holding after joins repaired in place, and for a shard's
-owned rows.
+It must keep holding after joins repaired in place, and for a row
+subset (the join-repair path).
 
 The strategy draws geometric, Erdős–Rényi, Barabási–Albert and grid
 networks up to 300 sites, phase budgets 1–6, latent link-less sites, and

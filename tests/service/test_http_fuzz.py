@@ -51,12 +51,14 @@ CASES = [
     ("origin is a string", _jobs({"origin": "abc"}), 400, "origin"),
     ("origin is a float", _jobs({"origin": 1.5}), 400, "origin"),
     ("origin out of range", _jobs({"origin": 10**30}), 400, "origin"),
+    ("origin is a boolean", _jobs({"origin": True}), 400, "origin"),
     ("dag_size unknown", _jobs({"dag_size": "galactic"}), 400, "size"),
     ("dag_size unhashable", _jobs({"dag_size": [1]}), 400, "dag_size"),
     ("deadline is a list", _jobs({"deadline": [3]}), 400, "deadline"),
     ("deadline is negative", _jobs({"deadline": -1}), 400, "deadline"),
     ("deadline is NaN", _post("/jobs", b'{"deadline": NaN}'), 400, "deadline"),
     ("deadline overflows a float", _jobs({"deadline": 10**400}), 400, "deadline"),
+    ("deadline is a boolean", _jobs({"origin": 2, "deadline": True}), 400, "deadline"),
     ("unknown route", b"GET /nope HTTP/1.1\r\n\r\n", 404, "no route"),
     ("wrong method on a known path", b"DELETE /jobs HTTP/1.1\r\n\r\n", 404, "no route"),
 ]

@@ -167,7 +167,7 @@ class TestErrorBoundary:
     @pytest.mark.parametrize(
         "argv, needle",
         [
-            (["run", "--shards", "2"], "routing_mode='oracle'"),
+            (["run", "--faults", "joins=1"], "routing_mode='oracle'"),
             (["sweep-load", "--algorithms", "nope"], "unknown algorithm 'nope'"),
             (["run", "--faults", "bogus=1"], "bogus"),
             (["sweep-hetero", "--speeds", "warp:9"], "warp"),

@@ -138,23 +138,13 @@ class TestDesignMd:
             assert concept.lower() in lower, f"DESIGN.md must document {concept!r}"
         assert "steady48" in section("DESIGN.md", "## §15 Batched admission core")
 
-    def test_sharded_pdes_section(self):
-        """DESIGN.md §16 must document the sharded engine's contracts."""
-        text = read("DESIGN.md")
-        assert "Sharded PDES model" in text
-        assert "`repro.simnet.sharded`" in text
-        lower = text.lower()
-        for concept in (
-            "conservative lookahead",
-            "min inter-shard link delay",
-            "partition-friendly",
-            "bit-for-bit",
-            "null-message",
-            "closure",
-            "config_fingerprint",
-        ):
-            assert concept.lower() in lower, f"DESIGN.md must document {concept!r}"
-        assert "bench_e14_sharded.py" in text and "BENCH_e14.json" in text
+    def test_single_engine_section(self):
+        """DESIGN.md §16 must say why one process is enough, with the gate."""
+        text = section("DESIGN.md", "## §16 ")
+        assert "one process" in text
+        assert "10 000" in text
+        assert "e7b698db2ff66299" in text and "e7981cc3f47e79a0" in text
+        assert "750 MB" in text
 
     def test_parallel_runtime_section(self):
         """The campaign runtime must stay documented where it is built."""
@@ -259,14 +249,13 @@ class TestExperimentsMd:
         assert "test_chaos.py" in text
 
     def test_e14_entry_names_gate_and_cli(self):
-        """E14 must document the exactness gate, core arming and the CLI."""
-        text = read("EXPERIMENTS.md")
-        assert "bench_e14_sharded.py" in text
-        assert "BENCH_e14.json" in text
-        assert "--shards" in text
-        assert "tests/sharded" in text
-        assert "bit for bit" in text
-        assert "--tenk" in text
+        """E14 must say why one process is enough and keep its gate."""
+        text = section("EXPERIMENTS.md", "### E14 —")
+        assert "one process" in text
+        assert "10 000" in text
+        assert "e7b698db2ff66299" in text
+        assert "750 MB" in text
+        assert "rtds sweep-widenet" in text
 
     def test_experiment_numbers_are_unique(self):
         """Every `### E<n> —` entry number appears exactly once.
