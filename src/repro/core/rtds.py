@@ -2,7 +2,9 @@
 
 One :class:`RTDSSite` per network node. Each site runs, independently:
 
-* at system start, the phased Bellman–Ford, then derives its PCS (§7);
+* at system start, the phased Bellman–Ford; its PCS (§7) is derived from
+  the finished table on first use (most sites of a wide network never
+  initiate a round, so they never pay for a sphere);
 * on job arrival, the **local test** (§5); if it fails, the site becomes
   *initiator*: it enrolls its PCS into an ACS (§8), runs the Mapper (§9/§12)
   and the adjustment (§12.2), broadcasts the Trial-Mapping for validation
@@ -67,7 +69,7 @@ from repro.simnet.message import Message
 from repro.simnet.network import Network
 from repro.spheres.acs import AcsSession, EnrolledSite, SiteLock
 from repro.spheres.diameter import sphere_diameter, sphere_radius
-from repro.spheres.pcs import PCS, build_pcs, handle_sphere_message, sphere_broadcast
+from repro.spheres.pcs import PCS, build_pcs, handle_sphere_message, pcs_size, sphere_broadcast
 from repro.types import JobId, LogicalProc, SiteId, TaskId, Time
 
 
@@ -106,7 +108,8 @@ class RTDSSite(SchedulerSite):
         self.config = config
         #: §11 host side: gates, RESULT forwarding, RESULT delivery
         self.hosting = HostSide(self, MSG_RESULT, config.result_forwarding)
-        self.pcs: Optional[PCS] = None
+        #: the PCS memo: built on the first read of :attr:`pcs` after routing
+        self._pcs: Optional[PCS] = None
         # One admission cache per network, shared by all sites (cross-site
         # result sharing via the plan state digest); the experiment runner
         # attaches a pre-configured one, standalone sites get a default.
@@ -136,16 +139,37 @@ class RTDSSite(SchedulerSite):
 
     # -- initialization ------------------------------------------------------
 
+    @property
+    def pcs(self) -> Optional[PCS]:
+        """This site's PCS, ``None`` until routing is done.
+
+        Built from the current routing table on the first read and kept
+        until routing (re)completes or :meth:`refresh_sphere` drops it.
+        """
+        pcs = self._pcs
+        if pcs is None and self.routing.done:
+            pcs = self._pcs = build_pcs(self.routing.table, self.config.h)
+        return pcs
+
+    def sphere_size(self) -> Optional[int]:
+        """``len(self.pcs)`` without building the sphere (``None`` before
+        routing is done)."""
+        if not self.routing.done:
+            return None
+        return pcs_size(self.routing.table, self.config.h)
+
     def _routing_done(self) -> None:
-        self.pcs = build_pcs(self.routing.table, self.config.h)
-        self.trace("pcs.built", h=self.config.h, members=len(self.pcs))
+        self._pcs = None
+        if self.trace_on:
+            self.trace("pcs.built", h=self.config.h, members=self.sphere_size())
         pending, self._pre_routing = self._pre_routing, []
         for ctx in pending:
             ctx.was_deferred = True
             self._consider(ctx)
 
     def refresh_sphere(self) -> None:
-        """Rebuild the PCS from the (repaired) routing table.
+        """Drop the PCS so the next read derives it from the (repaired)
+        routing table.
 
         The membership layer calls this after an incremental routing
         repair touched this site's row (a join inside the sphere radius).
@@ -154,8 +178,9 @@ class RTDSSite(SchedulerSite):
         """
         if not self.routing.done:
             return
-        self.pcs = build_pcs(self.routing.table, self.config.h)
-        self.trace("pcs.refreshed", h=self.config.h, members=len(self.pcs))
+        self._pcs = None
+        if self.trace_on:
+            self.trace("pcs.refreshed", h=self.config.h, members=self.sphere_size())
 
     # -- job arrival (driver entry point) ------------------------------------
 
@@ -165,7 +190,7 @@ class RTDSSite(SchedulerSite):
         self.register_arrival(job, dag, deadline)
         if self.trace_on:
             self.trace("job.arrival", job=job, tasks=len(dag), deadline=deadline)
-        if self.pcs is None and not self.routing.done:
+        if not self.routing.done:
             self._pre_routing.append(ctx)
             return
         ctx.was_deferred = self.lock.locked
@@ -228,13 +253,14 @@ class RTDSSite(SchedulerSite):
     # -- initiator: ACS construction (§8) ------------------------------------
 
     def _initiate(self, ctx: _JobCtx) -> None:
-        if self.pcs is None or len(self.pcs) == 0:
+        pcs = self.pcs
+        if pcs is None or len(pcs) == 0:
             self.decide(ctx, JobOutcome.REJECTED_NO_SPHERE)
             return
         members = (
-            self.pcs.nearest(self.config.max_acs_size)
+            pcs.nearest(self.config.max_acs_size)
             if self.config.max_acs_size is not None
-            else list(self.pcs.members)
+            else list(pcs.members)
         )
         if not members:
             self.decide(ctx, JobOutcome.REJECTED_NO_SPHERE)

@@ -31,7 +31,6 @@ seeds; ``BENCH_e13.json`` gates it. CLI: ``rtds chaos``.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional
 
@@ -172,6 +171,8 @@ def _estimate_horizon(config: ChaosConfig) -> float:
 
 async def _lossy_intake(svc: AdmissionService, jobs, after_each) -> None:
     """E13's intake: shed (counted) instead of backpressuring."""
+    import asyncio
+
     for i, job in enumerate(jobs):
         svc.submit_nowait(job)
         after_each()

@@ -255,12 +255,13 @@ def run_cell(config: ExperimentConfig, key: Optional[str] = None) -> CellResult:
         if rss is not None:
             obs_snapshot["rss_mb"] = rss
         # E3's sphere-size column: a property of the routed network, not
-        # of the run's outcome, so it rides here rather than in ``metrics``
-        pcs_sizes = [
-            len(site.pcs)
+        # of the run's outcome, so it rides here rather than in ``metrics``;
+        # counted from the tables, so no site builds a sphere it never used
+        sizes = (
+            getattr(site, "sphere_size", lambda: None)()
             for site in result.network.sites.values()
-            if getattr(site, "pcs", None) is not None
-        ]
+        )
+        pcs_sizes = [n for n in sizes if n is not None]
         if pcs_sizes:
             obs_snapshot["mean_pcs"] = sum(pcs_sizes) / len(pcs_sizes)
     except Exception as exc:

@@ -26,7 +26,6 @@ CLI: ``rtds soak`` (see EXPERIMENTS.md §E12).
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import json
 import pathlib
@@ -287,6 +286,8 @@ def run_soak(
         async with svc:
             stream = itertools.islice(open_loop_jobs(spec), config.target_jobs)
             await intake(svc, stream, sample_if_due)
+
+    import asyncio  # only a soak runs an event loop; batch runs never load it
 
     asyncio.run(drive())
     final = take_sample()

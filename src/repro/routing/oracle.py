@@ -268,6 +268,11 @@ class LazyRoutingTable:
         members = tuple(member_ids[np.lexsort((member_ids, dist_row))].tolist())
         return PCS(root=self.owner, h=h, members=members, distance=distance, hops=hops)
 
+    def pcs_size(self, h: int) -> int:
+        """Member count of :meth:`pcs` (``h``) without building it."""
+        disc = self._shared.disc[self._row()]
+        return int(np.count_nonzero((disc >= 1) & (disc <= h)))
+
 
 class OracleRouting:
     """Drop-in for :class:`~repro.routing.bellman_ford.PhasedBellmanFord`.

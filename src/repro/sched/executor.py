@@ -53,7 +53,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import SchedulingError
 from repro.sched.intervals import Reservation
@@ -134,8 +134,9 @@ class PlanExecutor:
         #: the not-yet-done subset of ``_records``
         self._unfinished: Dict[Key, ExecutionRecord] = {}
         #: finished keys in completion order (finish times never decrease),
-        #: so pruning pops a prefix instead of scanning every record
-        self._done: Deque[Key] = deque()
+        #: so pruning pops a prefix instead of scanning every record; an
+        #: empty tuple until the first completion
+        self._done: Union[Deque[Key], Tuple[()]] = ()
         #: (next chunk start, repr(key), key) of every unfinished task that
         #: is not running, kept sorted — slot order, ``repr`` breaks ties
         self._queue: List[Tuple[Time, str, Key]] = []
@@ -312,6 +313,8 @@ class PlanExecutor:
         self._running = None
         if rec.done:
             del self._unfinished[key]
+            if not self._done:
+                self._done = deque()
             self._done.append(key)
             job, task = key
             # Completion of a local task satisfies local "done" gates. The

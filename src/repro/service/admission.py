@@ -36,10 +36,9 @@ rather than unbounded queueing — the open-loop contract stays honest.
 
 from __future__ import annotations
 
-import asyncio
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 from repro.core.events import JobRecord
 from repro.errors import ConfigError
@@ -47,6 +46,9 @@ from repro.obs.telemetry import ReservoirTimer
 from repro.service.resident import ResidentSimulation
 from repro.types import JobId
 from repro.workloads.jobs import JobSpec
+
+if TYPE_CHECKING:  # loaded by the service's own methods: batch imports never pay for it
+    import asyncio
 
 #: sentinel pushed by drain() to stop the pump after the queue empties
 _STOP = object()
@@ -94,6 +96,8 @@ class AdmissionService:
             )
         if degraded_window < 1:
             raise ConfigError(f"degraded_window must be >= 1, got {degraded_window}")
+        import asyncio
+
         self.res = res
         self.stats = ServiceStats()
         #: admission decision latency in simulated time; windowed
@@ -121,6 +125,8 @@ class AdmissionService:
 
     def start(self) -> None:
         """Start the pump (requires a running event loop)."""
+        import asyncio
+
         if self._pump_task is None:
             self._pump_task = asyncio.get_running_loop().create_task(self._pump())
 
@@ -162,6 +168,8 @@ class AdmissionService:
         """
         if self._closed:
             raise ConfigError("admission service is draining; submission refused")
+        import asyncio
+
         fut: Optional[asyncio.Future] = None
         if want_ticket:
             fut = asyncio.get_running_loop().create_future()
@@ -181,6 +189,8 @@ class AdmissionService:
         network is rejecting nearly everything, queueing more work only
         adds admission latency for jobs that will be refused anyway.
         """
+        import asyncio
+
         if self._closed:
             raise ConfigError("admission service is draining; submission refused")
         if self._degraded:
@@ -241,6 +251,8 @@ class AdmissionService:
     # -- pump -------------------------------------------------------------------
 
     async def _pump(self) -> None:
+        import asyncio
+
         stopping = False
         while not stopping:
             head = await self._queue.get()

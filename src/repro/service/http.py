@@ -30,11 +30,10 @@ service directly (:mod:`repro.experiments.soak`).
 
 from __future__ import annotations
 
-import asyncio
 import json
 import logging
 from http import HTTPStatus
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +42,9 @@ from repro.service.admission import AdmissionService
 from repro.workloads.deadlines import assign_deadline
 from repro.workloads.jobs import JobSpec
 from repro.workloads.scenarios import mixed_dag_factory
+
+if TYPE_CHECKING:  # the server loads asyncio when it starts, batch imports never
+    import asyncio
 
 _MAX_BODY = 1 << 20
 _MAX_HEADERS = 100
@@ -77,6 +79,8 @@ class AdmissionHTTPServer:
 
     async def start(self) -> Tuple[str, int]:
         """Start listening; returns the bound ``(host, port)``."""
+        import asyncio
+
         self._server = await asyncio.start_server(self._handle, self.host, self.port)
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
@@ -91,6 +95,8 @@ class AdmissionHTTPServer:
     # -- request handling ------------------------------------------------------
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        import asyncio
+
         unread = False
         try:
             status, payload = await self._dispatch(reader)
@@ -122,6 +128,8 @@ class AdmissionHTTPServer:
     async def _read_request(self, reader: asyncio.StreamReader) -> Tuple[str, str, dict]:
         """Parse one request into ``(method, path, JSON object)``; every way
         the bytes can be wrong is a named :class:`_BadRequest`."""
+        import asyncio
+
         try:
             lines = [await reader.readline()]
             while lines[-1] not in (b"\r\n", b"\n", b""):
@@ -191,10 +199,12 @@ class AdmissionHTTPServer:
         deadline = None
         relative = body.get("deadline")
         if relative is not None:
+            # only a JSON number is a deadline: float("5") parses, and bool
+            # is an int subclass (float(True) is 1.0)
+            number = isinstance(relative, (int, float)) and not isinstance(relative, bool)
             try:
-                # float(True) is 1.0: a JSON boolean is not a deadline
-                deadline = float("nan") if isinstance(relative, bool) else arrival + float(relative)
-            except (TypeError, ValueError, OverflowError):
+                deadline = arrival + float(relative) if number else float("nan")
+            except OverflowError:  # an integer too large for a float
                 deadline = float("nan")
             if not arrival < deadline < float("inf"):
                 return 400, {"error": "deadline must be a finite number > 0 (relative to arrival)"}

@@ -18,13 +18,13 @@ order-preserving assumption under the extended model too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import TopologyError
-from repro.types import SiteId, Time
+from repro.types import DATACLASS_SLOTS, SiteId, Time
 
 
-@dataclass
+@dataclass(**DATACLASS_SLOTS)
 class Link:
     """One bidirectional link ``u <-> v``.
 
@@ -44,8 +44,9 @@ class Link:
     v: SiteId
     delay: Time
     throughput: Optional[float] = None
-    #: last scheduled delivery time per direction, for FIFO clamping
-    _last_delivery: Dict[SiteId, Time] = field(default_factory=dict, repr=False)
+    #: last scheduled delivery time towards ``u`` / ``v``, for FIFO clamping
+    last_to_u: Time = field(default=0.0, init=False, repr=False)
+    last_to_v: Time = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.u == self.v:
@@ -84,10 +85,16 @@ class Link:
         operation order) — keep the two in sync.
         """
         t = now + self.transfer_time(size) + extra
-        prev = self._last_delivery.get(to, 0.0)
-        if t < prev:
-            t = prev
-        self._last_delivery[to] = t
+        if to == self.v:
+            if t < self.last_to_v:
+                t = self.last_to_v
+            self.last_to_v = t
+        elif to == self.u:
+            if t < self.last_to_u:
+                t = self.last_to_u
+            self.last_to_u = t
+        else:
+            raise TopologyError(f"site {to} is not an endpoint of link ({self.u},{self.v})")
         return t
 
     @property

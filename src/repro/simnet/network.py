@@ -211,11 +211,14 @@ class Network:
         # (kept in sync with link.py; the method remains the reference)
         tp = link.throughput
         arrival = sim._now + (link.delay if tp is None else link.delay + size / tp) + extra
-        last = link._last_delivery
-        prev = last.get(dst, 0.0)
-        if arrival < prev:
-            arrival = prev
-        last[dst] = arrival
+        if dst == link.v:
+            if arrival < link.last_to_v:
+                arrival = link.last_to_v
+            link.last_to_v = arrival
+        else:
+            if arrival < link.last_to_u:
+                arrival = link.last_to_u
+            link.last_to_u = arrival
         try:
             receiver = self._receivers[dst]
         except KeyError:

@@ -61,8 +61,13 @@ def _validated(speeds: Sequence[float], origin: str) -> Tuple[float, ...]:
 
 
 def _normalized(speeds: np.ndarray) -> np.ndarray:
-    """Scale a positive vector so its arithmetic mean is exactly 1.0."""
-    return speeds / speeds.mean()
+    """Scale a positive vector so its arithmetic mean is exactly 1.0.
+
+    An infinite or NaN entry yields NaNs here, quietly: the caller's
+    :func:`_validated` names the bad profile instead.
+    """
+    with np.errstate(invalid="ignore"):
+        return speeds / speeds.mean()
 
 
 def _float(spec: str, token: str) -> float:
@@ -150,7 +155,10 @@ def resolve_site_speeds(spec: SpeedSpec, n: int, seed: int = 0) -> Optional[Tupl
     if n < 1:
         raise ConfigError(f"site speeds need n >= 1 sites, got {n}")
     if isinstance(spec, str):
-        return _parse_spec_string(spec, n, seed)
+        # the same check explicit vectors get: a profile argument can
+        # resolve to NaN or infinite speeds ("uniform:nan", "skew:inf") or
+        # underflow to zero ("lognormal:1000")
+        return _validated(_parse_spec_string(spec, n, seed), f"site_speeds {spec!r}")
     explicit = _validated(list(spec), "site_speeds")
     return tuple(explicit[i % len(explicit)] for i in range(n))
 

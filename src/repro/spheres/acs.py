@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import ProtocolError
 from repro.types import JobId, LogicalProc, SiteId, Time
@@ -104,12 +104,14 @@ class SiteLock:
 
     ``owner`` is ``(initiator, job)`` while held. Deferred items are opaque
     thunks replayed in FIFO order by the owner site when the lock releases.
+    ``deferred`` is an empty tuple until the first :meth:`defer`: most
+    sites of a wide network never defer anything.
     """
 
     def __init__(self, site: SiteId) -> None:
         self.site = site
         self.owner: Optional[Tuple[SiteId, JobId]] = None
-        self.deferred: Deque = deque()
+        self.deferred: Union[Deque, Tuple[()]] = ()
 
     @property
     def locked(self) -> bool:
@@ -135,4 +137,6 @@ class SiteLock:
         return self.owner == (initiator, job)
 
     def defer(self, thunk) -> None:
+        if not self.deferred:
+            self.deferred = deque()
         self.deferred.append(thunk)

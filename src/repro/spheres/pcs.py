@@ -1,9 +1,11 @@
 """The Potential Computing Sphere (paper §6–§7).
 
-PCS(k) is the set of sites within hop radius ``h`` of ``k``, computed once
-at system initialization from the interrupted Bellman–Ford routing table:
-a destination's ``discovered_phase`` equals its BFS hop distance, so
-membership is simply ``discovered_phase <= h``.
+PCS(k) is the set of sites within hop radius ``h`` of ``k``, derived from
+the interrupted Bellman–Ford routing table once it is finished: a
+destination's ``discovered_phase`` equals its BFS hop distance, so
+membership is simply ``discovered_phase <= h``. A site builds its sphere
+on first use (:attr:`repro.core.rtds.RTDSSite.pcs`); :func:`pcs_size`
+counts the members without building it.
 
 The "communication control structure [...] allowing local broadcast" is the
 unique-shortest-path tree implicit in the next-hop tables: to broadcast to a
@@ -80,6 +82,22 @@ def build_pcs(table: RoutingTable, h: int) -> PCS:
     hops = {d: table.entry(d).discovered_phase for d in members}
     members.sort(key=lambda d: (distance[d], d))
     return PCS(root=root, h=h, members=tuple(members), distance=distance, hops=hops)
+
+
+def pcs_size(table: RoutingTable, h: int) -> int:
+    """``len(build_pcs(table, h))`` without building the sphere.
+
+    Array-backed tables count their row's cells with ``1 <= disc <= h``
+    (``pcs_size(h)``); other tables count ``within_phase(h)`` minus the
+    root.
+    """
+    if h < 1:
+        raise RoutingError(f"PCS radius h must be >= 1, got {h}")
+    sparse = getattr(table, "pcs_size", None)
+    if sparse is not None:
+        return sparse(h)
+    root = table.owner
+    return sum(1 for d in table.within_phase(h) if d != root)
 
 
 def split_targets_by_hop(

@@ -191,11 +191,17 @@ def test_bad_profile_arguments_raise_config_error():
     """Malformed numeric arguments surface as ConfigError, never a raw
     ValueError traceback (the CLI catches ConfigError)."""
     from repro.errors import ConfigError
+    from repro.experiments.runner import ExperimentConfig
     from repro.simnet.speeds import resolve_site_speeds
 
-    for bad in ("skew:fast", "uniform:x", "lognormal:?", "tiers:1,x", "warp:2"):
+    for bad in ("skew:fast", "uniform:x", "lognormal:?", "tiers:1,x", "warp:2",
+                # numbers that resolve to non-finite or zero speeds
+                "uniform:nan", "uniform:inf", "skew:inf", "skew:nan",
+                "lognormal:nan", "lognormal:1000"):
         with pytest.raises(ConfigError):
             resolve_site_speeds(bad, 8, 0)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(site_speeds="uniform:nan")
 
 
 def test_split_speed_specs_keeps_tiers_commas():

@@ -24,7 +24,7 @@ from repro.routing.oracle import (
 from repro.routing.vectorized import Links, phased_tables
 from repro.simnet.engine import Simulator
 from repro.simnet.topology import build_network, erdos_renyi
-from repro.spheres.pcs import build_pcs
+from repro.spheres.pcs import build_pcs, pcs_size
 from tests.conftest import RecordingSite
 
 TOPO = erdos_renyi(14, 0.3, np.random.default_rng(4), delay_range=(0.5, 3.0))
@@ -96,6 +96,8 @@ class TestLazyRoutingTable:
                 assert a.members == b.members
                 assert a.distance == b.distance
                 assert a.hops == b.hops
+                # the build-free member count agrees on both table kinds
+                assert pcs_size(LazyRoutingTable(shared, sid), h) == pcs_size(ref, h) == len(b)
                 # PCS ids must be plain Python ints (they travel in payloads)
                 assert all(type(m) is int for m in a.members)
 

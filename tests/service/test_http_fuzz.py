@@ -59,6 +59,7 @@ CASES = [
     ("deadline is NaN", _post("/jobs", b'{"deadline": NaN}'), 400, "deadline"),
     ("deadline overflows a float", _jobs({"deadline": 10**400}), 400, "deadline"),
     ("deadline is a boolean", _jobs({"origin": 2, "deadline": True}), 400, "deadline"),
+    ("deadline is a string", _jobs({"origin": 2, "deadline": "5"}), 400, "deadline"),
     ("unknown route", b"GET /nope HTTP/1.1\r\n\r\n", 404, "no route"),
     ("wrong method on a known path", b"DELETE /jobs HTTP/1.1\r\n\r\n", 404, "no route"),
 ]
