@@ -660,8 +660,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_he)
     # E11's own cell preset: the flag-less CLI run addresses the same
-    # cells as benchmarks/bench_e11_hetero.py; --sites/--rho/--duration/
-    # --laxity still work and reshape the cells like on any subcommand
+    # cells as sweep_hetero()'s defaults, which tier-1 gates; --sites/
+    # --rho/--duration/--laxity still work and reshape the cells like on
+    # any subcommand
     p_he.set_defaults(sites=24, duration=240.0)
     p_he.add_argument(
         "--speeds", default="uniform,skew:2,skew:4",

@@ -37,14 +37,6 @@ class SchedulingError(ReproError):
     """Local scheduler invariant violated (overlapping reservations, ...)."""
 
 
-class InfeasibleError(SchedulingError):
-    """A task set cannot be scheduled within its release/deadline windows.
-
-    This is *not* an internal failure: feasibility tests raise or return
-    ``False`` depending on the API; protocol code treats it as a rejection.
-    """
-
-
 class MappingError(ReproError):
     """The Mapper could not produce a Trial-Mapping (e.g. no processors)."""
 

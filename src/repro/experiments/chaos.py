@@ -26,7 +26,8 @@ table from scratch and compares bit-for-bit against the incrementally
 repaired ones.
 
 Determinism: like E12, everything simulated is a pure function of the
-seeds; ``BENCH_e13.json`` gates it. CLI: ``rtds chaos``.
+seeds; the nightly workflow runs ``ChaosConfig()``'s 10^5-job soak and
+pins its counts, guarantee ratio and p99. CLI: ``rtds chaos``.
 """
 
 from __future__ import annotations

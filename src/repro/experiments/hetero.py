@@ -25,9 +25,10 @@ the protocol's behaviour off the synthetic mixes it was tuned on.
 replicates and their columns over
 :func:`repro.experiments.campaign.sweep_table`, so ``rtds sweep-hetero
 --jobs N --store DIR --resume`` scales across cores and survives
-interruption like every other campaign. ``benchmarks/bench_e11_hetero.py`` adds the committed
-GR-drift gate (``BENCH_e11.json``) and the uniform-vs-default
-differential check.
+interruption like every other campaign. Its defaults are the E11 gate:
+``tests/experiments/test_hetero_sweep.py`` pins every default cell's
+guarantee ratio, and ``tests/hetero/test_differential.py`` replays the
+uniform anchor cell with explicit all-1.0 speeds bit for bit.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ E11_MEAN_DEGREE = 4.6
 #: workload knobs of the E11 cells, applied only when no ``base`` config
 #: is given (the CLI's ``--rho/--duration/--laxity`` flags flow through
 #: ``base`` and win; ``rtds sweep-hetero`` pins its own defaults to these
-#: values, so the flag-less CLI run and the bench address the same cells)
+#: values, so the flag-less CLI run and the tier-1 gate address the same
+#: cells)
 E11_WORKLOAD: Dict[str, Any] = {
     "rho": 0.6,
     "duration": 240.0,

@@ -58,13 +58,6 @@ def ratio_confidence_interval(successes: int, total: int) -> Tuple[float, float]
     return (center, half)
 
 
-def compare_ratios(a: Tuple[int, int], b: Tuple[int, int]) -> float:
-    """Difference of two proportions a - b (both as (successes, total))."""
-    pa = a[0] / a[1] if a[1] else float("nan")
-    pb = b[0] / b[1] if b[1] else float("nan")
-    return pa - pb
-
-
 def geometric_mean(values: Sequence[float]) -> float:
     """Geometric mean of positive values (speedup aggregation)."""
     arr = np.asarray(list(values), dtype=float)

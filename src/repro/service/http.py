@@ -180,7 +180,8 @@ class AdmissionHTTPServer:
         if self.service.draining:
             return 503, {"error": "service is draining; submission refused"}
         res = self.service.res
-        n_sites = res.resident.topology.n
+        # base sites only: latent joiner sites receive no arrivals
+        n_sites = res.resident.n_base_sites
         origin = body.get("origin")
         if origin is None:
             origin = int(self._rng.integers(n_sites))

@@ -162,9 +162,3 @@ def resolve_site_speeds(spec: SpeedSpec, n: int, seed: int = 0) -> Optional[Tupl
     explicit = _validated(list(spec), "site_speeds")
     return tuple(explicit[i % len(explicit)] for i in range(n))
 
-
-def is_homogeneous(speeds: Optional[Sequence[float]], tol: float = 1e-12) -> bool:
-    """True when every speed equals 1.0 (within ``tol``) or no vector is set."""
-    if speeds is None:
-        return True
-    return all(abs(s - 1.0) <= tol for s in speeds)

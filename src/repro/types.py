@@ -40,17 +40,3 @@ Time = float
 #: genuine deadline violations (paper quantities are O(1)..O(1e4)).
 EPS: float = 1e-9
 
-
-def feq(a: float, b: float, eps: float = EPS) -> bool:
-    """Float equality within :data:`EPS` (scale-free for our value ranges)."""
-    return abs(a - b) <= eps
-
-
-def fle(a: float, b: float, eps: float = EPS) -> bool:
-    """``a <= b`` within tolerance."""
-    return a <= b + eps
-
-
-def flt(a: float, b: float, eps: float = EPS) -> bool:
-    """``a < b`` with tolerance (strictly smaller by more than eps)."""
-    return a < b - eps

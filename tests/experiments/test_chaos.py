@@ -1,8 +1,8 @@
 """E13 chaos-soak contracts at tier-1 scale (~10^3 jobs).
 
-The full 10^5-job campaign lives in ``benchmarks/bench_e13_chaos.py`` and
-the nightly workflow; this is the fast always-on variant that keeps the
-survivability contracts from regressing in ordinary CI:
+The full 10^5-job campaign is the nightly workflow's
+``api.chaos(ChaosConfig())`` heredoc; this is the fast always-on variant
+that keeps the survivability contracts from regressing in ordinary CI:
 
 * every planned join applies and the repaired routing tables converge
   bit-for-bit against a from-scratch rebuild,

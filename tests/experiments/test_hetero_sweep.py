@@ -1,4 +1,4 @@
-"""The E11 heterogeneity sweep driver (small-scale functional checks)."""
+"""The E11 heterogeneity sweep driver: functional checks and the GR gate."""
 
 from dataclasses import replace
 
@@ -86,3 +86,29 @@ def test_sweep_hetero_aggregates_across_seeds():
         assert row["runs"] == 2
         assert "±" in row["GR"]
         assert row["jobs"] > 0
+
+
+#: E11's guarantee ratio per (speed profile, workload) cell at the
+#: defaults (24 sites, seed 0, ``E11_WORKLOAD``). The runs are seeded, so
+#: a drift past ``GR_TOLERANCE`` is a behaviour change, not noise.
+E11_GR = {
+    ("uniform", "synthetic"): 0.9692307692307692,
+    ("uniform", "trace:montage"): 0.8043478260869565,
+    ("uniform", "trace:epigenomics"): 0.9375,
+    ("skew:2", "synthetic"): 0.9461538461538461,
+    ("skew:2", "trace:montage"): 0.8043478260869565,
+    ("skew:2", "trace:epigenomics"): 0.9375,
+    ("skew:4", "synthetic"): 0.8384615384615385,
+    ("skew:4", "trace:montage"): 0.6956521739130435,
+    ("skew:4", "trace:epigenomics"): 0.875,
+}
+GR_TOLERANCE = 0.02
+
+
+def test_e11_default_matrix_holds_its_guarantee_ratios():
+    """The E11 gate: every default cell is measured, each GR within 0.02."""
+    rows = {(r["speeds"], r["workload"]): r for r in sweep_hetero()}
+    # every pinned cell must be measured, or a changed axis passes vacuously
+    assert set(rows) == set(E11_GR)
+    for cell, pinned in E11_GR.items():
+        assert abs(float(rows[cell]["GR"]) - pinned) <= GR_TOLERANCE, (cell, rows[cell]["GR"])

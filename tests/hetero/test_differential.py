@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.experiments.hetero import hetero_config
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.metrics.summary import scalars_equal
 from tests.identity.scenarios import snapshot
@@ -49,11 +50,25 @@ def _assert_snapshots_identical(a, b, label):
     assert sa["trace_sha256"] == sb["trace_sha256"]
 
 
-@pytest.mark.parametrize("uniform_spec", ["uniform:1.0", "uniform", [1.0]])
-def test_uniform_site_speeds_bit_identical(uniform_spec):
+def _e11_anchor(**overrides) -> ExperimentConfig:
+    """E11's uniform anchor cell (24 sites, synthetic mix, seed 0), traced."""
+    return replace(hetero_config("uniform", "synthetic"), trace=True, **overrides)
+
+
+@pytest.mark.parametrize(
+    "base, uniform_spec",
+    [
+        (_base_config, "uniform:1.0"),
+        (_base_config, "uniform"),
+        (_base_config, [1.0]),
+        (_e11_anchor, "uniform:1.0"),
+    ],
+    ids=["uniform:1.0", "uniform", "uniform_spec2", "e11-anchor"],
+)
+def test_uniform_site_speeds_bit_identical(base, uniform_spec):
     """Explicit all-1.0 speeds replay the homogeneous run exactly."""
-    default = run_experiment(_base_config())
-    explicit = run_experiment(_base_config(site_speeds=uniform_spec))
+    default = run_experiment(base())
+    explicit = run_experiment(base(site_speeds=uniform_spec))
     _assert_snapshots_identical(default, explicit, f"site_speeds={uniform_spec!r}")
 
 

@@ -2,8 +2,10 @@
 
 import asyncio
 import json
+from dataclasses import replace
 
 from repro.experiments.runner import ExperimentConfig
+from repro.faults.plan import FaultPlan
 from repro.service import AdmissionService, ResidentSimulation
 from repro.service.http import AdmissionHTTPServer
 
@@ -116,3 +118,27 @@ def test_http_sheds_when_queue_full():
 
     statuses = asyncio.run(drive())
     assert statuses == [202, 202, 503, 503]
+
+
+def test_http_refuses_origins_at_latent_joiners():
+    """Sites that join later are pre-built but receive no arrivals: the
+    intake draws and range-checks origins over the base sites only."""
+
+    async def drive():
+        config = replace(
+            _config(), routing_mode="oracle",
+            faults=FaultPlan.from_spec("joins=2,join_links=2"),
+        )
+        res = ResidentSimulation(config)
+        assert res.resident.topology.n == 10 and res.resident.n_base_sites == 8
+        svc = AdmissionService(res, queue_capacity=32)  # pump never started
+        server = AdmissionHTTPServer(svc, seed=3)
+        host, port = await server.start()
+        joiner = await _request(host, port, "POST", "/jobs", {"origin": 8})
+        drawn = [await _request(host, port, "POST", "/jobs", {}) for _ in range(20)]
+        await server.close()
+        return joiner, drawn
+
+    (status, body), drawn = asyncio.run(drive())
+    assert status == 400 and "origin" in body["error"]
+    assert all(status == 202 and body["origin"] < 8 for status, body in drawn)

@@ -60,7 +60,7 @@ class TestDesignMd:
             "reference_speed",
         ):
             assert concept.lower() in lower, f"DESIGN.md must document {concept!r}"
-        assert "bench_e11_hetero.py" in text
+        assert "test_hetero_sweep.py" in text
 
     def test_observability_section(self):
         """DESIGN.md §12 must document the telemetry cost contract."""
@@ -115,7 +115,7 @@ class TestDesignMd:
             "rtds chaos",
         ):
             assert concept.lower() in lower, f"DESIGN.md must document {concept!r}"
-        assert "BENCH_e13.json" in text
+        assert "api.chaos(ChaosConfig())" in text and "test_chaos.py" in text
 
     def test_admission_cache_section(self):
         """DESIGN.md §15 must document the batched core & plan cache."""
@@ -212,9 +212,8 @@ class TestExperimentsMd:
 
     def test_e11_entry_names_gate_and_cli(self):
         """E11 must document its drift gate, differential check and CLI."""
-        text = read("EXPERIMENTS.md")
-        assert "bench_e11_hetero.py" in text
-        assert "BENCH_e11.json" in text
+        text = section("EXPERIMENTS.md", "### E11 —")
+        assert "test_hetero_sweep.py" in text
         assert "rtds sweep-hetero" in text
         assert "uniform differential" in text
         assert "trace:montage" in text and "trace:epigenomics" in text
@@ -239,9 +238,8 @@ class TestExperimentsMd:
 
     def test_e13_entry_names_gate_and_cli(self):
         """E13 must document its chaos gate, the CLI and the test lockdown."""
-        text = read("EXPERIMENTS.md")
-        assert "bench_e13_chaos.py" in text
-        assert "BENCH_e13.json" in text
+        text = section("EXPERIMENTS.md", "### E13 —")
+        assert "nightly" in text and "api.chaos(ChaosConfig())" in text
         assert "rtds chaos" in text
         assert "--faults" in text
         assert "tables_converged" in text
