@@ -84,7 +84,7 @@ class CentralizedCoordinator:
             for r in slots:
                 self.shadow[sid].reserve(r)
         preds = {t: list(ctx.dag.predecessors(t)) for t in ctx.dag}
-        volumes = {t: ctx.dag.task(t).data_volume for t in ctx.dag}
+        volumes = {t: ctx.dag.data_volume(t) for t in ctx.dag}
         hosts = sorted(slots_by_site)
         for sid in hosts:
             slots = slots_by_site[sid]

@@ -307,6 +307,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.sites < 2:
+        raise ConfigError(f"--sites must be >= 2 (one site has no network), got {args.sites}")
     res = api.run(_base_config(args))
     print(format_table([res.summary.row()], title=f"run: {args.algorithm}"))
     if res.summary.rejected_by:

@@ -418,7 +418,7 @@ class RTDSSite(SchedulerSite):
         # task-code dispatch, whose paths are at most h hops.
         tp = self.min_adjacent_throughput() if self.config.volume_aware_omega else None
         if tp is not None:
-            max_dv = max((ctx.dag.task(t).data_volume for t in ctx.dag), default=0.0)
+            max_dv = max((ctx.dag.data_volume(t) for t in ctx.dag), default=0.0)
             omega += (2 * self.config.h) * max_dv / tp
             validate_size = len(ctx.dag) + 2.0
             r_map += self.config.h * (estimate_code_size(ctx.dag) + validate_size) / tp
@@ -585,7 +585,7 @@ class RTDSSite(SchedulerSite):
         host = {t: perm[tm.assignment[t]] for t in tm.dag}
         preds = {t: list(tm.dag.predecessors(t)) for t in tm.dag}
         succs = {t: list(tm.dag.successors(t)) for t in tm.dag}
-        volumes = {t: tm.dag.task(t).data_volume for t in tm.dag}
+        volumes = {t: tm.dag.data_volume(t) for t in tm.dag}
         payload = {
             "job": job,
             "permutation": perm,

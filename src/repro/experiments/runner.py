@@ -164,6 +164,14 @@ class ExperimentConfig:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # the workload generator would refuse these too, but only after the
+        # network is built, and as a WorkloadError no CLI boundary expects
+        if not self.duration > 0:
+            raise ConfigError(f"duration must be > 0, got {self.duration}")
+        if not self.laxity_factor > 0:
+            raise ConfigError(f"laxity_factor must be > 0, got {self.laxity_factor}")
+        if not self.rho >= 0:
+            raise ConfigError(f"rho must be >= 0, got {self.rho}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}")
         if self.routing_mode not in ("protocol", "oracle"):

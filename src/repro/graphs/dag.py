@@ -12,8 +12,15 @@ A :class:`Dag` is immutable after construction; workload generators build
 fresh instances. Mutability would buy nothing here (jobs never change shape
 after arrival) and immutability lets sites share one DAG object safely in the
 simulator without copying. It also lets jobs of one fixed shape share one
-validated structure: :meth:`Dag.with_tasks` re-weights a graph without
+validated structure: :meth:`Dag.with_weights` re-weights a graph without
 re-deriving its adjacency, sorted edges or topological order.
+
+A task costs its numbers: a ``Dag`` keeps no :class:`Task` objects. It keeps
+an id -> position map (shared by every re-weighting of one graph), the
+complexities as a tuple of floats in insertion order, and the data volumes
+likewise — or ``None`` when every volume is zero. :meth:`Dag.task` and
+:attr:`Dag.tasks` build ``Task`` values on demand; hot readers use
+:meth:`Dag.complexity` and :meth:`Dag.data_volume`.
 
 The constructor keeps every check but pays for them with whole-collection
 tests (a dict of the ids, adjacency appends that fail on an unknown id, a set
@@ -25,7 +32,7 @@ tuple is built on first read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import CycleError, DagError
 from repro.types import TaskId
@@ -74,7 +81,9 @@ class Dag:
         Optional human-readable label used by traces and reports.
     """
 
-    __slots__ = ("_tasks", "_preds", "_succs", "_edges", "_order", "name", "_bl", "_topo_index")
+    __slots__ = (
+        "_index", "_c", "_v", "_preds", "_succs", "_edges", "_order", "name", "_bl", "_topo_index"
+    )
 
     def __init__(
         self,
@@ -86,7 +95,7 @@ class Dag:
         # when one fails does _raise_first_bad_edge walk the edges in order,
         # so the error names the first offender, as a per-edge scan would.
         task_list = list(tasks)
-        task_map: Dict[TaskId, Task] = {t.tid: t for t in task_list}
+        task_map: Dict[TaskId, int] = {t.tid: i for i, t in enumerate(task_list)}
         if len(task_map) != len(task_list):
             _raise_duplicate_task(task_list)
         if not task_map:
@@ -107,7 +116,12 @@ class Dag:
             _raise_first_bad_edge(task_map, edge_list)
 
         self.name = name
-        self._tasks: Dict[TaskId, Task] = task_map
+        #: task id -> position in insertion order (the weight vectors' order)
+        self._index: Dict[TaskId, int] = task_map
+        self._c: Tuple[float, ...] = tuple(t.complexity for t in task_list)
+        volumes = tuple(t.data_volume for t in task_list)
+        #: data volumes in insertion order; ``None`` when all are zero
+        self._v: Optional[Tuple[float, ...]] = volumes if any(volumes) else None
         self._preds: Dict[TaskId, Tuple[TaskId, ...]] = {k: tuple(v) for k, v in preds.items()}
         self._succs: Dict[TaskId, Tuple[TaskId, ...]] = {k: tuple(v) for k, v in succs.items()}
         # the validated edge list; ``edges`` sorts it on first read
@@ -125,21 +139,27 @@ class Dag:
         self._bl: Optional[Dict[TaskId, float]] = None
         self._topo_index: Optional[Dict[TaskId, int]] = None
 
-    def with_tasks(self, tasks: Iterable[Task]) -> "Dag":
-        """The same graph over new :class:`Task` objects (re-drawn weights).
+    def with_weights(self, complexities: Sequence[float]) -> "Dag":
+        """The same graph with new complexities (re-drawn weights), all data
+        volumes zero.
 
-        Shares this graph's immutable adjacency, sorted edge tuple and
-        topological order instead of re-deriving them. ``tasks`` must carry
-        exactly this graph's ids in its insertion order — the order that
-        seeds the topological sort — so the result equals ``Dag(tasks,
-        <the edge sequence this graph was built from>)``.
+        ``complexities`` is in this graph's insertion order. Shares this
+        graph's id map, immutable adjacency, sorted edge tuple and
+        topological order instead of re-deriving them, so the result equals
+        ``Dag(<tasks with these weights>, <the edge sequence this graph was
+        built from>)``. The vector is checked as one collection, with the
+        message :class:`Task` gives its first bad weight.
         """
-        tasks = list(tasks)
-        if [t.tid for t in tasks] != list(self._tasks):
-            raise DagError(f"{self.name}: with_tasks needs the same task ids in the same order")
+        c = tuple(complexities)
+        if len(c) != len(self._c):
+            raise DagError(f"{self.name}: with_weights needs {len(self._c)} complexities, got {len(c)}")
+        bad = next((i for i, x in enumerate(c) if x <= 0), None)
+        if bad is not None:
+            tid = list(self._index)[bad]
+            raise DagError(f"task {tid!r}: complexity must be > 0, got {c[bad]}")
         new = object.__new__(Dag)
         new.name = self.name
-        new._tasks = {t.tid: t for t in tasks}
+        new._index, new._c, new._v = self._index, c, None
         new._preds, new._succs = self._preds, self._succs
         # the sorted tuple, not the raw list: every copy would sort it again
         new._edges, new._order = self.edges, self._order
@@ -150,29 +170,38 @@ class Dag:
     # -- basic accessors ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._tasks)
+        return len(self._c)
 
     def __contains__(self, tid: TaskId) -> bool:
-        return tid in self._tasks
+        return tid in self._index
 
     def __iter__(self) -> Iterator[TaskId]:
         return iter(self._order)
 
     def task(self, tid: TaskId) -> Task:
-        """Return the :class:`Task` with id ``tid``."""
+        """The :class:`Task` with id ``tid``, built on demand."""
         try:
-            return self._tasks[tid]
+            i = self._index[tid]
         except KeyError:
             raise DagError(f"unknown task id {tid!r}") from None
+        v = self._v
+        return Task(tid, self._c[i], 0.0 if v is None else v[i])
 
     def complexity(self, tid: TaskId) -> float:
-        """Shorthand for ``self.task(tid).complexity`` (hot path)."""
-        return self._tasks[tid].complexity
+        """``self.task(tid).complexity`` without building the task (hot path)."""
+        return self._c[self._index[tid]]
+
+    def data_volume(self, tid: TaskId) -> float:
+        """``self.task(tid).data_volume`` without building the task (hot path)."""
+        i = self._index[tid]
+        v = self._v
+        return 0.0 if v is None else v[i]
 
     @property
     def tasks(self) -> Mapping[TaskId, Task]:
-        """Read-only id → :class:`Task` mapping."""
-        return self._tasks
+        """A fresh id → :class:`Task` mapping in insertion order (not a hot
+        path: every read builds the tasks)."""
+        return {tid: self.task(tid) for tid in self._index}
 
     @property
     def edges(self) -> Tuple[Tuple[TaskId, TaskId], ...]:
@@ -227,18 +256,19 @@ class Dag:
         bl = self._bl
         if bl is None:
             bl = {}
-            tasks = self._tasks
+            index, c = self._index, self._c
             succs = self._succs
             for t in reversed(self._order):
                 succ = succs[t]
                 best = max([bl[s] for s in succ]) if succ else 0.0
-                bl[t] = tasks[t].complexity + best
+                bl[t] = c[index[t]] + best
             self._bl = bl
         return bl
 
     def total_complexity(self) -> float:
-        """Sum of all task complexities (sequential work of the job)."""
-        return sum(t.complexity for t in self._tasks.values())
+        """Sum of all task complexities (sequential work of the job), summed
+        in insertion order."""
+        return sum(self._c)
 
     def edge_count(self) -> int:
         return len(self._edges)
@@ -248,7 +278,7 @@ class Dag:
     def _toposort(self) -> Tuple[TaskId, ...]:
         indeg = {tid: len(p) for tid, p in self._preds.items()}
         # Insertion order of the task map makes the sort deterministic.
-        ready = [tid for tid in self._tasks if indeg[tid] == 0]
+        ready = [tid for tid in self._index if indeg[tid] == 0]
         order: list = []
         head = 0
         while head < len(ready):
@@ -259,7 +289,7 @@ class Dag:
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     ready.append(v)
-        if len(order) != len(self._tasks):
+        if len(order) != len(self._index):
             stuck = sorted((tid for tid, d in indeg.items() if d > 0), key=repr)
             raise CycleError(f"precedence relation has a cycle through {stuck}")
         return tuple(order)
@@ -276,7 +306,7 @@ def _raise_duplicate_task(tasks: List[Task]) -> None:
         seen.add(t.tid)
 
 
-def _raise_first_bad_edge(task_map: Mapping[TaskId, Task], edges: List) -> None:
+def _raise_first_bad_edge(task_map: Mapping[TaskId, int], edges: List) -> None:
     """Raise the error of the first malformed edge, in input order (if any)."""
     seen = set()
     for u, v in edges:

@@ -16,11 +16,12 @@ Erdős–Rényi-ordered). All generators:
 Generation cost: a workload draws thousands of jobs, and the families whose
 structure depends only on their size (chain, fork-join, Gaussian
 elimination) build and validate that structure once per size — a cached
-unit-weight :func:`_template` — and give each job its own :class:`Task`
-objects over it with :meth:`~repro.graphs.dag.Dag.with_tasks`. A job then
-costs its weight draw and its tasks. The random families (layered,
-Erdős–Rényi) draw a new structure per job and go through the full
-constructor.
+unit-weight :func:`_template` — and give each job its own weight vector
+over it with :meth:`~repro.graphs.dag.Dag.with_weights`. A job then costs
+its weight draw and one tuple of floats; no :class:`Task` object is built,
+and none is kept (a ``Dag`` stores its weights as plain values). The random
+families (layered, Erdős–Rényi) draw a new structure per job and go through
+the full constructor.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def _template(family: str, size: int) -> Dag:
     """The validated unit-weight DAG of one fixed-shape ``(family, size)``.
 
     Built from the generator's own edge sequence, so a job made with
-    ``with_tasks`` equals the DAG the full constructor would build.
+    ``with_weights`` equals the DAG the full constructor would build.
     """
     shape, name = _FAMILIES[family]
     n, edges = shape(size)
@@ -109,7 +110,7 @@ def _draw_job(
 ) -> Dag:
     """One job of a fixed-shape family: fresh weights over the shared template."""
     template = _template(family, size)
-    return template.with_tasks(_tasks(draw_complexities(rng, len(template), c_range)))
+    return template.with_weights(draw_complexities(rng, len(template), c_range).tolist())
 
 
 def paper_example_dag() -> Dag:

@@ -18,15 +18,20 @@ def dag_to_dict(dag: Dag) -> Dict[str, Any]:
     """Serialize ``dag`` to a JSON-compatible dict.
 
     Task ids must themselves be JSON-compatible (ints or strings); the
-    generators only produce such ids.
+    generators only produce such ids. Tasks are written in insertion order
+    and edges grouped by predecessor in that order, each group in its
+    successor order, so :func:`dag_from_dict` rebuilds the same insertion
+    order, successor tuples and topological order — and the same
+    insertion-order sum of complexities.
     """
+    tasks = list(dag.tasks.values())
     return {
         "name": dag.name,
         "tasks": [
             {"tid": t.tid, "complexity": t.complexity, "data_volume": t.data_volume}
-            for t in (dag.task(tid) for tid in dag.topological_order())
+            for t in tasks
         ],
-        "edges": [[u, v] for (u, v) in dag.edges],
+        "edges": [[t.tid, v] for t in tasks for v in dag.successors(t.tid)],
     }
 
 

@@ -24,14 +24,19 @@ Execution model
   cross-site execution deadlocks.
 * A chunk runs non-preemptively for exactly its reserved duration. Actual
   start/end are recorded next to the reserved ones; ``lateness > 0`` means
-  the ACS-diameter over-estimate was too optimistic for this instance — the
-  effective-guarantee-ratio metric (E1) is built from these records.
+  the ACS-diameter over-estimate was too optimistic for this instance. The
+  run's own metrics come from the completion callbacks
+  (:meth:`repro.metrics.collector.MetricsCollector.on_task_complete`); the
+  records are what the post-run audit (:mod:`repro.experiments.verify`)
+  and the tests read.
 
 State and its lifetime
 ----------------------
-Everything the executor holds besides the records themselves lives only as
-long as the commitment it serves:
+Everything the executor holds lives only as long as the commitment it
+serves, except a finished task's few facts:
 
+* an :class:`ExecutionRecord` per **unfinished** task (``_unfinished``),
+  made at commit and dropped when the task's last chunk ends;
 * the **run queue** — one list of ``(next chunk start, repr(key), key)``
   kept sorted: an entry is inserted at commit (and again after a non-final
   chunk), removed when its chunk starts. A wake walks it in order and stops
@@ -44,16 +49,24 @@ long as the commitment it serves:
   the commit never comes. ``("done", …)`` tokens are never parked: a job's
   gates on a site are registered in the one commit that also registers the
   tasks they name, so a local completion cannot precede its gate;
-* finished records stay (metrics, verification and the Gantt read them)
-  until :meth:`prune_done_before` pops them off a completion-ordered deque.
+* a finished task leaves one entry on a completion-ordered log
+  (:class:`_FinishedLog`, made at the first completion): its
+  :class:`~repro.sched.intervals.Reservation` — the plan's own object, so
+  nothing new is kept — or, for a task the §13 preemptive scheduler split,
+  its record as it finished; its actual start and end go into a flat
+  ``array('d')``. No per-task key outlives the task: the duplicate-commit
+  check filters on a per-job count and only then scans the log.
+  :meth:`record` and :meth:`records` rebuild :class:`ExecutionRecord`
+  values from the log on demand, and :meth:`prune_done_before` drops a
+  prefix of it.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.errors import SchedulingError
 from repro.sched.intervals import Reservation
@@ -78,6 +91,9 @@ class ExecutionRecord:
         if not self.chunks:
             raise SchedulingError("execution record needs at least one chunk")
         self.chunks = sorted(self.chunks, key=lambda r: r.start)
+
+    def key(self) -> Key:
+        return self.chunks[0].key()
 
     @property
     def done(self) -> bool:
@@ -114,6 +130,63 @@ class ExecutionRecord:
         return self.actual[-1][1] - self.chunks[-1].end
 
 
+class _FinishedLog:
+    """Finished tasks in completion order, as the facts they need."""
+
+    __slots__ = ("entries", "spans", "per_job")
+
+    def __init__(self) -> None:
+        #: a single-chunk task's reservation, or a split task's record
+        self.entries: List[Union[Reservation, ExecutionRecord]] = []
+        #: actual start and end of ``entries[i]`` at ``2i`` and ``2i + 1``
+        self.spans = array("d")
+        #: job -> how many of its tasks are logged
+        self.per_job: Dict[JobId, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def append(self, rec: ExecutionRecord) -> None:
+        self.entries.append(rec.chunks[0] if len(rec.chunks) == 1 else rec)
+        self.spans.append(rec.actual[0][0])
+        self.spans.append(rec.actual[-1][1])
+        job = rec.chunks[0].job
+        self.per_job[job] = self.per_job.get(job, 0) + 1
+
+    def holds(self, key: Key) -> bool:
+        """Whether ``key`` is logged — a scan, behind an O(1) job filter."""
+        if key[0] not in self.per_job:
+            return False
+        return any(e.key() == key for e in self.entries)
+
+    def items(self) -> Iterator[Tuple[Key, ExecutionRecord]]:
+        """``(key, rebuilt record)`` in completion order."""
+        spans = self.spans
+        for i, entry in enumerate(self.entries):
+            if isinstance(entry, ExecutionRecord):
+                yield entry.key(), ExecutionRecord(entry.chunks, list(entry.actual))
+            else:
+                yield entry.key(), ExecutionRecord([entry], [(spans[2 * i], spans[2 * i + 1])])
+
+    def drop_ended_by(self, time: Time) -> int:
+        """Forget the prefix that ended at or before ``time``."""
+        spans, n = self.spans, 0
+        while n < len(self.entries) and spans[2 * n + 1] <= time:
+            n += 1
+        if n:
+            per_job = self.per_job
+            for entry in self.entries[:n]:
+                job = entry.key()[0]
+                left = per_job[job] - 1
+                if left:
+                    per_job[job] = left
+                else:
+                    del per_job[job]
+            del self.entries[:n]
+            del spans[: 2 * n]
+        return n
+
+
 class PlanExecutor:
     """Executes one site's plan on the simulator.
 
@@ -130,13 +203,12 @@ class PlanExecutor:
         self.sim = sim
         self.plan = plan
         self.on_complete: List[CompletionCallback] = []
-        self._records: Dict[Key, ExecutionRecord] = {}
-        #: the not-yet-done subset of ``_records``
+        #: committed tasks whose last chunk has not ended, in commit order
         self._unfinished: Dict[Key, ExecutionRecord] = {}
-        #: finished keys in completion order (finish times never decrease),
-        #: so pruning pops a prefix instead of scanning every record; an
-        #: empty tuple until the first completion
-        self._done: Union[Deque[Key], Tuple[()]] = ()
+        #: finished tasks in completion order (finish times never decrease),
+        #: so pruning drops a prefix instead of scanning; an empty tuple
+        #: until the first completion
+        self._done: Union[_FinishedLog, Tuple[()]] = ()
         #: (next chunk start, repr(key), key) of every unfinished task that
         #: is not running, kept sorted — slot order, ``repr`` breaks ties
         self._queue: List[Tuple[Time, str, Key]] = []
@@ -172,13 +244,13 @@ class PlanExecutor:
         by_key: Dict[Key, List[Reservation]] = {}
         for r in reservations:
             by_key.setdefault(r.key(), []).append(r)
+        done = self._done
         for key, chunks in by_key.items():
-            if key in self._records:
+            if key in self._unfinished or (done and done.holds(key)):
                 raise SchedulingError(
                     f"site {self.plan.site}: duplicate execution record {key}"
                 )
             rec = ExecutionRecord(chunks)
-            self._records[key] = rec
             self._unfinished[key] = rec
             insort(self._queue, (rec.chunks[0].start, repr(key), key))
         if gates:
@@ -221,15 +293,23 @@ class PlanExecutor:
     # -- queries ---------------------------------------------------------------
 
     def record(self, job: JobId, task: TaskId) -> ExecutionRecord:
-        try:
-            return self._records[(job, task)]
-        except KeyError:
+        """A copy of the record of ``task`` of ``job`` (finished or not)."""
+        rec = self.records().get((job, task))
+        if rec is None:
             raise SchedulingError(
                 f"site {self.plan.site}: no execution record for job {job} task {task!r}"
-            ) from None
+            )
+        return rec
 
     def records(self) -> Dict[Key, ExecutionRecord]:
-        return dict(self._records)
+        """Copies of every record still known: the finished ones in
+        completion order, then the unfinished ones in commit order. Rebuilt
+        from the log on each call — audits and views read them, the run
+        itself never does."""
+        out = dict(self._done.items()) if self._done else {}
+        for key, rec in self._unfinished.items():
+            out[key] = ExecutionRecord(rec.chunks, list(rec.actual))
+        return out
 
     def busy(self) -> bool:
         return self._running is not None
@@ -297,7 +377,7 @@ class PlanExecutor:
             self._wake()
 
     def _start(self, key: Key) -> None:
-        rec = self._records[key]
+        rec = self._unfinished[key]
         chunk = rec.next_chunk
         start = self.sim.now
         self._running = key
@@ -308,14 +388,14 @@ class PlanExecutor:
         self._finish(key_start[0], key_start[1])
 
     def _finish(self, key: Key, started_at: Time) -> None:
-        rec = self._records[key]
+        rec = self._unfinished[key]
         rec.actual.append((started_at, self.sim.now))
         self._running = None
         if rec.done:
             del self._unfinished[key]
             if not self._done:
-                self._done = deque()
-            self._done.append(key)
+                self._done = _FinishedLog()
+            self._done.append(rec)
             job, task = key
             # Completion of a local task satisfies local "done" gates. The
             # delivery wakes the processor *before* the callbacks run, and
@@ -351,7 +431,6 @@ class PlanExecutor:
         }
         for k in dead:
             del self._unfinished[k]
-            del self._records[k]
             for token in self._gates.pop(k):
                 keys = self._token_waiters[token]
                 keys.discard(k)
@@ -366,9 +445,4 @@ class PlanExecutor:
 
     def prune_done_before(self, time: Time) -> int:
         """Forget finished records older than ``time``."""
-        done, records = self._done, self._records
-        n = 0
-        while done and records[done[0]].actual[-1][1] <= time:
-            del records[done.popleft()]
-            n += 1
-        return n
+        return self._done.drop_ended_by(time) if self._done else 0

@@ -27,11 +27,11 @@ task-id layouts of the :mod:`repro.graphs.workflows` generators.
 Generation cost: a trace replays a handful of shapes thousands of times, so
 each ``(family, size)`` shape is built and validated once — a cached
 :class:`_TraceShape` holding the unit-weight DAG and its per-type id groups.
-A job costs its draws and its :class:`~repro.graphs.dag.Task` objects: the
-size, the generator's own uniform weights (drawn and discarded, exactly as
-the full generator would draw them, so the stream stays where it was), one
-lognormal draw per task type, and
-:meth:`~repro.graphs.dag.Dag.with_tasks` over the shared structure.
+A job costs its draws and one weight vector: the size, the generator's own
+uniform weights (drawn and discarded, exactly as the full generator would
+draw them, so the stream stays where it was), one lognormal draw per task
+type, and :meth:`~repro.graphs.dag.Dag.with_weights` over the shared
+structure — no :class:`~repro.graphs.dag.Task` object per task.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def _trace_job(family: str, size: int, rng: np.random.Generator) -> Dag:
     for ttype, tids in shape.groups:
         for tid, c in zip(tids, runtimes[ttype].sample(rng, len(tids)).tolist()):
             runtime[tid] = c
-    return shape.dag.with_tasks([Task(t, c) for t, c in enumerate(runtime)])
+    return shape.dag.with_weights(runtime)
 
 
 def montage_trace_dag(rng: np.random.Generator, tiles: Tuple[int, int] = (4, 10)) -> Dag:

@@ -38,13 +38,13 @@ class TestAudit:
     def test_audit_detects_planted_violation(self):
         """Sanity: the auditor itself must catch corruption."""
         res = run_experiment(replace(SMALL, algorithm="rtds"))
-        # corrupt one executed record: shift a completed task before its pred
+        # corrupt one executed task's stored facts: stretch the actual end
+        # of the first task a site finished (``records()`` hands out copies,
+        # so the corruption goes into the executor's own log)
         for site in res.network.sites.values():
-            recs = site.executor.records()
-            done = [r for r in recs.values() if r.done and len(r.actual) == 1]
-            if len(done) >= 1:
-                rec = done[0]
-                rec.actual[0] = (rec.actual[0][0], rec.actual[0][1] + 1e9)
+            done = site.executor._done
+            if done:
+                done.spans[1] += 1e9
                 break
         # a job now "ends" after everything; overlap check must fire
         issues = verify_execution(res)

@@ -135,22 +135,47 @@ def _structure(dag: Dag):
     )
 
 
-class TestWithTasks:
+class TestWithWeights:
     def test_equals_full_constructor_on_the_same_edge_sequence(self):
         edges = [("a", "c"), ("a", "b"), ("c", "d"), ("b", "d")]  # not sorted
         base = Dag([Task(t, 1.0) for t in "abcd"], edges, name="diamond")
-        heavier = [Task(t, c, data_volume=2.0) for t, c in zip("abcd", (5.0, 1.0, 9.0, 2.0))]
+        cs = (5.0, 1.0, 9.0, 2.0)
+        heavier = [Task(t, c) for t, c in zip("abcd", cs)]
         base.bottom_levels()  # a memo of the old weights must not leak
-        assert _structure(base.with_tasks(heavier)) == _structure(
+        assert _structure(base.with_weights(cs)) == _structure(
             Dag(heavier, edges, name="diamond")
         )
 
+    def test_keeps_no_task_objects(self):
+        dag = make_diamond().with_weights([2.0, 3.0, 4.0, 5.0])
+        assert not any(isinstance(x, Task) for slot in Dag.__slots__ for x in _values(dag, slot))
+        assert dag.total_complexity() == 14.0 and dag.data_volume("d") == 0.0
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_rejects_a_vector_of_another_length(self, n):
+        with pytest.raises(DagError, match="needs 4 complexities"):
+            make_diamond().with_weights([1.0] * n)
+
     @pytest.mark.parametrize(
-        "ids", ["abdc", "abc", "abcde", "abcdd", "abcc", "abce"], ids=str
+        "cs, message",
+        [
+            ((1.0, 0.0, 1.0, 1.0), "task 'b': complexity must be > 0, got 0.0"),
+            ((1.0, 1.0, 1.0, -2.0), "task 'd': complexity must be > 0, got -2.0"),
+        ],
+        ids=["zero", "negative"],
     )
-    def test_rejects_other_ids_or_another_insertion_order(self, ids):
-        with pytest.raises(DagError, match="same task ids in the same order"):
-            make_diamond().with_tasks([Task(t, 1.0) for t in ids])
+    def test_rejects_the_first_bad_weight_as_a_task_would(self, cs, message):
+        with pytest.raises(DagError) as err:
+            make_diamond().with_weights(cs)
+        assert str(err.value) == message
+
+
+def _values(dag: Dag, slot: str):
+    """The objects one ``Dag`` slot holds, one level into containers."""
+    value = getattr(dag, slot)
+    if isinstance(value, dict):
+        return [*value, *value.values()]
+    return list(value) if isinstance(value, (tuple, list)) else [value]
 
 
 class TestPaperDag:

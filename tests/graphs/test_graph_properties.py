@@ -67,13 +67,31 @@ def test_eta_bounds(dag: Dag):
     assert 1 <= cp_tasks <= eta <= len(dag)
 
 
+def _assert_roundtrip_equal(dag: Dag) -> None:
+    """What a receiving site schedules must be the graph that was sent:
+    same insertion order, successor tuples, topological order and total
+    work (an insertion-order sum, so a reordering moves its last bits)."""
+    d2 = dag_from_json(dag_to_json(dag))
+    assert d2.edges == dag.edges
+    assert list(d2.tasks.items()) == list(dag.tasks.items())
+    assert [d2.successors(t) for t in d2.tasks] == [dag.successors(t) for t in dag.tasks]
+    assert d2.topological_order() == dag.topological_order()
+    assert d2.total_complexity() == dag.total_complexity()
+
+
 @given(random_dags())
 @settings(max_examples=40, deadline=None)
 def test_serialization_roundtrip(dag: Dag):
-    d2 = dag_from_json(dag_to_json(dag))
-    assert d2.edges == dag.edges
-    for t in dag:
-        assert d2.complexity(t) == dag.complexity(t)
+    _assert_roundtrip_equal(dag)
+
+
+def test_serialization_roundtrip_keeps_a_layered_dags_order():
+    """Writing tasks in topological order and edges sorted by ``repr``
+    turned this job's topological order into ``… 6, 3, 5, 4, 10, 7, 9, 8``
+    and changed its total work."""
+    dag = layered_dag(3, 3, np.random.default_rng(4), p_edge=0.35)
+    assert dag.topological_order() == (0, 1, 2, 6, 3, 5, 4, 7, 9, 10, 8)
+    _assert_roundtrip_equal(dag)
 
 
 @given(

@@ -171,6 +171,10 @@ class TestErrorBoundary:
             (["sweep-load", "--algorithms", "nope"], "unknown algorithm 'nope'"),
             (["run", "--faults", "bogus=1"], "bogus"),
             (["sweep-hetero", "--speeds", "warp:9"], "warp"),
+            (["run", "--duration", "-5"], "duration must be > 0"),
+            (["run", "--laxity", "0"], "laxity_factor must be > 0"),
+            (["run", "--rho", "-1"], "rho must be >= 0"),
+            (["run", "--sites", "1"], "--sites must be >= 2"),
         ],
     )
     def test_config_errors_exit_2_with_one_line(self, capsys, argv, needle):

@@ -1,7 +1,7 @@
 """Fixed-shape jobs reuse one validated structure per shape.
 
 Counts full ``Dag`` constructions (every one runs ``Dag._toposort``;
-``Dag.with_tasks`` does not) instead of timing them, so the bound holds the
+``Dag.with_weights`` does not) instead of timing them, so the bound holds the
 same on any machine. Building the structure once per job — one full
 construction per Montage job, and one per chain / fork-join / LU job of the
 mixed mix — fails these tests.
