@@ -24,14 +24,14 @@ are honest).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import heapq
 
 from repro.baselines.base import BaselineJobCtx, BaselineSite
 from repro.core.events import JobOutcome
 from repro.core.hosting import HostSide
-from repro.errors import ProtocolError, SchedulingError
+from repro.errors import ProtocolError
 from repro.graphs.analysis import bottom_levels
 from repro.graphs.dag import Dag
 from repro.graphs.serialization import estimate_code_size
@@ -89,7 +89,7 @@ class CentralizedCoordinator:
         for sid in hosts:
             slots = slots_by_site[sid]
             if sid == self.site.sid:
-                self.site.commit_assignment(ctx.job, slots, host, preds, volumes)
+                self.site.hosting.commit(ctx.job, slots, host, preds, volumes)
             else:
                 self.site.send_to(
                     sid,
@@ -215,10 +215,6 @@ class CentralizedSite(BaselineSite):
         )
         self.coordinator_id = coordinator_id
         self.coordinator: Optional[CentralizedCoordinator] = None
-        #: the site's ElectionManager when the run enables leader election
-        #: (repro.membership.election); None keeps every pre-election code
-        #: path — including the commit fast path — byte-identical
-        self.election: Optional[Any] = None
         #: §11 host side, shared with RTDS (gates, RESULT forwarding)
         self.hosting = HostSide(self, MSG_C_RESULT)
         self.on(MSG_JOB_SUBMIT, self._h_submit)
@@ -242,16 +238,7 @@ class CentralizedSite(BaselineSite):
         )
         self.register_arrival(job, dag, deadline)
         if self.sid == self.coordinator_id:
-            if self.coordinator is None:
-                # believed coordinator is this site, but it holds no
-                # coordinator state (abdicated mid-election): nowhere to go
-                self.decide(ctx, JobOutcome.LOST_COORDINATOR)
-                return
             self.coordinator.handle_job(ctx)
-        elif self.election is not None and self.election.suspecting:
-            # mid-election there is no coordinator to route to; a named
-            # loss keeps the guarantee-ratio denominator honest
-            self.decide(ctx, JobOutcome.LOST_COORDINATOR)
         else:
             self.send_to(
                 self.coordinator_id,
@@ -261,39 +248,9 @@ class CentralizedSite(BaselineSite):
             )
 
     def _h_submit(self, msg: Message) -> None:
-        ctx = self.unpack_ctx(msg.payload)
-        if self.coordinator is None:
-            # a submission caught a deposed coordinator (in flight across
-            # an election); unreachable without election enabled
-            self.decide(ctx, JobOutcome.LOST_COORDINATOR)
-            return
-        self.coordinator.handle_job(ctx)
+        self.coordinator.handle_job(self.unpack_ctx(msg.payload))
 
     # -- hosting --------------------------------------------------------------------
-
-    def commit_assignment(
-        self,
-        job: JobId,
-        slots: List[Reservation],
-        host: Dict[TaskId, SiteId],
-        preds: Dict[TaskId, List[TaskId]],
-        volumes: Dict[TaskId, float],
-    ) -> None:
-        if self.election is not None:
-            # A deposed coordinator's EXEC_ASSIGN can still be in flight
-            # when its successor starts booking the same idle time — the
-            # successor's shadow snapshot cannot see it. Probe against the
-            # real timeline and drop conflicting stale assignments instead
-            # of crashing the host's plan.
-            probe = self.plan.timeline.copy()
-            try:
-                for r in slots:
-                    probe.reserve(r)
-            except SchedulingError:
-                self.election.stats.stale_assignments_dropped += 1
-                self.trace("election.stale_assignment_dropped", job=job)
-                return
-        self.hosting.commit(job, slots, host, preds, volumes)
 
     def _h_assign(self, msg: Message) -> None:
         job = msg.payload["job"]
@@ -301,7 +258,7 @@ class CentralizedSite(BaselineSite):
             Reservation(s, e, job, task, release=r, deadline=d)
             for (task, s, e, r, d) in msg.payload["slots"]
         ]
-        self.commit_assignment(
+        self.hosting.commit(
             job, slots, msg.payload["host"], msg.payload["preds"], msg.payload["volumes"]
         )
 

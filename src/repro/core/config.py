@@ -50,16 +50,9 @@ class RTDSConfig:
         surplus.
     protocol_margin_factor:
         The §13 release augmentation: the Trial-Mapping's job release is
-        ``now + mapper_cost + factor × (delay radius of the ACS from k)``,
-        covering validation round-trip + code dispatch.
-    mapper_cost:
-        Simulated computation time of the Mapper on the management
-        processor (delays the validation broadcast).
-    result_forwarding:
-        When False, successor sites are assumed to poll for data (no RESULT
-        messages; gates open at predecessor completion + oracle delay).
-        Kept True in all experiments; False exists for message-cost
-        ablations.
+        ``now + factor × (delay radius of the ACS from k)``, covering
+        validation round-trip + code dispatch. The Mapper itself runs
+        inline, in zero simulated time.
     volume_aware_omega:
         §13 "Communication Delays": when links model finite throughput, the
         Mapper's ω over-estimate is augmented by ``max task data volume /
@@ -83,16 +76,12 @@ class RTDSConfig:
     ack_retries:
         Retransmissions per hardened phase before degrading: silent
         enrollees are treated as refusals, silent validators as empty
-        endorsements, unreachable executors as lost members.
-    member_lease:
-        Member-side lock lease: a site enrolled in a foreign ACS releases
-        its lock unilaterally after this long without contact from the
-        initiator (VALIDATE/EXECUTE/UNLOCK all renew or settle it).
-        ``None`` (default): hardened members use the lease hint the
-        initiator ships in ENROLL — sized from the sphere's worst round
-        trip, which only the initiator knows — falling back to
-        ``4 × ack_timeout × (ack_retries + 1)`` for hint-less messages.
-        Set explicitly to pin the lease regardless of hints.
+        endorsements, unreachable executors as lost members. A hardened
+        initiator also ships a lock lease in ENROLL, sized from the
+        sphere's worst round trip, which only it knows: the member
+        releases its lock unilaterally after that long without contact
+        from the initiator (VALIDATE/EXECUTE/UNLOCK all renew or settle
+        it).
     """
 
     h: int = 2
@@ -104,14 +93,11 @@ class RTDSConfig:
     laxity_mode: str = "uniform"
     local_knowledge: bool = False
     protocol_margin_factor: float = 3.0
-    mapper_cost: float = 0.0
-    result_forwarding: bool = True
     volume_aware_omega: bool = True
     #: §10 insertion order for local satisfiability: "edf" or "llf"
     validation_order: str = "edf"
     ack_timeout: Optional[float] = None
     ack_retries: int = 1
-    member_lease: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.h < 1:
@@ -132,8 +118,6 @@ class RTDSConfig:
             raise ConfigError(
                 f"protocol_margin_factor must be >= 0, got {self.protocol_margin_factor}"
             )
-        if self.mapper_cost < 0:
-            raise ConfigError(f"mapper_cost must be >= 0, got {self.mapper_cost}")
         if self.validation_order not in ("edf", "llf"):
             raise ConfigError(
                 f"validation_order must be 'edf' or 'llf', got {self.validation_order!r}"
@@ -142,26 +126,11 @@ class RTDSConfig:
             raise ConfigError(f"ack_timeout must be > 0, got {self.ack_timeout}")
         if self.ack_retries < 0:
             raise ConfigError(f"ack_retries must be >= 0, got {self.ack_retries}")
-        if self.member_lease is not None and self.member_lease <= 0:
-            raise ConfigError(f"member_lease must be > 0, got {self.member_lease}")
-        if self.member_lease is not None and self.ack_timeout is None:
-            # a lease without the hardened stale-message paths would crash
-            # the run the first time an expired member sees VALIDATE/EXECUTE
-            raise ConfigError("member_lease requires ack_timeout (hardened mode)")
 
     @property
     def hardened(self) -> bool:
         """True when the loss-tolerant protocol extensions are active."""
         return self.ack_timeout is not None
-
-    @property
-    def effective_lease(self) -> Optional[float]:
-        """The member lock lease actually applied (None = no lease)."""
-        if self.member_lease is not None:
-            return self.member_lease
-        if self.ack_timeout is None:
-            return None
-        return 4.0 * self.ack_timeout * (self.ack_retries + 1)
 
     @property
     def pcs_phases(self) -> int:

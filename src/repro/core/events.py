@@ -35,9 +35,9 @@ class JobOutcome(enum.Enum):
     #: reached a scheduler (counted against the guarantee ratio — churn
     #: must not make the metric look better by shrinking the denominator)
     LOST_SITE_DOWN = "lost_site_down"
-    #: arrival site was up but its (centralized/hierarchical) coordinator
-    #: was partitioned and no successor had been elected yet — the job had
-    #: nowhere to go (also counted against the guarantee ratio)
+    #: arrival site was up but its centralized coordinator was partitioned;
+    #: no successor takes over, so the job had nowhere to go (also counted
+    #: against the guarantee ratio)
     LOST_COORDINATOR = "lost_coordinator"
 
     @property

@@ -12,9 +12,7 @@ three things, and :class:`HostSide` is their one implementation:
   when one of its tasks completes (sized by the task's data volume);
 * **deliver** the token when such a RESULT arrives.
 
-The two users differ only in the RESULT message type and in whether
-results are forwarded at all (``RTDSConfig.result_forwarding``; off, no
-RESULT is sent and no task waits for one).
+The two users differ only in the RESULT message type.
 
 What a site remembers of a job is only what it still owes: per *local*
 task with a successor elsewhere, the destination sites and the message
@@ -34,10 +32,9 @@ from repro.types import JobId, SiteId, TaskId, Time
 class HostSide:
     """The §11 host side of one site (which owns ``plan`` and ``executor``)."""
 
-    def __init__(self, site, result_mtype: str, result_forwarding: bool = True) -> None:
+    def __init__(self, site, result_mtype: str) -> None:
         self.site = site
         self.result_mtype = result_mtype
-        self.result_forwarding = result_forwarding
         #: job -> unfinished local task -> (RESULT size, destination sites)
         self.exec_info: Dict[JobId, Dict[TaskId, Tuple[float, List[SiteId]]]] = {}
         site.executor.on_complete.append(self._on_task_complete)
@@ -60,14 +57,12 @@ class HostSide:
             for p in preds[t]:
                 if host[p] == site.sid:
                     deps.add(("done", job, p))
-                elif self.result_forwarding:
+                else:
                     deps.add(("result", job, p))
             if deps:
                 gates[(job, t)] = deps
         site.plan.commit(slots)
         site.executor.notify_committed(slots, gates)
-        if not self.result_forwarding:
-            return
         # Who must hear of each local task's result: the other sites hosting
         # one of its successors, each once, in first-seen order.
         dests_of: Dict[TaskId, List[SiteId]] = {}

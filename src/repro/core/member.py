@@ -133,16 +133,10 @@ class MemberSide:
                 site.lock.defer(lambda: self._h_enroll(msg))
             return
         site.lock.acquire(initiator, job)
-        # The duration is the initiator's ENROLL hint (it alone knows the
-        # sphere's worst round trip — see ``rounds.lease_hint``) unless the
-        # operator pinned ``member_lease``; the config-derived fallback only
-        # covers hint-less messages, and is None when unhardened.
-        lease = site.config.member_lease
-        if lease is None:
-            lease = msg.payload.get("lease")
-        if lease is None:
-            lease = site.config.effective_lease
-        t = self.tenancy = Tenancy(initiator, job, lease)
+        # The lease is the initiator's ENROLL hint (it alone knows the
+        # sphere's worst round trip — see ``rounds.lease_hint``); an
+        # unhardened initiator ships none, and the member holds no lease.
+        t = self.tenancy = Tenancy(initiator, job, msg.payload.get("lease"))
         self._restart_lease(t)
         if site.trace_on:
             surplus = site.plan.surplus(site.now)

@@ -52,15 +52,15 @@ def lease_hint(site, members, dag: Dag) -> Time:
 
     Only the initiator knows the sphere's worst round trip, so it sizes
     the lease and ships it in ENROLL: three ask→answer rounds (enroll,
-    validate, execute), each retried up to ``ack_retries`` times, plus
-    the mapper's simulated cost. A member-side guess from its own
+    validate, execute), each retried up to ``ack_retries`` times. A
+    member-side guess from its own
     distance would make near members of a wide sphere expire mid-way
     through a perfectly healthy session. The round size is bounded by
     the biggest message of the session — the EXECUTE task-code dispatch.
     """
     rounds = 3.0 * (site.config.ack_retries + 1)
     size = max(estimate_code_size(dag), float(6 + len(members)))
-    return rounds * round_budget(site, members, size) + site.config.mapper_cost
+    return rounds * round_budget(site, members, size)
 
 
 class AckRound:

@@ -107,7 +107,7 @@ class RTDSSite(SchedulerSite):
         )
         self.config = config
         #: §11 host side: gates, RESULT forwarding, RESULT delivery
-        self.hosting = HostSide(self, MSG_RESULT, config.result_forwarding)
+        self.hosting = HostSide(self, MSG_RESULT)
         #: the PCS memo: built on the first read of :attr:`pcs` after routing
         self._pcs: Optional[PCS] = None
         # One admission cache per network, shared by all sites (cross-site
@@ -394,10 +394,7 @@ class RTDSSite(SchedulerSite):
             # Nobody available: the job cannot be distributed.
             self._finish_session(JobOutcome.REJECTED_NO_SPHERE, unlock_members=False)
             return
-        if self.config.mapper_cost > 0:
-            self.sim.schedule(self.config.mapper_cost, self._run_mapper)
-        else:
-            self._run_mapper()
+        self._run_mapper()
 
     def _run_mapper(self) -> None:
         s = self.session

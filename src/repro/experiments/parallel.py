@@ -60,12 +60,24 @@ ProgressFn = Callable[["CellResult", int, int], None]
 
 # -- cell identity -----------------------------------------------------------
 
+#: Fields deleted from a config dataclass without changing behaviour, each
+#: with the last default it had, per dataclass name. The encoding puts them
+#: back, so every cell key stays where it was: a key is the address of a
+#: cached cell in every result store.
+_RETIRED_FIELDS: Dict[str, Dict[str, object]] = {
+    "ExperimentConfig": {"election": None},
+    "RTDSConfig": {"member_lease": None, "result_forwarding": True, "mapper_cost": 0.0},
+}
+
 
 def _encode(value):
     """Canonical JSON-able encoding of one config value (recursive)."""
     if is_dataclass(value) and not isinstance(value, type):
+        name = type(value).__name__
         enc = {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
-        enc["__dataclass__"] = type(value).__name__
+        for retired, default in _RETIRED_FIELDS.get(name, {}).items():
+            enc[retired] = _encode(default)
+        enc["__dataclass__"] = name
         return enc
     if isinstance(value, Mapping):
         if not all(isinstance(k, str) for k in value):

@@ -42,7 +42,6 @@ from repro.core.rtds import RTDSSite
 from repro.errors import ConfigError, WorkloadError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.membership.election import CoordinatorKit, ElectionConfig
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.summary import ExperimentSummary, summarize
 from repro.routing.oracle import oracle_routing_factory
@@ -130,12 +129,6 @@ class ExperimentConfig:
     #: Plans with membership *joins* additionally require oracle routing
     #: (the joins repair the shared tables) and an rtds/local algorithm.
     faults: Optional[FaultPlan] = None
-    #: leader election for the centralized baseline
-    #: (:mod:`repro.membership.election`): ``None`` (default) builds no
-    #: election state at all — centralized runs stay byte-identical — and
-    #: an :class:`~repro.membership.election.ElectionConfig` arms the
-    #: heartbeat + bully protocol on every site at workload start.
-    election: Optional[ElectionConfig] = None
     #: routing back end: ``"protocol"`` simulates the phased Bellman–Ford
     #: message-for-message (the default; identity goldens pin it);
     #: ``"oracle"`` installs vectorized precomputed tables
@@ -172,6 +165,13 @@ class ExperimentConfig:
             raise ConfigError(f"laxity_factor must be > 0, got {self.laxity_factor}")
         if not self.rho >= 0:
             raise ConfigError(f"rho must be >= 0, got {self.rho}")
+        # a zero interval would reschedule the hygiene tick at the same
+        # instant forever; a negative drain margin would stop the run
+        # before the last deadline
+        if self.hygiene_interval is not None and not self.hygiene_interval > 0:
+            raise ConfigError(f"hygiene_interval must be > 0, got {self.hygiene_interval}")
+        if not self.drain_margin >= 0:
+            raise ConfigError(f"drain_margin must be >= 0, got {self.drain_margin}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}")
         if self.routing_mode not in ("protocol", "oracle"):
@@ -226,11 +226,6 @@ class ExperimentConfig:
                     f"only, not {self.algorithm!r} (global-routing baselines "
                     "assume a fixed site set)"
                 )
-        if self.election is not None and self.algorithm != "centralized":
-            raise ConfigError(
-                "election requires algorithm='centralized' (only the "
-                "centralized baseline has a coordinator to elect)"
-            )
 
     def resolved_label(self) -> str:
         """The display label: explicit ``label`` or the algorithm name."""
@@ -258,26 +253,13 @@ class RunResult:
     #: ``config.telemetry`` was off — feed it to :mod:`repro.obs.export`
     telemetry: Optional[Any] = None
     #: the resident network the run executed on — survivability state
-    #: (membership manager, elections, injector) hangs off it
+    #: (membership manager, injector) hangs off it
     resident: Optional[Any] = None
 
     def site_utilizations(self, start: float, end: float) -> Dict[int, float]:
         """Per-site compute utilization over the window ``[start, end]``."""
         return {
             sid: site.plan.load_between(start, end)
-            for sid, site in self.network.sites.items()
-        }
-
-    def site_work(self, start: float, end: float) -> Dict[int, float]:
-        """Per-site executed *work* (busy time × speed) over ``[start, end]``.
-
-        The capacity-weighted companion of :meth:`site_utilizations`: on
-        heterogeneous networks (E11) two equally-busy sites deliver
-        different amounts of work, and this is the view that sums to the
-        complexity units actually executed.
-        """
-        return {
-            sid: site.plan.work_between(start, end)
             for sid, site in self.network.sites.items()
         }
 
@@ -395,12 +377,8 @@ class ResidentNetwork:
     #: incrementally by :mod:`repro.membership` on joins, from the
     #: network's own links
     shared_tables: Optional[Dict[int, SharedTables]] = None
-    #: everything an election winner needs to rebuild the coordinator
-    #: (centralized runs only)
-    coordinator_kit: Optional[CoordinatorKit] = None
     #: armed survivability machinery (see :meth:`arm_faults`)
     membership: Optional[Any] = None
-    elections: Optional[Dict[int, Any]] = None
     #: gate-blocked records reaped by hygiene (fault runs only) — plan
     #: state whose prerequisite result was lost for good
     abandoned_reaped: int = 0
@@ -424,9 +402,9 @@ class ResidentNetwork:
     def arm_faults(self, default_horizon: float) -> None:
         """Arm the run's survivability machinery at workload start.
 
-        Safe no-op for configs without faults/election. Order matters:
-        the injector first (membership hooks its ``on_site_up`` rejoin
-        transition), then membership joins, then elections. ``t0`` is the
+        Safe no-op for configs without faults. Order matters: the
+        injector first (membership hooks its ``on_site_up`` rejoin
+        transition), then membership joins. ``t0`` is the
         resident's shift so plan times stay workload-relative, exactly as
         the batch runner always armed the injector.
         """
@@ -440,10 +418,6 @@ class ResidentNetwork:
 
             self.membership = MembershipManager(self, plan, entropy=config.seed)
             self.membership.arm(t0=self.shift, default_horizon=default_horizon)
-        if config.election is not None:
-            from repro.membership.election import install_elections
-
-            self.elections = install_elections(self, config.election)
 
     def submit_spec(self, job: JobSpec) -> None:
         """Submit one job *now* (``sim.now`` should be its shifted arrival).
@@ -460,9 +434,9 @@ class ResidentNetwork:
             coord = getattr(site, "coordinator_id", None)
             if coord is not None and coord != site.sid and self.injector.site_down(coord):
                 # the arrival site is fine but its coordinator is
-                # partitioned (and, without election, will never answer):
-                # a *named* loss instead of a silently-dropped submission,
-                # so centralized churn runs stop looking degenerate
+                # partitioned and no successor takes over: a *named* loss
+                # instead of a silently-dropped submission, so centralized
+                # churn runs stop looking degenerate
                 self._drop_job(
                     job, site.sid, JobOutcome.LOST_COORDINATOR, "fault.job_lost_coordinator"
                 )
@@ -646,7 +620,6 @@ def assemble(config: ExperimentConfig, topo: Topology) -> ResidentNetwork:
     sites = [net.site(sid) for sid in net.site_ids()]
     for s in sites:
         s.start()
-    coordinator_kit: Optional[CoordinatorKit] = None
     if config.algorithm == "centralized":
         if W is not None:
             # converged min-plus == true shortest delays, one batched pass
@@ -663,11 +636,6 @@ def assemble(config: ExperimentConfig, topo: Topology) -> ResidentNetwork:
         else:
             adj = topo.adjacency()
             distances = {sid: dijkstra(adj, sid) for sid in adj}
-        coordinator_kit = CoordinatorKit(
-            all_sites=dict(net.sites),
-            distances=distances,
-            shortlist=config.centralized_shortlist,
-        )
         coord = net.site(0)
         coord.install_coordinator(
             dict(net.sites), distances, shortlist=config.centralized_shortlist
@@ -702,7 +670,6 @@ def assemble(config: ExperimentConfig, topo: Topology) -> ResidentNetwork:
         setup_time=sim.now,
         obs=obs,
         shared_tables=shared_tables,
-        coordinator_kit=coordinator_kit,
     )
 
 

@@ -34,7 +34,7 @@ contract the injector relies on: a zero plan must never perturb a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -311,17 +311,7 @@ class FaultPlan:
         return replace(self, loss_prob=loss_prob)
 
 
-def hardened(
-    config,
-    ack_timeout: Time = 5.0,
-    ack_retries: int = 1,
-    member_lease: Optional[Time] = None,
-):
+def hardened(config, ack_timeout: Time = 5.0, ack_retries: int = 1):
     """An :class:`~repro.core.config.RTDSConfig` copy with the protocol
     hardening switched on — the required companion of a nonzero plan."""
-    return replace(
-        config,
-        ack_timeout=ack_timeout,
-        ack_retries=ack_retries,
-        member_lease=member_lease,
-    )
+    return replace(config, ack_timeout=ack_timeout, ack_retries=ack_retries)

@@ -321,14 +321,6 @@ def _raise_first_bad_edge(task_map: Mapping[TaskId, int], edges: List) -> None:
         seen.add((u, v))
 
 
-def chain_decomposition_width(dag: Dag) -> int:
-    """Number of sources = trivial lower bound on useful parallelism.
-
-    Exposed mainly for workload diagnostics; the mapper never needs it.
-    """
-    return len(dag.sources())
-
-
 def ancestors(dag: Dag, tid: TaskId) -> frozenset:
     """All transitive predecessors of ``tid`` (excluding itself)."""
     seen = set()

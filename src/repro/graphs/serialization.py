@@ -59,18 +59,6 @@ def dag_from_json(text: str) -> Dag:
     return dag_from_dict(json.loads(text))
 
 
-def dag_to_dot(dag: Dag) -> str:
-    """Render the DAG in Graphviz dot syntax (for offline inspection)."""
-    lines = [f'digraph "{dag.name}" {{', "  rankdir=TB;"]
-    for tid in dag.topological_order():
-        t = dag.task(tid)
-        lines.append(f'  "{tid}" [label="{tid}\\nc={t.complexity:g}"];')
-    for u, v in dag.edges:
-        lines.append(f'  "{u}" -> "{v}";')
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def estimate_code_size(dag: Dag, units_per_task: float = 4.0) -> float:
     """Size of the "tasks code" message of §11, in abstract size units.
 

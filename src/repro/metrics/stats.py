@@ -56,13 +56,3 @@ def ratio_confidence_interval(successes: int, total: int) -> Tuple[float, float]
     center = (p + z * z / (2 * total)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / total + z * z / (4 * total * total))
     return (center, half)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (speedup aggregation)."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return float("nan")
-    if np.any(arr <= 0):
-        raise ValueError("geometric mean needs positive values")
-    return float(np.exp(np.log(arr).mean()))

@@ -159,21 +159,3 @@ def try_schedule_window_tasks(
         )
         for (s, t) in placed
     ]
-
-
-def slack_profile(
-    timeline: BusyTimeline, tasks: Sequence[WindowTask], not_before: Time
-) -> Optional[List[Tuple[TaskId, Time]]]:
-    """Per-task slack (window end minus actual finish) of the EDF insertion.
-
-    Diagnostic companion of :func:`try_schedule_window_tasks`; ``None`` when
-    infeasible. Used by the ablation benches to quantify how much margin the
-    ACS-diameter over-estimation leaves.
-    """
-    slots = try_schedule_window_tasks(timeline, tasks, not_before)
-    if slots is None:
-        return None
-    by_key = {(r.job, r.task): r for r in slots}
-    return [
-        (t.task, t.deadline - by_key[(t.job, t.task)].end) for t in edf_order(tasks)
-    ]

@@ -265,25 +265,6 @@ class Network:
     # These are *not* available to protocol code (which must rely on its
     # routing tables); tests and metrics use them as ground truth.
 
-    def dijkstra_from(self, src: SiteId) -> Dict[SiteId, Time]:
-        """Exact single-source delay distances (oracle, for verification)."""
-        import heapq
-
-        dist: Dict[SiteId, Time] = {src: 0.0}
-        heap: List[Tuple[Time, SiteId]] = [(0.0, src)]
-        done = set()
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in done:
-                continue
-            done.add(u)
-            for v, link in self._adj[u].items():
-                nd = d + link.delay
-                if v not in dist or nd < dist[v] - 1e-15:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return dist
-
     def hop_distances_from(self, src: SiteId) -> Dict[SiteId, int]:
         """BFS hop counts from ``src`` (oracle)."""
         from collections import deque

@@ -111,14 +111,6 @@ class Topology:
                     stack.append(v)
         return len(seen) == self.n
 
-    def degree_stats(self) -> Tuple[float, int, int]:
-        """(mean, min, max) degree — used in experiment reports."""
-        deg = [0] * self.n
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return (sum(deg) / max(1, self.n), min(deg), max(deg))
-
 
 # ---------------------------------------------------------------------------
 # delay models

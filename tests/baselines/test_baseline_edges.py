@@ -1,9 +1,12 @@
 """Edge-path tests for baselines and the remaining CLI command."""
 
+from dataclasses import replace
 
 from repro.baselines.centralized import CentralizedSite
 from repro.baselines.focused import FocusedSite
 from repro.core.events import JobOutcome
+from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.faults import FaultPlan, SiteDownWindow
 from repro.graphs.generators import linear_chain_dag, paper_example_dag
 from repro.routing.reference import dijkstra, hop_diameter
 from repro.simnet.engine import Simulator
@@ -84,6 +87,25 @@ class TestCentralizedSpeeds:
         assert rec.outcome is JobOutcome.ACCEPTED_DISTRIBUTED
         assert rec.hosts == [1]
         assert rec.met_deadline is True
+
+
+class TestCentralizedCoordinatorLoss:
+    def test_partitioned_coordinator_names_its_losses(self):
+        """Coordinator churn yields LOST_COORDINATOR, not silence."""
+        base = ExperimentConfig(
+            topology="erdos_renyi",
+            topology_kwargs={"n": 12, "p": 0.3, "delay_range": (0.2, 1.0)},
+            duration=150.0,
+            seed=5,
+            algorithm="centralized",
+        )
+        coord = run_experiment(base).network.sites[0].coordinator_id
+        plan = FaultPlan(site_windows=(SiteDownWindow(site=coord, start=10.0, end=220.0),))
+        res = run_experiment(replace(base, faults=plan))
+        outcomes = [r.outcome for r in res.collector.records()]
+        assert JobOutcome.LOST_COORDINATOR in outcomes
+        # the loss is named, so the denominator is intact: every arrival decided
+        assert res.collector.n_arrived() == len(outcomes)
 
 
 class TestCliAblations:

@@ -26,7 +26,7 @@ class TestConfig:
             {"max_acs_size": 0},
             {"laxity_mode": "magic"},
             {"protocol_margin_factor": -1.0},
-            {"mapper_cost": -0.1},
+            {"validation_order": "fifo"},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -43,17 +43,6 @@ def distributed_scenario(cfg: RTDSConfig, metrics: MetricsCollector):
     return sim, net, tracer
 
 
-class TestResultForwardingOff:
-    def test_tasks_run_without_result_messages(self, metrics):
-        cfg = RTDSConfig(h=1, result_forwarding=False)
-        sim, net, tracer = distributed_scenario(cfg, metrics)
-        rec = metrics.jobs[1]
-        assert rec.outcome is JobOutcome.ACCEPTED_DISTRIBUTED
-        assert rec.completed
-        # no RESULT traffic at all
-        assert net.stats.count.get("RESULT", 0) == 0
-
-
 class TestManagementOverhead:
     def test_overhead_delays_protocol(self):
         def run(overhead):
@@ -77,18 +66,6 @@ class TestManagementOverhead:
         fast = run(0.0)
         slow = run(0.5)
         assert slow > fast
-
-
-class TestMapperCost:
-    def test_mapper_cost_adds_latency(self, metrics):
-        cfg = RTDSConfig(h=1, mapper_cost=3.0)
-        sim, net, tracer = distributed_scenario(cfg, metrics)
-        rec = metrics.jobs[1]
-        assert rec.outcome is JobOutcome.ACCEPTED_DISTRIBUTED
-        # enrollment completes at ~2 RTT=2; map.done must be >= +3 later
-        enroll_done = max(e.time for e in tracer.of("acs.enrolled"))
-        map_done = tracer.of("map.done")[0].time
-        assert map_done >= enroll_done + 3.0 - 1e-9
 
 
 class TestProtocolMargin:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.config import RTDSConfig
 from repro.errors import CampaignCellError, ConfigError
-from repro.experiments import evaluation
+from repro.experiments import campaign, evaluation
 from repro.experiments.campaign import Campaign, sweep_fault_plans
 from repro.experiments.parallel import (
     CampaignStore,
@@ -42,22 +42,25 @@ def boom_factory(rng):
     raise RuntimeError("boom")
 
 
-def _sweep_cells(sweep, *args):
-    """The configs ``sweep`` runs over the default base, without running them."""
+def _sweep_cells(sweep, *args, module=evaluation, base=None):
+    """The configs ``sweep`` runs over ``base`` (default: the default
+    config), without running them."""
     cells = []
 
-    def capture(rows, columns):
+    def capture(rows, columns, **_):
         cells.extend(cfg for _, configs in rows for cfg in configs)
 
-    with mock.patch.object(evaluation, "sweep_table", capture):
-        sweep(ExperimentConfig(), *args)
+    with mock.patch.object(module, "sweep_table", capture):
+        sweep(base or ExperimentConfig(), *args)
     return cells
 
 
-#: Literal cell keys of the E1–E5 sweeps' cells and one E10 cell. A key is
-#: the address of a cached campaign cell in every result store, so a
-#: config field that is added to or removed from ``ExperimentConfig``
-#: without changing behaviour must leave all of them where they are.
+#: Literal cell keys of the E1–E5 sweeps' cells, the E7 sweep's cells over
+#: a hardened config at the ``rtds sweep-faults`` default losses, and one
+#: E10 cell. A key is the address of a cached campaign cell in every
+#: result store, so a config field that is added to or removed from
+#: ``ExperimentConfig`` or ``RTDSConfig`` without changing behaviour must
+#: leave all of them where they are.
 PINNED_CELL_KEYS = {
     "E1 sweep_load": (
         lambda: _sweep_cells(evaluation.sweep_load, ["rtds", "local"], [0.3, 0.6, 0.9]),
@@ -77,6 +80,15 @@ PINNED_CELL_KEYS = {
         lambda: _sweep_cells(evaluation.sweep_ablations),
         ["6482c28cfdd5a5ab", "c3daacb2709f63b1", "390796253de6baae", "7e819ca70d371b73",
          "dd2943cce3ee9276", "14df2442f5628bbf", "4c0ae1bbbe2f94f4"],
+    ),
+    "E7 sweep_fault_plans": (
+        lambda: _sweep_cells(
+            sweep_fault_plans,
+            [(f"loss={p:g}", FaultPlan().scaled(p)) for p in (0.0, 0.05, 0.15, 0.3)],
+            module=campaign,
+            base=replace(ExperimentConfig(), rtds=hardened(RTDSConfig())),
+        ),
+        ["7157ec5369b3e372", "9b2b98b19fdcc760", "35fe487e02474dcd", "8ebec44921c5f165"],
     ),
     "E10 geometric-1024": (
         lambda: [widenet_config("geometric", 1024)],

@@ -50,6 +50,17 @@ class TestRunner:
             replace(SMALL, rtds=RTDSConfig(surplus_window=100.0))
         replace(SMALL, rtds=RTDSConfig(surplus_window=100.0), surplus_window=100.0)
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"hygiene_interval": 0.0}, {"hygiene_interval": -1.0}, {"drain_margin": -100.0}],
+    )
+    def test_bad_run_horizon_rejected_at_construction(self, change):
+        """A zero hygiene interval would reschedule its tick at one instant
+        forever, a negative one fails only once the network is built, and
+        a negative drain margin stops the run before the last deadline."""
+        with pytest.raises(ConfigError, match=next(iter(change))):
+            replace(SMALL, **change)
+
     def test_deterministic_same_seed(self):
         r1 = run_experiment(replace(SMALL, algorithm="rtds"))
         r2 = run_experiment(replace(SMALL, algorithm="rtds"))

@@ -9,6 +9,7 @@ import pytest
 from repro.core.config import RTDSConfig
 from repro.core.events import JobOutcome
 from repro.core.messages import (
+    MSG_ENROLL,
     MSG_ENROLL_ACK,
     MSG_EXECUTE,
     MSG_EXECUTE_ACK,
@@ -23,6 +24,7 @@ from repro.graphs.generators import fork_join_dag, linear_chain_dag
 from repro.metrics.collector import MetricsCollector
 from repro.simnet.engine import Simulator
 from repro.simnet.message import Message
+from repro.simnet.site import SiteBase
 from repro.simnet.topology import build_network, complete
 from repro.simnet.trace import Tracer
 
@@ -124,6 +126,33 @@ def test_zero_retries_gives_up_after_one_timeout():
     assert not tracer.of("acs.retransmit")
     assert tracer.of("acs.gave_up")
     assert_clean(net, metrics)
+
+
+@pytest.mark.parametrize("cfg", [CFG, RTDSConfig(h=1, surplus_window=100.0)], ids=["hardened", "unhardened"])
+def test_member_holds_the_lease_its_enroll_carried(cfg):
+    """A member's lease is the hint in the ENROLL it answered — a hardened
+    initiator always ships one; an unhardened one ships none, and its
+    members hold no lease."""
+    enrolled = []
+    original = SiteBase._dispatch
+
+    def tap(site, msg):
+        before = site.member.tenancy
+        original(site, msg)
+        if msg.mtype == MSG_ENROLL and site.member.tenancy is not before:
+            enrolled.append((msg.payload.get("lease"), site.member.tenancy.lease))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SiteBase, "_dispatch", tap)
+        sim, net, _, metrics = build(cfg=cfg)
+        saturate(sim, net.site(0), job=0)
+        sim.schedule(2.0, lambda: net.site(0).submit_job(1, fork_join_dag(3, c_range=(4.0, 4.0)), sim.now + 40.0))
+        sim.run(until=sim.now + 600.0)
+    assert metrics.jobs[1].outcome is JobOutcome.ACCEPTED_DISTRIBUTED
+    assert len(enrolled) == 3, "every other site enrolls once"
+    for hint, lease in enrolled:
+        assert lease == hint
+        assert (lease is not None) == cfg.hardened
 
 
 def test_near_members_of_wide_sphere_do_not_expire_mid_session():

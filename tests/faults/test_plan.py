@@ -101,22 +101,9 @@ class TestSpecParsing:
             FaultPlan.from_spec(spec)
 
 
-def test_member_lease_requires_hardened_mode(rtds_config):
-    """A lease without the hardened stale-message paths would crash the
-    first VALIDATE/EXECUTE that lands after an expiry."""
-    from repro.core.config import RTDSConfig
-
-    with pytest.raises(ConfigError):
-        RTDSConfig(member_lease=5.0)
-    assert hardened(rtds_config, ack_timeout=3.0, member_lease=5.0).member_lease == 5.0
-
-
 def test_hardened_helper(rtds_config):
     cfg = hardened(rtds_config, ack_timeout=3.0, ack_retries=2)
     assert cfg.hardened
     assert cfg.ack_timeout == 3.0
     assert cfg.ack_retries == 2
-    # derived lease covers every retransmission round
-    assert cfg.effective_lease == 4.0 * 3.0 * 3
     assert not rtds_config.hardened
-    assert rtds_config.effective_lease is None

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CycleError, DagError
-from repro.graphs.dag import Dag, Task, ancestors, descendants, chain_decomposition_width
+from repro.graphs.dag import Dag, Task, ancestors, descendants
 from repro.graphs.generators import paper_example_dag
 
 
@@ -201,8 +201,3 @@ class TestTransitive:
         d = make_diamond()
         assert descendants(d, "a") == {"b", "c", "d"}
         assert descendants(d, "d") == frozenset()
-
-    def test_chain_width(self):
-        assert chain_decomposition_width(make_diamond()) == 1
-        d = Dag([Task(1, 1.0), Task(2, 1.0)])
-        assert chain_decomposition_width(d) == 2

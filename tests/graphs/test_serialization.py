@@ -9,7 +9,6 @@ from repro.graphs.serialization import (
     dag_from_dict,
     dag_from_json,
     dag_to_dict,
-    dag_to_dot,
     dag_to_json,
     estimate_code_size,
 )
@@ -51,14 +50,6 @@ class TestValidation:
         }
         with pytest.raises(Exception):
             dag_from_dict(data)
-
-
-class TestDot:
-    def test_contains_nodes_and_edges(self):
-        dot = dag_to_dot(paper_example_dag())
-        assert dot.startswith("digraph")
-        assert '"1" -> "3"' in dot
-        assert "c=6" in dot
 
 
 class TestCodeSize:

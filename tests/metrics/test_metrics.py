@@ -7,7 +7,6 @@ from repro.core.events import JobOutcome, JobRecord
 from repro.errors import ReproError
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import (
-    geometric_mean,
     mean_confidence_interval,
     ratio_confidence_interval,
     t_quantile_95,
@@ -120,11 +119,6 @@ class TestStats:
         # scipy uses the exact normal quantile 1.95996...; we use 1.96
         assert center - half == pytest.approx(res.low, abs=1e-4)
         assert center + half == pytest.approx(res.high, abs=1e-4)
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -1.0])
 
 
 class TestSummary:

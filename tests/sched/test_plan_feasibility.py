@@ -7,7 +7,6 @@ from repro.graphs.generators import linear_chain_dag, paper_example_dag
 from repro.sched.feasibility import (
     WindowTask,
     edf_order,
-    slack_profile,
     try_schedule_dag_locally,
     try_schedule_window_tasks,
 )
@@ -176,10 +175,3 @@ class TestWindowTasks:
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError):
             WindowTask(1, "a", 0.0, 0.0, 10.0)
-
-    def test_slack_profile(self):
-        tl = BusyTimeline()
-        ts = [WindowTask(1, "a", 2.0, 0.0, 10.0)]
-        prof = slack_profile(tl, ts, 0.0)
-        assert prof == [("a", 8.0)]
-        assert slack_profile(tl, [WindowTask(1, "a", 20.0, 0.0, 10.0)], 0.0) is None

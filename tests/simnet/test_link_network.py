@@ -102,11 +102,6 @@ class TestNetwork:
         assert net.stats.count["PING"] == 2
         assert net.stats.volume["PING"] == 6.0
 
-    def test_oracle_dijkstra(self, sim):
-        net, sites = make_line_network(sim, 4, delay=2.0)
-        dist = net.dijkstra_from(0)
-        assert dist == {0: 0.0, 1: 2.0, 2: 4.0, 3: 6.0}
-
     def test_oracle_hops(self, sim):
         net, _ = make_line_network(sim, 4)
         assert net.hop_distances_from(3) == {3: 0, 2: 1, 1: 2, 0: 3}

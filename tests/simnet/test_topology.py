@@ -55,6 +55,11 @@ def test_deterministic(gen):
     assert t1.edges == t2.edges
 
 
+def degrees(t):
+    """Sorted site degrees of topology ``t``."""
+    return sorted(len(nbrs) for nbrs in t.adjacency().values())
+
+
 class TestShapes:
     def test_line(self):
         t = line(5)
@@ -64,13 +69,11 @@ class TestShapes:
     def test_ring(self):
         t = ring(6)
         assert len(t.edges) == 6
-        mean, lo, hi = t.degree_stats()
-        assert (mean, lo, hi) == (2.0, 2, 2)
+        assert degrees(t) == [2] * 6
 
     def test_star(self):
         t = star(7)
-        _, lo, hi = t.degree_stats()
-        assert lo == 1 and hi == 6
+        assert degrees(t) == [1] * 6 + [6]
 
     def test_complete(self):
         t = complete(5)
@@ -82,14 +85,12 @@ class TestShapes:
 
     def test_torus_regular(self):
         t = torus(3, 3)
-        mean, lo, hi = t.degree_stats()
-        assert lo == hi == 4
+        assert degrees(t) == [4] * 9
 
     def test_hypercube(self):
         t = hypercube(4)
         assert t.n == 16
-        mean, lo, hi = t.degree_stats()
-        assert lo == hi == 4
+        assert degrees(t) == [4] * 16
 
     def test_tree_edge_count(self):
         t = random_tree(20)

@@ -110,7 +110,6 @@ class TestDesignMd:
             "bit-for-bit",
             "affected set",
             "lost_coordinator",
-            "bully election",
             "degraded_floor",
             "rtds chaos",
         ):
