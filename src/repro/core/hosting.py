@@ -22,7 +22,7 @@ entry with its last task. A site never holds the job's task graph.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.sched.intervals import Reservation
 from repro.simnet.message import Message
@@ -83,7 +83,9 @@ class HostSide:
     def _h_result(self, msg: Message) -> None:
         self.site.executor.deliver_token(("result", msg.payload["job"], msg.payload["task"]))
 
-    def _on_task_complete(self, job: JobId, task: TaskId, time: Time) -> None:
+    def _on_task_complete(
+        self, job: JobId, task: TaskId, time: Time, site: SiteId, spans: Sequence[Tuple[Time, Time]]
+    ) -> None:
         forward = self.exec_info.get(job)
         if forward is None or task not in forward:
             return

@@ -42,7 +42,6 @@ import os
 import pickle
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -445,6 +444,10 @@ class PoolExecutor:
                 f"campaign cells must pickle to cross the worker-pool boundary ({exc}); "
                 "use module-level functions for dag_factory, or the serial executor"
             ) from None
+        # the pool pulls in multiprocessing, socket and subprocess: only a
+        # parallel campaign pays for them
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         results: List[Optional[CellResult]] = [None] * len(cells)
         done = 0
         with ProcessPoolExecutor(max_workers=min(self.jobs, len(cells))) as pool:

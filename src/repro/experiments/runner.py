@@ -117,11 +117,12 @@ class ExperimentConfig:
     #: non-default value there that disagrees is rejected.
     surplus_window: float = 200.0
     drain_margin: float = 300.0
-    #: if set, every site forgets finished history older than one surplus
-    #: window, every ``hygiene_interval`` time units (long-run memory
-    #: hygiene; provably decision-neutral, see RTDSSite.prune_history).
-    #: Note: the post-run execution audit needs full records — leave None
-    #: when using repro.experiments.verify.
+    #: if set, every ``hygiene_interval`` time units every site forgets
+    #: finished history older than one surplus window — member and hosting
+    #: state too, and abandoned records on fault runs; plans and executors
+    #: already drop it at each completion (long-run memory hygiene;
+    #: provably decision-neutral, see RTDSSite.prune_history). The post-run
+    #: audit reads the collector, which this does not fold.
     hygiene_interval: Optional[float] = None
     #: fault injection (repro.faults): ``None`` or a zero plan leaves the
     #: no-faults code path bit-for-bit untouched. Window/churn times are
@@ -257,11 +258,14 @@ class RunResult:
     resident: Optional[Any] = None
 
     def site_utilizations(self, start: float, end: float) -> Dict[int, float]:
-        """Per-site compute utilization over the window ``[start, end]``."""
-        return {
-            sid: site.plan.load_between(start, end)
-            for sid, site in self.network.sites.items()
-        }
+        """Per-site compute utilization over the window ``[start, end]``:
+        the share of it each site spent running chunks, from the collector's
+        execution history (sites keep one surplus window of their own)."""
+        busy = dict.fromkeys(self.network.sites, 0.0)
+        if end > start:
+            for _job, _task, sid, spans in self.collector.executions():
+                busy[sid] += sum(max(0.0, min(e, end) - max(s, start)) for s, e in spans)
+        return {sid: b / (end - start) if end > start else 0.0 for sid, b in busy.items()}
 
     def scalar_metrics(self) -> Dict[str, float]:
         """Every numeric summary field as a plain JSON-able dict.

@@ -15,6 +15,13 @@ of the protocol logic that scheduled it:
    machines): a hard-coded WCET anywhere between admission and execution
    would surface here the moment speeds diverge from 1.0.
 
+The audit reads what ran from the run's one per-task execution history —
+each job record's site and actual chunk spans per finished task
+(:meth:`repro.core.events.JobRecord.executions`) — not from the sites,
+which forget finished work after one surplus window. A job the workload
+does not know, or a task its DAG does not know, is a violation by name,
+never skipped.
+
 Returns a list of human-readable violation strings — empty means the run
 is sound. The integration tests call this on every algorithm; it has
 caught real executor bugs during development, which is exactly its job.
@@ -33,30 +40,28 @@ Key = Tuple[JobId, TaskId]
 def verify_execution(result, check_transfer_delays: bool = True) -> List[str]:
     """Audit one finished run; returns violations (empty list = sound)."""
     issues: List[str] = []
-    net = result.network
+    site_speed = {sid: getattr(site, "speed", 1.0) for sid, site in result.network.sites.items()}
+    dags = {spec.job: spec.dag for spec in result.workload}
+    records = result.collector.records()
 
-    # -- gather actual executions from every site's executor ----------------
+    # -- gather actual executions from the collector's history --------------
     where: Dict[Key, SiteId] = {}
     window: Dict[Key, Tuple[float, float]] = {}  # (first start, last end)
     compute_time: Dict[Key, float] = {}  # summed actual chunk durations
-    site_speed: Dict[SiteId, float] = {}
-    for sid, site in net.sites.items():
-        site_speed[sid] = getattr(site, "speed", 1.0)
-        executor = getattr(site, "executor", None)
-        if executor is None:
-            continue
-        chunks: List[Tuple[float, float, Key]] = []
-        for key, rec in executor.records().items():
-            for (s, e) in rec.actual:
-                chunks.append((s, e, key))
-            if rec.done:
-                if key in where:
-                    issues.append(f"task {key} executed on sites {where[key]} and {sid}")
-                where[key] = sid
-                window[key] = (rec.actual_start, rec.actual_end)
-                compute_time[key] = sum(e - s for (s, e) in rec.actual)
-        # 1. single compute processor: chunks must not overlap
-        chunks.sort()
+    chunks_on: Dict[SiteId, List[Tuple[float, float, Key]]] = {}
+    for rec in records:
+        for task, sid, spans in rec.executions():
+            key = (rec.job, task)
+            if sid not in site_speed:
+                issues.append(f"task {key} executed on unknown site {sid}")
+                continue
+            where[key] = sid
+            window[key] = (spans[0][0], spans[-1][1])
+            compute_time[key] = sum(e - s for (s, e) in spans)
+            chunks_on.setdefault(sid, []).extend((s, e, key) for (s, e) in spans)
+    # 1. single compute processor: chunks must not overlap
+    for sid in sorted(chunks_on):
+        chunks = sorted(chunks_on[sid])
         for (a_s, a_e, a_k), (b_s, b_e, b_k) in zip(chunks, chunks[1:]):
             if b_s < a_e - EPS:
                 issues.append(
@@ -65,7 +70,6 @@ def verify_execution(result, check_transfer_delays: bool = True) -> List[str]:
                 )
 
     # -- per-job checks against the workload's DAGs -------------------------
-    dags = {spec.job: spec.dag for spec in result.workload}
     dist_cache: Dict[SiteId, Dict[SiteId, float]] = {}
     adj = result.topology.adjacency()
 
@@ -76,11 +80,17 @@ def verify_execution(result, check_transfer_delays: bool = True) -> List[str]:
             dist_cache[a] = dijkstra(adj, a)
         return dist_cache[a][b]
 
-    for rec in result.collector.records():
+    for rec in records:
         dag = dags.get(rec.job)
         if dag is None:
+            issues.append(f"job {rec.job} ({rec.outcome.value}) is not in the run's workload")
             continue
-        keys = [(rec.job, t) for t in dag.topological_order()]
+        order = dag.topological_order()
+        known = set(order)
+        stray = [task for task, _, _ in rec.executions() if task not in known]
+        if stray:
+            issues.append(f"job {rec.job}: executed tasks its DAG does not have: {stray}")
+        keys = [(rec.job, t) for t in order]
         if rec.outcome.accepted:
             missing = [k for k in keys if k not in where]
             if missing:

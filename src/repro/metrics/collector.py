@@ -3,8 +3,10 @@
 A single :class:`MetricsCollector` per experiment observes every site:
 sites report arrivals and decisions; task completions flow in through the
 executors' completion callbacks (the collector's ``on_task_complete`` is
-registered on every site's executor). The collector is an *oracle observer*
-— it never feeds information back into the protocol.
+registered on every site's executor), each with the site and the actual
+chunk spans, so the job records are the run's one per-task execution
+history. The collector is an *oracle observer* — it never feeds
+information back into the protocol.
 
 Long-lived runs (the E12 soak) cannot keep 10^5–10^6 :class:`JobRecord`
 objects alive; :meth:`MetricsCollector.fold_before` folds settled records
@@ -16,9 +18,9 @@ reports — a batch run that never folds is bit-identical to before.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.events import JobOutcome, JobRecord
+from repro.core.events import JobOutcome, JobRecord, Span
 from repro.errors import ReproError
 from repro.types import JobId, SiteId, TaskId, Time
 
@@ -84,13 +86,15 @@ class MetricsCollector:
 
     # -- called by executors ---------------------------------------------------
 
-    def on_task_complete(self, job: JobId, task: TaskId, time: Time) -> None:
+    def on_task_complete(
+        self, job: JobId, task: TaskId, time: Time, site: SiteId, spans: Sequence[Span]
+    ) -> None:
+        """``task`` of ``job`` finished at ``time`` on ``site`` after running
+        its actual chunk ``spans`` — the run's one record of that execution."""
         rec = self.jobs.get(job)
         if rec is None:
             return  # tasks of jobs from another collector's run
-        if task in rec.completions:
-            raise ReproError(f"job {job} task {task!r} completed twice")
-        rec.completions[task] = time
+        rec.add_task(task, site, spans)
 
     # -- record folding (memory flatness for long-lived runs) ----------------
 
@@ -135,6 +139,13 @@ class MetricsCollector:
     def records(self) -> List[JobRecord]:
         """Live (unfolded) records in job-id order."""
         return [self.jobs[j] for j in sorted(self.jobs)]
+
+    def executions(self) -> Iterator[Tuple[JobId, TaskId, SiteId, List[Span]]]:
+        """``(job, task, site, actual chunk spans)`` of every finished task
+        of the live records, by job id, each job's in completion order."""
+        for rec in self.records():
+            for task, site, spans in rec.executions():
+                yield rec.job, task, site, spans
 
     def count(self, outcome: JobOutcome) -> int:
         live = sum(1 for r in self.jobs.values() if r.outcome is outcome)

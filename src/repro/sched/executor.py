@@ -24,11 +24,13 @@ Execution model
   cross-site execution deadlocks.
 * A chunk runs non-preemptively for exactly its reserved duration. Actual
   start/end are recorded next to the reserved ones; ``lateness > 0`` means
-  the ACS-diameter over-estimate was too optimistic for this instance. The
-  run's own metrics come from the completion callbacks
-  (:meth:`repro.metrics.collector.MetricsCollector.on_task_complete`); the
-  records are what the post-run audit (:mod:`repro.experiments.verify`)
-  and the tests read.
+  the ACS-diameter over-estimate was too optimistic for this instance.
+* A finished task is reported once, through the completion callbacks, with
+  this site and its actual chunk spans:
+  :meth:`repro.metrics.collector.MetricsCollector.on_task_complete` keeps
+  the run's one per-task execution history, which the post-run audit
+  (:mod:`repro.experiments.verify`) reads. The executor itself remembers
+  finished work for one surplus window only.
 
 State and its lifetime
 ----------------------
@@ -57,8 +59,17 @@ serves, except a finished task's few facts:
   ``array('d')``. No per-task key outlives the task: the duplicate-commit
   check filters on a per-job count and only then scans the log.
   :meth:`record` and :meth:`records` rebuild :class:`ExecutionRecord`
-  values from the log on demand, and :meth:`prune_done_before` drops a
-  prefix of it.
+  values from the log on demand;
+* **one surplus window of history.** Each completion drops the prefix of
+  the log (:meth:`prune_done_before`) and of the plan's timeline
+  (:meth:`~repro.sched.plan.SchedulingPlan.prune_before`) that ended at or
+  before ``now - plan.surplus_window`` — the cutoff of the hygiene pass,
+  decision-neutral for the same reason: every admission probe and the
+  surplus look at ``[now, ...)`` only. Both are end-ordered, so a
+  completion whose oldest entry is still live costs a comparison each, an
+  entry is found and dropped once, and the shift of what stays is bounded
+  by one window's work, not by the length of the run. The drop schedules
+  no event and needs no setting.
 """
 
 from __future__ import annotations
@@ -66,17 +77,20 @@ from __future__ import annotations
 from array import array
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import SchedulingError
 from repro.sched.intervals import Reservation
 from repro.sched.plan import SchedulingPlan
 from repro.simnet.engine import Simulator
-from repro.types import DATACLASS_SLOTS, EPS, JobId, TaskId, Time
+from repro.types import DATACLASS_SLOTS, EPS, JobId, SiteId, TaskId, Time
 
 Key = Tuple[JobId, TaskId]
 Token = Tuple[str, JobId, TaskId]
-CompletionCallback = Callable[[JobId, TaskId, Time], None]
+#: ``(job, task, completion time, site, actual (start, end) chunk spans)``
+CompletionCallback = Callable[
+    [JobId, TaskId, Time, SiteId, Sequence[Tuple[Time, Time]]], None
+]
 
 
 @dataclass(**DATACLASS_SLOTS)
@@ -302,10 +316,11 @@ class PlanExecutor:
         return rec
 
     def records(self) -> Dict[Key, ExecutionRecord]:
-        """Copies of every record still known: the finished ones in
-        completion order, then the unfinished ones in commit order. Rebuilt
-        from the log on each call — audits and views read them, the run
-        itself never does."""
+        """Copies of every record still known: the finished ones of the last
+        surplus window in completion order, then the unfinished ones in
+        commit order. Rebuilt from the log on each call — views and tests
+        read them, the run itself never does; the whole run's history is
+        the metrics collector's."""
         out = dict(self._done.items()) if self._done else {}
         for key, rec in self._unfinished.items():
             out[key] = ExecutionRecord(rec.chunks, list(rec.actual))
@@ -389,7 +404,8 @@ class PlanExecutor:
 
     def _finish(self, key: Key, started_at: Time) -> None:
         rec = self._unfinished[key]
-        rec.actual.append((started_at, self.sim.now))
+        now = self.sim.now
+        rec.actual.append((started_at, now))
         self._running = None
         if rec.done:
             del self._unfinished[key]
@@ -403,8 +419,15 @@ class PlanExecutor:
             # a timer, and the event count (pinned by the identity goldens)
             # includes the superseded one.
             self.deliver_token(("done", job, task))
+            site = self.plan.site
             for cb in self.on_complete:
-                cb(job, task, self.sim.now)
+                cb(job, task, now, site, rec.actual)
+            # keep one surplus window of finished work (see the module notes)
+            cutoff = now - self.plan.surplus_window
+            if cutoff > 0:
+                if self._done.spans[1] <= cutoff:
+                    self.prune_done_before(cutoff)
+                self.plan.prune_before(cutoff)
         else:
             insort(self._queue, (rec.next_chunk.start, repr(key), key))
         self._wake()
@@ -444,5 +467,5 @@ class PlanExecutor:
         return len(dead)
 
     def prune_done_before(self, time: Time) -> int:
-        """Forget finished records older than ``time``."""
+        """Forget finished records that ended at or before ``time``."""
         return self._done.drop_ended_by(time) if self._done else 0

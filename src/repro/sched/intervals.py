@@ -8,12 +8,12 @@ given duration inside a release/deadline window.
 
 Performance notes (profiled on the E1 workload): plans hold tens of live
 reservations; ``bisect`` + list insert is faster than any tree below ~10^3
-entries, and :meth:`prune_before` keeps plans short in long service runs.
-Batch runs never prune, so there a plan also carries its finished
-history (hundreds of reservations on a Montage cell); every what-if probe
-therefore works on the *live tail* only — :meth:`BusyTimeline.scratch_arrays`
-and :meth:`BusyTimeline.copy` take a cutoff and drop the intervals that end
-at or before it, which no probe released at or after the cutoff can see.
+entries, and :meth:`prune_before` — called by the executor at every
+completion — keeps a plan to one surplus window of finished history. Every
+what-if probe still works on the *live tail* only —
+:meth:`BusyTimeline.scratch_arrays` and :meth:`BusyTimeline.copy` take a
+cutoff and drop the intervals that end at or before it, which no probe
+released at or after the cutoff can see.
 All comparisons use the shared EPS tolerance so adjacent reservations
 (end == next start) never collide through float noise.
 """
@@ -292,10 +292,9 @@ class BusyTimeline:
         return removed
 
     def prune_before(self, time: Time) -> int:
-        """Drop reservations that end at or before ``time`` (history)."""
-        i = 0
-        while i < len(self._items) and self._items[i].end <= time + EPS:
-            i += 1
+        """Drop reservations that end at or before ``time`` (history) —
+        the prefix :meth:`_tail_start` finds."""
+        i = self._tail_start(time)
         if i:
             del self._items[:i]
             del self._starts[:i]

@@ -1,20 +1,21 @@
 """The per-site scheduling plan.
 
-Wraps a :class:`~repro.sched.intervals.BusyTimeline` with job-level
-bookkeeping and the paper's *surplus* measure (§2): the idle fraction of an
-observation window. We read the window forward from "now" — admission
-decisions care about capacity that still exists, and a forward window makes
-the surplus of an empty site exactly 1.0 as the worked example assumes
-(I=0.5 means "half the upcoming window is already committed").
+Wraps a :class:`~repro.sched.intervals.BusyTimeline` with the paper's
+*surplus* measure (§2): the idle fraction of an observation window. We
+read the window forward from "now" — admission decisions care about
+capacity that still exists, and a forward window makes the surplus of an
+empty site exactly 1.0 as the worked example assumes (I=0.5 means "half
+the upcoming window is already committed"). Because nothing reads the
+past, a plan forgets work one window after it ended (:meth:`prune_before`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import SchedulingError
 from repro.sched.intervals import BusyTimeline, Reservation
-from repro.types import EPS, JobId, SiteId, Time
+from repro.types import EPS, SiteId, Time
 
 
 class SchedulingPlan:
@@ -30,9 +31,7 @@ class SchedulingPlan:
         Computing power of the owning site (§13 heterogeneous sites).
         Reservations are committed already scaled to wall-clock time
         (``c / speed``), so the timeline itself is speed-agnostic; the
-        speed is carried here so *work* accounting
-        (:meth:`work_between`) can convert busy time back to executed
-        complexity units.
+        speed is carried for diagnostics.
     obs:
         Optional :class:`repro.obs.Telemetry`: commit/surplus accounting
         samples land there when it is enabled. ``None`` (the default)
@@ -62,9 +61,7 @@ class SchedulingPlan:
             # so its telemetry path skips the registry lookup (E9 macro_obs
             # overhead gate); queries are counted from the timer's count
             self._obs_surplus = obs.timer("plan.surplus")
-        #: job -> list of its reservations (insertion order)
-        self._jobs: Dict[JobId, List[Reservation]] = {}
-        #: bumped on every state change (commit / cancel / prune) — lets
+        #: bumped on every state change (commit / prune) — lets
         #: observers detect "plan changed" without diffing the timeline
         self.version = 0
 
@@ -106,66 +103,31 @@ class SchedulingPlan:
             for r in reversed(inserted):
                 timeline.remove_exact(r)
             raise
-        for r in reservations:
-            self._jobs.setdefault(r.job, []).append(r)
         if reservations:
             self.version += 1
         if self._obs_on:
             self._obs.inc("plan.commits")
             self._obs.observe("plan.commit_batch", float(len(reservations)))
 
-    def cancel_job(self, job: JobId) -> int:
-        """Remove all reservations of ``job``; returns how many."""
-        self._jobs.pop(job, None)
-        n = self.timeline.release_key(job)
-        if n:
-            self.version += 1
-        return n
-
     def prune_before(self, time: Time) -> int:
-        """Forget finished history before ``time`` (memory hygiene)."""
+        """Forget work that ended at or before ``time``: a bisect and a
+        prefix delete. The executor calls this at each completion with
+        ``now - surplus_window`` (so a plan holds one window of history),
+        the hygiene pass likewise."""
         n = self.timeline.prune_before(time)
         if n:
             self.version += 1
-            for job in list(self._jobs):
-                kept = [r for r in self._jobs[job] if r.end > time + EPS]
-                if kept:
-                    self._jobs[job] = kept
-                else:
-                    del self._jobs[job]
         return n
 
     # -- queries ------------------------------------------------------------------
 
-    def job_reservations(self, job: JobId) -> List[Reservation]:
-        return list(self._jobs.get(job, ()))
-
-    def jobs(self) -> List[JobId]:
-        return sorted(self._jobs)
-
-    def job_completion_time(self, job: JobId) -> Time:
-        rs = self._jobs.get(job)
-        if not rs:
-            raise SchedulingError(f"site {self.site}: no reservations for job {job}")
-        return max(r.end for r in rs)
-
     def load_between(self, start: Time, end: Time) -> float:
-        """Busy fraction of [start, end) — the utilisation metric."""
+        """Busy fraction of [start, end) as the plan still books it — only
+        the last surplus window of finished work is kept (whole-run
+        utilisation: :meth:`~repro.experiments.runner.RunResult.site_utilizations`)."""
         if end <= start + EPS:
             return 0.0
         return self.timeline.busy_time(start, end) / (end - start)
-
-    def work_between(self, start: Time, end: Time) -> float:
-        """Executed *complexity* units in [start, end): busy time × speed.
-
-        On heterogeneous networks two sites with equal ``load_between``
-        deliver different amounts of work; this is the capacity-weighted
-        view (a speed-2 site fully busy for 10 time units did 20 units of
-        work).
-        """
-        if end <= start + EPS:
-            return 0.0
-        return self.timeline.busy_time(start, end) * self.speed
 
     #: visible tails at or below this many reservations digest by value
     #: (cross-site sharing); longer ones digest by (site, version) — O(1)
@@ -201,6 +163,5 @@ class SchedulingPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SchedulingPlan(site={self.site}, jobs={len(self._jobs)}, "
-            f"reservations={len(self.timeline)})"
+            f"SchedulingPlan(site={self.site}, reservations={len(self.timeline)})"
         )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import RTDSConfig
 from repro.core.events import JobOutcome, JobRecord
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 
 
 class TestConfig:
@@ -59,23 +59,32 @@ class TestJobRecord:
     def test_completion_flow(self):
         r = self.rec()
         r.outcome = JobOutcome.ACCEPTED_LOCAL
-        r.completions["a"] = 30.0
+        r.add_task("a", 0, [(26.0, 30.0)])
         assert not r.completed
-        r.completions["b"] = 45.0
+        r.add_task("b", 1, [(40.0, 42.0), (43.0, 45.0)])  # split in two chunks
         assert r.completed
         assert r.completion_time == 45.0
         assert r.met_deadline is True
+        assert r.completions == {"a": 30.0, "b": 45.0}
+        assert list(r.executions()) == [
+            ("a", 0, [(26.0, 30.0)]),
+            ("b", 1, [(40.0, 42.0), (43.0, 45.0)]),
+        ]
+        with pytest.raises(ReproError):
+            r.add_task("a", 0, [(50.0, 51.0)])
 
     def test_missed_deadline(self):
         r = self.rec()
         r.outcome = JobOutcome.ACCEPTED_DISTRIBUTED
-        r.completions.update({"a": 30.0, "b": 51.0})
+        r.add_task("a", 0, [(26.0, 30.0)])
+        r.add_task("b", 0, [(47.0, 51.0)])
         assert r.met_deadline is False
 
     def test_rejected_never_completes(self):
         r = self.rec()
         r.outcome = JobOutcome.REJECTED_VALIDATION
-        r.completions.update({"a": 1.0, "b": 2.0})
+        r.add_task("a", 0, [(0.0, 1.0)])
+        r.add_task("b", 0, [(1.0, 2.0)])
         assert not r.completed
         assert r.met_deadline is None
 

@@ -161,20 +161,19 @@ def test_protocol_invariants(sc: Scenario):
     for sid in net.site_ids():
         assert net.site(sid).leaks() == [], f"site {sid} leaked"
 
-    # 3. accepted jobs executed fully and soundly; rejected never ran
+    # 3. accepted jobs executed fully and soundly; rejected never ran —
+    # read from the collector's execution history, the whole run's record
     where = {}
     windows = {}
     compute = {}
-    for sid in net.site_ids():
-        ex = net.site(sid).executor
-        chunks = []
-        for key, rec in ex.records().items():
-            for s, e in rec.actual:
-                chunks.append((s, e))
-            if rec.done:
-                where[key] = sid
-                windows[key] = (rec.actual_start, rec.actual_end)
-                compute[key] = sum(e - s for s, e in rec.actual)
+    chunks_on = {}
+    for job, task, sid, spans in metrics.executions():
+        key = (job, task)
+        where[key] = sid
+        windows[key] = (spans[0][0], spans[-1][1])
+        compute[key] = sum(e - s for s, e in spans)
+        chunks_on.setdefault(sid, []).extend(spans)
+    for sid, chunks in chunks_on.items():
         chunks.sort()
         for (a1, a2), (b1, b2) in zip(chunks, chunks[1:]):
             assert b1 >= a2 - EPS, f"site {sid} ran two chunks at once"

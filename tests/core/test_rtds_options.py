@@ -123,16 +123,11 @@ class TestHotSpotWorkload:
 
 class TestExecutionViz:
     def test_render_execution(self):
-        """The executors record what actually ran: every finished task
+        """The collector records what actually ran: every finished task
         has a positive extent, after its job was decided."""
         res = run_experiment(replace(SMALL, algorithm="rtds"))
         decided = {r.job: r.decided_at for r in res.collector.records()}
-        done = [
-            (job, rec)
-            for site in res.network.sites.values()
-            for (job, _task), rec in site.executor.records().items()
-            if rec.done
-        ]
+        done = [(job, spans) for job, _task, _sid, spans in res.collector.executions()]
         assert done, "no executions recorded?"
-        for job, rec in done:
-            assert decided[job] <= rec.actual_start < rec.actual_end
+        for job, spans in done:
+            assert decided[job] <= spans[0][0] < spans[-1][1]

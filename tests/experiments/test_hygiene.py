@@ -1,4 +1,5 @@
-"""Long-run memory hygiene: pruning must be decision-neutral."""
+"""Long-run memory hygiene: pruning must be decision-neutral, and a site
+keeps one surplus window of finished work, hygiene tick or not."""
 
 from dataclasses import replace
 
@@ -27,22 +28,29 @@ class TestHygiene:
         assert a == b
 
     def test_pruning_actually_shrinks_state(self):
-        base = run_experiment(replace(SMALL, algorithm="rtds"))
-        pruned = run_experiment(replace(SMALL, algorithm="rtds", hygiene_interval=50.0))
-        base_total = sum(
-            len(s.plan.timeline) for s in base.network.sites.values()
-        )
-        pruned_total = sum(
-            len(s.plan.timeline) for s in pruned.network.sites.values()
-        )
-        assert pruned_total < base_total
+        """Sites prune as they complete, hygiene tick or not: after a drained
+        batch run no plan's timeline holds work that ended more than one
+        surplus window before the site's last completion."""
+        res = run_experiment(replace(SMALL, algorithm="rtds"))
+        last = _last_completions(res)
+        kept = 0
+        for sid, site in res.network.sites.items():
+            cutoff = last.get(sid, 0.0) - site.plan.surplus_window
+            assert all(r.end > cutoff for r in site.plan.timeline), f"site {sid}"
+            kept += len(site.plan.timeline)
+        assert kept < _executed(res)  # the run outlived the window
 
     def test_executor_records_shrink_too(self):
-        pruned = run_experiment(replace(SMALL, algorithm="rtds", hygiene_interval=50.0))
-        base = run_experiment(replace(SMALL, algorithm="rtds"))
-        n_pruned = sum(len(s.executor.records()) for s in pruned.network.sites.values())
-        n_base = sum(len(s.executor.records()) for s in base.network.sites.values())
-        assert n_pruned < n_base
+        """Likewise for the executor's log of finished tasks."""
+        res = run_experiment(replace(SMALL, algorithm="rtds"))
+        last = _last_completions(res)
+        kept = 0
+        for sid, site in res.network.sites.items():
+            cutoff = last.get(sid, 0.0) - site.plan.surplus_window
+            records = site.executor.records().values()
+            assert all(rec.actual_end > cutoff for rec in records), f"site {sid}"
+            kept += len(records)
+        assert kept < _executed(res)
 
     def test_exec_info_cleaned(self):
         pruned = run_experiment(replace(SMALL, algorithm="rtds", hygiene_interval=50.0))
@@ -50,6 +58,18 @@ class TestHygiene:
         leak_pruned = sum(len(s.hosting.exec_info) for s in pruned.network.sites.values())
         leak_base = sum(len(s.hosting.exec_info) for s in base.network.sites.values())
         assert leak_pruned <= leak_base
+
+
+def _last_completions(res):
+    """site -> end of the last task it finished, from the collector."""
+    last = {}
+    for _job, _task, sid, spans in res.collector.executions():
+        last[sid] = max(last.get(sid, 0.0), spans[-1][1])
+    return last
+
+
+def _executed(res):
+    return sum(rec.n_done for rec in res.collector.records())
 
 
 class TestRouteStretch:

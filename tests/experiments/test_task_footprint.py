@@ -1,7 +1,7 @@
 """A task costs its numbers — bytes per task under ``tracemalloc``.
 
 Memory should grow with the work in flight, not with the length of the
-run. On the 24-site Montage cell below (Python 3.11):
+run. On the 24-site Montage cell below (Python 3.11, 2208 executed tasks):
 
 * the executor keeps a finished task as its reservation (the plan's own
   object) and two floats on a flat log, not as an ``ExecutionRecord`` with
@@ -9,16 +9,27 @@ run. On the 24-site Montage cell below (Python 3.11):
   task)`` key in two containers. What ``repro/sched/`` still holds after
   the run cost 457 B per executed task with the per-task objects and costs
   172 B without them;
+* a site keeps one surplus window of finished work — each completion drops
+  what ended a window ago from the executor's log and the plan's timeline —
+  and each task's execution is recorded once, in the collector's job
+  record, as its site and chunk spans in flat arrays. What ``repro/sched/``,
+  ``repro/metrics/`` and ``repro/core/events.py`` (where those records
+  append their arrays) hold after the run: 218 B per executed task while
+  every site kept its whole history next to a completion dict per job,
+  125 B since;
 * a generated job keeps its weights as one tuple of floats over its
   shape's shared id map, not a ``Task`` dataclass (with its ``__dict__``)
   per task in a dict: 237 B per generated task with them, 111 B without.
 
 Each budget sits between the two figures. Measured with ``tracemalloc``,
-not RSS, so it passes the same on any box.
+not RSS, so it passes the same on any box. Executed tasks are counted from
+the collector's history: the sites no longer remember them all.
 """
 
 import gc
 import tracemalloc
+
+import pytest
 
 from repro import api
 from repro.experiments.runner import ExperimentConfig, _generate_batch_workload, build_resident
@@ -32,10 +43,14 @@ CELL = ExperimentConfig(
     workload="trace:montage",
 )
 SCHED_BYTES_PER_EXECUTED_TASK = 300
+HISTORY_BYTES_PER_EXECUTED_TASK = 170
 WORKLOAD_BYTES_PER_TASK = 170
 
 
-def test_the_executor_keeps_a_finished_task_in_at_most_300_bytes():
+@pytest.fixture(scope="module")
+def drained():
+    """The cell's finished run, the number of tasks it executed, and what
+    each ``repro`` file still holds after it."""
     tracemalloc.start()
     try:
         res = api.run(CELL)
@@ -43,12 +58,30 @@ def test_the_executor_keeps_a_finished_task_in_at_most_300_bytes():
         stats = tracemalloc.take_snapshot().statistics("filename")
     finally:
         tracemalloc.stop()
-    held = sum(s.size for s in stats if "/repro/sched/" in s.traceback[0].filename.replace("\\", "/"))
-    executed = sum(len(site.executor.records()) for site in res.network.sites.values())
-    assert executed > 2000  # the bound is per task, so the run must do work
+    executed = sum(rec.n_done for rec in res.collector.records())
+    assert executed > 2000  # the bounds are per task, so the run must do work
     assert all(site.executor.n_unfinished() == 0 for site in res.network.sites.values())
-    per_task = held / executed
+
+    def held(*parts):
+        return sum(
+            s.size
+            for s in stats
+            if any(p in s.traceback[0].filename.replace("\\", "/") for p in parts)
+        )
+
+    return executed, held
+
+
+def test_the_executor_keeps_a_finished_task_in_at_most_300_bytes(drained):
+    executed, held = drained
+    per_task = held("/repro/sched/") / executed
     assert per_task <= SCHED_BYTES_PER_EXECUTED_TASK, f"{per_task:.0f} B per executed task"
+
+
+def test_plans_executors_and_the_collector_keep_an_executed_task_in_at_most_170_bytes(drained):
+    executed, held = drained
+    per_task = held("/repro/sched/", "/repro/metrics/", "/repro/core/events.py") / executed
+    assert per_task <= HISTORY_BYTES_PER_EXECUTED_TASK, f"{per_task:.0f} B per executed task"
 
 
 def test_a_generated_job_keeps_its_tasks_in_at_most_170_bytes_each():

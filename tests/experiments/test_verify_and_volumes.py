@@ -1,5 +1,6 @@
 """Execution-audit oracle on every algorithm + the §13 data-volume model."""
 
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -39,16 +40,128 @@ class TestAudit:
         """Sanity: the auditor itself must catch corruption."""
         res = run_experiment(replace(SMALL, algorithm="rtds"))
         # corrupt one executed task's stored facts: stretch the actual end
-        # of the first task a site finished (``records()`` hands out copies,
-        # so the corruption goes into the executor's own log)
-        for site in res.network.sites.values():
-            done = site.executor._done
-            if done:
-                done.spans[1] += 1e9
-                break
+        # of the first chunk the collector's history holds
+        rec = next(r for r in res.collector.records() if r.chunk_spans)
+        rec.chunk_spans[1] += 1e9
         # a job now "ends" after everything; overlap check must fire
         issues = verify_execution(res)
         assert issues  # something was flagged
+
+
+#: long enough that sites forget finished work (one surplus window, 200)
+#: well before the end, so the audit can only be reading the collector
+LONG = replace(SMALL, algorithm="rtds", duration=500.0)
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["nonpreemptive", "preemptive"])
+def finished(request):
+    from repro.core.config import RTDSConfig
+
+    res = run_experiment(replace(LONG, rtds=RTDSConfig(validation_preemptive=request.param)))
+    assert verify_execution(res) == []
+    executed = sum(r.n_done for r in res.collector.records())
+    remembered = sum(len(s.executor.records()) for s in res.network.sites.values())
+    assert remembered < executed, "sites kept the whole run; the cell is too short"
+    return res
+
+
+def _chunks(rec):
+    """``(index, task, site, start, end)`` of each chunk in ``rec``'s history."""
+    spans = rec.chunk_spans
+    return [
+        (i, task, site, spans[2 * i], spans[2 * i + 1])
+        for i, (task, site) in enumerate(zip(rec.chunk_tasks, rec.chunk_sites))
+    ]
+
+
+def _shift(rec, task, by):
+    """Move every chunk of ``task`` by ``by`` (its duration unchanged)."""
+    for i, t, _, _, _ in _chunks(rec):
+        if t == task:
+            rec.chunk_spans[2 * i] += by
+            rec.chunk_spans[2 * i + 1] += by
+
+
+@contextmanager
+def _planted(rec, task, spans):
+    """``task`` recorded as finished on site 0 after one chunk, then taken out."""
+    rec.add_task(task, 0, spans)
+    try:
+        yield
+    finally:
+        rec.chunk_tasks.pop()
+        rec.chunk_sites.pop()
+        del rec.chunk_spans[-2:]
+        rec.n_done -= 1
+
+
+class TestAuditMutations:
+    """Each fault, planted in a finished run's collector history, is named."""
+
+    @pytest.fixture
+    def res(self, finished):
+        # every test plants into its own copy of the history
+        saved = {r.job: r.chunk_spans[:] if r.chunk_spans else None for r in finished.collector.records()}
+        yield finished
+        for r in finished.collector.records():
+            if saved.get(r.job) is not None:
+                r.chunk_spans[:] = saved[r.job]
+
+    def test_overlapping_chunks_on_one_site(self, res):
+        chunks = sorted(
+            (start, end, rec, task, site)
+            for rec in res.collector.records()
+            for _, task, site, start, end in _chunks(rec)
+        )
+        (a_start, a_end, _, _, site), (b_start, _, rec, task, _) = next(
+            (a, b) for a, b in zip(chunks, chunks[1:]) if a[4] == b[4] and a[2:4] != b[2:4]
+        )
+        # b now starts halfway through a, on the same processor
+        _shift(rec, task, (a_start + a_end) / 2 - b_start)
+        assert any(f"site {site}: overlapping execution" in i for i in verify_execution(res))
+
+    def test_wrong_duration(self, res):
+        rec = next(r for r in res.collector.records() if r.chunk_spans)
+        task = rec.chunk_tasks[0]
+        rec.chunk_spans[1] -= 0.5 * (rec.chunk_spans[1] - rec.chunk_spans[0])
+        assert any(f"task {task!r}: executed for" in i and "c/speed" in i for i in verify_execution(res))
+
+    def test_successor_before_predecessor_end_plus_transfer(self, res):
+        dags = {spec.job: spec.dag for spec in res.workload}
+        rec, (u, v) = next(
+            (r, edge)
+            for r in res.collector.records()
+            if r.outcome.accepted
+            for edge in dags[r.job].edges
+        )
+        ends = rec.completions
+        starts = {task: spans[0][0] for task, _, spans in rec.executions()}
+        _shift(rec, v, ends[u] - 1.0 - starts[v])
+        assert any(f"job {rec.job}: edge {u}->{v} violated" in i for i in verify_execution(res))
+
+    def test_task_of_a_rejected_job(self, res):
+        dags = {spec.job: spec.dag for spec in res.workload}
+        rec = next(r for r in res.collector.records() if not r.outcome.accepted)
+        task = dags[rec.job].topological_order()[0]
+        late = 1e6  # after everything else: no overlap, only the rejection
+        with _planted(rec, task, [(late, late + dags[rec.job].complexity(task))]):
+            issues = verify_execution(res)
+        assert issues == [f"rejected job {rec.job} had tasks executing: [{task!r}]"]
+
+    def test_a_task_its_dag_does_not_know(self, res):
+        rec = next(r for r in res.collector.records() if r.outcome.accepted)
+        with _planted(rec, "no-such-task", [(1e6, 1e6 + 1.0)]):
+            issues = verify_execution(res)
+        assert f"job {rec.job}: executed tasks its DAG does not have: ['no-such-task']" in issues
+
+    def test_a_job_the_workload_does_not_know(self, res):
+        stray = next(r for r in res.collector.records() if r.chunk_spans)
+        res.collector.jobs[10**9] = replace(stray, job=10**9)
+        try:
+            issues = verify_execution(res)
+        finally:
+            del res.collector.jobs[10**9]
+        assert f"job {10**9} ({stray.outcome.value}) is not in the run's workload" in issues
 
 
 class TestDataVolumeModel:

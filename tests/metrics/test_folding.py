@@ -32,7 +32,7 @@ def _settled(collector, job, outcome, *, arrival=0.0, deadline=10.0,
         acs_size=acs_size,
     )
     if complete_at is not None:
-        collector.on_task_complete(job, "t0", complete_at)
+        collector.on_task_complete(job, "t0", complete_at, 0, [(arrival, complete_at)])
     return rec
 
 
@@ -58,7 +58,7 @@ class TestFoldEligibility:
         assert c.fold_before(100.0) == 0
         assert c.n_unfinished() == 1
         # once the task lands, it folds
-        c.on_task_complete(0, "t0", 4.0)
+        c.on_task_complete(0, "t0", 4.0, 0, [(3.0, 4.0)])
         assert c.fold_before(100.0) == 1
         assert c.n_unfinished() == 0
 

@@ -49,15 +49,17 @@ class TestCollector:
         c = MetricsCollector()
         c.register_job(rec(1))
         c.decide(1, JobOutcome.ACCEPTED_LOCAL, 1.0)
-        c.on_task_complete(1, "a", 10.0)
-        c.on_task_complete(1, "b", 20.0)
+        c.on_task_complete(1, "a", 10.0, 0, [(9.0, 10.0)])
+        c.on_task_complete(1, "b", 20.0, 0, [(19.0, 20.0)])
         assert c.jobs[1].completed
+        assert c.jobs[1].completions == {"a": 10.0, "b": 20.0}
+        assert list(c.executions()) == [(1, "a", 0, [(9.0, 10.0)]), (1, "b", 0, [(19.0, 20.0)])]
         with pytest.raises(ReproError):
-            c.on_task_complete(1, "a", 30.0)
+            c.on_task_complete(1, "a", 30.0, 0, [(29.0, 30.0)])
 
     def test_unknown_job_completion_ignored(self):
         c = MetricsCollector()
-        c.on_task_complete(42, "x", 1.0)  # no raise: cross-run task
+        c.on_task_complete(42, "x", 1.0, 0, [(0.0, 1.0)])  # no raise: cross-run task
 
     def test_ratios(self):
         c = MetricsCollector()
@@ -68,10 +70,10 @@ class TestCollector:
             c.register_job(rec(i))
             c.decide(i, out, 1.0)
         # complete job 0 in time; job 1 late
-        c.on_task_complete(0, "a", 10.0)
-        c.on_task_complete(0, "b", 20.0)
-        c.on_task_complete(1, "a", 10.0)
-        c.on_task_complete(1, "b", 200.0)
+        c.on_task_complete(0, "a", 10.0, 0, [(9.0, 10.0)])
+        c.on_task_complete(0, "b", 20.0, 0, [(19.0, 20.0)])
+        c.on_task_complete(1, "a", 10.0, 0, [(9.0, 10.0)])
+        c.on_task_complete(1, "b", 200.0, 0, [(199.0, 200.0)])
         assert c.guarantee_ratio() == pytest.approx(0.5)
         assert c.effective_ratio() == pytest.approx(0.25)
         assert c.n_missed() == 1

@@ -26,10 +26,11 @@ def commit(plan, execu, reservations, gates=None):
 class TestBasicExecution:
     def test_runs_at_reserved_times(self, sim, plan, execu):
         done = []
-        execu.on_complete.append(lambda j, t, at: done.append((j, t, at)))
+        execu.on_complete.append(lambda j, t, at, site, spans: done.append((j, t, at, site, list(spans))))
         commit(plan, execu, [Reservation(2.0, 5.0, 1, "a"), Reservation(6.0, 7.0, 1, "b")])
         sim.run()
-        assert done == [(1, "a", 5.0), (1, "b", 7.0)]
+        # each finished task is reported once, with its site and actual chunks
+        assert done == [(1, "a", 5.0, plan.site, [(2.0, 5.0)]), (1, "b", 7.0, plan.site, [(6.0, 7.0)])]
         assert execu.record(1, "a").actual_start == 2.0
         assert execu.record(1, "a").lateness == 0.0
 
@@ -41,7 +42,7 @@ class TestBasicExecution:
 
     def test_later_insert_between_gaps(self, sim, plan, execu):
         done = []
-        execu.on_complete.append(lambda j, t, at: done.append(t))
+        execu.on_complete.append(lambda j, t, *_: done.append(t))
         commit(plan, execu, [Reservation(0.0, 2.0, 1, "a"), Reservation(6.0, 8.0, 1, "c")])
         # commit an earlier-gap reservation while the first is running
         sim.schedule(1.0, lambda: commit(plan, execu, [Reservation(3.0, 5.0, 2, "b")]))

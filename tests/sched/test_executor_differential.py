@@ -44,10 +44,13 @@ class _LoggingSimulator(Simulator):
 
 
 class _Plan:
-    """The executor reads ``plan.site`` only; slots may overlap here (the
-    work-conserving processor then runs them late), so nothing is booked."""
+    """The executor reads ``plan.site`` and ``plan.surplus_window`` only;
+    slots may overlap here (the work-conserving processor then runs them
+    late), so nothing is booked. The frozen executor never forgets finished
+    work on its own, so the live one keeps an infinite window here."""
 
     site = ME
+    surplus_window = float("inf")
 
     def commit(self, slots):
         pass
@@ -79,7 +82,7 @@ class _World:
         self.executor = self.site.executor
         self.hosting = hosting_cls(self.site, RESULT)
         self.completed = []
-        self.executor.on_complete.append(lambda j, t, at: self.completed.append((j, t, at)))
+        self.executor.on_complete.append(lambda j, t, at, *_: self.completed.append((j, t, at)))
         self.returned = []
 
     def result_arrives(self, job, task):

@@ -53,27 +53,16 @@ class TestCommit:
             p.commit([Reservation(6.0, 7.0, 2, "b"), Reservation(4.0, 6.5, 2, "c")])
         # nothing from the failed batch landed
         assert p.timeline.is_free(6.0, 7.0)
-        assert p.jobs() == [1]
-
-    def test_cancel_job(self):
-        p = SchedulingPlan(0)
-        p.commit([Reservation(0.0, 5.0, 1, "a"), Reservation(6.0, 7.0, 1, "b")])
-        assert p.cancel_job(1) == 2
-        assert p.jobs() == []
-        assert p.timeline.is_free(0.0, 10.0)
-
-    def test_job_completion_time(self):
-        p = SchedulingPlan(0)
-        p.commit([Reservation(0.0, 5.0, 1, "a"), Reservation(6.0, 9.0, 1, "b")])
-        assert p.job_completion_time(1) == 9.0
-        with pytest.raises(SchedulingError):
-            p.job_completion_time(42)
+        assert [r.task for r in p.timeline] == ["a"]
 
     def test_prune(self):
         p = SchedulingPlan(0)
         p.commit([Reservation(0.0, 5.0, 1, "a"), Reservation(6.0, 9.0, 1, "b")])
-        p.prune_before(5.5)
-        assert p.job_reservations(1)[0].task == "b"
+        version = p.version
+        assert p.prune_before(5.5) == 1
+        assert [r.task for r in p.timeline] == ["b"]
+        assert p.version == version + 1
+        assert p.prune_before(5.5) == 0 and p.version == version + 1
 
     def test_load_between(self):
         p = SchedulingPlan(0)

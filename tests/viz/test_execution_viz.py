@@ -29,8 +29,12 @@ def run():
 
 class TestExecutionItems:
     def test_chunks_ordered_per_site(self, run):
-        for site in run.network.sites.values():
-            chunks = sorted(c for rec in site.executor.records().values() for c in rec.actual)
+        chunks_on = {}
+        for _job, _task, sid, spans in run.collector.executions():
+            chunks_on.setdefault(sid, []).extend(spans)
+        assert chunks_on
+        for chunks in chunks_on.values():
+            chunks.sort()
             for (s1, e1), (s2, e2) in zip(chunks, chunks[1:]):
                 assert s2 >= e1 - 1e-9  # single processor
 
@@ -53,10 +57,8 @@ class TestRendering:
 
     def test_placement_summary_sorted(self, run):
         ran_on = {}
-        for sid, site in run.network.sites.items():
-            for (job, _task), rec in site.executor.records().items():
-                if rec.done:
-                    ran_on.setdefault(job, set()).add(sid)
+        for job, _task, sid, _spans in run.collector.executions():
+            ran_on.setdefault(job, set()).add(sid)
         finished = [
             r for r in run.collector.records() if r.outcome.accepted and r.job in ran_on
         ]

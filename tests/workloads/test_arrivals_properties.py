@@ -10,7 +10,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
@@ -75,16 +75,26 @@ def test_diurnal_integrates_to_daily_volume(volume, day, amplitude, seed):
 
 
 @given(seed=seeds)
+@example(seed=8435)  # 5994 arrivals: 3.7 sigma low, outside the old rel=0.25
 @settings(max_examples=20, deadline=None)
 def test_mean_rate_matches_long_run_count(seed):
     """MMPP's sojourn-weighted mean_rate predicts the long-run count."""
-    proc = MMPPProcess(rates=(0.5, 8.0), sojourns=(20.0, 5.0))
+    rates, sojourns = (0.5, 8.0), (20.0, 5.0)
+    proc = MMPPProcess(rates=rates, sojourns=sojourns)
     rng = np.random.default_rng(seed)
     horizon = 4000.0
     times = proc.times(rng, 0.0, horizon)
     expected = proc.mean_rate() * horizon
-    # phase-sojourn randomness widens the spread beyond pure Poisson
-    assert times.size == pytest.approx(expected, rel=0.25)
+    # Phase-sojourn randomness widens the spread beyond pure Poisson. For
+    # two phases with exponential sojourns (leave rates q_i = 1/sojourn_i,
+    # stationary shares pi_i = q_j / (q_1 + q_2)) the long-run count variance
+    # is Var N(T) ~= T * (mean_rate + 2 pi_1 pi_2 (l_1 - l_2)^2 / (q_1 + q_2)):
+    # sigma ~= 544 here, against sqrt(8000) ~= 89 for Poisson. 6 sigma.
+    q1, q2 = 1.0 / sojourns[0], 1.0 / sojourns[1]
+    pi1, pi2 = q2 / (q1 + q2), q1 / (q1 + q2)
+    burst = 2.0 * pi1 * pi2 * (rates[0] - rates[1]) ** 2 / (q1 + q2)
+    sigma = np.sqrt(horizon * (proc.mean_rate() + burst))
+    assert times.size == pytest.approx(expected, abs=6.0 * sigma)
 
 
 @pytest.mark.parametrize(
