@@ -17,9 +17,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_e9_hotpath.py            # report
     PYTHONPATH=src python benchmarks/bench_e9_hotpath.py --check    # exit 1 below 0.9
-
-Under pytest (``pytest benchmarks/ --benchmark-only``) the pair runs once
-and the table lands in ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -100,19 +97,6 @@ def check_overhead(results: Dict[str, Dict[str, float]], obs_tolerance: float) -
         return 1
     print(f"obs ok: macro_obs at {ratio:.1%} of paired macro throughput (contract: >= {obs_tolerance:.0%})")
     return 0
-
-
-# -- pytest entry point -----------------------------------------------------
-
-
-def test_e9_hotpath(benchmark, emit):
-    from benchmarks.conftest import once
-
-    results = once(benchmark, measure, 1)
-    emit("e9_hotpath", render(results))
-    # sanity floor, not a perf gate: even a debug build clears this
-    assert results["macro"]["events_per_sec"] > 1_000
-    assert results["macro_obs"]["events_per_sec"] > 1_000
 
 
 def main(argv=None) -> int:

@@ -15,6 +15,5 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.9",
     install_requires=["numpy"],
-    extras_require={"bench": ["pytest", "pytest-benchmark"]},
     entry_points={"console_scripts": ["rtds=repro.cli:main"]},
 )

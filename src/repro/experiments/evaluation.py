@@ -15,8 +15,8 @@ row, which metrics make up each column — so E1–E5 cross the same cell
 runtime as E7/E10/E11: content-addressed keys (identical cells run once)
 and a :class:`~repro.errors.CampaignCellError` naming every failed cell
 instead of a mid-sweep traceback. Each returns plain dict-rows ready for
-:func:`repro.experiments.reporting.format_table`; the benchmark files wrap
-them with pytest-benchmark and print the tables.
+:func:`repro.experiments.reporting.format_table`; the ``rtds sweep-*``
+commands print them and ``tests/claims/`` asserts their shapes.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ used to fuse:
   :class:`CellResult` records in the same order — determinism is per cell
   (everything derives from ``config.seed``), so serial and parallel runs
   are bit-for-bit identical per seed (asserted by
-  ``benchmarks/bench_e8_scaling.py``).
+  ``tests/experiments/test_parallel.py``).
 * **persistence** — a :class:`ResultStore` directory holds one JSONL file
   per campaign (:class:`CampaignStore`). Records append as cells finish
   (flushed + fsynced, so a killed sweep loses at most the in-flight
@@ -549,7 +549,7 @@ def same_metrics(a: CellResult, b: CellResult) -> bool:
     ``mean_acs_size`` with no distributed acceptances) are NaN, and
     ``NaN != NaN``. Canonical JSON renders every NaN identically, giving
     the bit-for-bit comparison the serial-vs-parallel identity contract
-    needs (``benchmarks/bench_e8_scaling.py``).
+    needs (``tests/experiments/test_parallel.py``).
     """
     return json.dumps(a.metrics, sort_keys=True) == json.dumps(b.metrics, sort_keys=True)
 

@@ -26,6 +26,7 @@ replays an explicit job list (the service ≡ batch differential).
 from __future__ import annotations
 
 import gc
+import math
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -159,13 +160,14 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # the workload generator would refuse these too, but only after the
-        # network is built, and as a WorkloadError no CLI boundary expects
-        if not self.duration > 0:
-            raise ConfigError(f"duration must be > 0, got {self.duration}")
+        # network is built, and as a WorkloadError no CLI boundary expects;
+        # an infinite horizon or load would overflow arrival sizing
+        if not 0 < self.duration < math.inf:
+            raise ConfigError(f"duration must be > 0 and finite, got {self.duration}")
         if not self.laxity_factor > 0:
             raise ConfigError(f"laxity_factor must be > 0, got {self.laxity_factor}")
-        if not self.rho >= 0:
-            raise ConfigError(f"rho must be >= 0, got {self.rho}")
+        if not 0 <= self.rho < math.inf:
+            raise ConfigError(f"rho must be >= 0 and finite, got {self.rho}")
         # a zero interval would reschedule the hygiene tick at the same
         # instant forever; a negative drain margin would stop the run
         # before the last deadline

@@ -33,7 +33,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WorkloadError
 from repro.experiments.runner import ExperimentConfig
 from repro.obs.telemetry import current_rss_mb
 from repro.service.admission import AdmissionService
@@ -85,7 +85,10 @@ class SoakConfig:
         if self.sample_every < 1:
             raise ConfigError("sample_every must be >= 1")
         if self.arrival != "auto":
-            parse_arrival_spec(self.arrival)  # fail before building anything
+            try:
+                parse_arrival_spec(self.arrival)  # fail before building anything
+            except WorkloadError as err:
+                raise ConfigError(str(err)) from None
         if self.faults:
             self.fault_plan()  # fail before building anything
 

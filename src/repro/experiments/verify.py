@@ -13,7 +13,9 @@ of the protocol logic that scheduled it:
 5. every executed task took exactly ``c(t) / speed`` of wall-clock
    compute time on its host — the heterogeneity contract (§13 related
    machines): a hard-coded WCET anywhere between admission and execution
-   would surface here the moment speeds diverge from 1.0.
+   would surface here the moment speeds diverge from 1.0;
+6. the last chunk of every accepted job ended by that job's deadline —
+   the paper's guarantee itself.
 
 The audit reads what ran from the run's one per-task execution history —
 each job record's site and actual chunk spans per finished task
@@ -109,6 +111,13 @@ def verify_execution(result, check_transfer_delays: bool = True) -> List[str]:
                         f"site {where[k]} (speed {site_speed[where[k]]:g}) but "
                         f"c/speed = {expected:.6f}"
                     )
+            # 6. the guarantee: the job's last chunk ends by its deadline
+            end = max(window[k][1] for k in keys)
+            if end > rec.deadline + 1e-9:
+                issues.append(
+                    f"job {rec.job} ({rec.outcome.value}) missed its deadline: "
+                    f"last chunk ended {end:.6f} > deadline {rec.deadline:.6f}"
+                )
             for u, v in dag.edges:
                 ku, kv = (rec.job, u), (rec.job, v)
                 end_u = window[ku][1]

@@ -174,7 +174,7 @@ class FaultPlan:
     The default instance is the **zero plan**: installing it is a no-op and
     every result stays bit-for-bit identical to a run without faults (the
     acceptance contract of the subsystem; asserted by the tier-1 identity
-    tests and ``benchmarks/bench_e7_faults.py``).
+    tests and ``tests/claims/test_e7_faults.py``).
     """
 
     link_windows: Tuple[LinkDownWindow, ...] = ()
@@ -267,8 +267,8 @@ class FaultPlan:
         ``links``/``sites`` are churn event counts; ``downtime`` and
         ``horizon`` parameterize both churn specs. ``joins`` is the number
         of sites joining mid-run (``join_links`` edges each; ``horizon``
-        bounds the join times too). Unknown keys raise
-        :class:`~repro.errors.ConfigError`.
+        bounds the join times too). Unknown keys, and counts that are
+        negative or not whole, raise :class:`~repro.errors.ConfigError`.
         """
         fields: Dict[str, float] = {}
         for part in filter(None, (p.strip() for p in spec.split(","))):
@@ -286,6 +286,10 @@ class FaultPlan:
         unknown = set(fields) - known
         if unknown:
             raise ConfigError(f"unknown fault spec keys {sorted(unknown)}; known: {sorted(known)}")
+        for key in ("links", "sites", "joins", "join_links"):
+            count = fields.get(key, 0.0)
+            if not (count >= 0 and count.is_integer()):
+                raise ConfigError(f"fault spec {key} must be a whole count >= 0, got {count:g}")
         downtime = fields.get("downtime", 10.0)
         horizon = fields.get("horizon")
         churn = {}

@@ -9,7 +9,7 @@ Folds three sources into one :class:`FaultReport`:
 * the collector's ratios, so "guarantee ratio under churn" sits next to
   the damage that produced it.
 
-Used by ``benchmarks/bench_e7_faults.py`` and the ``--faults`` CLI path.
+Used by the ``--faults`` CLI path and the fault tests.
 """
 
 from __future__ import annotations

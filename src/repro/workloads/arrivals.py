@@ -152,8 +152,8 @@ class PoissonProcess:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise WorkloadError(f"poisson rate must be > 0, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise WorkloadError(f"poisson rate must be > 0 and finite, got {self.rate}")
 
     def mean_rate(self) -> float:
         """Long-run arrivals per time unit."""
@@ -194,10 +194,12 @@ class MMPPProcess:
                 f"mmpp needs >= 2 phases with one sojourn each, got rates="
                 f"{self.rates}, sojourns={self.sojourns}"
             )
-        if any(r < 0 for r in self.rates) or all(r == 0 for r in self.rates):
-            raise WorkloadError(f"mmpp rates must be >= 0 with one > 0, got {self.rates}")
-        if any(s <= 0 for s in self.sojourns):
-            raise WorkloadError(f"mmpp sojourns must be > 0, got {self.sojourns}")
+        if not all(0 <= r < math.inf for r in self.rates) or all(r == 0 for r in self.rates):
+            raise WorkloadError(
+                f"mmpp rates must be finite and >= 0 with one > 0, got {self.rates}"
+            )
+        if not all(0 < s < math.inf for s in self.sojourns):
+            raise WorkloadError(f"mmpp sojourns must be > 0 and finite, got {self.sojourns}")
 
     def mean_rate(self) -> float:
         """Sojourn-weighted mean rate (the long-run arrivals/time)."""
@@ -258,9 +260,9 @@ class DiurnalProcess:
     amplitude: float = 0.8
 
     def __post_init__(self) -> None:
-        if self.daily_volume <= 0 or self.day_length <= 0:
+        if not (0 < self.daily_volume < math.inf and 0 < self.day_length < math.inf):
             raise WorkloadError(
-                f"need daily_volume > 0 and day_length > 0, got "
+                f"need finite daily_volume > 0 and day_length > 0, got "
                 f"{self.daily_volume}, {self.day_length}"
             )
         if not 0.0 <= self.amplitude < 1.0:

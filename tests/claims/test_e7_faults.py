@@ -1,24 +1,16 @@
 """E7 — guarantee ratio under churn (beyond the paper's loss-less model).
 
-The paper assumes faithful loss-less links and faultless sites (§2); this
-bench measures what its protocol — hardened with ack timeouts,
-retransmission and lock leases (DESIGN.md "Fault model") — delivers when
-that assumption is dropped:
-
-* the guarantee ratio degrades **monotonically in expectation** as the
-  message-loss probability rises (more lost acks → more degraded phases →
-  fewer distributed acceptances);
-* an **all-zero fault plan is invisible**: bit-for-bit identical job
-  records to a run with no fault machinery installed at all;
-* everything is **deterministic** under a fixed seed, churn included.
+The paper assumes loss-less links and faultless sites (§2). Hardened
+with ack timeouts, retransmission and lock leases (DESIGN.md §6), the
+protocol's guarantee ratio degrades monotonically in expectation as
+message loss rises; an all-zero fault plan is bit-for-bit invisible; and
+churn is deterministic under a fixed seed.
 """
 
 from dataclasses import replace
 
-from benchmarks.conftest import once
 from repro.core.config import RTDSConfig
 from repro.experiments.campaign import sweep_fault_plans
-from repro.experiments.reporting import format_table
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.faults import ChurnSpec, FaultPlan, hardened
 
@@ -42,20 +34,9 @@ def _records(res):
     ]
 
 
-def test_e7_guarantee_vs_loss(benchmark, emit):
+def test_e7_guarantee_vs_loss():
     plans = [(f"loss={p:g}", FaultPlan(loss_prob=p, seed=1)) for p in LOSS_RATES]
-    rows = once(benchmark, sweep_fault_plans, BASE, plans, SEEDS)
-    emit(
-        "e7_guarantee_vs_loss",
-        format_table(
-            rows,
-            title=(
-                "E7 - guarantee ratio vs message-loss probability "
-                "(16 sites, hardened RTDS, 3 seeds)\n"
-                "expectation: GR degrades monotonically as loss rises"
-            ),
-        ),
-    )
+    rows = sweep_fault_plans(BASE, plans, SEEDS)
     grs = [row["GR"] for row in rows]
     # monotone-in-expectation: averaged over seeds, each step down in
     # reliability must not buy acceptance (tiny tolerance for CI noise)
@@ -68,22 +49,17 @@ def test_e7_guarantee_vs_loss(benchmark, emit):
     assert rows[-1]["retransmit"] > 0
 
 
-def test_e7_zero_plan_identity(benchmark):
+def test_e7_zero_plan_identity():
     """The acceptance contract: an all-zero plan changes nothing."""
-
-    def run_pair():
-        pristine = run_experiment(replace(BASE, faults=None))
-        zeroed = run_experiment(replace(BASE, faults=FaultPlan()))
-        return pristine, zeroed
-
-    pristine, zeroed = once(benchmark, run_pair)
+    pristine = run_experiment(replace(BASE, faults=None))
+    zeroed = run_experiment(replace(BASE, faults=FaultPlan()))
     assert zeroed.faults is None is pristine.faults
     assert _records(pristine) == _records(zeroed)
     assert pristine.summary.row() == zeroed.summary.row()
     assert pristine.network.stats.snapshot() == zeroed.network.stats.snapshot()
 
 
-def test_e7_churn_deterministic(benchmark, emit):
+def test_e7_churn_deterministic():
     """Full churn (flaps + partitions + loss + jitter) is reproducible."""
     plan = FaultPlan(
         loss_prob=0.05,
@@ -93,22 +69,8 @@ def test_e7_churn_deterministic(benchmark, emit):
         seed=2,
     )
     cfg = replace(BASE, faults=plan)
-
-    def run_pair():
-        return run_experiment(cfg), run_experiment(cfg)
-
-    a, b = once(benchmark, run_pair)
+    a, b = run_experiment(cfg), run_experiment(cfg)
     assert _records(a) == _records(b)
     assert a.faults.stats.row() == b.faults.stats.row()
     assert a.faults.link_windows == b.faults.link_windows
     assert a.faults.site_windows == b.faults.site_windows
-
-    from repro.metrics.faults import fault_report
-
-    emit(
-        "e7_churn_report",
-        format_table(
-            fault_report(a).rows(),
-            title="E7b - full-churn damage report (deterministic, seed 7/plan 2)",
-        ),
-    )

@@ -1,12 +1,14 @@
 """Exact reproduction of the paper's worked example (THE key tests).
 
 Table 1, Figures 3 and 4 of the paper must come out *exactly* — these are
-the quantitative artifacts the paper publishes.
+the quantitative artifacts the paper publishes. Figure 1, the protocol
+flow chart, is checked live: its stages occur in the drawn order.
 """
 
 import pytest
 
 from repro.core.adjustment import schedule_sstar
+from repro.core.events import JobOutcome
 from repro.experiments.paper_example import (
     PAPER_DEADLINE,
     PAPER_FIG3,
@@ -16,8 +18,47 @@ from repro.experiments.paper_example import (
     fig4_schedule,
     paper_example_adjusted,
     paper_example_trial_mapping,
+    run_fig1_scenario,
     table1_rows,
 )
+
+
+class TestFigure1:
+    #: the flow chart's externally observable steps, in order
+    EXPECTED_ORDER = [
+        "job.arrival",
+        "job.local_reject",   # §5 local test fails
+        "acs.enroll",         # §8 ACS construction starts
+        "acs.enrolled",       # members lock + report surplus
+        "map.done",           # §9/§12 trial-mapping + §12.2 adjustment
+        "validate.member",    # §10 local satisfiability at members
+        "validate.ok",        # §10 maximum coupling -> permutation
+        "job.decision",
+        "execute.commit",     # §11 distributed execution
+    ]
+
+    @pytest.fixture(scope="class")
+    def fig1(self):
+        return run_fig1_scenario()
+
+    def test_protocol_stages_in_order(self, fig1):
+        tracer, metrics, jid = fig1
+        cats = [e.category for e in tracer.for_job(jid)]
+        # every expected stage occurs, in order (first occurrences)
+        last = -1
+        for want in self.EXPECTED_ORDER:
+            assert want in cats, f"protocol stage {want} missing"
+            idx = cats.index(want)
+            assert idx > last, f"stage {want} out of order in {cats}"
+            last = idx
+        rec = metrics.jobs[jid]
+        assert rec.outcome is JobOutcome.ACCEPTED_DISTRIBUTED
+        assert rec.met_deadline is True
+
+    def test_all_locks_released(self, fig1):
+        """Both jobs are decided: no site still holds a lock for one."""
+        _, metrics, _ = fig1
+        assert all(r.outcome is not JobOutcome.PENDING for r in metrics.records())
 
 
 class TestFigure3:

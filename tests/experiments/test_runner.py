@@ -52,12 +52,19 @@ class TestRunner:
 
     @pytest.mark.parametrize(
         "change",
-        [{"hygiene_interval": 0.0}, {"hygiene_interval": -1.0}, {"drain_margin": -100.0}],
+        [
+            {"hygiene_interval": 0.0},
+            {"hygiene_interval": -1.0},
+            {"drain_margin": -100.0},
+            pytest.param({"rho": float("inf")}, id="rho-inf"),
+            pytest.param({"duration": float("inf")}, id="duration-inf"),
+        ],
     )
     def test_bad_run_horizon_rejected_at_construction(self, change):
         """A zero hygiene interval would reschedule its tick at one instant
-        forever, a negative one fails only once the network is built, and
-        a negative drain margin stops the run before the last deadline."""
+        forever, a negative one fails only once the network is built, a
+        negative drain margin stops the run before the last deadline, and
+        an infinite load or duration overflows the arrival sizing."""
         with pytest.raises(ConfigError, match=next(iter(change))):
             replace(SMALL, **change)
 

@@ -139,6 +139,16 @@ class TestAuditMutations:
         _shift(rec, v, ends[u] - 1.0 - starts[v])
         assert any(f"job {rec.job}: edge {u}->{v} violated" in i for i in verify_execution(res))
 
+    def test_accepted_job_past_its_deadline(self, res):
+        rec = next(r for r in res.collector.records() if r.outcome.accepted)
+        last = max(rec.completions.items(), key=lambda kv: kv[1])[0]
+        # after everything else: no overlap, no successor, only the deadline
+        _shift(rec, last, 1e6)
+        assert verify_execution(res) == [
+            f"job {rec.job} ({rec.outcome.value}) missed its deadline: "
+            f"last chunk ended {rec.completion_time:.6f} > deadline {rec.deadline:.6f}"
+        ]
+
     def test_task_of_a_rejected_job(self, res):
         dags = {spec.job: spec.dag for spec in res.workload}
         rec = next(r for r in res.collector.records() if not r.outcome.accepted)

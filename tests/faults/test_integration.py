@@ -1,7 +1,7 @@
 """End-to-end fault runs: zero-plan identity, hardened survival, reporting.
 
-These are the tier-1 versions of the acceptance criteria that
-``benchmarks/bench_e7_faults.py`` measures at benchmark scale.
+These are the small-cell versions of the acceptance criteria that
+``tests/claims/test_e7_faults.py`` asserts on the E7 cells.
 """
 
 from dataclasses import replace

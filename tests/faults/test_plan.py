@@ -95,7 +95,16 @@ class TestSpecParsing:
     def test_empty_spec_is_zero(self):
         assert FaultPlan.from_spec("").is_zero()
 
-    @pytest.mark.parametrize("spec", ["loss", "loss=abc", "bogus=1"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "loss", "loss=abc", "bogus=1",
+            # churn counts are whole and >= 0 (else -1 would read as no
+            # churn, and 2.7 as 2)
+            "links=-1", "sites=-2", "links=2.7", "joins=-1", "joins=1.5",
+            "joins=1,join_links=-1", "joins=1,join_links=2.5", "sites=inf",
+        ],
+    )
     def test_bad_specs(self, spec):
         with pytest.raises(ConfigError):
             FaultPlan.from_spec(spec)

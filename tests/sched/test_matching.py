@@ -58,6 +58,14 @@ class TestHopcroftKarp:
         check_valid(adj, m)
         assert len(m) == maximum_matching_bruteforce(adj)
 
+    def test_dense_random_is_near_perfect(self):
+        """64 left vertices, 8 random right neighbours each out of 64."""
+        rng = np.random.default_rng(3)
+        adj = {l: [int(r) for r in rng.choice(64, size=8, replace=False)] for l in range(64)}
+        m = hopcroft_karp(adj)
+        check_valid(adj, m)
+        assert len(m) > 48
+
     def test_matches_networkx(self):
         import networkx as nx
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.api import ChaosConfig
 from repro.cli import main
+from repro.errors import ConfigError
 
 
 def run_cli(capsys, *args):
@@ -175,6 +177,14 @@ class TestErrorBoundary:
             (["run", "--laxity", "0"], "laxity_factor must be > 0"),
             (["run", "--rho", "-1"], "rho must be >= 0"),
             (["run", "--sites", "1"], "--sites must be >= 2"),
+            # one malformed or non-finite spec per arrival family
+            (["soak", "--arrival", "poisson:-3"], "poisson rate must be > 0"),
+            (["soak", "--arrival", "poisson:nan"], "poisson rate must be > 0"),
+            (["soak", "--arrival", "mmpp:1,inf@5,5"], "mmpp rates must be finite"),
+            (["soak", "--arrival", "mmpp:1,2"], "mmpp spec needs RATES@SOJOURNS"),
+            (["soak", "--arrival", "diurnal:nan@24"], "need finite daily_volume"),
+            (["soak", "--arrival", "diurnal:500@100@x"], "malformed arrival spec"),
+            (["soak", "--arrival", "warp:9"], "unknown arrival process 'warp'"),
         ],
     )
     def test_config_errors_exit_2_with_one_line(self, capsys, argv, needle):
@@ -185,6 +195,11 @@ class TestErrorBoundary:
         (line,) = captured.err.strip().splitlines()
         assert line.startswith("error: ") and needle in line
         assert "Traceback" not in captured.err
+
+    def test_chaos_refuses_a_bad_arrival_spec_by_name(self):
+        """A chaos soak's arrival spec goes through the soak's check."""
+        with pytest.raises(ConfigError, match="poisson rate must be > 0"):
+            ChaosConfig(arrival="poisson:nan")
 
     def test_failing_cell_in_a_storeless_sweep_is_named(self, capsys, monkeypatch):
         import repro.experiments.parallel as par

@@ -1,7 +1,8 @@
 """Documentation integrity: the docs reference real things.
 
 DESIGN.md's experiment index and EXPERIMENTS.md's regeneration pointers
-must name bench files that exist; README's example table must name real
+must name claim tests and bench files that exist, and every claim test
+must be named; README's example table must name real
 scripts; the paper-identity check must be present (the reproduction brief
 requires it at the top of DESIGN.md).
 """
@@ -12,6 +13,8 @@ import re
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+#: the paper's shape claims, one test file per experiment
+CLAIMS = sorted(p.name for p in (ROOT / "tests" / "claims").glob("test_*.py"))
 
 
 def read(name: str) -> str:
@@ -37,6 +40,8 @@ class TestDesignMd:
         text = read("DESIGN.md")
         for name in set(re.findall(r"benchmarks/(bench_\w+\.py)", text)):
             assert (ROOT / "benchmarks" / name).exists(), name
+        named = set(re.findall(r"tests/claims/(test_\w+\.py)", text))
+        assert named == set(CLAIMS), f"DESIGN.md names {sorted(named)}; tests/claims: {CLAIMS}"
 
     def test_referenced_modules_exist(self):
         text = read("DESIGN.md")
@@ -160,14 +165,16 @@ class TestDesignMd:
             "last record per key",
         ):
             assert concept.lower() in lower, f"DESIGN.md must document {concept!r}"
-        assert "bench_e8_scaling.py" in text
+        assert "test_parallel.py" in text and "E8 pool speedup" in text
 
 
 class TestExperimentsMd:
-    def test_every_artifact_has_a_bench(self):
+    def test_every_artifact_names_an_existing_gate(self):
         text = read("EXPERIMENTS.md")
         for name in set(re.findall(r"`(bench_\w+\.py)`", text)):
             assert (ROOT / "benchmarks" / name).exists(), name
+        named = set(re.findall(r"`tests/claims/(test_\w+\.py)`", text))
+        assert named == set(CLAIMS), f"EXPERIMENTS.md names {sorted(named)}; tests/claims: {CLAIMS}"
 
     def test_paper_numbers_present(self):
         text = read("EXPERIMENTS.md")
@@ -189,9 +196,14 @@ class TestExperimentsMd:
         # the campaign-runtime flags are shown in anger, not just described
         assert "--jobs" in text and "--store" in text and "--resume" in text
 
-    def test_e8_links_its_bench(self):
-        text = read("EXPERIMENTS.md")
-        assert "bench_e8_scaling.py" in text
+    def test_e8_links_its_gates(self):
+        """E8 names its tier-1 tests and the nightly speedup step, which
+        must exist under that name."""
+        text = section("EXPERIMENTS.md", "### E8 —")
+        assert "test_parallel.py" in text
+        assert "test_serial_pool_identity" in text and "test_store_skips_completed" in text
+        assert "E8 pool speedup" in text
+        assert "name: E8 pool speedup" in read(".github/workflows/nightly.yml")
 
     def test_e10_entry_names_gate_and_cli(self):
         """E10 must name its e2e workload, its tests and the campaign CLI."""
@@ -276,7 +288,7 @@ class TestReadme:
     def test_install_commands_present(self):
         text = read("README.md")
         assert "pip install -e ." in text
-        assert "pytest benchmarks/ --benchmark-only" in text
+        assert "pytest -q tests/claims" in text
 
     def test_cli_reference_covers_every_subcommand(self):
         """The README CLI table must track the real parser."""
