@@ -44,7 +44,7 @@ class SchedulerSite(SiteBase):
     ) -> None:
         super().__init__(sid, network, mgmt_overhead, speed=speed)
         self.metrics = metrics
-        self.plan = SchedulingPlan(sid, surplus_window, speed=speed, obs=self.obs)
+        self.plan = SchedulingPlan(sid, surplus_window, obs=self.obs)
         self.executor = PlanExecutor(network.sim, self.plan)
         if metrics is not None and hasattr(metrics, "on_task_complete"):
             self.executor.on_complete.append(metrics.on_task_complete)

@@ -104,9 +104,6 @@ class TrialMapping:
         ts.sort(key=lambda t: (self.start[t], repr(t)))
         return ts
 
-    def proc_spec(self, proc: LogicalProc) -> LogicalProcSpec:
-        return self.procs[proc]
-
     def comm_delay(self, pred: TaskId, succ: TaskId) -> Time:
         """ω(p(t_pred), p(t_succ)): the ACS diameter if the tasks sit on
         different logical processors, 0 otherwise (§12)."""

@@ -340,10 +340,6 @@ class CampaignStore:
                 out[res.key] = res
         return out
 
-    def completed_keys(self) -> set:
-        """Keys whose latest record ran to completion (resume skips these)."""
-        return {k for k, r in self.load().items() if r.ok}
-
     def failed(self) -> List[CellResult]:
         """Latest-record failures — the cells a resume will retry."""
         return [r for r in self.load().values() if not r.ok]

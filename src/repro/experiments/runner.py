@@ -161,11 +161,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # the workload generator would refuse these too, but only after the
         # network is built, and as a WorkloadError no CLI boundary expects;
-        # an infinite horizon or load would overflow arrival sizing
+        # an infinite horizon or load would overflow arrival sizing, and
+        # an infinite laxity would give every job an infinite deadline
         if not 0 < self.duration < math.inf:
             raise ConfigError(f"duration must be > 0 and finite, got {self.duration}")
-        if not self.laxity_factor > 0:
-            raise ConfigError(f"laxity_factor must be > 0, got {self.laxity_factor}")
+        if not 0 < self.laxity_factor < math.inf:
+            raise ConfigError(f"laxity_factor must be > 0 and finite, got {self.laxity_factor}")
         if not 0 <= self.rho < math.inf:
             raise ConfigError(f"rho must be >= 0 and finite, got {self.rho}")
         # a zero interval would reschedule the hygiene tick at the same
@@ -258,16 +259,6 @@ class RunResult:
     #: the resident network the run executed on — survivability state
     #: (membership manager, injector) hangs off it
     resident: Optional[Any] = None
-
-    def site_utilizations(self, start: float, end: float) -> Dict[int, float]:
-        """Per-site compute utilization over the window ``[start, end]``:
-        the share of it each site spent running chunks, from the collector's
-        execution history (sites keep one surplus window of their own)."""
-        busy = dict.fromkeys(self.network.sites, 0.0)
-        if end > start:
-            for _job, _task, sid, spans in self.collector.executions():
-                busy[sid] += sum(max(0.0, min(e, end) - max(s, start)) for s, e in spans)
-        return {sid: b / (end - start) if end > start else 0.0 for sid, b in busy.items()}
 
     def scalar_metrics(self) -> Dict[str, float]:
         """Every numeric summary field as a plain JSON-able dict.

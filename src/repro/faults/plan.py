@@ -34,6 +34,7 @@ contract the injector relies on: a zero plan must never perturb a run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -103,10 +104,14 @@ class ChurnSpec:
     def __post_init__(self) -> None:
         if self.n_events < 0:
             raise ConfigError(f"churn n_events must be >= 0, got {self.n_events}")
-        if self.mean_downtime <= 0:
-            raise ConfigError(f"churn mean_downtime must be > 0, got {self.mean_downtime}")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ConfigError(f"churn horizon must be > 0, got {self.horizon}")
+        # a NaN window length corrupts the event heap; an infinite
+        # horizon overflows the uniform draw of the window starts
+        if not 0 < self.mean_downtime < math.inf:
+            raise ConfigError(
+                f"churn mean_downtime must be > 0 and finite, got {self.mean_downtime}"
+            )
+        if self.horizon is not None and not 0 < self.horizon < math.inf:
+            raise ConfigError(f"churn horizon must be > 0 and finite, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -135,8 +140,8 @@ class JoinSpec:
         lo, hi = self.delay_range
         if lo <= 0 or hi < lo:
             raise ConfigError(f"join delay_range must be 0 < lo <= hi, got {self.delay_range}")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ConfigError(f"join horizon must be > 0, got {self.horizon}")
+        if self.horizon is not None and not 0 < self.horizon < math.inf:
+            raise ConfigError(f"join horizon must be > 0 and finite, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -202,8 +207,8 @@ class FaultPlan:
         for key, p in self.link_loss:
             if not 0.0 <= p < 1.0:
                 raise ConfigError(f"link_loss[{key}] must be in [0, 1), got {p}")
-        if self.delay_jitter < 0:
-            raise ConfigError(f"delay_jitter must be >= 0, got {self.delay_jitter}")
+        if not 0 <= self.delay_jitter < math.inf:
+            raise ConfigError(f"delay_jitter must be >= 0 and finite, got {self.delay_jitter}")
 
     # -- classification -----------------------------------------------------
 
@@ -267,8 +272,10 @@ class FaultPlan:
         ``links``/``sites`` are churn event counts; ``downtime`` and
         ``horizon`` parameterize both churn specs. ``joins`` is the number
         of sites joining mid-run (``join_links`` edges each; ``horizon``
-        bounds the join times too). Unknown keys, and counts that are
-        negative or not whole, raise :class:`~repro.errors.ConfigError`.
+        bounds the join times too). Two rules hold for the values: every
+        number the plan uses must be finite, and the counts and ``seed``
+        must be whole numbers >= 0. Unknown keys and values that break a
+        rule raise :class:`~repro.errors.ConfigError`.
         """
         fields: Dict[str, float] = {}
         for part in filter(None, (p.strip() for p in spec.split(","))):
@@ -286,10 +293,10 @@ class FaultPlan:
         unknown = set(fields) - known
         if unknown:
             raise ConfigError(f"unknown fault spec keys {sorted(unknown)}; known: {sorted(known)}")
-        for key in ("links", "sites", "joins", "join_links"):
+        for key in ("links", "sites", "joins", "join_links", "seed"):
             count = fields.get(key, 0.0)
             if not (count >= 0 and count.is_integer()):
-                raise ConfigError(f"fault spec {key} must be a whole count >= 0, got {count:g}")
+                raise ConfigError(f"fault spec {key} must be a whole number >= 0, got {count:g}")
         downtime = fields.get("downtime", 10.0)
         horizon = fields.get("horizon")
         churn = {}

@@ -321,18 +321,6 @@ def _raise_first_bad_edge(task_map: Mapping[TaskId, int], edges: List) -> None:
         seen.add((u, v))
 
 
-def ancestors(dag: Dag, tid: TaskId) -> frozenset:
-    """All transitive predecessors of ``tid`` (excluding itself)."""
-    seen = set()
-    stack = list(dag.predecessors(tid))
-    while stack:
-        u = stack.pop()
-        if u not in seen:
-            seen.add(u)
-            stack.extend(dag.predecessors(u))
-    return frozenset(seen)
-
-
 def descendants(dag: Dag, tid: TaskId) -> frozenset:
     """All transitive successors of ``tid`` (excluding itself)."""
     seen = set()

@@ -7,7 +7,6 @@ DAG to a dict both sizes those messages realistically (see
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict
 
 from repro.errors import DagError
@@ -47,16 +46,6 @@ def dag_from_dict(data: Dict[str, Any]) -> Dag:
     except (KeyError, TypeError, ValueError) as exc:
         raise DagError(f"malformed DAG dict: {exc}") from exc
     return Dag(tasks, edges, name=name)
-
-
-def dag_to_json(dag: Dag) -> str:
-    """Serialize to a compact JSON string."""
-    return json.dumps(dag_to_dict(dag), separators=(",", ":"))
-
-
-def dag_from_json(text: str) -> Dag:
-    """Parse a DAG from :func:`dag_to_json` output."""
-    return dag_from_dict(json.loads(text))
 
 
 def estimate_code_size(dag: Dag, units_per_task: float = 4.0) -> float:

@@ -69,16 +69,6 @@ def hop_bounded_distances(
     return {d: (prev[d], bfs[d]) for d in prev}
 
 
-def eccentricity(adj: Adjacency, src: SiteId) -> Time:
-    """Max shortest-path delay from ``src`` to any reachable site."""
-    return max(dijkstra(adj, src).values())
-
-
-def delay_diameter(adj: Adjacency) -> Time:
-    """Max pairwise shortest-path delay (oracle network diameter)."""
-    return max(eccentricity(adj, s) for s in adj)
-
-
 def route_stretch(
     adj: Adjacency, known: Mapping[SiteId, Mapping[SiteId, Time]]
 ) -> Dict[str, float]:

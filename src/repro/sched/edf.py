@@ -54,13 +54,3 @@ def demand_bound_satisfied(
             if need > have + EPS:
                 return False
     return True
-
-
-def utilization(tasks: Sequence[WindowTask]) -> float:
-    """Total work divided by the span of the task windows (diagnostics)."""
-    if not tasks:
-        return 0.0
-    span = max(t.deadline for t in tasks) - min(t.release for t in tasks)
-    if span <= EPS:
-        return float("inf")
-    return sum(t.duration for t in tasks) / span

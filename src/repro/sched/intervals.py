@@ -165,11 +165,6 @@ class BusyTimeline:
             i += 1
         return total
 
-    def busy_time(self, start: Time, end: Time) -> Time:
-        if end <= start + EPS:
-            return 0.0
-        return (end - start) - self.idle_time(start, end)
-
     def _tail_start(self, cutoff: Optional[Time]) -> int:
         """Index of the first interval with ``end > cutoff + EPS``.
 
@@ -226,11 +221,6 @@ class BusyTimeline:
             return self._items[i - 1]
         return None
 
-    def next_start_after(self, time: Time) -> Optional[Time]:
-        """Start of the first reservation beginning after ``time``."""
-        i = bisect_right(self._starts, time + EPS)
-        return self._items[i].start if i < len(self._items) else None
-
     # -- mutation ------------------------------------------------------------
 
     def reserve(self, res: Reservation) -> None:
@@ -278,18 +268,6 @@ class BusyTimeline:
         raise SchedulingError(
             f"reservation {res.job}/{res.task!r} [{res.start}, {res.end}) not present"
         )
-
-    def release_key(self, job: JobId, task: Optional[TaskId] = None) -> int:
-        """Remove reservations of ``job`` (optionally one task). Returns count."""
-        removed = 0
-        for i in range(len(self._items) - 1, -1, -1):
-            r = self._items[i]
-            if r.job == job and (task is None or r.task == task):
-                del self._items[i]
-                del self._starts[i]
-                del self._ends[i]
-                removed += 1
-        return removed
 
     def prune_before(self, time: Time) -> int:
         """Drop reservations that end at or before ``time`` (history) —

@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from repro.errors import SchedulingError
 from repro.sched.intervals import BusyTimeline, Reservation
-from repro.types import EPS, SiteId, Time
+from repro.types import SiteId, Time
 
 
 class SchedulingPlan:
@@ -27,11 +27,6 @@ class SchedulingPlan:
         Owning site id (diagnostics only).
     surplus_window:
         Length ``W`` of the observation window for surplus computation.
-    speed:
-        Computing power of the owning site (§13 heterogeneous sites).
-        Reservations are committed already scaled to wall-clock time
-        (``c / speed``), so the timeline itself is speed-agnostic; the
-        speed is carried for diagnostics.
     obs:
         Optional :class:`repro.obs.Telemetry`: commit/surplus accounting
         samples land there when it is enabled. ``None`` (the default)
@@ -43,15 +38,11 @@ class SchedulingPlan:
         self,
         site: SiteId,
         surplus_window: Time = 200.0,
-        speed: float = 1.0,
         obs=None,
     ) -> None:
         if surplus_window <= 0:
             raise SchedulingError(f"surplus_window must be > 0, got {surplus_window}")
-        if speed <= 0:
-            raise SchedulingError(f"speed must be > 0, got {speed}")
         self.site = site
-        self.speed = speed
         self.surplus_window = surplus_window
         self.timeline = BusyTimeline()
         self._obs = obs
@@ -120,14 +111,6 @@ class SchedulingPlan:
         return n
 
     # -- queries ------------------------------------------------------------------
-
-    def load_between(self, start: Time, end: Time) -> float:
-        """Busy fraction of [start, end) as the plan still books it — only
-        the last surplus window of finished work is kept (whole-run
-        utilisation: :meth:`~repro.experiments.runner.RunResult.site_utilizations`)."""
-        if end <= start + EPS:
-            return 0.0
-        return self.timeline.busy_time(start, end) / (end - start)
 
     #: visible tails at or below this many reservations digest by value
     #: (cross-site sharing); longer ones digest by (site, version) — O(1)

@@ -10,9 +10,7 @@ feeds it an open-loop stream instead:
   feed jobs, advance simulated time, drain, audit leaks, fold metrics;
 * :mod:`repro.service.admission` — :class:`AdmissionService`, the asyncio
   frontend: bounded-queue backpressure, admission/rejection counters,
-  decision tickets, graceful drain;
-* :mod:`repro.service.http` — an optional stdlib-only HTTP/JSON frontend
-  (``POST /jobs``, ``GET /stats``, ``POST /drain``).
+  decision tickets, graceful drain.
 
 Identity contract: a stream of jobs pushed through the service produces
 the **identical** schedule (and ``scalar_metrics``) as the same jobs

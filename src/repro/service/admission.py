@@ -24,7 +24,7 @@ submissions from any number of producers and pumps them into one
   watches the acceptance rate over a sliding window of decisions; while
   it sits below the floor, :meth:`submit_nowait` sheds instead of
   queueing (counted, plus ``service.degraded.*`` obs and a
-  ``service.degraded`` gauge). ``GET /health`` reports it as 503.
+  ``service.degraded`` gauge).
 * **Graceful drain** — :meth:`drain` stops intake, pumps what's queued,
   advances the resident past the last deadline and resolves leftover
   tickets. ``async with`` does start/drain automatically.
@@ -72,9 +72,6 @@ class ServiceStats:
     shed_degraded: int = 0
     #: times the windowed guarantee ratio fell below the degraded floor
     degraded_entered: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
 
 
 class AdmissionService:
@@ -219,11 +216,6 @@ class AdmissionService:
     @property
     def queue_depth(self) -> int:
         return self._queue.qsize()
-
-    @property
-    def draining(self) -> bool:
-        """True once :meth:`drain` has started; submissions are refused."""
-        return self._closed
 
     @property
     def degraded(self) -> bool:

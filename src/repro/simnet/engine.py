@@ -280,11 +280,3 @@ class Simulator:
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued. O(1)."""
         return self._live
-
-    def peek_next_time(self) -> Optional[Time]:
-        """Time of the next live event, or None if the heap is empty."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-            self._dead -= 1
-        return heap[0][0] if heap else None

@@ -497,9 +497,5 @@ def build_network(
         net.add_link(u, v, d, throughput)
     if topo.site_speeds is not None:
         for sid in range(topo.n):
-            site = net.site(sid)
-            site.speed = topo.site_speeds[sid]
-            plan = getattr(site, "plan", None)
-            if plan is not None:
-                plan.speed = site.speed
+            net.site(sid).speed = topo.site_speeds[sid]
     return net

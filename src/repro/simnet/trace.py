@@ -168,13 +168,6 @@ class MessageStats:
         """Plain dict copy of per-type counts (stable for assertions)."""
         return dict(self.count)
 
-    def subtract(self, earlier: "MessageStats") -> Dict[str, int]:
-        """Per-type deltas since an earlier snapshot-ed instance."""
-        return {
-            k: self.count[k] - earlier.count.get(k, 0)
-            for k in set(self.count) | set(earlier.count)
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{k}={v}" for k, v in sorted(self.count.items()))
         return f"MessageStats(total={self.total}, {parts})"

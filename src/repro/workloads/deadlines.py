@@ -54,11 +54,3 @@ def assign_deadline(
         factor *= float(rng.uniform(1.0 - jitter, 1.0 + jitter))
     cp = critical_path_length(dag) / reference_speed
     return arrival + factor * cp
-
-
-def tightness(dag: Dag, arrival: Time, deadline: Time) -> float:
-    """Inverse laxity factor of an assigned deadline (diagnostics)."""
-    cp = critical_path_length(dag)
-    if cp <= 0:
-        raise WorkloadError("degenerate DAG with zero critical path")
-    return (deadline - arrival) / cp

@@ -30,10 +30,6 @@ class JobSpec:
                 f"job {self.job}: deadline {self.deadline} <= arrival {self.arrival}"
             )
 
-    @property
-    def relative_deadline(self) -> Time:
-        return self.deadline - self.arrival
-
 
 @dataclass
 class Workload:
@@ -59,8 +55,3 @@ class Workload:
 
     def total_work(self) -> float:
         return sum(j.dag.total_complexity() for j in self.jobs)
-
-    def mean_tasks(self) -> float:
-        if not self.jobs:
-            return 0.0
-        return sum(len(j.dag) for j in self.jobs) / len(self.jobs)

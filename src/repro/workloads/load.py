@@ -54,11 +54,6 @@ def calibrate_rate(
     return rho * cap / mean_work
 
 
-def expected_jobs(rho: float, mean_work: float, capacities: Sequence[float], duration: float) -> float:
-    """Expected number of arrivals over ``duration`` at load ``rho``."""
-    return calibrate_rate(rho, mean_work, capacities) * duration
-
-
 def pilot_rate(
     rho: float,
     dag_factory: Callable[[np.random.Generator], Dag],

@@ -62,8 +62,3 @@ class TestTrialMapping:
         tm.finish[5] = 10.0
         with pytest.raises(MappingError):
             tm.validate_consistency()
-
-    def test_proc_spec_lookup(self):
-        tm = paper_tm()
-        assert tm.proc_spec(0).surplus == 0.5
-        assert tm.proc_spec(1).surplus == 0.4

@@ -208,13 +208,12 @@ class TestStore:
         store.append(CellResult("k1", "local", 0, "local", "ok", metrics={"GR": 1.0}))
         loaded = store.load()
         assert loaded["k1"].ok
-        assert store.completed_keys() == {"k1"}
         assert store.failed() == []
 
     def test_failed_cells_not_completed(self, tmp_path):
         store = CampaignStore(tmp_path / "c.jsonl")
         store.append(CellResult("k1", "local", 0, "local", "failed", error="x"))
-        assert store.completed_keys() == set()
+        assert not store.load()["k1"].ok
         assert [r.key for r in store.failed()] == ["k1"]
 
     def test_torn_tail_tolerated(self, tmp_path):

@@ -109,13 +109,6 @@ class TestRunner:
         assert res.summary.n_jobs > 0
         assert res.summary.n_missed == 0 or res.summary.effective_ratio > 0.5
 
-    def test_site_utilizations(self):
-        res = run_experiment(replace(SMALL, algorithm="rtds"))
-        utils = res.site_utilizations(res.setup_time, res.setup_time + 100.0)
-        assert len(utils) == 8
-        assert all(0.0 <= u <= 1.0 for u in utils.values())
-
-
 class TestSweeps:
     def test_sweep_load_rows(self):
         rows = sweep_load(SMALL, ["rtds", "local"], [0.3, 0.8])

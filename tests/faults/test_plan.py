@@ -103,6 +103,8 @@ class TestSpecParsing:
             # churn, and 2.7 as 2)
             "links=-1", "sites=-2", "links=2.7", "joins=-1", "joins=1.5",
             "joins=1,join_links=-1", "joins=1,join_links=2.5", "sites=inf",
+            # numbers must be finite, and the seed whole (2.7 read as 2)
+            "sites=1,downtime=nan", "sites=1,horizon=inf", "jitter=inf", "seed=2.7",
         ],
     )
     def test_bad_specs(self, spec):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CycleError, DagError
-from repro.graphs.dag import Dag, Task, ancestors, descendants
+from repro.graphs.dag import Dag, Task, descendants
 from repro.graphs.generators import paper_example_dag
 
 
@@ -192,11 +192,6 @@ class TestPaperDag:
 
 
 class TestTransitive:
-    def test_ancestors(self):
-        d = make_diamond()
-        assert ancestors(d, "d") == {"a", "b", "c"}
-        assert ancestors(d, "a") == frozenset()
-
     def test_descendants(self):
         d = make_diamond()
         assert descendants(d, "a") == {"b", "c", "d"}

@@ -13,7 +13,7 @@ from repro.graphs.analysis import (
 )
 from repro.graphs.dag import Dag
 from repro.graphs.generators import layered_dag, random_dag
-from repro.graphs.serialization import dag_from_json, dag_to_json
+from repro.graphs.serialization import dag_from_dict, dag_to_dict
 
 
 @st.composite
@@ -71,7 +71,7 @@ def _assert_roundtrip_equal(dag: Dag) -> None:
     """What a receiving site schedules must be the graph that was sent:
     same insertion order, successor tuples, topological order and total
     work (an insertion-order sum, so a reordering moves its last bits)."""
-    d2 = dag_from_json(dag_to_json(dag))
+    d2 = dag_from_dict(dag_to_dict(dag))
     assert d2.edges == dag.edges
     assert list(d2.tasks.items()) == list(dag.tasks.items())
     assert [d2.successors(t) for t in d2.tasks] == [dag.successors(t) for t in dag.tasks]

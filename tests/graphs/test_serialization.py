@@ -7,9 +7,7 @@ from repro.graphs.dag import Dag, Task
 from repro.graphs.generators import layered_dag, paper_example_dag
 from repro.graphs.serialization import (
     dag_from_dict,
-    dag_from_json,
     dag_to_dict,
-    dag_to_json,
     estimate_code_size,
 )
 
@@ -21,12 +19,6 @@ class TestRoundtrip:
         assert d2.edges == d.edges
         assert [d2.complexity(t) for t in d2] == [d.complexity(t) for t in d]
         assert d2.name == d.name
-
-    def test_json_roundtrip(self):
-        d = layered_dag(3, 3)
-        d2 = dag_from_json(dag_to_json(d))
-        assert d2.edges == d.edges
-        assert len(d2) == len(d)
 
     def test_data_volume_preserved(self):
         d = Dag([Task(0, 1.0, data_volume=7.5), Task(1, 2.0)], [(0, 1)])

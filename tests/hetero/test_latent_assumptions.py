@@ -9,8 +9,6 @@ uses that bypassed (or silently assumed away) the speed scaling:
   (surplus × speed), not raw idle fraction;
 * deadline assignment exposes its unit-speed critical-path normalisation
   as an explicit ``reference_speed`` instead of a buried constant;
-* a plan books wall-clock time (``c / speed`` already), so its busy
-  fraction reads the same on a fast and a slow site;
 * the protocol-phase spans stay well-defined on heterogeneous runs.
 """
 
@@ -19,8 +17,6 @@ import pytest
 
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.experiments.verify import assert_sound, verify_execution
-from repro.sched.plan import SchedulingPlan
-from repro.sched.intervals import Reservation
 from repro.workloads.deadlines import assign_deadline
 from repro.graphs.generators import linear_chain_dag
 
@@ -90,22 +86,6 @@ class TestDeadlineReferenceSpeed:
         dag = linear_chain_dag(3, np.random.default_rng(0))
         with pytest.raises(WorkloadError):
             assign_deadline(dag, 0.0, 2.0, reference_speed=0.0)
-
-
-class TestPlanWorkAccounting:
-    def test_load_between_is_speed_agnostic(self):
-        fast = SchedulingPlan(0, surplus_window=100.0, speed=2.0)
-        slow = SchedulingPlan(1, surplus_window=100.0, speed=0.5)
-        for plan in (fast, slow):
-            plan.commit([Reservation(0.0, 10.0, 1, "t")])
-        assert fast.load_between(0.0, 10.0) == slow.load_between(0.0, 10.0) == 1.0
-        assert fast.load_between(5.0, 5.0) == 0.0
-
-    def test_invalid_speed_rejected(self):
-        from repro.errors import SchedulingError
-
-        with pytest.raises(SchedulingError):
-            SchedulingPlan(0, speed=0.0)
 
 
 class TestLatencyBreakdownHeterogeneous:

@@ -165,7 +165,7 @@ def test_adjustment_leaves_every_window_its_scaled_wcet(dag_seed, proc_speeds, l
         return
     dag, tm, adj = mapped
     for t in dag:
-        spec = tm.proc_spec(tm.assignment[t])
+        spec = tm.procs[tm.assignment[t]]
         window = tm.deadline[t] - tm.release[t]
         assert window + 1e-9 >= spec.optimistic_duration(dag.complexity(t)), (
             f"task {t!r}: window {window} < scaled WCET "

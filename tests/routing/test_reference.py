@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from repro.routing.reference import (
-    delay_diameter,
     dijkstra,
-    eccentricity,
     hop_bounded_distances,
     hop_diameter,
 )
@@ -74,19 +72,6 @@ def test_hop_bounded_respects_bound():
     topo = grid(1, 5, delay_range=(1.0, 1.0))
     res = hop_bounded_distances(topo.adjacency(), 0, 2)
     assert set(res) == {0, 1, 2}
-
-
-def test_eccentricity_and_diameter(topo):
-    g = to_nx(topo)
-    adj = topo.adjacency()
-    assert eccentricity(adj, 0) == pytest.approx(
-        max(nx.single_source_dijkstra_path_length(g, 0).values())
-    )
-    nx_diam = max(
-        max(lengths.values())
-        for _, lengths in nx.all_pairs_dijkstra_path_length(g)
-    )
-    assert delay_diameter(adj) == pytest.approx(nx_diam)
 
 
 def test_hop_diameter(topo):

@@ -116,10 +116,8 @@ class TestIdleWindows:
     def test_empty_window(self, tl):
         assert tl.idle_windows(5.0, 5.0) == []
 
-    def test_idle_and_busy_time(self, tl):
+    def test_idle_time(self, tl):
         assert tl.idle_time(0.0, 12.0) == pytest.approx(7.0)
-        assert tl.busy_time(0.0, 12.0) == pytest.approx(5.0)
-        assert tl.busy_time(2.0, 4.0) == pytest.approx(2.0)
 
 
 class TestAtAndNext:
@@ -128,23 +126,7 @@ class TestAtAndNext:
         assert tl.at(5.0) is None
         assert tl.at(10.5).task == "c"
 
-    def test_next_start_after(self, tl):
-        assert tl.next_start_after(0.0) == 2.0
-        assert tl.next_start_after(6.0) == 10.0
-        assert tl.next_start_after(10.5) is None
-
-
 class TestMutation:
-    def test_release_key_by_job(self, tl):
-        tl.reserve(Reservation(20.0, 21.0, 9, "z"))
-        assert tl.release_key(9) == 1
-        assert len(tl) == 3
-        tl.check_invariants()
-
-    def test_release_key_by_task(self, tl):
-        assert tl.release_key(0, "b") == 1
-        assert tl.is_free(6.0, 8.0)
-
     def test_prune_before(self, tl):
         assert tl.prune_before(8.0) == 2
         assert [r.task for r in tl] == ["c"]

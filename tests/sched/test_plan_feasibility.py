@@ -64,12 +64,6 @@ class TestCommit:
         assert p.version == version + 1
         assert p.prune_before(5.5) == 0 and p.version == version + 1
 
-    def test_load_between(self):
-        p = SchedulingPlan(0)
-        p.commit([Reservation(0.0, 5.0, 1, "a")])
-        assert p.load_between(0.0, 10.0) == pytest.approx(0.5)
-
-
 class TestLocalDagTest:
     def test_empty_site_accepts(self):
         tl = BusyTimeline()

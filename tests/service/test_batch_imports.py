@@ -1,8 +1,7 @@
 """Batch processes never load the service's event-loop stack or a process pool.
 
-Only the admission service, its HTTP frontend and the soak / chaos
-experiments run an ``asyncio`` loop, and they import it inside the functions
-that use it. ``asyncio`` pulls in ``ssl``, about 2.5 MB of RSS in every
+Only the admission service and the soak / chaos experiments run an
+``asyncio`` loop, and they import it inside the functions that use it. ``asyncio`` pulls in ``ssl``, about 2.5 MB of RSS in every
 process and every campaign worker that only runs batch experiments. Likewise
 only a parallel campaign starts a worker pool, and ``concurrent.futures``'
 process pool pulls in ``multiprocessing``, ``socket`` and ``subprocess``

@@ -1,7 +1,6 @@
-"""Service hardening: /health readiness, the degraded breaker, fault arming."""
+"""Service hardening: the degraded breaker, fault arming."""
 
 import asyncio
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +12,6 @@ from repro.experiments.runner import ExperimentConfig
 from repro.faults import FaultPlan
 from repro.metrics.summary import scalars_equal
 from repro.service import AdmissionService, ResidentSimulation
-from repro.service.http import AdmissionHTTPServer
 from repro.workloads.jobs import JobSpec
 from repro.workloads.scenarios import mixed_dag_factory
 
@@ -33,48 +31,6 @@ def _job(i, res, deadline=60.0):
     dag = mixed_dag_factory("small")(np.random.default_rng(i))
     now = res.now
     return JobSpec(job=i, dag=dag, origin=i % 8, arrival=now, deadline=now + deadline)
-
-
-async def _request(host, port, method, path, body=None):
-    reader, writer = await asyncio.open_connection(host, port)
-    payload = json.dumps(body).encode() if body is not None else b""
-    writer.write(
-        f"{method} {path} HTTP/1.1\r\n"
-        f"Host: {host}\r\n"
-        f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload
-    )
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
-    head, _, resp_body = raw.partition(b"\r\n\r\n")
-    return int(head.split()[1]), json.loads(resp_body)
-
-
-# -- /health -----------------------------------------------------------------
-
-
-async def _health_scenario():
-    res = ResidentSimulation(_config())
-    svc = AdmissionService(res, queue_capacity=32)
-    svc.start()
-    server = AdmissionHTTPServer(svc, seed=1)
-    host, port = await server.start()
-    out = {}
-    out["ready"] = await _request(host, port, "GET", "/health")
-    svc._degraded = True  # force the breaker open
-    out["degraded"] = await _request(host, port, "GET", "/health")
-    svc._degraded = False
-    await svc.drain()
-    out["draining"] = await _request(host, port, "GET", "/health")
-    await server.close()
-    return out
-
-
-def test_health_endpoint_states():
-    out = asyncio.run(_health_scenario())
-    assert out["ready"] == (200, {"status": "ready"})
-    assert out["degraded"] == (503, {"status": "degraded"})
-    assert out["draining"] == (503, {"status": "draining"})
 
 
 # -- degraded breaker --------------------------------------------------------

@@ -127,15 +127,6 @@ class TestCancel:
         sim.cancel(ev)
         assert sim.pending() == 1
 
-    def test_peek_next_time_skips_cancelled(self, sim):
-        ev = sim.schedule(1.0, lambda: None)
-        sim.schedule(5.0, lambda: None)
-        sim.cancel(ev)
-        assert sim.peek_next_time() == 5.0
-
-    def test_peek_empty(self, sim):
-        assert sim.peek_next_time() is None
-
     def test_cancel_from_earlier_same_time_callback(self, sim):
         """An event can be cancelled by another event at the *same* time
         that fires first (timer-cancellation races in the protocol)."""
@@ -191,15 +182,6 @@ class TestCancel:
         assert log == []
         assert sim.pending() == 0
 
-    def test_peek_pops_cancelled_prefix_lazily(self, sim):
-        evs = [sim.schedule(float(i + 1), lambda: None) for i in range(3)]
-        for ev in evs[:2]:
-            sim.cancel(ev)
-        assert sim.peek_next_time() == 3.0
-        # the cancelled prefix is physically gone, the live event remains
-        assert sim.pending() == 1
-        sim.run()
-        assert sim.events_processed == 1
 
     def test_reschedule_after_cancel(self, sim):
         """Cancel-then-rearm, the protocol's timer idiom: only the rearmed

@@ -139,19 +139,6 @@ class TestCompaction:
         assert survivor_mark == [20.0]
         assert sim.events_processed == 2
 
-    def test_peek_next_time_keeps_counters_exact(self, sim):
-        evs = [sim.schedule(float(i + 1), lambda: None) for i in range(5)]
-        for ev in evs[:3]:
-            sim.cancel(ev)
-        assert sim.peek_next_time() == 4.0
-        assert sim.pending() == 2
-        # peek physically dropped the cancelled prefix; the dead counter
-        # must have followed (no premature compaction later)
-        assert sim._dead == 0
-        sim.run()
-        assert sim.events_processed == 2
-
-
 class TestScheduleCall:
     def test_schedule_call_passes_argument(self, sim):
         got = []

@@ -40,13 +40,3 @@ class TestMessageStats:
         assert st.total == 3
         assert st.count["X"] == 2
         assert st.total_volume == 6.0
-
-    def test_snapshot_and_subtract(self):
-        a = MessageStats()
-        a.record("X", 1.0)
-        b = MessageStats()
-        b.record("X", 1.0)
-        b.record("X", 1.0)
-        b.record("Y", 1.0)
-        delta = b.subtract(a)
-        assert delta == {"X": 1, "Y": 1}

@@ -185,6 +185,9 @@ class TestErrorBoundary:
             (["soak", "--arrival", "diurnal:nan@24"], "need finite daily_volume"),
             (["soak", "--arrival", "diurnal:500@100@x"], "malformed arrival spec"),
             (["soak", "--arrival", "warp:9"], "unknown arrival process 'warp'"),
+            # fault and deadline numbers must be finite
+            (["run", "--faults", "sites=1,downtime=nan"], "mean_downtime must be > 0 and finite"),
+            (["run", "--laxity", "inf"], "laxity_factor must be > 0 and finite"),
         ],
     )
     def test_config_errors_exit_2_with_one_line(self, capsys, argv, needle):

@@ -1,22 +1,43 @@
-"""Every module under ``src/repro`` is run by the package itself.
+"""Every module and function under ``src/repro`` is run by the project itself.
 
 A module whose only importer is a package ``__init__`` re-export (or a
 test) is library-only code: nothing the simulator, the service or the CLI
-executes reaches it. This guard fails when such a module appears; the
-named entry points and test oracles below are the only exceptions.
+executes reaches it. Likewise a function or method whose name appears
+nowhere in ``src/``, ``benchmarks/`` or ``examples/`` but on its own
+``def`` line is called by tests alone. These guards fail when either
+appears; the named entry points and test oracles below are the only
+exceptions.
 """
 
 import ast
 import pathlib
+import re
+from collections import Counter
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 #: modules nothing imports on purpose: entry points and test oracles
 ENTRY_POINTS_AND_ORACLES = {
     "repro.cli",
-    "repro.service.http",
     "repro.sched.edf",
     "repro.experiments.verify",
+}
+
+#: the code whose calls count: a name used only under ``tests/`` has no caller
+CALLER_DIRS = ("src", "benchmarks", "examples")
+
+#: functions and methods nothing in CALLER_DIRS calls, kept because the
+#: named tests check other code against them
+TEST_ORACLES = {
+    "route_stretch": "tests/experiments/test_hygiene.py (phase-protocol convergence)",
+    "is_free": "tests/sched/test_sched_properties.py (the earliest_fit property)",
+    "live_jobs": "tests/sched/test_executor_differential.py",
+    "validate_consistency": "tests/core/test_pipeline_properties.py",
+    "check_invariants": "tests/sched/test_sched_properties.py",
+    "scalars_equal": "tests/service/test_service_differential.py",
+    "trace_digest": "tests/identity/scenarios.py",
+    "demand_bound_satisfied": "tests/sched/test_sched_properties.py",
 }
 
 
@@ -70,3 +91,41 @@ def test_every_module_has_an_importer_in_the_package():
 
 def test_exceptions_are_real_modules():
     assert ENTRY_POINTS_AND_ORACLES <= set(modules())
+
+
+def functions():
+    """(file, qualified name, name) of every top-level function and method in
+    ``src/repro``; dunder methods are the language's to call."""
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in members:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if fn.name.startswith("__") and fn.name.endswith("__"):
+                    continue
+                qual = fn.name if fn is node else f"{node.name}.{fn.name}"
+                yield path.relative_to(ROOT), qual, fn.name
+
+
+def uncalled():
+    """The functions whose name appears exactly once in CALLER_DIRS: on the
+    ``def`` line itself."""
+    words = Counter()
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            words.update(re.findall(r"\w+", path.read_text()))
+    return [(path, qual, name) for path, qual, name in functions() if words[name] <= 1]
+
+
+def test_every_function_has_a_caller_outside_the_tests():
+    unexpected = [f"{path}: {qual}" for path, qual, name in uncalled() if name not in TEST_ORACLES]
+    assert unexpected == [], (
+        "functions only tests call; delete them (with the tests that test "
+        "only them) or, if a test uses one as an oracle, add it to TEST_ORACLES"
+    )
+
+
+def test_test_oracles_are_uncalled_functions():
+    """An oracle that gains a caller, or loses its definition, leaves the list."""
+    assert set(TEST_ORACLES) <= {name for _, _, name in uncalled()}

@@ -6,9 +6,9 @@ import pytest
 from repro.errors import WorkloadError
 from repro.graphs.analysis import critical_path_length
 from repro.workloads.arrivals import per_site_arrivals, poisson_arrivals
-from repro.workloads.deadlines import assign_deadline, tightness
+from repro.workloads.deadlines import assign_deadline
 from repro.workloads.jobs import JobSpec, Workload
-from repro.workloads.load import calibrate_rate, expected_jobs, offered_load
+from repro.workloads.load import calibrate_rate, offered_load
 from repro.workloads.scenarios import WorkloadSpec, generate_workload, mixed_dag_factory
 from repro.graphs.generators import paper_example_dag
 
@@ -87,11 +87,6 @@ class TestDeadlines:
         with pytest.raises(WorkloadError):
             assign_deadline(paper_example_dag(), 0.0, 0.0)
 
-    def test_tightness_roundtrip(self):
-        dag = paper_example_dag()
-        d = assign_deadline(dag, 5.0, 3.0)
-        assert tightness(dag, 5.0, d) == pytest.approx(3.0)
-
 
 class TestLoad:
     def test_roundtrip(self):
@@ -103,9 +98,6 @@ class TestLoad:
         rate_hom = calibrate_rate(0.5, 10.0, [1.0] * 4)
         rate_het = calibrate_rate(0.5, 10.0, [2.0] * 4)
         assert rate_het == pytest.approx(2 * rate_hom)
-
-    def test_expected_jobs(self):
-        assert expected_jobs(0.5, 10.0, [1.0] * 4, 100.0) == pytest.approx(20.0)
 
     def test_invalid(self):
         with pytest.raises(WorkloadError):
@@ -119,10 +111,6 @@ class TestJobSpec:
         with pytest.raises(WorkloadError):
             JobSpec(0, paper_example_dag(), 0, arrival=10.0, deadline=10.0)
 
-    def test_relative_deadline(self):
-        j = JobSpec(0, paper_example_dag(), 0, arrival=10.0, deadline=40.0)
-        assert j.relative_deadline == 30.0
-
     def test_workload_container(self):
         wl = Workload()
         wl.add(JobSpec(1, paper_example_dag(), 0, 5.0, 50.0))
@@ -132,7 +120,6 @@ class TestJobSpec:
         assert wl.horizon() == 5.0
         assert wl.last_deadline() == 50.0
         assert wl.total_work() == pytest.approx(42.0)
-        assert wl.mean_tasks() == 5.0
 
 
 class TestScenarios:
@@ -156,7 +143,7 @@ class TestScenarios:
                                             laxity_factor=2.5, seed=2))
         for j in wl:
             cp = critical_path_length(j.dag)
-            assert j.relative_deadline >= cp  # laxity >= 1 even with jitter
+            assert j.deadline - j.arrival >= cp  # laxity >= 1 even with jitter
 
     @pytest.mark.parametrize("size", ["small", "medium", "large"])
     def test_dag_size_classes(self, size):
