@@ -213,10 +213,11 @@ class SoakReport:
                 fh.write(json.dumps(asdict(s), sort_keys=True) + "\n")
 
 
-async def _backpressured_intake(svc: AdmissionService, jobs, after_each) -> None:
-    """E12's intake: ``await submit`` — a full queue stalls the arrivals."""
+def _backpressured_intake(svc: AdmissionService, jobs, after_each) -> None:
+    """E12's intake: ``submit`` — a full queue stalls the arrivals until
+    the pump has run it."""
     for job in jobs:
-        await svc.submit(job)
+        svc.submit(job)
         after_each()
 
 
@@ -227,10 +228,10 @@ def run_soak(
     intake: Callable = _backpressured_intake,
     ledger: Optional[Callable] = None,
 ) -> SoakReport:
-    """Run one soak to completion (synchronous wrapper over the service).
+    """Run one soak to completion.
 
     The loop is E13's too (:mod:`repro.experiments.chaos`), which passes
-    its own ``intake(svc, jobs, after_each)`` — the coroutine submitting
+    its own ``intake(svc, jobs, after_each)`` — the function submitting
     the stream, ``after_each()`` being the per-job sampling hook — and a
     ``ledger(res, svc)`` returning the ``(sample, report)`` constructors
     that add its fields to the core keywords.
@@ -285,14 +286,8 @@ def run_soak(
             take_sample()
             state["next_at"] = svc.stats.decided + config.sample_every
 
-    async def drive() -> None:
-        async with svc:
-            stream = itertools.islice(open_loop_jobs(spec), config.target_jobs)
-            await intake(svc, stream, sample_if_due)
-
-    import asyncio  # only a soak runs an event loop; batch runs never load it
-
-    asyncio.run(drive())
+    intake(svc, itertools.islice(open_loop_jobs(spec), config.target_jobs), sample_if_due)
+    svc.drain()
     final = take_sample()
 
     wall = final.wall_s

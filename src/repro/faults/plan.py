@@ -28,8 +28,9 @@ routing always complete on the pristine network — faults stress the
 *protocol*, not the bootstrap.
 
 The plan is a frozen dataclass: hashable up to its tuple fields, safe to
-share across replicated campaign runs. ``FaultPlan.is_zero()`` is the
-contract the injector relies on: a zero plan must never perturb a run.
+share across replicated campaign runs. A plan that neither
+:meth:`~FaultPlan.perturbs_network` nor :meth:`~FaultPlan.has_joins` is a
+zero plan, and must never perturb a run.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ class LinkDownWindow:
     def __post_init__(self) -> None:
         if self.u == self.v:
             raise ConfigError(f"link window on self-loop ({self.u},{self.v})")
-        if self.start < 0 or self.end <= self.start:
+        # written so NaN fails it: start is finite, end may be inf (never up)
+        if not 0 <= self.start < self.end:
             raise ConfigError(
                 f"link window ({self.u},{self.v}) needs 0 <= start < end, "
                 f"got [{self.start}, {self.end})"
@@ -79,7 +81,8 @@ class SiteDownWindow:
     end: Time
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
+        # written so NaN fails it: start is finite, end may be inf (never up)
+        if not 0 <= self.start < self.end:
             raise ConfigError(
                 f"site window ({self.site}) needs 0 <= start < end, "
                 f"got [{self.start}, {self.end})"
@@ -138,8 +141,10 @@ class JoinSpec:
         if self.links < 1:
             raise ConfigError(f"join links must be >= 1, got {self.links}")
         lo, hi = self.delay_range
-        if lo <= 0 or hi < lo:
-            raise ConfigError(f"join delay_range must be 0 < lo <= hi, got {self.delay_range}")
+        if not 0 < lo <= hi < math.inf:
+            raise ConfigError(
+                f"join delay_range must be 0 < lo <= hi and finite, got {self.delay_range}"
+            )
         if self.horizon is not None and not 0 < self.horizon < math.inf:
             raise ConfigError(f"join horizon must be > 0 and finite, got {self.horizon}")
 
@@ -160,16 +165,18 @@ class SiteJoinEvent:
     links: Tuple[Tuple[SiteId, Time], ...]
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ConfigError(f"join time must be >= 0, got {self.time}")
+        if not 0 <= self.time < math.inf:
+            raise ConfigError(f"join time must be >= 0 and finite, got {self.time}")
         if not self.links:
             raise ConfigError("a join event needs at least one link")
         peers = [p for p, _ in self.links]
         if len(set(peers)) != len(peers):
             raise ConfigError(f"join event has duplicate peers {peers}")
         for peer, delay in self.links:
-            if delay <= 0:
-                raise ConfigError(f"join link to {peer} needs delay > 0, got {delay}")
+            if not 0 < delay < math.inf:
+                raise ConfigError(
+                    f"join link to {peer} needs a finite delay > 0, got {delay}"
+                )
 
 
 @dataclass(frozen=True)
@@ -212,23 +219,12 @@ class FaultPlan:
 
     # -- classification -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        """True iff this plan can never perturb a run.
-
-        Covers *both* sides of the contract: no message faults
-        (:meth:`perturbs_network`) and no membership growth
-        (:meth:`has_joins`). A zero plan through the resident service is
-        bit-for-bit a no-faults run (pinned by the Hypothesis property in
-        ``tests/membership/test_survivable_service.py``).
-        """
-        return not self.perturbs_network() and not self.has_joins()
-
     def perturbs_network(self) -> bool:
         """True iff the plan can lose, delay or partition messages.
 
-        The hardened-protocol requirement keys off this, not
-        :meth:`is_zero`: a join-only plan grows the network but never
-        drops a message, so it does not need ack/retransmit hardening.
+        The hardened-protocol requirement keys off this alone: a
+        join-only plan grows the network but never drops a message, so it
+        does not need ack/retransmit hardening.
         """
         return bool(
             self.link_windows

@@ -114,10 +114,6 @@ class ExecutionRecord:
         return len(self.actual) == len(self.chunks)
 
     @property
-    def started(self) -> bool:
-        return bool(self.actual)
-
-    @property
     def next_chunk(self) -> Reservation:
         return self.chunks[len(self.actual)]
 
@@ -130,11 +126,6 @@ class ExecutionRecord:
         if not self.done:
             return None
         return self.actual[-1][1]
-
-    @property
-    def reservation(self) -> Reservation:
-        """The first (for single-chunk tasks: the only) reservation."""
-        return self.chunks[0]
 
     @property
     def lateness(self) -> Time:
@@ -325,9 +316,6 @@ class PlanExecutor:
         for key, rec in self._unfinished.items():
             out[key] = ExecutionRecord(rec.chunks, list(rec.actual))
         return out
-
-    def busy(self) -> bool:
-        return self._running is not None
 
     def n_unfinished(self) -> int:
         """Committed-but-unfinished records — the soak leak audit's probe.

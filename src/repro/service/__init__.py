@@ -8,9 +8,9 @@ feeds it an open-loop stream instead:
 * :mod:`repro.service.resident` — :class:`ResidentSimulation`, a streaming
   facade over the runner's :class:`~repro.experiments.runner.ResidentNetwork`:
   feed jobs, advance simulated time, drain, audit leaks, fold metrics;
-* :mod:`repro.service.admission` — :class:`AdmissionService`, the asyncio
-  frontend: bounded-queue backpressure, admission/rejection counters,
-  decision tickets, graceful drain.
+* :mod:`repro.service.admission` — :class:`AdmissionService`, the
+  synchronous bounded intake: backpressure by pumping a full queue, load
+  shedding, admission/rejection counters, graceful drain.
 
 Identity contract: a stream of jobs pushed through the service produces
 the **identical** schedule (and ``scalar_metrics``) as the same jobs

@@ -87,11 +87,6 @@ class Message:
             self.uid,
         )
 
-    @property
-    def destination(self) -> SiteId:
-        """Ultimate destination (``final_dst`` or the physical ``dst``)."""
-        return self.dst if self.final_dst is None else self.final_dst
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fd = "" if self.final_dst is None else f"->{self.final_dst}"
         return f"<{self.mtype} {self.src}->{self.dst}{fd} #{self.uid}>"

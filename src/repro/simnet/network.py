@@ -51,8 +51,7 @@ class Network:
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         #: fast-path mirror of ``tracer.enabled``: checked before building
         #: the kwargs of a trace emit. Kept in sync automatically — the
-        #: tracer notifies us on every ``enabled`` assignment (and
-        #: :meth:`set_tracing` routes through the same path).
+        #: tracer notifies us on every ``enabled`` assignment.
         self.trace_enabled = self.tracer.enabled
         self.tracer.on_toggle.append(self._sync_tracing)
         if obs is None:
@@ -113,15 +112,6 @@ class Network:
         return link
 
     # -- tracing ---------------------------------------------------------
-
-    def set_tracing(self, enabled: bool) -> None:
-        """Enable/disable tracing consistently.
-
-        Equivalent to assigning ``tracer.enabled`` — the tracer's toggle
-        notification refreshes every fast-path mirror (this network's
-        ``trace_enabled`` and each site's ``trace_on``).
-        """
-        self.tracer.enabled = enabled
 
     def _sync_tracing(self, enabled: bool) -> None:
         self.trace_enabled = enabled

@@ -60,7 +60,7 @@ class SiteBase:
         self.tracer = network.tracer
         #: fast-path mirror of the tracer's enabled flag: hot protocol code
         #: guards ``self.trace(...)`` calls on it so a disabled tracer costs
-        #: not even the kwargs dict. Kept in sync by Network.set_tracing.
+        #: not even the kwargs dict. Kept in sync by the tracer's toggle notification.
         self.trace_on = network.trace_enabled
         #: the experiment's telemetry registry + its ``obs_on`` mirror —
         #: same pattern as ``trace_on``: protocol code guards every

@@ -159,10 +159,6 @@ class PoissonProcess:
         """Long-run arrivals per time unit."""
         return self.rate
 
-    def rate_at(self, t: Time) -> float:
-        """Instantaneous rate (constant)."""
-        return self.rate
-
     def times(self, rng: np.random.Generator, start: Time, end: Time) -> np.ndarray:
         """Sorted arrival times on ``[start, end)``."""
         return poisson_arrivals(rng, self.rate, start, end)
@@ -271,11 +267,6 @@ class DiurnalProcess:
     def mean_rate(self) -> float:
         """Arrivals per time unit averaged over one day."""
         return self.daily_volume / self.day_length
-
-    def rate_at(self, t: Time) -> float:
-        """Instantaneous rate of the diurnal curve at ``t``."""
-        base = self.daily_volume / self.day_length
-        return base * (1.0 + self.amplitude * math.sin(2.0 * math.pi * t / self.day_length))
 
     def times(self, rng: np.random.Generator, start: Time, end: Time) -> np.ndarray:
         """Sorted arrival times on ``[start, end)`` (thinning)."""

@@ -116,3 +116,58 @@ def test_chaos_samples_jsonl(tmp_path):
 
     first = json.loads(lines[0])
     assert "guarantee_ratio" in first and "joins_applied" in first
+
+
+#: CI's chaos smoke cell (``rtds chaos --sites 10 --joins 1 --join-links 2
+#: --site-churn 2 --mean-downtime 20 --target-jobs 500 --sample-every 200
+#: --seed 1``)
+_SMOKE = ChaosConfig(
+    n_sites=10,
+    joins=1,
+    join_links=2,
+    site_churn=2,
+    mean_downtime=20.0,
+    target_jobs=500,
+    sample_every=200,
+    seed=1,
+)
+
+
+def test_smoke_cell_simulated_fields_are_pinned(monkeypatch):
+    """The simulated half of the smoke cell's report, and the batches the
+    lossy intake pumps (one per 64 submissions, the rest at the drain),
+    as the asyncio-driven service produced them."""
+    from repro.service.resident import ResidentSimulation
+
+    batches = []
+    pump = ResidentSimulation.pump
+
+    def recording(self, jobs):
+        batches.append(len(jobs))
+        return pump(self, jobs)
+
+    monkeypatch.setattr(ResidentSimulation, "pump", recording)
+    report = run_chaos(_SMOKE)
+
+    assert batches == [64] * 7 + [52]
+    simulated = {
+        k: getattr(report, k)
+        for k in (
+            "n_jobs", "sim_time", "guarantee_ratio", "lat_p50", "lat_p99", "lat_mean",
+            "max_queue_depth", "folded_total", "jobs_dropped", "abandoned_reaped",
+            "tables_converged",
+        )
+    }
+    assert simulated == {
+        "n_jobs": 500,
+        "sim_time": 2707.1537739260093,
+        "guarantee_ratio": 0.962,
+        "lat_p50": 0.0,
+        "lat_p99": 10.251581797845752,
+        "lat_mean": 2.0671288473709906,
+        "max_queue_depth": 64,
+        "folded_total": 500,
+        "jobs_dropped": 0,
+        "abandoned_reaped": 0,
+        "tables_converged": 1,
+    }

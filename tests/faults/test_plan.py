@@ -3,7 +3,19 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.faults import ChurnSpec, FaultPlan, LinkDownWindow, SiteDownWindow, hardened
+from repro.faults import (
+    ChurnSpec,
+    FaultPlan,
+    JoinSpec,
+    LinkDownWindow,
+    SiteDownWindow,
+    SiteJoinEvent,
+    hardened,
+)
+
+NAN, INF = float("nan"), float("inf")
+#: (start, end) pairs no window may take: NaN passes plain < / <= checks
+NON_FINITE_WINDOWS = [(NAN, 5.0), (0.0, NAN), (NAN, NAN), (INF, INF), (-INF, 1.0)]
 
 
 class TestWindows:
@@ -27,10 +39,34 @@ class TestWindows:
         w = SiteDownWindow(4, 10.0, float("inf"))
         assert w.end == float("inf")
 
+    @pytest.mark.parametrize("start,end", NON_FINITE_WINDOWS)
+    def test_link_window_rejects_non_finite_times(self, start, end):
+        with pytest.raises(ConfigError, match="link window"):
+            LinkDownWindow(0, 1, start, end)
+
+    @pytest.mark.parametrize("start,end", NON_FINITE_WINDOWS)
+    def test_site_window_rejects_non_finite_times(self, start, end):
+        with pytest.raises(ConfigError, match="site window"):
+            SiteDownWindow(0, start, end)
+
+
+class TestJoins:
+    @pytest.mark.parametrize(
+        "time,delay", [(NAN, 0.5), (INF, 0.5), (1.0, NAN), (1.0, INF)]
+    )
+    def test_join_event_rejects_non_finite_time_and_delay(self, time, delay):
+        with pytest.raises(ConfigError, match="join"):
+            SiteJoinEvent(time=time, links=((0, delay),))
+
+    @pytest.mark.parametrize("delay_range", [(0.2, INF), (INF, INF), (NAN, 1.0), (0.2, NAN)])
+    def test_join_spec_rejects_non_finite_delay_range(self, delay_range):
+        with pytest.raises(ConfigError, match="delay_range"):
+            JoinSpec(n_sites=1, delay_range=delay_range)
+
 
 class TestPlanValidation:
     def test_default_is_zero(self):
-        assert FaultPlan().is_zero()
+        assert not FaultPlan().perturbs_network() and not FaultPlan().has_joins()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -45,10 +81,10 @@ class TestPlanValidation:
         ],
     )
     def test_nonzero_detection(self, kwargs):
-        assert not FaultPlan(**kwargs).is_zero()
+        assert FaultPlan(**kwargs).perturbs_network()
 
     def test_zero_count_churn_is_zero(self):
-        assert FaultPlan(link_churn=ChurnSpec(0)).is_zero()
+        assert not FaultPlan(link_churn=ChurnSpec(0)).perturbs_network()
 
     @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5])
     def test_loss_prob_bounds(self, p):
@@ -93,7 +129,8 @@ class TestSpecParsing:
         assert plan.seed == 3
 
     def test_empty_spec_is_zero(self):
-        assert FaultPlan.from_spec("").is_zero()
+        plan = FaultPlan.from_spec("")
+        assert not plan.perturbs_network() and not plan.has_joins()
 
     @pytest.mark.parametrize(
         "spec",

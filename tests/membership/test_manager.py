@@ -27,7 +27,6 @@ def test_join_spec_parses_from_spec():
     assert plan.n_join_sites() == 3
     assert plan.joins.links == 2
     assert not plan.perturbs_network()
-    assert not plan.is_zero()
 
 
 def test_explicit_join_events_count():
@@ -41,7 +40,7 @@ def test_explicit_join_events_count():
 
 def test_zero_plan_has_no_joins():
     plan = FaultPlan()
-    assert plan.is_zero()
+    assert not plan.perturbs_network()
     assert not plan.has_joins()
     assert plan.n_join_sites() == 0
 

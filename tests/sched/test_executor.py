@@ -137,10 +137,10 @@ class TestMaintenance:
     def test_busy_flag(self, sim, plan, execu):
         commit(plan, execu, [Reservation(0.0, 2.0, 1, "a")])
         seen = []
-        sim.schedule(1.0, lambda: seen.append(execu.busy()))
+        sim.schedule(1.0, lambda: seen.append(execu._running))
         sim.run()
-        assert seen == [True]
-        assert not execu.busy()
+        assert seen == [(1, "a")]
+        assert execu._running is None
 
 
 class TestStateLifetime:

@@ -96,7 +96,7 @@ class _World:
             "sent": self.site.sent,
             "returned": self.returned,
             "unfinished": self.executor.n_unfinished(),
-            "busy": self.executor.busy(),
+            "busy": self.executor._running is not None,
             "now": self.sim.now,
         }
 
@@ -233,7 +233,7 @@ class ExecutorDifferential(RuleBasedStateMachine):
         for start, tiebreak, key in queue:
             assert start == ex._unfinished[key].next_chunk.start and tiebreak == repr(key)
         for key, pending in ex._gates.items():
-            assert pending and not ex._unfinished[key].started
+            assert pending and not ex._unfinished[key].actual
             assert all(key in ex._token_waiters[token] for token in pending)
         for token, keys in ex._token_waiters.items():
             assert keys and all(token in ex._gates[key] for key in keys)

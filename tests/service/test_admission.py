@@ -1,10 +1,8 @@
-"""Admission service behavior: backpressure, shedding, tickets, drain."""
-
-import asyncio
+"""Admission service behavior: backpressure, shedding, decisions, drain."""
 
 import pytest
 
-from repro.core.events import JobRecord
+from repro.core.events import JobOutcome
 from repro.errors import ConfigError
 from repro.experiments.runner import ExperimentConfig
 from repro.service import AdmissionService, ResidentSimulation
@@ -27,81 +25,64 @@ def _jobs(n=30, seed=0):
 
 
 def test_submit_nowait_sheds_when_full():
-    async def drive():
-        res = ResidentSimulation(_config())
-        svc = AdmissionService(res, queue_capacity=4)
-        jobs = _jobs(8)
-        accepted = [svc.submit_nowait(j) for j in jobs]
-        # pump not started: the first 4 fill the queue, the rest shed
-        assert accepted == [True] * 4 + [False] * 4
-        assert svc.stats.queue_full == 4
-        assert svc.stats.submitted == 4
-        svc.start()
-        await svc.drain()
-        return svc
-
-    svc = asyncio.run(drive())
+    res = ResidentSimulation(_config())
+    svc = AdmissionService(res, queue_capacity=4)
+    jobs = _jobs(8)
+    accepted = [svc.submit_nowait(j) for j in jobs]
+    # nothing pumped yet: the first 4 fill the queue, the rest shed
+    assert accepted == [True] * 4 + [False] * 4
+    assert svc.stats.queue_full == 4
+    assert svc.stats.submitted == 4
+    svc.drain()
     assert svc.stats.decided == 4
 
 
-def test_backpressure_bounds_queue_depth():
-    async def drive():
-        res = ResidentSimulation(_config())
-        async with AdmissionService(res, queue_capacity=3) as svc:
-            for j in _jobs(40):
-                await svc.submit(j)
-        return svc
+def _submit_all(res, jobs, queue_capacity):
+    """Backpressured intake of ``jobs`` into a fresh service, drained."""
+    svc = AdmissionService(res, queue_capacity=queue_capacity)
+    for j in jobs:
+        svc.submit(j)
+    svc.drain()
+    return svc
 
-    svc = asyncio.run(drive())
+
+def test_backpressure_bounds_queue_depth():
+    svc = _submit_all(ResidentSimulation(_config()), _jobs(40), queue_capacity=3)
     assert svc.stats.max_queue_depth <= 3
     assert svc.stats.backpressure_waits > 0
     assert svc.stats.decided == 40
 
 
-def test_tickets_resolve_with_records():
-    async def drive():
-        res = ResidentSimulation(_config())
-        async with AdmissionService(res, queue_capacity=16) as svc:
-            futs = [await svc.submit(j, want_ticket=True) for j in _jobs(10)]
-        return [f.result() for f in futs]
-
-    records = asyncio.run(drive())
-    assert len(records) == 10
-    for rec in records:
-        assert isinstance(rec, JobRecord)
+def test_every_job_is_decided_at_or_after_its_arrival():
+    res = ResidentSimulation(_config())
+    jobs = _jobs(10)
+    _submit_all(res, jobs, queue_capacity=16)
+    records = res.resident.metrics.jobs
+    assert sorted(records) == sorted(j.job for j in jobs)
+    for rec in records.values():
+        assert rec.outcome is not JobOutcome.PENDING
         assert rec.decided_at is not None
         assert rec.decided_at >= rec.arrival
 
 
 def test_drain_is_idempotent_and_closes_intake():
-    async def drive():
-        res = ResidentSimulation(_config())
-        svc = AdmissionService(res, queue_capacity=8)
-        svc.start()
-        for j in _jobs(5):
-            await svc.submit(j)
-        await svc.drain()
-        await svc.drain()  # second drain: no-op
-        with pytest.raises(ConfigError):
-            await svc.submit(_jobs(6)[5])
-        with pytest.raises(ConfigError):
-            svc.submit_nowait(_jobs(6)[5])
-        return svc, res
-
-    svc, res = asyncio.run(drive())
+    res = ResidentSimulation(_config())
+    svc = AdmissionService(res, queue_capacity=8)
+    for j in _jobs(5):
+        svc.submit(j)
+    svc.drain()
+    svc.drain()  # second drain: no-op
+    with pytest.raises(ConfigError):
+        svc.submit(_jobs(6)[5])
+    with pytest.raises(ConfigError):
+        svc.submit_nowait(_jobs(6)[5])
     assert svc.stats.decided == 5
     assert res.unfinished_plan_records() == 0
 
 
 def test_obs_counters_mirrored_when_telemetry_on():
-    async def drive():
-        res = ResidentSimulation(_config(telemetry=True))
-        async with AdmissionService(res, queue_capacity=16) as svc:
-            for j in _jobs(12):
-                await svc.submit(j)
-        return res, svc
-
-    res, svc = asyncio.run(drive())
+    res = ResidentSimulation(_config(telemetry=True))
+    svc = _submit_all(res, _jobs(12), queue_capacity=16)
     counters = res.resident.obs.counters
     assert counters["service.submitted"] == 12.0
     admitted = counters.get("service.admitted", 0.0)
@@ -111,14 +92,7 @@ def test_obs_counters_mirrored_when_telemetry_on():
 
 
 def test_latency_timer_sees_every_decision():
-    async def drive():
-        res = ResidentSimulation(_config())
-        async with AdmissionService(res, queue_capacity=16) as svc:
-            for j in _jobs(20):
-                await svc.submit(j)
-        return svc
-
-    svc = asyncio.run(drive())
+    svc = _submit_all(ResidentSimulation(_config()), _jobs(20), queue_capacity=16)
     assert svc.latency.count == 20
     assert svc.latency.min >= 0.0
 

@@ -1,12 +1,13 @@
-"""Batch processes never load the service's event-loop stack or a process pool.
+"""No run loads an event-loop stack, and batch processes load no process pool.
 
-Only the admission service and the soak / chaos experiments run an
-``asyncio`` loop, and they import it inside the functions that use it. ``asyncio`` pulls in ``ssl``, about 2.5 MB of RSS in every
-process and every campaign worker that only runs batch experiments. Likewise
-only a parallel campaign starts a worker pool, and ``concurrent.futures``'
-process pool pulls in ``multiprocessing``, ``socket`` and ``subprocess``
-(about 1.7 MB more); :mod:`repro.experiments.parallel` imports it inside the
-method that runs the pool.
+``asyncio`` pulls in ``ssl``, ``selectors``, ``socket``, ``logging`` and
+``concurrent.futures``: 49 modules and about 2.8 MB of RSS in every process
+that imports it. The admission service is a synchronous intake, so neither the package
+nor a soak or chaos run imports it. Likewise only a parallel campaign starts
+a worker pool, and ``concurrent.futures``' process pool pulls in
+``multiprocessing``, ``socket`` and ``subprocess`` (about 1.7 MB more);
+:mod:`repro.experiments.parallel` imports it inside the method that runs the
+pool.
 """
 
 import os
@@ -32,8 +33,23 @@ def _loaded_after(imports: str, modules) -> str:
     return out.stdout.strip()
 
 
+EVENT_LOOP = {"asyncio", "ssl", "selectors"}
+
+#: a tiny E12 soak and E13 chaos soak, run end to end in the child
+SERVICE_RUNS = (
+    "import repro.api as api; "
+    "api.soak(api.SoakConfig(n_sites=6, target_jobs=60, sample_every=30)); "
+    "api.chaos(api.ChaosConfig(n_sites=6, joins=1, join_links=2, site_churn=1, "
+    "target_jobs=60, sample_every=30))"
+)
+
+
 def test_importing_the_package_loads_no_asyncio():
-    assert _loaded_after(IMPORTS, {"asyncio", "ssl"}) == "[]"
+    assert _loaded_after(IMPORTS, EVENT_LOOP) == "[]"
+
+
+def test_soak_and_chaos_runs_load_no_event_loop():
+    assert _loaded_after(SERVICE_RUNS, EVENT_LOOP) == "[]"
 
 
 def test_importing_the_batch_api_loads_no_process_pool():

@@ -1,13 +1,11 @@
 """Service ≡ batch differential lockdown (same spirit as serial ≡ pool).
 
-A rate-shaped open-loop stream pushed through the asyncio admission
-service must reproduce the *identical* ``scalar_metrics`` as the same
-jobs replayed as a fixed list through the batch runner — both paths
+A rate-shaped open-loop stream pushed through the admission service
+must reproduce the *identical* ``scalar_metrics`` as the same jobs
+replayed as a fixed list through the batch runner — both paths
 submit through ``ResidentNetwork.submit_spec``, so any divergence means
 the streaming layer reordered or altered the simulation.
 """
-
-import asyncio
 
 import pytest
 
@@ -40,14 +38,12 @@ def _stream(seed, arrival="auto", duration=150.0):
 
 
 def _service_metrics(cfg, workload, queue_capacity=64):
-    async def drive():
-        res = ResidentSimulation(cfg)
-        async with AdmissionService(res, queue_capacity=queue_capacity) as svc:
-            for job in workload:
-                await svc.submit(job)
-        return res, svc
-
-    return asyncio.run(drive())
+    res = ResidentSimulation(cfg)
+    svc = AdmissionService(res, queue_capacity=queue_capacity)
+    for job in workload:
+        svc.submit(job)
+    svc.drain()
+    return res, svc
 
 
 @pytest.mark.parametrize(

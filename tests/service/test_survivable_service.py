@@ -1,7 +1,5 @@
 """Service hardening: the degraded breaker, fault arming."""
 
-import asyncio
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,13 +114,11 @@ def test_zero_plan_service_run_is_noop(seed):
     bit-for-bit no-op against the plan-less service run."""
 
     def run(faults):
-        async def drive():
-            res = ResidentSimulation(_config(seed=seed, faults=faults))
-            async with AdmissionService(res, queue_capacity=32) as svc:
-                for i in range(20):
-                    await svc.submit(_job(i, res))
-            return res.scalar_metrics()
-
-        return asyncio.run(drive())
+        res = ResidentSimulation(_config(seed=seed, faults=faults))
+        svc = AdmissionService(res, queue_capacity=32)
+        for i in range(20):
+            svc.submit(_job(i, res))
+        svc.drain()
+        return res.scalar_metrics()
 
     assert scalars_equal(run(None), run(FaultPlan()))

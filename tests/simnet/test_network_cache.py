@@ -111,19 +111,9 @@ class TestInlinedDeliveryArithmetic:
 
 
 class TestTracingFastPath:
-    def test_mirrors_follow_set_tracing(self):
-        net = Network(Simulator(), Tracer(enabled=True))
-        site = PlainSite(0, net)
-        assert net.trace_enabled and site.trace_on
-        net.set_tracing(False)
-        assert not net.trace_enabled and not site.trace_on
-        assert not net.tracer.enabled
-        net.set_tracing(True)
-        assert net.trace_enabled and site.trace_on
-
     def test_direct_tracer_assignment_updates_mirrors(self):
-        """`net.tracer.enabled = x` (the pre-PR idiom) must keep working:
-        the property setter notifies the network's fast-path mirrors."""
+        """`net.tracer.enabled = x` is how tracing is toggled: the
+        property setter notifies the network's fast-path mirrors."""
         net = Network(Simulator(), Tracer(enabled=False))
         site = PlainSite(0, net)
         assert not site.trace_on
@@ -138,9 +128,9 @@ class TestTracingFastPath:
         net = Network(Simulator(), Tracer(enabled=True))
         site = PlainSite(0, net)
         site.trace("cat", a=1)
-        net.set_tracing(False)
+        net.tracer.enabled = False
         site.trace("cat", a=2)
-        net.set_tracing(True)
+        net.tracer.enabled = True
         site.trace("cat", a=3)
         assert [e.detail["a"] for e in net.tracer.events] == [1, 3]
 
