@@ -14,11 +14,21 @@ and the job window ``[r, d]``:
   ``ℓ(t) = (d − r − M*)/η``, deadlines follow eq. (4) in reverse
   topological order and releases eq. (5) in topological order.
 
+  η alone is not enough. Eq. (4) chains windows along DAG edges, and a
+  non-critical DAG path may hold more tasks than η: it then spends more
+  laxity than the slack it has, and a window on it shrinks below
+  ``c/speed``. So the laxity is divided by ``W = max(η, heaviest DAG path
+  by weight)`` instead. Along any DAG path ``Σ(c/speed + ω) ≤ M*`` and
+  ``Σℓ ≤ slack``, so every window keeps at least ``c/speed + ℓ``.
+  :attr:`AdjustmentResult.eta` stays the paper's η; ``W`` is recorded next
+  to it.
+
 §13 "Laxity Dispatching": in ``busyness`` mode the per-task laxity is
 weighted by the busyness of the task's processor — ``ℓ(t) = slack · w(t) /
-W`` where ``w(t) = busyness + ε`` and ``W`` is the maximum path-weight over
-critical paths, so the total laxity spent along any critical path still
-never exceeds the slack (uniform mode is the special case w ≡ 1, W = η).
+W`` where ``w(t) = busyness + ε`` and ``W`` is the larger of the maximum
+path-weight over critical paths and the heaviest DAG path, so the total
+laxity spent along any path still never exceeds the slack (uniform mode is
+the special case w ≡ 1, W = max(η, most tasks on a DAG path)).
 """
 
 from __future__ import annotations
@@ -51,6 +61,9 @@ class AdjustmentResult:
     accepted: bool
     sstar: SStar
     eta: Optional[int] = None
+    #: the laxity divisor of case (iii): η's weight, raised to the heaviest
+    #: DAG path's (``ℓ(t) = slack · w(t) / W``)
+    wmax: Optional[float] = None
     laxity: Optional[Dict[TaskId, Time]] = None
 
     @property
@@ -193,6 +206,7 @@ def adjust_trial_mapping(
     else:
         weights = {t: 1.0 for t in tm.dag}
     eta, wmax, _critical = schedule_eta_and_weights(tm, sstar, weights)
+    wmax = max(wmax, _heaviest_dag_path(tm.dag, weights))
     slack = window - mstar
     laxity = {t: slack * weights[t] / wmax for t in tm.dag}
 
@@ -211,8 +225,16 @@ def adjust_trial_mapping(
             )
     _releases_eq5(tm, r)
     return AdjustmentResult(
-        case="laxity", accepted=True, sstar=sstar, eta=eta, laxity=laxity
+        case="laxity", accepted=True, sstar=sstar, eta=eta, wmax=wmax, laxity=laxity
     )
+
+
+def _heaviest_dag_path(dag, weights: Dict[TaskId, float]) -> float:
+    """The largest total weight of the tasks on one DAG path."""
+    heaviest: Dict[TaskId, float] = {}
+    for t in reversed(dag.topological_order()):
+        heaviest[t] = weights[t] + max((heaviest[s] for s in dag.successors(t)), default=0.0)
+    return max(heaviest.values())
 
 
 def _releases_eq5(tm: TrialMapping, r: Time) -> None:

@@ -56,9 +56,9 @@ def top_levels(dag: Dag) -> Dict[TaskId, float]:
 
 
 def critical_path_length(dag: Dag) -> float:
-    """Length (sum of complexities) of the longest path in the DAG."""
-    bl = bottom_levels(dag)
-    return max(bl[s] for s in dag.sources())
+    """Length (sum of complexities) of the longest path in the DAG
+    (memoised on the immutable ``dag``)."""
+    return dag.critical_path_length()
 
 
 def critical_path(dag: Dag) -> List[TaskId]:

@@ -15,24 +15,36 @@ simulator without copying. It also lets jobs of one fixed shape share one
 validated structure: :meth:`Dag.with_weights` re-weights a graph without
 re-deriving its adjacency, sorted edges or topological order.
 
-A task costs its numbers: a ``Dag`` keeps no :class:`Task` objects. It keeps
-an id -> position map (shared by every re-weighting of one graph), the
-complexities as a tuple of floats in insertion order, and the data volumes
-likewise — or ``None`` when every volume is zero. :meth:`Dag.task` and
-:attr:`Dag.tasks` build ``Task`` values on demand; hot readers use
+One core builds every graph: :meth:`Dag.from_weights` takes a weight vector
+and an edge sequence over ids ``0..n-1`` (or over the ids it is given), and
+``Dag(tasks, edges)`` unpacks its tasks into it. A generated job costs its
+draws: the generators hand the core the floats they drew, and no
+:class:`Task` is built.
+
+A task costs its numbers: a ``Dag`` keeps no ``Task`` objects. It keeps an
+id -> position map — for ids ``0..n-1`` one shared, read-only map per size
+``n`` — the complexities as a tuple of floats in insertion order, and the
+data volumes likewise, or ``None`` when every volume is zero. :meth:`Dag.task`
+and :attr:`Dag.tasks` build ``Task`` values on demand; hot readers use
 :meth:`Dag.complexity` and :meth:`Dag.data_volume`.
 
-The constructor keeps every check but pays for them with whole-collection
-tests (a dict of the ids, adjacency appends that fail on an unknown id, a set
-of the edges, the topological sort); only when one fails does it walk the
-edges in input order to name the first offender. The repr-sorted ``edges``
-tuple is built on first read.
+Beyond that a job keeps only what a reader asks for. The repr-sorted
+``edges`` tuple is built from the adjacency on first read; the critical-path
+length (deadline assignment, the deferred-job check) is memoised as one
+float; the bottom-level map (the mapper's priorities) and the topo-order
+index are built on first use.
+
+The core keeps every check but pays for them with whole-collection tests
+(the smallest weight, a dict of the ids, adjacency appends that fail on an
+unknown id, a set of the edges, the topological sort); only when one fails
+does it walk the input in order to name the first offender.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CycleError, DagError
 from repro.types import TaskId
@@ -66,6 +78,12 @@ class Task:
             raise DagError(f"task {self.tid!r}: data_volume must be >= 0, got {self.data_volume}")
 
 
+@lru_cache(maxsize=256)
+def _range_index(n: int) -> Dict[int, int]:
+    """The ``i -> i`` id map every graph over ids ``0..n-1`` shares (read-only)."""
+    return {i: i for i in range(n)}
+
+
 class Dag:
     """Immutable job precedence graph ``G = (T, E)``.
 
@@ -79,10 +97,14 @@ class Dag:
         acyclic.
     name:
         Optional human-readable label used by traces and reports.
+
+    ``Dag(tasks, edges, name)`` equals ``Dag.from_weights`` over the tasks'
+    complexities, ids and data volumes.
     """
 
     __slots__ = (
-        "_index", "_c", "_v", "_preds", "_succs", "_edges", "_order", "name", "_bl", "_topo_index"
+        "_index", "_c", "_v", "_preds", "_succs", "_edges", "_order", "name", "_cp", "_bl",
+        "_topo_index",
     )
 
     def __init__(
@@ -91,53 +113,102 @@ class Dag:
         edges: Iterable[Tuple[TaskId, TaskId]] = (),
         name: str = "dag",
     ) -> None:
-        # Every check is a whole-collection test on the happy path; only
-        # when one fails does _raise_first_bad_edge walk the edges in order,
-        # so the error names the first offender, as a per-edge scan would.
         task_list = list(tasks)
-        task_map: Dict[TaskId, int] = {t.tid: i for i, t in enumerate(task_list)}
-        if len(task_map) != len(task_list):
-            _raise_duplicate_task(task_list)
-        if not task_map:
+        self._build(
+            [t.complexity for t in task_list],
+            edges,
+            name,
+            [t.tid for t in task_list],
+            [t.data_volume for t in task_list],
+        )
+
+    @classmethod
+    def from_weights(
+        cls,
+        complexities: Sequence[float],
+        edges: Iterable[Tuple[TaskId, TaskId]] = (),
+        name: str = "dag",
+        *,
+        ids: Optional[Sequence[TaskId]] = None,
+        volumes: Optional[Sequence[float]] = None,
+    ) -> "Dag":
+        """The graph whose task ``ids[i]`` has complexity ``complexities[i]``
+        (and data volume ``volumes[i]``, zero by default).
+
+        ``ids`` defaults to ``0..n-1``. Makes every check ``Dag(tasks,
+        edges)`` makes, with the same error for the same first offender: a
+        complexity must be > 0 and a volume >= 0 (:class:`Task`'s messages),
+        ids are unique and non-empty, and unknown endpoints, self-loops,
+        duplicate edges and cycles are rejected.
+        """
+        dag = object.__new__(cls)
+        dag._build(complexities, edges, name, ids, volumes)
+        return dag
+
+    def _build(
+        self,
+        complexities: Sequence[float],
+        edges: Iterable[Tuple[TaskId, TaskId]],
+        name: str,
+        ids: Optional[Sequence[TaskId]],
+        volumes: Optional[Sequence[float]],
+    ) -> None:
+        """The construction core: every ``Dag`` but a re-weighting is built here."""
+        # Every check is a whole-collection test on the happy path; only
+        # when one fails is the input walked in order, so the error names
+        # the first offender, as a per-item scan would.
+        c = tuple(complexities)
+        n = len(c)
+        v = None if volumes is None else tuple(volumes)
+        if ids is None:
+            index = _range_index(n)
+        else:
+            ids = list(ids)
+            index = {tid: i for i, tid in enumerate(ids)}
+        if (ids is not None and len(ids) != n) or (v is not None and len(v) != n):
+            raise DagError(f"{name}: ids, complexities and volumes differ in length")
+        if n and (not min(c) > 0 or (v is not None and not min(v) >= 0)):
+            _raise_first_bad_weight(ids or range(n), c, v)
+        if len(index) != n:
+            _raise_duplicate_task(ids)
+        if not n:
             raise DagError("a DAG needs at least one task")
 
-        edge_list = list(edges)
-        preds: Dict[TaskId, list] = {tid: [] for tid in task_map}
-        succs: Dict[TaskId, list] = {tid: [] for tid in task_map}
+        edge_list = edges if isinstance(edges, list) else list(edges)
+        preds: Dict[TaskId, list] = {tid: [] for tid in index}
+        succs: Dict[TaskId, list] = {tid: [] for tid in index}
         try:
-            for u, v in edge_list:
-                succs[u].append(v)
-                preds[v].append(u)
+            for a, b in edge_list:
+                succs[a].append(b)
+                preds[b].append(a)
             # tuple() keeps a tuple and converts a JSON-style [u, v] pair
             clean = len(set(map(tuple, edge_list))) == len(edge_list)
         except (KeyError, TypeError, ValueError):
             clean = False
         if not clean:
-            _raise_first_bad_edge(task_map, edge_list)
+            _raise_first_bad_edge(index, edge_list)
 
         self.name = name
         #: task id -> position in insertion order (the weight vectors' order)
-        self._index: Dict[TaskId, int] = task_map
-        self._c: Tuple[float, ...] = tuple(t.complexity for t in task_list)
-        volumes = tuple(t.data_volume for t in task_list)
+        self._index: Dict[TaskId, int] = index
+        self._c: Tuple[float, ...] = c
         #: data volumes in insertion order; ``None`` when all are zero
-        self._v: Optional[Tuple[float, ...]] = volumes if any(volumes) else None
-        self._preds: Dict[TaskId, Tuple[TaskId, ...]] = {k: tuple(v) for k, v in preds.items()}
-        self._succs: Dict[TaskId, Tuple[TaskId, ...]] = {k: tuple(v) for k, v in succs.items()}
-        # the validated edge list; ``edges`` sorts it on first read
-        self._edges: Union[List, Tuple[Tuple[TaskId, TaskId], ...]] = edge_list
+        self._v: Optional[Tuple[float, ...]] = v if v is not None and any(v) else None
+        self._preds: Dict[TaskId, Tuple[TaskId, ...]] = {k: tuple(x) for k, x in preds.items()}
+        self._succs: Dict[TaskId, Tuple[TaskId, ...]] = {k: tuple(x) for k, x in succs.items()}
+        # lazy memos (the graph is immutable, so they never go stale): the
+        # sorted edge tuple, the critical-path length, the bottom levels and
+        # the topo-order index
+        self._edges: Optional[Tuple[Tuple[TaskId, TaskId], ...]] = None
+        self._cp: Optional[float] = None
+        self._bl: Optional[Dict[TaskId, float]] = None
+        self._topo_index: Optional[Dict[TaskId, int]] = None
         try:
             self._order: Tuple[TaskId, ...] = self._toposort()
         except CycleError:
             # a self-loop is a one-edge cycle, reported as the edge it is
-            _raise_first_bad_edge(task_map, edge_list)
+            _raise_first_bad_edge(index, edge_list)
             raise
-        # lazy memos (the graph is immutable, so they never go stale):
-        # bottom levels and the topo-order index are recomputed per mapper
-        # run otherwise, and trace workloads re-admit the same Dag objects
-        # thousands of times
-        self._bl: Optional[Dict[TaskId, float]] = None
-        self._topo_index: Optional[Dict[TaskId, int]] = None
 
     def with_weights(self, complexities: Sequence[float]) -> "Dag":
         """The same graph with new complexities (re-drawn weights), all data
@@ -153,17 +224,15 @@ class Dag:
         c = tuple(complexities)
         if len(c) != len(self._c):
             raise DagError(f"{self.name}: with_weights needs {len(self._c)} complexities, got {len(c)}")
-        bad = next((i for i, x in enumerate(c) if x <= 0), None)
-        if bad is not None:
-            tid = list(self._index)[bad]
-            raise DagError(f"task {tid!r}: complexity must be > 0, got {c[bad]}")
+        if not min(c) > 0:
+            _raise_first_bad_weight(list(self._index), c, None)
         new = object.__new__(Dag)
         new.name = self.name
         new._index, new._c, new._v = self._index, c, None
         new._preds, new._succs = self._preds, self._succs
-        # the sorted tuple, not the raw list: every copy would sort it again
+        # the sorted tuple itself: every copy would sort it again
         new._edges, new._order = self.edges, self._order
-        new._bl = None
+        new._cp = new._bl = None
         new._topo_index = self.topo_index()
         return new
 
@@ -207,9 +276,10 @@ class Dag:
     def edges(self) -> Tuple[Tuple[TaskId, TaskId], ...]:
         """All precedence arcs as ``(pred, succ)`` pairs (sorted, stable)."""
         edges = self._edges
-        if isinstance(edges, list):
-            # the set, not the list: its order breaks ties between equal reprs
-            edges = tuple(sorted(set(map(tuple, edges)), key=repr))
+        if edges is None:
+            edges = tuple(
+                sorted([(u, v) for u, succ in self._succs.items() for v in succ], key=repr)
+            )
             self._edges = edges
         return edges
 
@@ -255,15 +325,19 @@ class Dag:
         """
         bl = self._bl
         if bl is None:
-            bl = {}
-            index, c = self._index, self._c
-            succs = self._succs
-            for t in reversed(self._order):
-                succ = succs[t]
-                best = max([bl[s] for s in succ]) if succ else 0.0
-                bl[t] = c[index[t]] + best
-            self._bl = bl
+            bl = self._bl = self._bottom_levels()
         return bl
+
+    def critical_path_length(self) -> float:
+        """Memoised length (sum of complexities) of the longest path: the
+        largest bottom level of a source. Keeps the one float, not the
+        bottom-level map it is read off."""
+        cp = self._cp
+        if cp is None:
+            bl = self._bl if self._bl is not None else self._bottom_levels()
+            preds = self._preds
+            cp = self._cp = max([bl[t] for t in self._order if not preds[t]])
+        return cp
 
     def total_complexity(self) -> float:
         """Sum of all task complexities (sequential work of the job), summed
@@ -271,39 +345,57 @@ class Dag:
         return sum(self._c)
 
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._succs.values()))
 
     # -- internals ---------------------------------------------------------
 
+    def _bottom_levels(self) -> Dict[TaskId, float]:
+        bl: Dict[TaskId, float] = {}
+        level = bl.__getitem__
+        index, c, succs = self._index, self._c, self._succs
+        for t in reversed(self._order):
+            succ = succs[t]
+            bl[t] = c[index[t]] + (max(map(level, succ)) if succ else 0.0)
+        return bl
+
     def _toposort(self) -> Tuple[TaskId, ...]:
+        succs = self._succs
+        # The adjacency dicts follow the task map's insertion order, which
+        # makes the sort deterministic. ``ready`` is the FIFO queue and,
+        # once drained, the order.
         indeg = {tid: len(p) for tid, p in self._preds.items()}
-        # Insertion order of the task map makes the sort deterministic.
-        ready = [tid for tid in self._index if indeg[tid] == 0]
-        order: list = []
-        head = 0
-        while head < len(ready):
-            u = ready[head]
-            head += 1
-            order.append(u)
-            for v in self._succs[u]:
+        ready = [tid for tid, d in indeg.items() if not d]
+        for u in ready:
+            for v in succs[u]:
                 indeg[v] -= 1
-                if indeg[v] == 0:
+                if not indeg[v]:
                     ready.append(v)
-        if len(order) != len(self._index):
+        if len(ready) != len(indeg):
             stuck = sorted((tid for tid, d in indeg.items() if d > 0), key=repr)
             raise CycleError(f"precedence relation has a cycle through {stuck}")
-        return tuple(order)
+        return tuple(ready)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Dag({self.name!r}, |T|={len(self)}, |E|={len(self._edges)})"
+        return f"Dag({self.name!r}, |T|={len(self)}, |E|={self.edge_count()})"
 
 
-def _raise_duplicate_task(tasks: List[Task]) -> None:
+def _raise_first_bad_weight(
+    ids: Sequence[TaskId], c: Sequence[float], v: Optional[Sequence[float]]
+) -> None:
+    """Raise :class:`Task`'s error for the first bad weight, in task order (if any)."""
+    for i, tid in enumerate(ids):
+        if c[i] <= 0:
+            raise DagError(f"task {tid!r}: complexity must be > 0, got {c[i]}")
+        if v is not None and v[i] < 0:
+            raise DagError(f"task {tid!r}: data_volume must be >= 0, got {v[i]}")
+
+
+def _raise_duplicate_task(ids: List[TaskId]) -> None:
     seen = set()
-    for t in tasks:
-        if t.tid in seen:
-            raise DagError(f"duplicate task id {t.tid!r}")
-        seen.add(t.tid)
+    for tid in ids:
+        if tid in seen:
+            raise DagError(f"duplicate task id {tid!r}")
+        seen.add(tid)
 
 
 def _raise_first_bad_edge(task_map: Mapping[TaskId, int], edges: List) -> None:

@@ -18,21 +18,24 @@ structure depends only on their size (chain, fork-join, Gaussian
 elimination) build and validate that structure once per size — a cached
 unit-weight :func:`_template` — and give each job its own weight vector
 over it with :meth:`~repro.graphs.dag.Dag.with_weights`. A job then costs
-its weight draw and one tuple of floats; no :class:`Task` object is built,
-and none is kept (a ``Dag`` stores its weights as plain values). The random
-families (layered, Erdős–Rényi) draw a new structure per job and go through
-the full constructor.
+its weight draw and one tuple of floats. Every other family draws a new
+structure per job and hands its drawn floats and edges to the construction
+core, :meth:`~repro.graphs.dag.Dag.from_weights`. No generator builds a
+:class:`~repro.graphs.dag.Task`, and no ``Dag`` keeps one: a random job
+(layered, Erdős–Rényi) costs its draws, its adjacency and its topological
+sort.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import DagError
-from repro.graphs.dag import Dag, Task
+from repro.graphs.dag import Dag
 
 
 def draw_complexities(
@@ -44,10 +47,6 @@ def draw_complexities(
         raise DagError(f"invalid complexity range {c_range}")
     # Uniform draw, vectorised; values are strictly positive because lo > 0.
     return rng.uniform(lo, hi, size=n)
-
-
-def _tasks(cs: Sequence[float], data_volume: float = 0.0) -> list:
-    return [Task(i, float(c), data_volume) for i, c in enumerate(cs)]
 
 
 #: a fixed-shape family's structure: (task count, edges in generator order)
@@ -102,7 +101,7 @@ def _template(family: str, size: int) -> Dag:
     """
     shape, name = _FAMILIES[family]
     n, edges = shape(size)
-    return Dag([Task(i, 1.0) for i in range(n)], edges, name.format(size))
+    return Dag.from_weights([1.0] * n, edges, name.format(size))
 
 
 def _draw_job(
@@ -119,9 +118,8 @@ def paper_example_dag() -> Dag:
     Five tasks with complexities ``c = (6, 4, 4, 2, 5)`` (ids 1..5 as in the
     paper) and arcs ``1→3, 2→3, 1→4, 3→5, 4→5``.
     """
-    tasks = [Task(1, 6.0), Task(2, 4.0), Task(3, 4.0), Task(4, 2.0), Task(5, 5.0)]
     edges = [(1, 3), (2, 3), (1, 4), (3, 5), (4, 5)]
-    return Dag(tasks, edges, name="paper-fig2")
+    return Dag.from_weights([6.0, 4.0, 4.0, 2.0, 5.0], edges, "paper-fig2", ids=[1, 2, 3, 4, 5])
 
 
 def linear_chain_dag(
@@ -164,7 +162,7 @@ def out_tree_dag(
             child = i * branching + 1 + b
             if child < n:
                 edges.append((i, child))
-    return Dag(_tasks(cs), edges, name=f"outtree-d{depth}b{branching}")
+    return Dag.from_weights(cs.tolist(), edges, f"outtree-d{depth}b{branching}")
 
 
 def in_tree_dag(
@@ -181,11 +179,9 @@ def in_tree_dag(
     base = out_tree_dag(depth, branching, rng, c_range)
     n = len(base)
     # Reverse edges and relabel i -> n-1-i so ids stay topologically sorted.
-    relabel = {i: n - 1 - i for i in range(n)}
-    tasks = [Task(relabel[t.tid], t.complexity) for t in base.tasks.values()]
-    tasks.sort(key=lambda t: t.tid)
-    edges = [(relabel[v], relabel[u]) for (u, v) in base.edges]
-    return Dag(tasks, edges, name=f"intree-d{depth}b{branching}")
+    cs = [base.complexity(n - 1 - i) for i in range(n)]
+    edges = [(n - 1 - v, n - 1 - u) for (u, v) in base.edges]
+    return Dag.from_weights(cs, edges, f"intree-d{depth}b{branching}")
 
 
 def diamond_dag(
@@ -214,7 +210,7 @@ def diamond_dag(
                 edges.append((tid(i, j), tid(i + 1, j)))
             if j + 1 < side:
                 edges.append((tid(i, j), tid(i, j + 1)))
-    return Dag(_tasks(cs), edges, name=f"diamond-{side}")
+    return Dag.from_weights(cs.tolist(), edges, f"diamond-{side}")
 
 
 def gaussian_elimination_dag(
@@ -259,7 +255,7 @@ def fft_dag(
         for i in range(points):
             edges.append((tid(s, i), tid(s + 1, i)))
             edges.append((tid(s, i), tid(s + 1, i ^ (1 << s))))
-    return Dag(_tasks(cs), edges, name=f"fft-{points}")
+    return Dag.from_weights(cs.tolist(), edges, f"fft-{points}")
 
 
 def series_parallel_dag(
@@ -299,7 +295,7 @@ def series_parallel_dag(
     edges = [(u, v) for u, ss in succs.items() for v in ss]
     # Parallel siblings may leave several sources/sinks; that is fine for a
     # job DAG (the paper allows arbitrary precedence relations).
-    return Dag(_tasks(cs), edges, name=f"sp-{next_id}")
+    return Dag.from_weights(cs.tolist(), edges, f"sp-{next_id}")
 
 
 def layered_dag(
@@ -321,12 +317,12 @@ def layered_dag(
     if not 0.0 <= p_edge <= 1.0:
         raise DagError(f"p_edge must be in [0,1], got {p_edge}")
     rng = rng or np.random.default_rng(0)
-    layer_sizes = []
-    for _ in range(layers):
-        if jitter and width > 1:
-            layer_sizes.append(int(rng.integers(max(1, width // 2), width + width // 2 + 1)))
-        else:
-            layer_sizes.append(width)
+    if jitter and width > 1:
+        # one vector draw: the same integers, and the same generator state
+        # after them, as one rng.integers call per layer
+        layer_sizes = rng.integers(max(1, width // 2), width + width // 2 + 1, size=layers).tolist()
+    else:
+        layer_sizes = [width] * layers
     ids_per_layer = []
     nid = 0
     for sz in layer_sizes:
@@ -340,19 +336,24 @@ def layered_dag(
             # Guaranteed predecessor keeps the graph layered-connected.
             u = prev[int(rng.integers(len(prev)))]
             edges.append((u, v))
-            for u2 in prev:
-                if u2 != u and rng.random() < p_edge:
-                    edges.append((u2, v))
-    return Dag(_tasks(cs), edges, name=f"layered-{layers}x{width}")
+            others = [u2 for u2 in prev if u2 != u]
+            if others:
+                # one coin per other task, drawn as one vector: the same
+                # doubles, in the same order, as one rng.random() each
+                coins = rng.random(len(others)).tolist()
+                edges += [(u2, v) for u2, x in zip(others, coins) if x < p_edge]
+    return Dag.from_weights(cs.tolist(), edges, f"layered-{layers}x{width}")
 
 
 @lru_cache(maxsize=128)
-def _upper_triangle(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, k=1)``, read-only and computed once per ``n``."""
+def _upper_triangle(n: int) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    """The cells above the diagonal of an ``n x n`` matrix, once per ``n``:
+    their row-major positions (read-only) and their ``(i, j)`` pairs, both
+    in ``np.triu_indices(n, k=1)`` order."""
     iu, ju = np.triu_indices(n, k=1)
-    iu.flags.writeable = False
-    ju.flags.writeable = False
-    return iu, ju
+    flat = iu * n + ju
+    flat.flags.writeable = False
+    return flat, list(zip(iu.tolist(), ju.tolist()))
 
 
 def random_dag(
@@ -372,11 +373,11 @@ def random_dag(
         raise DagError(f"p_edge must be in [0,1], got {p_edge}")
     rng = rng or np.random.default_rng(0)
     cs = draw_complexities(rng, n, c_range)
-    # Vectorised coin flips for the upper triangle.
+    # Vectorised coin flips, one per cell of the n x n matrix; the cells
+    # above the diagonal decide the edges.
     edges = []
     if n > 1:
-        coins = rng.random((n, n))
-        iu, ju = _upper_triangle(n)
-        mask = coins[iu, ju] < p_edge
-        edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
-    return Dag(_tasks(cs), edges, name=f"er-{n}-p{p_edge}")
+        flat, pairs = _upper_triangle(n)
+        coins = rng.random((n, n)).ravel()[flat]
+        edges = list(compress(pairs, (coins < p_edge).tolist()))
+    return Dag.from_weights(cs.tolist(), edges, f"er-{n}-p{p_edge}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.errors import DagError
-from repro.graphs.dag import Dag, Task
+from repro.graphs.dag import Dag
 
 
 def dag_to_dict(dag: Dag) -> Dict[str, Any]:
@@ -37,15 +37,15 @@ def dag_to_dict(dag: Dag) -> Dict[str, Any]:
 def dag_from_dict(data: Dict[str, Any]) -> Dag:
     """Inverse of :func:`dag_to_dict`. Validates structure eagerly."""
     try:
-        tasks = [
-            Task(t["tid"], float(t["complexity"]), float(t.get("data_volume", 0.0)))
-            for t in data["tasks"]
-        ]
+        tasks = data["tasks"]
+        ids = [t["tid"] for t in tasks]
+        cs = [float(t["complexity"]) for t in tasks]
+        volumes = [float(t.get("data_volume", 0.0)) for t in tasks]
         edges = [(u, v) for (u, v) in data["edges"]]
         name = str(data.get("name", "dag"))
     except (KeyError, TypeError, ValueError) as exc:
         raise DagError(f"malformed DAG dict: {exc}") from exc
-    return Dag(tasks, edges, name=name)
+    return Dag.from_weights(cs, edges, name, ids=ids, volumes=volumes)
 
 
 def estimate_code_size(dag: Dag, units_per_task: float = 4.0) -> float:

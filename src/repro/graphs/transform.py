@@ -41,10 +41,8 @@ def assign_data_volumes(
         raise DagError(f"invalid volume range {volume_range}")
     order = dag.topological_order()
     volumes = rng.uniform(lo, hi, size=len(order))
-    tasks = [
-        Task(t, dag.complexity(t), float(v)) for t, v in zip(order, volumes)
-    ]
-    return Dag(tasks, dag.edges, name=f"{dag.name}+dv")
+    cs = [dag.complexity(t) for t in order]
+    return Dag.from_weights(cs, dag.edges, f"{dag.name}+dv", ids=order, volumes=volumes.tolist())
 
 
 def transitive_reduction(dag: Dag) -> Dag:

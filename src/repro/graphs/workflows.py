@@ -35,7 +35,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import DagError
-from repro.graphs.dag import Dag, Task
+from repro.graphs.dag import Dag
 from repro.graphs.generators import draw_complexities
 
 #: default task-complexity range of the workflow generators
@@ -51,7 +51,7 @@ def _weighted(
     """A DAG of ``shape`` with complexities drawn as the generators draw them."""
     name, n, edges = shape
     cs = draw_complexities(rng or np.random.default_rng(0), n, c_range)
-    return Dag([Task(i, float(c)) for i, c in enumerate(cs)], edges, name=name)
+    return Dag.from_weights(cs.tolist(), edges, name)
 
 
 def mapreduce_dag(
@@ -66,14 +66,13 @@ def mapreduce_dag(
     rng = rng or np.random.default_rng(0)
     n = 1 + maps + reduces + 1
     cs = draw_complexities(rng, n, c_range)
-    tasks = [Task(i, float(c)) for i, c in enumerate(cs)]
     split, merge = 0, n - 1
     map_ids = list(range(1, 1 + maps))
     red_ids = list(range(1 + maps, 1 + maps + reduces))
     edges = [(split, m) for m in map_ids]
     edges += [(m, r) for m in map_ids for r in red_ids]
     edges += [(r, merge) for r in red_ids]
-    return Dag(tasks, edges, name=f"mapreduce-{maps}x{reduces}")
+    return Dag.from_weights(cs.tolist(), edges, f"mapreduce-{maps}x{reduces}")
 
 
 def montage_shape(tiles: int) -> WorkflowShape:
@@ -160,13 +159,12 @@ def pipeline_dag(
     rng = rng or np.random.default_rng(0)
     n = stages * width
     cs = draw_complexities(rng, n, c_range)
-    tasks = [Task(i, float(c)) for i, c in enumerate(cs)]
     edges = []
     for s in range(stages - 1):
         for i in range(width):
             for j in range(width):
                 edges.append((s * width + i, (s + 1) * width + j))
-    return Dag(tasks, edges, name=f"pipeline-{stages}x{width}")
+    return Dag.from_weights(cs.tolist(), edges, f"pipeline-{stages}x{width}")
 
 
 def scatter_gather_dag(
@@ -200,5 +198,4 @@ def scatter_gather_dag(
         coord = gather
         w = max(2, w // 2)
     cs = draw_complexities(rng, nid, c_range)
-    tasks = [Task(i, float(c)) for i, c in enumerate(cs)]
-    return Dag(tasks, edges, name=f"scatter-gather-{rounds}x{width}")
+    return Dag.from_weights(cs.tolist(), edges, f"scatter-gather-{rounds}x{width}")

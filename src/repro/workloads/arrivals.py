@@ -136,9 +136,8 @@ def per_site_arrivals(
 
     out: List[Tuple[Time, SiteId]] = []
     for sid in range(n_sites):
-        for t in poisson_arrivals(rng, float(rates[sid]), start, end):
-            out.append((float(t), sid))
-    out.sort(key=lambda x: (x[0], x[1]))
+        out += [(t, sid) for t in poisson_arrivals(rng, float(rates[sid]), start, end).tolist()]
+    out.sort()  # by time, then site
     return out
 
 

@@ -103,14 +103,13 @@ def open_loop_jobs(spec: OpenLoopSpec) -> Iterator[JobSpec]:
         w1 = w0 + window
         arrivals = spec.process.times(rng, w0, w1)
         origins = rng.integers(spec.n_sites, size=arrivals.size)
-        for t, sid in zip(arrivals, origins):
-            t = float(t)
+        for t, sid in zip(arrivals.tolist(), origins.tolist()):
             dag = factory(rng)
             deadline = assign_deadline(
                 dag, t, spec.laxity_factor, rng, jitter=spec.deadline_jitter
             )
             yield JobSpec(
-                job=job_id, dag=dag, origin=int(sid), arrival=t, deadline=deadline
+                job=job_id, dag=dag, origin=sid, arrival=t, deadline=deadline
             )
             job_id += 1
         w0 = w1

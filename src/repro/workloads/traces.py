@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.graphs.dag import Dag, Task
+from repro.graphs.dag import Dag
 from repro.graphs.generators import draw_complexities
 from repro.graphs.workflows import WORKFLOW_C_RANGE, epigenomics_shape, montage_shape
 
@@ -157,7 +157,7 @@ def _trace_shape(family: str, size: int) -> _TraceShape:
     by_type: Dict[str, List[int]] = {}
     for tid, ttype in enumerate(types):
         by_type.setdefault(ttype, []).append(tid)
-    dag = Dag([Task(t, 1.0) for t in range(n)], sorted(edges, key=repr), name=name)
+    dag = Dag.from_weights([1.0] * n, sorted(edges, key=repr), name)
     return _TraceShape(dag, tuple((t, tuple(by_type[t])) for t in sorted(by_type)))
 
 

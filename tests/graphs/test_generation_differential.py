@@ -2,8 +2,10 @@
 
 Fixed-shape families (chain, fork-join, Gaussian elimination) and the
 workflow traces build one validated structure per shape and re-weight it
-per job; the ``Dag`` constructor validates with whole-collection tests.
-Every job must still be the one the frozen generators in
+per job; every other graph goes through one construction core,
+``Dag.from_weights``, which validates with whole-collection tests and which
+``Dag(tasks, edges)`` wraps. Every job must still be the one the frozen
+generators in
 ``tests/frozen_reference.py`` build — same name, same ``(tid, complexity,
 data_volume)`` in insertion order, same sorted edges, topological order and
 adjacency order — and leave the caller's generator in the same state,
@@ -15,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import DagError
 from repro.graphs import generators, workflows
+from repro.graphs.analysis import critical_path_length
 from repro.graphs.dag import Dag, Task
 from repro.workloads import traces
 from repro.workloads.scenarios import mixed_dag_factory
@@ -173,11 +177,102 @@ def _outcome(cls, tasks, edges):
     return "ok", _observed(dag)
 
 
+def _core(tasks, edges, name):
+    """``Dag(tasks, edges, name)`` built by the core from the tasks' numbers."""
+    return Dag.from_weights(
+        [t.complexity for t in tasks],
+        edges,
+        name,
+        ids=[t.tid for t in tasks],
+        volumes=[t.data_volume for t in tasks],
+    )
+
+
 @pytest.mark.parametrize(
     "tasks, edges", [c[1:] for c in CONSTRUCTOR_CASES], ids=[c[0] for c in CONSTRUCTOR_CASES]
 )
 def test_constructor_outcome_equals_frozen_constructor(tasks, edges):
     assert _outcome(Dag, tasks, edges) == _outcome(ref.DagReference, tasks, edges)
+
+
+@pytest.mark.parametrize(
+    "tasks, edges", [c[1:] for c in CONSTRUCTOR_CASES], ids=[c[0] for c in CONSTRUCTOR_CASES]
+)
+def test_core_outcome_equals_constructor(tasks, edges):
+    assert _outcome(_core, tasks, edges) == _outcome(Dag, tasks, edges)
+
+
+def _first_task_error(weights, volumes):
+    """The error building the tasks one by one raises first (``None`` if none)."""
+    try:
+        for i, c in enumerate(weights):
+            Task(i, c, 0.0 if volumes is None else volumes[i])
+    except DagError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "weights, volumes",
+    [
+        ([1.0, 0.0, -1.0], None),
+        ([float("nan"), 1.0, -2.0], None),
+        ([1.0, 2.0], [-1.0, 0.0]),
+        ([1.0, -2.0], [0.0, -1.0]),
+    ],
+    ids=["zero-then-negative", "nan-then-negative", "negative-volume", "weight-before-volume"],
+)
+def test_core_names_the_first_bad_weight_as_task_does(weights, volumes):
+    with pytest.raises(DagError) as exc:
+        Dag.from_weights(weights, [], volumes=volumes)
+    assert str(exc.value) == _first_task_error(weights, volumes) is not None
+
+
+@st.composite
+def weighted_graphs(draw):
+    """``(weights, edges, ids)``: an acyclic edge list in arbitrary input
+    order over ids ``0..n-1`` (``ids=None``) or over other ids."""
+    n = draw(st.integers(1, 14))
+    weights = draw(st.lists(st.floats(0.25, 9.0), min_size=n, max_size=n))
+    rank = draw(st.permutations(range(n)))  # a hidden topological order
+    pairs = [(a, b) for a in range(n) for b in range(n) if rank[a] < rank[b]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    naming = draw(st.sampled_from(["range", "shuffled", "str"]))
+    if naming == "range":
+        return weights, edges, None
+    if naming == "shuffled":
+        ids = draw(st.permutations(range(n)))
+    else:
+        ids = [f"t{i}" for i in range(n)]
+    return weights, [(ids[a], ids[b]) for a, b in edges], list(ids)
+
+
+def _frozen_levels(dag):
+    """Bottom levels and critical path as the pre-core ``Dag`` defined them."""
+    bl = {}
+    for t in reversed(dag.topological_order()):
+        succ = dag.successors(t)
+        bl[t] = dag.task(t).complexity + (max([bl[s] for s in succ]) if succ else 0.0)
+    return bl, max(bl[t] for t in dag.topological_order() if not dag.predecessors(t))
+
+
+@given(weighted_graphs())
+@settings(max_examples=150, deadline=None)
+def test_core_equals_frozen_constructor(graph):
+    """The core and its ``Dag(tasks, edges)`` wrapper ≡ the frozen
+    constructor: same topological order, adjacency, sorted edges, bottom
+    levels and critical path (the memoised float read first, off no map)."""
+    weights, edges, ids = graph
+    tids = range(len(weights)) if ids is None else ids
+    tasks = [Task(t, c) for t, c in zip(tids, weights)]
+    frozen = ref.DagReference(tasks, edges, name="g")
+    levels, cp = _frozen_levels(frozen)
+    for live in (Dag.from_weights(weights, edges, "g", ids=ids), Dag(tasks, edges, "g")):
+        assert critical_path_length(live) == cp
+        assert _observed(live) == _observed(frozen)
+        assert live.edge_count() == len(frozen.edges)
+        assert live.bottom_levels() == levels
+        assert critical_path_length(live) == cp
 
 
 GENERATOR_ERRORS = [
