@@ -44,11 +44,14 @@ MSG_JOB_SUBMIT = "C_JOB_SUBMIT"
 MSG_EXEC_ASSIGN = "C_EXEC_ASSIGN"
 MSG_C_RESULT = "C_RESULT"
 
+#: candidate sites the coordinator's mapper considers per job
+SHORTLIST = 8
+
 
 class CentralizedCoordinator:
     """The global scheduler living on the coordinator site.
 
-    ``shortlist`` bounds how many candidate sites the mapper considers per
+    ``SHORTLIST`` bounds how many candidate sites the mapper considers per
     job (sorted by idle time): realistic centralized schedulers shortlist,
     and it keeps the oracle's work polynomial.
     """
@@ -58,12 +61,10 @@ class CentralizedCoordinator:
         site: "CentralizedSite",
         all_sites: Dict[SiteId, "CentralizedSite"],
         distances: Dict[SiteId, Dict[SiteId, Time]],
-        shortlist: int = 8,
     ) -> None:
         self.site = site
         self.all_sites = all_sites
         self.distances = distances
-        self.shortlist = shortlist
         #: shadow timelines — ground truth, since all admissions come here.
         #: Kept as *copies* updated synchronously at decision time: remote
         #: sites' real plans lag behind by one message delay, and mapping
@@ -118,7 +119,7 @@ class CentralizedCoordinator:
         cands = sorted(
             self.all_sites,
             key=lambda sid: (-self.shadow[sid].idle_time(now, now + window), sid),
-        )[: self.shortlist]
+        )[:SHORTLIST]
         if ctx.origin not in cands:
             cands.append(ctx.origin)
         # every probe starts at or after code_ready >= now: copy the live tails
@@ -224,11 +225,10 @@ class CentralizedSite(BaselineSite):
         self,
         all_sites: Dict[SiteId, "CentralizedSite"],
         distances: Dict[SiteId, Dict[SiteId, Time]],
-        shortlist: int = 8,
     ) -> None:
         if self.sid != self.coordinator_id:
             raise ProtocolError(f"site {self.sid} is not the coordinator")
-        self.coordinator = CentralizedCoordinator(self, all_sites, distances, shortlist)
+        self.coordinator = CentralizedCoordinator(self, all_sites, distances)
 
     # -- arrival ------------------------------------------------------------------
 

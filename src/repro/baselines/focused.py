@@ -10,7 +10,7 @@ The Cheng/Stankovic/Ramamritham scheme the paper positions itself against
 * a job that fails the local test triggers *focused addressing*: the origin
   picks the best site from its (possibly stale) surplus table and ships the
   **whole DAG** there; in parallel it runs *bidding* — a request-for-bids to
-  the next-best ``bid_count`` sites, whose fresh-surplus answers form a
+  the next-best ``BID_COUNT`` sites, whose fresh-surplus answers form a
   fallback chain the DAG walks if the focused site cannot guarantee it;
 * each attempt re-runs the §5 local test on the receiving site; exhausting
   the chain rejects the job.
@@ -36,6 +36,11 @@ MSG_RFB = "F_RFB"
 MSG_BID = "F_BID"
 MSG_OFFLOAD = "F_OFFLOAD"
 
+#: time between a site's network-wide surplus floods
+BROADCAST_PERIOD = 50.0
+#: sites asked for a bid beside the focused addressee
+BID_COUNT = 3
+
 
 class FocusedSite(BaselineSite):
     """A site running focused addressing + bidding."""
@@ -45,8 +50,6 @@ class FocusedSite(BaselineSite):
         sid: SiteId,
         network: Network,
         routing_phases: int,
-        broadcast_period: float = 50.0,
-        bid_count: int = 3,
         bid_wait: float = 10.0,
         surplus_window: float = 200.0,
         speed: float = 1.0,
@@ -62,8 +65,6 @@ class FocusedSite(BaselineSite):
             metrics=metrics,
             routing_factory=routing_factory,
         )
-        self.broadcast_period = broadcast_period
-        self.bid_count = bid_count
         self.bid_wait = bid_wait
         #: latest known surplus per origin site (stale by design)
         self.known_surplus: Dict[SiteId, float] = {}
@@ -84,7 +85,7 @@ class FocusedSite(BaselineSite):
     def start(self) -> None:
         super().start()
         # Stagger the periodic broadcasts so they do not synchronise.
-        offset = (self.sid % 16) * self.broadcast_period / 16.0
+        offset = (self.sid % 16) * BROADCAST_PERIOD / 16.0
         self.sim.schedule(offset, self._periodic_broadcast)
 
     # -- periodic network-wide surplus flooding ------------------------------
@@ -100,7 +101,7 @@ class FocusedSite(BaselineSite):
             },
             exclude=None,
         )
-        self.sim.schedule(self.broadcast_period, self._periodic_broadcast)
+        self.sim.schedule(BROADCAST_PERIOD, self._periodic_broadcast)
 
     def _flood(self, payload: Dict, exclude: Optional[SiteId]) -> None:
         for nb in self.neighbors():
@@ -149,7 +150,7 @@ class FocusedSite(BaselineSite):
         if not cands:
             self.decide(ctx, JobOutcome.REJECTED_NO_SPHERE)
             return
-        bidders = set(cands[1 : 1 + self.bid_count])
+        bidders = set(cands[1 : 1 + BID_COUNT])
         self._pending_bids[ctx.job] = (ctx, set(bidders), {})
         for b in sorted(bidders):
             self.send_to(b, MSG_RFB, {"job": ctx.job, "origin": self.sid}, size=2.0)

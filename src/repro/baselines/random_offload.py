@@ -1,7 +1,7 @@
 """Random-offload baseline.
 
 On local rejection, ship the whole DAG to a uniformly random known site
-within ``max_hops`` (a chain of up to ``tries`` attempts, each re-running
+within ``MAX_HOPS`` (a chain of up to ``TRIES`` attempts, each re-running
 the local test on arrival). No state is exchanged beforehand — this is the
 zero-information sanity baseline: any scheme with actual information
 (spheres, bidding, global view) should beat it.
@@ -23,6 +23,11 @@ from repro.types import JobId, SiteId, Time
 
 MSG_R_OFFLOAD = "R_OFFLOAD"
 
+#: how far (in hops) a rejected DAG may be shipped
+MAX_HOPS = 4
+#: offload attempts before the job is rejected
+TRIES = 3
+
 
 class RandomOffloadSite(BaselineSite):
     """A site that offloads rejected DAGs to random peers."""
@@ -32,8 +37,6 @@ class RandomOffloadSite(BaselineSite):
         sid: SiteId,
         network: Network,
         routing_phases: int,
-        max_hops: int = 4,
-        tries: int = 3,
         seed: int = 0,
         surplus_window: float = 200.0,
         speed: float = 1.0,
@@ -49,8 +52,6 @@ class RandomOffloadSite(BaselineSite):
             metrics=metrics,
             routing_factory=routing_factory,
         )
-        self.max_hops = max_hops
-        self.tries = tries
         self.rng = np.random.default_rng((seed, sid))
         self.on(MSG_R_OFFLOAD, self._h_offload)
 
@@ -62,14 +63,14 @@ class RandomOffloadSite(BaselineSite):
         if self.try_commit_whole_dag(ctx):
             self.decide(ctx, JobOutcome.ACCEPTED_LOCAL, hosts=[self.sid])
             return
-        self._forward_job(ctx, tries_left=self.tries, visited=[self.sid])
+        self._forward_job(ctx, tries_left=TRIES, visited=[self.sid])
 
     def _forward_job(self, ctx: BaselineJobCtx, tries_left: int, visited: List[SiteId]) -> None:
         if tries_left <= 0:
             self.decide(ctx, JobOutcome.REJECTED_VALIDATION)
             return
         options = [
-            s for s in self.routing.table.within_phase(self.max_hops)
+            s for s in self.routing.table.within_phase(MAX_HOPS)
             if s != self.sid and s not in visited
         ]
         if not options:

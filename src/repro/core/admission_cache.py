@@ -8,8 +8,9 @@ and complexities), (b) the site's speed and insertion order, and (c) the
 site's committed timeline — **provided** the probe's ``not_before = now``
 floor is inactive, i.e. ``now`` is at or before every window release. The
 adjustment step guarantees exactly that in steady state: adjusted releases
-sit at or above ``r_map = now_init + protocol_margin_factor · radius``,
-which is strictly later than any member receives the VALIDATE.
+sit at or above ``r_map = now_init + 3 · radius`` (``PROTOCOL_MARGIN_FACTOR``
+in :mod:`repro.core.rtds`), which is strictly later than any member
+receives the VALIDATE.
 
 So the cache memoizes :func:`repro.core.validation.endorse_mapping`
 network-wide, keyed by:

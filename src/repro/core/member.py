@@ -76,15 +76,13 @@ class MemberSide:
 
     def _end_tenancy(self, t: Tenancy) -> None:
         """The one member teardown: cancel the lease, drop slots and verdict,
-        reclaim the job's cached endorsements, unlock, replay what waited."""
+        unlock (the site's one unlock path)."""
         site = self.site
         if t.lease_timer is not None:
             site.sim.cancel(t.lease_timer)
             t.lease_timer = None
         self.tenancy = None
-        site.admission_cache.invalidate_job(t.job)
-        site.lock.release(t.initiator, t.job)
-        site.drain_deferred()
+        site.unlock(t.initiator, t.job)
 
     def _restart_lease(self, t: Tenancy) -> None:
         """(Re)start the lease clock: the initiator just showed life."""
@@ -120,7 +118,7 @@ class MemberSide:
             self._restart_lease(t)
             self._send_enroll_ack(job, initiator, members)
             return
-        if site.lock.locked:
+        if not site.lock.may_change_plan():
             if site.config.enroll_mode == "refuse":
                 site.send_to(
                     initiator,

@@ -24,9 +24,8 @@ def round_budget(site, members, size: float = 0.0) -> Time:
 
     The initiator knows its delay distances (§2) and its adjacent link
     throughputs (§13), so the budget is the physical round trip to the
-    farthest queried member — propagation, per-hop transfer time of a
-    ``size``-unit message, management overhead — plus ``ack_timeout``
-    as grace. A flat timeout would misfire on large spheres or under
+    farthest queried member — propagation and per-hop transfer time of a
+    ``size``-unit message — plus ``ack_timeout`` as grace. A flat timeout would misfire on large spheres or under
     the data-volume model and retransmit to perfectly healthy members.
     """
     dmax = 0.0
@@ -34,7 +33,7 @@ def round_budget(site, members, size: float = 0.0) -> Time:
     if site.pcs is not None and members:
         dmax = max(site.pcs.distance.get(m, 0.0) for m in members)
         hmax = max(site.pcs.hops.get(m, site.config.h) for m in members)
-    rtt = 2.0 * dmax + 2.0 * site.mgmt_overhead
+    rtt = 2.0 * dmax
     tp = site.min_adjacent_throughput() if size > 0.0 else None
     if tp is not None:
         # Request out + ack back, each paying size/throughput per

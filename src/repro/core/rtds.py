@@ -33,7 +33,7 @@ RESULT messages only open executor gates and pass through locks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -72,6 +72,15 @@ from repro.spheres.diameter import sphere_diameter, sphere_radius
 from repro.spheres.pcs import PCS, build_pcs, handle_sphere_message, pcs_size, sphere_broadcast
 from repro.types import JobId, LogicalProc, SiteId, TaskId, Time
 
+#: queue-mode collection budget, as a fraction of the time left to the
+#: job's deadline when its enrollment starts
+ENROLL_BUDGET_FRACTION = 0.25
+#: the §13 release augmentation: the Trial-Mapping's job release is
+#: ``now + factor × (delay radius of the ACS from k)``, covering the
+#: validation round trip and the code dispatch (the Mapper itself runs
+#: inline, in zero simulated time)
+PROTOCOL_MARGIN_FACTOR = 3.0
+
 
 @dataclass
 class _JobCtx:
@@ -94,16 +103,12 @@ class RTDSSite(SchedulerSite):
         config: RTDSConfig,
         speed: float = 1.0,
         metrics=None,
-        mgmt_overhead: Time = 0.0,
         routing_factory=None,
-        surplus_window: Optional[float] = None,
+        surplus_window: float = 200.0,
     ) -> None:
-        if surplus_window not in (None, config.surplus_window):
-            # a run has one surplus window, the runner's: the config follows it
-            config = replace(config, surplus_window=surplus_window)
         super().__init__(
-            sid, network, config.pcs_phases, config.surplus_window, speed, metrics,
-            mgmt_overhead, routing_factory, on_routing_done=self._routing_done,
+            sid, network, config.pcs_phases, surplus_window, speed, metrics,
+            routing_factory, on_routing_done=self._routing_done,
         )
         self.config = config
         #: §11 host side: gates, RESULT forwarding, RESULT delivery
@@ -193,13 +198,13 @@ class RTDSSite(SchedulerSite):
         if not self.routing.done:
             self._pre_routing.append(ctx)
             return
-        ctx.was_deferred = self.lock.locked
+        ctx.was_deferred = not self.lock.may_change_plan()
         self._consider(ctx)
 
     def _consider(self, ctx: _JobCtx) -> None:
         """Local test, then (if needed) start the distributed protocol —
-        once the lock is free: whatever would mutate the plan waits behind it."""
-        if self.lock.locked:
+        once the lock lets the plan change: whatever would mutate it waits."""
+        if not self.lock.may_change_plan():
             self.lock.defer(lambda: self._consider(ctx))
             return
         # A deferred job may have become hopeless while waiting: even an
@@ -283,8 +288,7 @@ class RTDSSite(SchedulerSite):
             # from "crashed" (it would demote waiting members to refusals and
             # a retransmission would enqueue a second deferred handler). The
             # enroll round is therefore only watched in refuse mode.
-            frac = self.config.enroll_timeout or 0.25
-            queue_budget = max(0.0, (ctx.deadline - self.now) * frac)
+            queue_budget = max(0.0, (ctx.deadline - self.now) * ENROLL_BUDGET_FRACTION)
             self._send_enroll(session, members, queue_budget)
             job = ctx.job
             self._enroll_timer = self.sim.schedule(
@@ -406,7 +410,7 @@ class RTDSSite(SchedulerSite):
             self.sid, initiator_dist, {m: s.enrolled[m].distances for m in members}
         )
         radius = sphere_radius(initiator_dist, members)
-        r_map = self.now + self.config.protocol_margin_factor * radius
+        r_map = self.now + PROTOCOL_MARGIN_FACTOR * radius
         # §13 data-volume model: with finite link throughput, every hop of a
         # transfer costs size/throughput on top of propagation delay. The
         # sphere's hop diameter is bounded by 2h, so budgeting 2h transfer
@@ -647,15 +651,19 @@ class RTDSSite(SchedulerSite):
         acs_size: Optional[int] = None,
     ) -> None:
         """The one initiator session close, accepted or rejected: forget
-        the session, reclaim its cached endorsements, record the decision,
-        release the initiator's own lock and replay what waited behind it."""
+        the session, record the decision, unlock the initiator's own lock."""
         s = self.session
         s.phase = AcsSession.FINISHED
         self.session = None
-        self.admission_cache.invalidate_job(s.job)
         self.decide(s.ctx, outcome, hosts=hosts, acs_size=acs_size)
-        self.lock.release(self.sid, s.job)
-        self.drain_deferred()
+        self.unlock(self.sid, s.job)
+
+    def unlock(self, initiator: SiteId, job: JobId) -> None:
+        """The one unlock path, whether the initiator's session closes or
+        a member's tenancy ends: reclaim the job's cached endorsements,
+        then release the lock, which replays what waited behind it."""
+        self.admission_cache.invalidate_job(job)
+        self.lock.release(initiator, job)
 
     def tolerate(self, event: str, counter: Optional[str], error: str, **detail) -> None:
         """A message that fits no live state. The loss-less protocol cannot
@@ -667,12 +675,6 @@ class RTDSSite(SchedulerSite):
         self.trace(event, **detail)
         if counter is not None:
             self.count(counter)
-
-    def drain_deferred(self) -> None:
-        """Replay, FIFO, what was deferred behind the lock just released."""
-        while not self.lock.locked and self.lock.deferred:
-            thunk = self.lock.deferred.popleft()
-            thunk()
 
     # -- maintenance ---------------------------------------------------------
 

@@ -38,11 +38,10 @@ class SchedulerSite(SiteBase):
         surplus_window: float = 200.0,
         speed: float = 1.0,
         metrics=None,
-        mgmt_overhead: Time = 0.0,
         routing_factory=None,
         on_routing_done=None,
     ) -> None:
-        super().__init__(sid, network, mgmt_overhead, speed=speed)
+        super().__init__(sid, network, speed=speed)
         self.metrics = metrics
         self.plan = SchedulingPlan(sid, surplus_window, obs=self.obs)
         self.executor = PlanExecutor(network.sim, self.plan)

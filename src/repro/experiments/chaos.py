@@ -60,10 +60,7 @@ class ChaosConfig:
     target_jobs: int = 100_000
     queue_capacity: int = 1024
     laxity_factor: float = 3.0
-    dag_size: str = "small"
     sample_every: int = 2_000
-    hygiene_interval: float = 200.0
-    drain_margin: float = 300.0
     #: admission breaker: shed submit_nowait below this acceptance rate
     degraded_floor: Optional[float] = 0.2
     degraded_window: int = 500
@@ -97,7 +94,8 @@ class ChaosConfig:
     def soak_config(self) -> SoakConfig:
         """The underlying E12 soak shape (oracle routing: joins repair
         the shared vectorized tables, so the protocol setup phase is
-        replaced by precomputed-table installation)."""
+        replaced by precomputed-table installation); the job mix, hygiene
+        interval and drain margin are the soak's."""
         return SoakConfig(
             n_sites=self.n_sites,
             arrival=self.arrival,
@@ -105,10 +103,7 @@ class ChaosConfig:
             target_jobs=self.target_jobs,
             queue_capacity=self.queue_capacity,
             laxity_factor=self.laxity_factor,
-            dag_size=self.dag_size,
             sample_every=self.sample_every,
-            hygiene_interval=self.hygiene_interval,
-            drain_margin=self.drain_margin,
             algorithm="rtds",
             routing_mode="oracle",
             seed=self.seed,
@@ -164,9 +159,7 @@ def _estimate_horizon(config: ChaosConfig) -> float:
     unit per base site and the open-loop rate is known before building
     anything. A 10% margin keeps churn running through the drain's tail.
     """
-    rate = open_loop_rate(
-        config.rho, [1.0] * config.n_sites, dag_size=config.dag_size, seed=config.seed
-    )
+    rate = open_loop_rate(config.rho, [1.0] * config.n_sites, seed=config.seed)
     return 1.1 * config.target_jobs / rate
 
 

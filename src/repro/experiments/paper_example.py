@@ -147,10 +147,14 @@ def run_fig1_scenario(
     sim = Simulator()
     tracer = Tracer(enabled=True)
     metrics = MetricsCollector()
-    cfg = RTDSConfig(h=h, surplus_window=100.0)
+    cfg = RTDSConfig(h=h)
     topo = complete(n_sites, delay_range=(1.0, 1.0))
     net = build_network(
-        topo, sim, lambda sid, n: RTDSSite(sid, n, cfg, metrics=metrics), tracer, obs=obs
+        topo,
+        sim,
+        lambda sid, n: RTDSSite(sid, n, cfg, metrics=metrics, surplus_window=100.0),
+        tracer,
+        obs=obs,
     )
     for sid in net.site_ids():
         net.site(sid).start()

@@ -64,8 +64,23 @@ ProgressFn = Callable[["CellResult", int, int], None]
 #: back, so every cell key stays where it was: a key is the address of a
 #: cached cell in every result store.
 _RETIRED_FIELDS: Dict[str, Dict[str, object]] = {
-    "ExperimentConfig": {"election": None},
-    "RTDSConfig": {"member_lease": None, "result_forwarding": True, "mapper_cost": 0.0},
+    "ExperimentConfig": {
+        "election": None,
+        "focused_period": 50.0,
+        "focused_bid_count": 3,
+        "centralized_shortlist": 8,
+        "random_max_hops": 4,
+        "random_tries": 3,
+        "drain_margin": 300.0,
+    },
+    "RTDSConfig": {
+        "member_lease": None,
+        "result_forwarding": True,
+        "mapper_cost": 0.0,
+        "surplus_window": 200.0,
+        "enroll_timeout": None,
+        "protocol_margin_factor": 3.0,
+    },
 }
 
 

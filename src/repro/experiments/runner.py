@@ -8,8 +8,8 @@ example uses. A run has two phases:
    counter is snapshotted at the end: setup traffic is reported separately
    from per-job protocol traffic.
 2. **workload** — job arrivals are injected at their (setup-shifted)
-   times; the simulation runs until every deadline plus a drain margin has
-   passed.
+   times; the simulation runs until every deadline plus
+   :data:`DRAIN_MARGIN` has passed.
 
 Determinism: everything derives from ``config.seed`` — topology delays,
 workload, random-offload choices, and the tie-break rules are seed-free.
@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from repro.baselines.centralized import CentralizedSite
-from repro.baselines.focused import FocusedSite
+from repro.baselines.focused import BROADCAST_PERIOD, FocusedSite
 from repro.baselines.local_only import LocalOnlySite
 from repro.baselines.random_offload import RandomOffloadSite
 from repro.core.config import RTDSConfig
@@ -66,6 +66,10 @@ from repro.workloads.scenarios import WorkloadSpec, generate_workload
 
 ALGORITHMS = ("rtds", "local", "centralized", "focused", "random")
 
+#: simulated time a run goes on past its last deadline, so work admitted
+#: late still finishes (or misses) inside the run
+DRAIN_MARGIN = 300.0
+
 
 @dataclass
 class ExperimentConfig:
@@ -82,12 +86,6 @@ class ExperimentConfig:
     )
     algorithm: str = "rtds"
     rtds: RTDSConfig = field(default_factory=RTDSConfig)
-    #: baseline knobs
-    focused_period: float = 50.0
-    focused_bid_count: int = 3
-    centralized_shortlist: int = 8
-    random_max_hops: int = 4
-    random_tries: int = 3
     #: workload
     rho: float = 0.6
     duration: float = 600.0
@@ -114,10 +112,8 @@ class ExperimentConfig:
     link_throughput: Optional[float] = None
     data_volume_range: Optional[tuple] = None
     #: the run's one surplus window: every site, RTDS or baseline, is
-    #: built with it. ``rtds.surplus_window`` is overwritten by it, so a
-    #: non-default value there that disagrees is rejected.
+    #: built with it
     surplus_window: float = 200.0
-    drain_margin: float = 300.0
     #: if set, every ``hygiene_interval`` time units every site forgets
     #: finished history older than one surplus window — member and hosting
     #: state too, and abandoned records on fault runs; plans and executors
@@ -170,26 +166,14 @@ class ExperimentConfig:
         if not 0 <= self.rho < math.inf:
             raise ConfigError(f"rho must be >= 0 and finite, got {self.rho}")
         # a zero interval would reschedule the hygiene tick at the same
-        # instant forever; a negative drain margin would stop the run
-        # before the last deadline
+        # instant forever
         if self.hygiene_interval is not None and not self.hygiene_interval > 0:
             raise ConfigError(f"hygiene_interval must be > 0, got {self.hygiene_interval}")
-        if not self.drain_margin >= 0:
-            raise ConfigError(f"drain_margin must be >= 0, got {self.drain_margin}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}")
         if self.routing_mode not in ("protocol", "oracle"):
             raise ConfigError(
                 f"unknown routing_mode {self.routing_mode!r}; known: ('protocol', 'oracle')"
-            )
-        if self.rtds.surplus_window not in (RTDSConfig.surplus_window, self.surplus_window):
-            # the sites are built with this config's window, whatever
-            # ``rtds`` carries: refuse a value that would silently not apply
-            raise ConfigError(
-                f"rtds.surplus_window={self.rtds.surplus_window} is never applied: "
-                f"a run's one surplus window is ExperimentConfig.surplus_window "
-                f"(here {self.surplus_window}) — set surplus_window on the "
-                "experiment config instead"
             )
         if self.site_speeds is not None:
             # validate the spec shape now — a campaign must reject a bad
@@ -273,6 +257,16 @@ class RunResult:
         return self.summary.scalars()
 
 
+#: the site class of each algorithm
+_SITE_CLASSES: Dict[str, type] = {
+    "rtds": RTDSSite,
+    "local": LocalOnlySite,
+    "centralized": CentralizedSite,
+    "focused": FocusedSite,
+    "random": RandomOffloadSite,
+}
+
+
 def _site_factory(
     config: ExperimentConfig,
     topo: Topology,
@@ -281,37 +275,23 @@ def _site_factory(
     global_phases: int,
 ) -> Callable[[int, Network], Any]:
     """The ``(sid, network) -> site`` constructor of ``config.algorithm``:
-    the algorithm's own knobs on top of what every site takes."""
-    site_cls: type
-    if config.algorithm == "rtds":
-        site_cls = RTDSSite
-        knobs: Dict[str, Any] = {"config": config.rtds}
-    elif config.algorithm == "local":
-        site_cls = LocalOnlySite
-        knobs = {}
-    elif config.algorithm == "centralized":
-        site_cls = CentralizedSite
-        knobs = {"routing_phases": global_phases, "coordinator_id": 0}
-    elif config.algorithm == "focused":
-        site_cls = FocusedSite
-        knobs = {
-            "routing_phases": global_phases,
-            "broadcast_period": config.focused_period,
-            "bid_count": config.focused_bid_count,
-        }
-    else:  # random
-        site_cls = RandomOffloadSite
-        knobs = {
-            "routing_phases": global_phases,
-            "max_hops": config.random_max_hops,
-            "tries": config.random_tries,
-            "seed": config.seed,
-        }
+    what the algorithm's sites need on top of what every site takes — the
+    protocol config for RTDS, the global routing budget for the
+    global-state baselines, the offload seed for random."""
+    algorithm = config.algorithm
+    site_cls = _SITE_CLASSES[algorithm]
+    own: Dict[str, Any] = {}
+    if algorithm == "rtds":
+        own["config"] = config.rtds
+    elif algorithm != "local":
+        own["routing_phases"] = global_phases
+    if algorithm == "random":
+        own["seed"] = config.seed
 
     def factory(sid: int, net: Network):
         return site_cls(
             sid, net, speed=topo.speed_of(sid), metrics=metrics,
-            routing_factory=routing_factory, surplus_window=config.surplus_window, **knobs,
+            routing_factory=routing_factory, surplus_window=config.surplus_window, **own,
         )
 
     return factory
@@ -464,7 +444,7 @@ class ResidentNetwork:
         """Schedule a job list and the hygiene tick; returns :attr:`horizon`."""
         for job in workload:
             self.schedule_job(job)
-        horizon = self.shift + workload.last_deadline() + self.config.drain_margin
+        horizon = self.shift + workload.last_deadline() + DRAIN_MARGIN
         self.horizon = horizon
         interval = self.config.hygiene_interval
         if interval is not None:
@@ -634,9 +614,7 @@ def assemble(config: ExperimentConfig, topo: Topology) -> ResidentNetwork:
             adj = topo.adjacency()
             distances = {sid: dijkstra(adj, sid) for sid in adj}
         coord = net.site(0)
-        coord.install_coordinator(
-            dict(net.sites), distances, shortlist=config.centralized_shortlist
-        )
+        coord.install_coordinator(dict(net.sites), distances)
 
     # --- phase 1: setup (routing; focused also primes its surplus tables).
     # Routing drains on its own; focused's periodic broadcast never stops,
@@ -644,9 +622,9 @@ def assemble(config: ExperimentConfig, topo: Topology) -> ResidentNetwork:
     setup_cm = obs.timeit("run.setup") if obs is not None else nullcontext()
     with setup_cm:
         if config.algorithm == "focused":
-            sim.run(until=config.focused_period * 1.5)
+            sim.run(until=BROADCAST_PERIOD * 1.5)
             while not all(s.routing.done for s in sites):
-                sim.run(until=sim.now + config.focused_period)
+                sim.run(until=sim.now + BROADCAST_PERIOD)
         else:
             sim.run(until=None)
     for s in sites:

@@ -43,6 +43,8 @@ from repro.workloads.openloop import OpenLoopSpec, open_loop_jobs, open_loop_rat
 
 #: the E12 network: the E9 macro bench's 48-site wide-area graph
 SOAK_TOPOLOGY = {"n": 48, "p": 4.0 / 47.0, "delay_range": (0.2, 1.0)}
+#: simulated-time units between hygiene passes (prune + fold)
+HYGIENE_INTERVAL = 200.0
 
 
 @dataclass
@@ -57,14 +59,8 @@ class SoakConfig:
     target_jobs: int = 100_000
     queue_capacity: int = 1024
     laxity_factor: float = 3.0
-    dag_size: str = "small"
-    deadline_jitter: float = 0.2
     #: decisions between samples (also the latency snapshot window)
     sample_every: int = 2_000
-    #: simulated-time units between hygiene passes (prune + fold)
-    hygiene_interval: float = 200.0
-    surplus_window: float = 200.0
-    drain_margin: float = 300.0
     algorithm: str = "rtds"
     routing_mode: str = "protocol"
     seed: int = 0
@@ -101,7 +97,8 @@ class SoakConfig:
         return FaultPlan.from_spec(self.faults)
 
     def experiment_config(self) -> ExperimentConfig:
-        """The resident network's config (workload knobs unused)."""
+        """The resident network's config (workload knobs unused; the
+        surplus window is the runner's default)."""
         topo = dict(SOAK_TOPOLOGY)
         if self.n_sites != 48:
             topo = {
@@ -121,8 +118,6 @@ class SoakConfig:
             topology_kwargs=topo,
             algorithm=self.algorithm,
             routing_mode=self.routing_mode,
-            surplus_window=self.surplus_window,
-            drain_margin=self.drain_margin,
             seed=self.seed,
             telemetry=self.telemetry,
             label=f"soak[{self.arrival}]",
@@ -131,21 +126,17 @@ class SoakConfig:
         )
 
     def open_loop_spec(self, capacities: List[float]) -> OpenLoopSpec:
-        """The job stream: arrival process resolved against the network."""
+        """The job stream: arrival process resolved against the network;
+        the jobs are :class:`~repro.workloads.openloop.OpenLoopSpec`'s
+        default ``"small"`` mix with its 0.2 deadline jitter."""
         if self.arrival == "auto":
-            process = PoissonProcess(
-                open_loop_rate(
-                    self.rho, capacities, dag_size=self.dag_size, seed=self.seed
-                )
-            )
+            process = PoissonProcess(open_loop_rate(self.rho, capacities, seed=self.seed))
         else:
             process = parse_arrival_spec(self.arrival)
         return OpenLoopSpec(
             n_sites=self.n_sites,
             process=process,
             laxity_factor=self.laxity_factor,
-            dag_size=self.dag_size,
-            deadline_jitter=self.deadline_jitter,
             seed=self.seed + 7,
         )
 
@@ -243,7 +234,7 @@ def run_soak(
     svc = AdmissionService(
         res,
         queue_capacity=config.queue_capacity,
-        hygiene_interval=config.hygiene_interval,
+        hygiene_interval=HYGIENE_INTERVAL,
         degraded_floor=config.degraded_floor,
         degraded_window=config.degraded_window,
     )

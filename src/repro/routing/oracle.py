@@ -194,17 +194,6 @@ class LazyRoutingTable:
         """``entry(dest)`` or ``None`` when unrouted."""
         return self.entry(dest) if dest in self else None
 
-    def distance(self, dest: SiteId) -> Time:
-        """Known delay to ``dest`` (raises when unrouted)."""
-        return self.entry(dest).distance
-
-    def next_hop(self, dest: SiteId) -> SiteId:
-        """Adjacent hop towards ``dest`` (undefined for the owner)."""
-        e = self.entry(dest)
-        if e.dest == self.owner:
-            raise RoutingError(f"site {self.owner}: next hop to self is undefined")
-        return e.next_hop
-
     def destinations(self) -> List[SiteId]:
         """Known destination ids, ascending (owner included)."""
         return self._shared.cols[self._row()].tolist()

@@ -74,15 +74,6 @@ class RoutingTable:
     def get(self, dest: SiteId) -> Optional[RouteEntry]:
         return self._entries.get(dest)
 
-    def distance(self, dest: SiteId) -> Time:
-        return self.entry(dest).distance
-
-    def next_hop(self, dest: SiteId) -> SiteId:
-        e = self.entry(dest)
-        if e.dest == self.owner:
-            raise RoutingError(f"site {self.owner}: next hop to self is undefined")
-        return e.next_hop
-
     def destinations(self) -> List[SiteId]:
         return sorted(self._entries)
 

@@ -22,6 +22,7 @@ from typing import Iterable, List, Optional
 
 from repro.errors import ConfigError
 from repro.experiments.runner import (
+    DRAIN_MARGIN,
     ExperimentConfig,
     ResidentNetwork,
     build_resident,
@@ -109,16 +110,14 @@ class ResidentSimulation:
         self.advance_to(self._max_arrival)
         return n
 
-    def drain(self, margin: Optional[Time] = None) -> None:
-        """Advance past every fed job's deadline plus ``margin``.
+    def drain(self) -> None:
+        """Advance past every fed job's deadline plus the drain margin.
 
-        Mirrors the batch horizon ``last_deadline + drain_margin`` (the
-        config's margin when not given), so a drained service run and its
-        batch replay stop at the same simulated time.
+        Mirrors the batch horizon ``last_deadline + DRAIN_MARGIN``, so a
+        drained service run and its batch replay stop at the same
+        simulated time.
         """
-        if margin is None:
-            margin = self.resident.config.drain_margin
-        self.advance_to(self.last_deadline + margin)
+        self.advance_to(self.last_deadline + DRAIN_MARGIN)
 
     # -- memory hygiene -------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Site base class: handler dispatch + multi-hop forwarding.
 
 A site owns two logical processors (paper §2): the *management* processor —
-modelled here as the message-handler table with an optional per-message
-processing overhead — and the *compute* processor, owned by the local
+modelled here as the message-handler table, which handles a message the
+instant it arrives — and the *compute* processor, owned by the local
 scheduling plan executor (:mod:`repro.sched.executor`). Protocol work
 therefore never steals task execution time, exactly as the paper assumes.
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.errors import ProtocolError, RoutingError
-from repro.simnet.engine import PRIORITY_NORMAL
 from repro.simnet.message import Message
 from repro.simnet.network import Network
 from repro.types import SiteId, Time
@@ -38,21 +37,14 @@ class SiteBase:
         Site id.
     network:
         The network this site attaches to (the site registers itself).
-    mgmt_overhead:
-        Processing time the management processor spends per received
-        message before the handler runs (default 0 = instantaneous, the
-        paper's implicit model).
     speed:
         Computing power of the site's *compute* processor (§13
         heterogeneous sites): a task of complexity ``c`` takes ``c /
         speed`` here. 1.0 (the default) is the paper's identical-sites
-        model. The management processor is speed-independent — protocol
-        handling costs ``mgmt_overhead`` regardless.
+        model. The management processor is speed-independent.
     """
 
-    def __init__(
-        self, sid: SiteId, network: Network, mgmt_overhead: Time = 0.0, speed: float = 1.0
-    ) -> None:
+    def __init__(self, sid: SiteId, network: Network, speed: float = 1.0) -> None:
         self.sid = sid
         self.speed = speed
         self.network = network
@@ -67,7 +59,6 @@ class SiteBase:
         #: telemetry call on the boolean, so off costs one branch.
         self.obs = network.obs
         self.obs_on = network.obs_on
-        self.mgmt_overhead = mgmt_overhead
         self._handlers: Dict[str, Handler] = {}
         #: destination -> adjacent next hop; filled by the routing layer.
         self.next_hop: Dict[SiteId, SiteId] = {}
@@ -91,12 +82,7 @@ class SiteBase:
         if final_dst is not None and final_dst != self.sid:
             self._forward(msg)
             return
-        if self.mgmt_overhead > 0:
-            # closure-free: the overhead timer carries the message as the
-            # callback argument instead of capturing it in a lambda
-            self.sim.schedule_call(self.mgmt_overhead, self._dispatch, msg, PRIORITY_NORMAL)
-        else:
-            self._dispatch(msg)
+        self._dispatch(msg)
 
     def _dispatch(self, msg: Message) -> None:
         handler = self._handlers.get(msg.mtype)

@@ -102,10 +102,11 @@ class AcsSession:
 class SiteLock:
     """The per-site lock variable with a deferral queue.
 
-    ``owner`` is ``(initiator, job)`` while held. Deferred items are opaque
-    thunks replayed in FIFO order by the owner site when the lock releases.
-    ``deferred`` is an empty tuple until the first :meth:`defer`: most
-    sites of a wide network never defer anything.
+    ``owner`` is ``(initiator, job)`` while held. Whatever would change the
+    site's plan asks :meth:`may_change_plan` first and, when the answer is
+    no, hands itself to :meth:`defer` as an opaque thunk; :meth:`release`
+    replays the thunks in FIFO order. ``deferred`` is an empty tuple until the
+    first :meth:`defer`: most sites of a wide network never defer anything.
     """
 
     def __init__(self, site: SiteId) -> None:
@@ -125,13 +126,23 @@ class SiteLock:
             )
         self.owner = (initiator, job)
 
+    def may_change_plan(self) -> bool:
+        """May the site change its plan now? The one question its own job
+        arrivals, foreign enrollments and the replay loop all ask; the
+        answer is yes exactly while the lock is not held."""
+        return self.owner is None
+
     def release(self, initiator: SiteId, job: JobId) -> None:
+        """Unlock, then replay the deferred thunks, FIFO, until one of them
+        takes the lock again."""
         if self.owner != (initiator, job):
             raise ProtocolError(
                 f"site {self.site}: release by ({initiator}, {job}) "
                 f"but lock held by {self.owner}"
             )
         self.owner = None
+        while self.may_change_plan() and self.deferred:
+            self.deferred.popleft()()
 
     def held_by(self, initiator: SiteId, job: JobId) -> bool:
         return self.owner == (initiator, job)

@@ -30,8 +30,7 @@ class TestFocusedBidPaths:
         sim, net = build(
             topo,
             lambda sid, n: FocusedSite(
-                sid, n, routing_phases=1, broadcast_period=10.0,
-                bid_count=3, bid_wait=500.0, metrics=metrics,
+                sid, n, routing_phases=1, bid_wait=500.0, metrics=metrics,
             ),
             setup_until=25.0,
         )
@@ -50,9 +49,7 @@ class TestFocusedBidPaths:
         topo = complete(3, delay_range=(5.0, 5.0))
         sim, net = build(
             topo,
-            lambda sid, n: FocusedSite(
-                sid, n, routing_phases=1, broadcast_period=1000.0, metrics=metrics
-            ),
+            lambda sid, n: FocusedSite(sid, n, routing_phases=1, metrics=metrics),
             setup_until=11.0,
         )
         s2 = net.site(2)

@@ -109,9 +109,7 @@ class TestFocused:
         phases = max(1, hop_diameter(topo.adjacency()))
         sim, net = build(
             topo,
-            lambda sid, n: FocusedSite(
-                sid, n, routing_phases=phases, broadcast_period=20.0, metrics=metrics
-            ),
+            lambda sid, n: FocusedSite(sid, n, routing_phases=phases, metrics=metrics),
             setup_until=45.0,  # a couple of broadcast rounds prime the tables
         )
         return sim, net
@@ -144,9 +142,7 @@ class TestFocused:
             phases = 1
             sim, net = build(
                 topo,
-                lambda sid, n: FocusedSite(
-                    sid, n, routing_phases=phases, broadcast_period=10.0, metrics=m
-                ),
+                lambda sid, n: FocusedSite(sid, n, routing_phases=phases, metrics=m),
                 setup_until=50.0,
             )
             costs.append(net.stats.count.get("F_SURPLUS", 0))
@@ -160,7 +156,7 @@ class TestRandomOffload:
         sim, net = build(
             topo,
             lambda sid, n: RandomOffloadSite(
-                sid, n, routing_phases=phases, max_hops=3, tries=3, seed=1, metrics=metrics
+                sid, n, routing_phases=phases, seed=1, metrics=metrics
             ),
         )
         return sim, net

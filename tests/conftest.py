@@ -36,8 +36,8 @@ def net(sim: Simulator, tracer: Tracer) -> Network:
 class RecordingSite(SiteBase):
     """A bare site that records every message it handles."""
 
-    def __init__(self, sid, network, mgmt_overhead=0.0):
-        super().__init__(sid, network, mgmt_overhead)
+    def __init__(self, sid, network):
+        super().__init__(sid, network)
         self.received = []
         self.on("PING", self._on_ping)
         self.on("DATA", self._on_ping)
@@ -62,7 +62,7 @@ def make_line_network(sim, n: int, delay: float = 1.0, site_cls=RecordingSite):
 
 @pytest.fixture
 def rtds_config() -> RTDSConfig:
-    return RTDSConfig(h=2, surplus_window=100.0)
+    return RTDSConfig(h=2)
 
 
 @pytest.fixture

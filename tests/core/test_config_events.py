@@ -19,13 +19,9 @@ class TestConfig:
         "kwargs",
         [
             {"h": 0},
-            {"surplus_window": 0.0},
             {"enroll_mode": "maybe"},
-            {"enroll_timeout": 0.0},
-            {"enroll_timeout": 1.5},
             {"max_acs_size": 0},
             {"laxity_mode": "magic"},
-            {"protocol_margin_factor": -1.0},
             {"validation_order": "fifo"},
         ],
     )

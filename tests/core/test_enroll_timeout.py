@@ -19,14 +19,14 @@ from repro.simnet.trace import Tracer
 
 
 def build(n=3, cfg=None):
-    cfg = cfg or RTDSConfig(h=1, surplus_window=100.0, enroll_mode="queue", enroll_timeout=0.1)
+    cfg = cfg or RTDSConfig(h=1, enroll_mode="queue")
     sim = Simulator()
     tracer = Tracer(enabled=True)
     metrics = MetricsCollector()
     net = build_network(
         complete(n, delay_range=(1.0, 1.0)),
         sim,
-        lambda sid, nn: RTDSSite(sid, nn, cfg, metrics=metrics),
+        lambda sid, nn: RTDSSite(sid, nn, cfg, metrics=metrics, surplus_window=100.0),
         tracer,
     )
     for sid in net.site_ids():

@@ -104,9 +104,7 @@ def run_scenario(sc: Scenario):
     cfg = RTDSConfig(
         h=sc.h,
         enroll_mode=sc.enroll_mode,
-        enroll_timeout=0.3 if sc.enroll_mode == "queue" else None,
         validation_preemptive=sc.preemptive,
-        surplus_window=100.0,
     )
     metrics = MetricsCollector()
     sim = Simulator()
@@ -118,7 +116,7 @@ def run_scenario(sc: Scenario):
     )
     def make_site(sid, n):
         speed = sc.speeds[sid] if sc.speeds is not None else 1.0
-        return RTDSSite(sid, n, cfg, speed=speed, metrics=metrics)
+        return RTDSSite(sid, n, cfg, speed=speed, metrics=metrics, surplus_window=100.0)
 
     net = build_network(topo, sim, make_site)
     for sid in net.site_ids():

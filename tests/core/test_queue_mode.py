@@ -37,16 +37,17 @@ def test_stale_ack_gets_unlocked():
     2's late ACK (after 1 unlocks it) must be answered with UNLOCK."""
     metrics = MetricsCollector()
     tracer = Tracer(enabled=True)
-    cfg = RTDSConfig(h=2, enroll_mode="queue", enroll_timeout=0.1)
+    cfg = RTDSConfig(h=2, enroll_mode="queue")
     sim, net = build(5, cfg, metrics, tracer)
     s1, s3 = net.site(1), net.site(3)
 
     # saturate 1 and 3 so both become initiators
     sim.schedule(1.0, lambda: s1.submit_job(0, linear_chain_dag(3, c_range=(25.0, 25.0)), sim.now + 800.0))
     sim.schedule(1.0, lambda: s3.submit_job(1, linear_chain_dag(3, c_range=(25.0, 25.0)), sim.now + 800.0))
-    # 1 initiates first (locks 2 among others), 3 shortly after
-    sim.schedule(2.0, lambda: s1.submit_job(2, fork_join_dag(3, c_range=(4.0, 4.0)), sim.now + 120.0))
-    sim.schedule(2.2, lambda: s3.submit_job(3, fork_join_dag(3, c_range=(4.0, 4.0)), sim.now + 120.0))
+    # 1 initiates first (locks 2 among others), 3 shortly after; the
+    # deadline is too tight for the saturated initiators' own plans
+    sim.schedule(2.0, lambda: s1.submit_job(2, fork_join_dag(3, c_range=(4.0, 4.0)), sim.now + 80.0))
+    sim.schedule(2.2, lambda: s3.submit_job(3, fork_join_dag(3, c_range=(4.0, 4.0)), sim.now + 80.0))
     sim.run(until=sim.now + 1000.0)
 
     # Everything decided, and crucially: no site remains locked.
@@ -61,7 +62,7 @@ def test_queue_mode_timeout_proceeds_with_partial_acs():
     onto whatever enrolled (possibly nobody -> rejection), never hanging."""
     metrics = MetricsCollector()
     tracer = Tracer(enabled=True)
-    cfg = RTDSConfig(h=1, enroll_mode="queue", enroll_timeout=0.1)
+    cfg = RTDSConfig(h=1, enroll_mode="queue")
     sim, net = build(3, cfg, metrics, tracer)
     s0, s1, s2 = net.site(0), net.site(1), net.site(2)
 

@@ -144,7 +144,7 @@ class TestLockContention:
         assert refusals >= 1  # the overlap really happened
 
     def test_queue_mode_completes(self, metrics):
-        cfg = RTDSConfig(h=2, enroll_mode="queue", enroll_timeout=0.3)
+        cfg = RTDSConfig(h=2, enroll_mode="queue")
         sim, net, tracer = make_rtds_network(line(5, delay_range=(0.5, 0.5)), cfg, metrics)
         s1, s3 = net.site(1), net.site(3)
         sim.schedule(1.0, lambda: self.saturate(sim, s1, 0))
@@ -171,6 +171,29 @@ class TestLockContention:
         sim.run()
         assert metrics.jobs[2].outcome is not JobOutcome.PENDING
         assert all_locks_free(net)
+
+    def test_every_plan_change_asks_the_lock(self, metrics, monkeypatch):
+        """Arrivals and foreign enrollments both ask ``may_change_plan``:
+        when it answers no on an unlocked site, its own arrival is deferred
+        and a foreign ENROLL is refused (refuse mode)."""
+        cfg = RTDSConfig(h=1)
+        sim, net, tracer = make_rtds_network(
+            complete(3, delay_range=(1.0, 1.0)), cfg, metrics
+        )
+        s0, s1 = net.site(0), net.site(1)
+        monkeypatch.setattr(s1.lock, "may_change_plan", lambda: False)
+        assert not s1.lock.locked
+        s1.submit_job(0, paper_example_dag(), sim.now + 100.0)
+        assert metrics.jobs[0].outcome is JobOutcome.PENDING
+        assert len(s1.lock.deferred) == 1
+        # site 0 saturates, so job 2 enrolls sites 1 and 2
+        sim.schedule(1.0, lambda: self.saturate(sim, s0, 1))
+        sim.schedule(2.0, lambda: s0.submit_job(2, paper_example_dag(), sim.now + 60.0))
+        sim.run()
+        assert [e.site for e in tracer.of("acs.refuse")] == [1]
+        assert [e.site for e in tracer.of("acs.enrolled")] == [2]
+        assert s1.member.tenancy is None and not s1.lock.locked
+        assert metrics.jobs[0].outcome is JobOutcome.PENDING
 
 
 class TestAcsBounding:

@@ -41,29 +41,18 @@ class TestRunner:
         with pytest.raises(ConfigError):
             ExperimentConfig(algorithm="quantum")
 
-    def test_disagreeing_rtds_surplus_window_rejected(self):
-        """Sites are built with ExperimentConfig.surplus_window; a different
-        value on ``rtds`` would silently never apply."""
-        from repro.core.config import RTDSConfig
-
-        with pytest.raises(ConfigError, match="ExperimentConfig.surplus_window"):
-            replace(SMALL, rtds=RTDSConfig(surplus_window=100.0))
-        replace(SMALL, rtds=RTDSConfig(surplus_window=100.0), surplus_window=100.0)
-
     @pytest.mark.parametrize(
         "change",
         [
             {"hygiene_interval": 0.0},
             {"hygiene_interval": -1.0},
-            {"drain_margin": -100.0},
             pytest.param({"rho": float("inf")}, id="rho-inf"),
             pytest.param({"duration": float("inf")}, id="duration-inf"),
         ],
     )
     def test_bad_run_horizon_rejected_at_construction(self, change):
         """A zero hygiene interval would reschedule its tick at one instant
-        forever, a negative one fails only once the network is built, a
-        negative drain margin stops the run before the last deadline, and
+        forever, a negative one fails only once the network is built, and
         an infinite load or duration overflows the arrival sizing."""
         with pytest.raises(ConfigError, match=next(iter(change))):
             replace(SMALL, **change)

@@ -28,7 +28,7 @@ from repro.simnet.site import SiteBase
 from repro.simnet.topology import build_network, complete
 from repro.simnet.trace import Tracer
 
-CFG = hardened(RTDSConfig(h=1, surplus_window=100.0), ack_timeout=4.0, ack_retries=1)
+CFG = hardened(RTDSConfig(h=1), ack_timeout=4.0, ack_retries=1)
 
 
 def build(n=4, cfg=CFG):
@@ -38,7 +38,7 @@ def build(n=4, cfg=CFG):
     net = build_network(
         complete(n, delay_range=(1.0, 1.0)),
         sim,
-        lambda sid, nn: RTDSSite(sid, nn, cfg, metrics=metrics),
+        lambda sid, nn: RTDSSite(sid, nn, cfg, metrics=metrics, surplus_window=100.0),
         tracer,
     )
     for sid in net.site_ids():
@@ -116,7 +116,7 @@ def test_all_members_dead_falls_back_to_rejection_not_hang():
 
 
 def test_zero_retries_gives_up_after_one_timeout():
-    cfg = hardened(RTDSConfig(h=1, surplus_window=100.0), ack_timeout=4.0, ack_retries=0)
+    cfg = hardened(RTDSConfig(h=1), ack_timeout=4.0, ack_retries=0)
     sim, net, tracer, metrics = build(cfg=cfg)
     inj = FaultInjector(net, FaultPlan(site_windows=(SiteDownWindow(3, 0.0, 500.0),)))
     inj.arm(t0=sim.now)
@@ -128,7 +128,7 @@ def test_zero_retries_gives_up_after_one_timeout():
     assert_clean(net, metrics)
 
 
-@pytest.mark.parametrize("cfg", [CFG, RTDSConfig(h=1, surplus_window=100.0)], ids=["hardened", "unhardened"])
+@pytest.mark.parametrize("cfg", [CFG, RTDSConfig(h=1)], ids=["hardened", "unhardened"])
 def test_member_holds_the_lease_its_enroll_carried(cfg):
     """A member's lease is the hint in the ENROLL it answered — a hardened
     initiator always ships one; an unhardened one ships none, and its
@@ -172,7 +172,10 @@ def test_near_members_of_wide_sphere_do_not_expire_mid_session():
     tracer = Tracer(enabled=True)
     metrics = MetricsCollector()
     net = build_network(
-        topo, sim, lambda sid, nn: RTDSSite(sid, nn, CFG, metrics=metrics), tracer
+        topo,
+        sim,
+        lambda sid, nn: RTDSSite(sid, nn, CFG, metrics=metrics, surplus_window=100.0),
+        tracer,
     )
     for sid in net.site_ids():
         net.site(sid).start()
@@ -247,7 +250,7 @@ def test_queue_mode_deferral_is_not_mistaken_for_death():
     enroll timer must stay out of the way (the deadline-fraction budget
     governs) — deferred members must not be demoted to refusals."""
     cfg = hardened(
-        RTDSConfig(h=2, surplus_window=100.0, enroll_mode="queue", enroll_timeout=0.5),
+        RTDSConfig(h=2, enroll_mode="queue"),
         ack_timeout=0.5,  # far shorter than the queue budget: would misfire
         ack_retries=1,
     )
@@ -272,7 +275,7 @@ def test_queue_mode_lease_covers_the_collection_budget():
     the ENROLL lease hint must cover it, or early enrollees expire
     mid-healthy-session."""
     cfg = hardened(
-        RTDSConfig(h=1, surplus_window=100.0, enroll_mode="queue", enroll_timeout=0.25),
+        RTDSConfig(h=1, enroll_mode="queue"),
         ack_timeout=4.0,
         ack_retries=1,
     )
@@ -309,7 +312,7 @@ def test_hardened_zero_fault_run_matches_unhardened():
         sim.run()
         return [(r.job, r.outcome, r.decided_at) for r in metrics.records()]
 
-    assert run(CFG) == run(RTDSConfig(h=1, surplus_window=100.0))
+    assert run(CFG) == run(RTDSConfig(h=1))
 
 
 # -- idempotent re-answers and stale-message tolerance -------------------------
@@ -421,7 +424,7 @@ def test_stale_message_is_traced_and_counted_when_hardened(msg, event, counter):
 
 @pytest.mark.parametrize("msg, event, counter", STALE)
 def test_stale_message_is_a_protocol_error_when_unhardened(msg, event, counter):
-    sim, net, tracer, _ = build(cfg=RTDSConfig(h=1, surplus_window=100.0))
+    sim, net, tracer, _ = build(cfg=RTDSConfig(h=1))
     with pytest.raises(ProtocolError):
         net.site(msg.dst).receive(msg)
     assert not tracer.of(event)
@@ -431,7 +434,7 @@ def test_duplicate_and_foreign_acks_do_not_disturb_the_session():
     """During VALIDATING, a duplicate ENROLL_ACK of an enrolled member is
     ignored (unlocking it would corrupt the round) and a VALIDATE_ACK from
     a site that never enrolled stays out of the coupling."""
-    cfg = hardened(RTDSConfig(h=1, surplus_window=100.0, max_acs_size=2), ack_timeout=4.0)
+    cfg = hardened(RTDSConfig(h=1, max_acs_size=2), ack_timeout=4.0)
     sim, net, tracer, metrics = build(cfg=cfg)
     distribute_job_1(sim, net)
     s0 = net.site(0)
@@ -459,7 +462,7 @@ def test_result_for_a_lost_execute_ages_out_with_the_abandoned_gate():
     still reaches it once the partition heals. The token waits for a commit
     that never comes — and the join, on site 1, for a result that never
     comes. Hygiene's fault-run reap must forget both."""
-    cfg = hardened(RTDSConfig(h=1, surplus_window=100.0), ack_timeout=4.0, ack_retries=0)
+    cfg = hardened(RTDSConfig(h=1), ack_timeout=4.0, ack_retries=0)
     sim, net, tracer, metrics = build(cfg=cfg)
     inj = FaultInjector(net, FaultPlan(site_windows=(SiteDownWindow(3, 5.5, 10.5),)))
     inj.arm(t0=sim.now)

@@ -156,6 +156,19 @@ def test_adjustment_leaves_every_window_its_scaled_wcet(dag_seed, proc_speeds, l
     """Accepted adjusted mappings leave every task a window >= c/speed
     (with η alone as the divisor, the pinned example gave task 0 a window of
     0.497 < 1.178)."""
+    _assert_windows_hold_scaled_wcet(dag_seed, proc_speeds, laxity)
+
+
+@pytest.mark.nightly
+@given(*mapping_draws)
+@example(dag_seed=199, proc_speeds=[1.0, 3.0, 1.0, 6.0], laxity=1.5)
+@settings(max_examples=4000, deadline=None)
+def test_adjustment_windows_hold_over_4000_random_draws(dag_seed, proc_speeds, laxity):
+    """The window property above on 4000 fresh random draws a night."""
+    _assert_windows_hold_scaled_wcet(dag_seed, proc_speeds, laxity)
+
+
+def _assert_windows_hold_scaled_wcet(dag_seed, proc_speeds, laxity):
     mapped = _adjusted_mapping(dag_seed, proc_speeds, laxity)
     if mapped is None:
         return

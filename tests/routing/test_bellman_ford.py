@@ -73,7 +73,7 @@ def test_full_phases_match_dijkstra(topo):
     for sid, proto in protos.items():
         exact = dijkstra(adj, sid)
         for dest, d in exact.items():
-            assert proto.table.distance(dest) == pytest.approx(d, abs=1e-9)
+            assert proto.table.entry(dest).distance == pytest.approx(d, abs=1e-9)
 
 
 def test_forwarding_reaches_destination_along_tables():

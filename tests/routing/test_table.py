@@ -10,15 +10,14 @@ class TestRoutingTable:
     def test_self_entry(self):
         t = RoutingTable(5)
         assert 5 in t
-        assert t.distance(5) == 0.0
-        with pytest.raises(RoutingError):
-            t.next_hop(5)
+        assert t.entry(5).distance == 0.0
+        assert t.entry(5).next_hop == 5  # the owner's own row: no adjacent hop
 
     def test_consider_new(self):
         t = RoutingTable(0)
         assert t.consider(1, 2.0, 1, hops=1, phase=1)
-        assert t.distance(1) == 2.0
-        assert t.next_hop(1) == 1
+        assert t.entry(1).distance == 2.0
+        assert t.entry(1).next_hop == 1
         assert t.entry(1).discovered_phase == 1
 
     def test_consider_improvement(self):
@@ -34,20 +33,20 @@ class TestRoutingTable:
         t = RoutingTable(0)
         t.consider(2, 3.0, 1, hops=1, phase=1)
         assert not t.consider(2, 5.0, 2, hops=1, phase=1)
-        assert t.next_hop(2) == 1
+        assert t.entry(2).next_hop == 1
 
     def test_tie_breaks_to_lower_next_hop(self):
         t = RoutingTable(0)
         t.consider(2, 3.0, 5, hops=1, phase=1)
         assert t.consider(2, 3.0, 1, hops=2, phase=1)
-        assert t.next_hop(2) == 1
+        assert t.entry(2).next_hop == 1
         # equal distance, higher hop id: rejected
         assert not t.consider(2, 3.0, 9, hops=1, phase=1)
 
     def test_self_never_replaced(self):
         t = RoutingTable(0)
         assert not t.consider(0, -1.0, 1, hops=1, phase=1)
-        assert t.distance(0) == 0.0
+        assert t.entry(0).distance == 0.0
 
     def test_missing_route_raises(self):
         t = RoutingTable(0)

@@ -127,15 +127,6 @@ class TestSiteBase:
         with pytest.raises(ProtocolError):
             sim.run()
 
-    def test_mgmt_overhead_delays_dispatch(self, sim):
-        net = Network(sim)
-        a = RecordingSite(0, net)
-        b = RecordingSite(1, net, mgmt_overhead=0.5)
-        net.add_link(0, 1, 1.0)
-        a.send_neighbor(1, "PING")
-        sim.run()
-        assert b.received[0][0] == pytest.approx(1.5)
-
     def test_send_to_requires_route(self, sim):
         net, sites = make_line_network(sim, 3)
         with pytest.raises(RoutingError):
