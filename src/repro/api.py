@@ -10,7 +10,7 @@ the supported surface and the one the README/examples build on:
 ``campaign(base, algorithms, seeds, ...)``
     The same base configuration fanned across algorithms × seeds, with
     optional process parallelism, a resumable on-disk store, and
-    per-cell progress.
+    per-cell progress; one table row per algorithm.
 ``soak(config, progress=None)``
     A long-lived open-loop service soak (E12): jobs stream through the
     admission service against one resident network; periodic samples.
@@ -22,7 +22,9 @@ the supported surface and the one the README/examples build on:
     (open in https://ui.perfetto.dev) for span-by-span inspection.
 
 All five are thin, documented delegates — no behavior of their own — so
-``repro.api`` results are bit-for-bit those of the underlying modules.
+``repro.api`` results are bit-for-bit those of the underlying modules;
+``campaign`` is one more row-table declaration over
+:func:`repro.experiments.campaign.sweep_table`.
 
 The experiment sweeps are re-exported beside them, unwrapped — each is a
 rows-and-columns declaration over
@@ -37,9 +39,16 @@ dict-rows: ``sweep_load`` (E1), ``sweep_network_size`` (E2),
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.experiments.campaign import Campaign, sweep_fault_plans
+from repro.experiments.campaign import (
+    CAMPAIGN_METRICS,
+    mean_ci,
+    per_seed,
+    runs,
+    sweep_fault_plans,
+    sweep_table,
+)
 from repro.experiments.chaos import ChaosConfig, ChaosReport, ChaosSample, run_chaos
 from repro.experiments.evaluation import (
     sweep_ablations,
@@ -57,7 +66,6 @@ from repro.workloads.jobs import Workload
 __all__ = [
     "ExperimentConfig",
     "RunResult",
-    "Campaign",
     "SoakConfig",
     "SoakReport",
     "SoakSample",
@@ -105,12 +113,16 @@ def campaign(
     store: Any = None,
     resume: bool = True,
     progress: Optional[Callable] = None,
-) -> Campaign:
-    """Run ``base`` across ``algorithms`` × ``seeds``; returns the campaign.
+) -> List[Dict[str, object]]:
+    """Run ``base`` across ``algorithms`` × ``seeds``; one row per algorithm.
 
-    All cells are executed (or restored from ``store``) before this
-    returns; read results via the returned object's ``table(algorithms)``,
-    ``compare(a, b)``, or ``run(algorithm)``.
+    Each row holds ``label`` (the algorithm), ``runs``, each
+    :data:`~repro.experiments.campaign.CAMPAIGN_METRICS` column as
+    ``"mean±ci"`` text over the seeds where it is defined, and
+    ``per_seed`` — every metric's value per seed, which
+    :func:`~repro.experiments.campaign.paired_difference` compares
+    between two rows. Every cell is executed (or restored from ``store``)
+    before this returns.
 
     Parameters
     ----------
@@ -130,16 +142,22 @@ def campaign(
     progress:
         Callback fired per executed cell ``(result, done, total)``.
     """
-    camp = Campaign(
-        base,
-        seeds=seeds,
+    seeds = list(seeds)
+    return sweep_table(
+        (
+            ({"label": a}, [replace(base, algorithm=a, seed=s, label=a) for s in seeds])
+            for a in algorithms
+        ),
+        {
+            "runs": runs,
+            **{key: mean_ci(metric) for key, metric in CAMPAIGN_METRICS},
+            "per_seed": per_seed,
+        },
         executor=executor,
         store=store,
         resume=resume,
         progress=progress,
     )
-    camp.prefetch(list(algorithms))
-    return camp
 
 
 def soak(

@@ -32,7 +32,6 @@ from repro.baselines.base import BaselineJobCtx, BaselineSite
 from repro.core.events import JobOutcome
 from repro.core.hosting import HostSide
 from repro.errors import ProtocolError
-from repro.graphs.analysis import bottom_levels
 from repro.graphs.dag import Dag
 from repro.graphs.serialization import estimate_code_size
 from repro.sched.intervals import BusyTimeline, Reservation
@@ -131,7 +130,7 @@ class CentralizedCoordinator:
             for sid in cands
         }
 
-        prio = bottom_levels(ctx.dag)
+        prio = ctx.dag.bottom_levels()
         topo_index = ctx.dag.topo_index()
         heap = [
             (-prio[t], topo_index[t], t)

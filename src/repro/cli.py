@@ -44,6 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import RTDSConfig
 from repro.errors import CampaignCellError, ConfigError
+from repro.experiments.campaign import paired_difference
 from repro.experiments.paper_example import (
     PAPER_DEADLINE,
     fig3_schedule,
@@ -95,6 +96,8 @@ def _cmd_example(_args: argparse.Namespace) -> int:
 
 
 def _base_config(args: argparse.Namespace) -> ExperimentConfig:
+    if args.sites < 2:
+        raise ConfigError(f"--sites must be >= 2 (one site has no network), got {args.sites}")
     faults = FaultPlan.from_spec(args.faults) if args.faults else None
     rtds_cfg = RTDSConfig(h=args.h)
     # joins-only plans don't disturb messages in flight: no hardening
@@ -307,8 +310,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.sites < 2:
-        raise ConfigError(f"--sites must be >= 2 (one site has no network), got {args.sites}")
     res = api.run(_base_config(args))
     print(format_table([res.summary.row()], title=f"run: {args.algorithm}"))
     if res.summary.rejected_by:
@@ -322,7 +323,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     algos = args.algorithms.split(",")
-    camp = api.campaign(
+    rows = api.campaign(
         _base_config(args),
         algos,
         seeds=_seeds(args),
@@ -330,15 +331,18 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
     print(
         format_table(
-            camp.table(algos),
+            [{k: v for k, v in row.items() if k != "per_seed"} for row in rows],
             title=(
                 f"campaign: {len(algos)} algorithm(s) x {args.runs} seeds "
                 f"(mean ± 95% CI, jobs={args.jobs})"
             ),
         )
     )
-    for other in algos[1:]:
-        print(camp.compare(algos[0], other))
+    first = rows[0]
+    for other in rows[1:]:
+        diff, half = paired_difference(first["per_seed"]["GR"], other["per_seed"]["GR"])
+        star = " (*)" if abs(diff) > half else ""
+        print(f"GR: {first['label']} - {other['label']} = {diff:+.4f} ± {half:.4f}{star}")
     return 0
 
 

@@ -30,7 +30,6 @@ import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MappingError
-from repro.graphs.analysis import bottom_levels
 from repro.graphs.dag import Dag
 from repro.sched.intervals import BusyTimeline, Reservation
 from repro.core.trial_mapping import LogicalProcSpec, TrialMapping
@@ -70,7 +69,7 @@ def build_trial_mapping(
     if omega < 0:
         raise MappingError(f"omega must be >= 0, got {omega}")
 
-    prio = bottom_levels(dag)
+    prio = dag.bottom_levels()
     topo_index = dag.topo_index()
 
     assignment: Dict[TaskId, LogicalProc] = {}

@@ -62,7 +62,6 @@ from repro.core.substrate import SchedulerSite
 from repro.core.trial_mapping import LogicalProcSpec
 from repro.core.validation import compute_permutation
 from repro.errors import ProtocolError
-from repro.graphs.analysis import critical_path_length
 from repro.graphs.dag import Dag
 from repro.graphs.serialization import estimate_code_size
 from repro.simnet.message import Message
@@ -210,7 +209,7 @@ class RTDSSite(SchedulerSite):
         # A deferred job may have become hopeless while waiting: even an
         # ideal schedule needs the critical path length.
         if ctx.was_deferred:
-            cp = critical_path_length(ctx.dag) / self.speed
+            cp = ctx.dag.critical_path_length() / self.speed
             if self.now + cp > ctx.deadline + 1e-9:
                 self.decide(ctx, JobOutcome.REJECTED_TIMEOUT)
                 return

@@ -56,13 +56,14 @@ def _probe_window_entries(
     not_before: Time,
     order: str,
 ) -> Optional[List[Slot]]:
-    """Flat-array §10 satisfiability test over payload entries.
+    """The non-preemptive §10 satisfiability test over payload entries.
 
-    Semantically identical to building :class:`WindowTask` objects and
-    calling ``try_schedule_window_tasks`` — same ordering keys (duration
-    does not enter the EDF key; laxity is ``(d - r) - duration``), same
-    EPS probing, same tail cut at ``not_before`` — with the object layer
-    stripped off the hot path.
+    Every task must fit entirely inside ``[max(release, not_before),
+    deadline]``, at the earliest gap of the timeline's live tail. Tasks are
+    inserted in EDF order (deadline, then release, then id — duration does
+    not enter the key), optimal for the nested/agreeable windows the
+    adjustment step produces, or least-laxity-first (laxity ``(d - r) -
+    duration``), which gives the tightest windows first pick of the gaps.
     """
     try:
         key = _ENTRY_ORDERS[order]

@@ -7,11 +7,12 @@
 * :mod:`repro.experiments.parallel` — the campaign runtime:
   content-addressed cell keys, serial/pool executor strategies, and the
   resumable on-disk JSONL result store;
-* :mod:`repro.experiments.campaign` — replications, confidence intervals
-  and paired comparisons (:class:`Campaign`), the row-table function every
-  sweep is declared over (:func:`~repro.experiments.campaign.sweep_table`)
-  and the E7 fault sweep (:func:`sweep_fault_plans`), all running through
-  the parallel runtime;
+* :mod:`repro.experiments.campaign` — the row-table function every sweep
+  is declared over (:func:`~repro.experiments.campaign.sweep_table`: one
+  pass through the parallel runtime, replicate confidence intervals), the
+  paired per-seed comparison of two rows
+  (:func:`~repro.experiments.campaign.paired_difference`) and the E7 fault
+  sweep (:func:`sweep_fault_plans`);
 * :mod:`repro.experiments.paper_example` — exact regeneration of the
   paper's worked example (Figs 2–4, Table 1) and a Figure-1-style protocol
   trace;
@@ -29,12 +30,7 @@
 * :mod:`repro.experiments.reporting` — plain-text tables.
 """
 
-from repro.experiments.campaign import (
-    Aggregate,
-    Campaign,
-    PairedComparison,
-    sweep_fault_plans,
-)
+from repro.experiments.campaign import paired_difference, sweep_fault_plans
 from repro.experiments.parallel import (
     CampaignStore,
     CellResult,
@@ -54,7 +50,7 @@ from repro.experiments.runner import (
     run_experiment,
 )
 from repro.experiments.soak import SoakConfig, SoakReport, SoakSample, run_soak
-from repro.experiments.verify import assert_sound, verify_execution
+from repro.experiments.verify import verify_execution
 from repro.experiments.paper_example import (
     PAPER_DEADLINE,
     PAPER_OMEGA,
@@ -79,9 +75,7 @@ from repro.experiments.hetero import (
 )
 
 __all__ = [
-    "Aggregate",
-    "Campaign",
-    "PairedComparison",
+    "paired_difference",
     "sweep_fault_plans",
     "CampaignStore",
     "CellResult",
@@ -101,7 +95,6 @@ __all__ = [
     "SoakReport",
     "SoakSample",
     "run_soak",
-    "assert_sound",
     "verify_execution",
     "E10_KINDS",
     "E10_SIZES",

@@ -2,9 +2,9 @@
 
 Every replicated claim in this reproduction is a *campaign*: a matrix of
 (config, algorithm, seed, fault-plan) **cells**, each cell one call to
-:func:`~repro.experiments.runner.run_experiment`. This module decouples
-the three concerns that :class:`~repro.experiments.campaign.Campaign`
-used to fuse:
+:func:`~repro.experiments.runner.run_experiment`. This module keeps apart
+three concerns that :func:`~repro.experiments.campaign.sweep_table`
+composes:
 
 * **identity** — :func:`cell_key` derives a content-addressed key from
   the fully-resolved :class:`~repro.experiments.runner.ExperimentConfig`

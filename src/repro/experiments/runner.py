@@ -46,7 +46,7 @@ from repro.faults.plan import FaultPlan
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.summary import ExperimentSummary, summarize
 from repro.routing.oracle import oracle_routing_factory
-from repro.routing.reference import dijkstra, hop_diameter
+from repro.routing.reference import dijkstra
 from repro.routing.vectorized import (
     Links,
     SharedTables,
@@ -540,20 +540,14 @@ def assemble(config: ExperimentConfig, topo: Topology) -> ResidentNetwork:
     """Phase 1, the one build path: sites, links, routing — returned live."""
     oracle = config.routing_mode == "oracle"
     global_state = config.algorithm in ("centralized", "focused", "random")
-    # The dense weight matrix exists only for the global-state baselines in
-    # oracle mode (their hop diameter, the centralized coordinator's
+    # The dense weight matrix exists only for the global-state baselines
+    # (their hop diameter and, in oracle mode, the centralized coordinator's
     # all-pairs distances); routing tables are solved from the links.
-    W = weight_matrix(topo) if oracle and global_state else None
-    if global_state:
-        # Global routing phase budget: the network's hop diameter. Only
-        # the baselines need it; RTDS's 2h-bounded flooding never does,
-        # so wide RTDS runs skip this O(n*(n+m)) oracle entirely.
-        if W is not None:
-            global_phases = max(1, hop_diameter_fast(W))
-        else:
-            global_phases = max(1, hop_diameter(topo.adjacency()))
-    else:
-        global_phases = 1
+    W = weight_matrix(topo) if global_state else None
+    # Global routing phase budget: the network's hop diameter. Only the
+    # baselines need it; RTDS's 2h-bounded flooding never does, so wide
+    # RTDS runs skip this all-pairs sweep entirely.
+    global_phases = max(1, hop_diameter_fast(W)) if global_state else 1
 
     routing_factory = None
     shared_tables: Optional[Dict[int, SharedTables]] = None
@@ -598,7 +592,7 @@ def assemble(config: ExperimentConfig, topo: Topology) -> ResidentNetwork:
     for s in sites:
         s.start()
     if config.algorithm == "centralized":
-        if W is not None:
+        if oracle:
             # converged min-plus == true shortest delays, one batched pass
             # over the dense weight matrix
             dist = true_distance_matrix(W)

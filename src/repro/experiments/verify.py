@@ -139,9 +139,3 @@ def verify_execution(result, check_transfer_delays: bool = True) -> List[str]:
                     f"rejected job {rec.job} had tasks executing: {ran}"
                 )
     return issues
-
-
-def assert_sound(result) -> None:
-    """Raise ``AssertionError`` with the full violation list if unsound."""
-    issues = verify_execution(result)
-    assert not issues, "execution audit failed:\n" + "\n".join(issues)

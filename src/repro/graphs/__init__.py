@@ -4,78 +4,36 @@ A *job* in the paper is a Directed Acyclic Graph ``G = (T, E)`` whose nodes
 are tasks with a Computational Complexity ``c(t)`` and whose arcs are
 precedence constraints; the job carries a release ``r`` and a deadline ``d``.
 
-This package provides the DAG data structure (:class:`~repro.graphs.dag.Dag`),
-structural analysis (critical paths, levels, η computation), a family of
-random and structured generators used by the workload layer, and plain-dict
-serialization.
+This package provides the DAG data structure (:class:`~repro.graphs.dag.Dag`,
+which also memoises the §12 bottom levels and the critical-path length), the
+random and structured generators used by the workload layer, data-volume
+decoration and plain-dict serialization.
 """
 
 from repro.graphs.dag import Dag, Task
-from repro.graphs.analysis import (
-    bottom_levels,
-    critical_path,
-    critical_path_length,
-    longest_path_task_count,
-    top_levels,
-    topological_order,
-)
 from repro.graphs.generators import (
-    diamond_dag,
-    fft_dag,
     fork_join_dag,
     gaussian_elimination_dag,
-    in_tree_dag,
     layered_dag,
     linear_chain_dag,
-    out_tree_dag,
     paper_example_dag,
     random_dag,
-    series_parallel_dag,
 )
 from repro.graphs.serialization import dag_from_dict, dag_to_dict
-from repro.graphs.transform import (
-    assign_data_volumes,
-    relabel_tasks,
-    reverse_dag,
-    transitive_reduction,
-)
-from repro.graphs.workflows import (
-    epigenomics_dag,
-    mapreduce_dag,
-    montage_dag,
-    pipeline_dag,
-    scatter_gather_dag,
-)
+from repro.graphs.transform import assign_data_volumes
+from repro.graphs.workflows import mapreduce_dag
 
 __all__ = [
     "Dag",
     "Task",
-    "bottom_levels",
-    "critical_path",
-    "critical_path_length",
-    "longest_path_task_count",
-    "top_levels",
-    "topological_order",
-    "diamond_dag",
-    "fft_dag",
     "fork_join_dag",
     "gaussian_elimination_dag",
-    "in_tree_dag",
     "layered_dag",
     "linear_chain_dag",
-    "out_tree_dag",
     "paper_example_dag",
     "random_dag",
-    "series_parallel_dag",
     "dag_from_dict",
     "dag_to_dict",
     "assign_data_volumes",
-    "relabel_tasks",
-    "reverse_dag",
-    "transitive_reduction",
     "mapreduce_dag",
-    "epigenomics_dag",
-    "montage_dag",
-    "pipeline_dag",
-    "scatter_gather_dag",
 ]

@@ -320,8 +320,7 @@ class Dag:
 
         ``bl(t) = c(t) + max(bl(s) for s in Γ⁺(t))``. The graph is
         immutable, so the map is computed once; callers treat it as
-        read-only (:func:`repro.graphs.analysis.bottom_levels` is the
-        public face).
+        read-only.
         """
         bl = self._bl
         if bl is None:
@@ -411,15 +410,3 @@ def _raise_first_bad_edge(task_map: Mapping[TaskId, int], edges: List) -> None:
         if (u, v) in seen:
             raise DagError(f"duplicate edge ({u!r}, {v!r})")
         seen.add((u, v))
-
-
-def descendants(dag: Dag, tid: TaskId) -> frozenset:
-    """All transitive successors of ``tid`` (excluding itself)."""
-    seen = set()
-    stack = list(dag.successors(tid))
-    while stack:
-        u = stack.pop()
-        if u not in seen:
-            seen.add(u)
-            stack.extend(dag.successors(u))
-    return frozenset(seen)

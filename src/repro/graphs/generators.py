@@ -3,9 +3,8 @@
 The paper's workload is "sporadic jobs with arbitrary precedence relations";
 it gives no benchmark suite, so — as in the DAG-scheduling literature it
 cites (Sih & Lee, Iverson & Özgüner) — we provide the standard structured
-families (chains, fork-join, trees, diamonds, series-parallel,
-Gaussian-elimination, FFT butterflies) plus two random families (layered and
-Erdős–Rényi-ordered). All generators:
+families (chains, fork-join, Gaussian elimination) plus two random families
+(layered and Erdős–Rényi-ordered). All generators:
 
 * take a ``numpy.random.Generator`` for determinism (never the global RNG),
 * draw complexities from a configurable range,
@@ -144,75 +143,6 @@ def fork_join_dag(
     return _draw_job("forkjoin", width, rng or np.random.default_rng(0), c_range)
 
 
-def out_tree_dag(
-    depth: int,
-    branching: int = 2,
-    rng: Optional[np.random.Generator] = None,
-    c_range: Tuple[float, float] = (1.0, 10.0),
-) -> Dag:
-    """Complete out-tree (root spawns ``branching`` children per level)."""
-    if depth < 1 or branching < 1:
-        raise DagError("out-tree needs depth >= 1 and branching >= 1")
-    rng = rng or np.random.default_rng(0)
-    n = sum(branching**d for d in range(depth))
-    cs = draw_complexities(rng, n, c_range)
-    edges = []
-    for i in range(n):
-        for b in range(branching):
-            child = i * branching + 1 + b
-            if child < n:
-                edges.append((i, child))
-    return Dag.from_weights(cs.tolist(), edges, f"outtree-d{depth}b{branching}")
-
-
-def in_tree_dag(
-    depth: int,
-    branching: int = 2,
-    rng: Optional[np.random.Generator] = None,
-    c_range: Tuple[float, float] = (1.0, 10.0),
-) -> Dag:
-    """Complete in-tree (reduction): edges of the out-tree reversed.
-
-    Task ids are renumbered so that ids still form a topological order
-    (leaves first, root = last id).
-    """
-    base = out_tree_dag(depth, branching, rng, c_range)
-    n = len(base)
-    # Reverse edges and relabel i -> n-1-i so ids stay topologically sorted.
-    cs = [base.complexity(n - 1 - i) for i in range(n)]
-    edges = [(n - 1 - v, n - 1 - u) for (u, v) in base.edges]
-    return Dag.from_weights(cs, edges, f"intree-d{depth}b{branching}")
-
-
-def diamond_dag(
-    side: int,
-    rng: Optional[np.random.Generator] = None,
-    c_range: Tuple[float, float] = (1.0, 10.0),
-) -> Dag:
-    """Diamond / wavefront dependency grid of ``side × side`` tasks.
-
-    Task ``(i, j)`` depends on ``(i-1, j)`` and ``(i, j-1)`` — the classic
-    stencil/LU-wavefront pattern.
-    """
-    if side < 1:
-        raise DagError("diamond needs side >= 1")
-    rng = rng or np.random.default_rng(0)
-    n = side * side
-    cs = draw_complexities(rng, n, c_range)
-
-    def tid(i: int, j: int) -> int:
-        return i * side + j
-
-    edges = []
-    for i in range(side):
-        for j in range(side):
-            if i + 1 < side:
-                edges.append((tid(i, j), tid(i + 1, j)))
-            if j + 1 < side:
-                edges.append((tid(i, j), tid(i, j + 1)))
-    return Dag.from_weights(cs.tolist(), edges, f"diamond-{side}")
-
-
 def gaussian_elimination_dag(
     size: int,
     rng: Optional[np.random.Generator] = None,
@@ -228,74 +158,6 @@ def gaussian_elimination_dag(
     if size < 2:
         raise DagError("gaussian elimination needs size >= 2")
     return _draw_job("gauss", size, rng or np.random.default_rng(0), c_range)
-
-
-def fft_dag(
-    points: int,
-    rng: Optional[np.random.Generator] = None,
-    c_range: Tuple[float, float] = (1.0, 10.0),
-) -> Dag:
-    """Butterfly task graph of a ``points``-point FFT (points = power of two).
-
-    ``log2(points)`` stages of ``points`` tasks; task ``(s, i)`` feeds
-    ``(s+1, i)`` and ``(s+1, i XOR 2^s)``.
-    """
-    if points < 2 or points & (points - 1):
-        raise DagError("fft needs a power-of-two points >= 2")
-    rng = rng or np.random.default_rng(0)
-    stages = points.bit_length() - 1
-    n = (stages + 1) * points
-
-    def tid(s: int, i: int) -> int:
-        return s * points + i
-
-    cs = draw_complexities(rng, n, c_range)
-    edges = []
-    for s in range(stages):
-        for i in range(points):
-            edges.append((tid(s, i), tid(s + 1, i)))
-            edges.append((tid(s, i), tid(s + 1, i ^ (1 << s))))
-    return Dag.from_weights(cs.tolist(), edges, f"fft-{points}")
-
-
-def series_parallel_dag(
-    n: int,
-    rng: Optional[np.random.Generator] = None,
-    c_range: Tuple[float, float] = (1.0, 10.0),
-    p_parallel: float = 0.5,
-) -> Dag:
-    """Random series-parallel DAG with ~``n`` tasks.
-
-    Built by recursive expansion: start from a single edge and repeatedly
-    replace a random task by a series or parallel composition until the task
-    budget is reached. Guarantees a single source and a single sink.
-    """
-    if n < 1:
-        raise DagError("series-parallel needs n >= 1")
-    rng = rng or np.random.default_rng(0)
-    # Represent as adjacency over integer ids; grow by splitting nodes.
-    succs = {0: set()}
-    next_id = 1
-    interior = [0]
-    while next_id < n:
-        v = interior[int(rng.integers(len(interior)))]
-        w = next_id
-        next_id += 1
-        if rng.random() < p_parallel and succs[v]:
-            # Parallel: w duplicates v's connections from one predecessor
-            # side — simpler: w becomes a sibling of v sharing succ set.
-            succs[w] = set(succs[v])
-            interior.append(w)
-        else:
-            # Series: v -> w, w inherits v's successors.
-            succs[w] = succs[v]
-            succs[v] = {w}
-            interior.append(w)
-    cs = draw_complexities(rng, next_id, c_range)
-    edges = [(u, v) for u, ss in succs.items() for v in ss]
-    # Parallel siblings may leave several sources/sinks; that is fine for a
-    # job DAG (the paper allows arbitrary precedence relations).
-    return Dag.from_weights(cs.tolist(), edges, f"sp-{next_id}")
 
 
 def layered_dag(

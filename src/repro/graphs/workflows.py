@@ -1,31 +1,25 @@
 """Scientific-workflow-shaped DAG generators.
 
 The structured families in :mod:`repro.graphs.generators` cover classic
-kernels; this module adds the montage/map-reduce/pipeline *workflow* shapes
-used by grid-scheduling evaluations — the application class the paper's
-"loosely coupled distributed systems" motivation points at.
+kernels; this module adds the *workflow* shapes used by grid-scheduling
+evaluations — the application class the paper's "loosely coupled
+distributed systems" motivation points at.
 
 * :func:`mapreduce_dag` — split → M maps → shuffle fan-in groups → R
   reduces → merge;
-* :func:`montage_dag` — the astronomy mosaicking shape: N projections →
+* :func:`montage_shape` — the astronomy mosaicking shape: N projections →
   pairwise overlap fits (one per *adjacent* pair) → model fit → N
   background corrections → co-add;
-* :func:`pipeline_dag` — S stages of W parallel workers with stage
-  barriers (stream processing);
-* :func:`scatter_gather_dag` — D rounds of scatter/gather with shrinking
-  width (iterative refinement);
-* :func:`epigenomics_dag` — the USC Epigenomics shape: split → ``lanes``
+* :func:`epigenomics_shape` — the USC Epigenomics shape: split → ``lanes``
   independent per-lane stage chains → merge → final index (the layered
   fan-out with *deep lanes* that Montage's shallow layers lack).
 
-Montage and Epigenomics are each a pure *shape* function
-(:func:`montage_shape`, :func:`epigenomics_shape`: name, task count, edges)
-plus one weight draw (:func:`~repro.graphs.generators.draw_complexities`
-over :data:`WORKFLOW_C_RANGE` by default). The trace workloads of
-:mod:`repro.workloads.traces` build one DAG per shape and re-weight it per
-job, yet must consume the generator's draw to keep the RNG stream where
-the generator leaves it; the split keeps both paths on one definition of
-the shape and of that draw.
+Montage and Epigenomics are pure *shape* functions (name, task count,
+edges). The trace workloads of :mod:`repro.workloads.traces` build one DAG
+per shape and re-weight it per job, drawing each job's complexities with
+:func:`~repro.graphs.generators.draw_complexities` over
+:data:`WORKFLOW_C_RANGE` to keep the RNG stream where a per-job build
+would leave it.
 """
 
 from __future__ import annotations
@@ -43,15 +37,6 @@ WORKFLOW_C_RANGE: Tuple[float, float] = (1.0, 8.0)
 
 #: a workflow's structure: (DAG name, task count, edges in generator order)
 WorkflowShape = Tuple[str, int, List[Tuple[int, int]]]
-
-
-def _weighted(
-    shape: WorkflowShape, rng: Optional[np.random.Generator], c_range: Tuple[float, float]
-) -> Dag:
-    """A DAG of ``shape`` with complexities drawn as the generators draw them."""
-    name, n, edges = shape
-    cs = draw_complexities(rng or np.random.default_rng(0), n, c_range)
-    return Dag.from_weights(cs.tolist(), edges, name)
 
 
 def mapreduce_dag(
@@ -76,7 +61,12 @@ def mapreduce_dag(
 
 
 def montage_shape(tiles: int) -> WorkflowShape:
-    """Name, task count and edges of :func:`montage_dag` over ``tiles``."""
+    """Name, task count and edges of the Montage mosaicking shape over
+    ``tiles`` input tiles.
+
+    project(i) → diff(i, i+1) for adjacent pairs → bgmodel → bgcorrect(i)
+    → coadd. (Adjacency is a ring so every projection feeds two diffs.)
+    """
     if tiles < 2:
         raise DagError("montage needs tiles >= 2")
     n_diff = tiles if tiles > 2 else 1
@@ -100,21 +90,16 @@ def montage_shape(tiles: int) -> WorkflowShape:
     return f"montage-{tiles}", n, edges
 
 
-def montage_dag(
-    tiles: int,
-    rng: Optional[np.random.Generator] = None,
-    c_range: Tuple[float, float] = WORKFLOW_C_RANGE,
-) -> Dag:
-    """The Montage mosaicking shape over ``tiles`` input tiles.
-
-    project(i) → diff(i, i+1) for adjacent pairs → bgmodel → bgcorrect(i)
-    → coadd. (Adjacency is a ring so every projection feeds two diffs.)
-    """
-    return _weighted(montage_shape(tiles), rng, c_range)
-
-
 def epigenomics_shape(lanes: int, stages: int = 4) -> WorkflowShape:
-    """Name, task count and edges of :func:`epigenomics_dag`."""
+    """Name, task count and edges of the Epigenomics genome-sequencing
+    shape over ``lanes`` read lanes.
+
+    split → per-lane chains of ``stages`` tasks (filter → sol2sanger →
+    fastq2bfq → map, in the 4-stage reference shape) → merge → final
+    index. Task ids are laid out ``[split, lane0-stage0..stage(S-1),
+    lane1-..., merge, final]`` — the layout :mod:`repro.workloads.traces`
+    relies on to attach per-stage empirical runtimes.
+    """
     if lanes < 1 or stages < 1:
         raise DagError("epigenomics needs lanes >= 1 and stages >= 1")
     n = 1 + lanes * stages + 2
@@ -128,74 +113,3 @@ def epigenomics_shape(lanes: int, stages: int = 4) -> WorkflowShape:
         edges.append((first + stages - 1, merge))
     edges.append((merge, final))
     return f"epigenomics-{lanes}x{stages}", n, edges
-
-
-def epigenomics_dag(
-    lanes: int,
-    stages: int = 4,
-    rng: Optional[np.random.Generator] = None,
-    c_range: Tuple[float, float] = WORKFLOW_C_RANGE,
-) -> Dag:
-    """The Epigenomics genome-sequencing shape over ``lanes`` read lanes.
-
-    split → per-lane chains of ``stages`` tasks (filter → sol2sanger →
-    fastq2bfq → map, in the 4-stage reference shape) → merge → final
-    index. Task ids are laid out ``[split, lane0-stage0..stage(S-1),
-    lane1-..., merge, final]`` — the layout :mod:`repro.workloads.traces`
-    relies on to attach per-stage empirical runtimes.
-    """
-    return _weighted(epigenomics_shape(lanes, stages), rng, c_range)
-
-
-def pipeline_dag(
-    stages: int,
-    width: int,
-    rng: Optional[np.random.Generator] = None,
-    c_range: Tuple[float, float] = WORKFLOW_C_RANGE,
-) -> Dag:
-    """``stages`` layers of ``width`` workers with full stage barriers."""
-    if stages < 1 or width < 1:
-        raise DagError("pipeline needs stages >= 1 and width >= 1")
-    rng = rng or np.random.default_rng(0)
-    n = stages * width
-    cs = draw_complexities(rng, n, c_range)
-    edges = []
-    for s in range(stages - 1):
-        for i in range(width):
-            for j in range(width):
-                edges.append((s * width + i, (s + 1) * width + j))
-    return Dag.from_weights(cs.tolist(), edges, f"pipeline-{stages}x{width}")
-
-
-def scatter_gather_dag(
-    rounds: int,
-    width: int,
-    rng: Optional[np.random.Generator] = None,
-    c_range: Tuple[float, float] = WORKFLOW_C_RANGE,
-) -> Dag:
-    """Iterative refinement: each round scatters to a shrinking worker set
-    and gathers into a coordinator task."""
-    if rounds < 1 or width < 2:
-        raise DagError("scatter-gather needs rounds >= 1 and width >= 2")
-    rng = rng or np.random.default_rng(0)
-    edges = []
-    nid = 0
-
-    def new_task() -> int:
-        nonlocal nid
-        i = nid
-        nid += 1
-        return i
-
-    coord = new_task()
-    w = width
-    for _ in range(rounds):
-        workers = [new_task() for _ in range(max(2, w))]
-        gather = new_task()
-        for t in workers:
-            edges.append((coord, t))
-            edges.append((t, gather))
-        coord = gather
-        w = max(2, w // 2)
-    cs = draw_complexities(rng, nid, c_range)
-    return Dag.from_weights(cs.tolist(), edges, f"scatter-gather-{rounds}x{width}")

@@ -20,7 +20,7 @@ them online as ``phase.enroll`` / ``phase.map`` / ``phase.validate`` spans
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.faults import FaultReport, fault_report
 from repro.metrics.summary import ExperimentSummary, summarize
-from repro.metrics.stats import mean_confidence_interval, ratio_confidence_interval
+from repro.metrics.stats import mean_confidence_interval
 
 __all__ = [
     "MetricsCollector",
@@ -29,5 +29,4 @@ __all__ = [
     "ExperimentSummary",
     "summarize",
     "mean_confidence_interval",
-    "ratio_confidence_interval",
 ]

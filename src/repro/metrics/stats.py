@@ -2,8 +2,7 @@
 
 Means with Student-t confidence intervals (t-quantiles from a small
 two-sided 95% table + normal approximation beyond 30 dof — no scipy needed
-at runtime, scipy cross-checks live in the tests) and Wilson intervals for
-acceptance ratios.
+at runtime, scipy cross-checks live in the tests).
 """
 
 from __future__ import annotations
@@ -42,17 +41,3 @@ def mean_confidence_interval(
         return (mean, 0.0)
     sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
     return (mean, t_quantile_95(arr.size - 1) * sem)
-
-
-def ratio_confidence_interval(successes: int, total: int) -> Tuple[float, float]:
-    """Wilson 95% interval for a proportion: (center, half-width)."""
-    if total <= 0:
-        return (float("nan"), 0.0)
-    if successes < 0 or successes > total:
-        raise ValueError(f"successes {successes} outside [0, {total}]")
-    z = 1.96
-    p = successes / total
-    denom = 1.0 + z * z / total
-    center = (p + z * z / (2 * total)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / total + z * z / (4 * total * total))
-    return (center, half)

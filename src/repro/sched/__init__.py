@@ -17,7 +17,8 @@ Modules:
   queries (the core data structure, O(log n) lookup + O(n) insert);
 * :mod:`repro.sched.plan` — the plan object (timeline + job bookkeeping +
   surplus);
-* :mod:`repro.sched.feasibility` — non-preemptive insertion-based tests;
+* :mod:`repro.sched.feasibility` — the non-preemptive local test (the
+  §10 window test runs in :mod:`repro.core.validation`);
 * :mod:`repro.sched.preemptive` — preemptive-EDF variant (paper §13);
 * :mod:`repro.sched.matching` — maximum bipartite matching (Hopcroft–Karp)
   for the validation "coupling";
@@ -27,12 +28,8 @@ Modules:
 
 from repro.sched.intervals import BusyTimeline, Reservation
 from repro.sched.plan import SchedulingPlan
-from repro.sched.feasibility import (
-    WindowTask,
-    try_schedule_dag_locally,
-    try_schedule_window_tasks,
-)
-from repro.sched.preemptive import preemptive_chunks, preemptive_satisfiable
+from repro.sched.feasibility import WindowTask, try_schedule_dag_locally
+from repro.sched.preemptive import preemptive_chunks
 from repro.sched.matching import hopcroft_karp, maximum_matching_bruteforce
 
 __all__ = [
@@ -41,9 +38,7 @@ __all__ = [
     "SchedulingPlan",
     "WindowTask",
     "try_schedule_dag_locally",
-    "try_schedule_window_tasks",
     "preemptive_chunks",
-    "preemptive_satisfiable",
     "hopcroft_karp",
     "maximum_matching_bruteforce",
 ]

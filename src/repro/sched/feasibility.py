@@ -1,29 +1,23 @@
-"""Non-preemptive insertion-based feasibility tests.
+"""Non-preemptive insertion-based feasibility: the §5 local test.
 
-Two tests back the protocol:
+:func:`try_schedule_dag_locally` schedules the whole DAG on this one site,
+in topological order, each task at the earliest gap after its
+predecessors, and accepts iff everything finishes by the job deadline. (On
+a single site there are no communication delays.) It returns concrete
+:class:`Reservation` lists (or ``None``) so a caller can *commit* exactly
+what was tested, and probes only the timeline's live tail
+(``scratch_arrays(cutoff)``): no task starts before ``not_before``, so
+history that ends by then cannot move a slot.
 
-* :func:`try_schedule_dag_locally` — the §5 **local test**: schedule the
-  whole DAG on this one site, in topological order, each task at the
-  earliest gap after its predecessors, and accept iff everything finishes by
-  the job deadline. (On a single site there are no communication delays.)
-
-* :func:`try_schedule_window_tasks` — the §10 **local satisfiability** test
-  used during Trial-Mapping validation: given a set of tasks with absolute
-  windows ``[r(t), d(t)]`` and durations ``c(t)``, find non-overlapping
-  slots inside the windows. Tasks are inserted in EDF order (deadline, then
-  release, then id) — optimal for the nested/agreeable windows the
-  adjustment step produces, and the natural heuristic otherwise.
-
-Both return concrete :class:`Reservation` lists (or ``None``) so a caller
-can *commit* exactly what was tested — this is how validation endorsements
-stay valid until execution (see DESIGN.md "Lock semantics"). Both probe
-only the timeline's live tail (``scratch_arrays(cutoff)``): no task starts
-before ``not_before``, so history that ends by then cannot move a slot.
+:class:`WindowTask` is the input of the preemptive §10 test
+(:mod:`repro.sched.preemptive`); the non-preemptive §10 test runs on the
+validation payload's flat entries
+(:func:`repro.core.validation.endorse_mapping`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.graphs.dag import Dag
 from repro.sched.intervals import BusyTimeline, Reservation
@@ -108,54 +102,4 @@ def try_schedule_dag_locally(
     return [
         Reservation(s, s + c, job, tid, release=ready, deadline=deadline)
         for (s, c, tid, ready) in placed
-    ]
-
-
-def edf_order(tasks: Sequence[WindowTask]) -> List[WindowTask]:
-    """Deterministic EDF ordering: (deadline, release, task id repr)."""
-    return sorted(tasks, key=lambda t: (t.deadline, t.release, repr(t.task)))
-
-
-def llf_order(tasks: Sequence[WindowTask]) -> List[WindowTask]:
-    """Least-laxity-first ordering: tightest windows placed first.
-
-    An alternative §10 insertion policy: tasks with the least slack get
-    first pick of the gaps, which can rescue sets where a tight window
-    hides behind an early deadline. Deterministic tie-breaks as EDF.
-    """
-    return sorted(tasks, key=lambda t: (t.laxity, t.deadline, repr(t.task)))
-
-
-_ORDERS = {"edf": edf_order, "llf": llf_order}
-
-
-def try_schedule_window_tasks(
-    timeline: BusyTimeline,
-    tasks: Sequence[WindowTask],
-    not_before: Time,
-    order: str = "edf",
-) -> Optional[List[Reservation]]:
-    """The §10 local-satisfiability test. Returns slots or ``None``.
-
-    Every task must fit entirely inside ``[max(release, not_before),
-    deadline]``. Insertion order is ``"edf"`` (default) or ``"llf"``;
-    the input timeline is not modified.
-    """
-    try:
-        ordering = _ORDERS[order]
-    except KeyError:
-        raise ValueError(f"unknown insertion order {order!r}; known: {sorted(_ORDERS)}") from None
-    starts, ends = timeline.scratch_arrays(not_before)
-    placed: List[Tuple[Time, WindowTask]] = []
-    for t in ordering(tasks):
-        lo = max(t.release, not_before)
-        start = fit_and_hold(starts, ends, t.duration, lo, t.deadline)
-        if start is None:
-            return None
-        placed.append((start, t))
-    return [
-        Reservation(
-            s, s + t.duration, t.job, t.task, release=t.release, deadline=t.deadline
-        )
-        for (s, t) in placed
     ]

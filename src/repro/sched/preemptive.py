@@ -113,13 +113,6 @@ def _edf_simulation(
     return chunks
 
 
-def preemptive_satisfiable(
-    timeline: BusyTimeline, tasks: Sequence[WindowTask], not_before: Time
-) -> bool:
-    """Exact preemptive feasibility of ``tasks`` in the timeline's gaps."""
-    return _edf_simulation(timeline, tasks, not_before, collect=False) is not None
-
-
 def preemptive_chunks(
     timeline: BusyTimeline, tasks: Sequence[WindowTask], not_before: Time
 ) -> Optional[List[Reservation]]:

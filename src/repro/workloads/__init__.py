@@ -32,22 +32,13 @@ from repro.workloads.openloop import (
     OpenLoopSpec,
     open_loop_jobs,
     open_loop_rate,
-    open_loop_workload,
 )
 from repro.workloads.deadlines import assign_deadline
-from repro.workloads.load import calibrate_rate, offered_load
-from repro.workloads.scenarios import (
-    CHURN_LEVELS,
-    WorkloadSpec,
-    churn_plan,
-    generate_workload,
-    mixed_dag_factory,
-)
+from repro.workloads.load import calibrate_rate
+from repro.workloads.scenarios import WorkloadSpec, generate_workload, mixed_dag_factory
 from repro.workloads.traces import trace_dag_factory, trace_names
 
 __all__ = [
-    "CHURN_LEVELS",
-    "churn_plan",
     "JobSpec",
     "Workload",
     "poisson_arrivals",
@@ -57,11 +48,9 @@ __all__ = [
     "parse_arrival_spec",
     "OpenLoopSpec",
     "open_loop_jobs",
-    "open_loop_workload",
     "open_loop_rate",
     "assign_deadline",
     "calibrate_rate",
-    "offered_load",
     "WorkloadSpec",
     "generate_workload",
     "mixed_dag_factory",

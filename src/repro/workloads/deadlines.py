@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.graphs.analysis import critical_path_length
 from repro.graphs.dag import Dag
 from repro.types import Time
 
@@ -52,5 +51,5 @@ def assign_deadline(
         if rng is None:
             raise WorkloadError("jitter needs an rng")
         factor *= float(rng.uniform(1.0 - jitter, 1.0 + jitter))
-    cp = critical_path_length(dag) / reference_speed
+    cp = dag.critical_path_length() / reference_speed
     return arrival + factor * cp

@@ -28,20 +28,6 @@ from repro.graphs.dag import Dag
 PILOT_SIZE = 64
 
 
-def offered_load(
-    total_rate: float, mean_work: float, capacities: Sequence[float]
-) -> float:
-    """ρ for a given aggregate arrival rate."""
-    cap = float(sum(capacities))
-    if cap <= 0:
-        raise WorkloadError("total capacity must be > 0")
-    if total_rate < 0 or mean_work <= 0:
-        raise WorkloadError(
-            f"need rate >= 0 and mean_work > 0, got {total_rate}, {mean_work}"
-        )
-    return total_rate * mean_work / cap
-
-
 def calibrate_rate(
     rho: float, mean_work: float, capacities: Sequence[float]
 ) -> float:

@@ -3,12 +3,6 @@
 :func:`generate_workload` is the single entry point the experiment runner
 uses: it draws a DAG mix, per-site Poisson arrivals calibrated to an
 offered load, and laxity-factor deadlines — all from one seeded generator.
-
-Churn scenarios (:func:`churn_plan`, :data:`CHURN_LEVELS`) pair the
-workload builders with named :class:`~repro.faults.plan.FaultPlan` presets
-— "what a flaky WAN looks like" at three intensities — so experiments can
-say ``faults=churn_plan("moderate", duration)`` instead of hand-tuning
-loss probabilities and flap counts.
 """
 
 from __future__ import annotations
@@ -33,38 +27,6 @@ from repro.workloads.jobs import JobSpec, Workload
 from repro.workloads.load import pilot_rate
 
 DagFactory = Callable[[np.random.Generator], Dag]
-
-#: named churn intensities: (message-loss prob, delay jitter, link flaps
-#: per 100 time units, site partitions per 100 time units, mean downtime)
-CHURN_LEVELS = {
-    "light": (0.01, 0.1, 0.5, 0.0, 10.0),
-    "moderate": (0.05, 0.5, 1.5, 0.5, 15.0),
-    "severe": (0.15, 1.0, 3.0, 1.0, 25.0),
-}
-
-
-def churn_plan(level: str, duration: float, seed: int = 0):
-    """A named :class:`~repro.faults.plan.FaultPlan` churn preset.
-
-    ``level`` is one of :data:`CHURN_LEVELS`; flap/partition counts scale
-    linearly with ``duration`` so "moderate" means the same weather on a
-    300-unit run and a 3000-unit soak.
-    """
-    from repro.faults.plan import ChurnSpec, FaultPlan
-
-    if level not in CHURN_LEVELS:
-        raise WorkloadError(f"unknown churn level {level!r}; known: {sorted(CHURN_LEVELS)}")
-    loss, jitter, links_per_100, sites_per_100, downtime = CHURN_LEVELS[level]
-    n_links = int(round(links_per_100 * duration / 100.0))
-    n_sites = int(round(sites_per_100 * duration / 100.0))
-    return FaultPlan(
-        loss_prob=loss,
-        delay_jitter=jitter,
-        link_churn=ChurnSpec(n_links, downtime, duration) if n_links else None,
-        site_churn=ChurnSpec(n_sites, downtime, duration) if n_sites else None,
-        seed=seed,
-    )
-
 
 #: workload knobs of the E10 wide-network cells: per-site offered load is
 #: held constant (so total job count grows linearly with n and a cell's

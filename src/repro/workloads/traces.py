@@ -81,7 +81,7 @@ class RuntimeModel:
 
 
 #: Montage task types, in the id-layout order of
-#: :func:`repro.graphs.workflows.montage_dag`: projections, pairwise
+#: :func:`repro.graphs.workflows.montage_shape`: projections, pairwise
 #: diff-fits, the background model, per-tile corrections, the final co-add.
 MONTAGE_RUNTIMES: Dict[str, RuntimeModel] = {
     "project": RuntimeModel(mean=6.0, cv=0.4),
@@ -92,7 +92,7 @@ MONTAGE_RUNTIMES: Dict[str, RuntimeModel] = {
 }
 
 #: Epigenomics per-stage types for the 4-stage reference lanes of
-#: :func:`repro.graphs.workflows.epigenomics_dag`, plus split/merge/final.
+#: :func:`repro.graphs.workflows.epigenomics_shape`, plus split/merge/final.
 EPIGENOMICS_RUNTIMES: Dict[str, RuntimeModel] = {
     "split": RuntimeModel(mean=2.0, cv=0.3),
     "filter": RuntimeModel(mean=3.0, cv=0.4),
@@ -103,12 +103,12 @@ EPIGENOMICS_RUNTIMES: Dict[str, RuntimeModel] = {
     "final": RuntimeModel(mean=2.5, cv=0.3),
 }
 
-#: the per-lane stage sequence (id layout of ``epigenomics_dag``)
+#: the per-lane stage sequence (id layout of ``epigenomics_shape``)
 EPIGENOMICS_STAGES: Tuple[str, ...] = ("filter", "sol2sanger", "fastq2bfq", "map")
 
 
 def montage_task_types(tiles: int) -> List[str]:
-    """Task type per id of ``montage_dag(tiles)`` (its documented layout)."""
+    """Task type per id of ``montage_shape(tiles)`` (its documented layout)."""
     n_diff = tiles if tiles > 2 else 1
     return (
         ["project"] * tiles
@@ -120,7 +120,7 @@ def montage_task_types(tiles: int) -> List[str]:
 
 
 def epigenomics_task_types(lanes: int) -> List[str]:
-    """Task type per id of ``epigenomics_dag(lanes)`` (its documented layout)."""
+    """Task type per id of ``epigenomics_shape(lanes)`` (its documented layout)."""
     return ["split"] + list(EPIGENOMICS_STAGES) * lanes + ["merge", "final"]
 
 

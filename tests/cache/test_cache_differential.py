@@ -17,8 +17,7 @@ from repro.experiments.parallel import config_fingerprint
 from repro.metrics.summary import scalars_equal
 from repro.core.config import RTDSConfig
 from repro.faults.plan import hardened
-from repro.workloads.scenarios import churn_plan
-from tests.identity.scenarios import snapshot
+from tests.identity.scenarios import churn_plan, snapshot
 
 
 def _config(**overrides) -> ExperimentConfig:

@@ -99,8 +99,6 @@ def _scenario_dag(sc: Scenario, dag_seed: int):
 
 
 def run_scenario(sc: Scenario):
-    from repro.graphs.analysis import critical_path_length
-
     cfg = RTDSConfig(
         h=sc.h,
         enroll_mode=sc.enroll_mode,
@@ -132,7 +130,7 @@ def run_scenario(sc: Scenario):
         dag = _scenario_dag(sc, dag_seed)
         dags[jid] = dag
         site = net.site(origin)
-        deadline_rel = laxity * critical_path_length(dag) / ref_speed
+        deadline_rel = laxity * dag.critical_path_length() / ref_speed
         sim.schedule_at(
             sim.now + arrival,
             lambda s=site, j=jid, d=dag, dr=deadline_rel: s.submit_job(

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.runner import ExperimentConfig, run_experiment
-from repro.experiments.verify import assert_sound
+from repro.experiments.verify import verify_execution
 
 SMALL = ExperimentConfig(
     topology_kwargs={"n": 8, "p": 0.4, "delay_range": (0.2, 0.8)},
@@ -29,7 +29,7 @@ class TestOtherTopologies:
         cfg = replace(SMALL, topology=topo_kind, topology_kwargs=kwargs, algorithm="rtds")
         res = run_experiment(cfg)
         assert res.summary.n_jobs > 0
-        assert_sound(res)
+        assert verify_execution(res) == []
         for site in res.network.sites.values():
             assert site.leaks() == []
 

@@ -5,9 +5,12 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api import campaign
 from repro.errors import ConfigError
-from repro.experiments.campaign import Aggregate, Campaign
+from repro.experiments.campaign import mean_ci, paired_difference
+from repro.experiments.parallel import CellResult
 from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.metrics.stats import mean_confidence_interval
 
 SMALL = ExperimentConfig(
     topology_kwargs={"n": 8, "p": 0.4, "delay_range": (0.2, 0.8)},
@@ -18,47 +21,50 @@ SMALL = ExperimentConfig(
 
 class TestCampaign:
     def test_aggregate_shape(self):
-        camp = Campaign(SMALL, seeds=[1, 2, 3])
-        agg = camp.run("local")
-        assert agg.n_runs == 3
-        assert 0.0 <= agg.mean["GR"] <= 1.0
-        assert agg.ci["GR"] >= 0.0
-        assert len(agg.per_seed["GR"]) == 3
+        (row,) = campaign(SMALL, ["local"], seeds=[1, 2, 3])
+        assert row["runs"] == 3
+        gr = row["per_seed"]["GR"]
+        assert len(gr) == 3 and all(0.0 <= v <= 1.0 for v in gr)
+        mean, half = row["GR"].split("±")
+        assert 0.0 <= float(mean) <= 1.0 and float(half) >= 0.0
 
     def test_results_cached(self):
-        camp = Campaign(SMALL, seeds=[1, 2])
-        camp.run("local")
-        before = dict(camp._cache)
-        camp.run("local")
-        assert camp._cache == before  # no re-runs
+        """A cell two rows share runs once and feeds both rows."""
+        executed = []
+        rows = campaign(
+            SMALL, ["local", "local"], seeds=[1, 2],
+            progress=lambda r, done, total: executed.append(r.key),
+        )
+        assert len(executed) == 2
+        assert rows[0] == rows[1]
 
     def test_paired_comparison(self):
-        camp = Campaign(replace(SMALL, duration=200.0), seeds=[1, 2, 3])
-        diff = camp.compare("rtds", "local", metric="GR")
-        assert diff.n == 3
+        rtds, local = campaign(replace(SMALL, duration=200.0), ["rtds", "local"], seeds=[1, 2, 3])
+        diff, _ = paired_difference(rtds["per_seed"]["GR"], local["per_seed"]["GR"])
         # cooperation never hurts on matched workloads
-        assert diff.mean_diff > -0.02
-
-    def test_unknown_metric_rejected(self):
-        camp = Campaign(SMALL, seeds=[1])
-        with pytest.raises(ConfigError):
-            camp.compare("rtds", "local", metric="speedup")
+        assert diff > -0.02
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ConfigError):
-            Campaign(SMALL, seeds=[])
+            campaign(SMALL, ["local"], seeds=[])
 
     def test_table_rows(self):
-        camp = Campaign(SMALL, seeds=[1, 2])
-        rows = camp.table(["local"])
+        rows = campaign(SMALL, ["local"], seeds=[1, 2])
         assert rows[0]["label"] == "local"
         assert "±" in str(rows[0]["GR"])
 
     def test_aggregate_row_format(self):
-        agg = Aggregate(
-            label="x", n_runs=2, mean={"GR": 0.5}, ci={"GR": 0.1}, per_seed={}
-        )
-        assert agg.row()["GR"] == "0.5±0.1"
+        """``mean±ci`` to 4 and 2 significant digits, NaN seeds skipped."""
+        reps = [
+            CellResult("k", "x", seed, "x", "ok", metrics={"guarantee_ratio": v})
+            for seed, v in enumerate([0.4, float("nan"), 0.6])
+        ]
+        assert mean_ci("guarantee_ratio")(reps) == "0.5±1.3"
+
+    def test_paired_difference_skips_undefined_seeds(self):
+        diff, half = paired_difference([0.5, float("nan"), 0.7], [0.4, 0.1, 0.5])
+        assert diff == pytest.approx(0.15)
+        assert half == pytest.approx(mean_confidence_interval([0.1, 0.2])[1])
 
 
 class TestProtocolStats:

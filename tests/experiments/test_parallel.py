@@ -10,7 +10,8 @@ import pytest
 from repro.core.config import RTDSConfig
 from repro.errors import CampaignCellError, ConfigError
 from repro.experiments import campaign, evaluation
-from repro.experiments.campaign import Campaign, sweep_fault_plans
+from repro import api
+from repro.experiments.campaign import sweep_fault_plans
 from repro.experiments.parallel import (
     CampaignStore,
     CellResult,
@@ -324,29 +325,26 @@ class TestRunCells:
 
 class TestCampaignRuntime:
     def test_campaign_pool_matches_serial(self):
-        serial = Campaign(SMALL, seeds=[0, 1]).run("local")
-        pooled = Campaign(SMALL, seeds=[0, 1], executor="pool(2)").run("local")
-        assert serial.mean["GR"] == pooled.mean["GR"]
-        assert serial.per_seed["GR"] == pooled.per_seed["GR"]
+        serial = api.campaign(SMALL, ["local"], seeds=[0, 1])
+        pooled = api.campaign(SMALL, ["local"], seeds=[0, 1], executor="pool(2)")
+        assert serial == pooled
 
     def test_campaign_resumes_from_store(self, tmp_path):
         store = ResultStore(tmp_path).campaign("camp")
-        Campaign(SMALL, seeds=[0, 1], store=store).run("local")
+        first = api.campaign(SMALL, ["local"], seeds=[0, 1], store=store)
         executed = []
-        camp = Campaign(
-            SMALL, seeds=[0, 1], store=store,
+        again = api.campaign(
+            SMALL, ["local"], seeds=[0, 1], store=store,
             progress=lambda r, done, total: executed.append(r.key),
         )
-        agg = camp.run("local")
         assert executed == []  # everything came from the store
-        assert agg.n_runs == 2
+        assert again == first and again[0]["runs"] == 2
 
     def test_campaign_failure_is_loud_and_resumable(self, tmp_path):
         store = ResultStore(tmp_path).campaign("camp")
         bad = replace(SMALL, dag_factory=boom_factory)
-        camp = Campaign(bad, seeds=[0, 1], store=store)
         with pytest.raises(CampaignCellError) as err:
-            camp.run("local")
+            api.campaign(bad, ["local"], seeds=[0, 1], store=store)
         assert len(err.value.failures) == 2
         assert "seed=0" in str(err.value) and "seed=1" in str(err.value)
         assert len(store.failed()) == 2

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.runner import ExperimentConfig, run_experiment
-from repro.experiments.verify import assert_sound, verify_execution
+from repro.experiments.verify import verify_execution
 
 SMALL = ExperimentConfig(
     topology_kwargs={"n": 8, "p": 0.4, "delay_range": (0.2, 0.8)},
@@ -22,11 +22,11 @@ class TestAudit:
         res = run_experiment(replace(SMALL, algorithm=algo))
         # focused/random ship whole DAGs -> transfer-delay check trivially
         # holds; rtds/centralized genuinely split jobs across sites.
-        assert_sound(res)
+        assert verify_execution(res) == []
 
     def test_rtds_heavy_load_still_sound(self):
         res = run_experiment(replace(SMALL, algorithm="rtds", rho=1.3, duration=250.0))
-        assert_sound(res)
+        assert verify_execution(res) == []
 
     def test_rtds_preemptive_sound(self):
         from repro.core.config import RTDSConfig
@@ -34,7 +34,7 @@ class TestAudit:
         res = run_experiment(
             replace(SMALL, algorithm="rtds", rtds=RTDSConfig(validation_preemptive=True))
         )
-        assert_sound(res)
+        assert verify_execution(res) == []
 
     def test_audit_detects_planted_violation(self):
         """Sanity: the auditor itself must catch corruption."""
@@ -189,7 +189,7 @@ class TestDataVolumeModel:
     def test_runs_and_sound(self):
         res = run_experiment(self.volume_config())
         assert res.summary.n_jobs > 0
-        assert_sound(res)
+        assert verify_execution(res) == []
 
     def test_volume_aware_omega_prevents_misses(self):
         res = run_experiment(self.volume_config())

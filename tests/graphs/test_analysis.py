@@ -1,112 +1,42 @@
-"""Tests for DAG analysis (bottom levels, critical paths, η)."""
+"""Tests for the per-job DAG quantities RTDS reads: the §12 bottom levels
+and the critical-path length that sets deadlines (both memoised on
+:class:`~repro.graphs.dag.Dag`)."""
 
 import pytest
 
-from repro.graphs.analysis import (
-    bottom_levels,
-    critical_path,
-    critical_path_length,
-    longest_path_task_count,
-    parallelism_profile,
-    top_levels,
-    width,
-)
 from repro.graphs.dag import Dag, Task
-from repro.graphs.generators import (
-    fork_join_dag,
-    linear_chain_dag,
-    paper_example_dag,
-)
+from repro.graphs.generators import linear_chain_dag, paper_example_dag
 
 
 class TestBottomLevels:
     def test_paper_example_priorities(self):
         """§12: the priorities that drive the Mapper's list scheduling."""
-        bl = bottom_levels(paper_example_dag())
+        bl = paper_example_dag().bottom_levels()
         assert bl == {1: 15.0, 2: 13.0, 3: 9.0, 4: 7.0, 5: 5.0}
 
     def test_single_task(self):
         d = Dag([Task(0, 4.0)])
-        assert bottom_levels(d) == {0: 4.0}
+        assert d.bottom_levels() == {0: 4.0}
 
     def test_chain_accumulates(self):
         d = Dag([Task(i, 2.0) for i in range(4)], [(i, i + 1) for i in range(3)])
-        assert bottom_levels(d) == {0: 8.0, 1: 6.0, 2: 4.0, 3: 2.0}
-
-
-class TestTopLevels:
-    def test_paper_example(self):
-        tl = top_levels(paper_example_dag())
-        assert tl == {1: 0.0, 2: 0.0, 3: 6.0, 4: 6.0, 5: 10.0}
-
-    def test_consistency_with_bottom(self):
-        d = paper_example_dag()
-        bl, tl = bottom_levels(d), top_levels(d)
-        cp = critical_path_length(d)
-        for t in d:
-            assert tl[t] + bl[t] <= cp + 1e-9
+        assert d.bottom_levels() == {0: 8.0, 1: 6.0, 2: 4.0, 3: 2.0}
 
 
 class TestCriticalPath:
     def test_paper_example_length(self):
-        assert critical_path_length(paper_example_dag()) == pytest.approx(15.0)
+        assert paper_example_dag().critical_path_length() == pytest.approx(15.0)
 
     def test_paper_example_path(self):
-        assert critical_path(paper_example_dag()) == [1, 3, 5]
+        """Figure 2's critical path is 1 → 3 → 5: a source-to-sink path
+        whose complexities sum to the critical-path length."""
+        d = paper_example_dag()
+        path = [1, 3, 5]
+        assert not d.predecessors(path[0]) and not d.successors(path[-1])
+        for u, v in zip(path, path[1:]):
+            assert v in d.successors(u)
+        assert sum(d.complexity(t) for t in path) == d.critical_path_length()
 
     def test_chain_is_whole_graph(self):
         d = linear_chain_dag(5, c_range=(2.0, 2.0))
-        assert critical_path(d) == [0, 1, 2, 3, 4]
-        assert critical_path_length(d) == pytest.approx(10.0)
-
-    def test_path_is_a_real_path(self):
-        d = fork_join_dag(6)
-        path = critical_path(d)
-        for u, v in zip(path, path[1:]):
-            assert v in d.successors(u)
-        assert not d.predecessors(path[0])
-        assert not d.successors(path[-1])
-
-    def test_path_length_matches(self):
-        d = fork_join_dag(6)
-        path = critical_path(d)
-        assert sum(d.complexity(t) for t in path) == pytest.approx(
-            critical_path_length(d)
-        )
-
-
-class TestEta:
-    def test_chain(self):
-        d = linear_chain_dag(7, c_range=(1.0, 1.0))
-        assert longest_path_task_count(d) == 7
-
-    def test_single(self):
-        assert longest_path_task_count(Dag([Task(0, 1.0)])) == 1
-
-    def test_paper_example(self):
-        # Critical path 1-3-5 has 3 tasks.
-        assert longest_path_task_count(paper_example_dag()) == 3
-
-    def test_prefers_more_tasks_among_equal_length(self):
-        # Two parallel paths of equal length 6: one with 2 tasks, one with 3.
-        tasks = [Task(i, c) for i, c in [(0, 3.0), (1, 3.0), (2, 2.0), (3, 2.0), (4, 2.0)]]
-        d = Dag(tasks, [(0, 1), (2, 3), (3, 4)])
-        assert critical_path_length(d) == pytest.approx(6.0)
-        assert longest_path_task_count(d) == 3
-
-    def test_noncritical_long_chain_ignored(self):
-        # 5-task chain of total 5 vs a single task of 10: η follows the
-        # *critical* (length-10) path.
-        tasks = [Task(i, 1.0) for i in range(5)] + [Task(9, 10.0)]
-        d = Dag(tasks, [(i, i + 1) for i in range(4)])
-        assert longest_path_task_count(d) == 1
-
-
-class TestProfiles:
-    def test_parallelism_profile_fork_join(self):
-        d = fork_join_dag(4)
-        assert parallelism_profile(d) == {0: 1, 1: 4, 2: 1}
-
-    def test_width(self):
-        assert width(fork_join_dag(4)) == 4
-        assert width(linear_chain_dag(5)) == 1
+        assert d.critical_path_length() == pytest.approx(d.total_complexity()) == pytest.approx(10.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CycleError, DagError
-from repro.graphs.dag import Dag, Task, descendants
+from repro.graphs.dag import Dag, Task
 from repro.graphs.generators import paper_example_dag
 
 
@@ -189,10 +189,3 @@ class TestPaperDag:
         d = paper_example_dag()
         assert set(d.sources()) == {1, 2}
         assert d.sinks() == (5,)
-
-
-class TestTransitive:
-    def test_descendants(self):
-        d = make_diamond()
-        assert descendants(d, "a") == {"b", "c", "d"}
-        assert descendants(d, "d") == frozenset()

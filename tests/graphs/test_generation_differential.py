@@ -19,12 +19,19 @@ from hypothesis import strategies as st
 
 from repro.errors import DagError
 from repro.graphs import generators, workflows
-from repro.graphs.analysis import critical_path_length
 from repro.graphs.dag import Dag, Task
 from repro.workloads import traces
 from repro.workloads.scenarios import mixed_dag_factory
 from repro.workloads.traces import trace_dag_factory
 from tests import frozen_reference as ref
+
+
+def _shape_dag(shape, rng=None, c_range=workflows.WORKFLOW_C_RANGE):
+    """A workflow shape weighted with the generators' draw, as a per-job
+    build would weight it."""
+    name, n, edges = shape
+    cs = generators.draw_complexities(rng or np.random.default_rng(0), n, c_range)
+    return Dag.from_weights(cs.tolist(), edges, name)
 
 
 def _observed(dag):
@@ -102,12 +109,12 @@ def factory_pairs(draw):
     if kind == "montage":
         tiles = draw(st.integers(2, 12))
         return (
-            lambda rng: workflows.montage_dag(tiles, rng, c_range),
+            lambda rng: _shape_dag(workflows.montage_shape(tiles), rng, c_range),
             lambda rng: ref.montage_dag_reference(tiles, rng, c_range),
         )
     lanes, stages = draw(st.integers(1, 8)), draw(st.integers(1, 5))
     return (
-        lambda rng: workflows.epigenomics_dag(lanes, stages, rng, c_range),
+        lambda rng: _shape_dag(workflows.epigenomics_shape(lanes, stages), rng, c_range),
         lambda rng: ref.epigenomics_dag_reference(lanes, stages, rng, c_range),
     )
 
@@ -268,11 +275,11 @@ def test_core_equals_frozen_constructor(graph):
     frozen = ref.DagReference(tasks, edges, name="g")
     levels, cp = _frozen_levels(frozen)
     for live in (Dag.from_weights(weights, edges, "g", ids=ids), Dag(tasks, edges, "g")):
-        assert critical_path_length(live) == cp
+        assert live.critical_path_length() == cp
         assert _observed(live) == _observed(frozen)
         assert live.edge_count() == len(frozen.edges)
         assert live.bottom_levels() == levels
-        assert critical_path_length(live) == cp
+        assert live.critical_path_length() == cp
 
 
 GENERATOR_ERRORS = [
@@ -282,10 +289,10 @@ GENERATOR_ERRORS = [
      lambda: ref.gaussian_elimination_dag_reference(1)),
     ("chain-c-range", lambda g: g.linear_chain_dag(3, c_range=(0.0, 1.0)),
      lambda: ref.linear_chain_dag_reference(3, c_range=(0.0, 1.0))),
-    ("montage", lambda g: workflows.montage_dag(1), lambda: ref.montage_dag_reference(1)),
-    ("montage-c-range", lambda g: workflows.montage_dag(3, c_range=(2.0, 1.0)),
+    ("montage", lambda g: _shape_dag(workflows.montage_shape(1)), lambda: ref.montage_dag_reference(1)),
+    ("montage-c-range", lambda g: _shape_dag(workflows.montage_shape(3), c_range=(2.0, 1.0)),
      lambda: ref.montage_dag_reference(3, c_range=(2.0, 1.0))),
-    ("epigenomics", lambda g: workflows.epigenomics_dag(0),
+    ("epigenomics", lambda g: _shape_dag(workflows.epigenomics_shape(0)),
      lambda: ref.epigenomics_dag_reference(0)),
     ("random-p", lambda g: g.random_dag(4, p_edge=1.5), lambda: ref.random_dag_reference(4, p_edge=1.5)),
 ]

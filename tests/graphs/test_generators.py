@@ -4,31 +4,27 @@ import numpy as np
 import pytest
 
 from repro.errors import DagError
-from repro.graphs.analysis import parallelism_profile, width
 from repro.graphs.dag import Dag
 from repro.graphs.generators import (
-    diamond_dag,
-    fft_dag,
     fork_join_dag,
     gaussian_elimination_dag,
-    in_tree_dag,
     layered_dag,
     linear_chain_dag,
-    out_tree_dag,
     paper_example_dag,
     random_dag,
-    series_parallel_dag,
 )
+from repro.graphs.workflows import mapreduce_dag
+from repro.workloads.traces import trace_dag_factory
 
 ALL_FAMILIES = [
     lambda rng: linear_chain_dag(8, rng),
     lambda rng: fork_join_dag(6, rng),
-    lambda rng: out_tree_dag(3, 2, rng),
-    lambda rng: in_tree_dag(3, 2, rng),
-    lambda rng: diamond_dag(4, rng),
+    lambda rng: mapreduce_dag(4, 3, rng),
+    lambda rng: trace_dag_factory("montage")(rng),
+    lambda rng: trace_dag_factory("epigenomics")(rng),
     lambda rng: gaussian_elimination_dag(5, rng),
-    lambda rng: fft_dag(8, rng),
-    lambda rng: series_parallel_dag(12, rng),
+    lambda rng: layered_dag(3, 5, rng, jitter=False),
+    lambda rng: random_dag(20, rng, p_edge=0.5),
     lambda rng: layered_dag(4, 3, rng),
     lambda rng: random_dag(15, rng),
 ]
@@ -76,46 +72,11 @@ class TestForkJoin:
         assert len(d) == 7
         assert d.sources() == (0,)
         assert d.sinks() == (6,)
-        assert width(d) == 5
+        assert len(d.successors(0)) == 5
 
     def test_invalid(self):
         with pytest.raises(DagError):
             fork_join_dag(0)
-
-
-class TestTrees:
-    def test_out_tree_size(self):
-        assert len(out_tree_dag(3, 2)) == 7
-
-    def test_out_tree_single_source(self):
-        d = out_tree_dag(3, 3)
-        assert len(d.sources()) == 1
-
-    def test_in_tree_single_sink(self):
-        d = in_tree_dag(3, 2)
-        assert len(d.sinks()) == 1
-        assert len(d) == 7
-
-    def test_in_tree_ids_topological(self):
-        d = in_tree_dag(3, 2)
-        for u, v in d.edges:
-            assert u < v
-
-    def test_invalid(self):
-        with pytest.raises(DagError):
-            out_tree_dag(0, 2)
-        with pytest.raises(DagError):
-            in_tree_dag(2, 0)
-
-
-class TestDiamond:
-    def test_size(self):
-        assert len(diamond_dag(3)) == 9
-
-    def test_wavefront_levels(self):
-        d = diamond_dag(3)
-        profile = parallelism_profile(d)
-        assert profile == {0: 1, 1: 2, 2: 3, 3: 2, 4: 1}
 
 
 class TestGaussian:
@@ -133,28 +94,13 @@ class TestGaussian:
             gaussian_elimination_dag(1)
 
 
-class TestFFT:
-    def test_size(self):
-        d = fft_dag(8)  # 3 stages + input layer
-        assert len(d) == 4 * 8
-
-    def test_power_of_two_required(self):
-        with pytest.raises(DagError):
-            fft_dag(6)
-
-    def test_butterfly_degree(self):
-        d = fft_dag(4)
-        # every non-final task has exactly 2 successors
-        for t in d:
-            if d.successors(t):
-                assert len(d.successors(t)) == 2
-
-
 class TestLayered:
     def test_each_task_has_prev_layer_pred(self):
         d = layered_dag(5, 4, np.random.default_rng(0), jitter=False)
-        profile = parallelism_profile(d)
-        assert len(profile) == 5
+        depth = {}
+        for t in d.topological_order():
+            depth[t] = 1 + max((depth[p] for p in d.predecessors(t)), default=-1)
+        assert max(depth.values()) == 4
         for t in d:
             if t >= 4:  # not first layer
                 assert d.predecessors(t)
@@ -177,12 +123,6 @@ class TestRandomDag:
             random_dag(0)
         with pytest.raises(DagError):
             random_dag(5, p_edge=2.0)
-
-
-class TestSeriesParallel:
-    def test_task_budget(self):
-        d = series_parallel_dag(20, np.random.default_rng(3))
-        assert len(d) == 20
 
 
 def test_paper_example_fixed():

@@ -4,13 +4,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.analysis import (
-    bottom_levels,
-    critical_path,
-    critical_path_length,
-    longest_path_task_count,
-    top_levels,
-)
 from repro.graphs.dag import Dag
 from repro.graphs.generators import layered_dag, random_dag
 from repro.graphs.serialization import dag_from_dict, dag_to_dict
@@ -36,35 +29,13 @@ def test_topological_order_is_valid(dag: Dag):
 @given(random_dags())
 @settings(max_examples=60, deadline=None)
 def test_bottom_top_levels_bound_critical_path(dag: Dag):
-    bl, tl = bottom_levels(dag), top_levels(dag)
-    cp = critical_path_length(dag)
+    bl = dag.bottom_levels()
+    cp = dag.critical_path_length()
     for t in dag:
-        # every task lies on a path of length tl + bl <= cp
-        assert tl[t] + bl[t] <= cp + 1e-9
-        assert bl[t] >= dag.complexity(t) - 1e-12
+        # a task's bottom level covers its own work and is a path length
+        assert dag.complexity(t) - 1e-12 <= bl[t] <= cp + 1e-9
     # the max over sources achieves cp
     assert max(bl[s] for s in dag.sources()) == cp
-
-
-@given(random_dags())
-@settings(max_examples=60, deadline=None)
-def test_critical_path_is_consistent(dag: Dag):
-    path = critical_path(dag)
-    assert sum(dag.complexity(t) for t in path) <= critical_path_length(dag) + 1e-9
-    # abs equality (it *is* a critical path)
-    assert abs(
-        sum(dag.complexity(t) for t in path) - critical_path_length(dag)
-    ) <= 1e-9
-    for u, v in zip(path, path[1:]):
-        assert v in dag.successors(u)
-
-
-@given(random_dags())
-@settings(max_examples=60, deadline=None)
-def test_eta_bounds(dag: Dag):
-    eta = longest_path_task_count(dag)
-    cp_tasks = len(critical_path(dag))
-    assert 1 <= cp_tasks <= eta <= len(dag)
 
 
 def _assert_roundtrip_equal(dag: Dag) -> None:

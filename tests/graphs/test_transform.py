@@ -1,19 +1,11 @@
-"""Tests for DAG transformations."""
+"""Tests for data-volume decoration."""
 
 import numpy as np
 import pytest
 
 from repro.errors import DagError
-from repro.graphs.analysis import critical_path_length
-from repro.graphs.dag import Dag, Task, descendants
-from repro.graphs.generators import paper_example_dag, random_dag
-from repro.graphs.transform import (
-    assign_data_volumes,
-    relabel_tasks,
-    reverse_dag,
-    transitive_reduction,
-    with_volumes_factory,
-)
+from repro.graphs.generators import paper_example_dag
+from repro.graphs.transform import assign_data_volumes, with_volumes_factory
 
 
 class TestAssignVolumes:
@@ -42,68 +34,3 @@ class TestAssignVolumes:
         f = with_volumes_factory(lambda rng: paper_example_dag(), (3.0, 3.0))
         d = f(np.random.default_rng(0))
         assert all(d.task(t).data_volume == 3.0 for t in d)
-
-
-class TestTransitiveReduction:
-    def test_removes_shortcut(self):
-        # a -> b -> c plus the redundant a -> c
-        d = Dag(
-            [Task("a", 1.0), Task("b", 1.0), Task("c", 1.0)],
-            [("a", "b"), ("b", "c"), ("a", "c")],
-        )
-        r = transitive_reduction(d)
-        assert set(r.edges) == {("a", "b"), ("b", "c")}
-
-    def test_keeps_diamond(self):
-        d = Dag(
-            [Task(i, 1.0) for i in range(4)],
-            [(0, 1), (0, 2), (1, 3), (2, 3)],
-        )
-        r = transitive_reduction(d)
-        assert set(r.edges) == set(d.edges)
-
-    def test_reachability_preserved(self):
-        d = random_dag(15, np.random.default_rng(4), p_edge=0.4)
-        r = transitive_reduction(d)
-        for t in d:
-            assert descendants(d, t) == descendants(r, t)
-
-    def test_critical_path_preserved(self):
-        d = random_dag(15, np.random.default_rng(5), p_edge=0.4)
-        assert critical_path_length(transitive_reduction(d)) == pytest.approx(
-            critical_path_length(d)
-        )
-
-    def test_idempotent(self):
-        d = random_dag(12, np.random.default_rng(6), p_edge=0.5)
-        r1 = transitive_reduction(d)
-        r2 = transitive_reduction(r1)
-        assert set(r1.edges) == set(r2.edges)
-
-
-class TestReverse:
-    def test_paper_dag(self):
-        r = reverse_dag(paper_example_dag())
-        assert set(r.edges) == {(3, 1), (3, 2), (4, 1), (5, 3), (5, 4)}
-        assert r.sources() == (5,)
-
-    def test_involution(self):
-        d = random_dag(10, np.random.default_rng(7), p_edge=0.3)
-        rr = reverse_dag(reverse_dag(d))
-        assert set(rr.edges) == set(d.edges)
-
-
-class TestRelabel:
-    def test_bijection(self):
-        d = paper_example_dag()
-        m = {1: "a", 2: "b", 3: "c", 4: "d", 5: "e"}
-        r = relabel_tasks(d, m)
-        assert ("a", "c") in r.edges
-        assert r.complexity("e") == 5.0
-
-    def test_non_bijection_rejected(self):
-        d = paper_example_dag()
-        with pytest.raises(DagError):
-            relabel_tasks(d, {1: "a", 2: "a", 3: "c", 4: "d", 5: "e"})
-        with pytest.raises(DagError):
-            relabel_tasks(d, {1: "a"})

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, WorkloadError
-from repro.graphs.analysis import critical_path_length
 from repro.graphs.dag import Dag
-from repro.graphs.workflows import epigenomics_dag
+from repro.graphs.workflows import epigenomics_shape, montage_shape
 from repro.workloads.traces import (
     EPIGENOMICS_RUNTIMES,
     EPIGENOMICS_STAGES,
@@ -23,19 +22,20 @@ from repro.workloads.traces import (
 
 class TestEpigenomicsDag:
     def test_structure(self):
-        dag = epigenomics_dag(lanes=3, stages=4, rng=np.random.default_rng(0))
+        name, n, edges = epigenomics_shape(lanes=3, stages=4)
+        dag = Dag.from_weights([1.0] * n, edges, name)
         assert len(dag) == 1 + 3 * 4 + 2
         # split fans out to each lane head; lanes are chains; merge fans in
         assert len(dag.successors(0)) == 3
         merge, final = len(dag) - 2, len(dag) - 1
         assert len(dag.predecessors(merge)) == 3
         assert dag.successors(merge) == (final,)
-        # the critical path must run through a full lane
-        assert critical_path_length(dag) > 0
+        # the critical path runs through a full lane
+        assert dag.critical_path_length() == 1 + 4 + 2
 
     def test_rejects_degenerate_shapes(self):
         with pytest.raises(Exception):
-            epigenomics_dag(lanes=0)
+            epigenomics_shape(lanes=0)
 
 
 class TestTraceFactories:
@@ -55,13 +55,11 @@ class TestTraceFactories:
 
     def test_type_layouts_match_generators(self):
         for tiles in (2, 3, 4, 8):
-            from repro.graphs.workflows import montage_dag
-
-            dag = montage_dag(tiles, np.random.default_rng(0))
-            assert len(montage_task_types(tiles)) == len(dag)
+            _, n, _ = montage_shape(tiles)
+            assert len(montage_task_types(tiles)) == n
         for lanes in (1, 3, 6):
-            dag = epigenomics_dag(lanes, stages=len(EPIGENOMICS_STAGES))
-            assert len(epigenomics_task_types(lanes)) == len(dag)
+            _, n, _ = epigenomics_shape(lanes, stages=len(EPIGENOMICS_STAGES))
+            assert len(epigenomics_task_types(lanes)) == n
 
     def test_runtimes_follow_type_models(self):
         """Heavy types must dominate light ones in the sampled DAGs

@@ -26,10 +26,39 @@ from typing import Any, Dict
 
 from repro.core.config import RTDSConfig
 from repro.experiments.runner import ExperimentConfig, RunResult, run_experiment
-from repro.faults.plan import hardened
+from repro.faults.plan import ChurnSpec, FaultPlan, hardened
 from repro.graphs.generators import paper_example_dag
 from repro.simnet.trace import canonical_trace, trace_digest
-from repro.workloads.scenarios import churn_plan
+
+
+#: named churn intensities: (message-loss prob, delay jitter, link flaps
+#: per 100 time units, site partitions per 100 time units, mean downtime)
+CHURN_LEVELS = {
+    "light": (0.01, 0.1, 0.5, 0.0, 10.0),
+    "moderate": (0.05, 0.5, 1.5, 0.5, 15.0),
+    "severe": (0.15, 1.0, 3.0, 1.0, 25.0),
+}
+
+
+def churn_plan(level: str, duration: float, seed: int = 0):
+    """A named :class:`~repro.faults.plan.FaultPlan` churn preset — "what a
+    flaky WAN looks like" — the weather of the ``e7_churn`` cell and of the
+    plan-cache differential's faulted run.
+
+    ``level`` is one of :data:`CHURN_LEVELS`; flap/partition counts scale
+    linearly with ``duration`` so "moderate" means the same weather on a
+    300-unit run and a 3000-unit soak.
+    """
+    loss, jitter, links_per_100, sites_per_100, downtime = CHURN_LEVELS[level]
+    n_links = int(round(links_per_100 * duration / 100.0))
+    n_sites = int(round(sites_per_100 * duration / 100.0))
+    return FaultPlan(
+        loss_prob=loss,
+        delay_jitter=jitter,
+        link_churn=ChurnSpec(n_links, downtime, duration) if n_links else None,
+        site_churn=ChurnSpec(n_sites, downtime, duration) if n_sites else None,
+        seed=seed,
+    )
 
 
 def _paper_example() -> ExperimentConfig:

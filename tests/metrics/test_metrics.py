@@ -6,11 +6,7 @@ import pytest
 from repro.core.events import JobOutcome, JobRecord
 from repro.errors import ReproError
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.stats import (
-    mean_confidence_interval,
-    ratio_confidence_interval,
-    t_quantile_95,
-)
+from repro.metrics.stats import mean_confidence_interval, t_quantile_95
 from repro.metrics.summary import summarize
 
 
@@ -105,22 +101,6 @@ class TestStats:
         assert mean == 5.0 and half == 0.0
         mean, half = mean_confidence_interval([])
         assert np.isnan(mean)
-
-    def test_wilson_interval(self):
-        center, half = ratio_confidence_interval(50, 100)
-        assert abs(center - 0.5) < 0.01
-        assert 0.08 < half < 0.12
-        with pytest.raises(ValueError):
-            ratio_confidence_interval(5, 4)
-
-    def test_wilson_vs_scipy(self):
-        from scipy.stats import binomtest
-
-        res = binomtest(30, 100).proportion_ci(confidence_level=0.95, method="wilson")
-        center, half = ratio_confidence_interval(30, 100)
-        # scipy uses the exact normal quantile 1.95996...; we use 1.96
-        assert center - half == pytest.approx(res.low, abs=1e-4)
-        assert center + half == pytest.approx(res.high, abs=1e-4)
 
 
 class TestSummary:

@@ -5,12 +5,9 @@ import pytest
 from repro.core.config import RTDSConfig
 from repro.core.validation import endorse_mapping
 from repro.errors import ConfigError
-from repro.sched.feasibility import (
-    WindowTask,
-    llf_order,
-    try_schedule_window_tasks,
-)
+from repro.sched.feasibility import WindowTask
 from repro.sched.intervals import BusyTimeline, Reservation
+from tests.sched.window_probe import endorse_one
 
 
 def wt(task, dur, r, d):
@@ -18,17 +15,23 @@ def wt(task, dur, r, d):
 
 
 class TestLLFOrder:
+    @staticmethod
+    def _placed(tasks, order):
+        slots = endorse_one(BusyTimeline(), tasks, 0.0, order=order)
+        return [s.task for s in sorted(slots, key=lambda s: s.start)]
+
     def test_orders_by_laxity(self):
         ts = [
             wt("loose", 1.0, 0.0, 20.0),   # laxity 19
-            wt("tight", 5.0, 0.0, 6.0),    # laxity 1
-            wt("mid", 2.0, 0.0, 8.0),      # laxity 6
+            wt("tight", 5.0, 0.0, 9.0),    # laxity 4
+            wt("mid", 2.0, 0.0, 8.0),      # laxity 6, the earliest deadline
         ]
-        assert [t.task for t in llf_order(ts)] == ["tight", "mid", "loose"]
+        assert self._placed(ts, "llf") == ["tight", "mid", "loose"]
+        assert self._placed(ts, "edf") == ["mid", "tight", "loose"]
 
     def test_deterministic_ties(self):
         ts = [wt("b", 1.0, 0.0, 5.0), wt("a", 1.0, 0.0, 5.0)]
-        assert [t.task for t in llf_order(ts)] == ["a", "b"]
+        assert self._placed(ts, "llf") == ["a", "b"]
 
     def test_llf_rescues_tight_late_window(self):
         """A set EDF fumbles: early-deadline loose task eats the only gap a
@@ -45,21 +48,21 @@ class TestLLFOrder:
         # EDF: late_tight (d=6) first at 4.0 -> early_loose needs 2 in [0,7]:
         # gap [4,6) taken, so only [14,..) -> fail... both orders identical
         # here; use the documented difference instead:
-        edf = try_schedule_window_tasks(tl, tasks_bad_for_edf, 0.0, order="edf")
-        llf = try_schedule_window_tasks(tl, tasks_bad_for_edf, 0.0, order="llf")
+        edf = endorse_one(tl, tasks_bad_for_edf, 0.0, order="edf")
+        llf = endorse_one(tl, tasks_bad_for_edf, 0.0, order="llf")
         # LLF must succeed whenever EDF does on agreeable windows
         if edf is not None:
             assert llf is not None
 
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError):
-            try_schedule_window_tasks(BusyTimeline(), [wt("a", 1.0, 0.0, 5.0)], 0.0, order="rm")
+            endorse_one(BusyTimeline(), [wt("a", 1.0, 0.0, 5.0)], 0.0, order="rm")
 
     def test_slots_sound_under_llf(self):
         tl = BusyTimeline()
         tl.reserve(Reservation(2.0, 3.0, 9, "bg"))
         tasks = [wt("a", 2.0, 0.0, 10.0), wt("b", 1.0, 0.0, 4.0), wt("c", 3.0, 1.0, 12.0)]
-        slots = try_schedule_window_tasks(tl, tasks, 0.0, order="llf")
+        slots = endorse_one(tl, tasks, 0.0, order="llf")
         assert slots is not None
         check = tl.copy()
         by = {t.task: t for t in tasks}
@@ -87,7 +90,7 @@ class TestEndToEndLLF:
     def test_rtds_llf_run_sound(self):
 
         from repro.experiments.runner import ExperimentConfig, run_experiment
-        from repro.experiments.verify import assert_sound
+        from repro.experiments.verify import verify_execution
 
         cfg = ExperimentConfig(
             topology_kwargs={"n": 8, "p": 0.4, "delay_range": (0.2, 0.8)},
@@ -99,4 +102,4 @@ class TestEndToEndLLF:
         )
         res = run_experiment(cfg)
         assert res.summary.n_jobs > 0
-        assert_sound(res)
+        assert verify_execution(res) == []

@@ -4,14 +4,10 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.graphs.generators import linear_chain_dag, paper_example_dag
-from repro.sched.feasibility import (
-    WindowTask,
-    edf_order,
-    try_schedule_dag_locally,
-    try_schedule_window_tasks,
-)
+from repro.sched.feasibility import WindowTask, try_schedule_dag_locally
 from repro.sched.intervals import BusyTimeline, Reservation
 from repro.sched.plan import SchedulingPlan
+from tests.sched.window_probe import endorse_one
 
 
 class TestSurplus:
@@ -113,17 +109,19 @@ class TestLocalDagTest:
 
 class TestWindowTasks:
     def test_edf_order_deterministic(self):
+        """EDF inserts by (deadline, release, task id): c, then a, then b."""
         ts = [
             WindowTask(1, "b", 1.0, 0.0, 10.0),
             WindowTask(1, "a", 1.0, 0.0, 10.0),
             WindowTask(1, "c", 1.0, 0.0, 5.0),
         ]
-        assert [t.task for t in edf_order(ts)] == ["c", "a", "b"]
+        slots = endorse_one(BusyTimeline(), ts, 0.0)
+        assert [s.task for s in sorted(slots, key=lambda s: s.start)] == ["c", "a", "b"]
 
     def test_simple_fit(self):
         tl = BusyTimeline()
         ts = [WindowTask(1, "a", 3.0, 0.0, 10.0), WindowTask(1, "b", 3.0, 0.0, 10.0)]
-        slots = try_schedule_window_tasks(tl, ts, 0.0)
+        slots = endorse_one(tl, ts, 0.0)
         assert slots is not None
         ends = sorted(s.end for s in slots)
         assert ends == [3.0, 6.0]
@@ -131,15 +129,15 @@ class TestWindowTasks:
     def test_overloaded_window_fails(self):
         tl = BusyTimeline()
         ts = [WindowTask(1, "a", 6.0, 0.0, 10.0), WindowTask(1, "b", 6.0, 0.0, 10.0)]
-        assert try_schedule_window_tasks(tl, ts, 0.0) is None
+        assert endorse_one(tl, ts, 0.0) is None
 
     def test_respects_existing_busy(self):
         tl = BusyTimeline()
         tl.reserve(Reservation(0.0, 9.0, 9, "x"))
         ts = [WindowTask(1, "a", 2.0, 0.0, 10.0)]
-        assert try_schedule_window_tasks(tl, ts, 0.0) is None
+        assert endorse_one(tl, ts, 0.0) is None
         ts2 = [WindowTask(1, "a", 1.0, 0.0, 10.0)]
-        slots = try_schedule_window_tasks(tl, ts2, 0.0)
+        slots = endorse_one(tl, ts2, 0.0)
         assert slots[0].start == 9.0
 
     def test_disjoint_windows(self):
@@ -148,7 +146,7 @@ class TestWindowTasks:
             WindowTask(1, "a", 5.0, 0.0, 5.0),
             WindowTask(1, "b", 5.0, 5.0, 10.0),
         ]
-        slots = {s.task: s for s in try_schedule_window_tasks(tl, ts, 0.0)}
+        slots = {s.task: s for s in endorse_one(tl, ts, 0.0)}
         assert slots["a"].start == 0.0 and slots["b"].start == 5.0
 
     def test_laxity_property(self):

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.sched.feasibility import WindowTask, try_schedule_window_tasks
+from repro.sched.feasibility import WindowTask
 from repro.sched.intervals import BusyTimeline, Reservation
-from repro.sched.preemptive import preemptive_chunks, preemptive_satisfiable
+from repro.sched.preemptive import preemptive_chunks
+from tests.sched.window_probe import endorse_one
 
 
 def wt(task, dur, r, d, job=1):
@@ -13,15 +14,15 @@ def wt(task, dur, r, d, job=1):
 
 class TestSatisfiable:
     def test_empty_set(self):
-        assert preemptive_satisfiable(BusyTimeline(), [], 0.0)
+        assert preemptive_chunks(BusyTimeline(), [], 0.0) is not None
 
     def test_single_task(self):
-        assert preemptive_satisfiable(BusyTimeline(), [wt("a", 5.0, 0.0, 5.0)], 0.0)
+        assert preemptive_chunks(BusyTimeline(), [wt("a", 5.0, 0.0, 5.0)], 0.0) is not None
 
     def test_overload_fails(self):
-        assert not preemptive_satisfiable(
+        assert preemptive_chunks(
             BusyTimeline(), [wt("a", 6.0, 0.0, 10.0), wt("b", 6.0, 0.0, 10.0)], 0.0
-        )
+        ) is None
 
     def test_preemption_helps(self):
         """Classic case: non-preemptive insertion fails, preemptive fits.
@@ -35,24 +36,24 @@ class TestSatisfiable:
             wt("b", 2.0, 2.0, 4.0),
         ]
         tl = BusyTimeline()
-        assert try_schedule_window_tasks(tl, tasks, 0.0) is None
-        assert preemptive_satisfiable(tl, tasks, 0.0)
+        assert endorse_one(tl, tasks, 0.0) is None
+        assert preemptive_chunks(tl, tasks, 0.0) is not None
 
     def test_respects_busy_timeline(self):
         tl = BusyTimeline()
         tl.reserve(Reservation(0.0, 4.0, 9, "x"))
-        assert not preemptive_satisfiable(tl, [wt("a", 2.0, 0.0, 5.0)], 0.0)
-        assert preemptive_satisfiable(tl, [wt("a", 2.0, 0.0, 6.0)], 0.0)
+        assert preemptive_chunks(tl, [wt("a", 2.0, 0.0, 5.0)], 0.0) is None
+        assert preemptive_chunks(tl, [wt("a", 2.0, 0.0, 6.0)], 0.0) is not None
 
     def test_release_respected(self):
-        assert not preemptive_satisfiable(
+        assert preemptive_chunks(
             BusyTimeline(), [wt("a", 3.0, 8.0, 10.0)], 0.0
-        )
+        ) is None
 
     def test_not_before_respected(self):
-        assert not preemptive_satisfiable(
+        assert preemptive_chunks(
             BusyTimeline(), [wt("a", 3.0, 0.0, 4.0)], 2.0
-        )
+        ) is None
 
 
 class TestChunks:
@@ -131,8 +132,8 @@ class TestDominance:
                 dur = float(rng.uniform(0.5, 3.0))
                 d = r + dur + float(rng.uniform(0, 5))
                 tasks.append(wt(f"t{i}", dur, r, d))
-            if try_schedule_window_tasks(tl, tasks, 0.0) is not None:
-                assert preemptive_satisfiable(tl, tasks, 0.0), (
+            if endorse_one(tl, tasks, 0.0) is not None:
+                assert preemptive_chunks(tl, tasks, 0.0) is not None, (
                     trial,
                     [(x.task, x.duration, x.release, x.deadline) for x in tasks],
                 )

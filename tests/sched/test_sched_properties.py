@@ -7,18 +7,15 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.validation import _probe_window_entries
 from repro.graphs.generators import random_dag
 from repro.sched.edf import demand_bound_satisfied
-from repro.sched.feasibility import (
-    WindowTask,
-    try_schedule_dag_locally,
-    try_schedule_window_tasks,
-)
+from repro.core.validation import endorse_mapping
+from repro.sched.feasibility import WindowTask, try_schedule_dag_locally
 from repro.sched.intervals import BusyTimeline, Reservation
 from repro.sched.matching import hopcroft_karp, maximum_matching_bruteforce
-from repro.sched.preemptive import preemptive_chunks, preemptive_satisfiable
+from repro.sched.preemptive import preemptive_chunks
 from repro.types import EPS
+from tests.sched.window_probe import endorse_one
 
 
 @st.composite
@@ -50,7 +47,7 @@ def window_task_sets(draw):
 @settings(max_examples=120, deadline=None)
 def test_nonpreemptive_slots_are_sound(tl, tasks):
     """Any produced schedule must be conflict-free and inside windows."""
-    slots = try_schedule_window_tasks(tl, tasks, 0.0)
+    slots = endorse_one(tl, tasks, 0.0)
     if slots is None:
         return
     by_task = {t.task: t for t in tasks}
@@ -67,15 +64,15 @@ def test_nonpreemptive_slots_are_sound(tl, tasks):
 @given(timelines(), window_task_sets())
 @settings(max_examples=120, deadline=None)
 def test_preemptive_dominates_nonpreemptive(tl, tasks):
-    if try_schedule_window_tasks(tl, tasks, 0.0) is not None:
-        assert preemptive_satisfiable(tl, tasks, 0.0)
+    if endorse_one(tl, tasks, 0.0) is not None:
+        assert preemptive_chunks(tl, tasks, 0.0) is not None
 
 
 @given(timelines(), window_task_sets())
 @settings(max_examples=120, deadline=None)
 def test_feasible_implies_demand_bound(tl, tasks):
     """Constructive feasibility implies the processor-demand condition."""
-    if preemptive_satisfiable(tl, tasks, 0.0):
+    if preemptive_chunks(tl, tasks, 0.0) is not None:
         assert demand_bound_satisfied(tl, tasks, 0.0)
 
 
@@ -179,13 +176,9 @@ def test_window_probes_same_on_tail_and_full(case, specs, order):
         (f"t{i}", dur, cutoff + off, cutoff + off + dur + slack)
         for i, (dur, off, slack) in enumerate(specs)
     ]
-    tasks = [WindowTask(1, tid, dur, r, d) for (tid, dur, r, d) in entries]
 
     def probe():
-        return (
-            _probe_window_entries(tl, entries, cutoff, order),
-            try_schedule_window_tasks(tl, tasks, cutoff, order),
-        )
+        return endorse_mapping(tl, 1, {0: entries}, cutoff, order=order)
 
     tail = probe()
     with full_arrays():

@@ -199,6 +199,16 @@ class TestErrorBoundary:
         assert line.startswith("error: ") and needle in line
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["run", "profile", "trace", "campaign", "sweep-load"])
+    def test_single_site_is_a_config_error_everywhere(self, capsys, command):
+        """Every subcommand that builds its config from ``--sites`` refuses a
+        one-site network up front: no traceback, no per-cell retry hint."""
+        rc = main([command, "--sites", "1", "--duration", "20"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("error: ") and "--sites must be >= 2" in line
+
     def test_chaos_refuses_a_bad_arrival_spec_by_name(self):
         """A chaos soak's arrival spec goes through the soak's check."""
         with pytest.raises(ConfigError, match="poisson rate must be > 0"):

@@ -2,11 +2,16 @@
 
 A module whose only importer is a package ``__init__`` re-export (or a
 test) is library-only code: nothing the simulator, the service or the CLI
-executes reaches it. Likewise a function or method whose name no code in
-``src/``, ``benchmarks/`` or ``examples/`` refers to (comments and
-docstrings do not count) is called by tests alone. These guards fail when either
-appears; the named entry points and test oracles below are the only
-exceptions.
+executes reaches it. Likewise a function that no code in ``src/``,
+``benchmarks/`` or ``examples/`` calls is called by tests alone. A package
+``__init__`` calls nothing, and a module-level function is called only
+where it is reached through its own module: imported from it (or from a
+package that re-exports it), used as an attribute of an imported module
+alias, named inside its module, or spelled as an identifier string — a
+variable that happens to share its name is not a call. A method is called
+wherever its bare name is referred to. Comments and docstrings refer to
+nothing. These guards fail when unreached code appears; the named entry
+points and test oracles below are the only exceptions.
 """
 
 import ast
@@ -43,6 +48,12 @@ TEST_ORACLES = {
     "lateness": "tests/sched/test_executor.py, tests/core/test_rtds_options.py",
     "delivery_time": "tests/simnet/test_network_cache.py (the arithmetic transmit inlines)",
     "of": "tests/faults/test_hardening.py (reads the protocol trace by category)",
+    "maximum_matching_bruteforce": "tests/sched/test_matching.py, tests/sched/test_sched_properties.py (Hopcroft–Karp)",
+    "hop_bounded_distances": "tests/routing/ and tests/claims/test_e4_pcs_construction.py (phased Bellman–Ford)",
+    "run_pcs_phase_protocol": "tests/routing/, tests/spheres/ (the vectorized and oracle tables)",
+    "open_loop_workload": "tests/service/test_service_differential.py (the resident service vs batch runs)",
+    "hop_diameter": "tests/routing/test_vectorized.py (hop_diameter_fast)",
+    "verify_execution": "tests/experiments/test_verify_and_volumes.py and every run-soundness check",
 }
 
 
@@ -61,17 +72,12 @@ def modules():
 def imported_names(name, path, is_init):
     """Every dotted name an ``import`` statement in the module could bind,
     function-local imports included."""
-    package = name if is_init else name.rpartition(".")[0]
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                anchor = package.split(".")[: len(package.split(".")) - node.level + 1]
-                base = ".".join(anchor + ([node.module] if node.module else []))
-            yield base
-            yield from (f"{base}.{alias.name}" for alias in node.names)
+    for base, alias in from_imports(name, path, is_init):
+        yield base
+        yield f"{base}.{alias.name}"
 
 
 def unreached():
@@ -99,9 +105,9 @@ def test_exceptions_are_real_modules():
 
 
 def functions():
-    """(file, qualified name, name) of every top-level function and method in
-    ``src/repro``; dunder methods are the language's to call."""
-    for path in sorted((SRC / "repro").rglob("*.py")):
+    """(file, module, qualified name, name) of every top-level function and
+    method in ``src/repro``; dunder methods are the language's to call."""
+    for name, (path, _) in modules().items():
         for node in ast.parse(path.read_text()).body:
             members = node.body if isinstance(node, ast.ClassDef) else [node]
             for fn in members:
@@ -110,32 +116,121 @@ def functions():
                 if fn.name.startswith("__") and fn.name.endswith("__"):
                     continue
                 qual = fn.name if fn is node else f"{node.name}.{fn.name}"
-                yield path.relative_to(ROOT), qual, fn.name
+                yield path.relative_to(ROOT), name, qual, fn.name
 
 
-def referenced_names(tree):
-    """Every name the code in ``tree`` refers to: bare names, attributes,
-    imported names and identifier strings (``getattr(obj, "name")``).
-    Comments, docstrings and ``def`` lines refer to nothing."""
+def package_exports(mods):
+    """Package -> {bound name: (module, name)} for every ``from M import f``
+    in the package's ``__init__``: what ``from package import f`` reaches."""
+    exports = {}
+    for name, (path, is_init) in mods.items():
+        if is_init:
+            exports[name] = {
+                alias.asname or alias.name: (base, alias.name)
+                for base, alias in from_imports(name, path, is_init)
+            }
+    return exports
+
+
+def from_imports(name, path, is_init):
+    """(absolute source module, alias) of every ``from ... import`` in the
+    module, function-local imports included."""
+    package = name if is_init else name.rpartition(".")[0]
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.split(".")[: len(package.split(".")) - node.level + 1]
+                base = ".".join(anchor + ([node.module] if node.module else []))
+            for alias in node.names:
+                yield base, alias
+
+
+def resolve(module, name, exports):
+    """Follow package re-exports from ``module.name`` to where it is defined."""
+    while name in exports.get(module, {}):
+        module, name = exports[module][name]
+    return module, name
+
+
+def references(path, mods, exports):
+    """What one caller file (not a package ``__init__``) refers to:
+    ``(module, function)`` pairs reached by import or through a module
+    alias, bare names (attributes, names, imported names) for methods, and
+    identifier strings. Comments, docstrings and ``def`` lines refer to
+    nothing."""
+    is_src = path.is_relative_to(SRC)
+    module = ".".join(path.relative_to(SRC).with_suffix("").parts) if is_src else path.stem
+    tree = ast.parse(path.read_text())
+    qualified, bare, strings = set(), set(), set()
+    aliases = {}  # local name -> module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:
+                    aliases[alias.name.split(".")[0]] = alias.name.split(".")[0]
+    for base, alias in from_imports(module, path, False):
+        bound = alias.asname or alias.name
+        if f"{base}.{alias.name}" in mods:
+            aliases[bound] = f"{base}.{alias.name}"
+        else:
+            qualified.add(resolve(base, alias.name, exports))
+
+    def module_of(expr):
+        if isinstance(expr, ast.Name):
+            return aliases.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            outer = module_of(expr.value)
+            if outer and f"{outer}.{expr.attr}" in mods:
+                return f"{outer}.{expr.attr}"
+        return None
+
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            bare.add(node.id)
+            qualified.add((module, node.id))
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            bare.add(node.attr)
+            outer = module_of(node.value)
+            if outer:
+                qualified.add(resolve(outer, node.attr, exports))
         elif isinstance(node, ast.alias):
-            yield from node.name.split(".")
+            bare.update(node.name.split("."))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                yield node.value
+                strings.add(node.value)
+    return qualified, bare | strings, strings
 
 
 def uncalled():
-    """The functions whose name no code in CALLER_DIRS refers to."""
-    refs = set()
+    """The functions no code in CALLER_DIRS calls. A package ``__init__``
+    calls nothing. A module-level function ``f`` of module ``M`` is called
+    where a file imports it from ``M`` (or from a package re-exporting it),
+    uses ``M.f`` through a module alias, where ``M`` itself names it, or
+    where ``"f"`` is an identifier string (``fn_span(module, "f")``). A
+    method is called wherever its bare name appears."""
+    mods = modules()
+    exports = package_exports(mods)
+    qualified, bare, strings = set(), set(), set()
     for folder in CALLER_DIRS:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            refs.update(referenced_names(ast.parse(path.read_text())))
-    return [(path, qual, name) for path, qual, name in functions() if name not in refs]
+            if path.name == "__init__.py":
+                continue
+            q, b, s = references(path, mods, exports)
+            qualified |= q
+            bare |= b
+            strings |= s
+    out = []
+    for path, module, qual, name in functions():
+        if "." in qual:
+            called = name in bare
+        else:
+            called = (module, name) in qualified or name in strings
+        if not called:
+            out.append((path, qual, name))
+    return out
 
 
 def test_every_function_has_a_caller_outside_the_tests():

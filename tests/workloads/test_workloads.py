@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.graphs.analysis import critical_path_length
 from repro.workloads.arrivals import per_site_arrivals, poisson_arrivals
 from repro.workloads.deadlines import assign_deadline
 from repro.workloads.jobs import JobSpec, Workload
-from repro.workloads.load import calibrate_rate, offered_load
+from repro.workloads.load import calibrate_rate
 from repro.workloads.scenarios import WorkloadSpec, generate_workload, mixed_dag_factory
 from repro.graphs.generators import paper_example_dag
 
@@ -92,7 +91,8 @@ class TestLoad:
     def test_roundtrip(self):
         caps = [1.0] * 8
         rate = calibrate_rate(0.7, mean_work=20.0, capacities=caps)
-        assert offered_load(rate, 20.0, caps) == pytest.approx(0.7)
+        # ρ = λ_total · E[work per job] / Σ capacity
+        assert rate * 20.0 / sum(caps) == pytest.approx(0.7)
 
     def test_heterogeneous_capacity(self):
         rate_hom = calibrate_rate(0.5, 10.0, [1.0] * 4)
@@ -103,7 +103,7 @@ class TestLoad:
         with pytest.raises(WorkloadError):
             calibrate_rate(-0.1, 10.0, [1.0])
         with pytest.raises(WorkloadError):
-            offered_load(1.0, 10.0, [])
+            calibrate_rate(0.5, 10.0, [])
 
 
 class TestJobSpec:
@@ -142,7 +142,7 @@ class TestScenarios:
         wl = generate_workload(WorkloadSpec(n_sites=4, rho=0.5, duration=200.0,
                                             laxity_factor=2.5, seed=2))
         for j in wl:
-            cp = critical_path_length(j.dag)
+            cp = j.dag.critical_path_length()
             assert j.deadline - j.arrival >= cp  # laxity >= 1 even with jitter
 
     @pytest.mark.parametrize("size", ["small", "medium", "large"])
