@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, List, Sequence
 
+from repro.errors import ConfigError
 from repro.experiments.campaign import Column, mean, runs, sweep_table
 from repro.experiments.runner import ExperimentConfig
 
@@ -64,6 +65,9 @@ def sweep_network_size(
     degree: float = 4.0,
 ) -> List[Dict[str, Any]]:
     """E2: per-job message cost vs network size (constant mean degree)."""
+    too_small = [n for n in sizes if n < 2]
+    if too_small:
+        raise ConfigError(f"network-size cells need at least 2 sites, got {too_small[0]}")
 
     def cell(algo: str, n: int) -> ExperimentConfig:
         kwargs = {"n": n, "p": min(1.0, degree / max(1, n - 1))}

@@ -15,11 +15,11 @@ time:
    the run is updated from the network's links by
    :func:`repro.membership.repair.repair_after_join` (the affected rows
    replaced, bit-for-bit equal to a full rebuild);
-3. **refresh** — the affected sites' memoised
-   :class:`~repro.routing.oracle.LazyRoutingTable` entries are
-   invalidated and their protocol spheres rebuilt
+3. **refresh** — the affected sites' protocol spheres are rebuilt
    (:meth:`~repro.core.rtds.RTDSSite.refresh_sphere`), so the joiner
-   starts participating and its neighbours start enrolling it.
+   starts participating and its neighbours start enrolling it. Their
+   :class:`~repro.routing.oracle.LazyRoutingTable` and next-hop views
+   read the repaired rows live, so nothing else goes stale.
 
 REJOIN: when a fault plan also churns sites, the manager hooks the
 injector's ``on_site_up`` transition. Under the window fault model a
@@ -181,10 +181,6 @@ class MembershipManager:
         count_event(res.metrics, "membership.join")
         for sid in sorted(affected):
             site = net.site(sid)
-            table = getattr(getattr(site, "routing", None), "table", None)
-            invalidate = getattr(table, "invalidate", None)
-            if invalidate is not None:
-                invalidate()
             refresh = getattr(site, "refresh_sphere", None)
             if refresh is not None:
                 refresh()

@@ -43,10 +43,10 @@ def repair_after_join(shared: SharedTables, links: Links, joined: int) -> np.nda
 
     ``links`` must already contain the new links. The affected rows are
     replaced in the live tables, so every
-    :class:`~repro.routing.oracle.NextHopView` / ``DistanceView`` row view
-    sees the repaired state immediately. Returns the affected row ids
-    (ascending) so the caller can invalidate memoised per-site caches and
-    refresh protocol spheres for exactly those sites.
+    :class:`~repro.routing.oracle.LazyRoutingTable` and
+    :class:`~repro.routing.oracle.NextHopView` reads the repaired state
+    immediately. Returns the affected row ids (ascending) so the caller
+    can refresh protocol spheres for exactly those sites.
     """
     affected = np.flatnonzero(hop_distances(links, [joined], shared.phases) >= 0)
     shared.replace_rows(affected, phased_tables(links, shared.phases, rows=affected))

@@ -70,7 +70,6 @@ class PhasedBellmanFord:
         #: phase -> {neighbor: lines} buffered updates (α-synchronizer)
         self._inbox: Dict[int, Dict[SiteId, List[Tuple[SiteId, Time, int]]]] = {}
         self.messages_sent = 0
-        self.lines_sent = 0
         site.on(MSG_ROUTING_UPDATE, self._on_update)
 
     # -- protocol ------------------------------------------------------------
@@ -103,7 +102,6 @@ class PhasedBellmanFord:
                 size=float(len(lines) + 1),
             )
             self.messages_sent += 1
-            self.lines_sent += len(lines)
         self._pending_delta = []
         self._maybe_complete_phase(phase)
 
@@ -148,7 +146,6 @@ class PhasedBellmanFord:
     def _finish(self) -> None:
         # Publish routes to the site so send_to()/forwarding work.
         self.site.next_hop.update(self.table.as_next_hop_map())
-        self.site.known_distance.update(self.table.as_distance_map())
         self.site.trace(
             "routing.done",
             phase=self.phase,

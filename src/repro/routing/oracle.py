@@ -8,19 +8,21 @@ the setup cost that dominated wall clock beyond ~100 sites —
 rows from one :class:`~repro.routing.vectorized.SharedTables` computed
 once per network. Because the vectorized kernel replicates the protocol's
 replacement rule and float association exactly, every site ends up with
-the *same* next-hop/distance/PCS state a simulated run would have built.
+the *same* next hops, distances and PCS a simulated run would have built.
 
 A row holds only the site's ``P``-hop ball (ascending destination ids
-plus one value per field), so per-site state is O(1) and lazy:
+plus one value per field), so per-site state is O(1), and every read goes
+to the live row (a membership repair leaves nothing stale):
 
-* :class:`LazyRoutingTable` — the :class:`~repro.routing.table.RoutingTable`
-  API over one row; :class:`RouteEntry` objects are materialized (and
-  memoized) only for destinations actually touched;
-* :class:`NextHopView` / :class:`DistanceView` — read-only mappings the
-  site's ``next_hop`` / ``known_distance`` attributes are rebound to,
-  replacing the per-site dict copies. A lookup is a bisection over the
-  row's destination ids (:meth:`SharedTables.cell`) and plain-int reads
-  through memoryviews — no numpy scalar on the per-message path;
+* :class:`LazyRoutingTable` — the part of the
+  :class:`~repro.routing.table.RoutingTable` API a run reads off an
+  oracle table: its size, ``within_phase``, ``distances_to`` and the
+  sphere;
+* :class:`NextHopView` — the read-only ``get`` the site's ``next_hop``
+  attribute is rebound to, replacing the per-site dict. A lookup is a
+  bisection over the row's destination ids (:meth:`SharedTables.cell`)
+  and a plain-int read through a memoryview — no numpy scalar on the
+  per-message path;
 * the PCS is built sparsely from the row arrays
   (:meth:`LazyRoutingTable.pcs`), touching only sites inside the sphere
   radius.
@@ -32,37 +34,28 @@ goldens pin it).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import RoutingError
-from repro.routing.table import RouteEntry
 from repro.routing.vectorized import SharedTables
 from repro.types import SiteId, Time
 
 
-class _RowView:
-    """Shared base of the read-only row mappings (one site's table row)."""
+class NextHopView:
+    """``dest -> adjacent next hop`` over one site's shared next-hop row.
+
+    Stands in for the dict :class:`~repro.simnet.site.SiteBase` carries,
+    which is only ever read with ``get``; the owner itself has no next
+    hop, exactly like ``RoutingTable.as_next_hop_map``.
+    """
 
     __slots__ = ("_shared", "_owner")
 
     def __init__(self, shared: SharedTables, owner: SiteId) -> None:
         self._shared = shared
         self._owner = owner
-
-    def _known(self) -> "list":
-        """Destination ids present in this row (self included)."""
-        return self._shared.cols[self._shared.row(self._owner)].tolist()
-
-
-class NextHopView(_RowView):
-    """``dest -> adjacent next hop`` over the shared next-hop row.
-
-    Mapping-compatible with the dict :class:`~repro.simnet.site.SiteBase`
-    normally carries; the owner itself is absent (next hop to self is
-    undefined), exactly like ``RoutingTable.as_next_hop_map``.
-    """
 
     def get(self, dest: SiteId, default=None):
         """The adjacent hop towards ``dest``, or ``default`` if unrouted."""
@@ -72,148 +65,30 @@ class NextHopView(_RowView):
             return default
         return shared.next_hop_mv[k]
 
-    def __getitem__(self, dest: SiteId) -> SiteId:
-        hop = self.get(dest)
-        if hop is None:
-            raise KeyError(dest)
-        return hop
-
-    def __contains__(self, dest: SiteId) -> bool:
-        return self.get(dest) is not None
-
-    def __iter__(self) -> Iterator[SiteId]:
-        return (d for d in self._known() if d != self._owner)
-
-    def __len__(self) -> int:
-        return self._shared.known_count(self._owner) - 1
-
-    def keys(self):
-        """Routable destinations (owner excluded)."""
-        return list(self)
-
-    def items(self):
-        """``(dest, next_hop)`` pairs, destination-ordered."""
-        return [(d, self[d]) for d in self]
-
-
-class DistanceView(_RowView):
-    """``dest -> known minimum delay`` over the shared distance row.
-
-    Includes the owner (distance 0), like ``RoutingTable.as_distance_map``.
-    """
-
-    def get(self, dest: SiteId, default=None):
-        """Known delay to ``dest``, or ``default`` if undiscovered."""
-        k = self._shared.cell(self._owner, dest)
-        return self._shared.dist_mv[k] if k >= 0 else default
-
-    def __getitem__(self, dest: SiteId) -> Time:
-        d = self.get(dest)
-        if d is None:
-            raise KeyError(dest)
-        return d
-
-    def __contains__(self, dest: SiteId) -> bool:
-        return self.get(dest) is not None
-
-    def __iter__(self) -> Iterator[SiteId]:
-        return iter(self._known())
-
-    def __len__(self) -> int:
-        return self._shared.known_count(self._owner)
-
-    def keys(self):
-        """Known destinations (owner included), ascending."""
-        return self._known()
-
-    def values(self):
-        """Known delays, destination-ordered."""
-        return self._shared.dist[self._shared.row(self._owner)].tolist()
-
-    def items(self):
-        """``(dest, delay)`` pairs, destination-ordered."""
-        return list(zip(self._known(), self.values()))
-
 
 class LazyRoutingTable:
-    """The :class:`~repro.routing.table.RoutingTable` API over one shared row.
+    """The routing-table reads a run makes, over one shared row.
 
-    Row data lives in the network-wide :class:`SharedTables`;
-    :class:`RouteEntry` objects are built on first access per destination
-    and memoized, so a site that only ever talks to its sphere
-    materializes O(|PCS|) entries, not O(n).
+    Row data lives in the network-wide :class:`SharedTables` and is read
+    live on every call, so the table holds no per-destination state.
     """
 
-    __slots__ = ("owner", "_shared", "_entries")
+    __slots__ = ("owner", "_shared")
 
     def __init__(self, shared: SharedTables, owner: SiteId) -> None:
         self.owner = owner
         self._shared = shared
-        self._entries: Dict[SiteId, RouteEntry] = {}
-
-    def invalidate(self) -> None:
-        """Drop memoized entries after the shared rows were repaired.
-
-        The membership layer calls this for every affected row after an
-        incremental join repair (:mod:`repro.membership.repair`): the row
-        views read the shared arrays live, but materialized
-        :class:`RouteEntry` objects would keep serving pre-join routes.
-        """
-        self._entries.clear()
 
     def _row(self) -> slice:
         return self._shared.row(self.owner)
 
-    # -- queries (RoutingTable parity) --------------------------------------
-
-    def __contains__(self, dest: SiteId) -> bool:
-        return self._shared.cell(self.owner, dest) >= 0
-
     def __len__(self) -> int:
         return self._shared.known_count(self.owner)
-
-    def __iter__(self) -> Iterator[RouteEntry]:
-        return (self.entry(d) for d in self.destinations())
-
-    def entry(self, dest: SiteId) -> RouteEntry:
-        """The (memoized) route line for ``dest``."""
-        e = self._entries.get(dest)
-        if e is not None:
-            return e
-        s = self._shared
-        k = s.cell(self.owner, dest)
-        if k < 0:
-            raise RoutingError(f"site {self.owner}: no route to {dest}")
-        e = RouteEntry(
-            int(dest), float(s.dist[k]), int(s.next_hop[k]), int(s.hops[k]), int(s.disc[k])
-        )
-        self._entries[dest] = e
-        return e
-
-    def get(self, dest: SiteId) -> Optional[RouteEntry]:
-        """``entry(dest)`` or ``None`` when unrouted."""
-        return self.entry(dest) if dest in self else None
-
-    def destinations(self) -> List[SiteId]:
-        """Known destination ids, ascending (owner included)."""
-        return self._shared.cols[self._row()].tolist()
 
     def within_phase(self, max_phase: int) -> List[SiteId]:
         """Destinations first discovered at or before ``max_phase``."""
         row = self._row()
         return self._shared.cols[row][self._shared.disc[row] <= max_phase].tolist()
-
-    def as_next_hop_map(self) -> Dict[SiteId, SiteId]:
-        """Materialized ``dest -> next hop`` dict (owner excluded)."""
-        row = self._row()
-        hops = dict(zip(self._shared.cols[row].tolist(), self._shared.next_hop[row].tolist()))
-        hops.pop(self.owner, None)
-        return hops
-
-    def as_distance_map(self) -> Dict[SiteId, Time]:
-        """Materialized ``dest -> delay`` dict (owner included)."""
-        row = self._row()
-        return dict(zip(self._shared.cols[row].tolist(), self._shared.dist[row].tolist()))
 
     def distances_to(self, dests, exclude: Optional[SiteId] = None) -> Dict[SiteId, Time]:
         """Bulk known delays to ``dests`` (absent ones skipped)."""
@@ -226,12 +101,6 @@ class LazyRoutingTable:
                 if k >= 0:
                     out[d] = s.dist_mv[k]
         return out
-
-    def lines(self) -> List[Tuple[SiteId, Time, int]]:
-        """All route lines in wire format, deterministic order."""
-        return [self.entry(d).as_line() for d in self.destinations()]
-
-    # -- sphere construction ------------------------------------------------
 
     def pcs(self, h: int):
         """Sparse PCS build: touch only sites within hop radius ``h``.
@@ -267,8 +136,8 @@ class OracleRouting:
     """Drop-in for :class:`~repro.routing.bellman_ford.PhasedBellmanFord`.
 
     Same constructor shape and post-``start()`` contract — ``done``,
-    ``phase``, ``table``, the site's ``next_hop`` / ``known_distance``
-    filled, the ``routing.done`` trace event, ``on_done`` fired — but
+    ``phase``, ``table``, the site's ``next_hop`` filled, the
+    ``routing.done`` trace event, ``on_done`` fired — but
     ``start()`` completes synchronously at t=0 from the shared
     precomputed tables: no messages, no simulated phases.
     """
@@ -296,16 +165,14 @@ class OracleRouting:
         self.table = LazyRoutingTable(shared, site.sid)
         self.phase = 1
         self.done = False
-        #: protocol-cost counters, zero by construction (nothing is sent)
+        #: protocol-cost counter, zero by construction (nothing is sent)
         self.messages_sent = 0
-        self.lines_sent = 0
 
     def start(self) -> None:
-        """Install the precomputed row views and finish immediately."""
-        # Rebind the per-site dicts to shared row views: O(1) per site
+        """Install the precomputed row view and finish immediately."""
+        # Rebind the per-site dict to a shared row view: O(1) per site
         # instead of an O(known destinations) dict copy per site.
         self.site.next_hop = NextHopView(self.shared, self.site.sid)
-        self.site.known_distance = DistanceView(self.shared, self.site.sid)
         self.phase = self.total_phases
         self.done = True
         self.site.trace(

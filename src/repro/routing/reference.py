@@ -74,8 +74,9 @@ def route_stretch(
 ) -> Dict[str, float]:
     """Quality of hop-bounded routing vs true shortest paths.
 
-    ``known[s]`` is site s's distance map (e.g. ``site.known_distance``
-    after the phased protocol). Returns mean/max *stretch* — the ratio of
+    ``known[s]`` is site s's ``destination -> distance`` map (e.g. its
+    routing table's ``entry(d).distance`` after the phased protocol).
+    Returns mean/max *stretch* — the ratio of
     the hop-bounded distance to the Dijkstra distance — over all pairs the
     tables know. Stretch is always >= 1 and converges to 1 as the phase
     budget grows; E4 uses it to quantify what interruption costs.

@@ -15,12 +15,18 @@ next-hop id wins, and an incumbent entry is only replaced by a strictly
 shorter one. This makes the minimum-delay path to every destination
 *unique and stable* across sites — the paper's "unique minimum
 communication delay path" property — and keeps runs deterministic.
+
+The table is the one store of a site's routes. The phased protocol
+writes it (``consider``) and sends its ``lines``; the sphere is read off
+it (``within_phase``, ``entry``), ENROLL_ACK reads ``distances_to``, and
+the site's forwarding map is ``as_next_hop_map``. Oracle mode serves the
+same reads from a shared row (:class:`~repro.routing.oracle.LazyRoutingTable`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import RoutingError
 from repro.types import DATACLASS_SLOTS, EPS, SiteId, Time
@@ -56,26 +62,14 @@ class RoutingTable:
 
     # -- queries -----------------------------------------------------------
 
-    def __contains__(self, dest: SiteId) -> bool:
-        return dest in self._entries
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __iter__(self) -> Iterator[RouteEntry]:
-        return iter(self._entries.values())
 
     def entry(self, dest: SiteId) -> RouteEntry:
         try:
             return self._entries[dest]
         except KeyError:
             raise RoutingError(f"site {self.owner}: no route to {dest}") from None
-
-    def get(self, dest: SiteId) -> Optional[RouteEntry]:
-        return self._entries.get(dest)
-
-    def destinations(self) -> List[SiteId]:
-        return sorted(self._entries)
 
     def within_phase(self, max_phase: int) -> List[SiteId]:
         """Destinations first discovered at or before ``max_phase``.
@@ -92,9 +86,6 @@ class RoutingTable:
         return {
             d: e.next_hop for d, e in self._entries.items() if d != self.owner
         }
-
-    def as_distance_map(self) -> Dict[SiteId, Time]:
-        return {d: e.distance for d, e in self._entries.items()}
 
     def distances_to(
         self, dests: Iterable[SiteId], exclude: Optional[SiteId] = None

@@ -297,15 +297,6 @@ class PlanExecutor:
 
     # -- queries ---------------------------------------------------------------
 
-    def record(self, job: JobId, task: TaskId) -> ExecutionRecord:
-        """A copy of the record of ``task`` of ``job`` (finished or not)."""
-        rec = self.records().get((job, task))
-        if rec is None:
-            raise SchedulingError(
-                f"site {self.plan.site}: no execution record for job {job} task {task!r}"
-            )
-        return rec
-
     def records(self) -> Dict[Key, ExecutionRecord]:
         """Copies of every record still known: the finished ones of the last
         surplus window in completion order, then the unfinished ones in

@@ -90,10 +90,6 @@ class BusyTimeline:
     def __iter__(self) -> Iterator[Reservation]:
         return iter(self._items)
 
-    def reservations(self) -> List[Reservation]:
-        """All reservations in start order (a copy)."""
-        return list(self._items)
-
     def is_free(self, start: Time, end: Time) -> bool:
         """True iff [start, end) overlaps no reservation."""
         if end <= start + EPS:

@@ -87,7 +87,6 @@ class Simulator:
         self._seq = itertools.count()
         self._now: Time = 0.0
         self._running = False
-        self._stopped = False
         self.events_processed = 0
         #: cumulative real time spent inside :meth:`run` (events/sec =
         #: ``events_processed / wall_seconds``; the E9 bench reads this)
@@ -199,7 +198,6 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        self._stopped = False
         processed = 0
         heap = self._heap
         pop = heapq.heappop
@@ -210,8 +208,6 @@ class Simulator:
         t0 = perf_counter()
         try:
             while heap:
-                if self._stopped:
-                    break
                 time = heap[0][0]
                 if time > limit:
                     self._now = until
@@ -238,7 +234,7 @@ class Simulator:
                     else:
                         ev.callback(arg)
                     processed += 1
-                    if processed >= budget or self._stopped:
+                    if processed >= budget:
                         break
                     nxt = None
                     while heap and heap[0][0] == time:
@@ -272,10 +268,6 @@ class Simulator:
                         self.events_processed / self.wall_seconds,
                     )
         return self._now
-
-    def stop(self) -> None:
-        """Stop the loop after the current callback returns."""
-        self._stopped = True
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued. O(1)."""

@@ -60,14 +60,6 @@ class Link:
         if self.u > self.v:
             self.u, self.v = self.v, self.u
 
-    def other(self, side: SiteId) -> SiteId:
-        """The opposite endpoint."""
-        if side == self.u:
-            return self.v
-        if side == self.v:
-            return self.u
-        raise TopologyError(f"site {side} is not an endpoint of link ({self.u},{self.v})")
-
     def transfer_time(self, size: float) -> Time:
         """Delay experienced by a message of ``size`` on this link."""
         if self.throughput is None:

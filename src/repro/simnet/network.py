@@ -177,7 +177,7 @@ class Network:
         msg.hops += 1
         size = msg.size
         mtype = msg.mtype
-        # inlined MessageStats.record (one call per physical transmission)
+        # the MessageStats counters, one update per physical transmission
         stats = self.stats
         stats.count[mtype] += 1
         stats.volume[mtype] += size
@@ -249,28 +249,3 @@ class Network:
         )
         self.transmit(msg)
         return msg
-
-    # -- reference (oracle) computations ----------------------------------
-    #
-    # These are *not* available to protocol code (which must rely on its
-    # routing tables); tests and metrics use them as ground truth.
-
-    def hop_distances_from(self, src: SiteId) -> Dict[SiteId, int]:
-        """BFS hop counts from ``src`` (oracle)."""
-        from collections import deque
-
-        hops = {src: 0}
-        q = deque([src])
-        while q:
-            u = q.popleft()
-            for v in self._adj[u]:
-                if v not in hops:
-                    hops[v] = hops[u] + 1
-                    q.append(v)
-        return hops
-
-    def is_connected(self) -> bool:
-        if not self._sites:
-            return True
-        first = next(iter(self._sites))
-        return len(self.hop_distances_from(first)) == len(self._sites)

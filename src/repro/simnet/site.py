@@ -60,10 +60,10 @@ class SiteBase:
         self.obs = network.obs
         self.obs_on = network.obs_on
         self._handlers: Dict[str, Handler] = {}
-        #: destination -> adjacent next hop; filled by the routing layer.
+        #: destination -> adjacent next hop; filled by the routing layer and
+        #: only ever read with ``get`` (oracle routing rebinds it to a view
+        #: of the shared row). Distances live in ``routing.table``.
         self.next_hop: Dict[SiteId, SiteId] = {}
-        #: destination -> known minimum delay; filled by the routing layer.
-        self.known_distance: Dict[SiteId, Time] = {}
         network.add_site(self)
 
     # -- handler registration ---------------------------------------------

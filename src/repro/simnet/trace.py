@@ -150,6 +150,8 @@ class MessageStats:
     ``count[mtype]`` — number of single-hop transmissions of that type;
     ``volume[mtype]`` — sum of message sizes transmitted;
     ``total`` / ``total_volume`` — grand totals.
+
+    :meth:`~repro.simnet.network.Network.transmit` updates them inline.
     """
 
     def __init__(self) -> None:
@@ -157,12 +159,6 @@ class MessageStats:
         self.volume: Counter = Counter()
         self.total: int = 0
         self.total_volume: float = 0.0
-
-    def record(self, mtype: str, size: float) -> None:
-        self.count[mtype] += 1
-        self.volume[mtype] += size
-        self.total += 1
-        self.total_volume += size
 
     def snapshot(self) -> Dict[str, int]:
         """Plain dict copy of per-type counts (stable for assertions)."""

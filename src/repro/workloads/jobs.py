@@ -53,5 +53,3 @@ class Workload:
     def last_deadline(self) -> Time:
         return max((j.deadline for j in self.jobs), default=0.0)
 
-    def total_work(self) -> float:
-        return sum(j.dag.total_complexity() for j in self.jobs)

@@ -91,7 +91,10 @@ class TestRouteStretch:
                 [net.site(s) for s in net.site_ids()], phases
             )
             sim.run()
-            known = {sid: p.table.as_distance_map() for sid, p in protos.items()}
+            known = {
+                sid: {d: p.table.entry(d).distance for d in p.table.within_phase(phases)}
+                for sid, p in protos.items()
+            }
             return route_stretch(adj, known)
 
         early = stretch_at(2)

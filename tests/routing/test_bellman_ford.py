@@ -51,7 +51,7 @@ def test_matches_hop_bounded_oracle(topo, phases):
         assert proto.done
         oracle = hop_bounded_distances(adj, sid, phases)
         got = {d: (e.distance, e.discovered_phase) for d, e in
-               ((d, proto.table.entry(d)) for d in proto.table.destinations())}
+               ((d, proto.table.entry(d)) for d in proto.table.within_phase(proto.total_phases))}
         assert set(got) == set(oracle)
         for dest, (dist, bfs) in oracle.items():
             gd, gphase = got[dest]
@@ -110,14 +110,14 @@ def test_interruption_limits_knowledge():
     """After 2 phases on a line, site 0 must not know sites > 2 hops away."""
     topo = line(8, delay_range=(1.0, 1.0))
     net, protos = run_bf(topo, 2)
-    known = protos[0].table.destinations()
+    known = protos[0].table.within_phase(2)
     assert known == [0, 1, 2]
 
 
 def test_single_phase_knows_only_neighbors():
     topo = ring(6, delay_range=(1.0, 1.0))
     net, protos = run_bf(topo, 1)
-    assert protos[2].table.destinations() == [1, 2, 3]
+    assert protos[2].table.within_phase(1) == [1, 2, 3]
 
 
 def test_done_callback_fires_once():
@@ -160,4 +160,4 @@ def test_next_hop_installed_after_done():
     assert s0.next_hop[1] == 1
     assert s0.next_hop[2] == 1
     assert s0.next_hop[3] == 1
-    assert s0.known_distance[3] == pytest.approx(6.0)
+    assert protos[0].table.entry(3).distance == pytest.approx(6.0)

@@ -1,9 +1,9 @@
-"""Oracle routing mode: lazy tables, row views, and runner integration.
+"""Oracle routing mode: lazy tables, the next-hop view, runner integration.
 
 The contract: an experiment run with ``routing_mode="oracle"`` ends setup
-with every site holding the *same* routing state — table entries, next
-hops, known distances, PCS — a simulated-protocol run builds, with zero
-simulated time and zero messages spent.
+with every site holding the *same* routing state — table sizes, sphere
+members, known distances, next hops, PCS — a simulated-protocol run
+builds, with zero simulated time and zero messages spent.
 """
 
 from dataclasses import replace
@@ -13,9 +13,9 @@ import pytest
 
 from repro.errors import RoutingError
 from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.membership.repair import repair_after_join
 from repro.routing.bellman_ford import run_pcs_phase_protocol
 from repro.routing.oracle import (
-    DistanceView,
     LazyRoutingTable,
     NextHopView,
     OracleRouting,
@@ -29,6 +29,8 @@ from tests.conftest import RecordingSite
 
 TOPO = erdos_renyi(14, 0.3, np.random.default_rng(4), delay_range=(0.5, 3.0))
 PHASES = 4
+#: every site id plus two no table knows
+PROBES = list(range(TOPO.n + 2))
 
 
 @pytest.fixture(scope="module")
@@ -45,77 +47,70 @@ def protocol_tables():
     return {sid: p.table for sid, p in protos.items()}
 
 
+def assert_same_spheres(lazy, ref):
+    """The oracle and protocol tables build the same sphere at every radius."""
+    for h in range(1, PHASES + 1):
+        a, b = build_pcs(lazy, h), build_pcs(ref, h)
+        assert a.root == b.root and a.h == b.h
+        assert a.members == b.members
+        assert a.distance == b.distance
+        assert a.hops == b.hops
+        # the build-free member count agrees on both table kinds
+        assert pcs_size(lazy, h) == pcs_size(ref, h) == len(b)
+        # PCS ids must be plain Python ints (they travel in payloads)
+        assert all(type(m) is int for m in a.members)
+
+
 class TestLazyRoutingTable:
     def test_full_api_parity_with_protocol_table(self, shared, protocol_tables):
         for sid, ref in protocol_tables.items():
             lazy = LazyRoutingTable(shared, sid)
             assert len(lazy) == len(ref)
-            assert lazy.destinations() == ref.destinations()
-            assert lazy.as_next_hop_map() == ref.as_next_hop_map()
-            assert lazy.as_distance_map() == ref.as_distance_map()
-            assert lazy.lines() == ref.lines()
             for ph in range(0, PHASES + 1):
                 assert lazy.within_phase(ph) == ref.within_phase(ph)
-            for d in ref.destinations():
-                assert d in lazy
-                assert lazy.entry(d) == ref.entry(d)
-                assert lazy.get(d) == ref.get(d)
-            dests = ref.destinations()
-            assert lazy.distances_to(dests, exclude=sid) == ref.distances_to(
-                dests, exclude=sid
+            assert lazy.distances_to(PROBES) == ref.distances_to(PROBES)
+            assert lazy.distances_to(PROBES, exclude=sid) == ref.distances_to(
+                PROBES, exclude=sid
             )
-
-    def test_entries_are_materialized_lazily_and_memoized(self, shared):
-        lazy = LazyRoutingTable(shared, 0)
-        assert lazy._entries == {}
-        e1 = lazy.entry(lazy.destinations()[1])
-        assert len(lazy._entries) == 1
-        assert lazy.entry(e1.dest) is e1
-
-    def test_missing_destination_raises_and_get_returns_none(self, shared):
-        lazy = LazyRoutingTable(shared, 0)
-        with pytest.raises(RoutingError):
-            lazy.entry(TOPO.n + 5)
-        assert lazy.get(TOPO.n + 5) is None
-
-    def test_iteration_yields_entries_in_destination_order(self, shared):
-        lazy = LazyRoutingTable(shared, 2)
-        assert [e.dest for e in lazy] == lazy.destinations()
 
     def test_sparse_pcs_equals_protocol_pcs(self, shared, protocol_tables):
         for sid, ref in protocol_tables.items():
-            for h in (1, 2):
-                a = build_pcs(LazyRoutingTable(shared, sid), h)
-                b = build_pcs(ref, h)
-                assert a.root == b.root and a.h == b.h
-                assert a.members == b.members
-                assert a.distance == b.distance
-                assert a.hops == b.hops
-                # the build-free member count agrees on both table kinds
-                assert pcs_size(LazyRoutingTable(shared, sid), h) == pcs_size(ref, h) == len(b)
-                # PCS ids must be plain Python ints (they travel in payloads)
-                assert all(type(m) is int for m in a.members)
+            assert_same_spheres(LazyRoutingTable(shared, sid), ref)
+
+    def test_a_repaired_row_is_read_live(self):
+        """Tables and views made before a join read the repaired rows: the
+        membership layer has no cache to invalidate."""
+        base = list(TOPO.edges)
+        shared = phased_tables(Links(TOPO.n + 1, base), PHASES)
+        tables = [LazyRoutingTable(shared, s) for s in range(TOPO.n + 1)]
+        views = [NextHopView(shared, s) for s in range(TOPO.n + 1)]
+        assert tables[TOPO.n].within_phase(PHASES) == [TOPO.n]  # latent, link-less
+        links = Links(TOPO.n + 1, base + [(2, TOPO.n, 0.7), (9, TOPO.n, 1.1)])
+        repair_after_join(shared, links, TOPO.n)
+        fresh = phased_tables(links, PHASES)
+        for s in range(TOPO.n + 1):
+            ref = LazyRoutingTable(fresh, s)
+            assert len(tables[s]) == len(ref)
+            assert tables[s].within_phase(PHASES) == ref.within_phase(PHASES)
+            assert tables[s].distances_to(PROBES) == ref.distances_to(PROBES)
+            assert tables[s].pcs(2) == ref.pcs(2)
+            assert [views[s].get(d) for d in PROBES] == [
+                NextHopView(fresh, s).get(d) for d in PROBES
+            ]
+        assert TOPO.n in tables[2].within_phase(1)
 
 
 class TestRowViews:
     def test_next_hop_view_matches_protocol_map(self, shared, protocol_tables):
         for sid, ref in protocol_tables.items():
             view = NextHopView(shared, sid)
-            assert dict(view.items()) == ref.as_next_hop_map()
-            assert sorted(view.keys()) == sorted(ref.as_next_hop_map())
-            assert len(view) == len(ref.as_next_hop_map())
-            assert view.get(sid) is None  # owner has no next hop
-            assert view.get(TOPO.n + 3) is None
-            with pytest.raises(KeyError):
-                view[TOPO.n + 3]
-
-    def test_distance_view_includes_owner_at_zero(self, shared, protocol_tables):
-        for sid, ref in protocol_tables.items():
-            view = DistanceView(shared, sid)
-            assert dict(view.items()) == ref.as_distance_map()
-            assert view[sid] == 0.0
-            assert sid in view
-            assert view.get(TOPO.n + 3, -1.0) == -1.0
+            known = set(ref.within_phase(PHASES))
+            for d in PROBES:
+                if d == sid or d not in known:
+                    assert view.get(d) is None  # the owner has no next hop
+                else:
+                    assert view.get(d) == ref.entry(d).next_hop
+            assert view.get(TOPO.n + 3, -1) == -1
 
 
 class TestOracleRouting:
@@ -140,9 +135,8 @@ class TestOracleRouting:
         routing = OracleRouting(site, PHASES, shared, on_done=lambda: fired.append(1))
         routing.start()
         assert routing.done and fired == [1]
-        assert routing.messages_sent == 0 and routing.lines_sent == 0
+        assert routing.messages_sent == 0
         assert isinstance(site.next_hop, NextHopView)
-        assert isinstance(site.known_distance, DistanceView)
 
 
 class TestRunnerIntegration:
@@ -158,10 +152,12 @@ class TestRunnerIntegration:
     def test_oracle_mode_installs_identical_routing_state(self, algorithm):
         a = run_experiment(replace(self.BASE, algorithm=algorithm))
         b = run_experiment(replace(self.BASE, algorithm=algorithm, routing_mode="oracle"))
-        for sid in a.network.site_ids():
+        sids = list(a.network.site_ids())
+        probes = sids + [len(sids)]  # one unknown site too
+        for sid in sids:
             sa, sb = a.network.site(sid), b.network.site(sid)
-            assert dict(sa.next_hop) == dict(sb.next_hop.items())
-            assert dict(sa.known_distance) == dict(sb.known_distance.items())
+            assert [sa.next_hop.get(d) for d in probes] == [sb.next_hop.get(d) for d in probes]
+            assert sa.routing.table.distances_to(probes) == sb.routing.table.distances_to(probes)
             pa, pb = getattr(sa, "pcs", None), getattr(sb, "pcs", None)
             if pa is not None:
                 assert pa.members == pb.members

@@ -9,7 +9,7 @@ from repro.routing.table import RoutingTable
 class TestRoutingTable:
     def test_self_entry(self):
         t = RoutingTable(5)
-        assert 5 in t
+        assert t.within_phase(0) == [5]
         assert t.entry(5).distance == 0.0
         assert t.entry(5).next_hop == 5  # the owner's own row: no adjacent hop
 
@@ -52,7 +52,7 @@ class TestRoutingTable:
         t = RoutingTable(0)
         with pytest.raises(RoutingError):
             t.entry(9)
-        assert t.get(9) is None
+        assert t.distances_to([9]) == {}
 
     def test_within_phase(self):
         t = RoutingTable(0)
@@ -68,7 +68,7 @@ class TestRoutingTable:
         t.consider(1, 1.0, 1, hops=1, phase=1)
         t.consider(2, 2.0, 1, hops=2, phase=2)
         assert t.as_next_hop_map() == {1: 1, 2: 1}
-        assert t.as_distance_map() == {0: 0.0, 1: 1.0, 2: 2.0}
+        assert {d: t.entry(d).distance for d in t.within_phase(2)} == {0: 0.0, 1: 1.0, 2: 2.0}
 
     def test_lines_deterministic(self):
         t = RoutingTable(0)

@@ -53,7 +53,7 @@ def test_a_ba256_cell_holds_at_most_28_table_bytes_per_known_cell():
         resident.shared_tables.clear()
         for site in resident.sites:
             site.routing = None
-            site.next_hop = site.known_distance = {}
+            site.next_hop = {}
         gc.collect()
         held = before - tracemalloc.get_traced_memory()[0]
     finally:

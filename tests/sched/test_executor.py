@@ -31,13 +31,13 @@ class TestBasicExecution:
         sim.run()
         # each finished task is reported once, with its site and actual chunks
         assert done == [(1, "a", 5.0, plan.site, [(2.0, 5.0)]), (1, "b", 7.0, plan.site, [(6.0, 7.0)])]
-        assert execu.record(1, "a").actual_start == 2.0
-        assert execu.record(1, "a").lateness == 0.0
+        assert execu.records()[(1, "a")].actual_start == 2.0
+        assert execu.records()[(1, "a")].lateness == 0.0
 
     def test_serialized_no_overlap(self, sim, plan, execu):
         commit(plan, execu, [Reservation(0.0, 5.0, 1, "a"), Reservation(5.0, 8.0, 1, "b")])
         sim.run()
-        ra, rb = execu.record(1, "a"), execu.record(1, "b")
+        ra, rb = execu.records()[(1, "a")], execu.records()[(1, "b")]
         assert rb.actual_start >= ra.actual_end - 1e-9
 
     def test_later_insert_between_gaps(self, sim, plan, execu):
@@ -54,10 +54,6 @@ class TestBasicExecution:
         with pytest.raises(SchedulingError):
             execu.notify_committed([Reservation(5.0, 6.0, 1, "a")])
 
-    def test_missing_record_raises(self, execu):
-        with pytest.raises(SchedulingError):
-            execu.record(9, "zz")
-
 
 class TestGates:
     def test_gate_blocks_until_token(self, sim, plan, execu):
@@ -69,7 +65,7 @@ class TestGates:
         )
         sim.schedule(5.0, lambda: execu.deliver_token(("result", 1, "p")))
         sim.run()
-        rec = execu.record(1, "a")
+        rec = execu.records()[(1, "a")]
         assert rec.actual_start == 5.0
         assert rec.actual_end == 7.0
         assert rec.lateness == pytest.approx(4.0)
@@ -82,7 +78,7 @@ class TestGates:
             gates={(1, "b"): {("done", 1, "a")}},
         )
         sim.run()
-        assert execu.record(1, "b").actual_start == 2.0
+        assert execu.records()[(1, "b")].actual_start == 2.0
 
     def test_early_token_remembered(self, sim, plan, execu):
         execu.deliver_token(("result", 1, "p"))
@@ -93,7 +89,7 @@ class TestGates:
             gates={(1, "a"): {("result", 1, "p")}},
         )
         sim.run()
-        assert execu.record(1, "a").actual_start == 1.0
+        assert execu.records()[(1, "a")].actual_start == 1.0
 
     def test_shared_token_opens_multiple_gates(self, sim, plan, execu):
         commit(
@@ -107,7 +103,7 @@ class TestGates:
         )
         sim.schedule(0.5, lambda: execu.deliver_token(("result", 1, "p")))
         sim.run()
-        assert execu.record(1, "a").done and execu.record(1, "b").done
+        assert execu.records()[(1, "a")].done and execu.records()[(1, "b")].done
 
     def test_work_conserving_skips_blocked_head(self, sim, plan, execu):
         """If the slot-order head is gated, a later ready task runs first."""
@@ -119,7 +115,7 @@ class TestGates:
         )
         sim.schedule(10.0, lambda: execu.deliver_token(("result", 1, "x")))
         sim.run()
-        rb, rf = execu.record(1, "blocked"), execu.record(1, "free")
+        rb, rf = execu.records()[(1, "blocked")], execu.records()[(1, "free")]
         assert rf.actual_start == 2.0  # ran at its slot despite blocked head
         assert rb.actual_start == 10.0
         assert rb.lateness == pytest.approx(10.0)
@@ -130,9 +126,8 @@ class TestMaintenance:
         commit(plan, execu, [Reservation(0.0, 1.0, 1, "a"), Reservation(2.0, 3.0, 2, "b")])
         sim.run()
         assert execu.prune_done_before(2.5) == 1
-        with pytest.raises(SchedulingError):
-            execu.record(1, "a")
-        assert execu.record(2, "b").done
+        assert (1, "a") not in execu.records()
+        assert execu.records()[(2, "b")].done
 
     def test_busy_flag(self, sim, plan, execu):
         commit(plan, execu, [Reservation(0.0, 2.0, 1, "a")])
@@ -192,8 +187,8 @@ class TestStateLifetime:
         )
         assert self.holdings(execu) == (0, 0, 2, 0)
         sim.run()
-        assert execu.record(1, "a").actual_start == 1.0
-        assert execu.record(1, "b").actual_start == 2.0
+        assert execu.records()[(1, "a")].actual_start == 1.0
+        assert execu.records()[(1, "b")].actual_start == 2.0
 
     def test_completions_nobody_waits_for_are_not_parked(self, sim, plan, execu):
         commit(plan, execu, [Reservation(0.0, 1.0, 1, "a"), Reservation(1.0, 2.0, 2, "b")])
@@ -247,8 +242,8 @@ class TestStateLifetime:
         sim.run(until=1.5)
         assert execu._queue == [(4.0, repr((1, "a")), (1, "a"))]
         sim.run()
-        assert execu.record(1, "a").actual == [(0.0, 1.0), (4.0, 5.0)]
-        assert execu.record(2, "b").actual == [(1.0, 2.0)]
+        assert execu.records()[(1, "a")].actual == [(0.0, 1.0), (4.0, 5.0)]
+        assert execu.records()[(2, "b")].actual == [(1.0, 2.0)]
         assert execu._queue == []
 
     def test_prune_pops_in_completion_order(self, sim, plan, execu):

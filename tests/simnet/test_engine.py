@@ -82,14 +82,6 @@ class TestRunControl:
         sim.run(max_events=2)
         assert log == [0, 1]
 
-    def test_stop(self, sim):
-        log = []
-        sim.schedule(1.0, lambda: (log.append(1), sim.stop()))
-        sim.schedule(2.0, lambda: log.append(2))
-        sim.run()
-        assert log == [(1, None)] or log == [1] or len(log) >= 1  # stop after current
-        assert 2 not in [x for x in log if isinstance(x, int)]
-
     def test_not_reentrant(self, sim):
         def bad():
             sim.run()

@@ -5,8 +5,8 @@ import pytest
 from repro.errors import ProtocolError, RoutingError, SimulationError, TopologyError
 from repro.simnet.link import Link
 from repro.simnet.message import Message
-from repro.simnet.network import Network
 from repro.simnet.site import SiteBase
+from repro.simnet.topology import Topology
 from tests.conftest import RecordingSite, make_line_network
 
 
@@ -26,13 +26,6 @@ class TestLink:
     def test_bad_throughput_rejected(self):
         with pytest.raises(TopologyError):
             Link(1, 2, 1.0, throughput=0.0)
-
-    def test_other(self):
-        link = Link(1, 2, 1.0)
-        assert link.other(1) == 2
-        assert link.other(2) == 1
-        with pytest.raises(TopologyError):
-            link.other(3)
 
     def test_transfer_time_pure_delay(self):
         link = Link(1, 2, 2.5)
@@ -102,17 +95,9 @@ class TestNetwork:
         assert net.stats.count["PING"] == 2
         assert net.stats.volume["PING"] == 6.0
 
-    def test_oracle_hops(self, sim):
-        net, _ = make_line_network(sim, 4)
-        assert net.hop_distances_from(3) == {3: 0, 2: 1, 1: 2, 0: 3}
-
-    def test_is_connected(self, sim):
-        net, _ = make_line_network(sim, 3)
-        assert net.is_connected()
-        net2 = Network(sim)
-        RecordingSite(0, net2)
-        RecordingSite(1, net2)
-        assert not net2.is_connected()
+    def test_is_connected(self):
+        assert Topology(3, ((0, 1, 1.0), (1, 2, 1.0))).is_connected()
+        assert not Topology(2, ()).is_connected()
 
 
 class TestSiteBase:

@@ -148,7 +148,7 @@ class TestFactory:
         topo = ring(5)
         net = build_network(topo, sim, lambda sid, n: RecordingSite(sid, n))
         assert net.size() == 5
-        assert net.is_connected()
+        assert sorted(link.key for link in net.links()) == sorted((u, v) for u, v, _ in topo.edges)
         assert net.neighbors(0) == (1, 4)
 
     def test_build_network_with_throughput(self):

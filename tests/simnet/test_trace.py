@@ -1,6 +1,6 @@
 """Tests for tracing and message accounting."""
 
-from repro.simnet.trace import MessageStats, Tracer
+from repro.simnet.trace import Tracer
 
 
 class TestTracer:
@@ -29,14 +29,3 @@ class TestTracer:
         tr.emit(1.0, "a", 0)
         tr.clear()
         assert len(tr) == 0
-
-
-class TestMessageStats:
-    def test_record(self):
-        st = MessageStats()
-        st.record("X", 2.0)
-        st.record("X", 3.0)
-        st.record("Y", 1.0)
-        assert st.total == 3
-        assert st.count["X"] == 2
-        assert st.total_volume == 6.0

@@ -188,6 +188,8 @@ class TestErrorBoundary:
             # fault and deadline numbers must be finite
             (["run", "--faults", "sites=1,downtime=nan"], "mean_downtime must be > 0 and finite"),
             (["run", "--laxity", "inf"], "laxity_factor must be > 0 and finite"),
+            # a size no topology can have is refused before any cell runs
+            (["sweep-size", "--sizes", "1,8", "--duration", "20"], "at least 2 sites, got 1"),
         ],
     )
     def test_config_errors_exit_2_with_one_line(self, capsys, argv, needle):

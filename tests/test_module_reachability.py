@@ -9,7 +9,9 @@ where it is reached through its own module: imported from it (or from a
 package that re-exports it), used as an attribute of an imported module
 alias, named inside its module, or spelled as an identifier string — a
 variable that happens to share its name is not a call. A method is called
-wherever its bare name is referred to. Comments and docstrings refer to
+where code reads it as an attribute (``x.m``) or spells it as an
+identifier string (``getattr(x, "m")``); a local variable or import
+alias named ``m`` is not a call. Comments and docstrings refer to
 nothing. These guards fail when unreached code appears; the named entry
 points and test oracles below are the only exceptions.
 """
@@ -43,6 +45,7 @@ TEST_ORACLES = {
     "demand_bound_satisfied": "tests/sched/test_sched_properties.py",
     "same_metrics": "tests/experiments/test_parallel.py (serial and pool cells agree)",
     "sinks": "tests/graphs/ and tests/core/test_pipeline_properties.py (DAG shapes)",
+    "sources": "tests/graphs/ (generator shapes; bottom levels peak at a source)",
     "actual_start": "tests/sched/test_executor.py (reserved vs actual execution)",
     "actual_end": "tests/sched/test_executor.py, tests/experiments/test_hygiene.py",
     "lateness": "tests/sched/test_executor.py, tests/core/test_rtds_options.py",
@@ -156,13 +159,12 @@ def resolve(module, name, exports):
 def references(path, mods, exports):
     """What one caller file (not a package ``__init__``) refers to:
     ``(module, function)`` pairs reached by import or through a module
-    alias, bare names (attributes, names, imported names) for methods, and
-    identifier strings. Comments, docstrings and ``def`` lines refer to
-    nothing."""
+    alias, attribute names (``x.m``), and identifier strings. Comments,
+    docstrings and ``def`` lines refer to nothing."""
     is_src = path.is_relative_to(SRC)
     module = ".".join(path.relative_to(SRC).with_suffix("").parts) if is_src else path.stem
     tree = ast.parse(path.read_text())
-    qualified, bare, strings = set(), set(), set()
+    qualified, attributes, strings = set(), set(), set()
     aliases = {}  # local name -> module it is bound to
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -189,19 +191,16 @@ def references(path, mods, exports):
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            bare.add(node.id)
             qualified.add((module, node.id))
         elif isinstance(node, ast.Attribute):
-            bare.add(node.attr)
+            attributes.add(node.attr)
             outer = module_of(node.value)
             if outer:
                 qualified.add(resolve(outer, node.attr, exports))
-        elif isinstance(node, ast.alias):
-            bare.update(node.name.split("."))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 strings.add(node.value)
-    return qualified, bare | strings, strings
+    return qualified, attributes, strings
 
 
 def uncalled():
@@ -210,22 +209,23 @@ def uncalled():
     where a file imports it from ``M`` (or from a package re-exporting it),
     uses ``M.f`` through a module alias, where ``M`` itself names it, or
     where ``"f"`` is an identifier string (``fn_span(module, "f")``). A
-    method is called wherever its bare name appears."""
+    method ``m`` is called where code reads ``.m`` as an attribute or
+    spells ``"m"`` as an identifier string."""
     mods = modules()
     exports = package_exports(mods)
-    qualified, bare, strings = set(), set(), set()
+    qualified, attributes, strings = set(), set(), set()
     for folder in CALLER_DIRS:
         for path in sorted((ROOT / folder).rglob("*.py")):
             if path.name == "__init__.py":
                 continue
-            q, b, s = references(path, mods, exports)
+            q, a, s = references(path, mods, exports)
             qualified |= q
-            bare |= b
+            attributes |= a
             strings |= s
     out = []
     for path, module, qual, name in functions():
         if "." in qual:
-            called = name in bare
+            called = name in attributes or name in strings
         else:
             called = (module, name) in qualified or name in strings
         if not called:

@@ -119,7 +119,6 @@ class TestJobSpec:
         assert [j.job for j in ordered] == [0, 1]
         assert wl.horizon() == 5.0
         assert wl.last_deadline() == 50.0
-        assert wl.total_work() == pytest.approx(42.0)
 
 
 class TestScenarios:
