@@ -301,13 +301,17 @@ def _site_factory(
 def _gc_paused():
     """Pause the cyclic GC for the duration of the simulation loop.
 
-    The event loop allocates heavily (messages, heap entries, payload
-    dicts) but almost everything dies young by refcount; generational
-    collections buy nothing and cost ~5-10% of the run (measured on the
-    E9 macro bench). Cyclic garbage from torn-down networks is still
-    reclaimed — collection resumes on exit, and callers running many
-    experiments in-process hit it between runs. No-op if GC was already
-    off (an outer caller owns the policy).
+    Generational collections cost ~5-10% of the allocation-heavy loop
+    (measured on the E9 macro bench). The pause is free because a run
+    makes no reference cycles: everything it drops is freed by reference
+    counting at once, so nothing piles up while collection is off.
+    Recursive helpers and self-re-arming timers are therefore
+    module-level functions or methods, never closures that refer to
+    themselves; ``tests/experiments/test_run_garbage.py`` holds every run
+    to zero objects for one collection to find. The live network itself
+    is cyclic (sites and their network point at each other) and is
+    reclaimed once collection resumes and the caller drops it. No-op if
+    GC was already off (an outer caller owns the policy).
     """
     if not gc.isenabled():
         yield
@@ -438,7 +442,7 @@ class ResidentNetwork:
 
     def schedule_job(self, job: JobSpec) -> None:
         """Schedule one job's submission at its shifted arrival time."""
-        self.sim.schedule_at(self.shift + job.arrival, lambda j=job: self.submit_spec(j))
+        self.sim.schedule_call_at(self.shift + job.arrival, self.submit_spec, job)
 
     def schedule_workload(self, workload: Workload) -> Time:
         """Schedule a job list and the hygiene tick; returns :attr:`horizon`."""
@@ -448,15 +452,17 @@ class ResidentNetwork:
         self.horizon = horizon
         interval = self.config.hygiene_interval
         if interval is not None:
-            sim = self.sim
-
-            def hygiene_tick() -> None:
-                self.prune_pass()
-                if sim.now + interval < horizon:
-                    sim.schedule(interval, hygiene_tick)
-
-            sim.schedule(interval, hygiene_tick)
+            self.sim.schedule(interval, self._hygiene_tick)
         return horizon
+
+    def _hygiene_tick(self) -> None:
+        """One hygiene pass, re-armed every ``hygiene_interval`` until the
+        horizon (a method, not a closure that re-schedules itself: that
+        would be a reference cycle, see :func:`_gc_paused`)."""
+        self.prune_pass()
+        interval = self.config.hygiene_interval
+        if self.sim.now + interval < self.horizon:
+            self.sim.schedule(interval, self._hygiene_tick)
 
     def run_to_horizon(self) -> None:
         """Run until every scheduled deadline plus the drain margin has passed."""

@@ -5,7 +5,7 @@ are tasks with a Computational Complexity ``c(t)`` and whose arcs are
 precedence constraints; the job carries a release ``r`` and a deadline ``d``.
 
 This package provides the DAG data structure (:class:`~repro.graphs.dag.Dag`,
-which also memoises the §12 bottom levels and the critical-path length), the
+which also derives the §12 bottom levels and the critical-path length), the
 random and structured generators used by the workload layer, data-volume
 decoration and plain-dict serialization.
 """

@@ -31,8 +31,9 @@ and :attr:`Dag.tasks` build ``Task`` values on demand; hot readers use
 Beyond that a job keeps only what a reader asks for. The repr-sorted
 ``edges`` tuple is built from the adjacency on first read; the critical-path
 length (deadline assignment, the deferred-job check) is memoised as one
-float; the bottom-level map (the mapper's priorities) and the topo-order
-index are built on first use.
+float. The bottom-level map (the mapper's priorities) and the topo-order
+index are built afresh on each call and kept by no one: a mapping reads
+each once, and a job holds no per-task map after it.
 
 The core keeps every check but pays for them with whole-collection tests
 (the smallest weight, a dict of the ids, adjacency appends that fail on an
@@ -103,8 +104,7 @@ class Dag:
     """
 
     __slots__ = (
-        "_index", "_c", "_v", "_preds", "_succs", "_edges", "_order", "name", "_cp", "_bl",
-        "_topo_index",
+        "_index", "_c", "_v", "_preds", "_succs", "_edges", "_order", "name", "_cp",
     )
 
     def __init__(
@@ -197,12 +197,9 @@ class Dag:
         self._preds: Dict[TaskId, Tuple[TaskId, ...]] = {k: tuple(x) for k, x in preds.items()}
         self._succs: Dict[TaskId, Tuple[TaskId, ...]] = {k: tuple(x) for k, x in succs.items()}
         # lazy memos (the graph is immutable, so they never go stale): the
-        # sorted edge tuple, the critical-path length, the bottom levels and
-        # the topo-order index
+        # sorted edge tuple and the critical-path length
         self._edges: Optional[Tuple[Tuple[TaskId, TaskId], ...]] = None
         self._cp: Optional[float] = None
-        self._bl: Optional[Dict[TaskId, float]] = None
-        self._topo_index: Optional[Dict[TaskId, int]] = None
         try:
             self._order: Tuple[TaskId, ...] = self._toposort()
         except CycleError:
@@ -232,8 +229,7 @@ class Dag:
         new._preds, new._succs = self._preds, self._succs
         # the sorted tuple itself: every copy would sort it again
         new._edges, new._order = self.edges, self._order
-        new._cp = new._bl = None
-        new._topo_index = self.topo_index()
+        new._cp = None
         return new
 
     # -- basic accessors ---------------------------------------------------
@@ -304,28 +300,21 @@ class Dag:
         return self._order
 
     def topo_index(self) -> Dict[TaskId, int]:
-        """Memoised ``task -> position in topological_order()`` map.
+        """A fresh ``task -> position in topological_order()`` map, O(|T|).
 
-        Shared and read-only by convention — list-scheduling tie-breaks
-        look positions up, they never write.
+        Not memoised: a job keeps no per-task map once its mapping is
+        done (list-scheduling tie-breaks build it once per mapping).
         """
-        idx = self._topo_index
-        if idx is None:
-            idx = {t: i for i, t in enumerate(self._order)}
-            self._topo_index = idx
-        return idx
+        return {t: i for i, t in enumerate(self._order)}
 
     def bottom_levels(self) -> Dict[TaskId, float]:
-        """Memoised node-weighted longest path to a sink, inclusive (§12).
+        """Node-weighted longest path to a sink, inclusive (§12), as a fresh
+        map: ``bl(t) = c(t) + max(bl(s) for s in Γ⁺(t))``, O(|T| + |E|).
 
-        ``bl(t) = c(t) + max(bl(s) for s in Γ⁺(t))``. The graph is
-        immutable, so the map is computed once; callers treat it as
-        read-only.
+        Not memoised, for the same reason as :meth:`topo_index`: the mapper
+        reads it once per mapping, next to its own O(|T|·|U|) work.
         """
-        bl = self._bl
-        if bl is None:
-            bl = self._bl = self._bottom_levels()
-        return bl
+        return self._bottom_levels()
 
     def critical_path_length(self) -> float:
         """Memoised length (sum of complexities) of the longest path: the
@@ -333,7 +322,7 @@ class Dag:
         bottom-level map it is read off."""
         cp = self._cp
         if cp is None:
-            bl = self._bl if self._bl is not None else self._bottom_levels()
+            bl = self._bottom_levels()
             preds = self._preds
             cp = self._cp = max([bl[t] for t in self._order if not preds[t]])
         return cp

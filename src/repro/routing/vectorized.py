@@ -12,7 +12,7 @@ applies the same replacement rule as :meth:`RoutingTable.consider`
 (strictly shorter within :data:`~repro.types.EPS`, or equal-delay with a
 lower next-hop id), and candidate delays are accumulated in the same
 association order the protocol uses (``link delay + neighbour's
-accumulated delay``). The resulting distance/next-hop/hops/discovery
+accumulated delay``). The resulting distance/next-hop/discovery
 tables therefore match a simulated protocol run bit for bit — pinned by
 ``tests/routing/test_vectorized.py`` — which is what lets the oracle
 routing mode (:mod:`repro.routing.oracle`) install them directly into
@@ -40,7 +40,7 @@ from repro.types import EPS
 #: sentinel for "no route" in the integer matrices
 NO_ROUTE = -1
 
-#: dtype of destination ids and of the next-hop / hops / discovery arrays
+#: dtype of destination ids and of the next-hop / discovery arrays
 INDEX = np.int32
 
 #: entries of the ``(rows x n)`` scratch map a solve chunk addresses its
@@ -126,9 +126,9 @@ class SharedTables:
     Site ``i``'s row is the cell range ``indptr[i]:indptr[i + 1]``:
     ``cols`` holds the destination ids (ascending), ``dist`` the known
     minimum delay, ``next_hop`` the adjacent site the route leaves through
-    (``i`` itself on the self cell), ``hops`` the edge count of the path
-    realising ``dist`` and ``disc`` the phase at which the destination
-    entered the table (its BFS hop distance; ``0`` on the self cell).
+    (``i`` itself on the self cell) and ``disc`` the phase at which the
+    destination entered the table (its BFS hop distance; ``0`` on the self
+    cell), which is also the hop count the spheres read.
     Destinations outside the ball are absent, never stored as ``inf``.
     ``phases`` is the phase budget the tables were interrupted at.
 
@@ -139,18 +139,18 @@ class SharedTables:
     """
 
     __slots__ = (
-        "n", "phases", "indptr", "cols", "dist", "next_hop", "hops", "disc",
+        "n", "phases", "indptr", "cols", "dist", "next_hop", "disc",
         "_ptr", "_cols", "dist_mv", "next_hop_mv",
     )
 
-    def __init__(self, n: int, phases: int, indptr, cols, dist, next_hop, hops, disc) -> None:
+    def __init__(self, n: int, phases: int, indptr, cols, dist, next_hop, disc) -> None:
         self.n = n
         self.phases = phases
-        self._install(indptr, cols, dist, next_hop, hops, disc)
+        self._install(indptr, cols, dist, next_hop, disc)
 
-    def _install(self, indptr, cols, dist, next_hop, hops, disc) -> None:
+    def _install(self, indptr, cols, dist, next_hop, disc) -> None:
         self.indptr, self.cols, self.dist = indptr, cols, dist
-        self.next_hop, self.hops, self.disc = next_hop, hops, disc
+        self.next_hop, self.disc = next_hop, disc
         # memoryviews index to plain Python ints/floats: the per-message
         # lookups (cell, next hop, delay) never build numpy scalars
         self._ptr = memoryview(indptr)
@@ -159,7 +159,7 @@ class SharedTables:
         self.next_hop_mv = memoryview(next_hop)
 
     def _arrays(self) -> Tuple[np.ndarray, ...]:
-        return (self.cols, self.dist, self.next_hop, self.hops, self.disc)
+        return (self.cols, self.dist, self.next_hop, self.disc)
 
     def row(self, sid: int) -> slice:
         """The cell range of site ``sid``'s row."""
@@ -307,7 +307,7 @@ def _balls(links: Links, rows: np.ndarray, phases: int):
 
 
 def _solve(links: Links, rows: np.ndarray, phases: int, indptr, cols, disc):
-    """``(dist, next_hop, hops)`` over the ball layout, phase by phase.
+    """``(dist, next_hop)`` over the ball layout, phase by phase.
 
     Phase 1 is the self cell plus the adjacent links. Each later phase
     ``p`` offers, to every row ``i`` and every neighbour ``u`` of ``i`` in
@@ -323,18 +323,15 @@ def _solve(links: Links, rows: np.ndarray, phases: int, indptr, cols, disc):
     deg = links.degree()
     dist = np.full(size, np.inf)
     next_hop = np.full(size, NO_ROUTE, dtype=INDEX)
-    hops = np.full(size, NO_ROUTE, dtype=INDEX)
     own = disc == 0
     next_hop[own] = cols[own]
-    hops[own] = 0
     dist[own] = 0.0
     # a row's hop-1 cells are its links, both in ascending neighbour order
     adjacent = disc == 1
     next_hop[adjacent] = cols[adjacent]
-    hops[adjacent] = 1
     dist[adjacent] = links.delay[_ranges(links.ptr[rows], deg[rows])]
     if phases < 2 or not size:
-        return dist, next_hop, hops
+        return dist, next_hop
 
     # Rows go most links first, so a chunk's rows have similar degrees (a
     # chunk runs as many rank batches as its largest degree) and rank r's
@@ -363,7 +360,6 @@ def _solve(links: Links, rows: np.ndarray, phases: int, indptr, cols, disc):
             del before
             known_cols = cols[known]
             known_dist = dist[known]
-            known_hops = hops[known]
             del known
             changed = False
             for chunk, alive in chunks:
@@ -397,15 +393,14 @@ def _solve(links: Links, rows: np.ndarray, phases: int, indptr, cols, disc):
                     t = tgt[hit]
                     dist[t] = cand[hit]
                     next_hop[t] = u[np.searchsorted(ends, hit, side="right")]
-                    hops[t] = known_hops[src[hit]] + 1
                 scratch[keys] = NO_ROUTE
             # release this phase's snapshot before the next one is taken
-            del known_cols, known_dist, known_hops
+            del known_cols, known_dist
             if not changed:
                 # Fixpoint: remaining phases are no-ops (the protocol would
                 # keep exchanging empty deltas; the tables cannot change).
                 break
-    return dist, next_hop, hops
+    return dist, next_hop
 
 
 def phased_tables(
@@ -442,8 +437,8 @@ def phased_tables(
         keep = np.unique(np.asarray(rows, dtype=np.int64))
         solve = np.flatnonzero(hop_distances(links, keep, total_phases - 1) >= 0)
     indptr, cols, disc = _balls(links, solve, total_phases)
-    dist, next_hop, hops = _solve(links, solve, total_phases, indptr, cols, disc)
-    tables = SharedTables(links.n, total_phases, indptr, cols, dist, next_hop, hops, disc)
+    dist, next_hop = _solve(links, solve, total_phases, indptr, cols, disc)
+    tables = SharedTables(links.n, total_phases, indptr, cols, dist, next_hop, disc)
     return tables if rows is None else tables.take_rows(keep)
 
 

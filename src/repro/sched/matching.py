@@ -57,21 +57,37 @@ def hopcroft_karp(
                     q.append(w)
         return reachable_free
 
-    def dfs(u: Hashable) -> bool:
-        for v in adj[u]:
-            w = match_r.get(v)
-            if w is None or (dist.get(w) == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
-        return False
-
     while bfs():
         for u in lefts:
             if u not in match_l:
-                dfs(u)
+                _augment(u, adj, match_l, match_r, dist)
     return match_l
+
+
+def _augment(
+    u: Hashable,
+    adj: Mapping[Hashable, Sequence[Hashable]],
+    match_l: Dict[Hashable, Hashable],
+    match_r: Dict[Hashable, Hashable],
+    dist: Dict[Hashable, float],
+) -> bool:
+    """Hopcroft–Karp's layered augmenting search from the free left vertex
+    ``u``: flips the first shortest augmenting path found, in adjacency
+    order, and marks dead ends with ``INF``.
+
+    Module-level on purpose: a nested recursive function holds a closure
+    cell that points back at itself, and that cycle would keep every
+    call's ``adj`` / ``match_*`` / ``dist`` alive until the next cyclic
+    collection (the batch loop runs with the collector paused).
+    """
+    for v in adj[u]:
+        w = match_r.get(v)
+        if w is None or (dist.get(w) == dist[u] + 1 and _augment(w, adj, match_l, match_r, dist)):
+            match_l[u] = v
+            match_r[v] = u
+            return True
+    dist[u] = INF
+    return False
 
 
 def maximum_matching_bruteforce(

@@ -50,17 +50,9 @@ class PCS:
     def __len__(self) -> int:
         return len(self.members)
 
-    def all_sites(self) -> List[SiteId]:
-        """Members plus the root (the full sphere)."""
-        return sorted((self.root, *self.members))
-
     def nearest(self, count: int) -> List[SiteId]:
         """The ``count`` members closest in delay (ACS size bounding)."""
         return list(self.members[:count])
-
-    def radius(self) -> Time:
-        """Max root-to-member delay (0 for an empty sphere)."""
-        return max(self.distance.values(), default=0.0)
 
 
 def build_pcs(table: RoutingTable, h: int) -> PCS:

@@ -26,7 +26,19 @@ run. On the 24-site Montage cell below (Python 3.11, 2208 executed tasks):
   id map is the one its size shares. Montage jobs (re-weighted shapes, so
   only the bottom-level map goes): 111 B per generated task before, 48 B
   after. The small synthetic mix of the E9 macro cell (random layered and
-  Erdős–Rényi graphs beside the fixed shapes): 320 B, 191 B.
+  Erdős–Rényi graphs beside the fixed shapes): 320 B, 191 B;
+* and a job keeps no analysis map after it is mapped: the mapper builds
+  the bottom levels and the topo-order index afresh for each mapping
+  instead of memoising them on the ``Dag``. What ``repro/graphs/`` holds
+  when the run returns: 84 B per generated task with the memos, 35 B
+  without.
+
+The byte counts above are taken after one full collection, except the
+last: the run pauses the cyclic collector for its whole loop, so it is
+measured as the run left it. That collection used to hide what a run
+kept alive in reference cycles until it ended (every §10 coupling left
+one); ``tests/experiments/test_run_garbage.py`` now holds every run to
+none.
 
 Each budget sits between the two figures. Measured with ``tracemalloc``,
 not RSS, so it passes the same on any box. Executed tasks are counted from
@@ -59,6 +71,7 @@ E9_CELL = ExperimentConfig(
 )
 SCHED_BYTES_PER_EXECUTED_TASK = 300
 HISTORY_BYTES_PER_EXECUTED_TASK = 170
+GRAPH_BYTES_PER_GENERATED_TASK = 60
 #: (cell, tasks it generates at least, bytes per generated task)
 WORKLOAD_BUDGETS = {
     "montage": (CELL, 3000, 80),
@@ -66,20 +79,9 @@ WORKLOAD_BUDGETS = {
 }
 
 
-@pytest.fixture(scope="module")
-def drained():
-    """The cell's finished run, the number of tasks it executed, and what
-    each ``repro`` file still holds after it."""
-    tracemalloc.start()
-    try:
-        res = api.run(CELL)
-        gc.collect()
-        stats = tracemalloc.take_snapshot().statistics("filename")
-    finally:
-        tracemalloc.stop()
-    executed = sum(rec.n_done for rec in res.collector.records())
-    assert executed > 2000  # the bounds are per task, so the run must do work
-    assert all(site.executor.n_unfinished() == 0 for site in res.network.sites.values())
+def _holder(stats):
+    """``held(*parts)``: the bytes ``stats`` charges to files whose path
+    contains any of ``parts``."""
 
     def held(*parts):
         return sum(
@@ -88,6 +90,38 @@ def drained():
             if any(p in s.traceback[0].filename.replace("\\", "/") for p in parts)
         )
 
+    return held
+
+
+@pytest.fixture(scope="module")
+def cell_run():
+    """The cell's finished run, and what each ``repro`` file holds after
+    it: as the run left it (``raw``, the collector still paused, as it is
+    for the whole loop) and after one full collection (``collected``)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        gc.disable()
+        try:
+            res = api.run(CELL)
+            raw = tracemalloc.take_snapshot().statistics("filename")
+        finally:
+            gc.enable()
+        gc.collect()
+        collected = tracemalloc.take_snapshot().statistics("filename")
+    finally:
+        tracemalloc.stop()
+    return res, _holder(raw), _holder(collected)
+
+
+@pytest.fixture(scope="module")
+def drained(cell_run):
+    """The number of tasks the cell executed, and what each ``repro`` file
+    still holds after a full collection."""
+    res, _, held = cell_run
+    executed = sum(rec.n_done for rec in res.collector.records())
+    assert executed > 2000  # the bounds are per task, so the run must do work
+    assert all(site.executor.n_unfinished() == 0 for site in res.network.sites.values())
     return executed, held
 
 
@@ -101,6 +135,15 @@ def test_plans_executors_and_the_collector_keep_an_executed_task_in_at_most_170_
     executed, held = drained
     per_task = held("/repro/sched/", "/repro/metrics/", "/repro/core/events.py") / executed
     assert per_task <= HISTORY_BYTES_PER_EXECUTED_TASK, f"{per_task:.0f} B per executed task"
+
+
+def test_a_run_leaves_at_most_60_graph_bytes_per_generated_task(cell_run):
+    """What ``repro/graphs/`` holds when the run returns, before any
+    collection: the jobs themselves, and no per-job analysis map."""
+    res, held, _ = cell_run
+    tasks = sum(len(job.dag) for job in res.workload.jobs)
+    per_task = held("/repro/graphs/") / tasks
+    assert per_task <= GRAPH_BYTES_PER_GENERATED_TASK, f"{per_task:.0f} B per generated task"
 
 
 @pytest.mark.parametrize("mix", sorted(WORKLOAD_BUDGETS))

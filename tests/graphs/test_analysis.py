@@ -1,6 +1,6 @@
 """Tests for the per-job DAG quantities RTDS reads: the §12 bottom levels
-and the critical-path length that sets deadlines (both memoised on
-:class:`~repro.graphs.dag.Dag`)."""
+and the critical-path length that sets deadlines (both read off
+:class:`~repro.graphs.dag.Dag`; only the length is memoised)."""
 
 import pytest
 

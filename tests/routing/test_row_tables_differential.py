@@ -2,7 +2,7 @@
 
 ``phased_tables`` lays each site's row out over its ``P``-hop ball and
 solves those cells alone. The claim, for any network: every row's
-``(cols, dist, next_hop, hops, disc)`` is exactly the finite cells of
+``(cols, dist, next_hop, disc)`` is exactly the finite cells of
 the same row of the frozen dense solve
 (``tests/frozen_reference.phased_tables_reference``), float for float.
 It must keep holding after joins repaired in place, and for a row
@@ -36,7 +36,7 @@ def assert_rows_match_dense(tables, ref):
     np.testing.assert_array_equal(np.diff(tables.indptr), known.sum(axis=1))
     rows, cols = np.nonzero(known)
     np.testing.assert_array_equal(tables.cols, cols)
-    for name in ("dist", "next_hop", "hops", "disc"):
+    for name in ("dist", "next_hop", "disc"):
         np.testing.assert_array_equal(
             getattr(tables, name), getattr(ref, name)[rows, cols], err_msg=name
         )

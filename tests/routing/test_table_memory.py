@@ -2,7 +2,7 @@
 
 The dense layout cost 20 table bytes per *site pair* plus 8 for the weight
 matrix: ~470 MB at 4096 sites, of which 1.5 % of the cells were ever
-known. Row tables cost 24 bytes per *known cell* plus 8 per site, and the
+known. Row tables cost 20 bytes per *known cell* plus 8 per site, and the
 RTDS oracle path never builds the weight matrix. Measured with
 ``tracemalloc``, not RSS, so these pass the same on any box.
 """
@@ -35,7 +35,7 @@ def test_geometric_4096_tables_fit_in_16_mb():
     assert held <= 16e6, f"tables hold {held / 1e6:.1f} MB"
     # no n x n temporary either: one int32 4096 x 4096 array is 67 MB
     assert peak <= 32e6, f"peak {peak / 1e6:.1f} MB"
-    assert held >= 24 * tables.cols.size  # the row arrays themselves
+    assert held >= 20 * tables.cols.size  # the row arrays themselves
 
 
 def test_a_ba256_cell_holds_at_most_28_table_bytes_per_known_cell():
@@ -59,7 +59,7 @@ def test_a_ba256_cell_holds_at_most_28_table_bytes_per_known_cell():
     finally:
         tracemalloc.stop()
     assert cells > 0.5 * 256 * 256  # the balls cover most of the matrix
-    assert 24 <= held / cells <= 28, f"{held / cells:.1f} bytes per known cell"
+    assert 20 <= held / cells <= 28, f"{held / cells:.1f} bytes per known cell"
 
 
 @pytest.mark.parametrize("algorithm", ["rtds", "local"])

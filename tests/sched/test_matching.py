@@ -1,5 +1,7 @@
 """Tests for maximum bipartite matching (the §10 coupling)."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,20 @@ class TestHopcroftKarp:
     def test_no_edges_left_vertex(self):
         m = hopcroft_karp({"a": [], "b": ["x"]})
         assert m == {"b": "x"}
+
+    def test_reference_counting_frees_a_coupling(self):
+        """No reference cycle: the batch loop runs with the cyclic
+        collector paused (DESIGN §8.4), so a coupling that left one would
+        keep its adjacency copy and match maps until the run ends."""
+        adj = {"a": ["x", "y"], "b": ["x"]}  # needs an augmenting path
+        gc.collect()
+        gc.disable()
+        try:
+            m = hopcroft_karp(adj)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert m == {"a": "y", "b": "x"}
 
     def test_deterministic(self):
         adj = {i: [j for j in range(5)] for i in range(5)}

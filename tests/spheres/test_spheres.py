@@ -60,11 +60,10 @@ class TestPCSMembership:
         dists = [pcs.distance[m] for m in pcs.members]
         assert dists == sorted(dists)
 
-    def test_radius_and_nearest(self):
+    def test_nearest(self):
         topo = line(5, delay_range=(2.0, 2.0))
         sim, net, protos = setup_routed(topo, 4)
         pcs = build_pcs(protos[2].table, 2)
-        assert pcs.radius() == pytest.approx(4.0)
         assert set(pcs.nearest(2)) == {1, 3}
 
     def test_invalid_h(self):
