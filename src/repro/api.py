@@ -1,6 +1,6 @@
 """The stable experiment API — one import for every way to run the system.
 
-Everything a user script, notebook, or CI job needs lives behind five
+Everything a user script, notebook, or CI job needs lives behind four
 verbs; the subpackages stay importable for power use, but this module is
 the supported surface and the one the README/examples build on:
 
@@ -14,14 +14,13 @@ the supported surface and the one the README/examples build on:
 ``soak(config, progress=None)``
     A long-lived open-loop service soak (E12): jobs stream through the
     admission service against one resident network; periodic samples.
-``chaos(config, progress=None)``
-    The E13 chaos soak: membership joins, site churn, and message loss
-    layered on a soak.
+    With a fault plan (``config.faults``) it is the E13 chaos soak: site
+    churn and mid-flight joins, and a survivability ledger in the report.
 ``trace(config, out=None)``
     One telemetry-enabled run exported as a Chrome trace-event timeline
     (open in https://ui.perfetto.dev) for span-by-span inspection.
 
-All five are thin, documented delegates — no behavior of their own — so
+All four are thin, documented delegates — no behavior of their own — so
 ``repro.api`` results are bit-for-bit those of the underlying modules;
 ``campaign`` is one more row-table declaration over
 :func:`repro.experiments.campaign.sweep_table`.
@@ -49,7 +48,6 @@ from repro.experiments.campaign import (
     sweep_fault_plans,
     sweep_table,
 )
-from repro.experiments.chaos import ChaosConfig, ChaosReport, ChaosSample, run_chaos
 from repro.experiments.evaluation import (
     sweep_ablations,
     sweep_load,
@@ -69,13 +67,9 @@ __all__ = [
     "SoakConfig",
     "SoakReport",
     "SoakSample",
-    "ChaosConfig",
-    "ChaosReport",
-    "ChaosSample",
     "run",
     "campaign",
     "soak",
-    "chaos",
     "trace",
     "sweep_load",
     "sweep_network_size",
@@ -164,27 +158,14 @@ def soak(
     config: SoakConfig,
     progress: Optional[Callable[[SoakSample], None]] = None,
 ) -> SoakReport:
-    """Run an open-loop service soak to completion (E12).
+    """Run an open-loop service soak to completion (E12; E13 with faults).
 
     Streams ``config.target_jobs`` arrivals through the admission
     service against one resident network, sampling throughput, latency
-    percentiles, guarantee ratio, and memory every
-    ``config.sample_every`` jobs. ``progress`` fires per sample.
+    percentiles, guarantee ratio, memory and the survivability ledger
+    every ``config.sample_every`` jobs. ``progress`` fires per sample.
     """
     return run_soak(config, progress=progress)
-
-
-def chaos(
-    config: ChaosConfig,
-    progress: Optional[Callable[[ChaosSample], None]] = None,
-) -> ChaosReport:
-    """Run the E13 chaos soak: a service soak under joins/churn/loss.
-
-    Membership joins, site downtime, and message loss run against the
-    soak while it streams jobs; the report adds repair and shedding
-    counters to the soak samples. ``progress`` fires per sample.
-    """
-    return run_chaos(config, progress=progress)
 
 
 def trace(

@@ -14,8 +14,8 @@
     rtds sweep-hetero --speeds uniform,skew:4 --workloads synthetic,trace:montage --jobs 4
     rtds run --sites 512 --routing oracle      # vectorized setup, no simulated routing
     rtds soak --target-jobs 100000 --arrival auto --metrics soak.jsonl   # E12
-    rtds soak --routing oracle --faults "joins=2,join_links=2" --fault-horizon 5000
-    rtds chaos --sites 32 --joins 4 --site-churn 12 --metrics chaos.jsonl   # E13
+    rtds soak --sites 32 --rho 0.5 --routing oracle --degraded-floor 0.2 \\
+        --faults "sites=12,downtime=40,joins=4,join_links=3" --metrics chaos.jsonl   # E13
 
 A thin argparse shell over :mod:`repro.api`: every subcommand turns its
 flags into one ``api`` call and prints the result; the seven ``sweep-*``
@@ -29,9 +29,10 @@ progress goes to stderr; tables go to stdout.
 
 Exit codes (:func:`main` is the single error boundary): ``0`` success;
 ``1`` the run failed (crashed campaign cells, each named by key and seed;
-a leaking soak; diverged chaos tables; a missing store); ``2`` the request
-was wrong — a :class:`~repro.errors.ConfigError` printed as one ``error:``
-line, like argparse's own usage errors.
+a leaking soak or one whose repaired routing tables differ from a
+rebuild; a missing store); ``2`` the request was wrong — a
+:class:`~repro.errors.ConfigError` printed as one ``error:`` line, like
+argparse's own usage errors.
 """
 
 from __future__ import annotations
@@ -428,34 +429,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_fields(args: argparse.Namespace) -> Dict[str, Any]:
-    """The config fields ``soak`` and ``chaos`` share (see ``service()``)."""
-    return {
-        "n_sites": args.sites,
-        "rho": args.rho,
-        "target_jobs": args.target_jobs,
-        "sample_every": args.sample_every,
-        "degraded_floor": args.degraded_floor,
-        "fault_horizon": args.fault_horizon,
-        "seed": args.seed,
-    }
-
-
-def _write_samples(report, args: argparse.Namespace) -> None:
-    if args.metrics is not None:
-        report.write_samples_jsonl(pathlib.Path(args.metrics))
-        print(f"wrote {len(report.samples)} samples to {args.metrics}")
-
-
 def _cmd_soak(args: argparse.Namespace) -> int:
     cfg = api.SoakConfig(
+        n_sites=args.sites,
         arrival=args.arrival,
+        rho=args.rho,
+        target_jobs=args.target_jobs,
         queue_capacity=args.queue_capacity,
         laxity_factor=args.laxity,
+        sample_every=args.sample_every,
         algorithm=args.algorithm,
         routing_mode=args.routing,
+        seed=args.seed,
         faults=args.faults,
-        **_service_fields(args),
+        fault_horizon=args.fault_horizon,
+        degraded_floor=args.degraded_floor,
     )
 
     def progress(s: api.SoakSample) -> None:
@@ -463,14 +451,17 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             f"  jobs {s.jobs_decided:>8}  sim {s.sim_time:>9.1f}  "
             f"{s.jobs_per_sec:>7.0f} j/s  GR {s.guarantee_ratio:.4f}  "
             f"p99 {s.lat_p99:>7.3f}  q {s.queue_depth:>5}  "
-            f"rss {s.rss_mb:>6.1f}MB  live {s.live_records:>6}",
+            f"rss {s.rss_mb:>6.1f}MB  live {s.live_records:>6}  "
+            f"joins {s.joins_applied}  rejoins {s.rejoins:>3}  "
+            f"downs {s.site_down_events:>3}  shed {s.shed_total:>5}",
             file=sys.stderr,
         )
 
     report = api.soak(cfg, progress=progress)
+    faults = f", faults {cfg.faults}" if cfg.faults else ""
     print(
         format_kv(
-            f"E12 soak ({args.arrival}, {args.sites} sites)",
+            f"E12 soak ({args.arrival}, {args.sites} sites{faults})",
             {
                 "jobs": report.n_jobs,
                 "wall_s": round(report.wall_s, 2),
@@ -483,58 +474,22 @@ def _cmd_soak(args: argparse.Namespace) -> int:
                 "max_queue_depth": report.max_queue_depth,
                 "rss_peak_mb": round(report.rss_peak_mb, 1),
                 "rss_growth_final80": round(report.rss_growth_final80, 4),
-                "leaked_unfinished": report.leaked_unfinished,
-            },
-        )
-    )
-    _write_samples(report, args)
-    return 0 if report.leaked_unfinished == 0 else 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    cfg = api.ChaosConfig(
-        joins=args.joins,
-        join_links=args.join_links,
-        site_churn=args.site_churn,
-        mean_downtime=args.mean_downtime,
-        **_service_fields(args),
-    )
-
-    def progress(s: api.ChaosSample) -> None:
-        print(
-            f"  jobs {s.jobs_decided:>8}  sim {s.sim_time:>9.1f}  "
-            f"GR {s.guarantee_ratio:.4f}  p99 {s.lat_p99:>7.3f}  "
-            f"joins {s.joins_applied}  rejoins {s.rejoins:>3}  "
-            f"downs {s.site_down_events:>3}  shed {s.shed_total:>5}  "
-            f"rss {s.rss_mb:>6.1f}MB",
-            file=sys.stderr,
-        )
-
-    report = api.chaos(cfg, progress=progress)
-    print(
-        format_kv(
-            f"E13 chaos soak ({args.sites} sites + {args.joins} joins, "
-            f"{args.site_churn} churn windows)",
-            {
-                "jobs": report.n_jobs,
-                "GR": round(report.guarantee_ratio, 4),
-                "effGR": round(report.effective_ratio, 4),
-                "lat_p99": round(report.lat_p99, 3),
                 "joins_applied": report.joins_applied,
                 "rejoins": report.rejoins,
                 "repaired_rows": report.repaired_rows,
                 "site_down_events": report.site_down_events,
                 "jobs_dropped": report.jobs_dropped,
                 "abandoned_reaped": report.abandoned_reaped,
+                "shed_queue_full": report.shed_queue_full,
                 "shed_degraded": report.shed_degraded,
                 "leaked_unfinished": report.leaked_unfinished,
                 "tables_converged": bool(report.tables_converged),
-                "wall_s": round(report.wall_s, 2),
-                "jobs_per_sec": round(report.jobs_per_sec, 1),
             },
         )
     )
-    _write_samples(report, args)
+    if args.metrics is not None:
+        report.write_samples_jsonl(pathlib.Path(args.metrics))
+        print(f"wrote {len(report.samples)} samples to {args.metrics}")
     ok = report.leaked_unfinished == 0 and report.tables_converged
     return 0 if ok else 1
 
@@ -699,42 +654,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_ab = sub.add_parser("sweep-ablations", help="E5 §13 generalization ablations")
     common(p_ab)
 
-    def service(p: argparse.ArgumentParser, sites: int, rho: float, floor) -> None:
-        """The flags ``soak`` and ``chaos`` share (defaults per command)."""
-        p.add_argument("--sites", type=int, default=sites)
-        p.add_argument("--rho", type=float, default=rho)
-        p.add_argument(
-            "--target-jobs", type=int, default=100_000, dest="target_jobs",
-            help="jobs to push through the resident network",
-        )
-        p.add_argument(
-            "--sample-every", type=int, default=2000, dest="sample_every",
-            help="decisions between trajectory samples",
-        )
-        p.add_argument(
-            "--degraded-floor", type=float, default=floor, dest="degraded_floor",
-            help="admission breaker: shed submit_nowait intake while the "
-            "windowed acceptance rate sits below this floor",
-        )
-        p.add_argument(
-            "--fault-horizon", type=float, default=None, dest="fault_horizon",
-            help="simulated span the fault/churn/join events are drawn over "
-            "(soak default: the config's batch duration — usually too short, "
-            "set it; chaos default: estimated from the arrival rate so chaos "
-            "covers the whole run)",
-        )
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--metrics", default=None,
-            help="write the per-sample trajectory as JSONL here (CI artifact)",
-        )
-
     p_soak = sub.add_parser(
         "soak",
         help="E12 long-lived admission soak: open-loop stream into one "
-        "resident network (jobs/sec, interval p99s, flat-RSS audit)",
+        "resident network (jobs/sec, interval p99s, flat-RSS audit); with "
+        "--faults, E13: site churn and mid-flight joins (survivability "
+        "ledger, bit-for-bit routing-repair check)",
     )
-    service(p_soak, sites=48, rho=0.6, floor=None)
+    p_soak.add_argument("--sites", type=int, default=48)
+    p_soak.add_argument("--rho", type=float, default=0.6)
+    p_soak.add_argument(
+        "--target-jobs", type=int, default=100_000, dest="target_jobs",
+        help="jobs to push through the resident network",
+    )
+    p_soak.add_argument(
+        "--sample-every", type=int, default=2000, dest="sample_every",
+        help="decisions between trajectory samples",
+    )
     p_soak.add_argument(
         "--arrival", default="auto",
         help='arrival process: "auto" (Poisson at --rho), "poisson:RATE", '
@@ -752,29 +688,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_soak.add_argument(
         "--faults", default=None,
         help='fault spec armed on the resident, e.g. "sites=6,downtime=30" '
-        'or "joins=2,join_links=2" (joins need --routing oracle)',
+        'or "sites=12,downtime=40,joins=4,join_links=3" (joins need '
+        "--routing oracle)",
     )
-
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="E13 chaos soak: the E12 open-loop campaign on a network under "
-        "continuous site churn and mid-flight joins (survivability ledger, "
-        "zero-leak audit, bit-for-bit routing-repair check)",
+    p_soak.add_argument(
+        "--fault-horizon", type=float, default=None, dest="fault_horizon",
+        help="simulated span the fault plan draws its churn/join events "
+        "over (default: the stream's expected span at --rho plus 10%%, so "
+        "the faults cover the whole run)",
     )
-    service(p_chaos, sites=32, rho=0.5, floor=0.2)
-    p_chaos.add_argument(
-        "--joins", type=int, default=4, help="sites that join mid-run"
+    p_soak.add_argument(
+        "--degraded-floor", type=float, default=None, dest="degraded_floor",
+        help="admission breaker: switches the intake to lossy submit_nowait, "
+        "which sheds (counted) when the queue is full and while the windowed "
+        "acceptance rate sits below this floor",
     )
-    p_chaos.add_argument(
-        "--join-links", type=int, default=3, dest="join_links",
-        help="links each joiner attaches with",
-    )
-    p_chaos.add_argument(
-        "--site-churn", type=int, default=12, dest="site_churn",
-        help="site down/up windows over the run",
-    )
-    p_chaos.add_argument(
-        "--mean-downtime", type=float, default=40.0, dest="mean_downtime"
+    p_soak.add_argument("--seed", type=int, default=0)
+    p_soak.add_argument(
+        "--metrics", default=None,
+        help="write the per-sample trajectory as JSONL here (CI artifact)",
     )
 
     return parser
@@ -790,7 +722,6 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "stats": _cmd_stats,
     "campaign": _cmd_campaign,
     "soak": _cmd_soak,
-    "chaos": _cmd_chaos,
 }
 
 

@@ -1,4 +1,4 @@
-"""E12 — the long-lived admission soak.
+"""E12 and E13 — the long-lived admission soak, on a still or a churning network.
 
 One resident network, one open-loop arrival stream, 10^5–10^6 jobs:
 :func:`run_soak` drives the admission service of :mod:`repro.service`
@@ -14,14 +14,36 @@ cannot:
   (:meth:`~repro.metrics.collector.MetricsCollector.fold_before`), sites
   pruned, and zero leaked executor records after the drain.
 
-Determinism: the simulated side (jobs, decisions, GR, admission-latency
-percentiles) is a pure function of the seeds; only wall-clock and RSS
-figures are machine-dependent. The e2e workload ``soak48`` (48 sites,
-ρ 0.6, 8 000 jobs) pins the former through its ``scalar_metrics`` digest
-and bounds the latter; ``tests/service/test_soak_fast.py`` holds the
-leak, queue-bound and RSS-flatness contracts in tier 1.
+E13 is the same soak with a fault plan (``faults``, e.g.
+``"sites=12,downtime=40,joins=4,join_links=3"``) on oracle routing: sites
+churn (down/up windows with rejoin handshakes) while new sites join
+mid-flight, each join repairing the shared routing tables incrementally
+(:mod:`repro.membership.repair`). Every sample and report carries the
+survivability ledger — joins applied, rejoins, routing rows repaired,
+spheres refreshed, site-down events, jobs dropped at dead origins, jobs
+shed — and the report's ``tables_converged`` bit re-derives every shared
+table from scratch and compares it bit for bit with the repaired one.
+Without faults the ledger is all zeros and ``tables_converged`` is 1.
 
-CLI: ``rtds soak`` (see EXPERIMENTS.md §E12).
+The intake follows ``degraded_floor``. Without a floor it is
+:meth:`~repro.service.admission.AdmissionService.submit`: a full queue
+stalls the arrivals until the pump has run it. With one it is the lossy
+:meth:`~repro.service.admission.AdmissionService.submit_nowait`: when the
+queue is full or the breaker is open (windowed acceptance rate below the
+floor), jobs are shed and counted, so churn cannot stall the clock that
+drives it.
+
+Determinism: the simulated side (jobs, decisions, GR, admission-latency
+percentiles, the ledger) is a pure function of the seeds; only
+wall-clock and RSS figures are machine-dependent. The e2e workload
+``soak48`` (48 sites, ρ 0.6, 8 000 jobs) pins the former through its
+``scalar_metrics`` digest and bounds the latter;
+``tests/service/test_soak_fast.py`` holds the leak, queue-bound and
+RSS-flatness contracts and ``tests/experiments/test_chaos.py`` the
+survivability ones in tier 1; the nightly workflow pins the counts of a
+10^5-job faulted soak.
+
+CLI: ``rtds soak`` (see EXPERIMENTS.md §E12 and §E13).
 """
 
 from __future__ import annotations
@@ -35,16 +57,21 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigError, WorkloadError
 from repro.experiments.runner import ExperimentConfig
+from repro.faults.injector import FaultStats
+from repro.membership.manager import MembershipStats
 from repro.obs.telemetry import current_rss_mb
 from repro.service.admission import AdmissionService
 from repro.service.resident import ResidentSimulation
 from repro.workloads.arrivals import PoissonProcess, parse_arrival_spec
 from repro.workloads.openloop import OpenLoopSpec, open_loop_jobs, open_loop_rate
 
-#: the E12 network: the E9 macro bench's 48-site wide-area graph
-SOAK_TOPOLOGY = {"n": 48, "p": 4.0 / 47.0, "delay_range": (0.2, 1.0)}
 #: simulated-time units between hygiene passes (prune + fold)
 HYGIENE_INTERVAL = 200.0
+#: decisions the admission breaker's acceptance rate is taken over
+DEGRADED_WINDOW = 500
+#: jobs the lossy intake submits between pumps (keeps the queue shallow
+#: without a pump per job)
+LOSSY_BATCH = 64
 
 
 @dataclass
@@ -66,14 +93,15 @@ class SoakConfig:
     seed: int = 0
     telemetry: bool = False
     #: fault spec (:meth:`~repro.faults.plan.FaultPlan.from_spec`), e.g.
-    #: "sites=4,downtime=40,joins=2" — the resident arms it before intake
+    #: "sites=12,downtime=40,joins=4,join_links=3" — the resident arms it
+    #: before intake (joins need ``routing_mode="oracle"``)
     faults: Optional[str] = None
-    #: window the plan draws its events over; defaults to the config's
-    #: batch ``duration`` (usually too short for a soak — set it)
+    #: window the plan draws its events over; None = the stream's expected
+    #: span plus 10% (:meth:`fault_span`)
     fault_horizon: Optional[float] = None
-    #: acceptance-rate floor of the admission breaker (None = breaker off)
+    #: acceptance-rate floor of the admission breaker; setting it switches
+    #: the intake to the lossy ``submit_nowait`` (None = backpressure)
     degraded_floor: Optional[float] = None
-    degraded_window: int = 200
 
     def __post_init__(self) -> None:
         if self.target_jobs < 1:
@@ -96,16 +124,27 @@ class SoakConfig:
 
         return FaultPlan.from_spec(self.faults)
 
+    def fault_span(self) -> Optional[float]:
+        """The span the fault plan draws its events over (None without faults).
+
+        ``fault_horizon`` when set; otherwise the stream's expected span at
+        the ``rho`` rate plus a 10% margin, so churn runs through the
+        drain's tail. The soak network is speed-homogeneous — one unit per
+        base site — so the rate is known before anything is built.
+        """
+        if self.fault_horizon is not None or not self.faults:
+            return self.fault_horizon
+        rate = open_loop_rate(self.rho, [1.0] * self.n_sites, seed=self.seed)
+        return 1.1 * self.target_jobs / rate
+
     def experiment_config(self) -> ExperimentConfig:
         """The resident network's config (workload knobs unused; the
         surplus window is the runner's default)."""
-        topo = dict(SOAK_TOPOLOGY)
-        if self.n_sites != 48:
-            topo = {
-                "n": self.n_sites,
-                "p": min(1.0, 4.0 / max(1, self.n_sites - 1)),
-                "delay_range": (0.2, 1.0),
-            }
+        topo = {
+            "n": self.n_sites,
+            "p": min(1.0, 4.0 / max(1, self.n_sites - 1)),
+            "delay_range": (0.2, 1.0),
+        }
         plan = self.fault_plan()
         kwargs = {}
         if plan is not None and plan.perturbs_network() and self.algorithm == "rtds":
@@ -159,11 +198,19 @@ class SoakSample:
     #: collector records still live (unfolded) — flat when folding works
     live_records: int
     folded: int
+    #: survivability ledger so far (zeros without faults)
+    joins_applied: int
+    rejoins: int
+    repaired_rows: int
+    site_down_events: int
+    shed_total: int
+    degraded: int
 
 
 @dataclass
 class SoakReport:
-    """Everything one soak run measured."""
+    """Everything one soak run measured; ``n_jobs`` counts decisions,
+    i.e. the ``submitted`` stream minus what the lossy intake shed."""
 
     config: Dict[str, object]
     n_jobs: int
@@ -187,6 +234,24 @@ class SoakReport:
     leaked_unfinished: int
     live_records_final: int
     folded_total: int
+    #: jobs the stream offered, and what the lossy intake shed of them
+    submitted: int
+    shed_queue_full: int
+    shed_degraded: int
+    degraded_entered: int
+    #: membership ledger
+    joins_applied: int
+    rejoins: int
+    links_added: int
+    repaired_rows: int
+    spheres_refreshed: int
+    #: churn ledger
+    site_down_events: int
+    jobs_dropped: int
+    #: gate-blocked executor records reaped by hygiene (lost results)
+    abandoned_reaped: int
+    #: 1 iff every repaired shared table equals a from-scratch rebuild
+    tables_converged: int
     samples: List[SoakSample] = field(default_factory=list)
 
     def scalar_metrics(self) -> Dict[str, float]:
@@ -204,31 +269,13 @@ class SoakReport:
                 fh.write(json.dumps(asdict(s), sort_keys=True) + "\n")
 
 
-def _backpressured_intake(svc: AdmissionService, jobs, after_each) -> None:
-    """E12's intake: ``submit`` — a full queue stalls the arrivals until
-    the pump has run it."""
-    for job in jobs:
-        svc.submit(job)
-        after_each()
-
-
 def run_soak(
     config: SoakConfig,
     progress: Optional[Callable[[SoakSample], None]] = None,
-    *,
-    intake: Callable = _backpressured_intake,
-    ledger: Optional[Callable] = None,
 ) -> SoakReport:
-    """Run one soak to completion.
-
-    The loop is E13's too (:mod:`repro.experiments.chaos`), which passes
-    its own ``intake(svc, jobs, after_each)`` — the function submitting
-    the stream, ``after_each()`` being the per-job sampling hook — and a
-    ``ledger(res, svc)`` returning the ``(sample, report)`` constructors
-    that add its fields to the core keywords.
-    """
+    """Run one soak to completion."""
     res = ResidentSimulation(
-        config.experiment_config(), fold=True, fault_horizon=config.fault_horizon
+        config.experiment_config(), fold=True, fault_horizon=config.fault_span()
     )
     spec = config.open_loop_spec(res.capacities())
     svc = AdmissionService(
@@ -236,10 +283,12 @@ def run_soak(
         queue_capacity=config.queue_capacity,
         hygiene_interval=HYGIENE_INTERVAL,
         degraded_floor=config.degraded_floor,
-        degraded_window=config.degraded_window,
+        degraded_window=DEGRADED_WINDOW,
     )
-
-    make_sample, make_report = ledger(res, svc) if ledger else (SoakSample, SoakReport)
+    # an all-zero stats object stands in for a half that is switched off
+    membership, injector = res.resident.membership, res.resident.injector
+    mstats = membership.stats if membership is not None else MembershipStats()
+    fstats = injector.stats if injector is not None else FaultStats()
 
     samples: List[SoakSample] = []
     t0 = time.perf_counter()
@@ -252,7 +301,7 @@ def run_soak(
         dt = wall - state["last_wall"]
         rate = (decided - state["last_decided"]) / dt if dt > 0 else 0.0
         window = svc.latency.snapshot(qs=(50.0, 99.0))
-        sample = make_sample(
+        sample = SoakSample(
             jobs_decided=decided,
             wall_s=wall,
             sim_time=res.now,
@@ -264,6 +313,12 @@ def run_soak(
             rss_mb=current_rss_mb() or rss0,
             live_records=res.live_records(),
             folded=res.resident.metrics.n_folded,
+            joins_applied=mstats.joins_applied,
+            rejoins=mstats.rejoins,
+            repaired_rows=mstats.repaired_rows,
+            site_down_events=fstats.site_down_events,
+            shed_total=svc.stats.queue_full + svc.stats.shed_degraded,
+            degraded=int(svc.degraded),
         )
         samples.append(sample)
         state["last_wall"] = wall
@@ -272,27 +327,34 @@ def run_soak(
             progress(sample)
         return sample
 
-    def sample_if_due() -> None:
+    lossy = config.degraded_floor is not None
+    jobs = itertools.islice(open_loop_jobs(spec), config.target_jobs)
+    for i, job in enumerate(jobs):
+        if lossy:
+            svc.submit_nowait(job)
+        else:
+            svc.submit(job)
         if svc.stats.decided >= state["next_at"]:
             take_sample()
             state["next_at"] = svc.stats.decided + config.sample_every
-
-    intake(svc, itertools.islice(open_loop_jobs(spec), config.target_jobs), sample_if_due)
+        if lossy and i % LOSSY_BATCH == LOSSY_BATCH - 1:
+            svc.pump()
     svc.drain()
     final = take_sample()
 
     wall = final.wall_s
     peak = max(s.rss_mb for s in samples)
     # every enqueued job is decided by now: 20% of target_jobs for the
-    # backpressured soak, fewer when a lossy intake shed some
+    # backpressured soak, fewer when the lossy intake shed some
     cut = svc.stats.decided * 0.2
     early = [s for s in samples if s.jobs_decided >= cut]
     rss_at_20 = early[0].rss_mb if early else samples[0].rss_mb
     growth = max(0.0, final.rss_mb - rss_at_20)
     lat = svc.latency.percentiles(qs=(50.0, 99.0))
     metrics = res.resident.metrics
+    shed = svc.stats.queue_full + svc.stats.shed_degraded
 
-    return make_report(
+    return SoakReport(
         config=asdict(config),
         n_jobs=svc.stats.decided,
         wall_s=wall,
@@ -311,5 +373,14 @@ def run_soak(
         leaked_unfinished=res.unfinished_plan_records(),
         live_records_final=res.live_records(),
         folded_total=metrics.n_folded,
+        submitted=svc.stats.submitted + shed,
+        shed_queue_full=svc.stats.queue_full,
+        shed_degraded=svc.stats.shed_degraded,
+        degraded_entered=svc.stats.degraded_entered,
+        **mstats.row(),
+        site_down_events=fstats.site_down_events,
+        jobs_dropped=fstats.jobs_dropped,
+        abandoned_reaped=res.resident.abandoned_reaped,
+        tables_converged=int(membership.verify_converged()) if membership else 1,
         samples=samples,
     )

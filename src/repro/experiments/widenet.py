@@ -38,7 +38,7 @@ from repro.errors import ConfigError
 from repro.experiments.campaign import mean, mean_pm, runs, sweep_table
 from repro.experiments.parallel import CampaignStore, ProgressFn
 from repro.experiments.runner import ExperimentConfig
-from repro.workloads.scenarios import widenet_workload_defaults
+from repro.workloads.scenarios import WIDENET_WORKLOAD
 
 #: the E10 cell axes: topology families x network sizes
 E10_KINDS: Tuple[str, ...] = ("geometric", "barabasi_albert")
@@ -84,7 +84,6 @@ def widenet_config(
     ``"protocol"`` to measure what the simulated setup used to cost.
     """
     topology, topology_kwargs = widenet_topology(kind, n)
-    knobs = widenet_workload_defaults(n)
     cfg = base if base is not None else ExperimentConfig()
     return replace(
         cfg,
@@ -93,7 +92,7 @@ def widenet_config(
         routing_mode=routing_mode,
         seed=seed,
         label=f"{kind}-{n}",
-        **knobs,
+        **WIDENET_WORKLOAD,
     )
 
 

@@ -29,28 +29,16 @@ from repro.workloads.load import pilot_rate
 DagFactory = Callable[[np.random.Generator], Dag]
 
 #: workload knobs of the E10 wide-network cells: per-site offered load is
-#: held constant (so total job count grows linearly with n and a cell's
-#: cost is predictable), deadlines stay at the default laxity, and DAGs
-#: stay small so the protocol — not task parallelism — dominates.
+#: held constant (so total job count grows linearly with n and a 1024-site
+#: cell finishes in seconds on one core), deadlines stay at the default
+#: laxity, and DAGs stay small so the protocol — not task parallelism —
+#: dominates.
 WIDENET_WORKLOAD = {
     "rho": 0.35,
     "duration": 120.0,
     "laxity_factor": 3.0,
     "dag_size": "small",
 }
-
-
-def widenet_workload_defaults(n_sites: int) -> dict:
-    """Workload knobs for one E10 wide-network cell (see :data:`WIDENET_WORKLOAD`).
-
-    Shaped so a 1024-site cell finishes in seconds on one core: arrivals
-    scale linearly with ``n_sites`` through the per-site load alone. The
-    ``n_sites`` parameter does not currently alter the knobs — it is the
-    hook for future size-dependent shaping; the "cells start at 8 sites"
-    floor is enforced once, by
-    :func:`repro.experiments.widenet.widenet_topology`.
-    """
-    return dict(WIDENET_WORKLOAD)
 
 
 def mixed_dag_factory(

@@ -72,9 +72,9 @@ def metrics() -> MetricsCollector:
 
 @pytest.fixture
 def soak_residents(monkeypatch):
-    """The ``ResidentSimulation`` of every ``run_soak`` / ``run_chaos`` made
-    while the fixture is active — their reports carry numbers only, and the
-    per-site ``leaks()`` audit needs the sites."""
+    """The ``ResidentSimulation`` of every ``run_soak`` made while the
+    fixture is active — their reports carry numbers only, and the per-site
+    ``leaks()`` audit needs the sites."""
     from repro.experiments import soak
 
     built = []

@@ -1,60 +1,47 @@
 """E13 chaos-soak contracts at tier-1 scale (~10^3 jobs).
 
-The full 10^5-job campaign is the nightly workflow's
-``api.chaos(ChaosConfig())`` heredoc; this is the fast always-on variant
-that keeps the survivability contracts from regressing in ordinary CI:
+A chaos soak is the E12 soak with a fault plan: a :class:`SoakConfig`
+with a ``faults`` spec, oracle routing and a ``degraded_floor`` (the
+lossy intake). The full 10^5-job campaign is the nightly workflow's
+``api.soak(api.SoakConfig(n_sites=32, ..., faults=...))`` heredoc; this
+is the fast always-on variant that keeps the survivability contracts
+from regressing in ordinary CI:
 
 * every planned join applies and the repaired routing tables converge
   bit-for-bit against a from-scratch rebuild,
 * zero leaked executor records after drain (abandoned records reaped),
-* the report's survivability ledger is internally consistent.
+* the report's survivability ledger is internally consistent,
+* without ``fault_horizon`` the plan's events span the whole stream.
 """
 
-import pytest
+from repro.core.config import RTDSConfig
+from repro.experiments.soak import SoakConfig, run_soak
+from repro.faults import FaultPlan, hardened
 
-from repro.errors import ConfigError
-from repro.experiments.chaos import ChaosConfig, run_chaos
-
-_CFG = ChaosConfig(
+_CFG = SoakConfig(
     n_sites=12,
-    joins=2,
-    join_links=2,
-    site_churn=4,
-    mean_downtime=25.0,
     rho=0.5,
     target_jobs=800,
     queue_capacity=256,
     sample_every=200,
-    degraded_window=200,
+    routing_mode="oracle",
+    faults="sites=4,downtime=25,joins=2,join_links=2",
+    degraded_floor=0.2,
     seed=1,
 )
 
 
-def test_chaos_config_requires_chaos():
-    with pytest.raises(ConfigError, match="needs chaos"):
-        ChaosConfig(joins=0, site_churn=0)
-    with pytest.raises(ConfigError):
-        ChaosConfig(joins=-1)
-
-
-def test_fault_spec_composition():
-    assert _CFG.fault_spec() == "sites=4,downtime=25,joins=2,join_links=2"
-    churn_only = ChaosConfig(joins=0, site_churn=3, mean_downtime=10.0)
-    assert churn_only.fault_spec() == "sites=3,downtime=10"
-    join_only = ChaosConfig(joins=1, site_churn=0)
-    assert join_only.fault_spec() == "joins=1,join_links=3"
-
-
 def test_soak_config_shape():
-    soak = _CFG.soak_config()
-    assert soak.algorithm == "rtds"
-    assert soak.routing_mode == "oracle"
-    assert soak.faults == _CFG.fault_spec()
-    assert soak.degraded_floor == _CFG.degraded_floor
+    cfg = _CFG.experiment_config()
+    assert cfg.algorithm == "rtds"
+    assert cfg.routing_mode == "oracle"
+    assert cfg.faults == FaultPlan.from_spec(_CFG.faults)
+    # churn perturbs the network, so the protocol runs with its timeouts on
+    assert cfg.rtds == hardened(RTDSConfig())
 
 
 def test_chaos_run_contracts(soak_residents):
-    report = run_chaos(_CFG)
+    report = run_soak(_CFG)
 
     # accounting: everything submitted either decided or was shed/dropped
     assert report.submitted == _CFG.target_jobs
@@ -63,8 +50,8 @@ def test_chaos_run_contracts(soak_residents):
     assert report.n_jobs + shed >= report.folded_total
 
     # survivability ledger: every planned join applied and repaired rows
-    assert report.joins_applied == _CFG.joins
-    assert report.links_added == _CFG.joins * _CFG.join_links
+    assert report.joins_applied == 2
+    assert report.links_added == 2 * 2
     assert report.repaired_rows > 0
     assert report.spheres_refreshed > 0
     assert report.site_down_events > 0
@@ -89,8 +76,8 @@ def test_chaos_run_contracts(soak_residents):
 
 
 def test_chaos_deterministic():
-    a = run_chaos(_CFG)
-    b = run_chaos(_CFG)
+    a = run_soak(_CFG)
+    b = run_soak(_CFG)
     assert a.guarantee_ratio == b.guarantee_ratio
     assert a.n_jobs == b.n_jobs
     assert a.sim_time == b.sim_time
@@ -99,7 +86,7 @@ def test_chaos_deterministic():
 
 
 def test_chaos_report_serializes():
-    report = run_chaos(_CFG)
+    report = run_soak(_CFG)
     scalars = report.scalar_metrics()
     assert scalars["n_jobs"] == report.n_jobs
     assert "samples" not in scalars
@@ -107,7 +94,7 @@ def test_chaos_report_serializes():
 
 
 def test_chaos_samples_jsonl(tmp_path):
-    report = run_chaos(_CFG)
+    report = run_soak(_CFG)
     out = tmp_path / "samples.jsonl"
     report.write_samples_jsonl(out)
     lines = out.read_text().splitlines()
@@ -118,17 +105,17 @@ def test_chaos_samples_jsonl(tmp_path):
     assert "guarantee_ratio" in first and "joins_applied" in first
 
 
-#: CI's chaos smoke cell (``rtds chaos --sites 10 --joins 1 --join-links 2
-#: --site-churn 2 --mean-downtime 20 --target-jobs 500 --sample-every 200
-#: --seed 1``)
-_SMOKE = ChaosConfig(
+#: CI's chaos smoke cell (``rtds soak --sites 10 --rho 0.5 --routing oracle
+#: --degraded-floor 0.2 --faults "sites=2,downtime=20,joins=1,join_links=2"
+#: --target-jobs 500 --sample-every 200 --seed 1``)
+_SMOKE = SoakConfig(
     n_sites=10,
-    joins=1,
-    join_links=2,
-    site_churn=2,
-    mean_downtime=20.0,
+    rho=0.5,
     target_jobs=500,
     sample_every=200,
+    routing_mode="oracle",
+    faults="sites=2,downtime=20,joins=1,join_links=2",
+    degraded_floor=0.2,
     seed=1,
 )
 
@@ -147,7 +134,7 @@ def test_smoke_cell_simulated_fields_are_pinned(monkeypatch):
         return pump(self, jobs)
 
     monkeypatch.setattr(ResidentSimulation, "pump", recording)
-    report = run_chaos(_SMOKE)
+    report = run_soak(_SMOKE)
 
     assert batches == [64] * 7 + [52]
     simulated = {
@@ -171,3 +158,25 @@ def test_smoke_cell_simulated_fields_are_pinned(monkeypatch):
         "abandoned_reaped": 0,
         "tables_converged": 1,
     }
+
+
+def test_faulted_soak_spans_the_stream_by_default(soak_residents):
+    """Without ``fault_horizon`` the plan draws its churn and join times
+    over the stream's expected span, not the batch ``duration`` of 600."""
+    cfg = SoakConfig(
+        n_sites=10,
+        rho=0.5,
+        target_jobs=500,
+        sample_every=250,
+        routing_mode="oracle",
+        faults="sites=4,downtime=20,joins=2,join_links=2",
+        seed=1,
+    )
+    assert cfg.fault_horizon is None and cfg.experiment_config().duration == 600.0
+    run_soak(cfg)
+    resident = soak_residents[0].resident
+    starts = [w.start for w in resident.injector.site_windows]
+    starts += [ev.time for ev in resident.membership.events]
+    assert len(starts) == 6
+    assert max(starts) > 600.0
+    assert max(starts) < cfg.fault_span()

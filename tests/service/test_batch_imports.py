@@ -35,12 +35,14 @@ def _loaded_after(imports: str, modules) -> str:
 
 EVENT_LOOP = {"asyncio", "ssl", "selectors"}
 
-#: a tiny E12 soak and E13 chaos soak, run end to end in the child
+#: a tiny E12 soak and E13 chaos soak (faults, lossy intake), run end to
+#: end in the child
 SERVICE_RUNS = (
     "import repro.api as api; "
     "api.soak(api.SoakConfig(n_sites=6, target_jobs=60, sample_every=30)); "
-    "api.chaos(api.ChaosConfig(n_sites=6, joins=1, join_links=2, site_churn=1, "
-    "target_jobs=60, sample_every=30))"
+    "api.soak(api.SoakConfig(n_sites=6, target_jobs=60, sample_every=30, "
+    "routing_mode='oracle', degraded_floor=0.2, "
+    "faults='sites=1,downtime=40,joins=1,join_links=2'))"
 )
 
 

@@ -66,3 +66,18 @@ def test_fast_soak_deterministic_outcomes():
     assert a.lat_p50 == b.lat_p50
     assert a.lat_p99 == b.lat_p99
     assert a.sim_time == b.sim_time
+
+
+def test_degraded_floor_switches_a_fault_free_soak_to_the_lossy_intake():
+    """A floor the network cannot meet trips the breaker, and the soak then
+    sheds (counted) instead of queueing; every offered job is either
+    decided or shed."""
+    cfg = SoakConfig(n_sites=8, target_jobs=1500, sample_every=500, degraded_floor=0.99)
+    report = run_soak(cfg)
+    shed = report.shed_queue_full + report.shed_degraded
+    assert report.shed_degraded > 0 and report.degraded_entered >= 1
+    assert report.submitted == cfg.target_jobs == report.n_jobs + shed
+    assert report.backpressure_waits == 0
+    # no fault plan: the survivability ledger is all zeros
+    assert report.joins_applied == report.site_down_events == report.jobs_dropped == 0
+    assert report.tables_converged == 1

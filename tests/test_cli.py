@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import ChaosConfig
+from repro.api import SoakConfig
 from repro.cli import main
 from repro.errors import ConfigError
 
@@ -116,8 +116,9 @@ class TestParserIntrospection:
         )
         assert {
             "example", "run", "campaign", "sweep-faults", "sweep-load",
-            "soak", "chaos",
+            "soak",
         } <= set(sub.choices)
+        assert "chaos" not in sub.choices
 
 
 class TestSurvivability:
@@ -134,13 +135,14 @@ class TestSurvivability:
     def test_chaos_smoke(self, capsys, tmp_path):
         metrics = tmp_path / "chaos.jsonl"
         rc, out = run_cli(
-            capsys, "chaos", "--sites", "10", "--joins", "1",
-            "--join-links", "2", "--site-churn", "2", "--mean-downtime", "20",
+            capsys, "soak", "--sites", "10", "--rho", "0.5", "--routing", "oracle",
+            "--degraded-floor", "0.2",
+            "--faults", "sites=2,downtime=20,joins=1,join_links=2",
             "--target-jobs", "500", "--sample-every", "200",
             "--seed", "1", "--metrics", str(metrics),
         )
         assert rc == 0
-        assert "E13 chaos soak" in out
+        assert "E12 soak" in out and "faults sites=2" in out
         assert "joins_applied" in out
         assert "tables_converged" in out
         assert metrics.exists() and metrics.read_text().strip()
@@ -212,9 +214,12 @@ class TestErrorBoundary:
         assert line.startswith("error: ") and "--sites must be >= 2" in line
 
     def test_chaos_refuses_a_bad_arrival_spec_by_name(self):
-        """A chaos soak's arrival spec goes through the soak's check."""
+        """A faulted soak's arrival spec goes through the same check."""
         with pytest.raises(ConfigError, match="poisson rate must be > 0"):
-            ChaosConfig(arrival="poisson:nan")
+            SoakConfig(
+                arrival="poisson:nan", routing_mode="oracle", degraded_floor=0.2,
+                faults="sites=2,downtime=20,joins=1,join_links=2",
+            )
 
     def test_failing_cell_in_a_storeless_sweep_is_named(self, capsys, monkeypatch):
         import repro.experiments.parallel as par

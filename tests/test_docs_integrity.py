@@ -116,10 +116,11 @@ class TestDesignMd:
             "affected set",
             "lost_coordinator",
             "degraded_floor",
-            "rtds chaos",
+            "rtds soak --routing",
         ):
             assert concept.lower() in lower, f"DESIGN.md must document {concept!r}"
-        assert "api.chaos(ChaosConfig())" in text and "test_chaos.py" in text
+        assert 'faults="sites=12,downtime=40,joins=4,join_links=3"' in text
+        assert "test_chaos.py" in text
 
     def test_admission_cache_section(self):
         """DESIGN.md §15 must document the batched core & plan cache."""
@@ -250,8 +251,10 @@ class TestExperimentsMd:
     def test_e13_entry_names_gate_and_cli(self):
         """E13 must document its chaos gate, the CLI and the test lockdown."""
         text = section("EXPERIMENTS.md", "### E13 —")
-        assert "nightly" in text and "api.chaos(ChaosConfig())" in text
-        assert "rtds chaos" in text
+        assert "nightly" in text
+        assert 'api.soak(api.SoakConfig(n_sites=32, rho=0.5, routing_mode="oracle", ' in text
+        assert 'faults="sites=12,downtime=40,joins=4,join_links=3", degraded_floor=0.2))' in text
+        assert "rtds soak --sites 32 --rho 0.5 --routing oracle --degraded-floor 0.2" in text
         assert "--faults" in text
         assert "tables_converged" in text
         assert "test_repair.py" in text
@@ -327,6 +330,6 @@ class TestReadme:
             from repro import api
         finally:
             sys.path.pop(0)
-        for name in ("run", "campaign", "soak", "chaos", "trace",
+        for name in ("run", "campaign", "soak", "trace",
                      "ExperimentConfig"):
             assert hasattr(api, name), f"repro.api must export {name!r}"
