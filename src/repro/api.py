@@ -17,8 +17,8 @@ the supported surface and the one the README/examples build on:
     With a fault plan (``config.faults``) it is the E13 chaos soak: site
     churn and mid-flight joins, and a survivability ledger in the report.
 ``trace(config, out=None)``
-    One telemetry-enabled run exported as a Chrome trace-event timeline
-    (open in https://ui.perfetto.dev) for span-by-span inspection.
+    One traced run, its phase timeline exported as a Chrome trace-event
+    document (open in https://ui.perfetto.dev) for span-by-span inspection.
 
 All four are thin, documented delegates — no behavior of their own — so
 ``repro.api`` results are bit-for-bit those of the underlying modules;
@@ -171,23 +171,24 @@ def soak(
 def trace(
     config: ExperimentConfig, out: Optional[str] = None
 ) -> Tuple[RunResult, Dict[str, Any]]:
-    """Run once with telemetry on; return (result, Chrome trace document).
+    """Run once traced; return (result, Chrome trace document).
 
     The document follows the Chrome trace-event format — one lane per
-    site, one span per protocol phase of every job — and is validated
-    before it is returned. With ``out`` it is also written to that path.
-    Telemetry is forced on; everything else in ``config`` applies as
-    given (telemetry changes no simulation result, only observes it).
+    site, one span per protocol phase of every job, read off the run's
+    trace by :func:`repro.obs.run_telemetry` — and is validated before it
+    is returned. With ``out`` it is also written to that path. Tracing is
+    forced on; everything else in ``config`` applies as given (the tracer
+    changes no simulation result, only records it).
     """
     from repro.errors import ConfigError
-    from repro.obs.export import chrome_trace, validate_chrome_trace, write_chrome_trace
+    from repro.obs import chrome_trace, run_telemetry, validate_chrome_trace, write_chrome_trace
 
-    cfg = config if config.telemetry else replace(config, telemetry=True)
-    result = run_experiment(cfg)
-    doc = chrome_trace(result.telemetry)
+    result = run_experiment(config if config.trace else replace(config, trace=True))
+    obs = run_telemetry(result)
+    doc = chrome_trace(obs)
     problems = validate_chrome_trace(doc)
     if problems:
         raise ConfigError("invalid chrome trace: " + "; ".join(problems))
     if out is not None:
-        write_chrome_trace(result.telemetry, out)
+        write_chrome_trace(obs, out)
     return result, doc

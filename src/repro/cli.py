@@ -61,8 +61,9 @@ from repro.api import ExperimentConfig
 from repro.faults import FaultPlan, hardened
 from repro.graphs.generators import paper_example_dag
 from repro.obs.dashboard import CampaignDashboard
-from repro.obs.export import metrics_records, write_metrics_jsonl
+from repro.obs.export import write_metrics_jsonl
 from repro.obs.telemetry import percentiles
+from repro.obs.timeline import run_telemetry
 from repro.simnet.speeds import split_speed_specs
 from repro.viz.dagviz import render_dag
 from repro.viz.gantt import render_gantt, schedule_to_items
@@ -164,32 +165,27 @@ def _report_cell_failures(err: CampaignCellError, args: argparse.Namespace) -> i
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one experiment through the selected backend.
+    """cProfile one experiment and print the top offenders.
 
-    The starting point of every perf PR: run it before guessing.
-    ``--backend cprofile`` (the default) prints the top cumulative
-    offenders; ``--backend telemetry`` runs the same experiment with
-    ``repro.obs`` enabled and prints its timer/counter registry —
-    attribution by protocol phase instead of by Python function. Both
-    report raw event throughput (total and loop-only), the numbers the
-    E9 bench gates on.
+    The starting point of every perf PR: run it before guessing. Also
+    reports raw event throughput (total and loop-only). Per-phase
+    sim-time breakdowns come from ``rtds trace --metrics``; per-layer
+    wall time from the e2e ledger (``benchmarks/e2e/run.py --trace 1``).
     """
     import cProfile
     import pstats
     import time
 
-    telemetry = args.backend == "telemetry"
-    cfg = replace(_base_config(args), telemetry=telemetry)
+    cfg = _base_config(args)
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
-    if not telemetry:
-        profiler.enable()
+    profiler.enable()
     res = api.run(cfg)
     profiler.disable()
     wall = time.perf_counter() - t0
     sim = res.network.sim
     print(
-        f"{'telemetry profile' if telemetry else 'profiled'}: {args.algorithm}, "
+        f"profiled: {args.algorithm}, "
         f"{args.sites} sites, duration {args.duration}, seed {args.seed}"
     )
     print(
@@ -197,26 +193,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         f"({sim.events_processed / wall:.0f} events/sec; "
         f"loop only: {sim.events_processed / sim.wall_seconds:.0f} events/sec)"
     )
-    if not telemetry:
-        print("note: cProfile instrumentation inflates wall time; ratios matter, not totals\n")
-        stats = pstats.Stats(profiler, stream=sys.stdout)
-        stats.sort_stats(args.sort).print_stats(args.limit)
-        return 0
-    records = metrics_records(res.telemetry)
-    timers = [r for r in records if r["kind"] == "timer"][: args.limit]
-    if timers:
-        columns = ("count", "mean", "p50", "p95", "p99")
-        rows = [{"timer": r["name"], **{c: r[c] for c in columns}} for r in timers]
-        print(format_table(rows, title="timers (sim-time spans + wall-clock samples)"))
-    for kind in ("counter", "gauge"):
-        values = {r["name"]: r["value"] for r in records if r["kind"] == kind}
-        if values:
-            print(format_kv(kind + "s", values))
+    print("note: cProfile instrumentation inflates wall time; ratios matter, not totals\n")
+    stats = pstats.Stats(profiler, stream=sys.stdout)
+    stats.sort_stats(args.sort).print_stats(args.limit)
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run one telemetry-enabled experiment and export its timeline.
+    """Run one traced experiment and export its phase timeline.
 
     Writes a Chrome trace-event JSON (load it in https://ui.perfetto.dev
     or ``chrome://tracing``) with one lane per site showing the protocol
@@ -229,7 +213,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     else:
         cfg = _base_config(args)
     res, doc = api.trace(cfg, out=args.out)
-    obs = res.telemetry
+    obs = run_telemetry(res)
     n_events = len(doc["traceEvents"])
     admitted = [r for r in res.collector.records() if r.outcome.accepted]
     spanned = {
@@ -551,14 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--sort", default="cumulative", choices=["cumulative", "tottime", "ncalls"],
         help="pstats sort key",
     )
-    p_prof.add_argument(
-        "--backend", default="cprofile", choices=["cprofile", "telemetry"],
-        help="cprofile: function-level wall time; telemetry: repro.obs "
-        "phase timers, counters and gauges",
-    )
 
     p_tr = sub.add_parser(
-        "trace", help="run with telemetry on; export a Chrome trace-event timeline"
+        "trace", help="run traced; export its phase timeline as Chrome trace events"
     )
     common(p_tr)
     p_tr.add_argument("--algorithm", default="rtds")

@@ -33,8 +33,8 @@ the payload's minimum release is answered by direct computation and
 counted ``uncacheable``. Any plan commit/release/fault changes the
 digest, so stale entries can never be served; per-job invalidation on
 session teardown (EXECUTE, UNLOCK, lease expiry, session end) reclaims
-them. Counters are plain ints — zero overhead when telemetry is off —
-folded into the obs registry at run end.
+them. Counters are plain ints; :func:`repro.obs.run_telemetry` reads
+them as ``admission_cache.*`` gauges after the run.
 
 The ``admission_cache`` flag lives on ``ExperimentConfig`` and is
 excluded from ``config_fingerprint``: cache on/off cannot change a cell

@@ -42,17 +42,12 @@ def build_trial_mapping(
     procs: Sequence[LogicalProcSpec],
     omega: Time,
     job_release: Time,
-    obs=None,
 ) -> TrialMapping:
     """Construct the Trial-Mapping ``M`` (the §12 list-scheduling instance).
 
     ``procs`` must be ordered by descending surplus (index 0 = highest);
     ``omega`` is the ACS delay diameter; ``job_release`` the (already
     protocol-margin-augmented, §13) release ``r``.
-
-    ``obs`` (an enabled :class:`repro.obs.Telemetry`, or the default
-    ``None``) receives per-invocation problem-size samples; the mapper's
-    arithmetic is oblivious to it.
 
     The returned mapping has compacted logical processors: only processors
     that received a task remain, re-indexed to ``0..|U|-1`` preserving the
@@ -142,10 +137,6 @@ def build_trial_mapping(
     if len(assignment) != len(dag):
         raise MappingError(f"job {job}: mapper covered {len(assignment)}/{len(dag)} tasks")
 
-    if obs is not None:
-        obs.observe("mapper.tasks", float(len(dag)))
-        obs.observe("mapper.procs_offered", float(len(procs)))
-        obs.observe("mapper.procs_used", float(len(set(assignment.values()))))
     return _compact(
         TrialMapping(
             job=job,

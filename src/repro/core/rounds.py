@@ -69,7 +69,7 @@ class AckRound:
     engine breaks time ties by schedule order, so the order is observable).
     ``ask(silent)`` re-sends to the still-silent members on expiry;
     ``give_up(silent)`` runs once the retries are spent. ``name`` labels
-    the round in counters and telemetry, ``prefix`` its trace events;
+    the round in counters, ``prefix`` its trace events;
     ``size`` is the message size the budget must carry. The round lists
     itself in ``book.open`` until it is settled, cancelled or given up on.
     """
@@ -134,12 +134,6 @@ class AckRound:
             self.attempts += 1
             site.trace(self.prefix + ".retransmit", job=job, to=silent, attempt=self.attempts)
             site.count(self.name + "_retransmit")
-            if site.obs_on:
-                site.obs.inc("rtds.retransmit." + self.name, len(silent))
-                site.obs.span(
-                    "phase.retransmission", site.now, site.now, site=site.sid,
-                    key=job, round=self.name, attempt=self.attempts,
-                )
             self.ask(silent)
             self._arm(silent)
             return

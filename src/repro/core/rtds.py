@@ -34,7 +34,6 @@ RESULT messages only open executor gates and pass through locks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.adjustment import adjust_trial_mapping
@@ -213,7 +212,6 @@ class RTDSSite(SchedulerSite):
             if self.now + cp > ctx.deadline + 1e-9:
                 self.decide(ctx, JobOutcome.REJECTED_TIMEOUT)
                 return
-        _t0 = perf_counter() if self.obs_on else 0.0
         fit = local_guarantee_test(
             self.plan.timeline,
             ctx.dag,
@@ -224,34 +222,16 @@ class RTDSSite(SchedulerSite):
             preemptive=self.config.validation_preemptive,
             speed=self.speed,
         )
-        if self.obs_on:
-            self.obs.observe("rtds.local_test_wall_sec", perf_counter() - _t0)
         if fit is not None:
             slots, gates = fit
             self.plan.commit(slots)
             self.executor.notify_committed(slots, gates)
             if self.trace_on:
                 self.trace("job.local_accept", job=ctx.job)
-            if self.obs_on:
-                # retroactive phases of a locally-admitted job: the "enroll"
-                # covers arrival -> decision (kind=local), validation is the
-                # instantaneous local test — so every admitted job, local or
-                # distributed, renders the same phase taxonomy in the trace
-                self.obs.inc("rtds.local_accept")
-                self.obs.span(
-                    "phase.enroll", ctx.arrival, self.now,
-                    site=self.sid, key=ctx.job, kind="local",
-                )
-                self.obs.span(
-                    "phase.validate", self.now, self.now,
-                    site=self.sid, key=ctx.job, kind="local",
-                )
             self.decide(ctx, JobOutcome.ACCEPTED_LOCAL, hosts=[self.sid])
             return
         if self.trace_on:
             self.trace("job.local_reject", job=ctx.job)
-        if self.obs_on:
-            self.obs.inc("rtds.local_reject")
         self._initiate(ctx)
 
     # -- initiator: ACS construction (§8) ------------------------------------
@@ -273,11 +253,6 @@ class RTDSSite(SchedulerSite):
         session = AcsSession(ctx.job, self.sid, members)
         session.ctx = ctx  # attach the job context
         self.session = session
-        if self.obs_on:
-            self.obs.span_begin(
-                "phase.enroll", ctx.job, self.now,
-                site=self.sid, asked=len(members),
-            )
         if self.trace_on:
             self.trace("acs.enroll", job=ctx.job, asked=len(members))
         if self.config.enroll_mode == "queue":
@@ -387,12 +362,6 @@ class RTDSSite(SchedulerSite):
             self.sim.cancel(self._enroll_timer)
             self._enroll_timer = None
         self.rounds.close(s.job)
-        if self.obs_on:
-            self.obs.span_end("phase.enroll", s.job, self.now, ok=bool(s.enrolled))
-            self.obs.span_begin(
-                "phase.map", s.job, self.now,
-                site=self.sid, enrolled=len(s.enrolled),
-            )
         if not s.enrolled:
             # Nobody available: the job cannot be distributed.
             self._finish_session(JobOutcome.REJECTED_NO_SPHERE, unlock_members=False)
@@ -451,14 +420,7 @@ class RTDSSite(SchedulerSite):
                     timeline=timeline,
                 )
             )
-        _t0 = perf_counter() if self.obs_on else 0.0
-        tm = build_trial_mapping(
-            ctx.job, ctx.dag, specs, omega, r_map,
-            obs=self.obs if self.obs_on else None,
-        )
-        if self.obs_on:
-            self.obs.observe("rtds.mapper_wall_sec", perf_counter() - _t0)
-            self.obs.inc("rtds.mapper_runs")
+        tm = build_trial_mapping(ctx.job, ctx.dag, specs, omega, r_map)
         adj = adjust_trial_mapping(tm, ctx.deadline, self.config.laxity_mode)
         s.trial_mapping = tm
         self.trace(
@@ -502,9 +464,6 @@ class RTDSSite(SchedulerSite):
         s = self.session
         assert s is not None
         s.phase = AcsSession.VALIDATING
-        if self.obs_on:
-            self.obs.span_end("phase.map", s.job, self.now)
-            self.obs.span_begin("phase.validate", s.job, self.now, site=self.sid)
         members = s.acs_members()
         procs, size = self._send_validate(members)
         self.rounds.watch(
@@ -566,8 +525,6 @@ class RTDSSite(SchedulerSite):
         self.rounds.close(s.job)
         tm = s.trial_mapping
         perm = compute_permutation(tm.used_procs(), s.endorsements)
-        if self.obs_on:
-            self.obs.span_end("phase.validate", s.job, self.now, ok=perm is not None)
         if perm is None:
             self.trace("validate.fail", job=s.job)
             self._finish_session(JobOutcome.REJECTED_VALIDATION)
@@ -611,9 +568,6 @@ class RTDSSite(SchedulerSite):
             self.rounds.watch(job, "execute", "execute", members, code_size, send)
         # The initiator's own share.
         self.member.commit_share(job, perm, s.own_slots, host, preds, volumes)
-        if self.obs_on:
-            self.obs.inc("rtds.distributed_accept")
-            self.obs.observe("rtds.acs_size", len(members) + 1)
         self._close_session(
             JobOutcome.ACCEPTED_DISTRIBUTED,
             hosts=sorted(set(perm.values())), acs_size=len(members) + 1,
@@ -632,12 +586,6 @@ class RTDSSite(SchedulerSite):
         s = self.session
         assert s is not None
         self.rounds.close(s.job)
-        if self.obs_on:
-            # whichever phase the session died in: close its span as failed
-            # so the trace never leaks an open interval on rejection
-            for cat in ("phase.enroll", "phase.map", "phase.validate"):
-                self.obs.span_end(cat, s.job, self.now, ok=False)
-            self.obs.inc("rtds.reject." + outcome.value)
         members = s.acs_members()
         if unlock_members and members:
             sphere_broadcast(self, members, MSG_UNLOCK, {"job": s.job}, size=1.0)

@@ -43,7 +43,7 @@ class SchedulerSite(SiteBase):
     ) -> None:
         super().__init__(sid, network, speed=speed)
         self.metrics = metrics
-        self.plan = SchedulingPlan(sid, surplus_window, obs=self.obs)
+        self.plan = SchedulingPlan(sid, surplus_window)
         self.executor = PlanExecutor(network.sim, self.plan)
         if metrics is not None and hasattr(metrics, "on_task_complete"):
             self.executor.on_complete.append(metrics.on_task_complete)

@@ -131,7 +131,7 @@ def fig4_schedule() -> Dict[int, Tuple[int, float, float]]:
 
 
 def run_fig1_scenario(
-    n_sites: int = 4, h: int = 1, obs=None
+    n_sites: int = 4, h: int = 1
 ) -> Tuple[Tracer, MetricsCollector, int]:
     """A minimal live run exercising the full Figure-1 flow.
 
@@ -140,9 +140,8 @@ def run_fig1_scenario(
     with a deadline it cannot hold alone — forcing the distributed path:
     ACS construction → trial-mapping → validation → execution.
 
-    ``obs`` (an optional :class:`repro.obs.Telemetry`) records the
-    protocol-phase spans of the run. Returns (tracer, metrics,
-    distributed_job_id).
+    Returns (tracer, metrics, distributed_job_id); the tracer is on, so
+    :func:`repro.obs.timeline` reads the run's phase spans off it.
     """
     sim = Simulator()
     tracer = Tracer(enabled=True)
@@ -154,7 +153,6 @@ def run_fig1_scenario(
         sim,
         lambda sid, n: RTDSSite(sid, n, cfg, metrics=metrics, surplus_window=100.0),
         tracer,
-        obs=obs,
     )
     for sid in net.site_ids():
         net.site(sid).start()

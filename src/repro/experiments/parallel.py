@@ -147,18 +147,14 @@ def config_fingerprint(config: ExperimentConfig) -> Dict[str, object]:
 
     Every behaviour-affecting field of the fully-resolved config is
     included; the display-only ``label`` is dropped so renaming a sweep
-    column never invalidates its cached cells, and the observability-only
-    ``telemetry`` flag is dropped so turning instrumentation on or off
-    addresses the same cells (telemetry never changes results — the
-    identity goldens and the telemetry differential test pin that). The
-    ``admission_cache`` flag is dropped for the same reason: the plan
-    cache is result-invisible by contract (cache-on ≡ cache-off bit for
-    bit, the ``tests/cache/`` differential), so serial ≡ pool identity
-    and cell addressing are untouched by it.
+    column never invalidates its cached cells. The ``admission_cache``
+    flag is dropped too: the plan cache is result-invisible by contract
+    (cache-on ≡ cache-off bit for bit, the ``tests/cache/``
+    differential), so serial ≡ pool identity and cell addressing are
+    untouched by it.
     """
     enc = _encode(config)
     enc.pop("label", None)
-    enc.pop("telemetry", None)
     enc.pop("admission_cache", None)
     return enc
 
@@ -200,7 +196,7 @@ class CellResult:
     elapsed: float = 0.0
     #: per-cell observability snapshot (events, events/sec, peak RSS MB)
     #: — collected unconditionally (it is harness-side sampling, not
-    #: simulation telemetry) and kept apart from ``metrics`` so the
+    #: part of the simulated run) and kept apart from ``metrics`` so the
     #: serial-vs-pool identity contract (``same_metrics``) is untouched
     obs: Dict[str, float] = field(default_factory=dict)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import gc
 import math
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -137,20 +137,15 @@ class ExperimentConfig:
     #: messages, so ``setup_time``/``setup_messages`` read 0.
     routing_mode: str = "protocol"
     seed: int = 0
+    #: record the run's trace events (:class:`~repro.simnet.trace.Tracer`);
+    #: the phase timeline and metrics of :mod:`repro.obs` are read off them
     trace: bool = False
-    #: telemetry (repro.obs): False (default) keeps every hot path on the
-    #: no-op mirror flags — bit-for-bit the untelemetered run (identity
-    #: goldens pin this). True attaches an enabled Telemetry to the
-    #: engine, network, sites and plans, records protocol-phase spans and
-    #: percentile timers, and returns it on ``RunResult.telemetry``.
-    #: Observability-only: excluded from campaign cell keys like ``label``.
-    telemetry: bool = False
     #: admission plan cache (repro.core.admission_cache): memoized §10
     #: validation endorsements, shared network-wide. Result-invisible by
     #: contract — cache-on reproduces cache-off bit for bit (the
-    #: ``tests/cache/`` differential pins it) — so, like ``telemetry``, it
-    #: is excluded from ``config_fingerprint``: toggling it cannot change
-    #: a campaign cell key.
+    #: ``tests/cache/`` differential pins it) — so it is excluded from
+    #: ``config_fingerprint``: toggling it cannot change a campaign cell
+    #: key.
     admission_cache: bool = True
     label: Optional[str] = None
 
@@ -237,9 +232,6 @@ class RunResult:
     #: the armed fault injector (stats + concrete windows), or None when
     #: the run had no (or a zero) fault plan
     faults: Optional[FaultInjector] = None
-    #: the run's telemetry registry (spans/counters/timers), or None when
-    #: ``config.telemetry`` was off — feed it to :mod:`repro.obs.export`
-    telemetry: Optional[Any] = None
     #: the resident network the run executed on — survivability state
     #: (membership manager, injector) hangs off it
     resident: Optional[Any] = None
@@ -348,7 +340,6 @@ class ResidentNetwork:
     sites: List[Any]
     setup_messages: int
     setup_time: float
-    obs: Optional[Any] = None
     injector: Optional[FaultInjector] = None
     #: number of *base* sites — when the fault plan declares joins, the
     #: topology is extended with latent (link-less) joiner sites and this
@@ -523,7 +514,6 @@ class ResidentNetwork:
             setup_messages=self.setup_messages,
             setup_time=self.setup_time,
             faults=self.injector,
-            telemetry=self.obs,
             resident=self,
         )
 
@@ -571,14 +561,6 @@ def assemble(config: ExperimentConfig, topo: Topology) -> ResidentNetwork:
     sim = Simulator()
     tracer = Tracer(enabled=config.trace)
     metrics = MetricsCollector()
-    obs = None
-    if config.telemetry:
-        from repro.obs import Telemetry
-
-        obs = Telemetry(enabled=True, seed=config.seed)
-        # engine samples at run() boundaries only; sites/plans mirror
-        # obs.enabled into their obs_on flags at construction
-        sim.obs = obs
     admission_cache = None
     if config.algorithm == "rtds":
         from repro.core.admission_cache import AdmissionCache
@@ -590,7 +572,6 @@ def assemble(config: ExperimentConfig, topo: Topology) -> ResidentNetwork:
         _site_factory(config, topo, metrics, routing_factory, global_phases),
         tracer,
         throughput=config.link_throughput,
-        obs=obs,
         admission_cache=admission_cache,
     )
 
@@ -619,14 +600,12 @@ def assemble(config: ExperimentConfig, topo: Topology) -> ResidentNetwork:
     # --- phase 1: setup (routing; focused also primes its surplus tables).
     # Routing drains on its own; focused's periodic broadcast never stops,
     # so bound setup by one broadcast round trip.
-    setup_cm = obs.timeit("run.setup") if obs is not None else nullcontext()
-    with setup_cm:
-        if config.algorithm == "focused":
-            sim.run(until=BROADCAST_PERIOD * 1.5)
-            while not all(s.routing.done for s in sites):
-                sim.run(until=sim.now + BROADCAST_PERIOD)
-        else:
-            sim.run(until=None)
+    if config.algorithm == "focused":
+        sim.run(until=BROADCAST_PERIOD * 1.5)
+        while not all(s.routing.done for s in sites):
+            sim.run(until=sim.now + BROADCAST_PERIOD)
+    else:
+        sim.run(until=None)
     for s in sites:
         if not s.routing.done:
             raise ConfigError(
@@ -643,7 +622,6 @@ def assemble(config: ExperimentConfig, topo: Topology) -> ResidentNetwork:
         sites=sites,
         setup_messages=net.stats.total,
         setup_time=sim.now,
-        obs=obs,
         shared_tables=shared_tables,
     )
 
@@ -736,67 +714,7 @@ def _generate_batch_workload(
 
 def _execute_workload(resident: ResidentNetwork, workload: Workload) -> RunResult:
     """Run a job list through a resident to completion and summarize."""
-    obs = resident.obs
     resident.arm_faults(default_horizon=resident.config.duration)
     resident.schedule_workload(workload)
-    workload_cm = obs.timeit("run.workload") if obs is not None else nullcontext()
-    with workload_cm:
-        resident.run_to_horizon()
-    if obs is not None:
-        _record_run_telemetry(
-            obs, resident.metrics, resident.sim, resident.setup_time, resident.network
-        )
+    resident.run_to_horizon()
     return resident.result(workload)
-
-
-def _record_run_telemetry(
-    obs, metrics: MetricsCollector, sim: Simulator, setup_time: float, net
-) -> None:
-    """End-of-run telemetry: execute spans for every admitted job + gauges.
-
-    Execution spans are derived from the collector's records (decision
-    time -> last task completion) rather than instrumented inside each
-    algorithm's execution path, so every admitted job — RTDS or baseline,
-    local or distributed — renders a ``phase.execute`` interval on its
-    origin site's trace lane, uniformly. Failed deadlines render ``ok:
-    false``; a job with no recorded completions gets a zero-width span at
-    its decision time.
-
-    Per-type message counters fold in here from the network's exact
-    :class:`~repro.simnet.network.MessageStats` rather than incrementing a
-    registry counter per transmission — same final values, zero additional
-    per-message work (the E9 ``macro_obs`` overhead gate's largest win).
-    """
-    for mtype, n in net.stats.count.items():
-        obs.inc("net.msgs." + mtype, float(n))
-    obs.gauge("net.bytes", float(net.stats.total_volume))
-    for rec in metrics.records():
-        if not rec.outcome.accepted or rec.decided_at is None:
-            continue
-        t_end = max(rec.completions.values()) if rec.completions else rec.decided_at
-        obs.span(
-            "phase.execute",
-            rec.decided_at,
-            t_end,
-            site=rec.origin,
-            key=rec.job,
-            ok=rec.met_deadline is not False,
-            hosts=len(rec.hosts) if rec.hosts else 0,
-        )
-    cache = getattr(net, "admission_cache", None)
-    if cache is not None:
-        _record_cache_gauges(obs, cache.stats())
-    obs.gauge("run.setup_sim_time", setup_time)
-    obs.gauge("run.sim_time", sim.now)
-    obs.gauge("run.jobs_arrived", metrics.n_arrived())
-    obs.gauge("run.jobs_accepted", metrics.n_accepted())
-    obs.sample_rss()
-
-
-def _record_cache_gauges(obs, stats: Dict[str, int]) -> None:
-    """Admission-cache counters as gauges: plain ints folded in once at run
-    end — the cache itself never touches the registry on the hot path."""
-    for name, value in stats.items():
-        obs.gauge("admission_cache." + name, float(value))
-    cacheable = stats["hits"] + stats["misses"]
-    obs.gauge("admission_cache.hit_rate", stats["hits"] / cacheable if cacheable else 0.0)

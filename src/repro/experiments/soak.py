@@ -91,7 +91,6 @@ class SoakConfig:
     algorithm: str = "rtds"
     routing_mode: str = "protocol"
     seed: int = 0
-    telemetry: bool = False
     #: fault spec (:meth:`~repro.faults.plan.FaultPlan.from_spec`), e.g.
     #: "sites=12,downtime=40,joins=4,join_links=3" — the resident arms it
     #: before intake (joins need ``routing_mode="oracle"``)
@@ -158,7 +157,6 @@ class SoakConfig:
             algorithm=self.algorithm,
             routing_mode=self.routing_mode,
             seed=self.seed,
-            telemetry=self.telemetry,
             label=f"soak[{self.arrival}]",
             faults=plan,
             **kwargs,

@@ -12,9 +12,9 @@
   helpers (implemented with numpy, t-quantiles without scipy dependency at
   runtime).
 
-Per-phase protocol latencies are not derived here: telemetry runs record
-them online as ``phase.enroll`` / ``phase.map`` / ``phase.validate`` spans
-(:mod:`repro.obs`).
+Per-phase protocol latencies are not derived here: :func:`repro.obs.timeline`
+reads them off a traced run as ``phase.enroll`` / ``phase.map`` /
+``phase.validate`` spans.
 """
 
 from repro.metrics.collector import MetricsCollector

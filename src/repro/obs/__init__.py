@@ -1,27 +1,23 @@
-"""``repro.obs`` — zero-cost-when-off telemetry for the whole stack.
+"""``repro.obs`` — a run's telemetry, read off its trace after the run.
 
-The observability layer the scale roadmap items lean on: counters, gauges,
-reservoir/percentile timers (p50/p95/p99) and simulated-time **spans** for
-the protocol phases (enroll, map, validate, execute, retransmission),
-plus exporters (Chrome trace-event JSON, flat metrics JSONL) and the live
-campaign dashboard.
+A run has one instrument, the tracer (``ExperimentConfig(trace=True)``):
+every protocol phase boundary is a trace event, and the hot path carries
+nothing but the tracer's ``trace_on`` guard. This package reads that
+record once the run is over:
 
-The contract, in order of importance:
+* :func:`timeline` — simulated-time **spans** for the protocol phases
+  (enroll, map, validate, execute, retransmission) of every job;
+* :func:`run_telemetry` — those spans plus counters, gauges and
+  reservoir/percentile timers (p50/p95/p99) as one :class:`Telemetry`;
+* exporters — Chrome trace-event JSON and the flat metrics JSONL;
+* the live campaign dashboard, and the :class:`ReservoirTimer` /
+  percentile / RSS primitives the admission service and the soak use.
 
-1. **Off is invisible.** ``ExperimentConfig(telemetry=False)`` — the
-   default — must leave every identity golden byte-identical. Hot paths
-   guard on plain boolean mirrors (``obs_on``) exactly like the tracer's
-   ``trace_on``; the shared :data:`NULL_TELEMETRY` never mutates state.
-2. **On is cheap.** <10% macro throughput overhead, gated by
-   ``benchmarks/bench_e9_hotpath.py --check`` (``macro_obs`` against
-   the same run's ``macro``; the e2e harness always runs with telemetry
-   off, so it cannot hold this contract).
-3. **On is deterministic.** Reservoir RNGs are locally seeded; a
-   fixed-seed run reports bit-identical percentiles, and telemetry never
-   feeds back into simulation behaviour.
+Both readers raise :class:`~repro.errors.ConfigError` on a run made with
+``trace=False``. Reading is deterministic: the same run exports the same
+timeline and metrics, byte for byte.
 
-Entry points: ``ExperimentConfig(telemetry=True)``, ``rtds trace``,
-``rtds stats``, ``rtds profile --backend telemetry``. See DESIGN.md
+Entry points: ``rtds trace``, ``api.trace``, ``rtds stats``. See DESIGN.md
 "Observability model".
 """
 
@@ -36,7 +32,6 @@ from repro.obs.export import (
     write_metrics_jsonl,
 )
 from repro.obs.telemetry import (
-    NULL_TELEMETRY,
     ReservoirTimer,
     Span,
     Telemetry,
@@ -45,10 +40,12 @@ from repro.obs.telemetry import (
     rss_mb,
     current_rss_mb,
 )
+from repro.obs.timeline import run_telemetry, timeline
 
 __all__ = [
+    "timeline",
+    "run_telemetry",
     "Telemetry",
-    "NULL_TELEMETRY",
     "ReservoirTimer",
     "Span",
     "percentile",

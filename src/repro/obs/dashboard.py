@@ -10,11 +10,10 @@ wall time) followed by a footer::
 
     12/48 cells | 3.1 cells/s | elapsed 3.9s | eta 11.6s | GR 0.9571
 
-Rates come from the dashboard's own gauges (``campaign.cells_per_sec``,
-``campaign.eta_sec``, ...), registered on a :class:`Telemetry` so ``rtds
-stats`` and tests read the same numbers the human saw. Every line is
-flushed: pool workers may share the same stderr pipe, and an unflushed
-parent buffer interleaves with worker tracebacks.
+The footer's numbers (``rate``, ``elapsed``, ``eta``) stay on the
+dashboard as plain attributes, so tests read the same numbers the human
+saw. Every line is flushed: pool workers may share the same stderr pipe,
+and an unflushed parent buffer interleaves with worker tracebacks.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from __future__ import annotations
 import sys
 import time
 from typing import Any, Optional, TextIO
-
-from repro.obs.telemetry import Telemetry
 
 __all__ = ["CampaignDashboard"]
 
@@ -34,17 +31,19 @@ class CampaignDashboard:
     def __init__(
         self,
         stream: Optional[TextIO] = None,
-        obs: Optional[Telemetry] = None,
         clock: Any = time.perf_counter,
     ) -> None:
         """``stream`` defaults to stderr; ``clock`` is injectable for tests."""
         self.stream = stream if stream is not None else sys.stderr
-        self.obs = obs if obs is not None else Telemetry(enabled=True)
         self.clock = clock
         self.started_at: Optional[float] = None
         self.done = 0
         self.ok = 0
         self.failed = 0
+        #: cells/s, seconds since the first completion, seconds to go
+        self.rate = 0.0
+        self.elapsed = 0.0
+        self.eta = float("inf")
         self._gr_sum = 0.0
         self._gr_count = 0
 
@@ -53,14 +52,12 @@ class CampaignDashboard:
         now = self.clock()
         if self.started_at is None:
             self.started_at = now
-            self.obs.gauge("campaign.total_cells", total)
         self.done = done
         gr = result.metrics.get("guarantee_ratio") if result.metrics else None
         if result.status == "ok":
             self.ok += 1
         else:
             self.failed += 1
-            self.obs.inc("campaign.cells_failed")
         if gr is not None:
             self._gr_sum += gr
             self._gr_count += 1
@@ -70,13 +67,9 @@ class CampaignDashboard:
         # the first footer's rate is not infinite
         if done == 1:
             elapsed = max(elapsed, result.elapsed, 1e-9)
-        rate = done / elapsed
-        eta = (total - done) / rate if rate > 0 else float("inf")
-        self.obs.gauge("campaign.cells_done", done)
-        self.obs.gauge("campaign.cells_per_sec", rate)
-        self.obs.gauge("campaign.elapsed_sec", elapsed)
-        self.obs.gauge("campaign.eta_sec", eta)
-        self.obs.observe("campaign.cell_elapsed", result.elapsed)
+        self.elapsed = elapsed
+        self.rate = done / elapsed
+        self.eta = (total - done) / self.rate if self.rate > 0 else float("inf")
 
         tail = f"GR={gr:.4f}" if gr is not None else f"error: {result.error}"
         print(
@@ -89,14 +82,11 @@ class CampaignDashboard:
 
     def footer(self, total: int) -> str:
         """The one-line live summary rendered after every cell."""
-        rate = self.obs.gauges.get("campaign.cells_per_sec", 0.0)
-        elapsed = self.obs.gauges.get("campaign.elapsed_sec", 0.0)
-        eta = self.obs.gauges.get("campaign.eta_sec", float("inf"))
-        eta_s = f"{eta:.1f}s" if eta != float("inf") else "?"
+        eta_s = f"{self.eta:.1f}s" if self.eta != float("inf") else "?"
         parts = [
             f"{self.done}/{total} cells",
-            f"{rate:.1f} cells/s",
-            f"elapsed {elapsed:.1f}s",
+            f"{self.rate:.1f} cells/s",
+            f"elapsed {self.elapsed:.1f}s",
             f"eta {eta_s}",
         ]
         if self._gr_count:

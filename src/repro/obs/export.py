@@ -1,6 +1,7 @@
 """Telemetry exporters: Chrome trace-event JSON and flat metrics JSONL.
 
-Two output formats, both produced from one :class:`~repro.obs.telemetry.Telemetry`:
+Two output formats, both produced from one :class:`~repro.obs.telemetry.Telemetry`
+(for a run, the one :func:`repro.obs.run_telemetry` reads off its trace):
 
 * :func:`chrome_trace` — the Chrome/Perfetto trace-event format
   (``{"traceEvents": [...]}``). Every closed sim-time span becomes one
@@ -108,7 +109,6 @@ def chrome_trace(obs: Telemetry, pid: int = 1) -> Dict[str, Any]:
         "otherData": {
             "producer": "repro.obs",
             "spans": len(obs.spans),
-            "open_spans": [f"{cat}:{key}" for cat, key in obs.open_spans()],
         },
     }
 

@@ -1,48 +1,39 @@
 """The telemetry registry: counters, gauges, percentile timers, spans.
 
-One :class:`Telemetry` instance observes one experiment (the runner builds
-it from ``ExperimentConfig.telemetry`` and attaches it to the network the
-way the tracer is attached). Four primitive kinds:
+:func:`repro.obs.run_telemetry` fills one :class:`Telemetry` from a
+finished, traced run; the exporters (:mod:`repro.obs.export`) read it.
+Nothing here runs while the simulation does. Four primitive kinds:
 
-* **counters** — monotonically increasing event counts
-  (``obs.inc("protocol.retransmit.enroll")``);
-* **gauges** — last-write-wins scalars (``obs.gauge("run.rss_mb", 120.4)``);
+* **counters** — event counts (``rtds.local_accept``, ``net.msgs.<type>``);
+* **gauges** — last-write-wins scalars (``run.sim_time``, ``net.bytes``);
 * **timers** — bounded-memory percentile estimators
   (:class:`ReservoirTimer`, Vitter's algorithm R): every ``observe`` feeds
   an exact count/sum/min/max plus a fixed-size uniform sample the
-  p50/p95/p99 come from. The reservoir RNG is seeded per timer name, so a
-  fixed-seed run reports bit-identical percentiles;
+  p50/p95/p99 come from. The reservoir RNG is seeded per timer name, so
+  the same stream reports bit-identical percentiles;
 * **spans** — *simulated-time* intervals ``[t0, t1]`` labelled with a
   category, a key (usually the job id) and a site. Protocol phases
   (enroll, map, validate, execute, retransmission) are spans; the Chrome
-  trace exporter (:mod:`repro.obs.export`) turns them into a
-  Perfetto-viewable timeline, one lane per site. Closing a span also feeds
-  its duration to the same-named timer, so phase percentiles are free.
+  trace exporter turns them into a Perfetto-viewable timeline, one lane
+  per site. Recording a span also feeds its duration to the same-named
+  timer, so phase percentiles are free.
 
-Wall-clock measurement uses :meth:`Telemetry.timeit`, an exception-safe
-context manager whose nesting builds ``outer/inner`` timer names.
-
-**The overhead contract** (DESIGN.md "Observability model"): telemetry off
-must be invisible. Every hot call site guards on a plain boolean mirror
-(``obs_on``, synced like ``trace_on``), the disabled singleton
-:data:`NULL_TELEMETRY` never mutates state, and nothing here ever touches
-simulation behaviour — telemetry is an oracle observer, never an input.
+:class:`ReservoirTimer` also serves live consumers: the admission
+service's decision-latency timer, whose windowed :meth:`~ReservoirTimer.snapshot`
+gives the soak its per-interval percentiles.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import time
 import zlib
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.types import SiteId, Time
 
 __all__ = [
     "Telemetry",
-    "NULL_TELEMETRY",
     "ReservoirTimer",
     "Span",
     "percentiles",
@@ -109,13 +100,12 @@ class ReservoirTimer:
         self._sample: List[float] = []
         # pre-bound C-level uniform: the steady-state observe() draws one
         # float per sample, and randrange()'s pure-Python integer path is
-        # too slow for the per-message streams (E9 macro_obs gate)
+        # too slow for per-decision streams (the admission service's)
         self._random = random.Random(seed).random
         # window state for :meth:`snapshot` — interval-local percentiles
         # (the E12 soak's per-interval p99s). None until the first
-        # snapshot() call arms it, so non-windowed timers — the common
-        # case, every per-message stream — pay one predictable-false
-        # branch per observe, nothing more.
+        # snapshot() call arms it, so non-windowed timers pay one
+        # predictable-false branch per observe, nothing more.
         self._w_count = 0
         self._w_total = 0.0
         self._w_min = float("inf")
@@ -254,47 +244,23 @@ class Span:
 
 
 class Telemetry:
-    """Registry of counters, gauges, percentile timers and sim-time spans.
+    """Registry of counters, gauges, percentile timers and sim-time spans."""
 
-    ``enabled=False`` (the :data:`NULL_TELEMETRY` singleton) turns every
-    method into an early-return no-op; hot call sites additionally guard
-    on a mirror boolean so the disabled path costs one branch, exactly
-    like the tracer's ``trace_on`` pattern.
-    """
-
-    def __init__(
-        self,
-        enabled: bool = True,
-        seed: int = 0,
-        reservoir: int = DEFAULT_RESERVOIR,
-    ) -> None:
-        self.enabled = bool(enabled)
+    def __init__(self, seed: int = 0, reservoir: int = DEFAULT_RESERVOIR) -> None:
         self.seed = seed
         self.reservoir = reservoir
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         self.timers: Dict[str, ReservoirTimer] = {}
         self.spans: List[Span] = []
-        #: (category, key) -> (t0, site, labels) of spans begun, not closed
-        self._open: Dict[Tuple[str, Any], Tuple[Time, Optional[SiteId], Optional[Dict]]] = {}
-        #: wall-clock nesting stack of :meth:`timeit` names
-        self._stack: List[str] = []
-
-    # -- counters / gauges -------------------------------------------------
 
     def inc(self, name: str, n: float = 1.0) -> None:
         """Add ``n`` to counter ``name`` (created at 0)."""
-        if not self.enabled:
-            return
         self.counters[name] = self.counters.get(name, 0.0) + n
 
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` (last write wins)."""
-        if not self.enabled:
-            return
         self.gauges[name] = float(value)
-
-    # -- timers ------------------------------------------------------------
 
     def timer(self, name: str) -> ReservoirTimer:
         """The named timer, created on first use (per-name seeded RNG)."""
@@ -310,11 +276,7 @@ class Telemetry:
 
     def observe(self, name: str, value: float) -> None:
         """Feed one sample to timer ``name``."""
-        if not self.enabled:
-            return
         self.timer(name).observe(value)
-
-    # -- spans ---------------------------------------------------------------
 
     def span(
         self,
@@ -326,83 +288,12 @@ class Telemetry:
         ok: bool = True,
         **labels: Any,
     ) -> None:
-        """Record one already-closed sim-time span (and time its duration)."""
-        if not self.enabled:
-            return
+        """Record one closed sim-time span (and time its duration)."""
         self.spans.append(Span(category, key, site, t0, t1, ok, labels or None))
         self.timer(category).observe(t1 - t0)
 
-    def span_begin(
-        self, category: str, key: Any, t: Time, site: Optional[SiteId] = None, **labels: Any
-    ) -> None:
-        """Open span ``(category, key)`` at sim-time ``t``.
-
-        Re-beginning an open span overwrites its start (last writer wins)
-        — retransmission rounds restart their phase clock explicitly.
-        """
-        if not self.enabled:
-            return
-        self._open[(category, key)] = (t, site, labels or None)
-
-    def span_end(self, category: str, key: Any, t: Time, ok: bool = True) -> Optional[Span]:
-        """Close span ``(category, key)`` at ``t``; tolerant no-op if it was
-        never opened (teardown paths may close speculatively)."""
-        if not self.enabled:
-            return None
-        opened = self._open.pop((category, key), None)
-        if opened is None:
-            return None
-        t0, site, labels = opened
-        span = Span(category, key, site, t0, t, ok, labels)
-        self.spans.append(span)
-        self.timer(category).observe(t - t0)
-        return span
-
-    def open_spans(self) -> List[Tuple[str, Any]]:
-        """Keys of spans begun but not yet ended (leak diagnostics)."""
-        return sorted(self._open, key=repr)
-
-    # -- wall-clock measurement --------------------------------------------
-
-    @contextmanager
-    def timeit(self, name: str) -> Iterator[None]:
-        """Exception-safe wall-clock timer; nesting builds ``outer/inner``.
-
-        The duration lands in the timer named by the full nested path. An
-        exception still records the duration, increments
-        ``<path>.errors``, pops the stack, and propagates — a failing
-        phase can never corrupt the nesting of its parent.
-        """
-        if not self.enabled:
-            yield
-            return
-        self._stack.append(name)
-        path = "/".join(self._stack)
-        t0 = time.perf_counter()
-        try:
-            yield
-        except BaseException:
-            self.inc(path + ".errors")
-            raise
-        finally:
-            self.observe(path, time.perf_counter() - t0)
-            self._stack.pop()
-
-    # -- resource sampling ---------------------------------------------------
-
-    def sample_rss(self, name: str = "run.rss_mb") -> Optional[float]:
-        """Gauge the process's peak RSS in MB (None where unsupported)."""
-        if not self.enabled:
-            return None
-        rss = rss_mb()
-        if rss is not None:
-            self.gauge(name, rss)
-        return rss
-
-    # -- export --------------------------------------------------------------
-
     def snapshot(self) -> Dict[str, Any]:
-        """Plain-dict view of everything (the metrics JSONL's source)."""
+        """Plain-dict view of everything."""
         return {
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
@@ -411,8 +302,6 @@ class Telemetry:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.enabled:
-            return "Telemetry(disabled)"
         return (
             f"Telemetry(counters={len(self.counters)}, gauges={len(self.gauges)}, "
             f"timers={len(self.timers)}, spans={len(self.spans)})"
@@ -423,8 +312,8 @@ def rss_mb() -> Optional[float]:
     """Current peak RSS of this process in MB (None where unsupported).
 
     Linux reports ``ru_maxrss`` in KB, macOS in bytes; both are covered.
-    Used by the runner's end-of-run sample and the per-cell campaign
-    snapshot — the numbers the E12 soak roadmap item tracks over time.
+    Used by the per-cell campaign snapshot — the numbers the E12 soak
+    roadmap item tracks over time.
     """
     try:
         import resource
@@ -456,9 +345,3 @@ def current_rss_mb() -> Optional[float]:
         return int(fields[1]) * page / (1024.0 * 1024.0)
     except (OSError, ValueError, ImportError, IndexError):
         return rss_mb()
-
-
-#: The shared disabled instance: what every hot path holds when telemetry
-#: is off. Its methods early-return before touching any state, so one
-#: instance is safely shared by every site, network and engine.
-NULL_TELEMETRY = Telemetry(enabled=False)

@@ -27,31 +27,14 @@ class SchedulingPlan:
         Owning site id (diagnostics only).
     surplus_window:
         Length ``W`` of the observation window for surplus computation.
-    obs:
-        Optional :class:`repro.obs.Telemetry`: commit/surplus accounting
-        samples land there when it is enabled. ``None`` (the default)
-        keeps the plan entirely untelemetered — the ``_obs_on`` mirror
-        makes that path one boolean test.
     """
 
-    def __init__(
-        self,
-        site: SiteId,
-        surplus_window: Time = 200.0,
-        obs=None,
-    ) -> None:
+    def __init__(self, site: SiteId, surplus_window: Time = 200.0) -> None:
         if surplus_window <= 0:
             raise SchedulingError(f"surplus_window must be > 0, got {surplus_window}")
         self.site = site
         self.surplus_window = surplus_window
         self.timeline = BusyTimeline()
-        self._obs = obs
-        self._obs_on = obs is not None and obs.enabled
-        if self._obs_on:
-            # pre-bound timer: surplus() runs on every enrollment decision,
-            # so its telemetry path skips the registry lookup (E9 macro_obs
-            # overhead gate); queries are counted from the timer's count
-            self._obs_surplus = obs.timer("plan.surplus")
         #: bumped on every state change (commit / prune) — lets
         #: observers detect "plan changed" without diffing the timeline
         self.version = 0
@@ -66,10 +49,7 @@ class SchedulingPlan:
         """
         w = self.surplus_window if window is None else window
         idle = self.timeline.idle_time(now, now + w)
-        value = min(1.0, max(0.0, idle / w))
-        if self._obs_on:
-            self._obs_surplus.observe(value)
-        return value
+        return min(1.0, max(0.0, idle / w))
 
     def busyness(self, now: Time, window: Optional[Time] = None) -> float:
         """``1 - surplus``; the §13 laxity-dispatching weight."""
@@ -96,9 +76,6 @@ class SchedulingPlan:
             raise
         if reservations:
             self.version += 1
-        if self._obs_on:
-            self._obs.inc("plan.commits")
-            self._obs.observe("plan.commit_batch", float(len(reservations)))
 
     def prune_before(self, time: Time) -> int:
         """Forget work that ended at or before ``time``: a bisect and a

@@ -10,18 +10,18 @@ submissions and pumps them, batch by batch, into one
   (backpressure, counted); :meth:`submit_nowait` rejects instead (load
   shedding, counted). Queue depth therefore never exceeds
   ``queue_capacity`` — the soak's bounded-memory contract starts here.
-* **Metrics** — plain counters on :class:`ServiceStats` always; mirrored
-  into ``repro.obs`` counters (``service.submitted`` / ``admitted`` /
-  ``rejected`` / ``queue_full`` / ``backpressure``) when the run has
-  telemetry on. Admission decision latency (simulated time from arrival
-  to accept/reject) feeds a :class:`~repro.obs.ReservoirTimer` whose
-  windowed :meth:`~repro.obs.ReservoirTimer.snapshot` gives the soak its
+* **Metrics** — plain counters on :class:`ServiceStats`. Admission
+  decision latency (simulated time from arrival to accept/reject) feeds
+  a :class:`~repro.obs.ReservoirTimer` whose windowed
+  :meth:`~repro.obs.ReservoirTimer.snapshot` gives the soak its
   per-interval p50/p99.
 * **Degraded mode** — an optional circuit breaker (``degraded_floor``)
   watches the acceptance rate over a sliding window of decisions; while
   it sits below the floor, :meth:`submit_nowait` sheds instead of
-  queueing (counted, plus ``service.degraded.*`` obs and a
-  ``service.degraded`` gauge).
+  queueing (counted). Shed jobs are never decided, so the breaker cannot
+  wait for decisions to close it: after shedding one window's worth of
+  jobs it closes and starts a fresh window, which must fill again
+  before it can trip.
 * **Graceful drain** — :meth:`drain` pumps what is queued, advances the
   resident past the last deadline and closes intake.
 
@@ -48,7 +48,7 @@ from repro.workloads.jobs import JobSpec
 
 @dataclass
 class ServiceStats:
-    """Plain counters of one service lifetime (always on, obs or not)."""
+    """Plain counters of one service lifetime."""
 
     submitted: int = 0
     #: accept/reject decisions observed (every submitted job gets one)
@@ -100,11 +100,11 @@ class AdmissionService:
         #: floor, submit_nowait sheds (submit still queues — the breaker
         #: protects the lossy fast path, not the backpressured one)
         self._degraded_floor = degraded_floor
-        self._decisions: Optional[Deque[bool]] = (
-            deque(maxlen=degraded_window) if degraded_floor is not None else None
-        )
+        self._window = degraded_window
+        self._decisions: Deque[bool] = deque(maxlen=degraded_window)
         self._degraded = False
-        self._obs = res.resident.obs
+        #: jobs shed since the breaker last opened
+        self._shed_while_open = 0
         res.resident.metrics.on_decide = self._on_decide
 
     # -- lifecycle -------------------------------------------------------------
@@ -131,8 +131,6 @@ class AdmissionService:
             raise ConfigError("admission service is draining; submission refused")
         if len(self._queue) >= self._capacity:
             self.stats.backpressure_waits += 1
-            if self._obs is not None:
-                self._obs.inc("service.backpressure")
             self.pump()
         self._queue.append(job)
         self._note_submitted()
@@ -142,19 +140,20 @@ class AdmissionService:
 
         Sheds unconditionally while the degraded breaker is open: when the
         network is rejecting nearly everything, queueing more work only
-        adds admission latency for jobs that will be refused anyway.
+        adds admission latency for jobs that will be refused anyway. The
+        shed that fills a window closes the breaker on a cleared window.
         """
         if self._closed:
             raise ConfigError("admission service is draining; submission refused")
         if self._degraded:
             self.stats.shed_degraded += 1
-            if self._obs is not None:
-                self._obs.inc("service.degraded.shed")
+            self._shed_while_open += 1
+            if self._shed_while_open == self._window:
+                self._degraded = False
+                self._decisions.clear()
             return False
         if len(self._queue) >= self._capacity:
             self.stats.queue_full += 1
-            if self._obs is not None:
-                self._obs.inc("service.queue_full")
             return False
         self._queue.append(job)
         self._note_submitted()
@@ -165,8 +164,6 @@ class AdmissionService:
         depth = len(self._queue)
         if depth > self.stats.max_queue_depth:
             self.stats.max_queue_depth = depth
-        if self._obs is not None:
-            self._obs.inc("service.submitted")
 
     @property
     def queue_depth(self) -> int:
@@ -178,22 +175,18 @@ class AdmissionService:
         return self._degraded
 
     def _update_breaker(self, accepted: bool) -> None:
-        window = self._decisions
-        if window is None:
+        floor = self._degraded_floor
+        if floor is None:
             return
+        window = self._decisions
         window.append(accepted)
-        if len(window) < window.maxlen:  # type: ignore[operator]
+        if len(window) < self._window:
             return  # not enough evidence yet — never trip on a cold window
-        rate = sum(window) / len(window)
-        degraded = rate < self._degraded_floor
+        degraded = sum(window) / len(window) < floor
         if degraded and not self._degraded:
             self.stats.degraded_entered += 1
-            if self._obs is not None:
-                self._obs.inc("service.degraded.entered")
-        if degraded != self._degraded:
-            self._degraded = degraded
-            if self._obs is not None:
-                self._obs.gauge("service.degraded", 1.0 if degraded else 0.0)
+            self._shed_while_open = 0
+        self._degraded = degraded
 
     # -- pump -------------------------------------------------------------------
 
@@ -217,9 +210,5 @@ class AdmissionService:
         self._update_breaker(rec.outcome.accepted)
         if rec.outcome.accepted:
             self.stats.admitted += 1
-            if self._obs is not None:
-                self._obs.inc("service.admitted")
         else:
             self.stats.rejected += 1
-            if self._obs is not None:
-                self._obs.inc("service.rejected")

@@ -91,11 +91,6 @@ class Simulator:
         #: cumulative real time spent inside :meth:`run` (events/sec =
         #: ``events_processed / wall_seconds``; the E9 bench reads this)
         self.wall_seconds = 0.0
-        #: optional :class:`repro.obs.Telemetry`. The engine samples into it
-        #: only at :meth:`run` boundaries (events, wall time, throughput) —
-        #: never per event — so the loop itself carries zero telemetry cost
-        #: and the default ``None`` is bit-for-bit the untelemetered engine.
-        self.obs = None
         #: not-yet-cancelled events still queued (O(1) ``pending()``)
         self._live = 0
         #: cancelled entries still physically in the heap
@@ -255,18 +250,7 @@ class Simulator:
         finally:
             self._running = False
             self.events_processed += processed
-            wall = perf_counter() - t0
-            self.wall_seconds += wall
-            obs = self.obs
-            if obs is not None:
-                # run-boundary sampling only: the per-event loop is untouched
-                obs.inc("engine.events", processed)
-                obs.observe("engine.run_wall_sec", wall)
-                if self.wall_seconds > 0:
-                    obs.gauge(
-                        "engine.events_per_sec",
-                        self.events_processed / self.wall_seconds,
-                    )
+            self.wall_seconds += perf_counter() - t0
         return self._now
 
     def pending(self) -> int:

@@ -38,15 +38,9 @@ class Network:
         The event loop that drives deliveries.
     tracer:
         Optional tracer; a disabled one is created if omitted.
-    obs:
-        Optional :class:`repro.obs.Telemetry`; the shared disabled
-        ``NULL_TELEMETRY`` is used if omitted, and ``obs_on`` mirrors its
-        ``enabled`` flag the way ``trace_enabled`` mirrors the tracer's.
     """
 
-    def __init__(
-        self, sim: Simulator, tracer: Optional[Tracer] = None, obs=None
-    ) -> None:
+    def __init__(self, sim: Simulator, tracer: Optional[Tracer] = None) -> None:
         self.sim = sim
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         #: fast-path mirror of ``tracer.enabled``: checked before building
@@ -54,20 +48,6 @@ class Network:
         #: tracer notifies us on every ``enabled`` assignment.
         self.trace_enabled = self.tracer.enabled
         self.tracer.on_toggle.append(self._sync_tracing)
-        if obs is None:
-            from repro.obs.telemetry import NULL_TELEMETRY
-
-            obs = NULL_TELEMETRY
-        #: the experiment's telemetry registry (shared by engine and sites)
-        self.obs = obs
-        #: fast-path mirror of ``obs.enabled`` — one branch per transmit
-        #: when telemetry is off, same cost class as ``trace_enabled``
-        self.obs_on = obs.enabled
-        if self.obs_on:
-            # pre-bound timer: transmit() samples it on the hot path, and
-            # the <10% overhead contract (E9 macro_obs) has no room for a
-            # registry-dispatch chain there
-            self._obs_msg_size = obs.timer("net.msg_size")
         self.stats = MessageStats()
         #: optional transmit interceptor (fault injection): an object with
         #: ``on_transmit(msg, link) -> extra_delay | None`` — ``None`` drops
@@ -186,12 +166,6 @@ class Network:
         sim = self.sim
         if self.trace_enabled:
             self.tracer.emit(sim.now, "net.send", src, mtype=mtype, dst=dst, uid=msg.uid)
-        if self.obs_on and stats.total & 15 == 0:
-            # message-size reservoir, sampled 1-in-16 (deterministic: keyed
-            # to the exact message count). Per-type counts are NOT counted
-            # here — the runner folds MessageStats into the registry at end
-            # of run, so the per-message telemetry cost is this one branch.
-            self._obs_msg_size.observe(size)
         extra = 0.0
         if self.interceptor is not None:
             extra = self.interceptor.on_transmit(msg, link)

@@ -54,11 +54,6 @@ class SiteBase:
         #: guards ``self.trace(...)`` calls on it so a disabled tracer costs
         #: not even the kwargs dict. Kept in sync by the tracer's toggle notification.
         self.trace_on = network.trace_enabled
-        #: the experiment's telemetry registry + its ``obs_on`` mirror —
-        #: same pattern as ``trace_on``: protocol code guards every
-        #: telemetry call on the boolean, so off costs one branch.
-        self.obs = network.obs
-        self.obs_on = network.obs_on
         self._handlers: Dict[str, Handler] = {}
         #: destination -> adjacent next hop; filled by the routing layer and
         #: only ever read with ``get`` (oracle routing rebinds it to a view

@@ -468,7 +468,6 @@ def build_network(
     site_factory: Callable[[SiteId, Network], object],
     tracer: Optional[Tracer] = None,
     throughput: Optional[float] = None,
-    obs=None,
     admission_cache=None,
 ) -> Network:
     """Instantiate a live network from a topology description.
@@ -481,12 +480,8 @@ def build_network(
     site after construction (the topology is the source of truth for the
     heterogeneity it describes); a factory that already passed the same
     speed — the experiment runner does — sees no change.
-
-    ``obs`` (an optional :class:`repro.obs.Telemetry`) is handed to the
-    network before any site is built, so every site's ``obs_on`` mirror is
-    correct from construction.
     """
-    net = Network(sim, tracer, obs=obs)
+    net = Network(sim, tracer)
     if admission_cache is not None:
         # installed before any site is built: RTDS sites bind the shared
         # network-level cache (repro.core.admission_cache) at construction

@@ -12,6 +12,7 @@ from dataclasses import replace
 from repro.core.config import RTDSConfig
 from repro.experiments.evaluation import sweep_sphere_radius
 from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.obs import timeline
 
 BASE = ExperimentConfig(
     topology="grid",
@@ -46,14 +47,14 @@ def test_e3_decision_latency_grows_with_h():
     latency = {}
     for h in (1, 2, 4):
         res = run_experiment(
-            replace(BASE, algorithm="rtds", rtds=RTDSConfig(h=h), telemetry=True,
+            replace(BASE, algorithm="rtds", rtds=RTDSConfig(h=h), trace=True,
                     duration=150.0, label=f"h={h}")
         )
         # the protocol runs: jobs with a phase span that is not a local
         # admission's (those carry kind="local")
         runs = {
             s.key
-            for s in res.telemetry.spans
+            for s in timeline(res)
             if s.category in ("phase.enroll", "phase.map", "phase.validate")
             and (s.labels or {}).get("kind") != "local"
         }

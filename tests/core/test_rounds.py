@@ -15,7 +15,6 @@ class StubSite:
 
     sid = 0
     pcs = None
-    obs_on = False
 
     def __init__(self, retries=1, ack_timeout=GRACE):
         self.sim = Simulator()

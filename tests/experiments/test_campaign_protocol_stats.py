@@ -1,5 +1,5 @@
 """Tests for campaigns (multi-seed aggregation) and the protocol
-statistics a telemetry run records online."""
+statistics read off a traced run."""
 
 from dataclasses import replace
 
@@ -11,6 +11,7 @@ from repro.experiments.campaign import mean_ci, paired_difference
 from repro.experiments.parallel import CellResult
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.metrics.stats import mean_confidence_interval
+from repro.obs import run_telemetry
 
 SMALL = ExperimentConfig(
     topology_kwargs={"n": 8, "p": 0.4, "delay_range": (0.2, 0.8)},
@@ -69,29 +70,28 @@ class TestCampaign:
 
 class TestProtocolStats:
     def observed_run(self):
-        cfg = replace(SMALL, algorithm="rtds", rho=1.0, duration=200.0, telemetry=True, seed=5)
-        return run_experiment(cfg)
+        cfg = replace(SMALL, algorithm="rtds", rho=1.0, duration=200.0, trace=True, seed=5)
+        return run_telemetry(run_experiment(cfg))
 
     @staticmethod
-    def distributed(res, category):
+    def distributed(obs, category):
         return {
-            s.key: s for s in res.telemetry.spans
+            s.key: s for s in obs.spans
             if s.category == category and (s.labels or {}).get("kind") != "local"
         }
 
     def test_stats_populated(self):
-        res = self.observed_run()
-        obs = res.telemetry
-        runs = len(self.distributed(res, "phase.enroll"))
+        obs = self.observed_run()
+        runs = len(self.distributed(obs, "phase.enroll"))
         assert runs > 0
         assert 0.0 <= obs.counters.get("rtds.reject.rejected_validation", 0.0) / runs <= 1.0
-        enrolled = [s.labels["enrolled"] for s in self.distributed(res, "phase.map").values()]
+        enrolled = [s.labels["enrolled"] for s in self.distributed(obs, "phase.map").values()]
         assert enrolled and sum(enrolled) / len(enrolled) >= 1.0
 
     def test_hosting_at_most_enrolled(self):
-        res = self.observed_run()
-        mapped = self.distributed(res, "phase.map")
-        executed = self.distributed(res, "phase.execute")
+        obs = self.observed_run()
+        mapped = self.distributed(obs, "phase.map")
+        executed = self.distributed(obs, "phase.execute")
         assert mapped.keys() & executed.keys(), "no distributed job executed"
         for job in mapped.keys() & executed.keys():
             # hosts come from the enrolled members plus the initiator itself
@@ -101,7 +101,7 @@ class TestProtocolStats:
         from repro.experiments.reporting import format_table
         from repro.obs.export import metrics_records
 
-        rows = metrics_records(self.observed_run().telemetry)
+        rows = metrics_records(self.observed_run())
         names = {row["name"] for row in rows}
         assert {"phase.enroll", "phase.map", "phase.validate", "rtds.acs_size"} <= names
         assert "phase.validate" in format_table(rows)

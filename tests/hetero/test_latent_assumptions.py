@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.obs import timeline
 from repro.experiments.verify import verify_execution
 from repro.workloads.deadlines import assign_deadline
 from repro.graphs.generators import linear_chain_dag
@@ -90,11 +91,11 @@ class TestDeadlineReferenceSpeed:
 
 class TestLatencyBreakdownHeterogeneous:
     def test_phase_breakdown_defined(self):
-        """Obs phase spans on a heterogeneous run have finite, non-negative
+        """Phase spans on a heterogeneous run have finite, non-negative
         durations (phases are protocol time, not WCET)."""
-        res = _hetero_run(duration=150.0, trace=False, telemetry=True)
+        res = _hetero_run(duration=150.0)
         spans = [
-            s for s in res.telemetry.spans
+            s for s in timeline(res)
             if s.category in ("phase.enroll", "phase.map", "phase.validate")
         ]
         assert any(s.category == "phase.map" for s in spans), "no protocol run"

@@ -1,11 +1,11 @@
-"""Protocol-phase latencies, as telemetry records them online.
+"""Protocol-phase latencies, as the timeline reads them off the trace.
 
-A telemetry run closes one ``phase.enroll`` / ``phase.map`` /
+:func:`repro.obs.timeline` rebuilds one ``phase.enroll`` / ``phase.map`` /
 ``phase.validate`` span per protocol run on the initiator's lane (a
 locally admitted job gets ``kind="local"`` enroll/validate spans instead),
-and every span feeds the timer of its category. These tests read the
-breakdown off the Figure-1 scenario: job 0 is admitted locally, job 1
-takes the distributed path.
+and every span recorded on a :class:`Telemetry` feeds the timer of its
+category. These tests read the breakdown off the Figure-1 scenario: job 0
+is admitted locally, job 1 takes the distributed path.
 """
 
 import math
@@ -15,15 +15,17 @@ import pytest
 
 from repro.core.events import JobOutcome
 from repro.experiments.paper_example import run_fig1_scenario
-from repro.obs.telemetry import Telemetry
+from repro.obs import Telemetry, timeline
 
 PHASES = ("phase.enroll", "phase.map", "phase.validate")
 
 
 @pytest.fixture(scope="module")
 def run():
+    tracer, collector, job = run_fig1_scenario()
     obs = Telemetry()
-    _, collector, job = run_fig1_scenario(obs=obs)
+    for s in timeline(SimpleNamespace(tracer=tracer, collector=collector)):
+        obs.span(s.category, s.t0, s.t1, site=s.site, key=s.key, ok=s.ok, **(s.labels or {}))
     return SimpleNamespace(telemetry=obs, collector=collector, distributed_job=job)
 
 

@@ -28,6 +28,16 @@ class TestTraceCommand:
             assert phase in names
         assert metrics.read_text().strip()  # non-empty JSONL stream
         assert "admitted jobs" in out
+        # read off the trace after the run: the same command exports the
+        # same timeline and metrics, byte for byte
+        again, again_metrics = tmp_path / "again.json", tmp_path / "again.jsonl"
+        rc, _ = run_cli(
+            capsys, "trace", "--paper-example", "--duration", "80",
+            "--out", str(again), "--metrics", str(again_metrics),
+        )
+        assert rc == 0
+        assert again.read_bytes() == trace.read_bytes()
+        assert again_metrics.read_bytes() == metrics.read_bytes()
 
     def test_synthetic_trace(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
@@ -62,16 +72,6 @@ class TestStatsCommand:
 
 
 class TestProfileBackends:
-    def test_telemetry_backend(self, capsys):
-        rc, out = run_cli(
-            capsys, "profile", "--backend", "telemetry",
-            "--sites", "6", "--duration", "40",
-        )
-        assert rc == 0
-        assert "timers" in out
-        assert "phase.enroll" in out
-        assert "counters" in out
-
     def test_cprofile_backend_still_default(self, capsys):
         rc, out = run_cli(
             capsys, "profile", "--sites", "4", "--duration", "30", "--limit", "5"

@@ -4,7 +4,6 @@ import io
 
 from repro.experiments.parallel import CellResult
 from repro.obs.dashboard import CampaignDashboard
-from repro.obs.telemetry import Telemetry
 
 
 def cell(seed=0, status="ok", gr=0.8, elapsed=0.5, error=None):
@@ -33,29 +32,24 @@ class FakeClock:
 class TestCampaignDashboard:
     def make(self, *ticks):
         stream = io.StringIO()
-        dash = CampaignDashboard(
-            stream=stream, obs=Telemetry(enabled=True), clock=FakeClock(*ticks)
-        )
+        dash = CampaignDashboard(stream=stream, clock=FakeClock(*ticks))
         return dash, stream
 
     def test_gauges_track_throughput_and_eta(self):
         dash, _ = self.make(0.0, 2.0)
         dash(cell(seed=0), 1, 4)
         dash(cell(seed=1), 2, 4)
-        g = dash.obs.gauges
-        assert g["campaign.total_cells"] == 4.0
-        assert g["campaign.cells_done"] == 2.0
-        assert g["campaign.elapsed_sec"] == 2.0
-        assert g["campaign.cells_per_sec"] == 1.0  # 2 cells / 2s
-        assert g["campaign.eta_sec"] == 2.0  # 2 remaining at 1 cell/s
-        assert dash.obs.timer("campaign.cell_elapsed").count == 2
+        assert dash.done == 2
+        assert dash.elapsed == 2.0
+        assert dash.rate == 1.0  # 2 cells / 2s
+        assert dash.eta == 2.0  # 2 remaining at 1 cell/s
 
     def test_first_cell_rate_uses_cell_elapsed(self):
         # the clock starts at the first completion; the cell's own wall
         # time bounds the rate away from infinity
         dash, _ = self.make(10.0)
         dash(cell(elapsed=0.5), 1, 8)
-        assert dash.obs.gauges["campaign.cells_per_sec"] == 2.0
+        assert dash.rate == 2.0
 
     def test_output_lines_and_footer(self):
         dash, stream = self.make(0.0, 1.0)
@@ -71,7 +65,7 @@ class TestCampaignDashboard:
     def test_failed_cells_counted_and_shown(self):
         dash, stream = self.make(0.0)
         dash(cell(status="failed", error="Boom: x"), 1, 3)
-        assert dash.obs.counters["campaign.cells_failed"] == 1.0
+        assert dash.failed == 1
         out = stream.getvalue()
         assert "error: Boom: x" in out
         assert "1 FAILED" in out

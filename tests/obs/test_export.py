@@ -54,12 +54,6 @@ class TestChromeTrace:
         assert cs[0]["args"] == {"net.msgs.ENROLL": 4.0}
         assert cs[0]["ts"] == 20.0  # max span t1
 
-    def test_open_spans_reported_in_other_data(self):
-        obs = sample_obs()
-        obs.span_begin("phase.map", 9, 1.0)
-        doc = chrome_trace(obs)
-        assert doc["otherData"]["open_spans"] == ["phase.map:9"]
-
     def test_json_serializable_and_writable(self, tmp_path):
         path = tmp_path / "trace.json"
         n = write_chrome_trace(sample_obs(), str(path))

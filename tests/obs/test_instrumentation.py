@@ -1,22 +1,20 @@
-"""Integration contracts of the instrumented runtime.
+"""Integration contracts of the post-run readers.
 
-The tentpole guarantee under test: telemetry is an *observer*. Turning it
-on changes no metric, no trace event, no cell key — and turning it on
-actually observes: spans for every admitted job, engine counters, per-cell
-snapshots that survive the JSONL store round trip.
+A traced run's telemetry is read off its trace: spans for every admitted
+job, counters that agree with the run's own totals, a loud refusal on an
+untraced run — and per-cell snapshots that survive the JSONL store round
+trip.
 """
 
 from dataclasses import replace
 
+import pytest
+
 from repro.core.config import RTDSConfig
-from repro.experiments.parallel import (
-    CellResult,
-    cell_key,
-    config_fingerprint,
-    run_cell,
-)
+from repro.errors import ConfigError
+from repro.experiments.parallel import CellResult, run_cell
 from repro.experiments.runner import ExperimentConfig, run_experiment
-from repro.simnet.trace import trace_digest
+from repro.obs import run_telemetry, timeline
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -32,51 +30,47 @@ def small_config(**overrides) -> ExperimentConfig:
     return replace(base, **overrides)
 
 
-class TestTelemetryInvisibility:
-    def test_metrics_and_trace_identical_on_vs_off(self):
-        off = run_experiment(small_config(telemetry=False))
-        on = run_experiment(small_config(telemetry=True))
-        assert off.scalar_metrics() == on.scalar_metrics()
-        assert trace_digest(off.tracer.events) == trace_digest(on.tracer.events)
-
-    def test_cell_key_ignores_telemetry_flag(self):
-        off = small_config(telemetry=False)
-        on = small_config(telemetry=True)
-        assert config_fingerprint(off) == config_fingerprint(on)
-        assert cell_key(off) == cell_key(on)
-
-
 class TestTelemetryObserves:
     def test_run_result_carries_registry(self):
-        res = run_experiment(small_config(telemetry=True))
-        obs = res.telemetry
-        assert obs is not None and obs.enabled
-        assert obs.counters["engine.events"] > 0
-        assert obs.gauges["engine.events_per_sec"] > 0
+        res = run_experiment(small_config())
+        obs = run_telemetry(res)
+        assert obs.counters["engine.events"] == res.network.sim.events_processed
         assert obs.gauges["run.jobs_arrived"] == res.collector.n_arrived()
-        assert obs.timers["run.workload"].count == 1
+        assert obs.gauges["run.sim_time"] == res.network.sim.now
+        assert obs.counters["rtds.local_accept"] == res.summary.n_accepted_local
 
     def test_off_run_has_no_registry(self):
-        res = run_experiment(small_config(telemetry=False))
-        assert res.telemetry is None
+        """An untraced run has no record to read: both readers say so."""
+        res = run_experiment(small_config(trace=False))
+        for read in (timeline, run_telemetry):
+            with pytest.raises(ConfigError, match="trace=True"):
+                read(res)
 
     def test_every_admitted_job_has_phase_spans(self):
-        res = run_experiment(small_config(telemetry=True))
-        obs = res.telemetry
+        res = run_experiment(small_config())
+        spans = timeline(res)
         admitted = [r for r in res.collector.records() if r.outcome.accepted]
         assert admitted, "scenario must admit jobs to be meaningful"
         for cat in ("phase.enroll", "phase.validate", "phase.execute"):
-            keys = {s.key for s in obs.spans if s.category == cat}
+            keys = {s.key for s in spans if s.category == cat}
             missing = [r.job for r in admitted if r.job not in keys]
             assert not missing, f"jobs {missing} lack a {cat} span"
 
     def test_no_span_leaks_at_run_end(self):
-        res = run_experiment(small_config(telemetry=True))
-        assert res.telemetry.open_spans() == []
+        """Every protocol run the trace opened is closed by the drained
+        run's end: one enroll span per ``acs.enroll`` event."""
+        res = run_experiment(small_config())
+        opened = {e.detail["job"] for e in res.tracer.of("acs.enroll")}
+        assert opened, "scenario must run the distributed protocol"
+        enrolls = [
+            s.key for s in timeline(res)
+            if s.category == "phase.enroll" and (s.labels or {}).get("kind") != "local"
+        ]
+        assert sorted(enrolls) == sorted(opened)
 
     def test_spans_have_sane_extents(self):
-        res = run_experiment(small_config(telemetry=True))
-        for s in res.telemetry.spans:
+        res = run_experiment(small_config())
+        for s in timeline(res):
             assert s.t1 >= s.t0 >= 0.0
 
 

@@ -2,21 +2,24 @@
 
 The contracts under test are the ones DESIGN.md's observability section
 promises: nearest-rank percentile math with NaN-safe edges, bit-identical
-reservoir sampling under a fixed seed, exception-safe wall-clock nesting,
-and a disabled registry that never mutates state.
+reservoir sampling under a fixed seed, spans that feed their category's
+timer, and the pairing rules :func:`repro.obs.timeline` reads them by.
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from repro.metrics.collector import MetricsCollector
+from repro.obs import timeline
 from repro.obs.telemetry import (
-    NULL_TELEMETRY,
     ReservoirTimer,
     Telemetry,
     percentile,
     percentiles,
 )
+from repro.simnet.trace import Tracer
 
 
 class TestPercentile:
@@ -215,87 +218,50 @@ class TestSpans:
         assert s.labels == {"asked": 3}
         assert obs.timer("phase.enroll").count == 1
 
+    # -- spans read off a trace stream (repro.obs.timeline) -------------------
+
+    @staticmethod
+    def read(*events):
+        """Timeline of a synthetic trace: ``(time, category, detail)``
+        events of site 0, no collector records."""
+        tracer = Tracer()
+        for t, category, detail in events:
+            tracer.emit(t, category, 0, **detail)
+        return timeline(SimpleNamespace(tracer=tracer, collector=MetricsCollector()))
+
     def test_begin_end_pairing(self):
-        obs = Telemetry()
-        obs.span_begin("phase.validate", 7, 10.0, site=2)
-        assert obs.open_spans() == [("phase.validate", 7)]
-        s = obs.span_end("phase.validate", 7, 13.0, ok=False)
-        assert s is not None and s.duration == 3.0 and not s.ok
-        assert obs.open_spans() == []
+        spans = self.read(
+            (1.0, "acs.enroll", {"job": 7, "asked": 3}),
+            (4.0, "map.done", {"job": 7, "procs": 2}),
+            (4.0, "validate.self", {"job": 7, "endorsed": []}),
+            (7.0, "validate.fail", {"job": 7}),
+            (7.0, "job.decision", {"job": 7, "outcome": "rejected_validation"}),
+        )
+        assert [(s.category, s.t0, s.t1, s.ok) for s in spans] == [
+            ("phase.enroll", 1.0, 4.0, True),
+            ("phase.map", 4.0, 4.0, True),
+            ("phase.validate", 4.0, 7.0, False),
+        ]
+        assert spans[0].labels == {"asked": 3}
 
     def test_end_without_begin_is_tolerant(self):
-        obs = Telemetry()
-        assert obs.span_end("phase.map", 99, 1.0) is None
-        assert obs.spans == []
-
-    def test_rebegin_overwrites_start(self):
-        obs = Telemetry()
-        obs.span_begin("phase.enroll", 1, 0.0)
-        obs.span_begin("phase.enroll", 1, 5.0)  # retransmission restarts
-        s = obs.span_end("phase.enroll", 1, 8.0)
-        assert s.t0 == 5.0 and s.duration == 3.0
-        assert len(obs.spans) == 1
+        # a tracer switched on mid-protocol: the phases it saw begin only
+        spans = self.read(
+            (4.0, "validate.ok", {"job": 99}),
+            (4.0, "job.local_accept", {"job": 98}),
+            (4.0, "job.decision", {"job": 99, "outcome": "accepted_distributed"}),
+        )
+        assert spans == []
 
     def test_same_key_different_categories_nest(self):
-        obs = Telemetry()
-        obs.span_begin("phase.enroll", 1, 0.0)
-        obs.span_begin("phase.map", 1, 2.0)
-        obs.span_end("phase.map", 1, 3.0)
-        obs.span_end("phase.enroll", 1, 4.0)
-        assert [s.category for s in obs.spans] == ["phase.map", "phase.enroll"]
-        assert obs.open_spans() == []
-
-
-class TestTimeit:
-    def test_nesting_builds_paths(self):
-        obs = Telemetry()
-        with obs.timeit("outer"):
-            with obs.timeit("inner"):
-                pass
-        assert set(obs.timers) == {"outer", "outer/inner"}
-
-    def test_exception_safety(self):
-        obs = Telemetry()
-        with pytest.raises(RuntimeError):
-            with obs.timeit("outer"):
-                with obs.timeit("boom"):
-                    raise RuntimeError("x")
-        # durations recorded, error counted, stack fully unwound
-        assert obs.timers["outer/boom"].count == 1
-        assert obs.timers["outer"].count == 1
-        assert obs.counters["outer/boom.errors"] == 1.0
-        assert obs.counters["outer.errors"] == 1.0
-        with obs.timeit("clean"):
-            pass
-        assert "clean" in obs.timers  # no stale path prefix survived
-
-
-class TestDisabled:
-    def test_all_mutators_are_noops(self):
-        obs = Telemetry(enabled=False)
-        obs.inc("c")
-        obs.gauge("g", 1.0)
-        obs.observe("t", 1.0)
-        obs.span("phase.x", 0.0, 1.0)
-        obs.span_begin("phase.x", 1, 0.0)
-        assert obs.span_end("phase.x", 1, 1.0) is None
-        assert obs.sample_rss() is None
-        with obs.timeit("w"):
-            pass
-        assert not obs.counters and not obs.gauges
-        assert not obs.timers and not obs.spans
-        assert obs.open_spans() == []
-
-    def test_null_singleton_stays_empty(self):
-        # the shared disabled instance must never accumulate state
-        NULL_TELEMETRY.inc("x")
-        NULL_TELEMETRY.span("phase.x", 0.0, 1.0)
-        assert not NULL_TELEMETRY.counters
-        assert not NULL_TELEMETRY.spans
-
-    def test_disabled_timeit_propagates_exceptions(self):
-        obs = Telemetry(enabled=False)
-        with pytest.raises(ValueError):
-            with obs.timeit("w"):
-                raise ValueError("x")
-        assert not obs.counters
+        # a session that dies at the mapping boundary: the decision closes
+        # the open enroll (failed: nobody enrolled) and implies a failed,
+        # zero-width map span on the same key
+        spans = self.read(
+            (1.0, "acs.enroll", {"job": 1, "asked": 2}),
+            (6.0, "job.decision", {"job": 1, "outcome": "rejected_no_sphere"}),
+        )
+        assert [(s.category, s.key, s.t0, s.t1, s.ok) for s in spans] == [
+            ("phase.enroll", 1, 1.0, 6.0, False),
+            ("phase.map", 1, 6.0, 6.0, False),
+        ]

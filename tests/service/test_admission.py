@@ -10,11 +10,10 @@ from repro.workloads.arrivals import PoissonProcess
 from repro.workloads.openloop import OpenLoopSpec, open_loop_workload
 
 
-def _config(seed=0, telemetry=False):
+def _config(seed=0):
     return ExperimentConfig(
         topology_kwargs={"n": 8, "p": 0.4, "delay_range": (0.2, 1.0)},
         seed=seed,
-        telemetry=telemetry,
     )
 
 
@@ -78,17 +77,6 @@ def test_drain_is_idempotent_and_closes_intake():
         svc.submit_nowait(_jobs(6)[5])
     assert svc.stats.decided == 5
     assert res.unfinished_plan_records() == 0
-
-
-def test_obs_counters_mirrored_when_telemetry_on():
-    res = ResidentSimulation(_config(telemetry=True))
-    svc = _submit_all(res, _jobs(12), queue_capacity=16)
-    counters = res.resident.obs.counters
-    assert counters["service.submitted"] == 12.0
-    admitted = counters.get("service.admitted", 0.0)
-    rejected = counters.get("service.rejected", 0.0)
-    assert admitted + rejected == 12.0
-    assert admitted == float(svc.stats.admitted)
 
 
 def test_latency_timer_sees_every_decision():

@@ -25,10 +25,10 @@ def _config(seed=0, faults=None, routing="protocol"):
     )
 
 
-def _job(i, res, deadline=60.0):
+def _job(i, res, deadline=60.0, delay=0.0):
     dag = mixed_dag_factory("small")(np.random.default_rng(i))
-    now = res.now
-    return JobSpec(job=i, dag=dag, origin=i % 8, arrival=now, deadline=now + deadline)
+    at = res.now + delay
+    return JobSpec(job=i, dag=dag, origin=i % 8, arrival=at, deadline=at + deadline)
 
 
 # -- degraded breaker --------------------------------------------------------
@@ -83,6 +83,31 @@ def test_breaker_trips_and_recovers():
     assert not svc.degraded
     assert svc.stats.degraded_entered == 1
     assert svc.submit_nowait(_job(101, res)) is True
+
+
+def test_breaker_closes_after_shedding_a_window():
+    """Shed jobs are never decided, so decisions cannot close an open
+    breaker once the queue is empty; shedding one window's worth of jobs
+    does, on a cleared window. Driven through submit_nowait/pump only."""
+    res, svc = _breaker_service(floor=0.5, window=4)
+    # four jobs no site can hold (deadline far below the DAG's length),
+    # then one later arrival whose pump lets the four be decided
+    for i in range(4):
+        assert svc.submit_nowait(_job(i, res, deadline=0.01)) is True
+    assert svc.submit_nowait(_job(4, res, delay=50.0)) is True
+    svc.pump()
+    assert svc.stats.rejected >= 4
+    assert svc.degraded and svc.stats.degraded_entered == 1
+    # open with an empty queue: it sheds exactly one window, then closes
+    shed = [svc.submit_nowait(_job(10 + i, res, delay=1.0)) for i in range(4)]
+    assert shed == [False] * 4
+    assert svc.stats.shed_degraded == 4
+    assert not svc.degraded
+    assert svc.submit_nowait(_job(20, res, delay=1.0)) is True
+    # the cleared window must fill again before the breaker can re-trip
+    svc.drain()
+    assert svc.stats.degraded_entered == 1
+    assert svc.stats.decided == svc.stats.submitted == 6
 
 
 def test_breaker_off_by_default():

@@ -68,22 +68,21 @@ class TestDesignMd:
         assert "test_hetero_sweep.py" in text
 
     def test_observability_section(self):
-        """DESIGN.md §12 must document the telemetry cost contract."""
+        """DESIGN.md §12 must document the one-instrument cost contract."""
         text = read("DESIGN.md")
         assert "Observability model" in text
         assert "`repro.obs`" in text
         lower = text.lower()
         for concept in (
-            "bit-for-bit invisible",
-            "macro_obs",
-            "null_telemetry",
+            "read off the trace",
+            "test_timeline.py",
             "reservoir",
             "chrome trace",
             "phase.enroll",
         ):
             assert concept.lower() in lower, f"DESIGN.md must document {concept!r}"
         overhead = section("DESIGN.md", "### §12.2 Overhead contract")
-        assert "bench_e9_hotpath.py" in overhead and "macro_obs" in overhead
+        assert "Nothing but the tracer on the hot path" in overhead and "trace_on" in overhead
 
     def test_service_section(self):
         """DESIGN.md §13 must document the service model's contracts."""
@@ -219,8 +218,8 @@ class TestExperimentsMd:
         assert "rtds trace" in text
         assert "rtds stats" in text
         assert "--paper-example" in text
-        assert "macro_obs" in text
-        assert "--backend telemetry" in text
+        assert "read off the trace" in text
+        assert "test_timeline.py" in text
 
     def test_e11_entry_names_gate_and_cli(self):
         """E11 must document its drift gate, differential check and CLI."""
@@ -232,10 +231,10 @@ class TestExperimentsMd:
 
 
     def test_e9_entry_names_overhead_gate(self):
-        """E9 must name its e2e workload, the telemetry gate and tests/cache."""
+        """E9 must name its e2e workload, the span golden and tests/cache."""
         text = section("EXPERIMENTS.md", "### E9 —")
         assert "steady48" in text
-        assert "bench_e9_hotpath.py" in text and "macro_obs" in text
+        assert "test_timeline.py" in text and "trace_on" in text
         assert "hit-rate floor" in text
         assert "tests/cache" in text
 

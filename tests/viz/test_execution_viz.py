@@ -9,7 +9,7 @@ per site with a ``phase.execute`` span for every admitted job.
 import pytest
 
 from repro.experiments.runner import ExperimentConfig, run_experiment
-from repro.obs.export import chrome_trace
+from repro.obs import chrome_trace, run_telemetry
 from repro.viz.gantt import render_gantt
 
 
@@ -22,7 +22,7 @@ def run():
             duration=100.0,
             seed=4,
             algorithm="rtds",
-            telemetry=True,
+            trace=True,
         )
     )
 
@@ -41,7 +41,7 @@ class TestExecutionItems:
 
 class TestRendering:
     def test_render_contains_rows(self, run):
-        events = chrome_trace(run.telemetry)["traceEvents"]
+        events = chrome_trace(run_telemetry(run))["traceEvents"]
         lanes = {e["tid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
         executed = [e for e in events if e["name"] == "phase.execute"]
         assert executed
