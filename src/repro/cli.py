@@ -97,6 +97,10 @@ def _cmd_example(_args: argparse.Namespace) -> int:
     return 0
 
 
+#: default ``--duration`` of a run, in simulated time units
+_DURATION = 400.0
+
+
 def _base_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.sites < 2:
         raise ConfigError(f"--sites must be >= 2 (one site has no network), got {args.sites}")
@@ -210,7 +214,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """
     if args.paper_example:
         cfg = paper_example_config(seed=args.seed)
+        if args.duration is not None:
+            cfg = replace(cfg, duration=args.duration)
     else:
+        if args.duration is None:
+            args.duration = _DURATION
         cfg = _base_config(args)
     res, doc = api.trace(cfg, out=args.out)
     obs = run_telemetry(res)
@@ -488,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--sites", type=int, default=16)
         p.add_argument("--rho", type=float, default=0.6)
-        p.add_argument("--duration", type=float, default=400.0)
+        p.add_argument("--duration", type=float, default=_DURATION)
         p.add_argument("--laxity", type=float, default=3.0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--h", type=int, default=2)
@@ -546,6 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace the Figure-1 scenario (4-site complete net, Fig. 2 DAGs) "
         "instead of the --sites/--rho synthetic workload",
     )
+    # unset --duration: the paper example runs its own default length
+    p_tr.set_defaults(duration=None)
     p_tr.add_argument(
         "--out", default="trace.json",
         help="Chrome trace-event JSON output path (open in ui.perfetto.dev)",

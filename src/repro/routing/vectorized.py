@@ -21,10 +21,14 @@ sites without changing any scheduling decision downstream.
 Layout: one :class:`SharedTables` holds every site's row, and a row holds
 only the site's ``P``-hop **ball** — the destinations the interrupted
 protocol can ever learn — compressed like a CSR matrix: row offsets,
-ascending destination ids, and one value array per field. Nothing on the
-oracle path allocates an ``n x n`` array; the dense weight matrix
-(:func:`weight_matrix`) is built only for the global-state baselines
-(:func:`hop_diameter_fast`, :func:`true_distance_matrix`).
+ascending destination ids, and one value array per field. The kernel
+works a chunk of rows at a time, and its scratch is sized by the chunk,
+not by ``n``: at most :data:`_CHUNK_ROWS` rows and :data:`_MAP_CELLS`
+``(rows x n)`` map entries (a byte ring map in the layout, a ``uint16``
+position map in the solve) and, in the solve, :data:`_CHUNK_CELLS`
+cells. The dense weight matrix (:func:`weight_matrix`) is built only for
+the global-state baselines (:func:`hop_diameter_fast`,
+:func:`true_distance_matrix`).
 """
 
 from __future__ import annotations
@@ -43,11 +47,16 @@ NO_ROUTE = -1
 #: dtype of destination ids and of the next-hop / discovery arrays
 INDEX = np.int32
 
-#: entries of the ``(rows x n)`` scratch map a solve chunk addresses its
-#: cells through (at most 4 MB of int32)
+#: rows per chunk: four 64-bit words of layout bits per site
+_CHUNK_ROWS = 1 << 8
+
+#: entries of a ``(chunk rows x n)`` scratch map: past 4096 sites it caps
+#: the chunk rows, so the layout's ring map stays within 1 MB of bytes and
+#: the solve's position map within 2 MB of uint16
 _MAP_CELLS = 1 << 20
 
-#: table cells per solve chunk: bounds every per-step temporary
+#: table cells per solve chunk: bounds every per-step temporary, and the
+#: chunk-local cell indices fit uint16
 _CHUNK_CELLS = 1 << 16
 
 #: one word of a layout bit set: 64 rows, least significant bit first
@@ -58,7 +67,9 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Flat indices of the ranges ``[starts[k], starts[k] + lens[k])``, concatenated."""
     ends = np.cumsum(lens)
     total = int(ends[-1]) if ends.size else 0
-    return np.repeat(starts - (ends - lens), lens) + np.arange(total)
+    flat = np.repeat(starts - (ends - lens), lens)
+    flat += np.arange(total)
+    return flat
 
 
 class Links:
@@ -233,6 +244,11 @@ def weight_matrix(topo) -> np.ndarray:
     return W
 
 
+def _chunk_rows(n: int) -> int:
+    """Rows per chunk of an ``n``-site network."""
+    return max(1, min(_CHUNK_ROWS, _MAP_CELLS // max(n, 1)))
+
+
 def _pieces(lens: np.ndarray, cap: int) -> Iterator[slice]:
     """Consecutive slices of at most ``cap`` items and, past the first
     item, at most :data:`_CHUNK_CELLS` summed ``lens``."""
@@ -246,24 +262,33 @@ def _pieces(lens: np.ndarray, cap: int) -> Iterator[slice]:
         start = stop
 
 
+def _joined(parts: List[np.ndarray]) -> np.ndarray:
+    """The ``INDEX`` parts end to end; a lone part is returned as is, not copied."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=INDEX)
+
+
 def _balls(links: Links, rows: np.ndarray, phases: int):
     """The table layout: each of ``rows``' ``phases``-hop balls.
 
     A multi-source BFS per chunk of rows on bit sets: ``reached[v]`` holds
     one bit per chunk row, and a site's next-ring bits are the OR of its
     neighbours' frontier bits, taken over the sites next to the frontier
-    only. Each ring is written into a ``(chunk rows x n)`` scratch map,
-    which is read back in order. Returns ``(indptr, cols, disc)`` with
-    ``disc`` the BFS hop distance — the phase at which the protocol first
-    learns the destination. Rows outside ``rows`` stay empty.
+    only. Each ring ``k`` is written as ``k + 1`` into a ``(chunk rows x
+    n)`` ring map of the narrowest unsigned type that holds ``phases + 1``
+    (one byte for any phase budget below 255), whose nonzero entries are
+    read back in order. Returns ``(indptr, cols, disc)`` with ``disc`` the
+    BFS hop distance — the phase at which the protocol first learns the
+    destination. Rows outside ``rows`` stay empty.
     """
     n = links.n
     deg = links.degree()
-    cap = max(1, _MAP_CELLS // max(n, 1))
-    scratch = np.full(min(cap, rows.size) * n, NO_ROUTE, dtype=INDEX)
+    cap = _chunk_rows(n)
+    ring_map = np.zeros(min(cap, rows.size) * n, dtype=np.min_scalar_type(phases + 1))
     counts = np.zeros(n, dtype=np.int64)
-    col_parts: List[np.ndarray] = [np.empty(0, dtype=INDEX)]
-    disc_parts: List[np.ndarray] = [np.empty(0, dtype=INDEX)]
+    col_parts: List[np.ndarray] = []
+    disc_parts: List[np.ndarray] = []
     for a in range(0, rows.size, cap):
         chunk = rows[a:a + cap]
         pos = np.arange(chunk.size)
@@ -272,7 +297,7 @@ def _balls(links: Links, rows: np.ndarray, phases: int):
         reached[chunk, pos >> 6] = np.left_shift(_WORD.type(1), (pos & 63).astype(_WORD))
         frontier = reached.copy()
         active = chunk
-        scratch[pos * n + chunk] = 0
+        ring_map[pos * n + chunk] = 1
         for k in range(1, phases + 1):
             near = np.zeros(n, dtype=bool)
             near[links.neighbors_of(active)] = True
@@ -297,13 +322,18 @@ def _balls(links: Links, rows: np.ndarray, phases: int):
                 break
             bit = np.flatnonzero(np.unpackbits(byte[hit], bitorder="little"))
             hit = hit[bit >> 3]
-            scratch[((hit % width) * 8 + (bit & 7)) * n + near[hit // width]] = k
-        keys = np.flatnonzero(scratch[:chunk.size * n] >= 0)
-        disc_parts.append(scratch[keys])
-        scratch[keys] = NO_ROUTE
+            ring_map[((hit % width) * 8 + (bit & 7)) * n + near[hit // width]] = k + 1
+        del reached, frontier
+        # (a bool mask scans an order of magnitude faster than a byte array)
+        keys = np.flatnonzero(ring_map[:chunk.size * n] != 0)
+        disc = ring_map[keys].astype(INDEX)
+        disc -= 1
+        disc_parts.append(disc)
+        ring_map[keys] = 0
         counts[chunk] = np.diff(np.searchsorted(keys, np.arange(chunk.size + 1) * n))
         col_parts.append(np.remainder(keys, n, out=keys).astype(INDEX))
-    return _offsets(counts), np.concatenate(col_parts), np.concatenate(disc_parts)
+        del keys
+    return _offsets(counts), _joined(col_parts), _joined(disc_parts)
 
 
 def _solve(links: Links, rows: np.ndarray, phases: int, indptr, cols, disc):
@@ -316,6 +346,13 @@ def _solve(links: Links, rows: np.ndarray, phases: int, indptr, cols, disc):
     ``r``-th neighbour of every row is offered in one batch — no two of its
     offers hit the same cell — and batches go in ``r`` order, which is
     each row's ascending-neighbour order.
+
+    Rows are solved in chunks of at most :data:`_CHUNK_CELLS` cells (a
+    chunk of one row may hold more). A chunk's cells are copied out, so
+    the rank batches update small contiguous arrays, and are addressed
+    through a ``(chunk rows x n)`` position map of chunk-local indices:
+    ``uint16`` when every chunk fits the budget, ``int32`` when one row
+    alone outgrows it.
     """
     n = links.n
     size = cols.size
@@ -330,6 +367,7 @@ def _solve(links: Links, rows: np.ndarray, phases: int, indptr, cols, disc):
     adjacent = disc == 1
     next_hop[adjacent] = cols[adjacent]
     dist[adjacent] = links.delay[_ranges(links.ptr[rows], deg[rows])]
+    del own, adjacent
     if phases < 2 or not size:
         return dist, next_hop
 
@@ -338,12 +376,19 @@ def _solve(links: Links, rows: np.ndarray, phases: int, indptr, cols, disc):
     # batch is a prefix of the chunk.
     by_degree = rows[np.argsort(-deg[rows], kind="stable")]
     chunks = []
-    for piece in _pieces(lens[by_degree], max(1, _MAP_CELLS // max(n, 1))):
+    for piece in _pieces(lens[by_degree], _chunk_rows(n)):
         chunk = by_degree[piece]
         d = deg[chunk]
         alive = np.searchsorted(-d, -np.arange(int(d[0]) if d.size else 0), side="left")
         chunks.append((chunk, alive.tolist()))
-    scratch = np.full(max(c.size for c, _ in chunks) * n, NO_ROUTE, dtype=INDEX)
+    # chunk-local cell indices: the narrowest type that indexes a full chunk
+    # (uint16), or int32 once a chunk of one row outgrows the budget
+    local = np.min_scalar_type(_CHUNK_CELLS - 1) if lens.max() <= _CHUNK_CELLS else INDEX
+    # Every offer lands in a cell of the chunk being solved (a neighbour's
+    # phase-(p - 1) destinations lie in the row's p-hop ball), so the map
+    # is only ever read where this chunk wrote it: it needs no clearing.
+    where = np.empty(max(c.size for c, _ in chunks) * n, dtype=local)
+    nonempty = lens > 0
 
     # A solve restricted to some rows leaves cells of its outermost rows
     # unfilled; they offer inf, which never replaces (inf - inf is the nan
@@ -355,47 +400,71 @@ def _solve(links: Links, rows: np.ndarray, phases: int, indptr, cols, disc):
             # neighbours are offered — snapshotted, since rows change as the
             # sweep goes
             known = disc < phase
-            before = np.cumsum(known, dtype=INDEX)
-            known_ptr = np.where(indptr > 0, before[np.maximum(indptr - 1, 0)], 0)
-            del before
+            known_lens = np.zeros(n, dtype=np.int64)
+            known_lens[nonempty] = np.add.reduceat(
+                known, indptr[:-1][nonempty], dtype=np.int64
+            )
+            known_ptr = _offsets(known_lens)
             known_cols = cols[known]
             known_dist = dist[known]
             del known
             changed = False
             for chunk, alive in chunks:
-                # the chunk's cells, addressed by (position in chunk, destination)
                 cells = _ranges(indptr[chunk], lens[chunk])
-                keys = np.repeat(np.arange(chunk.size) * n, lens[chunk]) + cols[cells]
-                scratch[keys] = cells
+                base = np.arange(chunk.size) * n
+                at = np.repeat(base, lens[chunk])
+                at += cols[cells]
+                where[at] = np.arange(cells.size)
+                del at
+                # the chunk's cells, solved in place of the shared arrays; a
+                # self cell reads -inf there, which no offer replaces (a
+                # site never replaces its own self-entry)
+                c_dist = dist[cells]
+                own = np.flatnonzero(disc[cells] == 0)
+                c_dist[own] = -np.inf
+                c_hop = next_hop[cells]
+                first = links.ptr[chunk]
+                touched = False
                 for rank, m in enumerate(alive):
-                    link = links.ptr[chunk[:m]] + rank
+                    link = first[:m] + rank
                     u = links.nbr[link]
-                    offered = known_ptr[u + 1] - known_ptr[u]
+                    offered = known_lens[u]
                     ends = np.cumsum(offered)
-                    src = _ranges(known_ptr[u], offered)
-                    tgt = scratch[np.repeat(np.arange(m) * n, offered) + known_cols[src]]
+                    src = np.repeat(known_ptr[u] - (ends - offered), offered)
+                    src += np.arange(ends[-1])
+                    at = np.repeat(base[:m], offered)
+                    at += known_cols[src]
+                    tgt = where[at]
+                    del at
                     # candidate delay accumulates exactly like the protocol: my
                     # link delay to u, plus u's previous-phase accumulated delay
-                    cand = np.repeat(links.delay[link], offered) + known_dist[src]
-                    cur = dist[tgt]
-                    repl = cand < cur - EPS
+                    cand = np.repeat(links.delay[link], offered)
+                    cand += known_dist[src]
+                    del src
+                    cur = c_dist[tgt]
+                    gap = cur - EPS
+                    repl = cand < gap
                     # equal delay (within EPS): the lower next hop wins
-                    tie = np.flatnonzero(np.abs(cand - cur) <= EPS)
+                    np.subtract(cand, cur, out=gap)
+                    tie = np.flatnonzero(np.abs(gap, out=gap) <= EPS)
+                    del cur, gap
                     if tie.size:
                         via = u[np.searchsorted(ends, tie, side="right")]
-                        repl[tie[via < next_hop[tgt[tie]]]] = True
+                        repl[tie[via < c_hop[tgt[tie]]]] = True
                     hit = np.flatnonzero(repl)
-                    # a site never replaces its own self-entry
-                    hit = hit[disc[tgt[hit]] != 0]
                     if not hit.size:
                         continue
-                    changed = True
+                    touched = True
                     t = tgt[hit]
-                    dist[t] = cand[hit]
-                    next_hop[t] = u[np.searchsorted(ends, hit, side="right")]
-                scratch[keys] = NO_ROUTE
+                    c_dist[t] = cand[hit]
+                    c_hop[t] = u[np.searchsorted(ends, hit, side="right")]
+                if touched:
+                    changed = True
+                    c_dist[own] = 0.0
+                    dist[cells] = c_dist
+                    next_hop[cells] = c_hop
             # release this phase's snapshot before the next one is taken
-            del known_cols, known_dist
+            del known_lens, known_ptr, known_cols, known_dist
             if not changed:
                 # Fixpoint: remaining phases are no-ops (the protocol would
                 # keep exchanging empty deltas; the tables cannot change).
@@ -420,7 +489,7 @@ def phased_tables(
     ball — exactly the cells the protocol ever fills — and the solve works
     on those cells alone: per phase, one batch per neighbour rank, sized
     by the balls (``O(sum_i degree(i) * |ball|)`` element work per sweep),
-    never an ``n x n`` array. Cross-checked exactly against the simulated
+    with scratch bounded by a chunk of rows, never an ``n x n`` array. Cross-checked exactly against the simulated
     protocol, the pure-Python oracle and the frozen dense solve by
     ``tests/routing/``.
 

@@ -1,8 +1,12 @@
 """CLI smoke tests for the observability commands: trace, stats, profile."""
 
 import json
+import re
 
+from repro import api
 from repro.cli import main
+from repro.experiments.paper_example import paper_example_config
+from repro.obs import run_telemetry
 from repro.obs.export import validate_chrome_trace
 
 
@@ -38,6 +42,26 @@ class TestTraceCommand:
         assert rc == 0
         assert again.read_bytes() == trace.read_bytes()
         assert again_metrics.read_bytes() == metrics.read_bytes()
+
+    def test_paper_example_honours_an_explicit_duration(self, capsys, tmp_path):
+        """``--duration`` reshapes the paper example; left unset, the example
+        runs its own default length."""
+
+        def cli_spans(*extra):
+            rc, out = run_cli(
+                capsys, "trace", "--paper-example", *extra, "--out", str(tmp_path / "t.json")
+            )
+            assert rc == 0
+            return int(re.search(r"(\d+) spans", out).group(1))
+
+        def spans(**kwargs):
+            result, _ = api.trace(paper_example_config(**kwargs))
+            return len(run_telemetry(result).spans)
+
+        short = spans(duration=100.0)
+        assert short < spans()
+        assert cli_spans("--duration", "100") == short
+        assert cli_spans() == spans()
 
     def test_synthetic_trace(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"

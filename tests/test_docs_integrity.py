@@ -10,8 +10,6 @@ requires it at the top of DESIGN.md).
 import pathlib
 import re
 
-import pytest
-
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: the paper's shape claims, one test file per experiment
 CLAIMS = sorted(p.name for p in (ROOT / "tests" / "claims").glob("test_*.py"))
