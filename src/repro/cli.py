@@ -345,7 +345,10 @@ def _seeds(args: argparse.Namespace) -> range:
 
 
 def _csv(text: str, cast: Callable[[str], Any] = str) -> List[Any]:
-    return [cast(x) for x in text.split(",")]
+    try:
+        return [cast(x) for x in text.split(",")]
+    except ValueError as err:  # names the item: "could not convert string to float: 'x'"
+        raise ConfigError(f"bad list {text!r}: {err}") from None
 
 
 def _fault_plans(args: argparse.Namespace) -> Dict[str, Any]:

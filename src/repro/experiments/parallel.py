@@ -72,6 +72,7 @@ _RETIRED_FIELDS: Dict[str, Dict[str, object]] = {
         "random_max_hops": 4,
         "random_tries": 3,
         "drain_margin": 300.0,
+        "hygiene_interval": None,
     },
     "RTDSConfig": {
         "member_lease": None,

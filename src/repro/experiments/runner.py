@@ -17,10 +17,10 @@ workload, random-offload choices, and the tie-break rules are seed-free.
 One build, one drive: :func:`assemble` stands a live
 :class:`ResidentNetwork` up over a :func:`resolve_topology` result
 (:func:`build_resident` adds the latent joiner sites first), and that
-object schedules jobs, ticks hygiene, runs to the drain horizon and
-summarizes — for the batch runner here and the admission service of
-:mod:`repro.service` alike. ``run_experiment(config, workload=...)``
-replays an explicit job list (the service ≡ batch differential).
+object schedules jobs, prunes and summarizes — for the batch runner
+here and the resident service of :mod:`repro.service` alike.
+``run_experiment(config, workload=...)`` replays an explicit job list
+(the service ≡ batch differential).
 """
 
 from __future__ import annotations
@@ -114,13 +114,6 @@ class ExperimentConfig:
     #: the run's one surplus window: every site, RTDS or baseline, is
     #: built with it
     surplus_window: float = 200.0
-    #: if set, every ``hygiene_interval`` time units every site forgets
-    #: finished history older than one surplus window — member and hosting
-    #: state too, and abandoned records on fault runs; plans and executors
-    #: already drop it at each completion (long-run memory hygiene;
-    #: provably decision-neutral, see RTDSSite.prune_history). The post-run
-    #: audit reads the collector, which this does not fold.
-    hygiene_interval: Optional[float] = None
     #: fault injection (repro.faults): ``None`` or a zero plan leaves the
     #: no-faults code path bit-for-bit untouched. Window/churn times are
     #: relative to workload start; setup/routing always runs fault-free.
@@ -160,10 +153,6 @@ class ExperimentConfig:
             raise ConfigError(f"laxity_factor must be > 0 and finite, got {self.laxity_factor}")
         if not 0 <= self.rho < math.inf:
             raise ConfigError(f"rho must be >= 0 and finite, got {self.rho}")
-        # a zero interval would reschedule the hygiene tick at the same
-        # instant forever
-        if self.hygiene_interval is not None and not self.hygiene_interval > 0:
-            raise ConfigError(f"hygiene_interval must be > 0, got {self.hygiene_interval}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}")
         if self.routing_mode not in ("protocol", "oracle"):
@@ -354,8 +343,6 @@ class ResidentNetwork:
     #: gate-blocked records reaped by hygiene (fault runs only) — plan
     #: state whose prerequisite result was lost for good
     abandoned_reaped: int = 0
-    #: where :meth:`run_to_horizon` stops (set by :meth:`schedule_workload`)
-    horizon: Optional[Time] = None
 
     @property
     def shift(self) -> float:
@@ -436,48 +423,34 @@ class ResidentNetwork:
         self.sim.schedule_call_at(self.shift + job.arrival, self.submit_spec, job)
 
     def schedule_workload(self, workload: Workload) -> Time:
-        """Schedule a job list and the hygiene tick; returns :attr:`horizon`."""
+        """Schedule a job list; returns the horizon: the last deadline plus
+        the drain margin, in simulation time."""
         for job in workload:
             self.schedule_job(job)
-        horizon = self.shift + workload.last_deadline() + DRAIN_MARGIN
-        self.horizon = horizon
-        interval = self.config.hygiene_interval
-        if interval is not None:
-            self.sim.schedule(interval, self._hygiene_tick)
-        return horizon
+        return self.shift + workload.last_deadline() + DRAIN_MARGIN
 
-    def _hygiene_tick(self) -> None:
-        """One hygiene pass, re-armed every ``hygiene_interval`` until the
-        horizon (a method, not a closure that re-schedules itself: that
-        would be a reference cycle, see :func:`_gc_paused`)."""
-        self.prune_pass()
-        interval = self.config.hygiene_interval
-        if self.sim.now + interval < self.horizon:
-            self.sim.schedule(interval, self._hygiene_tick)
-
-    def run_to_horizon(self) -> None:
-        """Run until every scheduled deadline plus the drain margin has passed."""
-        self.sim.run(until=self.horizon)
-
-    def prune_pass(self) -> None:
+    def prune_pass(self) -> int:
         """One memory-hygiene pass: sites forget settled history older than
         one surplus window (decision-neutral, see ``RTDSSite.prune_history``).
 
         Fault runs additionally reap abandoned executor records —
         committed reservations whose prerequisite result was lost for
         good (:meth:`~repro.sched.executor.PlanExecutor.reap_abandoned`);
-        the no-fault path never reaps, keeping it byte-identical.
+        the no-fault path never reaps, keeping it byte-identical. Returns
+        the number of plan reservations dropped.
         """
         keep_from = self.sim.now - self.config.surplus_window
         if keep_from <= 0:
-            return
+            return 0
+        pruned = 0
         for s in self.sites:
             prune = getattr(s, "prune_history", None)
             if prune is not None:
-                prune(keep_from)
+                pruned += prune(keep_from)
         if self.injector is not None:
             for s in self.sites:
                 self.abandoned_reaped += s.executor.reap_abandoned(keep_from)
+        return pruned
 
     def unfinished_plan_records(self) -> int:
         """Total committed-but-unfinished executor records across all sites.
@@ -715,6 +688,5 @@ def _generate_batch_workload(
 def _execute_workload(resident: ResidentNetwork, workload: Workload) -> RunResult:
     """Run a job list through a resident to completion and summarize."""
     resident.arm_faults(default_horizon=resident.config.duration)
-    resident.schedule_workload(workload)
-    resident.run_to_horizon()
+    resident.sim.run(until=resident.schedule_workload(workload))
     return resident.result(workload)

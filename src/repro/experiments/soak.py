@@ -1,7 +1,7 @@
 """E12 and E13 — the long-lived admission soak, on a still or a churning network.
 
 One resident network, one open-loop arrival stream, 10^5–10^6 jobs:
-:func:`run_soak` drives the admission service of :mod:`repro.service`
+:func:`run_soak` drives the resident service of :mod:`repro.service`
 until ``target_jobs`` have been submitted and the network has drained,
 sampling as it goes. The report answers the questions batch experiments
 cannot:
@@ -26,9 +26,9 @@ table from scratch and compares it bit for bit with the repaired one.
 Without faults the ledger is all zeros and ``tables_converged`` is 1.
 
 The intake follows ``degraded_floor``. Without a floor it is
-:meth:`~repro.service.admission.AdmissionService.submit`: a full queue
+:meth:`~repro.service.resident.ResidentSimulation.submit`: a full queue
 stalls the arrivals until the pump has run it. With one it is the lossy
-:meth:`~repro.service.admission.AdmissionService.submit_nowait`: when the
+:meth:`~repro.service.resident.ResidentSimulation.submit_nowait`: when the
 queue is full or the breaker is open (windowed acceptance rate below the
 floor), jobs are shed and counted, so churn cannot stall the clock that
 drives it.
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import pathlib
 import time
 from dataclasses import asdict, dataclass, field
@@ -60,15 +61,10 @@ from repro.experiments.runner import ExperimentConfig
 from repro.faults.injector import FaultStats
 from repro.membership.manager import MembershipStats
 from repro.obs.telemetry import current_rss_mb
-from repro.service.admission import AdmissionService
-from repro.service.resident import ResidentSimulation
+from repro.service.resident import ResidentSimulation, check_intake
 from repro.workloads.arrivals import PoissonProcess, parse_arrival_spec
 from repro.workloads.openloop import OpenLoopSpec, open_loop_jobs, open_loop_rate
 
-#: simulated-time units between hygiene passes (prune + fold)
-HYGIENE_INTERVAL = 200.0
-#: decisions the admission breaker's acceptance rate is taken over
-DEGRADED_WINDOW = 500
 #: jobs the lossy intake submits between pumps (keeps the queue shallow
 #: without a pump per job)
 LOSSY_BATCH = 64
@@ -103,10 +99,19 @@ class SoakConfig:
     degraded_floor: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # the first three would otherwise fail only once the network is
+        # built, as a TopologyError or WorkloadError the CLI does not catch
+        if self.n_sites < 2:
+            raise ConfigError(f"n_sites must be >= 2 (one site has no network), got {self.n_sites}")
+        if not 0 <= self.rho < math.inf:
+            raise ConfigError(f"rho must be >= 0 and finite, got {self.rho}")
+        if not 0 < self.laxity_factor < math.inf:
+            raise ConfigError(f"laxity_factor must be > 0 and finite, got {self.laxity_factor}")
         if self.target_jobs < 1:
             raise ConfigError("target_jobs must be >= 1")
         if self.sample_every < 1:
             raise ConfigError("sample_every must be >= 1")
+        check_intake(self.queue_capacity, self.degraded_floor)
         if self.arrival != "auto":
             try:
                 parse_arrival_spec(self.arrival)  # fail before building anything
@@ -273,16 +278,14 @@ def run_soak(
 ) -> SoakReport:
     """Run one soak to completion."""
     res = ResidentSimulation(
-        config.experiment_config(), fold=True, fault_horizon=config.fault_span()
+        config.experiment_config(),
+        fold=True,
+        fault_horizon=config.fault_span(),
+        queue_capacity=config.queue_capacity,
+        degraded_floor=config.degraded_floor,
     )
     spec = config.open_loop_spec(res.capacities())
-    svc = AdmissionService(
-        res,
-        queue_capacity=config.queue_capacity,
-        hygiene_interval=HYGIENE_INTERVAL,
-        degraded_floor=config.degraded_floor,
-        degraded_window=DEGRADED_WINDOW,
-    )
+    stats, metrics = res.stats, res.resident.metrics
     # an all-zero stats object stands in for a half that is switched off
     membership, injector = res.resident.membership, res.resident.injector
     mstats = membership.stats if membership is not None else MembershipStats()
@@ -295,28 +298,28 @@ def run_soak(
 
     def take_sample() -> SoakSample:
         wall = time.perf_counter() - t0
-        decided = svc.stats.decided
+        decided = stats.decided
         dt = wall - state["last_wall"]
         rate = (decided - state["last_decided"]) / dt if dt > 0 else 0.0
-        window = svc.latency.snapshot(qs=(50.0, 99.0))
+        window = res.latency.snapshot(qs=(50.0, 99.0))
         sample = SoakSample(
             jobs_decided=decided,
             wall_s=wall,
             sim_time=res.now,
             jobs_per_sec=rate,
-            guarantee_ratio=res.guarantee_ratio(),
+            guarantee_ratio=metrics.guarantee_ratio(),
             lat_p50=window.get("p50", float("nan")),
             lat_p99=window.get("p99", float("nan")),
-            queue_depth=svc.queue_depth,
+            queue_depth=res.queue_depth,
             rss_mb=current_rss_mb() or rss0,
-            live_records=res.live_records(),
-            folded=res.resident.metrics.n_folded,
+            live_records=len(metrics.jobs),
+            folded=metrics.n_folded,
             joins_applied=mstats.joins_applied,
             rejoins=mstats.rejoins,
             repaired_rows=mstats.repaired_rows,
             site_down_events=fstats.site_down_events,
-            shed_total=svc.stats.queue_full + svc.stats.shed_degraded,
-            degraded=int(svc.degraded),
+            shed_total=stats.queue_full + stats.shed_degraded,
+            degraded=int(res.degraded),
         )
         samples.append(sample)
         state["last_wall"] = wall
@@ -329,52 +332,51 @@ def run_soak(
     jobs = itertools.islice(open_loop_jobs(spec), config.target_jobs)
     for i, job in enumerate(jobs):
         if lossy:
-            svc.submit_nowait(job)
+            res.submit_nowait(job)
         else:
-            svc.submit(job)
-        if svc.stats.decided >= state["next_at"]:
+            res.submit(job)
+        if stats.decided >= state["next_at"]:
             take_sample()
-            state["next_at"] = svc.stats.decided + config.sample_every
+            state["next_at"] = stats.decided + config.sample_every
         if lossy and i % LOSSY_BATCH == LOSSY_BATCH - 1:
-            svc.pump()
-    svc.drain()
+            res.pump()
+    res.drain()
     final = take_sample()
 
     wall = final.wall_s
     peak = max(s.rss_mb for s in samples)
     # every enqueued job is decided by now: 20% of target_jobs for the
     # backpressured soak, fewer when the lossy intake shed some
-    cut = svc.stats.decided * 0.2
+    cut = stats.decided * 0.2
     early = [s for s in samples if s.jobs_decided >= cut]
     rss_at_20 = early[0].rss_mb if early else samples[0].rss_mb
     growth = max(0.0, final.rss_mb - rss_at_20)
-    lat = svc.latency.percentiles(qs=(50.0, 99.0))
-    metrics = res.resident.metrics
-    shed = svc.stats.queue_full + svc.stats.shed_degraded
+    lat = res.latency.percentiles(qs=(50.0, 99.0))
+    shed = stats.queue_full + stats.shed_degraded
 
     return SoakReport(
         config=asdict(config),
-        n_jobs=svc.stats.decided,
+        n_jobs=stats.decided,
         wall_s=wall,
-        jobs_per_sec=svc.stats.decided / wall if wall > 0 else 0.0,
+        jobs_per_sec=stats.decided / wall if wall > 0 else 0.0,
         sim_time=res.now,
         guarantee_ratio=metrics.guarantee_ratio(),
         effective_ratio=metrics.effective_ratio(),
         lat_p50=lat["p50"],
         lat_p99=lat["p99"],
-        lat_mean=svc.latency.mean,
-        max_queue_depth=svc.stats.max_queue_depth,
-        backpressure_waits=svc.stats.backpressure_waits,
+        lat_mean=res.latency.mean,
+        max_queue_depth=stats.max_queue_depth,
+        backpressure_waits=stats.backpressure_waits,
         rss_peak_mb=peak,
         rss_final_mb=final.rss_mb,
         rss_growth_final80=growth / peak if peak > 0 else 0.0,
-        leaked_unfinished=res.unfinished_plan_records(),
-        live_records_final=res.live_records(),
+        leaked_unfinished=res.resident.unfinished_plan_records(),
+        live_records_final=len(metrics.jobs),
         folded_total=metrics.n_folded,
-        submitted=svc.stats.submitted + shed,
-        shed_queue_full=svc.stats.queue_full,
-        shed_degraded=svc.stats.shed_degraded,
-        degraded_entered=svc.stats.degraded_entered,
+        submitted=stats.submitted + shed,
+        shed_queue_full=stats.queue_full,
+        shed_degraded=stats.shed_degraded,
+        degraded_entered=stats.degraded_entered,
         **mstats.row(),
         site_down_events=fstats.site_down_events,
         jobs_dropped=fstats.jobs_dropped,

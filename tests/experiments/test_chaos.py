@@ -122,18 +122,18 @@ _SMOKE = SoakConfig(
 
 def test_smoke_cell_simulated_fields_are_pinned(monkeypatch):
     """The simulated half of the smoke cell's report, and the batches the
-    lossy intake pumps (one per 64 submissions, the rest at the drain),
-    as the asyncio-driven service produced them."""
+    lossy intake feeds the network (one per 64 submissions, the rest at
+    the drain)."""
     from repro.service.resident import ResidentSimulation
 
     batches = []
-    pump = ResidentSimulation.pump
+    feed = ResidentSimulation.feed
 
     def recording(self, jobs):
         batches.append(len(jobs))
-        return pump(self, jobs)
+        return feed(self, jobs)
 
-    monkeypatch.setattr(ResidentSimulation, "pump", recording)
+    monkeypatch.setattr(ResidentSimulation, "feed", recording)
     report = run_soak(_SMOKE)
 
     assert batches == [64] * 7 + [52]

@@ -8,9 +8,8 @@ starts from a collected heap, runs with the collector off, and must leave
 nothing for one collection to find while its result is still held.
 
 The identity scenarios cover the RTDS paths (faults and heterogeneous
-speeds included); ``e2_16`` runs under every algorithm and once with the
-periodic hygiene pass. The soak is left out on purpose: it tears its
-network down at the end.
+speeds included); ``e2_16`` runs under every algorithm. The soak is left
+out on purpose: it tears its network down at the end.
 """
 
 import gc
@@ -26,8 +25,6 @@ CELLS = {name: replace(make(), trace=False) for name, make in SCENARIOS.items()}
 CELLS.update(
     {f"e2_16-{alg}": replace(CELLS["e2_16"], algorithm=alg) for alg in ALGORITHMS if alg != "rtds"}
 )
-#: the periodic hygiene pass re-arms its own timer
-CELLS["e2_16-hygiene"] = replace(CELLS["e2_16"], hygiene_interval=50.0)
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))

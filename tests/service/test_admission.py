@@ -1,11 +1,11 @@
-"""Admission service behavior: backpressure, shedding, decisions, drain."""
+"""Admission intake behavior: backpressure, shedding, decisions, drain."""
 
 import pytest
 
 from repro.core.events import JobOutcome
 from repro.errors import ConfigError
 from repro.experiments.runner import ExperimentConfig
-from repro.service import AdmissionService, ResidentSimulation
+from repro.service import ResidentSimulation
 from repro.workloads.arrivals import PoissonProcess
 from repro.workloads.openloop import OpenLoopSpec, open_loop_workload
 
@@ -24,38 +24,36 @@ def _jobs(n=30, seed=0):
 
 
 def test_submit_nowait_sheds_when_full():
-    res = ResidentSimulation(_config())
-    svc = AdmissionService(res, queue_capacity=4)
+    res = ResidentSimulation(_config(), queue_capacity=4)
     jobs = _jobs(8)
-    accepted = [svc.submit_nowait(j) for j in jobs]
+    accepted = [res.submit_nowait(j) for j in jobs]
     # nothing pumped yet: the first 4 fill the queue, the rest shed
     assert accepted == [True] * 4 + [False] * 4
-    assert svc.stats.queue_full == 4
-    assert svc.stats.submitted == 4
-    svc.drain()
-    assert svc.stats.decided == 4
+    assert res.stats.queue_full == 4
+    assert res.stats.submitted == 4
+    res.drain()
+    assert res.stats.decided == 4
 
 
-def _submit_all(res, jobs, queue_capacity):
+def _submit_all(jobs, queue_capacity):
     """Backpressured intake of ``jobs`` into a fresh service, drained."""
-    svc = AdmissionService(res, queue_capacity=queue_capacity)
+    res = ResidentSimulation(_config(), queue_capacity=queue_capacity)
     for j in jobs:
-        svc.submit(j)
-    svc.drain()
-    return svc
+        res.submit(j)
+    res.drain()
+    return res
 
 
 def test_backpressure_bounds_queue_depth():
-    svc = _submit_all(ResidentSimulation(_config()), _jobs(40), queue_capacity=3)
-    assert svc.stats.max_queue_depth <= 3
-    assert svc.stats.backpressure_waits > 0
-    assert svc.stats.decided == 40
+    res = _submit_all(_jobs(40), queue_capacity=3)
+    assert res.stats.max_queue_depth <= 3
+    assert res.stats.backpressure_waits > 0
+    assert res.stats.decided == 40
 
 
 def test_every_job_is_decided_at_or_after_its_arrival():
-    res = ResidentSimulation(_config())
     jobs = _jobs(10)
-    _submit_all(res, jobs, queue_capacity=16)
+    res = _submit_all(jobs, queue_capacity=16)
     records = res.resident.metrics.jobs
     assert sorted(records) == sorted(j.job for j in jobs)
     for rec in records.values():
@@ -65,27 +63,25 @@ def test_every_job_is_decided_at_or_after_its_arrival():
 
 
 def test_drain_is_idempotent_and_closes_intake():
-    res = ResidentSimulation(_config())
-    svc = AdmissionService(res, queue_capacity=8)
+    res = ResidentSimulation(_config(), queue_capacity=8)
     for j in _jobs(5):
-        svc.submit(j)
-    svc.drain()
-    svc.drain()  # second drain: no-op
+        res.submit(j)
+    res.drain()
+    res.drain()  # second drain: no-op
     with pytest.raises(ConfigError):
-        svc.submit(_jobs(6)[5])
+        res.submit(_jobs(6)[5])
     with pytest.raises(ConfigError):
-        svc.submit_nowait(_jobs(6)[5])
-    assert svc.stats.decided == 5
-    assert res.unfinished_plan_records() == 0
+        res.submit_nowait(_jobs(6)[5])
+    assert res.stats.decided == 5
+    assert res.resident.unfinished_plan_records() == 0
 
 
 def test_latency_timer_sees_every_decision():
-    svc = _submit_all(ResidentSimulation(_config()), _jobs(20), queue_capacity=16)
-    assert svc.latency.count == 20
-    assert svc.latency.min >= 0.0
+    res = _submit_all(_jobs(20), queue_capacity=16)
+    assert res.latency.count == 20
+    assert res.latency.min >= 0.0
 
 
 def test_queue_capacity_validated():
-    res = ResidentSimulation(_config())
-    with pytest.raises(ConfigError):
-        AdmissionService(res, queue_capacity=0)
+    with pytest.raises(ConfigError, match="queue_capacity must be >= 1"):
+        ResidentSimulation(_config(), queue_capacity=0)

@@ -9,7 +9,8 @@ from repro.errors import ConfigError
 from repro.experiments.runner import ExperimentConfig
 from repro.faults import FaultPlan
 from repro.metrics.summary import scalars_equal
-from repro.service import AdmissionService, ResidentSimulation
+from repro.service import ResidentSimulation
+from repro.service.resident import DEGRADED_WINDOW
 from repro.workloads.jobs import JobSpec
 from repro.workloads.scenarios import mixed_dag_factory
 
@@ -43,80 +44,74 @@ def _decision(i, accepted):
     )
 
 
-def _breaker_service(floor=0.5, window=10):
-    res = ResidentSimulation(_config())
-    return res, AdmissionService(
-        res, queue_capacity=8, degraded_floor=floor, degraded_window=window
-    )
+def _breaker_service(floor=0.5, queue_capacity=8):
+    return ResidentSimulation(_config(), queue_capacity=queue_capacity, degraded_floor=floor)
 
 
 def test_breaker_validates_params():
-    res = ResidentSimulation(_config())
-    with pytest.raises(ConfigError):
-        AdmissionService(res, degraded_floor=1.5)
-    with pytest.raises(ConfigError):
-        AdmissionService(res, degraded_floor=0.5, degraded_window=0)
+    with pytest.raises(ConfigError, match="degraded_floor must be in"):
+        ResidentSimulation(_config(), degraded_floor=1.5)
 
 
 def test_breaker_needs_full_window():
     """A cold window never trips, even on consecutive rejects."""
-    _, svc = _breaker_service(floor=0.5, window=10)
-    for i in range(9):
-        svc._on_decide(_decision(i, accepted=False))
-    assert not svc.degraded
+    res = _breaker_service(floor=0.5)
+    for i in range(DEGRADED_WINDOW - 1):
+        res._on_decide(_decision(i, accepted=False))
+    assert not res.degraded
 
 
 def test_breaker_trips_and_recovers():
-    res, svc = _breaker_service(floor=0.5, window=10)
-    for i in range(10):
-        svc._on_decide(_decision(i, accepted=False))
-    assert svc.degraded
-    assert svc.stats.degraded_entered == 1
+    res = _breaker_service(floor=0.5)
+    for i in range(DEGRADED_WINDOW):
+        res._on_decide(_decision(i, accepted=False))
+    assert res.degraded
+    assert res.stats.degraded_entered == 1
     # while open, submit_nowait sheds without queueing
     job = _job(100, res)
-    assert svc.submit_nowait(job) is False
-    assert svc.stats.shed_degraded == 1
-    assert svc.queue_depth == 0
-    # a run of accepts closes it again
-    for i in range(10, 20):
-        svc._on_decide(_decision(i, accepted=True))
-    assert not svc.degraded
-    assert svc.stats.degraded_entered == 1
-    assert svc.submit_nowait(_job(101, res)) is True
+    assert res.submit_nowait(job) is False
+    assert res.stats.shed_degraded == 1
+    assert res.queue_depth == 0
+    # a window's majority of accepts closes it again
+    for i in range(DEGRADED_WINDOW // 2 + 1):
+        res._on_decide(_decision(DEGRADED_WINDOW + i, accepted=True))
+    assert not res.degraded
+    assert res.stats.degraded_entered == 1
+    assert res.submit_nowait(_job(101, res)) is True
 
 
 def test_breaker_closes_after_shedding_a_window():
     """Shed jobs are never decided, so decisions cannot close an open
     breaker once the queue is empty; shedding one window's worth of jobs
     does, on a cleared window. Driven through submit_nowait/pump only."""
-    res, svc = _breaker_service(floor=0.5, window=4)
-    # four jobs no site can hold (deadline far below the DAG's length),
-    # then one later arrival whose pump lets the four be decided
-    for i in range(4):
-        assert svc.submit_nowait(_job(i, res, deadline=0.01)) is True
-    assert svc.submit_nowait(_job(4, res, delay=50.0)) is True
-    svc.pump()
-    assert svc.stats.rejected >= 4
-    assert svc.degraded and svc.stats.degraded_entered == 1
+    n = DEGRADED_WINDOW
+    res = _breaker_service(floor=0.5, queue_capacity=n + 1)
+    # a window of jobs no site can hold (deadline far below the DAG's
+    # length), then one later arrival whose pump lets them be decided
+    for i in range(n):
+        assert res.submit_nowait(_job(i, res, deadline=0.01)) is True
+    assert res.submit_nowait(_job(n, res, delay=50.0)) is True
+    res.pump()
+    assert res.stats.rejected >= n
+    assert res.degraded and res.stats.degraded_entered == 1
     # open with an empty queue: it sheds exactly one window, then closes
-    shed = [svc.submit_nowait(_job(10 + i, res, delay=1.0)) for i in range(4)]
-    assert shed == [False] * 4
-    assert svc.stats.shed_degraded == 4
-    assert not svc.degraded
-    assert svc.submit_nowait(_job(20, res, delay=1.0)) is True
+    shed = [res.submit_nowait(_job(n + 1 + i, res, delay=1.0)) for i in range(n)]
+    assert shed == [False] * n
+    assert res.stats.shed_degraded == n
+    assert not res.degraded
+    assert res.submit_nowait(_job(2 * n + 1, res, delay=1.0)) is True
     # the cleared window must fill again before the breaker can re-trip
-    svc.drain()
-    assert svc.stats.degraded_entered == 1
-    assert svc.stats.decided == svc.stats.submitted == 6
+    res.drain()
+    assert res.stats.degraded_entered == 1
+    assert res.stats.decided == res.stats.submitted == n + 2
 
 
 def test_breaker_off_by_default():
-    res = ResidentSimulation(_config())
-    svc = AdmissionService(res, queue_capacity=8)
-    for i in range(50):
-        svc._on_decide(_decision(i, accepted=False))
-    assert not svc.degraded
-    assert svc.submit_nowait(_job(200, res)) is True
+    res = ResidentSimulation(_config(), queue_capacity=8)
+    for i in range(2 * DEGRADED_WINDOW):
+        res._on_decide(_decision(i, accepted=False))
+    assert not res.degraded
+    assert res.submit_nowait(_job(200, res)) is True
 
 
 # -- fault arming through the service ---------------------------------------
@@ -139,11 +134,10 @@ def test_zero_plan_service_run_is_noop(seed):
     bit-for-bit no-op against the plan-less service run."""
 
     def run(faults):
-        res = ResidentSimulation(_config(seed=seed, faults=faults))
-        svc = AdmissionService(res, queue_capacity=32)
+        res = ResidentSimulation(_config(seed=seed, faults=faults), queue_capacity=32)
         for i in range(20):
-            svc.submit(_job(i, res))
-        svc.drain()
+            res.submit(_job(i, res))
+        res.drain()
         return res.scalar_metrics()
 
     assert scalars_equal(run(None), run(FaultPlan()))

@@ -192,6 +192,21 @@ class TestErrorBoundary:
             (["run", "--laxity", "inf"], "laxity_factor must be > 0 and finite"),
             # a size no topology can have is refused before any cell runs
             (["sweep-size", "--sizes", "1,8", "--duration", "20"], "at least 2 sites, got 1"),
+            # a soak is refused by name before its network is built
+            (["soak", "--sites", "1"], "n_sites must be >= 2"),
+            (["soak", "--rho", "-1", "--target-jobs", "10"], "rho must be >= 0 and finite"),
+            (["soak", "--rho", "inf"], "rho must be >= 0 and finite"),
+            (["soak", "--laxity", "0"], "laxity_factor must be > 0 and finite"),
+            (["soak", "--laxity", "nan"], "laxity_factor must be > 0 and finite"),
+            (["soak", "--queue-capacity", "0"], "queue_capacity must be >= 1"),
+            (["soak", "--degraded-floor", "0"], "degraded_floor must be in (0, 1]"),
+            (["soak", "--degraded-floor", "1.5"], "degraded_floor must be in (0, 1]"),
+            # a list flag that does not parse is named, item and all
+            (["sweep-load", "--rhos", "1,x"], "bad list '1,x': could not convert string to float: 'x'"),
+            (["sweep-size", "--sizes", "1,x"], "bad list '1,x': invalid literal for int()"),
+            (["sweep-radius", "--radii", "1,x"], "bad list '1,x': invalid literal for int()"),
+            (["sweep-faults", "--losses", "1,x"], "bad list '1,x': could not convert string to float"),
+            (["sweep-widenet", "--sizes", "1,x"], "bad list '1,x': invalid literal for int()"),
         ],
     )
     def test_config_errors_exit_2_with_one_line(self, capsys, argv, needle):
